@@ -17,7 +17,7 @@ use samm_core::error::EnumError;
 use samm_core::instr::Program;
 use samm_core::policy::Policy;
 use samm_litmus::catalog::{CatalogEntry, ModelSel};
-use samm_litmus::expect::{run_entry_certified, run_entry_certified_parallel, EntryReport};
+use samm_litmus::expect::{run_entry_certified, EntryReport};
 
 use crate::certify::certify;
 use crate::robust::{analyze_static, StaticVerdict};
@@ -50,27 +50,13 @@ pub fn checked_certifier(program: &Program, policy: &Policy) -> bool {
     drf_certifier(program, policy) || robust_certifier(program, policy)
 }
 
-/// Runs one catalog entry with the DRF-SC short-circuit (serial
-/// engine).
+/// Runs one catalog entry with the DRF-SC short-circuit.
 ///
 /// # Errors
 ///
 /// Propagates enumeration failures.
 pub fn run_entry(entry: &CatalogEntry, config: &EnumConfig) -> Result<EntryReport, EnumError> {
     run_entry_certified(entry, config, &checked_certifier)
-}
-
-/// Runs one catalog entry with the DRF-SC short-circuit on the
-/// work-stealing pool.
-///
-/// # Errors
-///
-/// Propagates enumeration failures.
-pub fn run_entry_parallel(
-    entry: &CatalogEntry,
-    config: &EnumConfig,
-) -> Result<EntryReport, EnumError> {
-    run_entry_certified_parallel(entry, config, &checked_certifier)
 }
 
 /// The models of an entry the certifier would short-circuit — handy for
@@ -172,20 +158,5 @@ mod tests {
             assert_eq!(row.certified, row.model != ModelSel::Sc, "{}", row.model);
         }
         assert_eq!(certified_models(&entry).len(), entry.models().len() - 1);
-    }
-
-    #[test]
-    fn parallel_short_circuit_agrees() {
-        let entry = catalog::mp_fenced();
-        let config = EnumConfig {
-            parallelism: 4,
-            ..fast()
-        };
-        let serial = run_entry(&entry, &config).unwrap();
-        let parallel = run_entry_parallel(&entry, &config).unwrap();
-        for (s, p) in serial.rows.iter().zip(&parallel.rows) {
-            assert_eq!(s.certified, p.certified);
-            assert_eq!(s.outcomes, p.outcomes);
-        }
     }
 }

@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use samm_core::cache::EnumCache;
 use samm_core::telemetry::Histogram;
 use samm_serve::handler::{self, ServerState};
-use samm_serve::protocol::{EngineSel, Request};
+use samm_serve::protocol::Request;
 use samm_serve::telemetry::Telemetry;
 
 fn bench_histogram(c: &mut Criterion) {
@@ -69,7 +69,6 @@ fn bench_request_overhead(c: &mut Criterion) {
         test: "IRIW".into(),
         model: "Weak".into(),
         budget: None,
-        engine: EngineSel::Serial,
     };
     for (label, observe) in [("observed", true), ("disabled", false)] {
         group.bench_with_input(

@@ -3,23 +3,24 @@
 //!
 //! Run with: `cargo run --release -p samm-bench --bin experiments`
 //!
-//! Flags: `--jobs <n>` sets `EnumConfig::parallelism` for every
-//! experiment (default: `SAMM_JOBS`, else the core count); `--cache
-//! <file>` loads/saves the content-addressed enumeration cache, so a
-//! rerun answers repeated (program, policy, config) queries from disk.
-//! All verdict-matrix experiments share one in-process cache either
-//! way; the cache-summary section at the end reports the hit rate.
+//! Every experiment enumerates with the production engine
+//! ([`enumerate_pruned`]); E17 checks it against the serial oracle over
+//! the whole catalog.
+//!
+//! Flags: `--cache <file>` loads/saves the content-addressed
+//! enumeration cache, so a rerun answers repeated (program, policy,
+//! config) queries from disk. All verdict-matrix experiments share one
+//! in-process cache either way; the cache-summary section at the end
+//! reports the hit rate.
 
 use std::sync::OnceLock;
 
 use samm_core::cache::{cached_enumerate, EnumCache};
-use samm_core::enumerate::{enumerate, EnumConfig};
+use samm_core::enumerate::EnumConfig;
 use samm_core::policy::Policy;
+use samm_core::pruned::enumerate_pruned;
 use samm_core::speculation;
 use samm_litmus::{catalog, expect, ModelSel};
-
-/// `--jobs` override, set once in `main`.
-static JOBS: OnceLock<usize> = OnceLock::new();
 
 /// The process-wide content-addressed enumeration cache shared by every
 /// verdict-matrix experiment.
@@ -30,11 +31,7 @@ fn cache() -> &'static EnumCache {
 }
 
 fn config() -> EnumConfig {
-    let mut builder = EnumConfig::builder().keep_executions(false);
-    if let Some(&jobs) = JOBS.get() {
-        builder = builder.parallelism(jobs);
-    }
-    builder.build()
+    EnumConfig::builder().keep_executions(false).build()
 }
 
 fn heading(s: &str) {
@@ -90,7 +87,7 @@ fn emit_figure_dots() {
         (catalog::fig10(), ModelSel::Tso, 0),
     ];
     for (entry, model, cond_index) in cases {
-        let result = enumerate(&entry.test.program, &model.policy(), &EnumConfig::default())
+        let result = enumerate_pruned(&entry.test.program, &model.policy(), &EnumConfig::default())
             .expect("enumeration succeeds");
         let cond = &entry.test.conditions[cond_index];
         if let Some(exec) = result
@@ -148,7 +145,7 @@ fn experiment_bracketing() {
                 &entry.test.program,
                 &model.policy(),
                 &config(),
-                enumerate,
+                enumerate_pruned,
             )
             .expect("enumeration succeeds");
             print!("{:>10}", value.outcomes.len());
@@ -207,7 +204,7 @@ fn experiment_tso() {
             &entry.test.program,
             &model.policy(),
             &config(),
-            enumerate,
+            enumerate_pruned,
         )
         .expect("enumeration succeeds")
         .0
@@ -276,7 +273,7 @@ fn experiment_compression() {
         catalog::fig3(),
         catalog::fig7(),
     ] {
-        let result = enumerate(&entry.test.program, &Policy::weak(), &cfg).expect("runs");
+        let result = enumerate_pruned(&entry.test.program, &Policy::weak(), &cfg).expect("runs");
         let mut total = 0usize;
         for exec in &result.executions {
             total += samm_core::serialize::serializations(exec, 100_000).len();
@@ -306,7 +303,7 @@ fn experiment_stats() {
                 &entry.test.program,
                 &model.policy(),
                 &config(),
-                enumerate,
+                enumerate_pruned,
             )
             .expect("enumeration succeeds");
             println!(
@@ -322,48 +319,44 @@ fn experiment_stats() {
     }
 }
 
-/// E17: the work-stealing parallel enumerator — engine equivalence over
-/// the full catalog, plus wall-clock per worker count.
-fn experiment_parallel() {
+/// E17: engine equivalence — the pruned production engine against the
+/// serial oracle over the full catalog, verdict row by verdict row,
+/// plus the wall-clock of each.
+fn experiment_engines() {
     use std::time::Instant;
-    heading("E17 — work-stealing parallel enumeration (engine equivalence + wall-clock)");
+    heading("E17 — pruned engine vs the serial oracle (engine equivalence + wall-clock)");
     let entries = catalog::all();
-    let serial_start = Instant::now();
-    let serial = expect::run_all(&entries, &config()).expect("serial harness succeeds");
-    let serial_time = serial_start.elapsed();
+    let time = |run: &dyn Fn(&samm_litmus::CatalogEntry) -> expect::EntryReport| {
+        let start = Instant::now();
+        let reports: Vec<_> = entries.iter().map(run).collect();
+        (reports, start.elapsed())
+    };
+    let (serial, serial_time) =
+        time(&|e| expect::run_entry_serial(e, &config()).expect("serial harness succeeds"));
+    let (pruned, pruned_time) =
+        time(&|e| expect::run_entry(e, &config()).expect("pruned harness succeeds"));
+    let mut rows = 0usize;
+    for (s, p) in serial.iter().zip(&pruned) {
+        assert_eq!(s.rows.len(), p.rows.len(), "{}: row count differs", s.name);
+        for (sr, pr) in s.rows.iter().zip(&p.rows) {
+            assert_eq!(
+                (sr.observed_allowed, sr.outcomes, sr.executions),
+                (pr.observed_allowed, pr.outcomes, pr.executions),
+                "{}: engines disagree on `{}`",
+                s.name,
+                sr.condition
+            );
+            rows += 1;
+        }
+    }
     println!(
-        "serial:   full catalog ({} entries) in {serial_time:.3?}",
+        "serial oracle: full catalog ({} entries) in {serial_time:.3?}",
         entries.len()
     );
-    for workers in [2, 4, 8] {
-        let par_config = EnumConfig {
-            parallelism: workers,
-            ..config()
-        };
-        let start = Instant::now();
-        let parallel =
-            expect::run_all_parallel(&entries, &par_config).expect("parallel harness succeeds");
-        let elapsed = start.elapsed();
-        let mut rows = 0usize;
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.rows.len(), p.rows.len(), "{}: row count differs", s.name);
-            for (sr, pr) in s.rows.iter().zip(&p.rows) {
-                assert_eq!(
-                    (sr.observed_allowed, sr.outcomes, sr.executions),
-                    (pr.observed_allowed, pr.outcomes, pr.executions),
-                    "{}: engines disagree on `{}`",
-                    s.name,
-                    sr.condition
-                );
-                rows += 1;
-            }
-        }
-        println!(
-            "{workers} workers: full catalog in {elapsed:.3?} ({:.2}x vs serial), all {rows} verdict rows identical",
-            serial_time.as_secs_f64() / elapsed.as_secs_f64()
-        );
-    }
-    println!("(speedup needs multiple cores; on a single-CPU host expect ~1x or below)");
+    println!(
+        "pruned engine: full catalog in {pruned_time:.3?} ({:.2}x vs serial), all {rows} verdict rows identical",
+        serial_time.as_secs_f64() / pruned_time.as_secs_f64()
+    );
 }
 
 /// Cache summary: what sharing one content-addressed cache across all
@@ -385,18 +378,6 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--jobs" => {
-                let jobs = args.next().and_then(|v| v.parse::<usize>().ok());
-                match jobs.filter(|&n| n > 0) {
-                    Some(jobs) => {
-                        let _ = JOBS.set(jobs);
-                    }
-                    None => {
-                        eprintln!("experiments: --jobs needs a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--cache" => match args.next() {
                 Some(path) => cache_path = Some(path),
                 None => {
@@ -405,9 +386,7 @@ fn main() {
                 }
             },
             other => {
-                eprintln!(
-                    "experiments: unknown argument '{other}' (flags: --jobs N, --cache FILE)"
-                );
+                eprintln!("experiments: unknown argument '{other}' (flags: --cache FILE)");
                 std::process::exit(2);
             }
         }
@@ -434,7 +413,7 @@ fn main() {
     experiment_coherence();
     experiment_compression();
     experiment_stats();
-    experiment_parallel();
+    experiment_engines();
     experiment_cache();
     if let Some(path) = &cache_path {
         match cache().save_to(path) {

@@ -4,8 +4,8 @@
 //! samm-bench-report [--out PATH] [--iters N] [--tests A,B,...]
 //! ```
 //!
-//! Times every engine (serial, work-stealing parallel, and
-//! prune-before-expand) over a fixed set of catalog tests and writes
+//! Times both engines (the prune-before-expand production engine and the
+//! serial oracle) over a fixed set of catalog tests and writes
 //! one JSON report — `BENCH_enum.json` by default — with per-(test,
 //! engine) wall microseconds (min and mean over `--iters` runs, min
 //! being the noise-resistant number CI should trend) plus the verdict
@@ -23,10 +23,10 @@ use std::time::Instant;
 
 use samm_core::enumerate::EnumConfig;
 use samm_litmus::catalog::{self, CatalogEntry};
-use samm_litmus::expect::{run_entry, run_entry_parallel, run_entry_pruned, EntryReport};
+use samm_litmus::expect::{run_entry, run_entry_serial, EntryReport};
 use samm_serve::json::Json;
 
-/// Fast classics plus one paper figure: small enough that three
+/// Fast classics plus one paper figure: small enough that both
 /// engines × `--iters` runs stay under a second, varied enough that
 /// the engines' search shapes differ.
 const DEFAULT_TESTS: [&str; 5] = ["SB", "MP", "LB", "IRIW", "fig4"];
@@ -88,11 +88,7 @@ fn main() -> ExitCode {
         &'static str,
         fn(&CatalogEntry, &EnumConfig) -> Result<EntryReport, samm_core::error::EnumError>,
     );
-    let engines: [Engine; 3] = [
-        ("serial", run_entry),
-        ("parallel", run_entry_parallel),
-        ("pruned", run_entry_pruned),
-    ];
+    let engines: [Engine; 2] = [("serial", run_entry_serial), ("pruned", run_entry)];
 
     let config = EnumConfig::default();
     let mut rows = Vec::new();

@@ -20,9 +20,12 @@
 //! samm-load [--addr HOST:PORT] [--endpoints A:P,B:P,...]
 //!           [--concurrency N] [--passes N] [--batch N]
 //!           [--subset catalog-small|catalog|figures]
-//!           [--engine serial|parallel] [--prom HOST:PORT]
-//!           [--trace PATH] [--bench-json PATH] [--shutdown]
+//!           [--prom HOST:PORT] [--trace PATH] [--bench-json PATH]
+//!           [--shutdown]
 //! ```
+//!
+//! Fresh (cache-miss) requests run on the server's one engine, the
+//! pruned enumerator; the `--bench-json` report names it.
 //!
 //! `--trace PATH` makes the generator originate distributed traces:
 //! every wire request carries a fresh `trace` context plus a derived
@@ -71,7 +74,6 @@ struct Options {
     passes: usize,
     batch: usize,
     subset: String,
-    engine: String,
     prom: Option<String>,
     trace: Option<PathBuf>,
     bench_json: Option<PathBuf>,
@@ -86,7 +88,6 @@ impl Default for Options {
             passes: 2,
             batch: 1,
             subset: "catalog-small".to_owned(),
-            engine: "serial".to_owned(),
             prom: None,
             trace: None,
             bench_json: None,
@@ -100,8 +101,8 @@ fn usage() -> ! {
         "usage: samm-load [--addr HOST:PORT] [--endpoints A:P,B:P,...]\n\
          \x20                [--concurrency N] [--passes N] [--batch N]\n\
          \x20                [--subset catalog-small|catalog|figures]\n\
-         \x20                [--engine serial|parallel] [--prom HOST:PORT]\n\
-         \x20                [--trace PATH] [--bench-json PATH] [--shutdown]"
+         \x20                [--prom HOST:PORT] [--trace PATH] [--bench-json PATH]\n\
+         \x20                [--shutdown]"
     );
     std::process::exit(2);
 }
@@ -141,7 +142,6 @@ fn parse_args() -> Options {
                 }
             }
             "--subset" => opts.subset = take("--subset"),
-            "--engine" => opts.engine = take("--engine"),
             "--prom" => opts.prom = Some(take("--prom")),
             "--trace" => opts.trace = Some(PathBuf::from(take("--trace"))),
             "--bench-json" => opts.bench_json = Some(PathBuf::from(take("--bench-json"))),
@@ -188,12 +188,12 @@ fn subset_entries(subset: &str) -> Vec<CatalogEntry> {
 
 /// The request lines of one pass: every (test, model) pair of the
 /// subset.
-fn workload(entries: &[CatalogEntry], engine: &str) -> Vec<String> {
+fn workload(entries: &[CatalogEntry]) -> Vec<String> {
     let mut lines = Vec::new();
     for entry in entries {
         for model in entry.models() {
             lines.push(format!(
-                "{{\"kind\":\"enumerate\",\"test\":\"{}\",\"model\":\"{}\",\"engine\":\"{engine}\"}}",
+                "{{\"kind\":\"enumerate\",\"test\":\"{}\",\"model\":\"{}\"}}",
                 entry.test.name,
                 model.name()
             ));
@@ -477,7 +477,7 @@ fn main() -> ExitCode {
         }
     }
     let entries = subset_entries(&opts.subset);
-    let lines = workload(&entries, &opts.engine);
+    let lines = workload(&entries);
     println!(
         "samm-load: {} requests/pass ({} tests, subset {}), {} pass(es), \
          concurrency {}, batch {}, {} endpoint(s)",
@@ -574,7 +574,7 @@ fn main() -> ExitCode {
         let report = Json::obj([
             ("bench", Json::str("serve")),
             ("subset", Json::str(&opts.subset)),
-            ("engine", Json::str(&opts.engine)),
+            ("engine", Json::str(samm_serve::ENGINE)),
             ("concurrency", Json::num(opts.concurrency as f64)),
             ("batch", Json::num(opts.batch as f64)),
             ("endpoints", Json::num(addrs.len() as f64)),

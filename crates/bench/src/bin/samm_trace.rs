@@ -4,7 +4,7 @@
 //! ```text
 //! samm-trace <test> [--model <name>] [--condition <index>]
 //!                   [--dot <file>] [--json <file>] [--stats]
-//!                   [--jobs <n>] [--cache <file>]
+//!                   [--cache <file>]
 //! ```
 //!
 //! For every verdict of the named catalog entry (optionally narrowed to
@@ -19,8 +19,6 @@
 //! writes all artifacts as a JSON array, and `--stats` prints the
 //! instrumented enumeration counters for each model.
 //!
-//! `--jobs <n>` sets [`EnumConfig::parallelism`] (default: the
-//! `SAMM_JOBS` environment variable, else the machine's core count).
 //! `--cache <file>` answers the `--stats` enumerations from a persisted
 //! content-addressed cache, writing it back on exit.
 
@@ -28,8 +26,9 @@ use std::process::ExitCode;
 
 use samm_core::cache::{cached_enumerate, EnumCache};
 use samm_core::dot::{render, DotOptions};
-use samm_core::enumerate::{enumerate, EnumConfig};
+use samm_core::enumerate::EnumConfig;
 use samm_core::explain::{find_witness, refute, Goal, Refutation, RefuteOutcome};
+use samm_core::pruned::enumerate_pruned;
 use samm_litmus::catalog::{self, CatalogEntry, ModelSel};
 
 struct Args {
@@ -39,14 +38,13 @@ struct Args {
     dot: Option<String>,
     json: Option<String>,
     stats: bool,
-    jobs: Option<usize>,
     cache: Option<String>,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: samm-trace <test> [--model <name>] [--condition <index>] \
-         [--dot <file>] [--json <file>] [--stats] [--jobs <n>] [--cache <file>]"
+         [--dot <file>] [--json <file>] [--stats] [--cache <file>]"
     );
     eprintln!("tests: {}", catalog_names().join(", "));
     eprintln!(
@@ -79,7 +77,6 @@ fn parse_args(argv: &[String]) -> Option<Args> {
         dot: None,
         json: None,
         stats: false,
-        jobs: None,
         cache: None,
     };
     let mut it = argv.iter();
@@ -90,7 +87,6 @@ fn parse_args(argv: &[String]) -> Option<Args> {
             "--dot" => args.dot = Some(it.next()?.clone()),
             "--json" => args.json = Some(it.next()?.clone()),
             "--stats" => args.stats = true,
-            "--jobs" => args.jobs = Some(it.next()?.parse().ok().filter(|&n| n > 0)?),
             "--cache" => args.cache = Some(it.next()?.clone()),
             other if args.test.is_empty() && !other.starts_with('-') => {
                 args.test = other.to_owned();
@@ -125,11 +121,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
-    let mut builder = EnumConfig::builder().keep_executions(false);
-    if let Some(jobs) = args.jobs {
-        builder = builder.parallelism(jobs);
-    }
-    let config = builder.build();
+    let config = EnumConfig::builder().keep_executions(false).build();
     let cache = args.cache.as_ref().map(|path| {
         let cache = EnumCache::new(1024);
         if std::path::Path::new(path).exists() {
@@ -257,10 +249,10 @@ fn main() -> ExitCode {
                     &entry.test.program,
                     &model.policy(),
                     &observed,
-                    enumerate,
+                    enumerate_pruned,
                 )
                 .map(|(value, hit)| (value.stats, hit)),
-                None => enumerate(&entry.test.program, &model.policy(), &observed)
+                None => enumerate_pruned(&entry.test.program, &model.policy(), &observed)
                     .map(|result| (result.stats, false)),
             };
             match outcome {

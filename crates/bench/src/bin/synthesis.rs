@@ -8,26 +8,13 @@
 //! The sweep shares one content-addressed enumeration cache across the
 //! chain pairs, so each middle model (TSO, PSO, Weak) is enumerated
 //! once per program instead of twice; the final line reports the hit
-//! rate. The worker count comes from the first CLI argument, else
-//! `SAMM_JOBS`, else the host's core count.
+//! rate.
 
 use std::time::Instant;
 
 use samm_core::cache::EnumCache;
-use samm_core::enumerate::default_parallelism;
-use samm_litmus::synthesis::{
-    diff_models_cached, diff_models_parallel_cached, programs, SynthConfig,
-};
+use samm_litmus::synthesis::{diff_models_cached, programs, SynthConfig};
 use samm_litmus::ModelSel;
-
-/// Worker count for the parallel sweep: first CLI argument, else
-/// `SAMM_JOBS`, else the host's available parallelism.
-fn workers() -> usize {
-    std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or_else(default_parallelism)
-}
 
 fn sweep(config: &SynthConfig, label: &str, cache: &EnumCache) {
     println!(
@@ -49,19 +36,9 @@ fn sweep(config: &SynthConfig, label: &str, cache: &EnumCache) {
         (ModelSel::Weak, ModelSel::WeakSpec),
     ];
     for (strong, weak) in pairs {
-        let serial_start = Instant::now();
+        let start = Instant::now();
         let summary = diff_models_cached(config, &strong.policy(), &weak.policy(), cache);
-        let serial_time = serial_start.elapsed();
-        let par_start = Instant::now();
-        let par =
-            diff_models_parallel_cached(config, &strong.policy(), &weak.policy(), workers(), cache);
-        let par_time = par_start.elapsed();
-        assert_eq!(par.differing, summary.differing, "engines must agree");
-        assert_eq!(par.first_exemplar, summary.first_exemplar);
-        print!(
-            "  [serial {serial_time:.3?}, {} workers {par_time:.3?}] ",
-            workers()
-        );
+        print!("  [{:.3?}] ", start.elapsed());
         print!(
             "{:>5} vs {:<10} differ on {:>4}/{} programs",
             strong.name(),

@@ -143,7 +143,7 @@ pub fn enforce_observed(
 
 /// Reusable per-thread buffers for [`enforce_observed`]: the loop-invariant
 /// load/store snapshots and rule c's intersection sets. Thread-local so the
-/// serial and rayon-parallel enumerators each get an allocation-free
+/// serial and pruned enumerators each get an allocation-free
 /// closure without threading state through every caller; `enforce_observed`
 /// never re-enters itself, so the `RefCell` borrow cannot conflict.
 #[derive(Default)]

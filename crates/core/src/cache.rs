@@ -11,9 +11,8 @@
 //! What is cached is a [`CachedResult`]: the outcome set plus the
 //! *deterministic* statistics of the run. Kept executions are never
 //! cached (they are large, and callers that need graphs re-enumerate),
-//! and scheduling-dependent counters (`workers`, `steals`,
-//! `shard_contention`, `idle_wakeups`, observation timings) are zeroed on
-//! insert so a hit returns the same bytes whichever engine produced it.
+//! and wall-clock observation timings are zeroed on insert so a hit
+//! returns the same bytes whichever run produced it.
 //!
 //! Budget interaction: a cache hit consumes no fork fuel. The cached
 //! answer is the *complete* answer, so serving it under a small
@@ -67,8 +66,8 @@ use crate::policy::Policy;
 pub struct CachedResult {
     /// Every distinct final outcome of the program under the policy.
     pub outcomes: OutcomeSet,
-    /// Deterministic run statistics (scheduling-dependent counters and
-    /// wall-clock timings zeroed; see the module docs).
+    /// Deterministic run statistics (wall-clock timings zeroed; see the
+    /// module docs).
     pub stats: EnumStats,
 }
 
@@ -77,10 +76,6 @@ impl CachedResult {
     /// statistics to their deterministic subset.
     pub fn from_result(result: &EnumResult) -> Self {
         let mut stats = result.stats;
-        stats.workers = 0;
-        stats.steals = 0;
-        stats.shard_contention = 0;
-        stats.idle_wakeups = 0;
         stats.obs = stats.obs.map(|o| o.counters());
         CachedResult {
             outcomes: result.outcomes.clone(),
@@ -542,10 +537,6 @@ fn parse_line(line: &str) -> Option<(Fingerprint, CachedResult)> {
         rolled_back: rolled_back as usize,
         distinct_executions: distinct_executions as usize,
         max_graph_nodes: max_graph_nodes as usize,
-        workers: 0,
-        steals: 0,
-        shard_contention: 0,
-        idle_wakeups: 0,
         obs,
     };
     Some((fp, CachedResult { outcomes, stats }))
@@ -590,7 +581,6 @@ mod tests {
     use crate::enumerate::enumerate;
     use crate::ids::{Addr, Reg};
     use crate::instr::{Instr, ThreadProgram};
-    use crate::parallel::enumerate_parallel;
 
     fn sb() -> Program {
         let t = |a: u64, b: u64| {
@@ -626,24 +616,17 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_engines_fill_identical_entries() {
-        let config = EnumConfig::builder().parallelism(4).build();
-        let serial_cache = EnumCache::new(64);
-        let parallel_cache = EnumCache::new(64);
-        let (from_serial, _) =
-            cached_enumerate(&serial_cache, &sb(), &Policy::weak(), &config, enumerate).unwrap();
-        let (from_parallel, _) = cached_enumerate(
-            &parallel_cache,
-            &sb(),
-            &Policy::weak(),
-            &config,
-            enumerate_parallel,
-        )
-        .unwrap();
-        assert_eq!(
-            from_serial, from_parallel,
-            "normalization must erase the engine"
-        );
+    fn observed_fills_are_identical_across_runs() {
+        let config = EnumConfig::builder().observe(true).build();
+        let fill = || {
+            let cache = EnumCache::new(64);
+            cached_enumerate(&cache, &sb(), &Policy::weak(), &config, enumerate)
+                .unwrap()
+                .0
+        };
+        let (first, second) = (fill(), fill());
+        assert!(first.stats.obs.is_some());
+        assert_eq!(first, second, "normalization must erase the timings");
     }
 
     #[test]

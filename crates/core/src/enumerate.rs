@@ -33,11 +33,6 @@ pub struct EnumConfig {
     /// Keep the complete [`Behavior`]s in the result (disable to save
     /// memory when only outcomes matter).
     pub keep_executions: bool,
-    /// Worker threads for [`enumerate_parallel`](crate::parallel::enumerate_parallel):
-    /// `1` runs the exact serial path on the calling thread, `0` means
-    /// "auto" (resolved via [`std::thread::available_parallelism`], like
-    /// the default). The serial [`enumerate`] ignores this field.
-    pub parallelism: usize,
     /// Collect [`crate::obs`] instrumentation (closure-rule counters and
     /// per-phase timings) into [`EnumStats::obs`]. Off by default; when
     /// off every instrumentation site is a single null check (experiment
@@ -46,10 +41,7 @@ pub struct EnumConfig {
     /// Per-request fork fuel: the enumeration aborts with
     /// [`EnumError::Overbudget`] once it has attempted this many
     /// `(load, candidate)` forks. `None` (the default) means unlimited.
-    /// Both the serial and the parallel engine honour the budget; the
-    /// parallel engine counts forks globally across workers, so the
-    /// abort point is scheduling-dependent but always within one batch
-    /// of the limit.
+    /// Both the serial and the pruned engine honour the budget.
     pub budget: Option<u64>,
 }
 
@@ -60,7 +52,6 @@ impl Default for EnumConfig {
             max_nodes_per_thread: 256,
             dedup: true,
             keep_executions: true,
-            parallelism: default_parallelism(),
             observe: false,
             budget: None,
         }
@@ -76,11 +67,9 @@ impl EnumConfig {
     /// use samm_core::enumerate::EnumConfig;
     /// let config = EnumConfig::builder()
     ///     .observe(true)
-    ///     .parallelism(2)
     ///     .budget(10_000)
     ///     .build();
     /// assert!(config.observe);
-    /// assert_eq!(config.parallelism, 2);
     /// assert_eq!(config.budget, Some(10_000));
     /// ```
     pub fn builder() -> EnumConfigBuilder {
@@ -129,13 +118,6 @@ impl EnumConfigBuilder {
         self
     }
 
-    /// Sets [`EnumConfig::parallelism`] (`0` means "auto").
-    #[must_use]
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        self.config.parallelism = workers;
-        self
-    }
-
     /// Sets [`EnumConfig::observe`].
     #[must_use]
     pub fn observe(mut self, enabled: bool) -> Self {
@@ -161,24 +143,16 @@ impl EnumConfigBuilder {
 /// parses as a positive integer, otherwise
 /// [`std::thread::available_parallelism`].
 ///
-/// CLI `--jobs N` flags override both by setting
-/// [`EnumConfig::parallelism`] explicitly; `SAMM_JOBS` is the fleet-wide
-/// fallback that lets CI and the service pin core usage without touching
-/// every invocation.
-///
-/// The answer is computed once per process: both the environment scan
-/// and `available_parallelism` (a syscall) are too slow for callers
-/// that build an [`EnumConfig`] per request, and neither input changes
-/// while the process runs.
+/// Tools that fan independent work out over threads (`samm-lint
+/// --jobs`) use it as their default; `SAMM_JOBS` is the fleet-wide
+/// fallback that lets CI pin core usage without touching every
+/// invocation.
 pub fn default_parallelism() -> usize {
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("SAMM_JOBS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-    })
+    std::env::var("SAMM_JOBS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Counters describing an enumeration run.
@@ -197,17 +171,6 @@ pub struct EnumStats {
     pub distinct_executions: usize,
     /// Largest node count of any behaviour's graph.
     pub max_graph_nodes: usize,
-    /// Worker threads the run used (`0` for the serial enumerator).
-    pub workers: usize,
-    /// Behaviours a worker obtained by stealing from another worker's
-    /// deque (parallel runs only; scheduling-dependent).
-    pub steals: usize,
-    /// Dedup-shard lock acquisitions that found the shard already locked
-    /// (parallel runs only; scheduling-dependent).
-    pub shard_contention: usize,
-    /// Times an idle worker woke, found no work anywhere, and yielded
-    /// (parallel runs only; scheduling-dependent).
-    pub idle_wakeups: usize,
     /// Instrumentation snapshot, present when [`EnumConfig::observe`] was
     /// set. Counter fields are deterministic; `*_nanos` timings are not
     /// (compare via [`ObsStats::counters`]).
@@ -221,18 +184,13 @@ impl EnumStats {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"explored\":{},\"forks\":{},\"deduped\":{},\"rolled_back\":{},\
-             \"distinct_executions\":{},\"max_graph_nodes\":{},\"workers\":{},\
-             \"steals\":{},\"shard_contention\":{},\"idle_wakeups\":{},\"obs\":{}}}",
+             \"distinct_executions\":{},\"max_graph_nodes\":{},\"obs\":{}}}",
             self.explored,
             self.forks,
             self.deduped,
             self.rolled_back,
             self.distinct_executions,
             self.max_graph_nodes,
-            self.workers,
-            self.steals,
-            self.shard_contention,
-            self.idle_wakeups,
             self.obs.map_or_else(|| "null".to_owned(), |o| o.to_json()),
         )
     }
@@ -443,9 +401,7 @@ pub fn behaviors(
 /// Like [`behaviors`], but additionally streaming fork/prune/commit
 /// events into `sink` — the raw material for the witness/refutation
 /// machinery in [`crate::explain`]. Behaviour ids are assigned in fork
-/// order from the root's id 0, so the serial trace is deterministic.
-/// (The parallel engine does not emit trace events: its fork order is
-/// scheduling-dependent.)
+/// order from the root's id 0, so the trace is deterministic.
 ///
 /// # Errors
 ///
@@ -909,7 +865,6 @@ mod tests {
             .max_nodes_per_thread(9)
             .dedup(false)
             .keep_executions(false)
-            .parallelism(3)
             .observe(true)
             .budget(Some(5))
             .build();
@@ -918,7 +873,6 @@ mod tests {
             max_nodes_per_thread: 9,
             dedup: false,
             keep_executions: false,
-            parallelism: 3,
             observe: true,
             budget: Some(5),
         };

@@ -24,10 +24,10 @@
 //!   `max_behaviors` and `max_nodes_per_thread` participate. `dedup`
 //!   and `observe` change the reported statistics (explored/deduped
 //!   counts, presence of [`ObsStats`](crate::obs::ObsStats)); the two
-//!   limits are included conservatively. `parallelism` and
-//!   `keep_executions` never change a successful answer, and `budget`
-//!   is a per-request fuel allowance, not part of the answer — a cache
-//!   hit costs no fuel (see [`crate::cache`]).
+//!   limits are included conservatively. `keep_executions` never
+//!   changes a successful answer, and `budget` is a per-request fuel
+//!   allowance, not part of the answer — a cache hit costs no fuel (see
+//!   [`crate::cache`]).
 //!
 //! The hash is FNV-1a/128 over the tagged encoding, prefixed with a
 //! format version so persisted caches self-invalidate when the encoding
@@ -382,7 +382,6 @@ mod tests {
         let base = EnumConfig::default();
         let fp = query_fingerprint(&sb(), &Policy::weak(), &base);
         let mut same = base.clone();
-        same.parallelism = 7;
         same.keep_executions = !base.keep_executions;
         same.budget = Some(42);
         assert_eq!(fp, query_fingerprint(&sb(), &Policy::weak(), &same));

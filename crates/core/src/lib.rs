@@ -51,8 +51,8 @@
 //! | [`atomicity`] | §3.3, Fig 6–7 | Store Atomicity rules a/b/c to fixpoint |
 //! | [`candidates`] | §4 | `candidates(L)` and the load-resolution gate |
 //! | [`exec`] | §4.1 | graph generation + dataflow execution |
-//! | [`mod@enumerate`] | §4.1 | the behaviour-enumeration procedure |
-//! | [`parallel`] | §4.1 | work-stealing parallel enumeration |
+//! | [`mod@enumerate`] | §4.1 | the behaviour-enumeration procedure (the serial oracle) |
+//! | [`pruned`] | §4.1 | prune-before-expand enumeration (the production engine) |
 //! | [`serialize`] | §3.1 | serializability: witnesses and validation |
 //! | [`outcome`] | — | final register files, outcome sets |
 //! | [`speculation`] | §5 | aliasing-speculation analysis helpers |
@@ -85,7 +85,6 @@ pub mod ids;
 pub mod instr;
 pub mod obs;
 pub mod outcome;
-pub mod parallel;
 pub mod policy;
 pub mod pruned;
 pub mod serialize;
@@ -114,6 +113,5 @@ pub use ids::{Addr, NodeId, Reg, ThreadId, Value};
 pub use instr::{BinOp, Instr, Operand, Program, ThreadProgram};
 pub use obs::{MemoryTrace, Obs, ObsStats, TraceEvent, TraceSink};
 pub use outcome::{Outcome, OutcomeSet};
-pub use parallel::enumerate_parallel;
 pub use policy::{Constraint, ConstraintTable, OpClass, Policy};
 pub use telemetry::{Histogram, HistogramSnapshot, JsonlLog, RateCounter, RequestIdGen};

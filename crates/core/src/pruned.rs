@@ -723,7 +723,7 @@ fn run(
         stats.obs = Some(obs.snapshot());
     }
     if config.keep_executions {
-        // Deterministic execution order, like the parallel engine.
+        // Deterministic execution order, sorted by canonical key.
         let mut keyed: Vec<(Vec<u8>, Behavior)> = result
             .executions
             .drain(..)

@@ -5,6 +5,10 @@
 //! expected verdict — turning the paper's prose claims ("L6 cannot observe
 //! S1") into pass/fail rows. The `experiments` binary of `samm-bench`
 //! prints these rows as the reproduction record.
+//!
+//! Every harness entry point enumerates with the production engine,
+//! [`enumerate_pruned`]. [`run_entry_serial`] runs the same harness on
+//! the serial oracle ([`enumerate`]) for differential checks.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -14,14 +18,13 @@ use samm_core::enumerate::{enumerate, EnumConfig, EnumResult, EnumStats};
 use samm_core::error::EnumError;
 use samm_core::instr::Program;
 use samm_core::outcome::OutcomeSet;
-use samm_core::parallel::enumerate_parallel;
 use samm_core::policy::Policy;
 use samm_core::pruned::enumerate_pruned;
 
 use crate::catalog::{CatalogEntry, ModelSel};
 
-/// An enumeration engine: the serial [`enumerate`] or the work-stealing
-/// [`enumerate_parallel`].
+/// An enumeration engine: the pruned [`enumerate_pruned`] or the serial
+/// oracle [`enumerate`].
 type Engine = fn(&Program, &Policy, &EnumConfig) -> Result<EnumResult, EnumError>;
 
 /// An SC-equivalence certifier: returns `true` when it can prove the
@@ -139,6 +142,22 @@ impl fmt::Display for EntryReport {
 ///
 /// Propagates enumeration failures.
 pub fn run_entry(entry: &CatalogEntry, config: &EnumConfig) -> Result<EntryReport, EnumError> {
+    run_entry_with(entry, config, enumerate_pruned, None, None)
+}
+
+/// Like [`run_entry`], but enumerating with the serial oracle
+/// ([`enumerate`]). Verdicts, outcome sets and execution counts are
+/// identical to [`run_entry`]'s — the engines are behaviour-equivalent —
+/// but the search-shape statistics (`explored`, `forks`, `deduped`)
+/// count unpruned work.
+///
+/// # Errors
+///
+/// Propagates enumeration failures.
+pub fn run_entry_serial(
+    entry: &CatalogEntry,
+    config: &EnumConfig,
+) -> Result<EntryReport, EnumError> {
     run_entry_with(entry, config, enumerate, None, None)
 }
 
@@ -146,7 +165,7 @@ pub fn run_entry(entry: &CatalogEntry, config: &EnumConfig) -> Result<EntryRepor
 /// content-addressed `cache` for every per-model enumeration. Rows
 /// answered from the cache are marked [`VerdictRow::cache_hit`]; their
 /// outcome sets and deterministic statistics are bit-identical to a
-/// fresh run's, but their `stats` never carry scheduling counters (see
+/// fresh run's, but their `stats` never carry wall-clock timings (see
 /// [`samm_core::cache`]).
 ///
 /// # Errors
@@ -157,22 +176,7 @@ pub fn run_entry_cached(
     config: &EnumConfig,
     cache: &EnumCache,
 ) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate, None, Some(cache))
-}
-
-/// The work-stealing variant of [`run_entry_cached`]. The cache is
-/// engine-transparent: an entry filled by the serial engine answers a
-/// parallel query and vice versa.
-///
-/// # Errors
-///
-/// Propagates enumeration failures (which are never cached).
-pub fn run_entry_cached_parallel(
-    entry: &CatalogEntry,
-    config: &EnumConfig,
-    cache: &EnumCache,
-) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate_parallel, None, Some(cache))
+    run_entry_with(entry, config, enumerate_pruned, None, Some(cache))
 }
 
 /// Like [`run_entry`], but consulting `certifier` before enumerating
@@ -192,67 +196,7 @@ pub fn run_entry_certified(
     config: &EnumConfig,
     certifier: Certifier<'_>,
 ) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate, Some(certifier), None)
-}
-
-/// The work-stealing variant of [`run_entry_certified`].
-///
-/// # Errors
-///
-/// Propagates enumeration failures.
-pub fn run_entry_certified_parallel(
-    entry: &CatalogEntry,
-    config: &EnumConfig,
-    certifier: Certifier<'_>,
-) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate_parallel, Some(certifier), None)
-}
-
-/// Like [`run_entry`], but enumerating on the work-stealing pool
-/// ([`enumerate_parallel`] with [`EnumConfig::parallelism`] workers).
-/// Verdicts, outcome counts and execution counts are identical to
-/// [`run_entry`]'s — the engines are equivalent — only wall-clock
-/// differs.
-///
-/// # Errors
-///
-/// Propagates enumeration failures.
-pub fn run_entry_parallel(
-    entry: &CatalogEntry,
-    config: &EnumConfig,
-) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate_parallel, None, None)
-}
-
-/// Like [`run_entry`], but enumerating with the prune-before-expand
-/// engine ([`enumerate_pruned`]). Verdicts, outcome sets and execution
-/// counts are identical to [`run_entry`]'s — the engines are
-/// behaviour-equivalent — but the search-shape statistics (`explored`,
-/// `forks`, `deduped`) count pruned-search work.
-///
-/// # Errors
-///
-/// Propagates enumeration failures.
-pub fn run_entry_pruned(
-    entry: &CatalogEntry,
-    config: &EnumConfig,
-) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate_pruned, None, None)
-}
-
-/// The prune-before-expand variant of [`run_entry_cached`]. The cache is
-/// engine-transparent, so entries filled by any engine answer pruned
-/// queries and vice versa.
-///
-/// # Errors
-///
-/// Propagates enumeration failures (which are never cached).
-pub fn run_entry_cached_pruned(
-    entry: &CatalogEntry,
-    config: &EnumConfig,
-    cache: &EnumCache,
-) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate_pruned, None, Some(cache))
+    run_entry_with(entry, config, enumerate_pruned, Some(certifier), None)
 }
 
 /// The per-model answer assembled by [`run_entry_with`].
@@ -359,22 +303,6 @@ pub fn run_all(
     entries.iter().map(|e| run_entry(e, config)).collect()
 }
 
-/// Runs a set of entries on the work-stealing pool; see
-/// [`run_entry_parallel`].
-///
-/// # Errors
-///
-/// Stops at the first enumeration failure.
-pub fn run_all_parallel(
-    entries: &[CatalogEntry],
-    config: &EnumConfig,
-) -> Result<Vec<EntryReport>, EnumError> {
-    entries
-        .iter()
-        .map(|e| run_entry_parallel(e, config))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,17 +332,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_harness_agrees_with_serial() {
-        let config = EnumConfig {
-            parallelism: 4,
-            ..fast_config()
-        };
+    fn pruned_harness_agrees_with_the_serial_oracle() {
+        let config = fast_config();
         for entry in [catalog::sb(), catalog::iriw(), catalog::fig10()] {
-            let serial = run_entry(&entry, &config).unwrap();
-            let parallel = run_entry_parallel(&entry, &config).unwrap();
-            assert!(parallel.all_pass(), "{parallel}");
-            assert_eq!(serial.rows.len(), parallel.rows.len());
-            for (s, p) in serial.rows.iter().zip(&parallel.rows) {
+            let serial = run_entry_serial(&entry, &config).unwrap();
+            let pruned = run_entry(&entry, &config).unwrap();
+            assert!(pruned.all_pass(), "{pruned}");
+            assert_eq!(serial.rows.len(), pruned.rows.len());
+            for (s, p) in serial.rows.iter().zip(&pruned.rows) {
                 assert_eq!(s.observed_allowed, p.observed_allowed);
                 assert_eq!(s.outcomes, p.outcomes);
                 assert_eq!(s.executions, p.executions);
@@ -433,17 +358,12 @@ mod tests {
             let warm = run_entry_cached(&entry, &config, &cache).unwrap();
             assert!(warm.rows.iter().all(|r| r.cache_hit), "{warm}");
             // Hits must be transparent — same verdicts and counts as an
-            // uncached run, whichever engine replays the query.
-            let warm_parallel = run_entry_cached_parallel(&entry, &config, &cache).unwrap();
+            // uncached run.
             for (f, rows) in fresh
                 .rows
                 .iter()
-                .zip(
-                    cold.rows
-                        .iter()
-                        .zip(warm.rows.iter().zip(&warm_parallel.rows)),
-                )
-                .map(|(f, (c, (w, p)))| (f, [c, w, p]))
+                .zip(cold.rows.iter().zip(&warm.rows))
+                .map(|(f, (c, w))| (f, [c, w]))
             {
                 for r in rows {
                     assert_eq!(f.observed_allowed, r.observed_allowed);

@@ -12,18 +12,14 @@
 //! returned fix is minimal; litmus-scale programs have a handful of
 //! insertion slots, keeping the sweep cheap.
 
-use samm_core::enumerate::{enumerate, EnumConfig, EnumResult};
+use samm_core::enumerate::EnumConfig;
 use samm_core::error::EnumError;
 use samm_core::instr::{Instr, Program, ThreadProgram};
-use samm_core::parallel::enumerate_parallel;
 use samm_core::policy::Policy;
+use samm_core::pruned::enumerate_pruned;
 use samm_core::static_order::fence_slot_is_vacuous;
 
 use crate::ast::CompiledCondition;
-
-/// An enumeration engine: the serial [`enumerate`] or the work-stealing
-/// [`enumerate_parallel`].
-type Engine = fn(&Program, &Policy, &EnumConfig) -> Result<EnumResult, EnumError>;
 
 /// A fence-insertion point: *before* instruction `pos` of thread
 /// `thread` (so `pos` ranges over `1..len`, between two instructions).
@@ -154,44 +150,6 @@ pub fn synthesize_fences(
     max_fences: usize,
     config: &EnumConfig,
 ) -> Result<Option<FenceFix>, EnumError> {
-    synthesize_fences_with(program, forbidden, policy, max_fences, config, enumerate)
-}
-
-/// Like [`synthesize_fences`], but every candidate placement is
-/// enumerated on the work-stealing pool
-/// ([`enumerate_parallel`] with [`EnumConfig::parallelism`] workers).
-/// The search order — and therefore the returned fix — is identical to
-/// the serial synthesizer's, because the engines produce the same
-/// outcome sets.
-///
-/// # Errors
-///
-/// Propagates enumeration failures.
-pub fn synthesize_fences_parallel(
-    program: &Program,
-    forbidden: &CompiledCondition,
-    policy: &Policy,
-    max_fences: usize,
-    config: &EnumConfig,
-) -> Result<Option<FenceFix>, EnumError> {
-    synthesize_fences_with(
-        program,
-        forbidden,
-        policy,
-        max_fences,
-        config,
-        enumerate_parallel,
-    )
-}
-
-fn synthesize_fences_with(
-    program: &Program,
-    forbidden: &CompiledCondition,
-    policy: &Policy,
-    max_fences: usize,
-    config: &EnumConfig,
-    engine: Engine,
-) -> Result<Option<FenceFix>, EnumError> {
     let config = EnumConfig {
         keep_executions: false,
         ..config.clone()
@@ -208,7 +166,6 @@ fn synthesize_fences_with(
             k,
             0,
             &mut chosen,
-            engine,
         )? {
             return Ok(Some(fix));
         }
@@ -227,11 +184,10 @@ fn search_k(
     k: usize,
     from: usize,
     chosen: &mut Vec<FenceSlot>,
-    engine: Engine,
 ) -> Result<Option<FenceFix>, EnumError> {
     if k == 0 {
         let candidate = apply_placements(program, chosen);
-        let outcomes = engine(&candidate, policy, config)?.outcomes;
+        let outcomes = enumerate_pruned(&candidate, policy, config)?.outcomes;
         if !forbidden.observable_in(&outcomes) {
             return Ok(Some(FenceFix {
                 placements: chosen.clone(),
@@ -251,7 +207,6 @@ fn search_k(
             k - 1,
             i + 1,
             chosen,
-            engine,
         )?;
         chosen.pop();
         if found.is_some() {
@@ -265,6 +220,7 @@ fn search_k(
 mod tests {
     use super::*;
     use crate::catalog;
+    use samm_core::enumerate::enumerate;
     use samm_core::policy::Policy;
 
     fn fix_for(
@@ -382,46 +338,6 @@ mod tests {
             fenced.instrs()[1],
             Instr::BranchNz { target: 4, .. }
         ));
-    }
-
-    #[test]
-    fn parallel_synthesis_finds_the_same_fix() {
-        let config = EnumConfig {
-            parallelism: 4,
-            ..EnumConfig::default()
-        };
-        for (entry, max) in [(catalog::sb(), 2), (catalog::mp(), 2), (catalog::corr(), 2)] {
-            let serial = synthesize_fences(
-                &entry.test.program,
-                &entry.test.conditions[0],
-                &Policy::weak(),
-                max,
-                &config,
-            )
-            .unwrap();
-            let parallel = synthesize_fences_parallel(
-                &entry.test.program,
-                &entry.test.conditions[0],
-                &Policy::weak(),
-                max,
-                &config,
-            )
-            .unwrap();
-            match (serial, parallel) {
-                (Some(s), Some(p)) => assert_eq!(
-                    s.placements, p.placements,
-                    "{}: engines must pick the same minimal fix",
-                    entry.test.name
-                ),
-                (None, None) => {}
-                (s, p) => panic!(
-                    "{}: serial found {:?}, parallel found {:?}",
-                    entry.test.name,
-                    s.map(|f| f.placements),
-                    p.map(|f| f.placements)
-                ),
-            }
-        }
     }
 
     #[test]

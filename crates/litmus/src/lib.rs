@@ -36,7 +36,7 @@ pub use ast::{CompiledCondition, CompiledLitmus, CondKind, LitmusError, LitmusTe
 pub use builder::LitmusBuilder;
 pub use catalog::{CatalogEntry, ModelSel, Verdict};
 pub use expect::{
-    run_all, run_entry, run_entry_cached, run_entry_cached_parallel, run_entry_certified,
-    run_entry_certified_parallel, Certifier, EntryReport, VerdictRow,
+    run_all, run_entry, run_entry_cached, run_entry_certified, run_entry_serial, Certifier,
+    EntryReport, VerdictRow,
 };
 pub use parser::{parse, ParseError};

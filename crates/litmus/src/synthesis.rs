@@ -10,11 +10,12 @@
 //! paper's hand-picked examples.
 
 use samm_core::cache::{cached_enumerate, EnumCache};
-use samm_core::enumerate::{enumerate, EnumConfig};
+use samm_core::enumerate::EnumConfig;
 use samm_core::ids::{Reg, Value};
 use samm_core::instr::{Instr, Operand, Program, ThreadProgram};
 use samm_core::outcome::OutcomeSet;
 use samm_core::policy::Policy;
+use samm_core::pruned::enumerate_pruned;
 
 /// Shape of the synthesized family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,95 +187,6 @@ fn diff_models_impl(
     summary
 }
 
-/// Like [`diff_models`], but sweeping the family on `workers` scoped
-/// threads, each diffing a contiguous chunk of template indices with the
-/// serial enumerator. The family is data-parallel — one program per
-/// index — so chunking at the template level beats parallelising each
-/// (tiny) enumeration. The merged summary is identical to
-/// [`diff_models`]'s: counts are sums and `first_exemplar` is the
-/// minimum over chunks.
-///
-/// # Panics
-///
-/// Panics if inclusion is violated (a model bug) or enumeration fails.
-pub fn diff_models_parallel(
-    config: &SynthConfig,
-    stronger: &Policy,
-    weaker: &Policy,
-    workers: usize,
-) -> DiffSummary {
-    diff_models_parallel_impl(config, stronger, weaker, workers, None)
-}
-
-/// The cached variant of [`diff_models_parallel`]; the sharded
-/// [`EnumCache`] is shared by all sweep workers. See
-/// [`diff_models_cached`].
-///
-/// # Panics
-///
-/// As for [`diff_models`].
-pub fn diff_models_parallel_cached(
-    config: &SynthConfig,
-    stronger: &Policy,
-    weaker: &Policy,
-    workers: usize,
-    cache: &EnumCache,
-) -> DiffSummary {
-    diff_models_parallel_impl(config, stronger, weaker, workers, Some(cache))
-}
-
-fn diff_models_parallel_impl(
-    config: &SynthConfig,
-    stronger: &Policy,
-    weaker: &Policy,
-    workers: usize,
-    cache: Option<&EnumCache>,
-) -> DiffSummary {
-    let family: Vec<Program> = programs(config).collect();
-    let workers = workers.max(1).min(family.len().max(1));
-    if workers <= 1 {
-        return diff_models_impl(config, stronger, weaker, cache);
-    }
-    let chunk_len = family.len().div_ceil(workers);
-    let partials: Vec<DiffSummary> = std::thread::scope(|scope| {
-        let handles: Vec<_> = family
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(c, chunk)| {
-                scope.spawn(move || {
-                    let base = c * chunk_len;
-                    let mut part = DiffSummary::default();
-                    for (offset, program) in chunk.iter().enumerate() {
-                        let i = base + offset;
-                        part.programs += 1;
-                        if program_differs(i, program, stronger, weaker, cache) {
-                            part.differing += 1;
-                            if part.first_exemplar.is_none() {
-                                part.first_exemplar = Some(i);
-                            }
-                        }
-                    }
-                    part
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("diff worker panicked"))
-            .collect()
-    });
-    let mut summary = DiffSummary::default();
-    for part in partials {
-        summary.programs += part.programs;
-        summary.differing += part.differing;
-        summary.first_exemplar = match (summary.first_exemplar, part.first_exemplar) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-    }
-    summary
-}
-
 /// Diffs one program of the family; panics on an inclusion violation.
 fn program_differs(
     index: usize,
@@ -287,13 +199,13 @@ fn program_differs(
     let outcomes = |policy: &Policy| -> OutcomeSet {
         match cache {
             Some(cache) => {
-                cached_enumerate(cache, program, policy, &enum_config, enumerate)
+                cached_enumerate(cache, program, policy, &enum_config, enumerate_pruned)
                     .expect("enumeration succeeds")
                     .0
                     .outcomes
             }
             None => {
-                enumerate(program, policy, &enum_config)
+                enumerate_pruned(program, policy, &enum_config)
                     .expect("enumeration succeeds")
                     .outcomes
             }
@@ -347,26 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_matches_serial() {
-        let cfg = SynthConfig::default();
-        let serial = diff_models(&cfg, &Policy::sequential_consistency(), &Policy::weak());
-        for workers in [1, 2, 4, 7] {
-            let par = diff_models_parallel(
-                &cfg,
-                &Policy::sequential_consistency(),
-                &Policy::weak(),
-                workers,
-            );
-            assert_eq!(par.programs, serial.programs, "workers={workers}");
-            assert_eq!(par.differing, serial.differing, "workers={workers}");
-            assert_eq!(
-                par.first_exemplar, serial.first_exemplar,
-                "workers={workers}"
-            );
-        }
-    }
-
-    #[test]
     fn cached_sweep_matches_and_reuses_chain_middles() {
         let cfg = SynthConfig {
             threads: 2,
@@ -394,11 +286,6 @@ mod tests {
             stats.hits >= 2 * cfg.family_size() as u64,
             "expected the chain middles to hit, got {stats:?}"
         );
-        // Parallel cached sweep agrees too.
-        let par = diff_models_parallel_cached(&cfg, &Policy::tso(), &Policy::pso(), 4, &cache);
-        let serial = diff_models(&cfg, &Policy::tso(), &Policy::pso());
-        assert_eq!(par.differing, serial.differing);
-        assert_eq!(par.first_exemplar, serial.first_exemplar);
     }
 
     #[test]

@@ -1,20 +1,20 @@
 //! `samm-serve` — host the litmus-query service.
 //!
 //! ```text
-//! samm-serve [--io event|threaded] [--addr HOST:PORT] [--workers N]
+//! samm-serve [--addr HOST:PORT] [--workers N]
 //!            [--event-loops N] [--max-connections N] [--max-pipeline N]
 //!            [--poller epoll|poll] [--cluster FILE --node ID]
-//!            [--queue-capacity N] [--read-timeout-secs N] [--budget N]
+//!            [--read-timeout-secs N] [--budget N]
 //!            [--cache-shards N] [--cache-capacity N] [--persist PATH]
 //!            [--prom-addr HOST:PORT] [--slow-log PATH] [--slow-ms N]
 //!            [--slow-log-max-bytes N] [--trace-log PATH]
 //!            [--trace-log-max-bytes N] [--no-observe]
 //! ```
 //!
-//! The default `--io event` core multiplexes connections over a
-//! readiness poller (pipelining, `batch` envelopes, cluster mode); the
-//! legacy `--io threaded` core keeps one worker per connection with a
-//! bounded accept queue. Prints `listening on <addr>` once bound (and
+//! The event-loop core multiplexes connections over a readiness poller
+//! (pipelining, `batch` envelopes, cluster mode) and answers fresh
+//! queries with the pruned engine. Prints `listening on <addr>` once
+//! bound (and
 //! `prometheus on <addr>` when `--prom-addr` was given), then serves
 //! until a client sends `{"kind":"shutdown"}`; the process drains
 //! in-flight work, persists the cache when `--persist` was given, and
@@ -25,16 +25,15 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use samm_serve::cluster::ClusterConfig;
-use samm_serve::event_loop::{self, EventConfig};
-use samm_serve::server::{self, ServerConfig};
 use samm_serve::sys::PollerKind;
+use samm_serve::ServerConfig;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: samm-serve [--io event|threaded] [--addr HOST:PORT] [--workers N]\n\
+        "usage: samm-serve [--addr HOST:PORT] [--workers N]\n\
          \x20                 [--event-loops N] [--max-connections N] [--max-pipeline N]\n\
          \x20                 [--poller epoll|poll] [--cluster FILE --node ID]\n\
-         \x20                 [--queue-capacity N] [--read-timeout-secs N] [--budget N]\n\
+         \x20                 [--read-timeout-secs N] [--budget N]\n\
          \x20                 [--cache-shards N] [--cache-capacity N] [--persist PATH]\n\
          \x20                 [--prom-addr HOST:PORT] [--slow-log PATH] [--slow-ms N]\n\
          \x20                 [--slow-log-max-bytes N] [--trace-log PATH]\n\
@@ -52,32 +51,23 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
 
 fn main() -> ExitCode {
     let mut config = ServerConfig::default();
-    let mut event = EventConfig::default();
-    let mut io_core = "event".to_owned();
     let mut cluster_file: Option<PathBuf> = None;
     let mut node_id: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--io" => match args.next().as_deref() {
-                Some(core @ ("event" | "threaded")) => io_core = core.to_owned(),
-                _ => {
-                    eprintln!("samm-serve: --io needs 'event' or 'threaded'");
-                    usage();
-                }
-            },
             "--addr" => match args.next() {
                 Some(addr) => config.addr = addr,
                 None => usage(),
             },
             "--workers" => config.workers = parse_num("--workers", args.next()),
-            "--event-loops" => event.loops = parse_num("--event-loops", args.next()),
+            "--event-loops" => config.event_loops = parse_num("--event-loops", args.next()),
             "--max-connections" => {
-                event.max_connections = parse_num("--max-connections", args.next());
+                config.max_connections = parse_num("--max-connections", args.next());
             }
-            "--max-pipeline" => event.max_pipeline = parse_num("--max-pipeline", args.next()),
+            "--max-pipeline" => config.max_pipeline = parse_num("--max-pipeline", args.next()),
             "--poller" => match args.next().and_then(|p| PollerKind::parse(&p)) {
-                Some(kind) => event.poller = kind,
+                Some(kind) => config.poller = kind,
                 None => {
                     eprintln!("samm-serve: --poller needs 'epoll' or 'poll'");
                     usage();
@@ -91,9 +81,6 @@ fn main() -> ExitCode {
                 Some(id) => node_id = Some(id),
                 None => usage(),
             },
-            "--queue-capacity" => {
-                config.queue_capacity = parse_num("--queue-capacity", args.next());
-            }
             "--read-timeout-secs" => {
                 config.read_timeout =
                     Duration::from_secs(parse_num("--read-timeout-secs", args.next()));
@@ -139,7 +126,7 @@ fn main() -> ExitCode {
 
     match (&cluster_file, &node_id) {
         (Some(path), Some(id)) => match ClusterConfig::from_file(path, id) {
-            Ok(cluster) => event.cluster = Some(cluster),
+            Ok(cluster) => config.cluster = Some(cluster),
             Err(e) => {
                 eprintln!("samm-serve: bad cluster topology: {e}");
                 return ExitCode::FAILURE;
@@ -151,41 +138,13 @@ fn main() -> ExitCode {
             usage();
         }
     }
-    if event.cluster.is_some() && io_core != "event" {
-        eprintln!("samm-serve: cluster mode requires the event core (--io event)");
-        return ExitCode::FAILURE;
-    }
 
-    if io_core == "threaded" {
-        let handle = match server::start(config) {
-            Ok(handle) => handle,
-            Err(e) => {
-                eprintln!("samm-serve: failed to start: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!("listening on {} (threaded core)", handle.addr());
-        if let Some(prom) = handle.prom_addr() {
-            println!("prometheus on {prom}");
-        }
-        return match handle.join() {
-            Ok(()) => {
-                println!("drained; bye");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("samm-serve: shutdown error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let poller = event.poller;
-    let node = event
+    let poller = config.poller;
+    let node = config
         .cluster
         .as_ref()
         .map(|c| c.nodes[c.self_index].id.clone());
-    let handle = match event_loop::start(config, event) {
+    let handle = match samm_serve::start(config) {
         Ok(handle) => handle,
         Err(e) => {
             eprintln!("samm-serve: failed to start: {e}");

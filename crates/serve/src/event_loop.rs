@@ -1,5 +1,5 @@
-//! The readiness-driven I/O core: N event loops multiplexing many
-//! connections over a shared handler pool.
+//! The service's I/O core: N readiness-driven event loops multiplexing
+//! many connections over a shared handler pool.
 //!
 //! ```text
 //!            ┌ loop 0 (owns the listener) ── epoll/poll ── conns…
@@ -21,14 +21,13 @@
 //! `max_connections` a connection is answered with the structured
 //! `overloaded` error and closed.
 //!
-//! Shutdown (a wire `shutdown` request or [`EventHandle::shutdown`])
+//! Shutdown (a wire `shutdown` request or [`ServerHandle::shutdown`])
 //! stops accepting and reading, lets in-flight work finish within
 //! `drain_deadline`, flushes every pending response, then persists the
-//! cache — the same graceful-drain contract as the threaded core in
-//! [`crate::server`], which stays selectable via `--io threaded`.
+//! cache.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind as IoErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -39,26 +38,33 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use samm_core::cache::EnumCache;
+use samm_core::telemetry::trace::SpanWriter;
+use samm_core::telemetry::JsonlLog;
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::handler::{self, ServerState};
-use crate::protocol::{parse_envelope, Request};
-use crate::server::{self, ServerConfig};
+use crate::protocol::{parse_envelope, ErrorKind, Request, ServiceError};
 use crate::sys::{Event, Interest, Poller, PollerKind};
 use crate::telemetry::{LoopGauges, Telemetry};
 
-/// Event-core construction parameters, layered over the shared
-/// [`ServerConfig`] (cache geometry, budget, persistence, telemetry).
+/// Server construction parameters.
 #[derive(Debug, Clone)]
-pub struct EventConfig {
+pub struct ServerConfig {
+    /// Bind address; use port 0 to let the OS choose.
+    pub addr: String,
+    /// Handler threads executing parsed requests.
+    pub workers: usize,
     /// Event-loop threads. Loop 0 also owns the listener.
-    pub loops: usize,
+    pub event_loops: usize,
     /// Open connections across all loops before new ones are rejected
     /// with the structured `overloaded` error.
     pub max_connections: usize,
     /// In-flight requests per connection before the loop stops reading
     /// that socket (pipelining backpressure).
     pub max_pipeline: usize,
+    /// Idle-connection timeout; a connection with nothing in flight is
+    /// closed when it elapses.
+    pub read_timeout: Duration,
     /// How long a graceful drain waits for in-flight work and pending
     /// writes before forcing connections closed.
     pub drain_deadline: Duration,
@@ -66,17 +72,59 @@ pub struct EventConfig {
     pub poller: PollerKind,
     /// Cluster topology, when serving as a ring member.
     pub cluster: Option<ClusterConfig>,
+    /// Default per-request fork budget (requests may override).
+    pub budget: Option<u64>,
+    /// Cache shard count.
+    pub cache_shards: usize,
+    /// Cache capacity per shard.
+    pub cache_capacity: usize,
+    /// When set, the cache is loaded from this file on start and saved
+    /// back on drain.
+    pub persist_path: Option<PathBuf>,
+    /// Run enumerations instrumented, feeding the aggregated
+    /// closure-rule counters in the exposition (≈ noise-level cost, see
+    /// EXPERIMENTS E19/E22).
+    pub observe: bool,
+    /// When set, bind a plain-HTTP listener on this address serving the
+    /// Prometheus exposition (`GET /metrics`).
+    pub prom_addr: Option<String>,
+    /// When set, append slow-query JSONL records to this file.
+    pub slow_log: Option<PathBuf>,
+    /// Requests at or over this duration are logged as slow.
+    pub slow_threshold: Duration,
+    /// Rotate the slow log after roughly this many bytes.
+    pub slow_log_max_bytes: u64,
+    /// When set, append one JSONL span record per finished trace span
+    /// to this file (distributed tracing export; see
+    /// docs/OBSERVABILITY.md).
+    pub trace_log: Option<PathBuf>,
+    /// Rotate the trace log after roughly this many bytes.
+    pub trace_log_max_bytes: u64,
 }
 
-impl Default for EventConfig {
+impl Default for ServerConfig {
     fn default() -> Self {
-        EventConfig {
-            loops: 1,
+        ServerConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            workers: 4,
+            event_loops: 1,
             max_connections: 10_000,
             max_pipeline: 64,
+            read_timeout: Duration::from_secs(10),
             drain_deadline: Duration::from_secs(5),
             poller: PollerKind::default_for_platform(),
             cluster: None,
+            budget: None,
+            cache_shards: 16,
+            cache_capacity: 256,
+            persist_path: None,
+            observe: true,
+            prom_addr: None,
+            slow_log: None,
+            slow_threshold: Duration::from_millis(100),
+            slow_log_max_bytes: 16 * 1024 * 1024,
+            trace_log: None,
+            trace_log_max_bytes: 64 * 1024 * 1024,
         }
     }
 }
@@ -157,10 +205,10 @@ impl EventShared {
     }
 }
 
-/// A running event-core server; dropping the handle does NOT stop it —
-/// call [`EventHandle::shutdown`], or send a wire `shutdown` request
-/// and [`EventHandle::join`].
-pub struct EventHandle {
+/// A running server; dropping the handle does NOT stop it — call
+/// [`ServerHandle::shutdown`], or send a wire `shutdown` request and
+/// [`ServerHandle::join`].
+pub struct ServerHandle {
     addr: SocketAddr,
     prom_addr: Option<SocketAddr>,
     shared: Arc<EventShared>,
@@ -170,9 +218,9 @@ pub struct EventHandle {
     persist_path: Option<PathBuf>,
 }
 
-impl std::fmt::Debug for EventHandle {
+impl std::fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventHandle")
+        f.debug_struct("ServerHandle")
             .field("addr", &self.addr)
             .field("loops", &self.loops.len())
             .field("workers", &self.workers.len())
@@ -180,7 +228,7 @@ impl std::fmt::Debug for EventHandle {
     }
 }
 
-impl EventHandle {
+impl ServerHandle {
     /// The bound serving address (with the OS-chosen port when the
     /// config asked for port 0).
     pub fn addr(&self) -> SocketAddr {
@@ -210,7 +258,7 @@ impl EventHandle {
     ///
     /// # Errors
     ///
-    /// As for [`EventHandle::shutdown`].
+    /// As for [`ServerHandle::shutdown`].
     pub fn join(mut self) -> std::io::Result<()> {
         self.join_inner()
     }
@@ -229,7 +277,7 @@ impl EventHandle {
         if let Some(prom) = self.prom.take() {
             if let Some(addr) = self.prom_addr {
                 // Unblock the listener's accept so it can see the flag.
-                server::wake_acceptor(addr);
+                wake_acceptor(addr);
             }
             prom.join()
                 .map_err(|_| std::io::Error::other("prom thread panicked"))?;
@@ -249,7 +297,7 @@ impl EventHandle {
 /// Propagates bind and poller-construction failures. A configured
 /// persistence file that does not exist yet is not an error (first
 /// run).
-pub fn start(config: ServerConfig, event: EventConfig) -> std::io::Result<EventHandle> {
+pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
@@ -268,9 +316,12 @@ pub fn start(config: ServerConfig, event: EventConfig) -> std::io::Result<EventH
         )?,
         None => Telemetry::default(),
     };
-    crate::server::attach_trace_log(&mut telemetry, &config)?;
+    if let Some(path) = &config.trace_log {
+        let log = JsonlLog::open(path.clone(), config.trace_log_max_bytes)?;
+        telemetry.spans = Some(Box::new(SpanWriter::new(Arc::new(log))));
+    }
     let mut state = ServerState::with_telemetry(cache, config.budget, telemetry, config.observe);
-    if let Some(cluster_config) = event.cluster.clone() {
+    if let Some(cluster_config) = config.cluster.clone() {
         state.set_cluster(Arc::new(Cluster::new(cluster_config)));
     }
 
@@ -286,12 +337,12 @@ pub fn start(config: ServerConfig, event: EventConfig) -> std::io::Result<EventH
 
     // Build each loop's poller and wake pipe up front so a failure
     // aborts before any thread spawns.
-    let loop_count = event.loops.max(1);
+    let loop_count = config.event_loops.max(1);
     let mut pollers = Vec::with_capacity(loop_count);
     let mut wake_readers = Vec::with_capacity(loop_count);
     let mut loop_shareds = Vec::with_capacity(loop_count);
     for _ in 0..loop_count {
-        let mut poller = Poller::new(event.poller)?;
+        let mut poller = Poller::new(config.poller)?;
         let (wake_write, wake_read) = UnixStream::pair()?;
         wake_read.set_nonblocking(true)?;
         wake_write.set_nonblocking(true)?;
@@ -314,10 +365,10 @@ pub fn start(config: ServerConfig, event: EventConfig) -> std::io::Result<EventH
         draining: AtomicBool::new(false),
         loops_alive: AtomicUsize::new(loop_count),
         conn_count: AtomicUsize::new(0),
-        max_connections: event.max_connections.max(1),
-        max_pipeline: event.max_pipeline.max(1),
+        max_connections: config.max_connections.max(1),
+        max_pipeline: config.max_pipeline.max(1),
         read_timeout: config.read_timeout,
-        drain_deadline: event.drain_deadline,
+        drain_deadline: config.drain_deadline,
         retry_after_ms: 50,
     });
 
@@ -349,15 +400,11 @@ pub fn start(config: ServerConfig, event: EventConfig) -> std::io::Result<EventH
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("samm-serve-prom".to_owned())
-                .spawn(move || {
-                    server::prom_loop_shared(&prom_listener, &shared.state, || {
-                        shared.draining.load(Ordering::SeqCst)
-                    });
-                })
+                .spawn(move || prom_loop(&prom_listener, &shared))
         })
         .transpose()?;
 
-    Ok(EventHandle {
+    Ok(ServerHandle {
         addr,
         prom_addr,
         shared,
@@ -366,6 +413,82 @@ pub fn start(config: ServerConfig, event: EventConfig) -> std::io::Result<EventH
         prom,
         persist_path: config.persist_path,
     })
+}
+
+/// Unblocks a `TcpListener::accept` by completing one loopback
+/// connection; the listener rechecks the drain flag afterwards.
+fn wake_acceptor(addr: SocketAddr) {
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+}
+
+/// Serves the Prometheus text exposition over bare HTTP/1.0 until the
+/// server drains: reads one request head, answers `GET /metrics` (and
+/// `GET /`) with the current exposition, anything else with 404, then
+/// closes. One connection at a time — scrapes are rare and the render
+/// is cheap.
+fn prom_loop(listener: &TcpListener, shared: &EventShared) {
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(_) => continue,
+        };
+        if shared.draining.load(Ordering::SeqCst) {
+            return;
+        }
+        serve_prom_http(&shared.state, stream);
+    }
+}
+
+fn serve_prom_http(state: &ServerState, stream: TcpStream) {
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+    let mut writer = match stream.try_clone() {
+        Ok(w) => w,
+        Err(_) => return,
+    };
+    let mut reader = BufReader::new(stream);
+    let mut request_line = String::new();
+    if reader.read_line(&mut request_line).is_err() {
+        return;
+    }
+    // Drain the header block so well-behaved clients see a clean close.
+    let mut header = String::new();
+    loop {
+        header.clear();
+        match reader.read_line(&mut header) {
+            Ok(0) => break,
+            Ok(_) if header.trim().is_empty() => break,
+            Ok(_) => {}
+            Err(_) => return,
+        }
+    }
+    let mut parts = request_line.split_whitespace();
+    let method = parts.next().unwrap_or("");
+    let path = parts.next().unwrap_or("");
+    let (status, body) = if method == "GET" && (path == "/metrics" || path == "/") {
+        ("200 OK", state.render_prom())
+    } else {
+        ("404 Not Found", "not found\n".to_owned())
+    };
+    let _ = write!(
+        writer,
+        "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    let _ = writer.flush();
+}
+
+/// Answers an over-capacity connection with a structured `overloaded`
+/// error (including the retry hint) and closes it.
+fn reject_overloaded(mut stream: TcpStream, retry_after_ms: u64) {
+    let mut err = ServiceError::new(
+        ErrorKind::Overloaded,
+        "connection limit reached; retry after the hinted delay",
+    );
+    err.retry_after_ms = Some(retry_after_ms);
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+    let _ = writeln!(stream, "{}", err.to_response());
 }
 
 /// One open connection owned by a loop.
@@ -550,7 +673,7 @@ impl EventLoop {
                     .counters
                     .overloaded
                     .fetch_add(1, Ordering::Relaxed);
-                server::reject_overloaded(stream, self.shared.retry_after_ms);
+                reject_overloaded(stream, self.shared.retry_after_ms);
                 continue;
             }
             self.shared.conn_count.fetch_add(1, Ordering::SeqCst);

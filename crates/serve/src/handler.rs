@@ -14,22 +14,19 @@ use std::time::Instant;
 
 use samm_analyze::robust::StaticVerdict;
 use samm_core::cache::{cached_enumerate, EnumCache};
-use samm_core::enumerate::{enumerate, EnumConfig};
+use samm_core::enumerate::EnumConfig;
 use samm_core::error::EnumError;
 use samm_core::explain::{find_witness, refute, Goal, Refutation, RefuteOutcome};
 use samm_core::outcome::{Outcome, OutcomeSet};
-use samm_core::parallel::enumerate_parallel;
 use samm_core::pruned::enumerate_pruned;
 use samm_core::telemetry::trace::{ActiveSpan, SpanKind, TraceContext};
 use samm_core::telemetry::HistogramSnapshot;
 use samm_litmus::catalog::{self, CatalogEntry, ModelSel};
-use samm_litmus::expect::{
-    run_entry_cached, run_entry_cached_parallel, run_entry_cached_pruned, EntryReport,
-};
+use samm_litmus::expect::{run_entry_cached, EntryReport};
 
 use crate::cluster::Cluster;
 use crate::json::Json;
-use crate::protocol::{EngineSel, Envelope, ErrorKind, Request, ServiceError};
+use crate::protocol::{Envelope, ErrorKind, Request, ServiceError, ENGINE};
 use crate::telemetry::{
     kind_index, snapshot_from_json, snapshot_to_json, FleetSample, ReqOutcome, Telemetry,
     KIND_NAMES,
@@ -48,7 +45,8 @@ pub struct Counters {
     pub monitoring: AtomicU64,
     /// Requests answered with a structured error.
     pub errors: AtomicU64,
-    /// Connections rejected because the queue was full.
+    /// Connections rejected because the server was at its connection
+    /// limit.
     pub overloaded: AtomicU64,
 }
 
@@ -292,14 +290,9 @@ fn handle_inner(
             test,
             model,
             budget,
-            engine,
-        } => enumerate_response(state, test, model, *budget, *engine, fwd, span.as_ref()),
+        } => enumerate_response(state, test, model, *budget, fwd, span.as_ref()),
         Request::Batch(subs) => Ok(crate::batch::execute(state, subs, fwd, &id, span.as_ref())),
-        Request::Verdict {
-            test,
-            budget,
-            engine,
-        } => verdict_response(state, test, *budget, *engine),
+        Request::Verdict { test, budget } => verdict_response(state, test, *budget),
         Request::Witness {
             test,
             model,
@@ -435,13 +428,11 @@ fn outcomes_json(outcomes: &OutcomeSet) -> Json {
     Json::Arr(outcomes.iter().map(render).collect())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn enumerate_response(
     state: &ServerState,
     test: &str,
     model: &str,
     budget: Option<u64>,
-    engine: EngineSel,
     fwd: bool,
     span: Option<&ActiveSpan>,
 ) -> Result<Json, ServiceError> {
@@ -466,7 +457,6 @@ fn enumerate_response(
                     test: test.to_owned(),
                     model: model.to_owned(),
                     budget,
-                    engine,
                 },
                 fwd: true,
                 trace: fwd_span.as_ref().map(ActiveSpan::context),
@@ -528,29 +518,13 @@ fn enumerate_response(
             // becomes the next leader.
             continue;
         }
-        let outcome = match engine {
-            EngineSel::Serial => cached_enumerate(
-                &state.cache,
-                &entry.test.program,
-                &policy,
-                &config,
-                enumerate,
-            ),
-            EngineSel::Parallel => cached_enumerate(
-                &state.cache,
-                &entry.test.program,
-                &policy,
-                &config,
-                enumerate_parallel,
-            ),
-            EngineSel::Pruned => cached_enumerate(
-                &state.cache,
-                &entry.test.program,
-                &policy,
-                &config,
-                enumerate_pruned,
-            ),
-        };
+        let outcome = cached_enumerate(
+            &state.cache,
+            &entry.test.program,
+            &policy,
+            &config,
+            enumerate_pruned,
+        );
         let flight = state
             .flights
             .lock()
@@ -573,7 +547,7 @@ fn enumerate_response(
     // attributes the miss cost to closure/settle/resolve work.
     if !hit {
         if let Some(ws) = &mut work_span {
-            ws.attr("engine", engine.name());
+            ws.attr("engine", ENGINE);
             ws.attr("explored", value.stats.explored as u64);
             ws.attr("forks", value.stats.forks as u64);
             ws.attr("deduped", value.stats.deduped as u64);
@@ -639,7 +613,7 @@ fn enumerate_response(
         ("kind", Json::str("enumerate")),
         ("test", Json::str(entry.test.name.clone())),
         ("model", Json::str(sel.name())),
-        ("engine", Json::str(engine.name())),
+        ("engine", Json::str(ENGINE)),
         ("cache_hit", Json::Bool(hit)),
         ("outcome_count", Json::num(fragments.outcome_count as f64)),
         ("executions", Json::num(fragments.executions as f64)),
@@ -681,16 +655,10 @@ fn verdict_response(
     state: &ServerState,
     test: &str,
     budget: Option<u64>,
-    engine: EngineSel,
 ) -> Result<Json, ServiceError> {
     let entry = find_entry(test)?;
     let config = state.config(budget);
-    let report = match engine {
-        EngineSel::Serial => run_entry_cached(entry, &config, &state.cache),
-        EngineSel::Parallel => run_entry_cached_parallel(entry, &config, &state.cache),
-        EngineSel::Pruned => run_entry_cached_pruned(entry, &config, &state.cache),
-    }
-    .map_err(enum_error)?;
+    let report = run_entry_cached(entry, &config, &state.cache).map_err(enum_error)?;
     for row in report.rows.iter().filter(|row| !row.cache_hit) {
         state.telemetry.fold_stats(&row.stats);
     }
@@ -1017,20 +985,17 @@ mod tests {
             test: "SB".into(),
             model: "TSO".into(),
             budget: None,
-            engine: EngineSel::Serial,
         };
         let cold = handle(&state, &req);
         assert_eq!(cold.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(cold.get("cache_hit").and_then(Json::as_bool), Some(false));
-        // The replay — even on the other engine — is a cache hit with
-        // the identical outcome set.
+        // The replay is a cache hit with the identical outcome set.
         let warm = handle(
             &state,
             &Request::Enumerate {
                 test: "sb".into(),
                 model: "tso".into(),
                 budget: None,
-                engine: EngineSel::Parallel,
             },
         );
         assert_eq!(warm.get("cache_hit").and_then(Json::as_bool), Some(true));
@@ -1047,7 +1012,6 @@ mod tests {
                 test: "NoSuchTest".into(),
                 model: "TSO".into(),
                 budget: None,
-                engine: EngineSel::Serial,
             },
         );
         assert_eq!(err.get("ok").and_then(Json::as_bool), Some(false));
@@ -1083,7 +1047,6 @@ mod tests {
                 test: "IRIW".into(),
                 model: "Weak".into(),
                 budget: Some(3),
-                engine: EngineSel::Serial,
             },
         );
         assert_eq!(err.get("ok").and_then(Json::as_bool), Some(false));
@@ -1100,7 +1063,6 @@ mod tests {
                 test: "IRIW".into(),
                 model: "Weak".into(),
                 budget: None,
-                engine: EngineSel::Serial,
             },
         );
         assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
@@ -1114,7 +1076,6 @@ mod tests {
             &Request::Verdict {
                 test: "SB".into(),
                 budget: None,
-                engine: EngineSel::Serial,
             },
         );
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
@@ -1254,7 +1215,6 @@ mod tests {
                 test: "SB".into(),
                 model: "SC".into(),
                 budget: None,
-                engine: EngineSel::Serial,
             },
         );
         let m = handle(&state, &Request::Metrics);
@@ -1277,7 +1237,6 @@ mod tests {
                 test: "SB".into(),
                 model: "SC".into(),
                 budget: None,
-                engine: EngineSel::Serial,
             },
         );
         // A burst of self-monitoring...
@@ -1299,7 +1258,6 @@ mod tests {
             test: "SB".into(),
             model: "TSO".into(),
             budget: None,
-            engine: EngineSel::Serial,
         };
         // Server-assigned ids are unique; client ids are echoed.
         let first = handle(&state, &req);
@@ -1328,7 +1286,6 @@ mod tests {
                 test: "IRIW".into(),
                 model: "Weak".into(),
                 budget: Some(3),
-                engine: EngineSel::Serial,
             },
         );
         let k = &state.telemetry.kinds[0];
@@ -1346,7 +1303,6 @@ mod tests {
                 test: "SB".into(),
                 model: "TSO".into(),
                 budget: None,
-                engine: EngineSel::Serial,
             },
         );
         let resp = handle(&state, &Request::MetricsProm);

@@ -4,22 +4,22 @@
 //! newline-delimited JSON requests (`enumerate`, `batch`, `verdict`,
 //! `witness`, `refutation`, `certify`, `metrics`, `shutdown`) and every
 //! enumeration-backed answer flows through the content-addressed
-//! [`samm_core::cache::EnumCache`], so a query repeated by any client —
-//! or replayed under the other engine — costs a hash lookup.
+//! [`samm_core::cache::EnumCache`], so a query repeated by any client
+//! costs a hash lookup. Fresh enumerations run on the prune-before-expand
+//! engine ([`samm_core::pruned`]); the serial enumerator stays the
+//! oracle the differential test suites check it against.
 //!
 //! The implementation is std-only (no async runtime, no serde): a
 //! hand-rolled JSON codec ([`json`]), a typed wire protocol
 //! ([`protocol`]), a request executor ([`handler`]), and a blocking
-//! [`client`]. Two I/O cores host the executor: the readiness-driven
+//! [`client`]. One I/O core hosts the executor: the readiness-driven
 //! [`event_loop`] (epoll on Linux, portable `poll` fallback — see
-//! [`sys`]) with request pipelining and the syscall-amortizing
-//! [`batch`] envelope, and the legacy bounded-queue thread-per-
-//! connection [`server`]. Both drain gracefully. [`ring`] and
-//! [`cluster`] scale the event core out: consistent-hash routing of
-//! [`samm_core::fingerprint`] keys across a static member list, peer
-//! forwarding on miss with single-flight de-duplication, and live
-//! dead-peer failover, turning the node-local caches into one
-//! distributed cache. `docs/SERVICE.md` documents the wire format and
+//! [`sys`]) with request pipelining, the syscall-amortizing [`batch`]
+//! envelope, and graceful drain. [`ring`] and [`cluster`] scale it
+//! out: consistent-hash routing of [`samm_core::fingerprint`] keys
+//! across a static member list, peer forwarding on miss with
+//! single-flight de-duplication, and live dead-peer failover, turning
+//! the node-local caches into one distributed cache. `docs/SERVICE.md` documents the wire format and
 //! `docs/CLUSTER.md` the operator runbook; the `samm-serve` binary
 //! hosts the server and `samm-load` (in `samm-bench`) replays the
 //! catalog against one or many nodes.
@@ -28,11 +28,11 @@
 //!
 //! ```
 //! use std::time::Duration;
-//! use samm_serve::{client::Client, json::Json, server};
+//! use samm_serve::{client::Client, json::Json, ServerConfig};
 //!
-//! let handle = server::start(server::ServerConfig {
+//! let handle = samm_serve::start(ServerConfig {
 //!     workers: 2,
-//!     ..server::ServerConfig::default()
+//!     ..ServerConfig::default()
 //! }).unwrap();
 //! let mut client = Client::connect(handle.addr(), Duration::from_secs(5)).unwrap();
 //! let reply = client
@@ -56,7 +56,6 @@ pub mod handler;
 pub mod json;
 pub mod protocol;
 pub mod ring;
-pub mod server;
 #[cfg(unix)]
 #[allow(unsafe_code)]
 pub mod sys;
@@ -65,13 +64,12 @@ pub mod telemetry;
 pub use client::{Client, ClientError};
 pub use cluster::{Cluster, ClusterConfig};
 #[cfg(unix)]
-pub use event_loop::{EventConfig, EventHandle};
+pub use event_loop::{start, ServerConfig, ServerHandle};
 pub use handler::ServerState;
 pub use json::Json;
 pub use protocol::{
-    parse_envelope, parse_request, render_envelope, render_request, EngineSel, Envelope, ErrorKind,
-    Request, ServiceError, MAX_BATCH,
+    parse_envelope, parse_request, render_envelope, render_request, Envelope, ErrorKind, Request,
+    ServiceError, ENGINE, MAX_BATCH,
 };
 pub use ring::HashRing;
-pub use server::{start, ServerConfig, ServerHandle};
 pub use telemetry::{ReqOutcome, Telemetry};

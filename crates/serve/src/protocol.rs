@@ -12,28 +12,13 @@ use samm_core::telemetry::trace::TraceContext;
 
 use crate::json::{self, Json};
 
-/// How a request asks the enumeration to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineSel {
-    /// The serial depth-first engine (`samm_core::enumerate`).
-    #[default]
-    Serial,
-    /// The work-stealing pool (`samm_core::parallel`).
-    Parallel,
-    /// The prune-before-expand engine (`samm_core::pruned`).
-    Pruned,
-}
+/// The engine every enumeration runs on (`samm_core::pruned`), as
+/// echoed in enumerate responses.
+pub const ENGINE: &str = "pruned";
 
-impl EngineSel {
-    /// The wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineSel::Serial => "serial",
-            EngineSel::Parallel => "parallel",
-            EngineSel::Pruned => "pruned",
-        }
-    }
-}
+/// Engine names older clients may still send in the `engine` field.
+/// They are accepted and ignored: every request runs on [`ENGINE`].
+pub const LEGACY_ENGINES: [&str; 3] = ["serial", "parallel", "pruned"];
 
 /// A parsed request.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,8 +32,6 @@ pub enum Request {
         model: String,
         /// Per-request fork budget override.
         budget: Option<u64>,
-        /// Engine selection.
-        engine: EngineSel,
     },
     /// Run the conformance harness on one catalog entry: every verdict
     /// row under every model the entry mentions.
@@ -57,8 +40,6 @@ pub enum Request {
         test: String,
         /// Per-request fork budget override.
         budget: Option<u64>,
-        /// Engine selection.
-        engine: EngineSel,
     },
     /// Find a replayable witness for one condition of a catalog test.
     Witness {
@@ -257,18 +238,17 @@ fn optional_bool(obj: &Json, key: &str) -> Result<bool, ServiceError> {
     }
 }
 
-fn optional_engine(obj: &Json) -> Result<EngineSel, ServiceError> {
+/// Validates the optional legacy `engine` field: one of
+/// [`LEGACY_ENGINES`] is accepted and ignored, anything else is
+/// malformed.
+fn check_engine(obj: &Json) -> Result<(), ServiceError> {
     match obj.get("engine") {
-        None | Some(Json::Null) => Ok(EngineSel::Serial),
-        Some(v) => match v.as_str() {
-            Some("serial") => Ok(EngineSel::Serial),
-            Some("parallel") => Ok(EngineSel::Parallel),
-            Some("pruned") => Ok(EngineSel::Pruned),
-            _ => Err(ServiceError::new(
-                ErrorKind::Malformed,
-                "field 'engine' must be \"serial\", \"parallel\" or \"pruned\"",
-            )),
-        },
+        None | Some(Json::Null) => Ok(()),
+        Some(v) if v.as_str().is_some_and(|e| LEGACY_ENGINES.contains(&e)) => Ok(()),
+        Some(_) => Err(ServiceError::new(
+            ErrorKind::Malformed,
+            "field 'engine' must be \"serial\", \"parallel\" or \"pruned\" (all run the pruned engine)",
+        )),
     }
 }
 
@@ -387,17 +367,21 @@ fn parse_request_obj(value: &Json) -> Result<Request, ServiceError> {
                 subs.iter().map(parse_sub_envelope).collect(),
             ))
         }
-        "enumerate" => Ok(Request::Enumerate {
-            test: required_str(value, "test")?,
-            model: required_str(value, "model")?,
-            budget: optional_u64(value, "budget")?,
-            engine: optional_engine(value)?,
-        }),
-        "verdict" => Ok(Request::Verdict {
-            test: required_str(value, "test")?,
-            budget: optional_u64(value, "budget")?,
-            engine: optional_engine(value)?,
-        }),
+        "enumerate" => {
+            check_engine(value)?;
+            Ok(Request::Enumerate {
+                test: required_str(value, "test")?,
+                model: required_str(value, "model")?,
+                budget: optional_u64(value, "budget")?,
+            })
+        }
+        "verdict" => {
+            check_engine(value)?;
+            Ok(Request::Verdict {
+                test: required_str(value, "test")?,
+                budget: optional_u64(value, "budget")?,
+            })
+        }
         "witness" | "refutation" => {
             let test = required_str(value, "test")?;
             let model = required_str(value, "model")?;
@@ -447,7 +431,6 @@ pub fn render_request(request: &Request) -> Json {
             test,
             model,
             budget,
-            engine,
         } => {
             fields.push(("kind", Json::str("enumerate")));
             fields.push(("test", Json::str(test.clone())));
@@ -455,19 +438,13 @@ pub fn render_request(request: &Request) -> Json {
             if let Some(b) = budget {
                 fields.push(("budget", Json::num(*b as f64)));
             }
-            fields.push(("engine", Json::str(engine.name())));
         }
-        Request::Verdict {
-            test,
-            budget,
-            engine,
-        } => {
+        Request::Verdict { test, budget } => {
             fields.push(("kind", Json::str("verdict")));
             fields.push(("test", Json::str(test.clone())));
             if let Some(b) = budget {
                 fields.push(("budget", Json::num(*b as f64)));
             }
-            fields.push(("engine", Json::str(engine.name())));
         }
         Request::Witness {
             test,
@@ -555,7 +532,6 @@ mod tests {
                 test: "SB".into(),
                 model: "TSO".into(),
                 budget: None,
-                engine: EngineSel::Serial,
             }
         );
         assert_eq!(
@@ -564,7 +540,6 @@ mod tests {
             Request::Verdict {
                 test: "IRIW".into(),
                 budget: Some(5000),
-                engine: EngineSel::Parallel,
             }
         );
         assert_eq!(
@@ -617,6 +592,20 @@ mod tests {
             parse_request(r#"{"kind":"shutdown"}"#).unwrap(),
             Request::Shutdown
         );
+    }
+
+    #[test]
+    fn legacy_engine_names_are_accepted_and_ignored() {
+        let plain = parse_request(r#"{"kind":"enumerate","test":"SB","model":"TSO"}"#).unwrap();
+        for engine in LEGACY_ENGINES {
+            let line =
+                format!(r#"{{"kind":"enumerate","test":"SB","model":"TSO","engine":"{engine}"}}"#);
+            assert_eq!(parse_request(&line).unwrap(), plain, "{engine}");
+            let line = format!(r#"{{"kind":"verdict","test":"SB","engine":"{engine}"}}"#);
+            assert!(parse_request(&line).is_ok(), "{engine}");
+        }
+        let err = parse_request(r#"{"kind":"verdict","test":"SB","engine":7}"#).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Malformed);
     }
 
     #[test]
@@ -704,8 +693,8 @@ mod tests {
     fn rendered_requests_reparse_identically() {
         for line in [
             r#"{"kind":"enumerate","test":"SB","model":"TSO"}"#,
-            r#"{"kind":"enumerate","test":"SB","model":"TSO","budget":100,"engine":"pruned"}"#,
-            r#"{"kind":"verdict","test":"IRIW","engine":"parallel"}"#,
+            r#"{"kind":"enumerate","test":"SB","model":"TSO","budget":100}"#,
+            r#"{"kind":"verdict","test":"IRIW"}"#,
             r#"{"kind":"witness","test":"SB","model":"TSO","condition":1}"#,
             r#"{"kind":"refutation","test":"SB","model":"SC","budget":9}"#,
             r#"{"kind":"certify","test":"SB","model":"TSO","robust":true}"#,

@@ -212,7 +212,7 @@ pub struct Telemetry {
     pub monitoring: AtomicU64,
     /// Completed-request rate window (non-monitoring).
     pub rate: RateCounter,
-    /// Connections currently queued waiting for a worker.
+    /// Parsed requests currently queued waiting for a handler thread.
     pub queue_depth: AtomicU64,
     /// Aggregated closure-rule / candidate counters folded from every
     /// fresh enumeration's [`samm_core::obs::ObsStats`].
@@ -540,8 +540,9 @@ impl Telemetry {
     /// acceptor's rejection counter; `cache` the enumeration cache's
     /// global stats and `shards` its per-shard breakdown; `cluster` the
     /// membership view when serving in cluster mode (cluster-labelled
-    /// families are omitted otherwise, as are per-loop gauges on the
-    /// threaded core and per-peer counters before the first forward).
+    /// families are omitted otherwise, as are per-loop gauges before the
+    /// first loop registers and per-peer counters before the first
+    /// forward).
     pub fn render_prom(
         &self,
         overloaded: u64,
@@ -584,7 +585,7 @@ impl Telemetry {
         );
         prom.gauge(
             "samm_queue_depth",
-            "Accepted connections waiting for a worker.",
+            "Parsed requests waiting for a handler thread.",
             &[(&[], self.queue_depth.load(Ordering::Relaxed) as f64)],
         );
         prom.gauge(
@@ -734,7 +735,7 @@ impl Telemetry {
             );
         }
 
-        // Per-event-loop gauges (absent on the threaded core).
+        // Per-event-loop gauges (absent until a loop registers).
         let loops = self.loops.lock().expect("loop gauges poisoned").clone();
         if !loops.is_empty() {
             let loop_labels: Vec<String> = (0..loops.len()).map(|i| i.to_string()).collect();

@@ -9,9 +9,8 @@ use std::time::Duration;
 
 use samm_serve::client::Client;
 use samm_serve::cluster::ClusterConfig;
-use samm_serve::event_loop::{self, EventConfig, EventHandle};
 use samm_serve::json::Json;
-use samm_serve::server::ServerConfig;
+use samm_serve::{start, ServerConfig, ServerHandle};
 
 const TIMEOUT: Duration = Duration::from_secs(20);
 
@@ -48,7 +47,7 @@ fn free_addrs(n: usize) -> Vec<SocketAddr> {
     listeners.iter().map(|l| l.local_addr().unwrap()).collect()
 }
 
-fn start_cluster() -> (Vec<EventHandle>, String) {
+fn start_cluster() -> (Vec<ServerHandle>, String) {
     let addrs = free_addrs(3);
     let topology = format!(
         "node-a {}\nnode-b {}\nnode-c {}\n",
@@ -58,18 +57,13 @@ fn start_cluster() -> (Vec<EventHandle>, String) {
         .iter()
         .zip(&addrs)
         .map(|(id, addr)| {
-            event_loop::start(
-                ServerConfig {
-                    addr: addr.to_string(),
-                    workers: 2,
-                    read_timeout: Duration::from_secs(5),
-                    ..ServerConfig::default()
-                },
-                EventConfig {
-                    cluster: Some(ClusterConfig::parse(&topology, id).unwrap()),
-                    ..EventConfig::default()
-                },
-            )
+            start(ServerConfig {
+                addr: addr.to_string(),
+                workers: 2,
+                read_timeout: Duration::from_secs(5),
+                cluster: Some(ClusterConfig::parse(&topology, id).unwrap()),
+                ..ServerConfig::default()
+            })
             .unwrap()
         })
         .collect();

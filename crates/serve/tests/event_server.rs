@@ -1,7 +1,7 @@
 //! End-to-end tests of the readiness-driven event core over real
-//! loopback sockets: request round trips, pipelining with out-of-order
-//! responses matched by id, the `batch` request kind over the wire,
-//! graceful drain, cache persistence, and both poller backends.
+//! loopback sockets: pipelining with out-of-order responses matched by
+//! id, the `batch` request kind over the wire, graceful drain, cache
+//! persistence, the connection limit, and both poller backends.
 
 #![cfg(unix)]
 
@@ -9,10 +9,9 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use samm_serve::client::Client;
-use samm_serve::event_loop::{self, EventConfig};
 use samm_serve::json::Json;
-use samm_serve::server::ServerConfig;
 use samm_serve::sys::PollerKind;
+use samm_serve::{start, ServerConfig};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -29,35 +28,8 @@ fn ok(response: &Json) -> bool {
 }
 
 #[test]
-fn every_request_kind_round_trips_on_the_event_core() {
-    let handle = event_loop::start(test_config(), EventConfig::default()).unwrap();
-    let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
-    for line in [
-        r#"{"kind":"enumerate","test":"SB","model":"TSO"}"#,
-        r#"{"kind":"verdict","test":"SB"}"#,
-        r#"{"kind":"witness","test":"SB","model":"TSO","condition":0}"#,
-        r#"{"kind":"refutation","test":"SB","model":"SC","condition":0}"#,
-        r#"{"kind":"certify","test":"MP+fences","model":"TSO"}"#,
-        r#"{"kind":"metrics"}"#,
-        r#"{"kind":"metrics_prom"}"#,
-    ] {
-        let response = client.request_raw(line).unwrap();
-        assert!(ok(&response), "{line} -> {response}");
-    }
-    // Structured errors come back on the same connection, which
-    // survives them.
-    let bad = client.request_raw("this is not json").unwrap();
-    assert!(!ok(&bad));
-    let good = client
-        .request_raw(r#"{"kind":"enumerate","test":"SB","model":"SC"}"#)
-        .unwrap();
-    assert!(ok(&good), "{good}");
-    handle.shutdown().unwrap();
-}
-
-#[test]
 fn pipelined_requests_are_answered_out_of_order_by_id() {
-    let handle = event_loop::start(test_config(), EventConfig::default()).unwrap();
+    let handle = start(test_config()).unwrap();
     let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
 
     // Fire the whole pipeline before reading anything: a heavy cold
@@ -113,7 +85,7 @@ fn pipelined_requests_are_answered_out_of_order_by_id() {
 
 #[test]
 fn batch_round_trips_over_the_wire() {
-    let handle = event_loop::start(test_config(), EventConfig::default()).unwrap();
+    let handle = start(test_config()).unwrap();
     let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
     let response = client
         .request_raw(
@@ -147,13 +119,10 @@ fn wire_shutdown_drains_and_persists_the_cache() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("cache.samm");
 
-    let handle = event_loop::start(
-        ServerConfig {
-            persist_path: Some(path.clone()),
-            ..test_config()
-        },
-        EventConfig::default(),
-    )
+    let handle = start(ServerConfig {
+        persist_path: Some(path.clone()),
+        ..test_config()
+    })
     .unwrap();
     let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
     let cold = client
@@ -166,13 +135,10 @@ fn wire_shutdown_drains_and_persists_the_cache() {
     assert!(path.exists(), "drain must persist the cache");
 
     // A restarted event server answers from the persisted cache.
-    let handle = event_loop::start(
-        ServerConfig {
-            persist_path: Some(path.clone()),
-            ..test_config()
-        },
-        EventConfig::default(),
-    )
+    let handle = start(ServerConfig {
+        persist_path: Some(path.clone()),
+        ..test_config()
+    })
     .unwrap();
     let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
     let warm = client
@@ -187,14 +153,11 @@ fn wire_shutdown_drains_and_persists_the_cache() {
 
 #[test]
 fn poll_backend_and_multiple_loops_serve_correctly() {
-    let handle = event_loop::start(
-        test_config(),
-        EventConfig {
-            loops: 2,
-            poller: PollerKind::Poll,
-            ..EventConfig::default()
-        },
-    )
+    let handle = start(ServerConfig {
+        event_loops: 2,
+        poller: PollerKind::Poll,
+        ..test_config()
+    })
     .unwrap();
     // Several connections so both loops own some.
     let mut clients: Vec<Client> = (0..4)
@@ -217,13 +180,10 @@ fn poll_backend_and_multiple_loops_serve_correctly() {
 
 #[test]
 fn max_connections_rejects_with_the_overloaded_error() {
-    let handle = event_loop::start(
-        test_config(),
-        EventConfig {
-            max_connections: 2,
-            ..EventConfig::default()
-        },
-    )
+    let handle = start(ServerConfig {
+        max_connections: 2,
+        ..test_config()
+    })
     .unwrap();
     let mut a = Client::connect(handle.addr(), TIMEOUT).unwrap();
     let mut b = Client::connect(handle.addr(), TIMEOUT).unwrap();
@@ -240,11 +200,18 @@ fn max_connections_rejects_with_the_overloaded_error() {
         Some("overloaded"),
         "{overloaded}"
     );
+    let retry = overloaded
+        .get("error")
+        .and_then(|e| e.get("retry_after_ms"))
+        .and_then(Json::as_u64);
+    assert!(retry.is_some(), "{overloaded}");
     // Freeing a slot lets new connections in again.
     drop(a);
     std::thread::sleep(Duration::from_millis(100));
     let mut c = Client::connect(handle.addr(), TIMEOUT).unwrap();
-    assert!(ok(&c.request_raw(r#"{"kind":"metrics"}"#).unwrap()));
+    let metrics = c.request_raw(r#"{"kind":"metrics"}"#).unwrap();
+    assert!(ok(&metrics), "{metrics}");
+    assert_eq!(metrics.get("overloaded").and_then(Json::as_u64), Some(1));
     drop(b);
     drop(c);
     handle.shutdown().unwrap();

@@ -1,20 +1,20 @@
 //! End-to-end tests of the litmus-query service over real loopback
-//! sockets: every request kind, structured errors for malformed and
-//! over-budget requests, queue backpressure, cache persistence across
-//! restarts, and graceful drain.
+//! sockets: every request kind, legacy `engine` names, structured
+//! errors for malformed and over-budget requests, and graceful drain.
+
+#![cfg(unix)]
 
 use std::time::Duration;
 
 use samm_serve::client::{Client, ClientError};
 use samm_serve::json::Json;
-use samm_serve::server::{self, ServerConfig};
+use samm_serve::{start, ServerConfig};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
 fn test_config() -> ServerConfig {
     ServerConfig {
         workers: 2,
-        queue_capacity: 8,
         read_timeout: Duration::from_secs(5),
         ..ServerConfig::default()
     }
@@ -33,7 +33,7 @@ fn error_kind(response: &Json) -> Option<&str> {
 
 #[test]
 fn every_request_kind_round_trips() {
-    let handle = server::start(test_config()).unwrap();
+    let handle = start(test_config()).unwrap();
     let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
 
     let enumerate = client
@@ -44,6 +44,10 @@ fn every_request_kind_round_trips() {
         enumerate.get("cache_hit").and_then(Json::as_bool),
         Some(false)
     );
+    assert_eq!(
+        enumerate.get("engine").and_then(Json::as_str),
+        Some(samm_serve::ENGINE)
+    );
     assert!(
         enumerate
             .get("outcome_count")
@@ -52,6 +56,7 @@ fn every_request_kind_round_trips() {
             > 0
     );
 
+    // A legacy engine name is accepted and ignored.
     let verdict = client
         .request_raw(r#"{"kind":"verdict","test":"SB","engine":"parallel"}"#)
         .unwrap();
@@ -85,12 +90,14 @@ fn every_request_kind_round_trips() {
         .unwrap();
     assert!(ok(&certify), "{certify}");
 
+    let prom = client.request_raw(r#"{"kind":"metrics_prom"}"#).unwrap();
+    assert!(ok(&prom), "{prom}");
     let metrics = client.request_raw(r#"{"kind":"metrics"}"#).unwrap();
     assert!(ok(&metrics), "{metrics}");
-    // The five service requests above — the metrics request itself is
+    // The five service requests above — the metrics requests are
     // monitoring traffic and must not inflate `requests`.
     assert_eq!(metrics.get("requests").and_then(Json::as_u64), Some(5));
-    assert_eq!(metrics.get("monitoring").and_then(Json::as_u64), Some(1));
+    assert_eq!(metrics.get("monitoring").and_then(Json::as_u64), Some(2));
     assert!(metrics.get("cache").is_some());
     assert!(metrics.get("telemetry").is_some());
 
@@ -99,7 +106,7 @@ fn every_request_kind_round_trips() {
 
 #[test]
 fn enumeration_cache_is_shared_across_connections() {
-    let handle = server::start(test_config()).unwrap();
+    let handle = start(test_config()).unwrap();
     let mut first = Client::connect(handle.addr(), TIMEOUT).unwrap();
     let cold = first
         .request_raw(r#"{"kind":"enumerate","test":"IRIW","model":"Weak"}"#)
@@ -120,7 +127,7 @@ fn enumeration_cache_is_shared_across_connections() {
 
 #[test]
 fn malformed_and_unknown_requests_return_structured_errors() {
-    let handle = server::start(test_config()).unwrap();
+    let handle = start(test_config()).unwrap();
     let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
     for (line, kind) in [
         ("this is not json", "malformed"),
@@ -155,7 +162,7 @@ fn malformed_and_unknown_requests_return_structured_errors() {
 
 #[test]
 fn overbudget_requests_fail_structurally_and_do_not_poison_the_cache() {
-    let handle = server::start(test_config()).unwrap();
+    let handle = start(test_config()).unwrap();
     let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
     let broke = client
         .request_raw(r#"{"kind":"enumerate","test":"IRIW","model":"Weak","budget":2}"#)
@@ -173,51 +180,8 @@ fn overbudget_requests_fail_structurally_and_do_not_poison_the_cache() {
 }
 
 #[test]
-fn full_queue_rejects_with_retry_hint() {
-    let handle = server::start(ServerConfig {
-        workers: 1,
-        queue_capacity: 1,
-        read_timeout: Duration::from_secs(5),
-        ..ServerConfig::default()
-    })
-    .unwrap();
-
-    // Occupy the single worker: a served connection is held by its
-    // worker until it closes.
-    let mut busy = Client::connect(handle.addr(), TIMEOUT).unwrap();
-    let response = busy.request_raw(r#"{"kind":"metrics"}"#).unwrap();
-    assert!(ok(&response));
-
-    // Fill the single queue slot.
-    let waiting = Client::connect(handle.addr(), TIMEOUT).unwrap();
-    std::thread::sleep(Duration::from_millis(200));
-
-    // The next connection must be rejected with a structured
-    // `overloaded` error carrying a retry hint. The server writes the
-    // rejection unsolicited and closes, so only read — a write could
-    // fail with a broken pipe before the line is consumed.
-    let mut rejected = Client::connect(handle.addr(), TIMEOUT).unwrap();
-    let overloaded = rejected.read_response().unwrap();
-    assert_eq!(error_kind(&overloaded), Some("overloaded"), "{overloaded}");
-    let retry = overloaded
-        .get("error")
-        .and_then(|e| e.get("retry_after_ms"))
-        .and_then(Json::as_u64);
-    assert!(retry.is_some(), "{overloaded}");
-
-    // Release the worker; the queued connection gets served.
-    drop(busy);
-    let mut waiting = waiting;
-    let response = waiting.request_raw(r#"{"kind":"metrics"}"#).unwrap();
-    assert!(ok(&response), "{response}");
-    assert!(response.get("overloaded").and_then(Json::as_u64).unwrap() >= 1);
-
-    handle.shutdown().unwrap();
-}
-
-#[test]
 fn shutdown_request_drains_gracefully() {
-    let handle = server::start(test_config()).unwrap();
+    let handle = start(test_config()).unwrap();
     let addr = handle.addr();
     let mut client = Client::connect(addr, TIMEOUT).unwrap();
     let response = client
@@ -239,48 +203,6 @@ fn shutdown_request_drains_gracefully() {
             ));
         }
     }
-}
-
-#[test]
-fn cache_persists_across_restarts() {
-    let dir = std::env::temp_dir().join(format!("samm-serve-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("cache.samm");
-
-    let first = server::start(ServerConfig {
-        persist_path: Some(path.clone()),
-        ..test_config()
-    })
-    .unwrap();
-    let mut client = Client::connect(first.addr(), TIMEOUT).unwrap();
-    let cold = client
-        .request_raw(r#"{"kind":"enumerate","test":"MP","model":"TSO"}"#)
-        .unwrap();
-    assert!(ok(&cold), "{cold}");
-    assert_eq!(cold.get("cache_hit").and_then(Json::as_bool), Some(false));
-    drop(client);
-    first.shutdown().unwrap();
-    assert!(path.exists(), "drain must persist the cache");
-
-    let second = server::start(ServerConfig {
-        persist_path: Some(path.clone()),
-        ..test_config()
-    })
-    .unwrap();
-    let mut client = Client::connect(second.addr(), TIMEOUT).unwrap();
-    let warm = client
-        .request_raw(r#"{"kind":"enumerate","test":"MP","model":"TSO"}"#)
-        .unwrap();
-    assert!(ok(&warm), "{warm}");
-    assert_eq!(
-        warm.get("cache_hit").and_then(Json::as_bool),
-        Some(true),
-        "restarted server must answer from the persisted cache"
-    );
-    assert_eq!(cold.get("outcomes"), warm.get("outcomes"));
-    drop(client);
-    second.shutdown().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The docs-freshness check: the metric-family table in

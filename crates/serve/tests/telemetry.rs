@@ -3,6 +3,8 @@
 //! the Prometheus exposition — and the `--prom-addr` plain-HTTP
 //! listener must serve a checker-clean exposition.
 
+#![cfg(unix)]
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -10,7 +12,7 @@ use std::time::Duration;
 use samm_core::telemetry::prom;
 use samm_serve::client::Client;
 use samm_serve::json::Json;
-use samm_serve::server::{self, ServerConfig};
+use samm_serve::{start, ServerConfig};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -37,9 +39,8 @@ fn request_ids_round_trip_into_response_slow_log_and_exposition() {
     let slow_path = dir.join("slow.jsonl");
     let _ = std::fs::remove_file(&slow_path);
 
-    let handle = server::start(ServerConfig {
+    let handle = start(ServerConfig {
         workers: 2,
-        queue_capacity: 8,
         read_timeout: Duration::from_secs(5),
         prom_addr: Some("127.0.0.1:0".to_owned()),
         slow_log: Some(slow_path.clone()),
@@ -122,9 +123,8 @@ fn request_ids_round_trip_into_response_slow_log_and_exposition() {
 
 #[test]
 fn monitoring_traffic_never_reaches_the_request_histograms() {
-    let handle = server::start(ServerConfig {
+    let handle = start(ServerConfig {
         workers: 1,
-        queue_capacity: 8,
         read_timeout: Duration::from_secs(5),
         ..ServerConfig::default()
     })

@@ -14,9 +14,8 @@ use std::time::Duration;
 use samm_core::telemetry::trace::TraceContext;
 use samm_serve::client::Client;
 use samm_serve::cluster::ClusterConfig;
-use samm_serve::event_loop::{self, EventConfig, EventHandle};
 use samm_serve::json::Json;
-use samm_serve::server::ServerConfig;
+use samm_serve::{start, ServerConfig, ServerHandle};
 
 const TIMEOUT: Duration = Duration::from_secs(20);
 
@@ -33,7 +32,7 @@ fn free_addrs(n: usize) -> Vec<SocketAddr> {
 
 /// Starts a 3-node cluster with one trace log per node under `dir`;
 /// returns the handles and the trace-log paths.
-fn start_traced_cluster(dir: &std::path::Path) -> (Vec<EventHandle>, Vec<PathBuf>) {
+fn start_traced_cluster(dir: &std::path::Path) -> (Vec<ServerHandle>, Vec<PathBuf>) {
     std::fs::create_dir_all(dir).unwrap();
     let addrs = free_addrs(3);
     let topology = format!(
@@ -46,19 +45,14 @@ fn start_traced_cluster(dir: &std::path::Path) -> (Vec<EventHandle>, Vec<PathBuf
         let log = dir.join(format!("{id}.trace.jsonl"));
         let _ = std::fs::remove_file(&log);
         handles.push(
-            event_loop::start(
-                ServerConfig {
-                    addr: addr.to_string(),
-                    workers: 2,
-                    read_timeout: Duration::from_secs(5),
-                    trace_log: Some(log.clone()),
-                    ..ServerConfig::default()
-                },
-                EventConfig {
-                    cluster: Some(ClusterConfig::parse(&topology, id).unwrap()),
-                    ..EventConfig::default()
-                },
-            )
+            start(ServerConfig {
+                addr: addr.to_string(),
+                workers: 2,
+                read_timeout: Duration::from_secs(5),
+                trace_log: Some(log.clone()),
+                cluster: Some(ClusterConfig::parse(&topology, id).unwrap()),
+                ..ServerConfig::default()
+            })
             .unwrap(),
         );
         logs.push(log);
@@ -222,16 +216,13 @@ fn malformed_trace_fields_degrade_to_fresh_roots() {
     std::fs::create_dir_all(&dir).unwrap();
     let log = dir.join("tamper.trace.jsonl");
     let _ = std::fs::remove_file(&log);
-    let handle = event_loop::start(
-        ServerConfig {
-            addr: "127.0.0.1:0".to_owned(),
-            workers: 2,
-            read_timeout: Duration::from_secs(5),
-            trace_log: Some(log.clone()),
-            ..ServerConfig::default()
-        },
-        EventConfig::default(),
-    )
+    let handle = start(ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 2,
+        read_timeout: Duration::from_secs(5),
+        trace_log: Some(log.clone()),
+        ..ServerConfig::default()
+    })
     .unwrap();
     let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
 

@@ -24,8 +24,8 @@ use rand::prelude::*;
 use samm::analyze::{certify, find_races, harness, RaceKind};
 use samm::core::enumerate::{enumerate, EnumConfig};
 use samm::core::ids::ThreadId;
-use samm::core::parallel::enumerate_parallel;
 use samm::core::policy::Policy;
+use samm::core::pruned::enumerate_pruned;
 use samm::core::sync::check_well_synchronized;
 use samm::litmus::catalog;
 use samm::litmus::rand_prog::{random_program, RandConfig};
@@ -53,10 +53,6 @@ fn fast() -> EnumConfig {
 #[test]
 fn catalog_certificates_match_enumeration_exactly() {
     let serial_config = fast();
-    let parallel_config = EnumConfig {
-        parallelism: 4,
-        ..fast()
-    };
     let mut certified = 0usize;
     for entry in catalog::all() {
         let program = &entry.test.program;
@@ -83,13 +79,13 @@ fn catalog_certificates_match_enumeration_exactly() {
                         entry.test.name,
                         policy.name()
                     );
-                    let par = enumerate_parallel(program, &policy, &parallel_config)
-                        .expect("parallel enumeration succeeds")
+                    let pruned = enumerate_pruned(program, &policy, &serial_config)
+                        .expect("pruned enumeration succeeds")
                         .outcomes;
                     assert_eq!(
-                        par,
+                        pruned,
                         sc,
-                        "{} under {}: parallel engine disagrees with certificate",
+                        "{} under {}: pruned engine disagrees with certificate",
                         entry.test.name,
                         policy.name()
                     );
@@ -166,10 +162,6 @@ fn random_corpus_certificates_match_enumeration() {
         rmw_prob: 0.1,
     };
     let serial_config = fast();
-    let parallel_config = EnumConfig {
-        parallelism: 4,
-        ..fast()
-    };
     let mut rng = StdRng::seed_from_u64(0x5a33);
     let mut certified = 0usize;
     for _ in 0..40 {
@@ -191,10 +183,10 @@ fn random_corpus_certificates_match_enumeration() {
                 "FALSE CERTIFICATE under {} for:\n{program:#?}",
                 policy.name()
             );
-            let parallel = enumerate_parallel(&program, &policy, &parallel_config)
-                .expect("parallel enumeration succeeds")
+            let pruned = enumerate_pruned(&program, &policy, &serial_config)
+                .expect("pruned enumeration succeeds")
                 .outcomes;
-            assert_eq!(parallel, sc, "parallel engine disagrees");
+            assert_eq!(pruned, sc, "pruned engine disagrees");
         }
     }
     assert!(

@@ -1,14 +1,13 @@
 //! Differential validation of the content-addressed enumeration cache:
 //! a cache hit must be observably identical to a fresh enumeration.
 //!
-//! Over a random-program corpus, each (program, policy) query is run
-//! fresh under both engines, then replayed through a shared cache in
-//! both orders (serial fills / parallel hits, and vice versa). The
-//! cached answer must be bit-identical in outcomes and deterministic
-//! statistics regardless of which engine filled the entry — the
-//! property `samm-serve` relies on to serve mixed-engine traffic from
-//! one cache. A final check mutates the program and asserts the mutant
-//! can never be answered by the original's entry.
+//! Over a random-program corpus, each (program, policy) query is filled
+//! into a cache and replayed, under each engine. The hit must return
+//! the stored value, and that value must match a fresh run of the same
+//! engine in outcomes and deterministic statistics — the property
+//! `samm-serve` relies on to answer repeats from its cache. A final
+//! check mutates the program and asserts the mutant can never be
+//! answered by the original's entry.
 //!
 //! The pruned engine gets its own transparency property: its search
 //! counters legitimately differ from the serial engine's, but the
@@ -20,11 +19,11 @@ use proptest::prelude::*;
 use rand::prelude::*;
 
 use samm::core::cache::{cached_enumerate, CachedResult, EnumCache};
-use samm::core::enumerate::{enumerate, EnumConfig};
+use samm::core::enumerate::{enumerate, EnumConfig, EnumResult};
+use samm::core::error::EnumError;
 use samm::core::fingerprint::query_fingerprint;
 use samm::core::ids::Value;
 use samm::core::instr::{Instr, Operand, Program, ThreadProgram};
-use samm::core::parallel::enumerate_parallel;
 use samm::core::policy::Policy;
 use samm::core::pruned::enumerate_pruned;
 use samm::litmus::rand_prog::{random_program, RandConfig};
@@ -37,6 +36,9 @@ fn chain() -> [Policy; 4] {
         Policy::weak(),
     ]
 }
+
+/// An enumeration engine: the serial oracle or the pruned engine.
+type Engine = fn(&Program, &Policy, &EnumConfig) -> Result<EnumResult, EnumError>;
 
 fn fast() -> EnumConfig {
     EnumConfig::builder().keep_executions(false).build()
@@ -57,9 +59,9 @@ fn gen_config(branchy: bool) -> RandConfig {
 
 /// Asserts a [`CachedResult`] agrees with a fresh serial enumeration on
 /// the engine-independent observables: the outcome set and the distinct
-/// execution count. This is the contract every engine (serial, parallel,
-/// pruned) must satisfy; search-shape counters (`explored`, `forks`,
-/// `deduped`) are engine-specific and deliberately not compared here.
+/// execution count. This is the contract both engines (serial, pruned)
+/// must satisfy; search-shape counters (`explored`, `forks`, `deduped`)
+/// are engine-specific and deliberately not compared here.
 fn assert_semantics_match_fresh(cached: &CachedResult, program: &Program, policy: &Policy) {
     let fresh = enumerate(program, policy, &fast()).expect("fresh enumeration succeeds");
     assert_eq!(cached.outcomes, fresh.outcomes, "outcome sets differ");
@@ -69,10 +71,20 @@ fn assert_semantics_match_fresh(cached: &CachedResult, program: &Program, policy
     );
 }
 
-/// Asserts a [`CachedResult`] equals a fresh enumeration of the same
-/// query: same outcome set and same deterministic counters.
+/// Asserts a [`CachedResult`] equals a fresh serial enumeration of the
+/// same query: same outcome set and same deterministic counters.
 fn assert_matches_fresh(cached: &CachedResult, program: &Program, policy: &Policy) {
-    let fresh = enumerate(program, policy, &fast()).expect("fresh enumeration succeeds");
+    assert_matches_fresh_run(cached, program, policy, enumerate);
+}
+
+/// As [`assert_matches_fresh`], with the fresh run on `engine`.
+fn assert_matches_fresh_run(
+    cached: &CachedResult,
+    program: &Program,
+    policy: &Policy,
+    engine: Engine,
+) {
+    let fresh = engine(program, policy, &fast()).expect("fresh enumeration succeeds");
     assert_eq!(cached.outcomes, fresh.outcomes, "outcome sets differ");
     assert_eq!(cached.stats.explored, fresh.stats.explored);
     assert_eq!(cached.stats.forks, fresh.stats.forks);
@@ -86,7 +98,7 @@ fn assert_matches_fresh(cached: &CachedResult, program: &Program, policy: &Polic
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The core transparency property, in both fill orders.
+    /// The core transparency property, under each engine.
     #[test]
     fn prop_cache_hits_are_bit_identical_to_fresh_runs(
         seed in 0u64..1_000_000,
@@ -95,34 +107,19 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let program = random_program(&mut rng, &gen_config(branchy));
         let config = fast();
+        let engines: [Engine; 2] = [enumerate, enumerate_pruned];
         for policy in chain() {
-            // Serial fills, parallel hits.
-            let cache = EnumCache::new(16);
-            let (serial_fill, hit) =
-                cached_enumerate(&cache, &program, &policy, &config, enumerate)
+            for engine in engines {
+                let cache = EnumCache::new(16);
+                let (fill, hit) = cached_enumerate(&cache, &program, &policy, &config, engine)
                     .expect("fill succeeds");
-            prop_assert!(!hit, "empty cache cannot hit");
-            let (parallel_hit, hit) =
-                cached_enumerate(&cache, &program, &policy, &config, enumerate_parallel)
+                prop_assert!(!hit, "empty cache cannot hit");
+                let (replay, hit) = cached_enumerate(&cache, &program, &policy, &config, engine)
                     .expect("hit succeeds");
-            prop_assert!(hit, "second lookup must hit");
-            prop_assert_eq!(&serial_fill, &parallel_hit, "hit must return the stored value");
-
-            // Parallel fills, serial hits: the stored value must be the
-            // same normalized answer, so mixed-engine traffic cannot
-            // observe which engine populated the entry.
-            let other = EnumCache::new(16);
-            let (parallel_fill, _) =
-                cached_enumerate(&other, &program, &policy, &config, enumerate_parallel)
-                    .expect("fill succeeds");
-            let (serial_hit, hit) =
-                cached_enumerate(&other, &program, &policy, &config, enumerate)
-                    .expect("hit succeeds");
-            prop_assert!(hit);
-            prop_assert_eq!(&parallel_fill, &serial_hit);
-            prop_assert_eq!(&serial_fill, &parallel_fill, "fill engines must agree bit-for-bit");
-
-            assert_matches_fresh(&serial_hit, &program, &policy);
+                prop_assert!(hit, "second lookup must hit");
+                prop_assert_eq!(&fill, &replay, "hit must return the stored value");
+                assert_matches_fresh_run(&replay, &program, &policy, engine);
+            }
         }
     }
 

@@ -1,16 +1,15 @@
 //! Golden enumeration regression: hard-coded outcome and
 //! distinct-execution counts for every paper figure and every atomics
 //! test of the catalog, across the full model chain, checked under BOTH
-//! the serial enumerator and the work-stealing parallel one.
+//! the serial oracle and the pruned production engine.
 //!
 //! These counts are the repository's measured ground truth (they also
 //! back `EXPERIMENTS.md`); any enumeration change that shifts them must
-//! update this table deliberately. The parallel engine must reproduce
-//! them *exactly* — same outcome sets, same deterministic statistics —
-//! at any worker count.
+//! update this table deliberately. The pruned engine must reproduce them
+//! *exactly*, and each engine's statistics must be deterministic.
 
 use samm::core::enumerate::{enumerate, EnumConfig, EnumResult};
-use samm::core::parallel::enumerate_parallel;
+use samm::core::pruned::enumerate_pruned;
 use samm::litmus::{catalog, CatalogEntry, ModelSel};
 
 /// `(test name, model, |outcomes|, distinct executions)` for every
@@ -113,25 +112,19 @@ fn serial_counts_match_golden() {
 }
 
 #[test]
-fn parallel_counts_match_golden() {
-    let config = EnumConfig {
-        parallelism: 4,
-        ..EnumConfig::default()
-    };
-    check_against_golden("parallel", |entry, model| {
-        enumerate_parallel(&entry.test.program, &model.policy(), &config)
+fn pruned_counts_match_golden() {
+    check_against_golden("pruned", |entry, model| {
+        enumerate_pruned(&entry.test.program, &model.policy(), &EnumConfig::default())
             .expect("enumeration succeeds")
     });
 }
 
-/// The engines agree not just on counts but on the outcome *sets* and
-/// the full deterministic statistics, for every golden entry and model.
+/// The engines agree not just on counts but on the outcome *sets*, for
+/// every golden entry and model; and each engine's full statistics are
+/// deterministic, run after run.
 #[test]
 fn engines_agree_on_sets_and_deterministic_stats() {
-    let parallel_config = EnumConfig {
-        parallelism: 4,
-        ..EnumConfig::default()
-    };
+    let config = EnumConfig::default();
     for entry in entries() {
         for model in [
             ModelSel::Sc,
@@ -140,32 +133,31 @@ fn engines_agree_on_sets_and_deterministic_stats() {
             ModelSel::Weak,
             ModelSel::WeakSpec,
         ] {
-            let serial = enumerate(&entry.test.program, &model.policy(), &EnumConfig::default())
-                .expect("serial enumeration succeeds");
-            let parallel =
-                enumerate_parallel(&entry.test.program, &model.policy(), &parallel_config)
-                    .expect("parallel enumeration succeeds");
+            let program = &entry.test.program;
+            let policy = model.policy();
+            let serial = enumerate(program, &policy, &config).expect("serial enumeration succeeds");
+            let pruned =
+                enumerate_pruned(program, &policy, &config).expect("pruned enumeration succeeds");
             let name = &entry.test.name;
             assert_eq!(
                 serial.outcomes,
-                parallel.outcomes,
+                pruned.outcomes,
                 "{name} under {}: outcome sets differ",
                 model.name()
             );
-            assert_eq!(serial.stats.explored, parallel.stats.explored, "{name}");
-            assert_eq!(serial.stats.forks, parallel.stats.forks, "{name}");
-            assert_eq!(serial.stats.deduped, parallel.stats.deduped, "{name}");
             assert_eq!(
-                serial.stats.rolled_back, parallel.stats.rolled_back,
+                serial.stats.distinct_executions, pruned.stats.distinct_executions,
                 "{name}"
             );
+            let serial_again = enumerate(program, &policy, &config).expect("serial rerun");
+            let pruned_again = enumerate_pruned(program, &policy, &config).expect("pruned rerun");
             assert_eq!(
-                serial.stats.distinct_executions, parallel.stats.distinct_executions,
-                "{name}"
+                serial.stats, serial_again.stats,
+                "{name}: serial stats drifted"
             );
             assert_eq!(
-                serial.stats.max_graph_nodes, parallel.stats.max_graph_nodes,
-                "{name}"
+                pruned.stats, pruned_again.stats,
+                "{name}: pruned stats drifted"
             );
         }
     }

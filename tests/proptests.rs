@@ -9,7 +9,6 @@ use samm::core::bitset::BitSet;
 use samm::core::closure::Closure;
 use samm::core::enumerate::{enumerate, EnumConfig};
 use samm::core::ids::NodeId;
-use samm::core::parallel::enumerate_parallel;
 use samm::core::policy::Policy;
 use samm::core::pruned::enumerate_pruned;
 use samm::core::serialize;
@@ -244,76 +243,6 @@ proptest! {
             let order = serialize::find_serialization(exec);
             prop_assert!(order.is_some());
             prop_assert!(serialize::validate_serialization(exec, &order.unwrap()).is_ok());
-        }
-    }
-
-    /// Differential: the work-stealing parallel enumerator yields exactly
-    /// the serial enumerator's outcome set and distinct-execution count,
-    /// on random programs, across the whole model chain (± speculation)
-    /// and across worker counts.
-    #[test]
-    fn parallel_matches_serial_differentially(
-        seed in any::<u64>(),
-        branchy in any::<bool>(),
-        workers in 2usize..=8,
-    ) {
-        let prog = program_from_seed(seed, branchy);
-        for policy in [
-            Policy::sequential_consistency(),
-            Policy::tso(),
-            Policy::pso(),
-            Policy::weak(),
-            Policy::weak().with_alias_speculation(true),
-        ] {
-            let serial = enumerate(&prog, &policy, &quick_config()).unwrap();
-            let par_config = EnumConfig {
-                parallelism: workers,
-                ..quick_config()
-            };
-            let parallel = enumerate_parallel(&prog, &policy, &par_config).unwrap();
-            prop_assert_eq!(
-                &serial.outcomes, &parallel.outcomes,
-                "outcome sets differ under {} at {} workers", policy.name(), workers
-            );
-            prop_assert_eq!(
-                serial.stats.distinct_executions, parallel.stats.distinct_executions,
-                "execution counts differ under {} at {} workers", policy.name(), workers
-            );
-        }
-    }
-
-    /// Differential, with executions kept: the parallel engine's execution
-    /// list is the serial engine's, sorted by canonical key.
-    #[test]
-    fn parallel_executions_are_serials_sorted(seed in any::<u64>(), workers in 2usize..=8) {
-        let prog = program_from_seed(seed, false);
-        let config = EnumConfig::default();
-        let serial = enumerate(&prog, &Policy::weak(), &config).unwrap();
-        let parallel = enumerate_parallel(&prog, &Policy::weak(), &EnumConfig {
-            parallelism: workers,
-            ..config
-        }).unwrap();
-        let mut serial_keys: Vec<Vec<u8>> =
-            serial.executions.iter().map(|b| b.canonical_key()).collect();
-        serial_keys.sort();
-        let parallel_keys: Vec<Vec<u8>> =
-            parallel.executions.iter().map(|b| b.canonical_key()).collect();
-        prop_assert_eq!(serial_keys, parallel_keys);
-    }
-
-    /// Differential over RMW programs: atomics fork through the same
-    /// refinement tree on both engines.
-    #[test]
-    fn parallel_matches_serial_on_rmws(seed in any::<u64>(), workers in 2usize..=8) {
-        let prog = rmw_program_from_seed(seed);
-        for policy in [Policy::tso(), Policy::weak()] {
-            let serial = enumerate(&prog, &policy, &quick_config()).unwrap();
-            let parallel = enumerate_parallel(&prog, &policy, &EnumConfig {
-                parallelism: workers,
-                ..quick_config()
-            }).unwrap();
-            prop_assert_eq!(&serial.outcomes, &parallel.outcomes);
-            prop_assert_eq!(serial.stats.distinct_executions, parallel.stats.distinct_executions);
         }
     }
 
