@@ -14,8 +14,9 @@ use std::sync::Arc;
 
 use crate::error::EnumError;
 use crate::exec::{Behavior, StepError};
+use crate::ids::NodeId;
 use crate::instr::Program;
-use crate::obs::{Obs, ObsStats, PruneReason, TraceEvent, TraceSink};
+use crate::obs::{Obs, ObsStats};
 use crate::outcome::OutcomeSet;
 use crate::policy::Policy;
 
@@ -226,10 +227,11 @@ pub struct Behaviors {
     finished: bool,
     /// Shared instrumentation counters (present iff `config.observe`).
     obs: Option<Arc<Obs>>,
-    /// Event sink for fork/prune/commit events, serial engine only.
-    trace: Option<Arc<dyn TraceSink>>,
-    /// Next fresh behaviour id for trace events (the root is 0).
-    next_trace_id: u64,
+    /// Resolution-path table, present when created by
+    /// [`behaviors_with_paths`]: entry `id - 1` is the
+    /// `(parent id, load, store)` fork that created behaviour `id` (the
+    /// root is id 0 and has no entry).
+    paths: Option<Vec<(u64, NodeId, NodeId)>>,
 }
 
 impl Behaviors {
@@ -244,10 +246,24 @@ impl Behaviors {
         stats
     }
 
-    fn record(&self, event: TraceEvent) {
-        if let Some(sink) = &self.trace {
-            sink.record(event);
+    /// The resolution path of behaviour `id` (its
+    /// [`Behavior::fork_id`]): the `(load, store)` pairs applied from the
+    /// root down to `id`, in application order, in O(depth). Returns
+    /// `None` for the root, for an unknown id, and when the stream was
+    /// not created by [`behaviors_with_paths`].
+    pub fn path_to(&self, id: u64) -> Option<Vec<(NodeId, NodeId)>> {
+        let paths = self.paths.as_ref()?;
+        let mut cursor = usize::try_from(id)
+            .ok()
+            .filter(|&i| i > 0 && i <= paths.len())?;
+        let mut path = Vec::new();
+        while cursor > 0 {
+            let (parent, load, store) = paths[cursor - 1];
+            path.push((load, store));
+            cursor = parent as usize;
         }
+        path.reverse();
+        Some(path)
     }
 }
 
@@ -270,9 +286,6 @@ impl Iterator for Behaviors {
 
             if behavior.is_complete() {
                 self.stats.distinct_executions += 1;
-                self.record(TraceEvent::Commit {
-                    id: behavior.trace_id(),
-                });
                 return Some(Ok(behavior));
             }
 
@@ -299,15 +312,9 @@ impl Iterator for Behaviors {
                         }
                     }
                     let mut fork = behavior.clone();
-                    if self.trace.is_some() {
-                        self.next_trace_id += 1;
-                        fork.set_trace_id(self.next_trace_id);
-                        self.record(TraceEvent::Fork {
-                            parent: behavior.trace_id(),
-                            child: self.next_trace_id,
-                            load,
-                            store,
-                        });
+                    if let Some(paths) = &mut self.paths {
+                        paths.push((behavior.fork_id(), load, store));
+                        fork.set_fork_id(paths.len() as u64);
                     }
                     let step = fork.resolve_load(load, store).and_then(|()| {
                         fork.settle(
@@ -320,10 +327,6 @@ impl Iterator for Behaviors {
                         Ok(()) => {
                             if self.config.dedup && !self.seen.insert(fork.canonical_key()) {
                                 self.stats.deduped += 1;
-                                self.record(TraceEvent::Prune {
-                                    child: fork.trace_id(),
-                                    reason: PruneReason::Duplicate,
-                                });
                                 continue;
                             }
                             self.frontier.push(fork);
@@ -331,10 +334,6 @@ impl Iterator for Behaviors {
                         Err(StepError::Inconsistent(e)) => {
                             if self.may_roll_back {
                                 self.stats.rolled_back += 1;
-                                self.record(TraceEvent::Prune {
-                                    child: fork.trace_id(),
-                                    reason: PruneReason::Inconsistent,
-                                });
                             } else {
                                 self.finished = true;
                                 return Some(Err(EnumError::UnexpectedCycle(e)));
@@ -395,31 +394,32 @@ pub fn behaviors(
     policy: &Policy,
     config: &EnumConfig,
 ) -> Result<Behaviors, EnumError> {
-    behaviors_with(program, policy, config, None)
+    behaviors_with(program, policy, config, false)
 }
 
-/// Like [`behaviors`], but additionally streaming fork/prune/commit
-/// events into `sink` — the raw material for the witness/refutation
-/// machinery in [`crate::explain`]. Behaviour ids are assigned in fork
-/// order from the root's id 0, so the trace is deterministic.
+/// Like [`behaviors`], but additionally recording every fork's
+/// `(parent, load, store)` in a resolution-path table, so
+/// [`Behaviors::path_to`] can answer which resolutions produced a
+/// yielded behaviour — the raw material for the witnesses of
+/// [`crate::explain`]. Fork ids are assigned in fork order from the
+/// root's id 0, so the table is deterministic.
 ///
 /// # Errors
 ///
 /// As for [`behaviors`].
-pub fn behaviors_traced(
+pub fn behaviors_with_paths(
     program: &Program,
     policy: &Policy,
     config: &EnumConfig,
-    sink: Arc<dyn TraceSink>,
 ) -> Result<Behaviors, EnumError> {
-    behaviors_with(program, policy, config, Some(sink))
+    behaviors_with(program, policy, config, true)
 }
 
 fn behaviors_with(
     program: &Program,
     policy: &Policy,
     config: &EnumConfig,
-    trace: Option<Arc<dyn TraceSink>>,
+    record_paths: bool,
 ) -> Result<Behaviors, EnumError> {
     let may_roll_back = policy.alias_speculation() || policy.has_bypass() || program.uses_rmw();
     let obs = config.observe.then(|| Arc::new(Obs::new()));
@@ -448,8 +448,7 @@ fn behaviors_with(
         stats: EnumStats::default(),
         finished: false,
         obs,
-        trace,
-        next_trace_id: 0,
+        paths: record_paths.then(Vec::new),
     })
 }
 
@@ -991,6 +990,40 @@ mod tests {
             }
         ));
         assert!(stream.next().is_none());
+    }
+
+    #[test]
+    fn path_table_replays_every_yielded_behavior() {
+        let config = EnumConfig::default();
+        let limit = config.max_nodes_per_thread;
+        for prog in [sb(), mp()] {
+            for policy in [Policy::weak(), Policy::sequential_consistency()] {
+                let mut stream = behaviors_with_paths(&prog, &policy, &config).unwrap();
+                let mut yielded = 0usize;
+                while let Some(item) = stream.next() {
+                    let behavior = item.unwrap();
+                    let path = stream
+                        .path_to(behavior.fork_id())
+                        .expect("a yielded behaviour is a recorded fork");
+                    let mut replay = Behavior::new(&prog);
+                    replay.settle(&prog, &policy, limit).unwrap();
+                    for &(load, store) in &path {
+                        replay.resolve_load(load, store).unwrap();
+                        replay.settle(&prog, &policy, limit).unwrap();
+                    }
+                    assert!(replay.is_complete(), "{}: {path:?}", policy.name());
+                    assert_eq!(replay.outcome(), behavior.outcome(), "{}", policy.name());
+                    yielded += 1;
+                }
+                assert_eq!(yielded, stream.stats().distinct_executions);
+                assert_eq!(stream.path_to(0), None, "the root has no path");
+                assert_eq!(stream.path_to(u64::MAX), None, "unknown id");
+            }
+        }
+        // A stream created without the table answers no paths at all.
+        let mut plain = behaviors(&sb(), &Policy::weak(), &config).unwrap();
+        let first = plain.next().unwrap().unwrap();
+        assert_eq!(plain.path_to(first.fork_id()), None);
     }
 
     #[test]

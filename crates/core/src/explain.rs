@@ -5,15 +5,17 @@
 //! graph plus a serialization, and a *forbidden* outcome by showing that
 //! the Store Atomicity rules (Figure 6) leave some load with no candidate
 //! store producing the required value. This module mechanizes both
-//! directions on top of the traced enumerator:
+//! directions on top of the serial enumerator:
 //!
-//! * [`find_witness`] streams the serial enumeration through a
-//!   [`MemoryTrace`] and, at the first complete behaviour matching a
-//!   [`Goal`], packages the resolution path, the final outcome, every
-//!   load's observed store, and a serialization into a [`Witness`]. The
-//!   witness is *checkable*: [`Witness::verify`] replays the path from a
-//!   fresh root and re-validates the serialization, so a stored witness
-//!   re-executes to the same final values.
+//! * [`find_witness`] streams the serial enumeration with its
+//!   resolution-path table ([`behaviors_with_paths`]) and, at the first
+//!   complete behaviour matching a [`Goal`], packages the resolution
+//!   path ([`crate::enumerate::Behaviors::path_to`]), the final
+//!   outcome, every load's observed store, and a serialization into a
+//!   [`Witness`]. The witness is *checkable*: [`Witness::verify`]
+//!   replays the path from a fresh root and re-validates the
+//!   serialization, so a stored witness re-executes to the same final
+//!   values.
 //! * [`refute`] proves a goal unobservable. When the goal registers are
 //!   written by unique loads in branch-free threads it runs a guided
 //!   depth-first search that only ever resolves a goal load to a store
@@ -52,16 +54,14 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
 
 use crate::atomicity::Rule;
-use crate::enumerate::{behaviors_traced, EnumConfig};
+use crate::enumerate::{behaviors_with_paths, EnumConfig};
 use crate::error::EnumError;
 use crate::exec::{Behavior, StepError};
 use crate::graph::{EdgeKind, ExecutionGraph};
 use crate::ids::{NodeId, Reg, Value};
 use crate::instr::{Instr, Program};
-use crate::obs::MemoryTrace;
 use crate::outcome::Outcome;
 use crate::policy::Policy;
 use crate::serialize::{
@@ -578,12 +578,11 @@ pub fn find_witness(
     config: &EnumConfig,
     goal: &Goal,
 ) -> Result<Option<Witness>, EnumError> {
-    let trace = Arc::new(MemoryTrace::new());
-    let stream = behaviors_traced(program, policy, config, trace.clone())?;
-    for item in stream {
+    let mut stream = behaviors_with_paths(program, policy, config)?;
+    while let Some(item) = stream.next() {
         let behavior = item?;
         if goal.matches(&behavior.outcome()) {
-            let path = trace.path_to(behavior.trace_id()).unwrap_or_default();
+            let path = stream.path_to(behavior.fork_id()).unwrap_or_default();
             return Ok(Some(make_witness(behavior, path)));
         }
     }
@@ -757,12 +756,11 @@ fn refute_exhaustive(
     config: &EnumConfig,
     goal: &Goal,
 ) -> Result<RefuteOutcome, EnumError> {
-    let trace = Arc::new(MemoryTrace::new());
-    let mut stream = behaviors_traced(program, policy, config, trace.clone())?;
-    for item in &mut stream {
+    let mut stream = behaviors_with_paths(program, policy, config)?;
+    while let Some(item) = stream.next() {
         let behavior = item?;
         if goal.matches(&behavior.outcome()) {
-            let path = trace.path_to(behavior.trace_id()).unwrap_or_default();
+            let path = stream.path_to(behavior.fork_id()).unwrap_or_default();
             return Ok(RefuteOutcome::Observable(Box::new(make_witness(
                 behavior, path,
             ))));

@@ -59,7 +59,7 @@
 //! | [`static_order`] | §2, Fig 1 | the statically guaranteed part of `≺` |
 //! | [`sync`] | §8 | well-synchronized-program discipline checker |
 //! | [`dot`] | Fig 2 | Graphviz rendering of execution graphs |
-//! | [`obs`] | — | enumeration counters, timings, and the event-trace sink |
+//! | [`obs`] | — | enumeration counters and per-phase timings |
 //! | [`explain`] | Fig 3–11 | witnesses for allowed outcomes, refutations for forbidden ones |
 //! | [`fingerprint`] | — | stable content hashes of enumeration queries |
 //! | [`cache`] | — | content-addressed memoization of enumeration answers |
@@ -99,7 +99,7 @@ pub(crate) mod testutil;
 pub use atomicity::Rule;
 pub use cache::{cached_enumerate, CacheStats, CachedResult, EnumCache};
 pub use enumerate::{
-    behaviors, behaviors_traced, default_parallelism, enumerate, Behaviors, EnumConfig,
+    behaviors, behaviors_with_paths, default_parallelism, enumerate, Behaviors, EnumConfig,
     EnumConfigBuilder, EnumResult, EnumStats,
 };
 pub use error::{CycleError, EnumError};
@@ -111,7 +111,7 @@ pub use explain::{
 pub use fingerprint::{query_fingerprint, Fingerprint};
 pub use ids::{Addr, NodeId, Reg, ThreadId, Value};
 pub use instr::{BinOp, Instr, Operand, Program, ThreadProgram};
-pub use obs::{MemoryTrace, Obs, ObsStats, TraceEvent, TraceSink};
+pub use obs::{Obs, ObsStats};
 pub use outcome::{Outcome, OutcomeSet};
 pub use policy::{Constraint, ConstraintTable, OpClass, Policy};
 pub use telemetry::{Histogram, HistogramSnapshot, JsonlLog, RateCounter, RequestIdGen};

@@ -1,30 +1,26 @@
-//! Observability: enumeration counters, per-phase timings, and a
-//! structured event-trace sink.
+//! Observability: enumeration counters and per-phase timings.
 //!
 //! The enumerators answer "which behaviours exist"; this module answers
-//! *how* they were found. Two independent facilities:
+//! *how much work* finding them took. [`Obs`] is a block of relaxed
+//! atomic counters shared (via `Arc`) by every fork of a
+//! [`crate::exec::Behavior`]. It counts closure-rule applications by
+//! rule (a/b/c of the paper's Figure 6), closure rounds, `candidates(L)`
+//! queries, and accumulates wall-clock nanos per enumeration phase.
+//! Disabled (`Option::None`) it costs one pointer-null check per site —
+//! see experiment E19 for the measured overhead.
 //!
-//! * [`Obs`] — a block of relaxed atomic counters shared (via `Arc`) by
-//!   every fork of a [`crate::exec::Behavior`]. It counts closure-rule
-//!   applications by rule (a/b/c of the paper's Figure 6), closure
-//!   rounds, `candidates(L)` queries, and accumulates wall-clock nanos
-//!   per enumeration phase. Disabled (`Option::None`) it costs one
-//!   pointer-null check per site — see experiment E19 for the measured
-//!   overhead.
-//! * [`TraceSink`] — a structured event stream of fork / prune / commit
-//!   events emitted by the *serial* enumerator. Replaying the fork
-//!   ancestry of a committed behaviour reconstructs exactly which
-//!   `(load, store)` resolutions produced it; [`crate::explain`] builds
-//!   witnesses and refutations on top of it.
+//! There is no engine event stream. *Which* `(load, store)` resolutions
+//! produced a behaviour is answered by the serial stream's resolution
+//! path table ([`crate::enumerate::behaviors_with_paths`] and
+//! [`crate::enumerate::Behaviors::path_to`]), the one input
+//! [`crate::explain`] needs for witnesses; the pruned engine's prune
+//! counts live in [`crate::pruned::PruneStats`].
 //!
 //! No external dependencies: the JSON emitted by [`ObsStats::to_json`]
 //! is hand-rolled (flat objects of unsigned integers only).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-use crate::ids::NodeId;
 
 /// Live atomic counters, shared by every fork of an instrumented
 /// enumeration. All updates use [`Ordering::Relaxed`]: the counters are
@@ -164,123 +160,6 @@ impl fmt::Display for ObsStats {
     }
 }
 
-/// Why a forked behaviour was discarded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PruneReason {
-    /// The fork settled to a canonical key already seen (dedup hit).
-    Duplicate,
-    /// The resolution violated Store Atomicity (closure cycle) and was
-    /// rolled back — or, for non-speculative models, failed outright.
-    Inconsistent,
-    /// Prune-before-expand: the fork's observation set was already
-    /// claimed by an equal partial behaviour, so it was skipped without
-    /// ever being materialized (dominance / sleep-set pruning).
-    Dominated,
-    /// Prune-before-expand: the fork's observation set is a thread
-    /// permutation of a claimed one; its executions are credited to the
-    /// representative's orbit instead of being explored.
-    Symmetric,
-}
-
-impl fmt::Display for PruneReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            PruneReason::Duplicate => "duplicate",
-            PruneReason::Inconsistent => "inconsistent",
-            PruneReason::Dominated => "dominated",
-            PruneReason::Symmetric => "symmetric",
-        })
-    }
-}
-
-/// One structured event from the serial enumerator's fork loop.
-///
-/// Behaviour ids are assigned in fork order starting from the root's
-/// id 0, so the serial engine's trace is deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// `parent` forked `child` by resolving `load` to `store`.
-    Fork {
-        /// Trace id of the behaviour that forked.
-        parent: u64,
-        /// Trace id assigned to the fork.
-        child: u64,
-        /// The load being resolved.
-        load: NodeId,
-        /// The candidate store it observes.
-        store: NodeId,
-    },
-    /// The fork `child` was discarded.
-    Prune {
-        /// Trace id of the discarded fork.
-        child: u64,
-        /// Why it was discarded.
-        reason: PruneReason,
-    },
-    /// Behaviour `id` completed (every load resolved) and was yielded.
-    Commit {
-        /// Trace id of the completed behaviour.
-        id: u64,
-    },
-}
-
-/// A sink for [`TraceEvent`]s. Implementations must be thread-safe even
-/// though only the serial engine currently emits events, so a sink can
-/// be shared across harness threads.
-pub trait TraceSink: Send + Sync + fmt::Debug {
-    /// Records one event.
-    fn record(&self, event: TraceEvent);
-}
-
-/// The vendored in-memory sink: an append-only event log.
-#[derive(Debug, Default)]
-pub struct MemoryTrace {
-    events: Mutex<Vec<TraceEvent>>,
-}
-
-impl MemoryTrace {
-    /// An empty trace.
-    pub fn new() -> Self {
-        MemoryTrace::default()
-    }
-
-    /// A copy of every event recorded so far, in record order.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().expect("trace poisoned").clone()
-    }
-
-    /// Reconstructs the resolution path of behaviour `id`: the
-    /// `(load, store)` pairs applied from the root (trace id 0) down to
-    /// `id`, in application order. Returns `None` if `id` never appeared
-    /// as a fork child (i.e. it is the root or unknown).
-    pub fn path_to(&self, id: u64) -> Option<Vec<(NodeId, NodeId)>> {
-        let events = self.events.lock().expect("trace poisoned");
-        let mut path = Vec::new();
-        let mut cursor = id;
-        while cursor != 0 {
-            let fork = events.iter().find_map(|e| match *e {
-                TraceEvent::Fork {
-                    parent,
-                    child,
-                    load,
-                    store,
-                } if child == cursor => Some((parent, load, store)),
-                _ => None,
-            })?;
-            path.push((fork.1, fork.2));
-            cursor = fork.0;
-        }
-        path.reverse();
-        Some(path)
-    }
-}
-
-impl TraceSink for MemoryTrace {
-    fn record(&self, event: TraceEvent) {
-        self.events.lock().expect("trace poisoned").push(event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,39 +210,5 @@ mod tests {
         ] {
             assert!(json.contains(&format!("\"{key}\":")), "missing {key}");
         }
-    }
-
-    #[test]
-    fn memory_trace_rebuilds_fork_paths() {
-        let trace = MemoryTrace::new();
-        let (l1, s1) = (NodeId::new(4), NodeId::new(1));
-        let (l2, s2) = (NodeId::new(5), NodeId::new(2));
-        trace.record(TraceEvent::Fork {
-            parent: 0,
-            child: 1,
-            load: l1,
-            store: s1,
-        });
-        trace.record(TraceEvent::Prune {
-            child: 1,
-            reason: PruneReason::Duplicate,
-        });
-        trace.record(TraceEvent::Fork {
-            parent: 0,
-            child: 2,
-            load: l1,
-            store: s2,
-        });
-        trace.record(TraceEvent::Fork {
-            parent: 2,
-            child: 3,
-            load: l2,
-            store: s1,
-        });
-        trace.record(TraceEvent::Commit { id: 3 });
-        assert_eq!(trace.path_to(3), Some(vec![(l1, s2), (l2, s1)]));
-        assert_eq!(trace.path_to(1), Some(vec![(l1, s1)]));
-        assert_eq!(trace.path_to(7), None);
-        assert_eq!(trace.events().len(), 5);
     }
 }

@@ -45,7 +45,7 @@ use crate::exec::{Behavior, StepError};
 use crate::graph::ExecutionGraph;
 use crate::ids::{Addr, NodeId};
 use crate::instr::Program;
-use crate::obs::{Obs, PruneReason, TraceEvent, TraceSink};
+use crate::obs::Obs;
 use crate::outcome::Outcome;
 use crate::policy::Policy;
 
@@ -339,7 +339,7 @@ pub fn enumerate_pruned_stats(
     policy: &Policy,
     config: &EnumConfig,
 ) -> Result<(EnumResult, PruneStats), EnumError> {
-    run(program, policy, config, None)
+    run(program, policy, config)
 }
 
 /// Enumerates every behaviour of `program` under `policy` with the
@@ -387,25 +387,7 @@ pub fn enumerate_pruned(
     policy: &Policy,
     config: &EnumConfig,
 ) -> Result<EnumResult, EnumError> {
-    run(program, policy, config, None).map(|(result, _)| result)
-}
-
-/// [`enumerate_pruned`], additionally streaming fork/prune/commit events
-/// into `sink`. Unlike the serial trace, claim-pruned forks emit a
-/// [`TraceEvent::Prune`] with reason [`PruneReason::Dominated`] or
-/// [`PruneReason::Symmetric`] *without* a preceding fork event — they
-/// were never materialized.
-///
-/// # Errors
-///
-/// As for [`enumerate_pruned`].
-pub fn enumerate_pruned_traced(
-    program: &Program,
-    policy: &Policy,
-    config: &EnumConfig,
-    sink: Arc<dyn TraceSink>,
-) -> Result<(EnumResult, PruneStats), EnumError> {
-    run(program, policy, config, Some(sink))
+    run(program, policy, config).map(|(result, _)| result)
 }
 
 /// Maximum symmetry-group size before the engine falls back to
@@ -424,8 +406,6 @@ struct Engine<'a> {
     pstats: PruneStats,
     result: EnumResult,
     obs: Option<Arc<Obs>>,
-    trace: Option<Arc<dyn TraceSink>>,
-    next_trace_id: u64,
     // Reusable scratch buffers for the hot loop.
     loads_buf: Vec<NodeId>,
     stores_buf: Vec<NodeId>,
@@ -443,21 +423,12 @@ struct Engine<'a> {
 }
 
 impl Engine<'_> {
-    fn record(&self, event: TraceEvent) {
-        if let Some(sink) = &self.trace {
-            sink.record(event);
-        }
-    }
-
     /// Commits a complete representative: counts and inserts the outcome
     /// of every distinct orbit image (just the behaviour itself when the
     /// group is trivial).
     /// Returns the behaviour back to the caller (for the fork pool)
     /// unless it was retained as a kept execution.
     fn commit(&mut self, behavior: Behavior, set: &ObsSet) -> Option<Behavior> {
-        self.record(TraceEvent::Commit {
-            id: behavior.trace_id(),
-        });
         if self.group.len() == 1 {
             self.stats.distinct_executions += 1;
             self.result.outcomes.insert(behavior.outcome());
@@ -570,19 +541,10 @@ impl Engine<'_> {
                     };
                     if self.seen.contains(canonical_h, canonical) {
                         self.stats.deduped += 1;
-                        self.next_trace_id += 1;
                         if *canonical == child_buf {
                             self.pstats.pruned_dominated += 1;
-                            self.record(TraceEvent::Prune {
-                                child: self.next_trace_id,
-                                reason: PruneReason::Dominated,
-                            });
                         } else {
                             self.pstats.pruned_symmetric += 1;
-                            self.record(TraceEvent::Prune {
-                                child: self.next_trace_id,
-                                reason: PruneReason::Symmetric,
-                            });
                         }
                         continue;
                     }
@@ -602,7 +564,6 @@ impl Engine<'_> {
             let mut parent = Some(behavior);
             for (k, (load, store, child_set, child_h)) in survivors.drain(..).enumerate() {
                 let source = parent.as_ref().expect("parent consumed early");
-                let parent_id = source.trace_id();
                 let mut fork = if k + 1 == total {
                     self.pstats.in_place += 1;
                     parent.take().expect("parent consumed early")
@@ -610,16 +571,6 @@ impl Engine<'_> {
                     source.clone()
                 };
                 self.pstats.expanded += 1;
-                if self.trace.is_some() {
-                    self.next_trace_id += 1;
-                    fork.set_trace_id(self.next_trace_id);
-                    self.record(TraceEvent::Fork {
-                        parent: parent_id,
-                        child: self.next_trace_id,
-                        load,
-                        store,
-                    });
-                }
                 let step = fork.resolve_load(load, store).and_then(|()| {
                     fork.settle(self.program, self.policy, self.config.max_nodes_per_thread)
                 });
@@ -631,10 +582,6 @@ impl Engine<'_> {
                             // observation set fails identically.
                             self.stats.rolled_back += 1;
                             self.pstats.rolled_back += 1;
-                            self.record(TraceEvent::Prune {
-                                child: fork.trace_id(),
-                                reason: PruneReason::Inconsistent,
-                            });
                         } else {
                             return Err(EnumError::UnexpectedCycle(e));
                         }
@@ -655,7 +602,6 @@ fn run(
     program: &Program,
     policy: &Policy,
     config: &EnumConfig,
-    trace: Option<Arc<dyn TraceSink>>,
 ) -> Result<(EnumResult, PruneStats), EnumError> {
     let may_roll_back = policy.alias_speculation() || policy.has_bypass() || program.uses_rmw();
     let obs = config.observe.then(|| Arc::new(Obs::new()));
@@ -699,8 +645,6 @@ fn run(
         stats: EnumStats::default(),
         result: EnumResult::default(),
         obs,
-        trace,
-        next_trace_id: 0,
         loads_buf: Vec::new(),
         stores_buf: Vec::new(),
         stores_scratch: Vec::new(),
@@ -953,25 +897,5 @@ mod tests {
                 "outcome set must be closed under the thread swap"
             );
         }
-    }
-
-    #[test]
-    fn traced_pruned_run_emits_prune_reasons() {
-        use crate::telemetry::TraceCounters;
-        let counters = Arc::new(TraceCounters::new());
-        let config = EnumConfig::builder().keep_executions(false).build();
-        let (result, pstats) = enumerate_pruned_traced(
-            &symmetric_sb(),
-            &Policy::weak(),
-            &config,
-            Arc::clone(&counters) as Arc<dyn TraceSink>,
-        )
-        .unwrap();
-        let (forks, _dups, _inc, commits) = counters.snapshot();
-        let (dominated, symmetric) = counters.snapshot_pruned();
-        assert_eq!(forks, pstats.expanded);
-        assert_eq!(dominated, pstats.pruned_dominated);
-        assert_eq!(symmetric, pstats.pruned_symmetric);
-        assert!(commits > 0 && commits <= result.stats.distinct_executions as u64);
     }
 }

@@ -19,10 +19,9 @@
 //! * [`JsonlLog`] — an append-only JSONL file with size-based rotation,
 //!   used for slow-query logs; [`MemorySink`] is the in-memory test
 //!   double. [`jsonl_event`] renders one machine-parseable line.
-//! * [`TraceCounters`] — an [`crate::obs::TraceSink`] adapter that reduces the
-//!   serial enumerator's fork/prune/commit event stream to four
-//!   counters, so a server can aggregate per-phase activity without
-//!   buffering events.
+//! * [`write_escaped`] — the workspace's one JSON string escaper, shared
+//!   by [`jsonl_event`] (slow-query and span lines) and the server's
+//!   wire encoder, so every JSON string is escaped byte-identically.
 //! * [`prom`] — rendering *and validation* of the Prometheus text
 //!   exposition format (version 0.0.4), with no external dependencies.
 //! * [`trace`] — distributed tracing spans: trace/span identifiers that
@@ -31,15 +30,13 @@
 
 pub mod trace;
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use crate::obs::{PruneReason, TraceEvent, TraceSink};
 
 /// Sub-bucket resolution: each power-of-two range is split into
 /// `2^SUB_BITS` linear sub-buckets.
@@ -393,21 +390,38 @@ pub enum FieldValue<'a> {
     Bool(bool),
 }
 
-/// Escapes a string for embedding in a JSON literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Writes `s` as a quoted JSON string literal into `out`.
+///
+/// `"` and `\` are backslash-escaped, `\n`/`\r`/`\t` use their short
+/// forms, every other control character below U+0020 becomes a
+/// lowercase `\u00xx`, and everything else (non-ASCII included) is
+/// written as is. Strings are overwhelmingly escape-free, so the
+/// maximal clean run is written as one slice: no allocation and no
+/// per-character formatting.
+///
+/// # Errors
+///
+/// Only those of `out` (writing into a `String` never fails).
+pub fn write_escaped<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut rest = s;
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.write_str(&rest[..i])?;
+        match rest.as_bytes()[i] {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            b => write!(out, "\\u{b:04x}")?,
         }
+        rest = &rest[i + 1..];
     }
-    out
+    out.write_str(rest)?;
+    out.write_char('"')
 }
 
 /// Renders one flat JSONL event (no trailing newline): field order is
@@ -418,19 +432,15 @@ pub fn jsonl_event(fields: &[(&str, FieldValue<'_>)]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push('"');
-        out.push_str(&json_escape(key));
-        out.push_str("\":");
-        match value {
-            FieldValue::Str(s) => {
-                out.push('"');
-                out.push_str(&json_escape(s));
-                out.push('"');
-            }
-            FieldValue::U64(n) => out.push_str(&n.to_string()),
-            FieldValue::F64(x) => out.push_str(&format!("{x:.3}")),
-            FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        }
+        // Writing into a `String` never fails.
+        let _ = write_escaped(&mut out, key);
+        out.push(':');
+        let _ = match value {
+            FieldValue::Str(s) => write_escaped(&mut out, s),
+            FieldValue::U64(n) => write!(out, "{n}"),
+            FieldValue::F64(x) => write!(out, "{x:.3}"),
+            FieldValue::Bool(b) => write!(out, "{b}"),
+        };
     }
     out.push('}');
     out
@@ -562,76 +572,6 @@ impl EventSink for JsonlLog {
         if self.try_emit(line).is_err() {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-    }
-}
-
-/// Reduces the serial enumerator's [`TraceEvent`] stream to phase
-/// counters — the aggregation hook a server folds into its telemetry
-/// instead of buffering every event like [`crate::obs::MemoryTrace`].
-#[derive(Debug, Default)]
-pub struct TraceCounters {
-    /// Fork events (one per attempted `(load, store)` resolution).
-    pub forks: AtomicU64,
-    /// Prunes with [`PruneReason::Duplicate`] (dedup hits).
-    pub prunes_duplicate: AtomicU64,
-    /// Prunes with [`PruneReason::Inconsistent`] (rollbacks/failures).
-    pub prunes_inconsistent: AtomicU64,
-    /// Prunes with [`PruneReason::Dominated`] (pre-expansion claim hits).
-    pub prunes_dominated: AtomicU64,
-    /// Prunes with [`PruneReason::Symmetric`] (orbit-folded forks).
-    pub prunes_symmetric: AtomicU64,
-    /// Commit events (behaviours yielded).
-    pub commits: AtomicU64,
-}
-
-impl TraceCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        TraceCounters::default()
-    }
-
-    /// A `(forks, dup prunes, inconsistent prunes, commits)` snapshot.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.forks.load(Ordering::Relaxed),
-            self.prunes_duplicate.load(Ordering::Relaxed),
-            self.prunes_inconsistent.load(Ordering::Relaxed),
-            self.commits.load(Ordering::Relaxed),
-        )
-    }
-
-    /// A `(dominated, symmetric)` snapshot of the prune-before-expand
-    /// counters (zero for traces from the serial engine).
-    pub fn snapshot_pruned(&self) -> (u64, u64) {
-        (
-            self.prunes_dominated.load(Ordering::Relaxed),
-            self.prunes_symmetric.load(Ordering::Relaxed),
-        )
-    }
-}
-
-impl TraceSink for TraceCounters {
-    fn record(&self, event: TraceEvent) {
-        match event {
-            TraceEvent::Fork { .. } => self.forks.fetch_add(1, Ordering::Relaxed),
-            TraceEvent::Prune {
-                reason: PruneReason::Duplicate,
-                ..
-            } => self.prunes_duplicate.fetch_add(1, Ordering::Relaxed),
-            TraceEvent::Prune {
-                reason: PruneReason::Inconsistent,
-                ..
-            } => self.prunes_inconsistent.fetch_add(1, Ordering::Relaxed),
-            TraceEvent::Prune {
-                reason: PruneReason::Dominated,
-                ..
-            } => self.prunes_dominated.fetch_add(1, Ordering::Relaxed),
-            TraceEvent::Prune {
-                reason: PruneReason::Symmetric,
-                ..
-            } => self.prunes_symmetric.fetch_add(1, Ordering::Relaxed),
-            TraceEvent::Commit { .. } => self.commits.fetch_add(1, Ordering::Relaxed),
-        };
     }
 }
 
@@ -1155,23 +1095,5 @@ mod tests {
             ("ok", FieldValue::Bool(true)),
         ]);
         assert_eq!(line, "{\"id\":\"a\\\"b\",\"n\":3,\"ok\":true}");
-    }
-
-    #[test]
-    fn trace_counters_reduce_events() {
-        use crate::ids::NodeId;
-        let tc = TraceCounters::new();
-        tc.record(TraceEvent::Fork {
-            parent: 0,
-            child: 1,
-            load: NodeId::new(1),
-            store: NodeId::new(0),
-        });
-        tc.record(TraceEvent::Prune {
-            child: 1,
-            reason: PruneReason::Duplicate,
-        });
-        tc.record(TraceEvent::Commit { id: 0 });
-        assert_eq!(tc.snapshot(), (1, 1, 0, 1));
     }
 }

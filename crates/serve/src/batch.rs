@@ -130,7 +130,7 @@ pub(crate) fn execute(
                     handle_sub(state, env, true, id, ctx, parent_id)
                 }
                 (Err(err), None) => {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
+                    state.telemetry.errors.fetch_add(1, Ordering::Relaxed);
                     err.to_response()
                 }
             };
@@ -330,8 +330,8 @@ mod tests {
         assert_eq!(batched.cache.stats().hits, singles.cache.stats().hits);
         assert_eq!(batched.cache.stats().misses, singles.cache.stats().misses);
         // The batch line counts once; its subs do not inflate requests.
-        assert_eq!(batched.counters.requests.load(Ordering::Relaxed), 1);
-        assert_eq!(singles.counters.requests.load(Ordering::Relaxed), 3);
+        assert_eq!(batched.telemetry.requests.load(Ordering::Relaxed), 1);
+        assert_eq!(singles.telemetry.requests.load(Ordering::Relaxed), 3);
         // Sub-kind latency telemetry still flows per sub-request.
         assert_eq!(batched.telemetry.kinds[0].total(), 3);
         assert_eq!(batched.telemetry.kinds[5].total(), 1);

@@ -670,7 +670,7 @@ impl EventLoop {
             if self.shared.conn_count.load(Ordering::SeqCst) >= self.shared.max_connections {
                 self.shared
                     .state
-                    .counters
+                    .telemetry
                     .overloaded
                     .fetch_add(1, Ordering::Relaxed);
                 reject_overloaded(stream, self.shared.retry_after_ms);
@@ -966,7 +966,7 @@ fn execute_line(state: &ServerState, line: &str) -> (String, bool) {
         }
         Err(err) => {
             // Count the attempt too: `requests` tracks lines seen.
-            state.counters.requests.fetch_add(1, Ordering::Relaxed);
+            state.telemetry.requests.fetch_add(1, Ordering::Relaxed);
             (handler::error_response(state, &err).to_string(), false)
         }
     }

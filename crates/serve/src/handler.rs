@@ -8,7 +8,7 @@
 //! artifacts are path-dependent and are not cached.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -32,35 +32,16 @@ use crate::telemetry::{
     KIND_NAMES,
 };
 
-/// Monotonic counters the `metrics` request reports.
-#[derive(Debug, Default)]
-pub struct Counters {
-    /// Service requests parsed and executed (including ones that
-    /// failed) — *excluding* monitoring requests (`metrics` /
-    /// `metrics_prom`), which are tallied in
-    /// [`Counters::monitoring`] so self-observation never skews the
-    /// service rates.
-    pub requests: AtomicU64,
-    /// Monitoring requests (`metrics` / `metrics_prom`).
-    pub monitoring: AtomicU64,
-    /// Requests answered with a structured error.
-    pub errors: AtomicU64,
-    /// Connections rejected because the server was at its connection
-    /// limit.
-    pub overloaded: AtomicU64,
-}
-
 /// State shared by every worker: the enumeration cache, the default
-/// fork budget, the metrics counters, and the telemetry block.
+/// fork budget, and the telemetry block.
 #[derive(Debug)]
 pub struct ServerState {
     /// The content-addressed enumeration cache.
     pub cache: EnumCache,
     /// Fork budget applied to requests that do not carry their own.
     pub default_budget: Option<u64>,
-    /// Metrics counters.
-    pub counters: Counters,
-    /// Latency histograms, rates, obs aggregation, slow-query log.
+    /// Request/error/overload counters, latency histograms, rates, obs
+    /// aggregation, slow-query log.
     pub telemetry: Telemetry,
     /// Whether enumerations run instrumented
     /// ([`EnumConfig::observe`]), feeding the aggregated closure-rule
@@ -133,7 +114,6 @@ impl ServerState {
         ServerState {
             cache,
             default_budget,
-            counters: Counters::default(),
             telemetry,
             observe,
             cluster: None,
@@ -163,7 +143,6 @@ impl ServerState {
     pub fn render_prom(&self) -> String {
         let snapshot = self.cluster.as_ref().map(|c| c.snapshot());
         self.telemetry.render_prom(
-            self.counters.overloaded.load(Ordering::Relaxed),
             &self.cache.stats(),
             &self.cache.shard_stats(),
             snapshot.as_ref(),
@@ -246,13 +225,12 @@ fn handle_inner(
             // Batch sub-requests are not re-counted: the batch line
             // itself was counted once at the top level.
             if top_level {
-                state.counters.requests.fetch_add(1, Ordering::Relaxed);
+                state.telemetry.requests.fetch_add(1, Ordering::Relaxed);
             }
         }
         (None, _) => {
             // Monitoring traffic is tallied even inside batches — the
             // split exists so self-observation never skews `requests`.
-            state.counters.monitoring.fetch_add(1, Ordering::Relaxed);
             state.telemetry.monitoring.fetch_add(1, Ordering::Relaxed);
         }
     };
@@ -349,7 +327,7 @@ fn handle_inner(
 
 /// Renders `err` as a response, counting it.
 pub fn error_response(state: &ServerState, err: &ServiceError) -> Json {
-    state.counters.errors.fetch_add(1, Ordering::Relaxed);
+    state.telemetry.errors.fetch_add(1, Ordering::Relaxed);
     err.to_response()
 }
 
@@ -779,25 +757,25 @@ fn certify_response(
 }
 
 fn metrics_response(state: &ServerState) -> Json {
-    let counters = &state.counters;
+    let telemetry = &state.telemetry;
     let mut fields = vec![
         ("ok", Json::Bool(true)),
         ("kind", Json::str("metrics")),
         (
             "requests",
-            Json::num(counters.requests.load(Ordering::Relaxed) as f64),
+            Json::num(telemetry.requests.load(Ordering::Relaxed) as f64),
         ),
         (
             "monitoring",
-            Json::num(counters.monitoring.load(Ordering::Relaxed) as f64),
+            Json::num(telemetry.monitoring.load(Ordering::Relaxed) as f64),
         ),
         (
             "errors",
-            Json::num(counters.errors.load(Ordering::Relaxed) as f64),
+            Json::num(telemetry.errors.load(Ordering::Relaxed) as f64),
         ),
         (
             "overloaded",
-            Json::num(counters.overloaded.load(Ordering::Relaxed) as f64),
+            Json::num(telemetry.overloaded.load(Ordering::Relaxed) as f64),
         ),
         ("cache", Json::Raw(state.cache.stats().to_json())),
         ("telemetry", state.telemetry.to_json()),
@@ -1035,7 +1013,7 @@ mod tests {
                 .and_then(Json::as_str),
             Some("unknown-model")
         );
-        assert_eq!(state.counters.errors.load(Ordering::Relaxed), 2);
+        assert_eq!(state.telemetry.errors.load(Ordering::Relaxed), 2);
     }
 
     #[test]

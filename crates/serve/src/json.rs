@@ -10,10 +10,14 @@
 //!
 //! Numbers are kept as `f64` on parse — wire payloads carry counts and
 //! small ids, all well inside the 2^53 exact-integer range — and
-//! rendered without a trailing `.0` when integral.
+//! rendered without a trailing `.0` when integral. Strings are escaped
+//! by [`samm_core::telemetry::write_escaped`], the same escaper the
+//! slow-query and span JSONL lines use.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+use samm_core::telemetry::write_escaped;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,30 +141,6 @@ impl fmt::Display for Json {
             Json::Raw(s) => f.write_str(s),
         }
     }
-}
-
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    // Strings are overwhelmingly escape-free; write the maximal clean
-    // run as one slice instead of going through the formatter per char.
-    f.write_str("\"")?;
-    let mut rest = s;
-    while let Some(i) = rest
-        .bytes()
-        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
-    {
-        f.write_str(&rest[..i])?;
-        match rest.as_bytes()[i] {
-            b'"' => f.write_str("\\\"")?,
-            b'\\' => f.write_str("\\\\")?,
-            b'\n' => f.write_str("\\n")?,
-            b'\r' => f.write_str("\\r")?,
-            b'\t' => f.write_str("\\t")?,
-            b => write!(f, "\\u{b:04x}")?,
-        }
-        rest = &rest[i + 1..];
-    }
-    f.write_str(rest)?;
-    f.write_str("\"")
 }
 
 /// A JSON parse failure: a message plus the byte offset it was noticed

@@ -1,7 +1,9 @@
-//! Server-side telemetry: per-request-kind latency histograms (split by
-//! cache hit / miss / overbudget), monitoring-request accounting, a
-//! queue-depth gauge, aggregated enumeration counters, a slow-query
-//! JSONL log, and the Prometheus text exposition.
+//! Server-side telemetry: the server's one counter block (request,
+//! monitoring, error and overload counts), per-request-kind latency
+//! histograms (split by cache hit / miss / overbudget), a queue-depth
+//! gauge, aggregated enumeration counters, a slow-query JSONL log, and
+//! the Prometheus text exposition. The `metrics` JSON response and the
+//! exposition both read these same counters.
 //!
 //! Built from the [`samm_core::telemetry`] primitives; everything here
 //! is lock-free on the request path (one histogram `record` plus a few
@@ -207,9 +209,19 @@ pub struct Telemetry {
     pub ids: RequestIdGen,
     /// Per-kind latency histograms and counters ([`KIND_NAMES`] order).
     pub kinds: [KindTelemetry; 6],
+    /// Service request lines parsed and executed (including ones that
+    /// failed, and unparseable lines) — *excluding* monitoring requests,
+    /// which are tallied in [`Telemetry::monitoring`]. A batch line
+    /// counts once, however many slots it carries.
+    pub requests: AtomicU64,
     /// Monitoring requests (`metrics` / `metrics_prom`) — reported
     /// separately so self-observation does not skew `requests`.
     pub monitoring: AtomicU64,
+    /// Requests (and batch slots) answered with a structured error.
+    pub errors: AtomicU64,
+    /// Connections rejected because the server was at its connection
+    /// limit (`--max-connections`).
+    pub overloaded: AtomicU64,
     /// Completed-request rate window (non-monitoring).
     pub rate: RateCounter,
     /// Parsed requests currently queued waiting for a handler thread.
@@ -290,7 +302,10 @@ impl Telemetry {
             started: Instant::now(),
             ids: RequestIdGen::new("r"),
             kinds: Default::default(),
+            requests: AtomicU64::new(0),
             monitoring: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+            overloaded: AtomicU64::new(0),
             rate: RateCounter::new(),
             queue_depth: AtomicU64::new(0),
             obs_agg: Obs::new(),
@@ -536,16 +551,14 @@ impl Telemetry {
         ])
     }
 
-    /// Renders the full Prometheus text exposition. `overloaded` is the
-    /// acceptor's rejection counter; `cache` the enumeration cache's
-    /// global stats and `shards` its per-shard breakdown; `cluster` the
-    /// membership view when serving in cluster mode (cluster-labelled
-    /// families are omitted otherwise, as are per-loop gauges before the
-    /// first loop registers and per-peer counters before the first
-    /// forward).
+    /// Renders the full Prometheus text exposition. `cache` is the
+    /// enumeration cache's global stats and `shards` its per-shard
+    /// breakdown; `cluster` the membership view when serving in cluster
+    /// mode (cluster-labelled families are omitted otherwise, as are
+    /// per-loop gauges before the first loop registers and per-peer
+    /// counters before the first forward).
     pub fn render_prom(
         &self,
-        overloaded: u64,
         cache: &CacheStats,
         shards: &[ShardStats],
         cluster: Option<&ClusterSnapshot>,
@@ -580,8 +593,8 @@ impl Telemetry {
         );
         prom.counter(
             "samm_overloaded_total",
-            "Connections rejected because the accept queue was full.",
-            &[(&[], overloaded as f64)],
+            "Connections rejected because the server was at its connection limit.",
+            &[(&[], self.overloaded.load(Ordering::Relaxed) as f64)],
         );
         prom.gauge(
             "samm_queue_depth",
@@ -952,6 +965,7 @@ mod tests {
         ]);
         let gauges = telemetry.register_loop();
         gauges.connections.fetch_add(4, Ordering::Relaxed);
+        telemetry.overloaded.fetch_add(7, Ordering::Relaxed);
         let shards = vec![
             ShardStats {
                 entries: 2,
@@ -968,7 +982,7 @@ mod tests {
             self_id: "node-a".to_owned(),
             nodes: vec![("node-a".to_owned(), true), ("node-b".to_owned(), false)],
         };
-        let text = telemetry.render_prom(7, &CacheStats::default(), &shards, Some(&snapshot));
+        let text = telemetry.render_prom(&CacheStats::default(), &shards, Some(&snapshot));
         let summary = prom::check(&text).expect("valid exposition");
         for family in [
             "samm_requests_total",

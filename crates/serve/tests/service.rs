@@ -247,7 +247,8 @@ fn docs_metric_table_matches_the_prom_exposition() {
         self_id: "node-a".to_owned(),
         nodes: vec![("node-a".to_owned(), true), ("node-b".to_owned(), false)],
     };
-    let text = telemetry.render_prom(1, &CacheStats::default(), &shards, Some(&cluster));
+    telemetry.overloaded.fetch_add(1, Ordering::Relaxed);
+    let text = telemetry.render_prom(&CacheStats::default(), &shards, Some(&cluster));
     let summary = prom::check(&text).expect("exposition must validate");
     let exposed: BTreeSet<String> = summary.families.iter().cloned().collect();
 

@@ -9,9 +9,9 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use samm_core::telemetry::prom;
+use samm_core::telemetry::{jsonl_event, prom, FieldValue};
 use samm_serve::client::Client;
-use samm_serve::json::Json;
+use samm_serve::json::{self, Json};
 use samm_serve::{start, ServerConfig};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -121,6 +121,83 @@ fn request_ids_round_trip_into_response_slow_log_and_exposition() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Strings that exercise every escaping rule: quote, backslash, the
+/// three short control escapes, the `\u00xx` range at both ends, and
+/// non-ASCII text that must pass through untouched.
+const AWKWARD: [&str; 11] = [
+    "",
+    "plain",
+    "quote\"inside",
+    "back\\slash",
+    "line\nfeed",
+    "carriage\rreturn",
+    "tab\there",
+    "\u{1}",
+    "\u{1f}",
+    "héllo → ✓ 🦀",
+    "all \"\\\n\r\t\u{1}\u{1f} é",
+];
+
+/// The wire encoder (`Json`) and the JSONL lines (slow log, spans) share
+/// one escaper: both forms are byte-identical and parse back to the
+/// original string.
+#[test]
+fn wire_and_jsonl_strings_share_one_escaper() {
+    for s in AWKWARD {
+        let wire = Json::str(s).to_string();
+        let line = jsonl_event(&[("k", FieldValue::Str(s))]);
+        let field = line
+            .strip_prefix("{\"k\":")
+            .and_then(|rest| rest.strip_suffix('}'))
+            .unwrap_or_else(|| panic!("unexpected JSONL shape: {line}"));
+        assert_eq!(wire, field, "escaped forms differ for {s:?}");
+        assert_eq!(json::parse(&wire).unwrap().as_str(), Some(s), "{wire}");
+        assert_eq!(
+            json::parse(&line).unwrap().get("k").and_then(Json::as_str),
+            Some(s),
+            "{line}"
+        );
+    }
+}
+
+#[test]
+fn awkward_client_ids_survive_the_response_and_the_slow_log() {
+    let dir = std::env::temp_dir().join(format!("samm-escape-e2e-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let slow_path = dir.join("slow.jsonl");
+    let _ = std::fs::remove_file(&slow_path);
+
+    let handle = start(ServerConfig {
+        workers: 1,
+        read_timeout: Duration::from_secs(5),
+        slow_log: Some(slow_path.clone()),
+        slow_threshold: Duration::ZERO,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
+    let id = "a\"b\u{1}";
+    let response = client
+        .request_raw(r#"{"kind":"enumerate","test":"SB","model":"SC","id":"a\"b\u0001"}"#)
+        .unwrap();
+    assert!(ok(&response), "{response}");
+    assert_eq!(response.get("id").and_then(Json::as_str), Some(id));
+    handle.shutdown().unwrap();
+
+    let log = std::fs::read_to_string(&slow_path).unwrap();
+    let entries: Vec<Json> = log
+        .lines()
+        .map(|l| json::parse(l).unwrap_or_else(|e| panic!("unparseable slow-log line {l}: {e}")))
+        .collect();
+    let entry = entries
+        .iter()
+        .find(|e| e.get("id").and_then(Json::as_str) == Some(id))
+        .unwrap_or_else(|| panic!("slow log must carry the id intact:\n{log}"));
+    assert_eq!(entry.get("kind").and_then(Json::as_str), Some("enumerate"));
+    assert!(log.contains("\"kind\":\"enumerate\""), "{log}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn monitoring_traffic_never_reaches_the_request_histograms() {
     let handle = start(ServerConfig {
@@ -137,6 +214,14 @@ fn monitoring_traffic_never_reaches_the_request_histograms() {
     let metrics = client.request_raw(r#"{"kind":"metrics"}"#).unwrap();
     assert_eq!(metrics.get("requests").and_then(Json::as_u64), Some(0));
     assert_eq!(metrics.get("monitoring").and_then(Json::as_u64), Some(6));
+    // The top-level count and the telemetry section read one counter.
+    assert_eq!(
+        metrics
+            .get("telemetry")
+            .and_then(|t| t.get("monitoring"))
+            .and_then(Json::as_u64),
+        Some(6)
+    );
     // No latency-tracked kind saw any traffic.
     let kinds = metrics
         .get("telemetry")
