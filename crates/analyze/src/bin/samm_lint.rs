@@ -27,7 +27,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use samm_analyze::lint::{lint_builtin_models, lint_litmus, Diagnostic, Severity};
-use samm_core::enumerate::default_parallelism;
 use samm_core::policy::Policy;
 use samm_litmus::{catalog, parse};
 
@@ -38,6 +37,18 @@ struct Options {
     deny_warnings: bool,
     jobs: usize,
     paths: Vec<PathBuf>,
+}
+
+/// The default worker count: the `SAMM_JOBS` environment variable when it
+/// parses as a positive integer, otherwise
+/// [`std::thread::available_parallelism`]. `SAMM_JOBS` lets CI pin core
+/// usage without touching every invocation.
+fn default_parallelism() -> usize {
+    std::env::var("SAMM_JOBS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 fn usage() -> &'static str {

@@ -57,8 +57,8 @@ fn bench_histogram(c: &mut Criterion) {
 }
 
 /// The A/B that matters for the service: a fresh enumerate request
-/// through `handle_traced` (full telemetry: id, histograms, slow-path
-/// check, obs folding) versus through a state whose request never
+/// through `handle_traced` (full telemetry: id, histograms, obs
+/// folding) versus through a state whose request never
 /// reaches the latency-tracked path. Cache capacity 0 would poison the
 /// comparison, so both sides use a fresh cache per iteration — each
 /// request is a cold miss doing real enumeration work.

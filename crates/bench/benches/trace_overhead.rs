@@ -5,6 +5,9 @@
 //! PR 8's warm numbers (no sink, no span is even allocated), enabled
 //! must stay within 5% of disabled.
 
+use std::sync::Arc;
+use std::time::Duration;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use samm_core::cache::EnumCache;
@@ -57,10 +60,8 @@ fn bench_warm_batch(c: &mut Criterion) {
     for traced in [false, true] {
         let label = if traced { "enabled" } else { "disabled" };
         group.bench_with_input(BenchmarkId::from_parameter(label), &traced, |b, &traced| {
-            let mut telemetry = Telemetry::default();
-            if traced {
-                telemetry.spans = Some(Box::new(TraceRing::new(4096)));
-            }
+            let ring: Arc<dyn SpanSink> = Arc::new(TraceRing::new(4096));
+            let telemetry = Telemetry::new(traced.then_some(ring), Duration::ZERO);
             let state = ServerState::with_telemetry(EnumCache::new(64), None, telemetry, true);
             handler::handle_envelope(&state, &env); // warm the cache
             b.iter(|| std::hint::black_box(handler::handle_envelope(&state, &env)));

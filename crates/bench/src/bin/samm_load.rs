@@ -57,10 +57,9 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use samm_core::telemetry::trace::{ActiveSpan, SpanKind, SpanWriter};
+use samm_core::telemetry::trace::{ActiveSpan, SpanKind};
 use samm_core::telemetry::{prom, Histogram, HistogramSnapshot, JsonlLog};
 use samm_litmus::catalog::{self, CatalogEntry};
 use samm_serve::client::Client;
@@ -328,7 +327,7 @@ fn run_pass(
     concurrency: usize,
     batch: usize,
     pass: usize,
-    tracer: Option<&SpanWriter>,
+    tracer: Option<&JsonlLog>,
 ) -> PassTally {
     let counters = PassCounters::new();
     std::thread::scope(|scope| {
@@ -492,7 +491,7 @@ fn main() -> ExitCode {
 
     let tracer = match &opts.trace {
         Some(path) => match JsonlLog::open(path, 64 * 1024 * 1024) {
-            Ok(log) => Some(SpanWriter::new(Arc::new(log))),
+            Ok(log) => Some(log),
             Err(e) => {
                 eprintln!("samm-load: cannot open trace file {}: {e}", path.display());
                 return ExitCode::FAILURE;

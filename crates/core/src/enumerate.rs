@@ -140,22 +140,6 @@ impl EnumConfigBuilder {
     }
 }
 
-/// The default worker count: the `SAMM_JOBS` environment variable when it
-/// parses as a positive integer, otherwise
-/// [`std::thread::available_parallelism`].
-///
-/// Tools that fan independent work out over threads (`samm-lint
-/// --jobs`) use it as their default; `SAMM_JOBS` is the fleet-wide
-/// fallback that lets CI pin core usage without touching every
-/// invocation.
-pub fn default_parallelism() -> usize {
-    std::env::var("SAMM_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
 /// Counters describing an enumeration run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnumStats {

@@ -19,7 +19,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::atomicity;
 use crate::candidates;
@@ -692,11 +691,10 @@ impl Behavior {
         policy: &Policy,
         max_nodes_per_thread: u32,
     ) -> Result<(), StepError> {
-        let start = self.obs.as_ref().map(|_| Instant::now());
+        let start = self.obs.as_ref().map(|o| o.start_phase());
         let result = self.settle_inner(program, policy, max_nodes_per_thread);
-        if let (Some(t), Some(o)) = (start, &self.obs) {
-            // Includes the closure time of the `enforce` call it makes.
-            Obs::add(&o.settle_nanos, t.elapsed().as_nanos() as u64);
+        if let (Some(start), Some(o)) = (start, &self.obs) {
+            o.end_phase(&o.settle_nanos, start);
         }
         result
     }
@@ -960,11 +958,10 @@ impl Behavior {
     /// store), under speculation it triggers rollback. The behaviour must
     /// be discarded in that case.
     pub fn resolve_load(&mut self, load: NodeId, store: NodeId) -> Result<(), StepError> {
-        let start = self.obs.as_ref().map(|_| Instant::now());
+        let start = self.obs.as_ref().map(|o| o.start_phase());
         let result = self.resolve_load_inner(load, store);
-        if let (Some(t), Some(o)) = (start, &self.obs) {
-            // Includes the closure time of the `enforce` call it makes.
-            Obs::add(&o.resolve_nanos, t.elapsed().as_nanos() as u64);
+        if let (Some(start), Some(o)) = (start, &self.obs) {
+            o.end_phase(&o.resolve_nanos, start);
         }
         result
     }

@@ -99,8 +99,8 @@ pub(crate) mod testutil;
 pub use atomicity::Rule;
 pub use cache::{cached_enumerate, CacheStats, CachedResult, EnumCache};
 pub use enumerate::{
-    behaviors, behaviors_with_paths, default_parallelism, enumerate, Behaviors, EnumConfig,
-    EnumConfigBuilder, EnumResult, EnumStats,
+    behaviors, behaviors_with_paths, enumerate, Behaviors, EnumConfig, EnumConfigBuilder,
+    EnumResult, EnumStats,
 };
 pub use error::{CycleError, EnumError};
 pub use exec::Behavior;

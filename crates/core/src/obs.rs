@@ -21,6 +21,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// Live atomic counters, shared by every fork of an instrumented
 /// enumeration. All updates use [`Ordering::Relaxed`]: the counters are
@@ -41,11 +42,12 @@ pub struct Obs {
     pub candidate_stores: AtomicU64,
     /// Nanoseconds inside the Store Atomicity closure.
     pub closure_nanos: AtomicU64,
-    /// Nanoseconds inside [`crate::exec::Behavior::settle`] (includes the
-    /// closure time of the calls it makes).
+    /// Nanoseconds inside [`crate::exec::Behavior::settle`], excluding
+    /// the closure time of the calls it makes (that is in
+    /// `closure_nanos`).
     pub settle_nanos: AtomicU64,
-    /// Nanoseconds inside [`crate::exec::Behavior::resolve_load`]
-    /// (includes the closure time of the calls it makes).
+    /// Nanoseconds inside [`crate::exec::Behavior::resolve_load`],
+    /// excluding the closure time of the calls it makes.
     pub resolve_nanos: AtomicU64,
 }
 
@@ -59,6 +61,22 @@ impl Obs {
     #[inline]
     pub fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Starts timing a phase that may run the closure: the clock and
+    /// the closure time recorded so far. Pair with [`Obs::end_phase`].
+    pub fn start_phase(&self) -> (Instant, u64) {
+        (Instant::now(), self.closure_nanos.load(Ordering::Relaxed))
+    }
+
+    /// Adds the time since `start` to `counter`, less the closure time
+    /// recorded meanwhile, so the closure, settle and resolve timers
+    /// are disjoint. A run owns its `Obs` and runs on one thread, so
+    /// the closure delta is this phase's own.
+    pub fn end_phase(&self, counter: &AtomicU64, (started, closure_before): (Instant, u64)) {
+        let elapsed = started.elapsed().as_nanos() as u64;
+        let closure = self.closure_nanos.load(Ordering::Relaxed) - closure_before;
+        Obs::add(counter, elapsed.saturating_sub(closure));
     }
 
     /// A point-in-time plain-value snapshot.
@@ -82,7 +100,8 @@ impl Obs {
 ///
 /// The counter fields are deterministic for a fixed program/policy/config
 /// (both engines apply the same closure to the same fork set); the
-/// `*_nanos` timings are wall-clock and vary run to run.
+/// `*_nanos` timings are wall-clock and vary run to run. The three
+/// timings are disjoint, so their sum never exceeds the run's wall time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObsStats {
     /// Rule-a edge insertions.
@@ -99,9 +118,9 @@ pub struct ObsStats {
     pub candidate_stores: u64,
     /// Nanoseconds inside the Store Atomicity closure.
     pub closure_nanos: u64,
-    /// Nanoseconds inside `settle` (superset of its closure time).
+    /// Nanoseconds inside `settle`, excluding its closure time.
     pub settle_nanos: u64,
-    /// Nanoseconds inside `resolve_load` (superset of its closure time).
+    /// Nanoseconds inside `resolve_load`, excluding its closure time.
     pub resolve_nanos: u64,
 }
 

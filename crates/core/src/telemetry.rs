@@ -1,5 +1,5 @@
 //! Telemetry primitives: lock-free latency histograms, windowed rate
-//! counters, request-scoped identifiers, a rotating JSONL event log,
+//! counters, request-scoped identifiers, a rotating JSONL span log,
 //! and a Prometheus text-format writer/checker.
 //!
 //! [`crate::obs`] instruments a *single* enumeration run; this module
@@ -16,21 +16,21 @@
 //! * [`RateCounter`] — a ring of one-second slots answering "how many
 //!   events in the last *w* seconds".
 //! * [`RequestIdGen`] — cheap process-unique request identifiers.
-//! * [`JsonlLog`] — an append-only JSONL file with size-based rotation,
-//!   used for slow-query logs; [`MemorySink`] is the in-memory test
-//!   double. [`jsonl_event`] renders one machine-parseable line.
+//! * [`JsonlLog`] — an append-only JSONL file with size-based rotation:
+//!   the one span writer, one [`trace::SpanRecord::to_jsonl`] line per
+//!   finished span.
 //! * [`write_escaped`] — the workspace's one JSON string escaper, shared
-//!   by [`jsonl_event`] (slow-query and span lines) and the server's
-//!   wire encoder, so every JSON string is escaped byte-identically.
+//!   by the span JSONL lines and the server's wire encoder, so every
+//!   JSON string is escaped byte-identically.
 //! * [`prom`] — rendering *and validation* of the Prometheus text
 //!   exposition format (version 0.0.4), with no external dependencies.
 //! * [`trace`] — distributed tracing spans: trace/span identifiers that
-//!   propagate across the wire, a lock-free-cursor ring sink, and JSONL
-//!   export for flamegraph aggregation.
+//!   propagate across the wire, the [`trace::SpanSink`] trait, and a
+//!   lock-free-cursor ring sink for tests and benches.
 
 pub mod trace;
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -377,19 +377,6 @@ impl RequestIdGen {
     }
 }
 
-/// A value in a [`jsonl_event`] record.
-#[derive(Debug, Clone, Copy)]
-pub enum FieldValue<'a> {
-    /// A JSON string (escaped on render).
-    Str(&'a str),
-    /// An unsigned integer.
-    U64(u64),
-    /// A float (rendered with enough precision for milliseconds).
-    F64(f64),
-    /// A boolean.
-    Bool(bool),
-}
-
 /// Writes `s` as a quoted JSON string literal into `out`.
 ///
 /// `"` and `\` are backslash-escaped, `\n`/`\r`/`\t` use their short
@@ -424,71 +411,18 @@ pub fn write_escaped<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Resul
     out.write_char('"')
 }
 
-/// Renders one flat JSONL event (no trailing newline): field order is
-/// preserved as given.
-pub fn jsonl_event(fields: &[(&str, FieldValue<'_>)]) -> String {
-    let mut out = String::from("{");
-    for (i, (key, value)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // Writing into a `String` never fails.
-        let _ = write_escaped(&mut out, key);
-        out.push(':');
-        let _ = match value {
-            FieldValue::Str(s) => write_escaped(&mut out, s),
-            FieldValue::U64(n) => write!(out, "{n}"),
-            FieldValue::F64(x) => write!(out, "{x:.3}"),
-            FieldValue::Bool(b) => write!(out, "{b}"),
-        };
-    }
-    out.push('}');
-    out
-}
-
-/// A sink for JSONL event lines.
-pub trait EventSink: Send + Sync + fmt::Debug {
-    /// Appends one line (no trailing newline in `line`).
-    fn emit(&self, line: &str);
-}
-
-/// In-memory sink for tests.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    lines: Mutex<Vec<String>>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        MemorySink::default()
-    }
-
-    /// Every line emitted so far.
-    pub fn lines(&self) -> Vec<String> {
-        self.lines.lock().expect("sink poisoned").clone()
-    }
-}
-
-impl EventSink for MemorySink {
-    fn emit(&self, line: &str) {
-        self.lines
-            .lock()
-            .expect("sink poisoned")
-            .push(line.to_owned());
-    }
-}
-
 struct JsonlInner {
     file: Option<File>,
     written: u64,
 }
 
-/// An append-only JSONL file with size-based rotation: when the current
-/// file exceeds `max_bytes` it is renamed to `<path>.1` (replacing any
-/// previous rotation) and a fresh file is started, bounding disk use at
-/// roughly twice `max_bytes`. Write errors are swallowed after being
-/// counted — telemetry must never take the service down.
+/// An append-only JSONL span file with size-based rotation: each
+/// recorded span becomes one [`trace::SpanRecord::to_jsonl`] line. When
+/// the current file exceeds `max_bytes` it is renamed to `<path>.1`
+/// (replacing any previous rotation) and a fresh file is started,
+/// bounding disk use at roughly twice `max_bytes`. Write errors are
+/// swallowed after being counted — telemetry must never take the
+/// service down.
 pub struct JsonlLog {
     path: PathBuf,
     max_bytes: u64,
@@ -567,9 +501,9 @@ impl JsonlLog {
     }
 }
 
-impl EventSink for JsonlLog {
-    fn emit(&self, line: &str) {
-        if self.try_emit(line).is_err() {
+impl trace::SpanSink for JsonlLog {
+    fn record_span(&self, span: trace::SpanRecord) {
+        if self.try_emit(&span.to_jsonl()).is_err() {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1085,15 +1019,5 @@ mod tests {
         assert!((rc.rate_at(10, 1) - 10.0).abs() < 1e-9);
         // Far in the future every slot is stale.
         assert_eq!(rc.rate_at(1000, 5), 0.0);
-    }
-
-    #[test]
-    fn jsonl_event_escapes() {
-        let line = jsonl_event(&[
-            ("id", FieldValue::Str("a\"b")),
-            ("n", FieldValue::U64(3)),
-            ("ok", FieldValue::Bool(true)),
-        ]);
-        assert_eq!(line, "{\"id\":\"a\\\"b\",\"n\":3,\"ok\":true}");
     }
 }

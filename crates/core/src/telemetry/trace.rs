@@ -13,20 +13,21 @@
 //!   a single atomic `fetch_add`; writers never contend on a global
 //!   lock (each slot is independently locked and uncontended except
 //!   when the ring wraps onto an in-flight writer).
-//! * [`SpanWriter`] — renders each span as one JSONL line into any
-//!   [`super::EventSink`] (a rotating [`super::JsonlLog`] in
-//!   production, [`super::MemorySink`] in tests).
+//! * [`super::JsonlLog`] — the one writer: a rotating file holding one
+//!   [`SpanRecord::to_jsonl`] line per span.
+//!
+//! The ring is for tests and benches; production spans go to the file.
 //!
 //! Parsing a wire context is *lenient by design*: any malformed
 //! `trace` value decodes to `None` and the receiver starts a fresh
 //! root span — tracing must never turn a valid request into an error.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use super::{jsonl_event, EventSink, FieldValue};
+use super::write_escaped;
 
 /// The propagated identity of a span: enough for a remote callee to
 /// attach its own spans under the caller's. Wire form is
@@ -151,32 +152,42 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// Renders the span as one flat JSONL line (no trailing newline):
-    /// the fixed fields first, then every attribute as its own member.
+    /// the fixed fields first, then every attribute as its own member,
+    /// every string through the workspace's one escaper.
     pub fn to_jsonl(&self) -> String {
-        let trace = format!("{:016x}", self.trace);
-        let span = format!("{:016x}", self.span);
-        let parent = format!("{:016x}", self.parent);
-        let mut fields: Vec<(&str, FieldValue<'_>)> = vec![
-            ("trace", FieldValue::Str(&trace)),
-            ("span", FieldValue::Str(&span)),
-            ("parent", FieldValue::Str(&parent)),
-            ("name", FieldValue::Str(self.name)),
-            ("kind", FieldValue::Str(self.kind.name())),
-            ("start_ns", FieldValue::U64(self.start_unix_ns)),
-            ("dur_ns", FieldValue::U64(self.dur_ns)),
-        ];
+        let mut out = String::with_capacity(192);
+        // Writing into a `String` never fails.
+        let _ = write!(
+            out,
+            "{{\"trace\":\"{:016x}\",\"span\":\"{:016x}\",\"parent\":\"{:016x}\",\"name\":",
+            self.trace, self.span, self.parent
+        );
+        let _ = write_escaped(&mut out, self.name);
+        let _ = write!(
+            out,
+            ",\"kind\":\"{}\",\"start_ns\":{},\"dur_ns\":{}",
+            self.kind.name(),
+            self.start_unix_ns,
+            self.dur_ns
+        );
         for (key, value) in &self.attrs {
-            fields.push((
-                key,
-                match value {
-                    Attr::Static(s) => FieldValue::Str(s),
-                    Attr::Str(s) => FieldValue::Str(s),
-                    Attr::U64(n) => FieldValue::U64(*n),
-                    Attr::Bool(b) => FieldValue::Bool(*b),
-                },
-            ));
+            out.push(',');
+            let _ = write_escaped(&mut out, key);
+            out.push(':');
+            let _ = match value {
+                Attr::Static(s) => write_escaped(&mut out, s),
+                Attr::Str(s) => write_escaped(&mut out, s),
+                Attr::U64(n) => write!(out, "{n}"),
+                Attr::Bool(b) => write!(out, "{b}"),
+            };
         }
-        jsonl_event(&fields)
+        out.push('}');
+        out
+    }
+
+    /// The value of attribute `key`, if the span carries it.
+    pub fn attr(&self, key: &str) -> Option<&Attr> {
+        self.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 }
 
@@ -367,32 +378,9 @@ impl SpanSink for TraceRing {
     }
 }
 
-/// Adapts any [`EventSink`] into a [`SpanSink`] by rendering each span
-/// as one JSONL line — the production exporter over a rotating
-/// [`super::JsonlLog`].
-#[derive(Debug)]
-pub struct SpanWriter {
-    sink: std::sync::Arc<dyn EventSink>,
-}
-
-impl SpanWriter {
-    /// Wraps `sink`; the `Arc` lets tests keep a reading handle.
-    pub fn new(sink: std::sync::Arc<dyn EventSink>) -> SpanWriter {
-        SpanWriter { sink }
-    }
-}
-
-impl SpanSink for SpanWriter {
-    fn record_span(&self, span: SpanRecord) {
-        self.sink.emit(&span.to_jsonl());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::MemorySink;
-    use std::sync::Arc;
 
     #[test]
     fn context_round_trips_and_rejects_garbage() {
@@ -478,16 +466,5 @@ mod tests {
             })
             .collect();
         assert_eq!(kept, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn span_writer_emits_jsonl() {
-        let sink = Arc::new(MemorySink::new());
-        let writer = SpanWriter::new(Arc::clone(&sink) as Arc<dyn EventSink>);
-        ActiveSpan::root("server", SpanKind::Server).finish(&writer);
-        let lines = sink.lines();
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].starts_with("{\"trace\":\""));
-        assert!(lines[0].contains("\"dur_ns\":"));
     }
 }

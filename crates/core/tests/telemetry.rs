@@ -1,9 +1,10 @@
 //! Integration tests of the telemetry primitives: histogram quantiles
 //! against an exact sorted-corpus oracle (the contract `samm-load`
 //! relies on after dropping its sorted `Vec`), merge commutativity,
-//! slow-log rotation, the Prometheus text-format checker, and the rate
+//! span-log rotation, the Prometheus text-format checker, and the rate
 //! window's deterministic clock hooks.
 
+use samm_core::telemetry::trace::{ActiveSpan, Attr, SpanKind, SpanSink};
 use samm_core::telemetry::{prom, Histogram, JsonlLog, RateCounter};
 
 /// A deterministic LCG latency corpus spanning microseconds to seconds
@@ -108,33 +109,60 @@ fn merge_is_order_independent_and_lossless() {
 
 #[test]
 fn jsonl_log_rotates_at_the_size_limit() {
-    use samm_core::telemetry::EventSink;
     let dir = std::env::temp_dir().join(format!("samm-telemetry-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("slow.jsonl");
+    let path = dir.join("trace.jsonl");
     let _ = std::fs::remove_file(&path);
 
-    let log = JsonlLog::open(&path, 256).unwrap();
+    let log = JsonlLog::open(&path, 512).unwrap();
     let rotated = log.rotated_path();
-    let line = format!("{{\"pad\":\"{}\"}}", "x".repeat(60));
-    for _ in 0..12 {
-        log.emit(&line);
+    let mut written = Vec::new();
+    for i in 0..12u64 {
+        let mut span = ActiveSpan::root("server", SpanKind::Server);
+        span.attr("pad", "x".repeat(60));
+        span.attr("i", i);
+        let record = span.into_record();
+        written.push(record.to_jsonl());
+        log.record_span(record);
     }
     assert_eq!(log.dropped(), 0);
     assert!(path.exists());
     assert!(rotated.exists(), "rotation must have produced {rotated:?}");
-    // One rotation generation is kept: both files hold intact JSONL
-    // lines and each stays within the limit (plus the line that tipped
-    // it over).
-    for file in [&path, &rotated] {
+    // One rotation generation is kept: both files hold intact span
+    // lines, the newest in the live file, and each stays within the
+    // limit (plus the line that tipped it over).
+    let longest = written.iter().map(String::len).max().unwrap() as u64;
+    let mut kept = Vec::new();
+    for file in [&rotated, &path] {
         let content = std::fs::read_to_string(file).unwrap();
         assert!(content.lines().count() > 0, "{file:?} must be non-empty");
-        for l in content.lines() {
-            assert_eq!(l, line);
-        }
-        assert!(content.len() as u64 <= 256 + line.len() as u64 + 1);
+        kept.extend(content.lines().map(str::to_owned));
+        assert!(content.len() as u64 <= 512 + longest + 1);
     }
+    assert_eq!(kept, written[written.len() - kept.len()..]);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn span_lines_have_the_fixed_fields_then_the_attributes() {
+    let mut span = ActiveSpan::root("server", SpanKind::Server);
+    span.attr("req", "enumerate");
+    span.attr("id", "r\"1".to_owned());
+    span.attr("forks", 3u64);
+    span.attr("fwd", true);
+    let mut record = span.into_record();
+    record.trace = 0xab;
+    record.span = 0xcd;
+    record.start_unix_ns = 5;
+    record.dur_ns = 7;
+    assert_eq!(record.attr("forks"), Some(&Attr::U64(3)));
+    assert_eq!(
+        record.to_jsonl(),
+        "{\"trace\":\"00000000000000ab\",\"span\":\"00000000000000cd\",\
+         \"parent\":\"0000000000000000\",\"name\":\"server\",\"kind\":\"server\",\
+         \"start_ns\":5,\"dur_ns\":7,\"req\":\"enumerate\",\"id\":\"r\\\"1\",\
+         \"forks\":3,\"fwd\":true}"
+    );
 }
 
 #[test]

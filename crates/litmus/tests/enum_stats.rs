@@ -1,9 +1,13 @@
 //! Checks for the enumeration instrumentation counters: they record
 //! the closure work they claim to, stay empty when observation is off,
-//! and are bit-for-bit deterministic apart from timings.
+//! are bit-for-bit deterministic apart from timings, and the timings
+//! split a run into disjoint phases.
+
+use std::time::Instant;
 
 use samm_core::enumerate::{enumerate, EnumConfig};
-use samm_litmus::catalog;
+use samm_core::pruned::enumerate_pruned;
+use samm_litmus::catalog::{self, ModelSel};
 
 fn observed_config() -> EnumConfig {
     EnumConfig {
@@ -61,6 +65,35 @@ fn serial_stats_are_deterministic() {
             );
             assert_eq!(sa, sb, "{ctx}: base stats");
             assert_eq!(oa, ob, "{ctx}: obs counters");
+        }
+    }
+}
+
+/// The closure, settle and resolve timers are disjoint: settle and
+/// resolve exclude the closure time of the calls they make. So on every
+/// catalog entry under every model, the three phases of a pruned run sum
+/// to no more than the run's measured wall time.
+#[test]
+fn phase_timers_sum_to_at_most_the_wall_time() {
+    let config = observed_config();
+    for entry in catalog::all() {
+        for model in ModelSel::ALL {
+            let policy = model.policy();
+            let started = Instant::now();
+            let result = enumerate_pruned(&entry.test.program, &policy, &config);
+            let wall = started.elapsed().as_nanos() as u64;
+            let obs = result
+                .unwrap_or_else(|e| panic!("{} / {}: {e}", entry.test.name, model.name()))
+                .stats
+                .obs
+                .expect("observe=true populates obs");
+            let phases = obs.closure_nanos + obs.settle_nanos + obs.resolve_nanos;
+            assert!(
+                phases <= wall,
+                "{} / {}: phases {phases} ns exceed the wall time {wall} ns ({obs})",
+                entry.test.name,
+                model.name()
+            );
         }
     }
 }

@@ -68,7 +68,7 @@ pub(crate) fn execute(
             }
         }
         for (owner, indices) in groups {
-            let mut fwd_span = span.map(|s| s.child("forward", SpanKind::Client));
+            let fwd_span = span.map(|s| s.child("forward", SpanKind::Client));
             let forwarded = Envelope {
                 id: None,
                 request: Request::Batch(
@@ -88,13 +88,11 @@ pub(crate) fn execute(
             let spliced = cluster
                 .forward(owner, &forwarded)
                 .and_then(|reply| splice(&indices, reply, &mut responses));
-            if let Some(fs) = &mut fwd_span {
+            if let Some(mut fs) = fwd_span {
                 fs.attr("peer", cluster.node_id(owner).to_owned());
                 fs.attr("slots", indices.len() as u64);
                 fs.attr("ok", spliced.is_some());
-            }
-            if let (Some(fs), Some(sink)) = (fwd_span, state.telemetry.span_sink()) {
-                fs.finish(sink);
+                fs.finish(&state.telemetry);
             }
             match spliced {
                 Some(count) => {
@@ -127,7 +125,7 @@ pub(crate) fn execute(
                     // Slots that already failed one forward attempt run
                     // locally (`fwd` forced) rather than re-routing.
                     let id = slot_id.as_deref().expect("ok slots have ids");
-                    handle_sub(state, env, true, id, ctx, parent_id)
+                    handle_sub(state, env, true, id, ctx)
                 }
                 (Err(err), None) => {
                     state.telemetry.errors.fetch_add(1, Ordering::Relaxed);

@@ -6,10 +6,13 @@
 //!            [--poller epoll|poll] [--cluster FILE --node ID]
 //!            [--read-timeout-secs N] [--budget N]
 //!            [--cache-shards N] [--cache-capacity N] [--persist PATH]
-//!            [--prom-addr HOST:PORT] [--slow-log PATH] [--slow-ms N]
-//!            [--slow-log-max-bytes N] [--trace-log PATH]
-//!            [--trace-log-max-bytes N] [--no-observe]
+//!            [--prom-addr HOST:PORT] [--trace-log PATH]
+//!            [--trace-log-max-bytes N] [--slow-ms N] [--no-observe]
 //! ```
+//!
+//! `--trace-log` writes every finished span as one JSONL line;
+//! `--slow-ms N` keeps only spans of at least N ms, which turns the
+//! trace log into a slow-request log (default 0: every span).
 //!
 //! The event-loop core multiplexes connections over a readiness poller
 //! (pipelining, `batch` envelopes, cluster mode) and answers fresh
@@ -35,9 +38,8 @@ fn usage() -> ! {
          \x20                 [--poller epoll|poll] [--cluster FILE --node ID]\n\
          \x20                 [--read-timeout-secs N] [--budget N]\n\
          \x20                 [--cache-shards N] [--cache-capacity N] [--persist PATH]\n\
-         \x20                 [--prom-addr HOST:PORT] [--slow-log PATH] [--slow-ms N]\n\
-         \x20                 [--slow-log-max-bytes N] [--trace-log PATH]\n\
-         \x20                 [--trace-log-max-bytes N] [--no-observe]"
+         \x20                 [--prom-addr HOST:PORT] [--trace-log PATH]\n\
+         \x20                 [--trace-log-max-bytes N] [--slow-ms N] [--no-observe]"
     );
     std::process::exit(2);
 }
@@ -98,15 +100,8 @@ fn main() -> ExitCode {
                 Some(addr) => config.prom_addr = Some(addr),
                 None => usage(),
             },
-            "--slow-log" => match args.next() {
-                Some(path) => config.slow_log = Some(PathBuf::from(path)),
-                None => usage(),
-            },
             "--slow-ms" => {
                 config.slow_threshold = Duration::from_millis(parse_num("--slow-ms", args.next()));
-            }
-            "--slow-log-max-bytes" => {
-                config.slow_log_max_bytes = parse_num("--slow-log-max-bytes", args.next());
             }
             "--trace-log" => match args.next() {
                 Some(path) => config.trace_log = Some(PathBuf::from(path)),

@@ -38,7 +38,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use samm_core::cache::EnumCache;
-use samm_core::telemetry::trace::SpanWriter;
+use samm_core::telemetry::trace::SpanSink;
 use samm_core::telemetry::JsonlLog;
 
 use crate::cluster::{Cluster, ClusterConfig};
@@ -88,15 +88,13 @@ pub struct ServerConfig {
     /// When set, bind a plain-HTTP listener on this address serving the
     /// Prometheus exposition (`GET /metrics`).
     pub prom_addr: Option<String>,
-    /// When set, append slow-query JSONL records to this file.
-    pub slow_log: Option<PathBuf>,
-    /// Requests at or over this duration are logged as slow.
+    /// Only spans at or over this duration are written to the trace log
+    /// (`--slow-ms`); zero writes every span. Written request spans
+    /// count as slow queries.
     pub slow_threshold: Duration,
-    /// Rotate the slow log after roughly this many bytes.
-    pub slow_log_max_bytes: u64,
     /// When set, append one JSONL span record per finished trace span
-    /// to this file (distributed tracing export; see
-    /// docs/OBSERVABILITY.md).
+    /// to this file (distributed tracing export and slow-request log;
+    /// see docs/OBSERVABILITY.md).
     pub trace_log: Option<PathBuf>,
     /// Rotate the trace log after roughly this many bytes.
     pub trace_log_max_bytes: u64,
@@ -120,9 +118,7 @@ impl Default for ServerConfig {
             persist_path: None,
             observe: true,
             prom_addr: None,
-            slow_log: None,
-            slow_threshold: Duration::from_millis(100),
-            slow_log_max_bytes: 16 * 1024 * 1024,
+            slow_threshold: Duration::ZERO,
             trace_log: None,
             trace_log_max_bytes: 64 * 1024 * 1024,
         }
@@ -308,18 +304,13 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
             cache.load_from(path)?;
         }
     }
-    let mut telemetry = match &config.slow_log {
-        Some(path) => Telemetry::with_slow_log(
-            path.clone(),
-            config.slow_threshold,
-            config.slow_log_max_bytes,
-        )?,
-        None => Telemetry::default(),
-    };
-    if let Some(path) = &config.trace_log {
-        let log = JsonlLog::open(path.clone(), config.trace_log_max_bytes)?;
-        telemetry.spans = Some(Box::new(SpanWriter::new(Arc::new(log))));
-    }
+    let log = config
+        .trace_log
+        .as_ref()
+        .map(|path| JsonlLog::open(path, config.trace_log_max_bytes))
+        .transpose()?;
+    let spans = log.map(|log| Arc::new(log) as Arc<dyn SpanSink>);
+    let telemetry = Telemetry::new(spans, config.slow_threshold);
     let mut state = ServerState::with_telemetry(cache, config.budget, telemetry, config.observe);
     if let Some(cluster_config) = config.cluster.clone() {
         state.set_cluster(Arc::new(Cluster::new(cluster_config)));

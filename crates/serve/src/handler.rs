@@ -19,7 +19,7 @@ use samm_core::error::EnumError;
 use samm_core::explain::{find_witness, refute, Goal, Refutation, RefuteOutcome};
 use samm_core::outcome::{Outcome, OutcomeSet};
 use samm_core::pruned::enumerate_pruned;
-use samm_core::telemetry::trace::{ActiveSpan, SpanKind, TraceContext};
+use samm_core::telemetry::trace::{ActiveSpan, SpanKind, SpanSink, TraceContext};
 use samm_core::telemetry::HistogramSnapshot;
 use samm_litmus::catalog::{self, CatalogEntry, ModelSel};
 use samm_litmus::expect::{run_entry_cached, EntryReport};
@@ -41,7 +41,7 @@ pub struct ServerState {
     /// Fork budget applied to requests that do not carry their own.
     pub default_budget: Option<u64>,
     /// Request/error/overload counters, latency histograms, rates, obs
-    /// aggregation, slow-query log.
+    /// aggregation, span log.
     pub telemetry: Telemetry,
     /// Whether enumerations run instrumented
     /// ([`EnumConfig::observe`]), feeding the aggregated closure-rule
@@ -98,7 +98,7 @@ impl Flight {
 
 impl ServerState {
     /// Builds state with a cache of the given geometry, default
-    /// telemetry (no slow log), and instrumentation on.
+    /// telemetry (no span log), and instrumentation on.
     pub fn new(cache: EnumCache, default_budget: Option<u64>) -> Self {
         ServerState::with_telemetry(cache, default_budget, Telemetry::default(), true)
     }
@@ -160,10 +160,9 @@ pub fn handle(state: &ServerState, request: &Request) -> Json {
 
 /// As [`handle`], echoing `id` (or a server-assigned one) in the
 /// response and recording latency telemetry: per-kind histograms split
-/// by hit/miss/overbudget, the request-rate window, and the slow-query
-/// log.
+/// by hit/miss/overbudget, the request-rate window, and the span log.
 pub fn handle_traced(state: &ServerState, request: &Request, id: Option<&str>) -> Json {
-    handle_inner(state, request, id, false, true, None, None)
+    handle_inner(state, request, id, false, true, None)
 }
 
 /// Executes a parsed envelope: as [`handle_traced`], honouring the
@@ -178,24 +177,23 @@ pub fn handle_envelope(state: &ServerState, envelope: &Envelope) -> Json {
         envelope.fwd,
         true,
         envelope.trace,
-        None,
     )
 }
 
 /// Executes one sub-request of a batch: per-kind latency telemetry and
-/// the slow-query log still apply, but the top-level `requests` counter
-/// does not — the batch line was already counted once. `id` is the
-/// slot's effective id (the client's, or a `{parent}.{slot}` child id
-/// derived by the batch layer), `ctx` the batch span's context, and
-/// `parent` the enclosing envelope's id for the slow-query log. A
-/// sub-envelope's own `trace` field, when present, wins over `ctx`.
+/// the span log still apply, but the top-level `requests` counter does
+/// not — the batch line was already counted once. `id` is the slot's
+/// effective id (the client's, or a `{parent}.{slot}` child id derived
+/// by the batch layer) and `ctx` the batch span's context, so the
+/// slot's `sub` span is a child of the batch's `server` span, which
+/// carries the batch id. A sub-envelope's own `trace` field, when
+/// present, wins over `ctx`.
 pub(crate) fn handle_sub(
     state: &ServerState,
     envelope: &Envelope,
     fwd: bool,
     id: &str,
     ctx: Option<TraceContext>,
-    parent: &str,
 ) -> Json {
     handle_inner(
         state,
@@ -204,11 +202,9 @@ pub(crate) fn handle_sub(
         fwd,
         false,
         envelope.trace.or(ctx),
-        Some(parent),
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn handle_inner(
     state: &ServerState,
     request: &Request,
@@ -216,7 +212,6 @@ fn handle_inner(
     fwd: bool,
     top_level: bool,
     ctx: Option<TraceContext>,
-    batch_parent: Option<&str>,
 ) -> Json {
     let id = id.map_or_else(|| state.telemetry.ids.next_id(), str::to_owned);
     let kind = kind_index(request);
@@ -308,16 +303,13 @@ fn handle_inner(
     if let Some(kind) = kind {
         let outcome = ReqOutcome::classify(&response);
         state.telemetry.record(kind, outcome, elapsed);
-        state
-            .telemetry
-            .note_slow(&id, batch_parent, KIND_NAMES[kind], outcome, elapsed);
         if let Some(span) = &mut span {
             span.attr("outcome", outcome.label());
             span.attr("id", id.clone());
         }
     }
-    if let (Some(span), Some(sink)) = (span, state.telemetry.span_sink()) {
-        span.finish(sink);
+    if let Some(span) = span {
+        span.finish(&state.telemetry);
     }
     if let Json::Obj(map) = &mut response {
         map.insert("id".to_owned(), Json::str(id));
@@ -446,10 +438,10 @@ fn enumerate_response(
                     if let Json::Obj(map) = &mut response {
                         map.insert("forwarded".to_owned(), Json::Bool(true));
                     }
-                    if let (Some(mut fs), Some(sink)) = (fwd_span, state.telemetry.span_sink()) {
+                    if let Some(mut fs) = fwd_span {
                         fs.attr("peer", cluster.node_id(owner).to_owned());
                         fs.attr("ok", true);
-                        fs.finish(sink);
+                        fs.finish(&state.telemetry);
                     }
                     return Ok(response);
                 }
@@ -458,10 +450,10 @@ fn enumerate_response(
                         .telemetry
                         .forward_fallbacks
                         .fetch_add(1, Ordering::Relaxed);
-                    if let (Some(mut fs), Some(sink)) = (fwd_span, state.telemetry.span_sink()) {
+                    if let Some(mut fs) = fwd_span {
                         fs.attr("peer", cluster.node_id(owner).to_owned());
                         fs.attr("ok", false);
-                        fs.finish(sink);
+                        fs.finish(&state.telemetry);
                     }
                 }
             }
@@ -471,7 +463,10 @@ fn enumerate_response(
         state.telemetry.forward_hops.record(0);
     }
 
-    let mut work_span = span.map(|s| s.child("enumerate", SpanKind::Internal));
+    let work_span = span.map(|s| s.child("enumerate", SpanKind::Internal));
+    // The cache keeps only the deterministic counters; the phase spans
+    // need this run's own timers.
+    let mut run_obs = None;
     // Single-flight: one leader per fingerprint enumerates; identical
     // concurrent queries wait for its cache insert and then hit.
     let (value, hit) = loop {
@@ -501,7 +496,11 @@ fn enumerate_response(
             &entry.test.program,
             &policy,
             &config,
-            enumerate_pruned,
+            |program, policy, config| {
+                let result = enumerate_pruned(program, policy, config);
+                run_obs = result.as_ref().ok().and_then(|r| r.stats.obs);
+                result
+            },
         );
         let flight = state
             .flights
@@ -521,17 +520,16 @@ fn enumerate_response(
     // already says "hit". Dropping it keeps warm traced traffic cheap
     // and keeps trace logs proportional to work done, not requests
     // served. A fresh run decomposes into the engine's measured phases:
-    // the obs timers become synthetic child spans, so a flamegraph
-    // attributes the miss cost to closure/settle/resolve work.
+    // the disjoint obs timers become synthetic child spans, so a
+    // flamegraph attributes the miss cost to closure/settle/resolve
+    // work.
     if !hit {
-        if let Some(ws) = &mut work_span {
+        if let Some(mut ws) = work_span {
             ws.attr("engine", ENGINE);
             ws.attr("explored", value.stats.explored as u64);
             ws.attr("forks", value.stats.forks as u64);
             ws.attr("deduped", value.stats.deduped as u64);
-        }
-        if let (Some(ws), Some(sink)) = (work_span, state.telemetry.span_sink()) {
-            if let Some(obs) = &value.stats.obs {
+            if let Some(obs) = &run_obs {
                 for (name, nanos, count_key, count) in [
                     (
                         "phase:closure",
@@ -553,7 +551,7 @@ fn enumerate_response(
                     ),
                 ] {
                     if nanos > 0 || count > 0 {
-                        sink.record_span(ws.synthetic_child(
+                        state.telemetry.record_span(ws.synthetic_child(
                             name,
                             nanos,
                             vec![(count_key, count.into())],
@@ -561,7 +559,7 @@ fn enumerate_response(
                     }
                 }
             }
-            ws.finish(sink);
+            ws.finish(&state.telemetry);
         }
     }
     // The outcomes/stats fragments are fingerprint-invariant and

@@ -12,7 +12,7 @@
 //! small ids, all well inside the 2^53 exact-integer range — and
 //! rendered without a trailing `.0` when integral. Strings are escaped
 //! by [`samm_core::telemetry::write_escaped`], the same escaper the
-//! slow-query and span JSONL lines use.
+//! span JSONL lines use.
 
 use std::collections::BTreeMap;
 use std::fmt;

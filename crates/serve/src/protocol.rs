@@ -99,8 +99,8 @@ pub enum Request {
 
 /// A request line as parsed off the wire: the typed [`Request`] plus
 /// the optional client-chosen `id` echoed back in the response (and
-/// recorded in the slow-query log). Requests without an `id` get a
-/// server-assigned one.
+/// recorded on the request's span in the trace log). Requests without
+/// an `id` get a server-assigned one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     /// Client-chosen request id, if the line carried one.

@@ -1,9 +1,10 @@
 //! Server-side telemetry: the server's one counter block (request,
 //! monitoring, error and overload counts), per-request-kind latency
 //! histograms (split by cache hit / miss / overbudget), a queue-depth
-//! gauge, aggregated enumeration counters, a slow-query JSONL log, and
-//! the Prometheus text exposition. The `metrics` JSON response and the
-//! exposition both read these same counters.
+//! gauge, aggregated enumeration counters, the span log with its
+//! slow-request filter, and the Prometheus text exposition. The
+//! `metrics` JSON response and the exposition both read these same
+//! counters.
 //!
 //! Built from the [`samm_core::telemetry`] primitives; everything here
 //! is lock-free on the request path (one histogram `record` plus a few
@@ -12,7 +13,6 @@
 //! [`samm_core::telemetry::prom::check`] in CI.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -20,10 +20,9 @@ use std::time::{Duration, Instant};
 use samm_core::cache::{CacheStats, ShardStats};
 use samm_core::enumerate::EnumStats;
 use samm_core::obs::Obs;
-use samm_core::telemetry::trace::SpanSink;
+use samm_core::telemetry::trace::{Attr, SpanKind, SpanRecord, SpanSink};
 use samm_core::telemetry::{
-    jsonl_event, EventSink, FieldValue, Histogram, HistogramSnapshot, JsonlLog, RateCounter,
-    RequestIdGen, LATENCY_LE_NANOS,
+    Histogram, HistogramSnapshot, RateCounter, RequestIdGen, LATENCY_LE_NANOS,
 };
 
 use crate::cluster::ClusterSnapshot;
@@ -190,15 +189,6 @@ impl KindTelemetry {
     }
 }
 
-/// Slow-query logging configuration and state.
-#[derive(Debug)]
-pub struct SlowLog {
-    /// Requests at or above this duration are logged.
-    pub threshold: Duration,
-    /// The JSONL sink (rotating file in production, memory in tests).
-    pub sink: Box<dyn EventSink>,
-}
-
 /// The server's aggregate telemetry. One instance lives in
 /// `ServerState` and is shared by every worker.
 #[derive(Debug)]
@@ -238,10 +228,11 @@ pub struct Telemetry {
     /// Delay-set robustness verdicts answered by `certify` requests
     /// carrying `robust:true`, in [`ROBUST_VERDICT_NAMES`] order.
     pub robust_verdicts: [AtomicU64; 3],
-    /// Requests logged as slow.
+    /// Server-kind spans (requests and batch slots) written to the span
+    /// log, i.e. at or over the slow threshold.
     pub slow_total: AtomicU64,
-    /// Request id of the most recent slow query (exposed as an info
-    /// metric so dashboards can link the exposition to the JSONL log).
+    /// Request id of the most recent such span (exposed as an info
+    /// metric so dashboards can link the exposition to the span log).
     pub last_slow_id: Mutex<Option<String>>,
     /// Sub-requests per `batch` envelope (plain values, not nanos).
     pub batch_sizes: Histogram,
@@ -258,12 +249,13 @@ pub struct Telemetry {
     pub peer_forwards: Mutex<BTreeMap<String, u64>>,
     /// Per-event-loop gauges, registered by the event-loop core.
     pub loops: Mutex<Vec<Arc<LoopGauges>>>,
-    /// Slow-query log, when configured.
-    pub slow: Option<SlowLog>,
-    /// Span sink for distributed tracing, when configured (`--trace-log`).
-    /// `None` keeps the request path span-free unless a client sends a
-    /// `trace` context (ids still propagate then, unrecorded).
-    pub spans: Option<Box<dyn SpanSink>>,
+    /// The span log (`--trace-log`), when configured. `None` keeps the
+    /// request path span-free unless a client sends a `trace` context
+    /// (ids still propagate then, unrecorded).
+    pub(crate) spans: Option<Arc<dyn SpanSink>>,
+    /// Spans shorter than this many nanoseconds are not written
+    /// (`--slow-ms`; zero writes every span).
+    slow_ns: u64,
     /// Fleet view cached from the most recent `metrics_cluster`
     /// fan-out, keyed by node id. Backs the `node`-labelled Prometheus
     /// families; empty (families omitted) until the first fan-out.
@@ -291,13 +283,14 @@ pub struct LoopGauges {
 
 impl Default for Telemetry {
     fn default() -> Self {
-        Telemetry::new(None)
+        Telemetry::new(None, Duration::ZERO)
     }
 }
 
 impl Telemetry {
-    /// Telemetry with an optional slow-query log.
-    pub fn new(slow: Option<SlowLog>) -> Self {
+    /// Telemetry with an optional span log that keeps only spans at or
+    /// over `slow`.
+    pub fn new(spans: Option<Arc<dyn SpanSink>>, slow: Duration) -> Self {
         Telemetry {
             started: Instant::now(),
             ids: RequestIdGen::new("r"),
@@ -322,15 +315,10 @@ impl Telemetry {
             singleflight_waits: AtomicU64::new(0),
             peer_forwards: Mutex::new(BTreeMap::new()),
             loops: Mutex::new(Vec::new()),
-            slow,
-            spans: None,
+            spans,
+            slow_ns: u64::try_from(slow.as_nanos()).unwrap_or(u64::MAX),
             fleet: Mutex::new(BTreeMap::new()),
         }
-    }
-
-    /// The span sink, when tracing is configured.
-    pub fn span_sink(&self) -> Option<&dyn SpanSink> {
-        self.spans.as_deref()
     }
 
     /// Replaces the cached fleet view with `samples` (one
@@ -363,23 +351,6 @@ impl Telemetry {
             .or_insert(0) += 1;
     }
 
-    /// Opens a rotating slow-query JSONL log at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the failure to open the file.
-    pub fn with_slow_log(
-        path: PathBuf,
-        threshold: Duration,
-        max_bytes: u64,
-    ) -> std::io::Result<Telemetry> {
-        let log = JsonlLog::open(path, max_bytes)?;
-        Ok(Telemetry::new(Some(SlowLog {
-            threshold,
-            sink: Box::new(log),
-        })))
-    }
-
     /// Records one completed latency-tracked request.
     pub fn record(&self, kind: usize, outcome: ReqOutcome, elapsed: Duration) {
         let k = &self.kinds[kind];
@@ -392,41 +363,6 @@ impl Telemetry {
             }
         }
         self.rate.record();
-    }
-
-    /// Logs a slow query (when configured and `elapsed` is at or over
-    /// the threshold) and remembers its id. `batch_parent` is the id of
-    /// the enclosing `batch` envelope for sub-requests, recorded as the
-    /// `batch` field so a slow slot can be tied back to its envelope.
-    pub fn note_slow(
-        &self,
-        id: &str,
-        batch_parent: Option<&str>,
-        kind: &str,
-        outcome: ReqOutcome,
-        elapsed: Duration,
-    ) {
-        let Some(slow) = &self.slow else { return };
-        if elapsed < slow.threshold {
-            return;
-        }
-        self.slow_total.fetch_add(1, Ordering::Relaxed);
-        *self.last_slow_id.lock().expect("slow id poisoned") = Some(id.to_owned());
-        let mut fields = vec![
-            (
-                "uptime_ms",
-                FieldValue::U64(self.started.elapsed().as_millis() as u64),
-            ),
-            ("id", FieldValue::Str(id)),
-            ("kind", FieldValue::Str(kind)),
-            ("outcome", FieldValue::Str(outcome.label())),
-            ("ns", FieldValue::U64(elapsed.as_nanos() as u64)),
-            ("ms", FieldValue::F64(elapsed.as_secs_f64() * 1e3)),
-        ];
-        if let Some(parent) = batch_parent {
-            fields.push(("batch", FieldValue::Str(parent)));
-        }
-        slow.sink.emit(&jsonl_event(&fields));
     }
 
     /// Tallies one delay-set robustness verdict (by its
@@ -907,10 +843,33 @@ impl Telemetry {
     }
 }
 
+/// The one place the server finishes a span. Without a span log the
+/// span is dropped. Otherwise spans shorter than the slow threshold are
+/// dropped and the rest are written. A child never outlasts its parent,
+/// so the written set is upward-closed: a written span's in-process
+/// parent is written too. Written server-kind spans (requests and batch
+/// slots) also count as slow queries.
+impl SpanSink for Telemetry {
+    fn record_span(&self, span: SpanRecord) {
+        let Some(log) = &self.spans else { return };
+        if span.dur_ns < self.slow_ns {
+            return;
+        }
+        if span.kind == SpanKind::Server {
+            self.slow_total.fetch_add(1, Ordering::Relaxed);
+            if let Some(Attr::Str(id)) = span.attr("id") {
+                *self.last_slow_id.lock().expect("slow id poisoned") = Some(id.clone());
+            }
+        }
+        log.record_span(span);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use samm_core::telemetry::{prom, MemorySink};
+    use samm_core::telemetry::prom;
+    use samm_core::telemetry::trace::TraceRing;
 
     #[test]
     fn classify_reads_responses() {
@@ -1055,42 +1014,109 @@ mod tests {
         }
     }
 
-    #[test]
-    fn slow_log_records_the_batch_parent() {
-        let sink = std::sync::Arc::new(MemorySink::new());
-        let telemetry = Telemetry::new(Some(SlowLog {
-            threshold: Duration::from_nanos(1),
-            sink: Box::new(SharedSink(std::sync::Arc::clone(&sink))),
-        }));
-        telemetry.note_slow(
-            "b1.3",
-            Some("b1"),
-            "enumerate",
-            ReqOutcome::Miss,
-            Duration::from_millis(5),
-        );
-        telemetry.note_slow(
-            "r9",
-            None,
-            "verdict",
-            ReqOutcome::Miss,
-            Duration::from_millis(5),
-        );
-        let lines = sink.lines();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"id\":\"b1.3\""));
-        assert!(lines[0].contains("\"batch\":\"b1\""));
-        assert!(!lines[1].contains("\"batch\""));
+    fn span(span: u64, parent: u64, name: &'static str, kind: SpanKind, dur_ms: u64) -> SpanRecord {
+        SpanRecord {
+            trace: 7,
+            span,
+            parent,
+            name,
+            kind,
+            start_unix_ns: 0,
+            dur_ns: dur_ms * 1_000_000,
+            attrs: vec![("id", Attr::Str(format!("s{span}")))],
+        }
     }
 
-    /// Forwards to a shared [`MemorySink`] so the test keeps a reader.
-    #[derive(Debug)]
-    struct SharedSink(std::sync::Arc<MemorySink>);
+    /// Telemetry whose span log is a ring the test can read back.
+    fn ring_telemetry(slow: Duration) -> (Telemetry, Arc<TraceRing>) {
+        let ring = Arc::new(TraceRing::new(64));
+        let telemetry = Telemetry::new(Some(Arc::clone(&ring) as Arc<dyn SpanSink>), slow);
+        (telemetry, ring)
+    }
 
-    impl EventSink for SharedSink {
-        fn emit(&self, line: &str) {
-            self.0.emit(line);
-        }
+    fn last_slow_id(telemetry: &Telemetry) -> Option<String> {
+        telemetry.last_slow_id.lock().unwrap().clone()
+    }
+
+    #[test]
+    fn slow_threshold_filters_spans_and_counts_server_spans() {
+        let (telemetry, ring) = ring_telemetry(Duration::from_millis(5));
+        // A batch (span 1) with a slow slot (2) over a slow engine phase
+        // (4), a fast slot (3), and a forward (5) of exactly the
+        // threshold. Children finish first, as on the request path.
+        telemetry.record_span(span(4, 2, "enumerate", SpanKind::Internal, 6));
+        telemetry.record_span(span(2, 1, "sub", SpanKind::Server, 7));
+        telemetry.record_span(span(3, 1, "sub", SpanKind::Server, 4));
+        telemetry.record_span(span(5, 1, "forward", SpanKind::Client, 5));
+        telemetry.record_span(span(1, 0, "server", SpanKind::Server, 9));
+
+        let written: Vec<u64> = ring.snapshot().iter().map(|s| s.span).collect();
+        assert_eq!(
+            written,
+            vec![4, 2, 5, 1],
+            "only spans under 5 ms are dropped"
+        );
+        // The slow slot's batch span is written and carries the batch id.
+        let spans = ring.snapshot();
+        let slot = spans.iter().find(|s| s.span == 2).unwrap();
+        let batch = spans.iter().find(|s| s.span == slot.parent).unwrap();
+        assert_eq!(batch.attr("id"), Some(&Attr::Str("s1".to_owned())));
+        // Only the two written server-kind spans are slow queries; the
+        // written forward and engine spans are not.
+        assert_eq!(telemetry.slow_total.load(Ordering::Relaxed), 2);
+        assert_eq!(last_slow_id(&telemetry).as_deref(), Some("s1"));
+
+        // A written internal span moves neither counter.
+        telemetry.record_span(span(6, 1, "enumerate", SpanKind::Internal, 8));
+        assert_eq!(ring.recorded(), 5);
+        assert_eq!(telemetry.slow_total.load(Ordering::Relaxed), 2);
+        assert_eq!(last_slow_id(&telemetry).as_deref(), Some("s1"));
+    }
+
+    #[test]
+    fn without_a_span_log_nothing_counts_as_slow() {
+        let telemetry = Telemetry::new(None, Duration::ZERO);
+        telemetry.record_span(span(1, 0, "server", SpanKind::Server, 9));
+        assert_eq!(telemetry.slow_total.load(Ordering::Relaxed), 0);
+        assert_eq!(last_slow_id(&telemetry), None);
+    }
+
+    #[test]
+    fn span_log_reaches_the_batch_id_through_the_parent_span() {
+        use crate::handler::{handle_envelope, ServerState};
+        use samm_core::cache::EnumCache;
+
+        let (telemetry, ring) = ring_telemetry(Duration::ZERO);
+        let state = ServerState::with_telemetry(EnumCache::new(64), None, telemetry, true);
+        let envelope = crate::protocol::parse_envelope(
+            r#"{"kind":"batch","id":"b1","requests":[
+                {"kind":"enumerate","test":"SB","model":"TSO"},
+                {"kind":"verdict","test":"MP","id":"mine"}]}"#,
+        )
+        .unwrap();
+        let response = handle_envelope(&state, &envelope);
+        assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
+
+        let spans = ring.snapshot();
+        let id = |s: &SpanRecord| match s.attr("id") {
+            Some(Attr::Str(id)) => id.clone(),
+            other => panic!("server spans carry an id, got {other:?}"),
+        };
+        let batch = spans.iter().find(|s| s.name == "server").unwrap();
+        assert_eq!(id(batch), "b1");
+        let mut slots: Vec<String> = spans
+            .iter()
+            .filter(|s| s.name == "sub")
+            .map(|s| {
+                assert_eq!(s.parent, batch.span, "a slot's parent is its batch");
+                id(s)
+            })
+            .collect();
+        slots.sort();
+        assert_eq!(slots, vec!["b1.0", "mine"]);
+        // Threshold zero: the batch and both slots are slow queries.
+        assert_eq!(state.telemetry.slow_total.load(Ordering::Relaxed), 3);
+        assert_eq!(last_slow_id(&state.telemetry).as_deref(), Some("b1"));
     }
 
     #[test]

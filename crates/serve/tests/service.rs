@@ -222,7 +222,7 @@ fn docs_metric_table_matches_the_prom_exposition() {
     // Populate every conditionally-emitted series: latency samples,
     // batch/forward histograms, a peer forward, an event-loop gauge,
     // shard stats, and a cluster snapshot.
-    let telemetry = Telemetry::new(None);
+    let telemetry = Telemetry::default();
     telemetry.record(0, ReqOutcome::Miss, Duration::from_millis(3));
     telemetry.batch_sizes.record(4);
     telemetry.forward_hops.record(1);

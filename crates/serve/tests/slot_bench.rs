@@ -154,15 +154,22 @@ fn handler_by_test() {
 #[test]
 #[ignore]
 fn overhead_pieces() {
-    use samm_serve::telemetry::ReqOutcome;
+    use samm_core::telemetry::trace::{ActiveSpan, SpanKind, TraceRing};
+    use samm_serve::telemetry::{ReqOutcome, Telemetry};
     use samm_serve::Json;
+    use std::sync::Arc;
     use std::time::Duration;
-    let state = ServerState::new(EnumCache::new(1024), None);
+    // A span log whose slow threshold drops every span below: the cost
+    // a traced server pays for a fast request.
+    let telemetry = Telemetry::new(
+        Some(Arc::new(TraceRing::new(1024))),
+        Duration::from_millis(100),
+    );
     let n = 20000;
 
     let t = Instant::now();
     for _ in 0..n {
-        std::hint::black_box(state.telemetry.ids.next_id());
+        std::hint::black_box(telemetry.ids.next_id());
     }
     println!(
         "next_id:        {:.2}us",
@@ -171,19 +178,13 @@ fn overhead_pieces() {
 
     let t = Instant::now();
     for _ in 0..n {
-        state
-            .telemetry
-            .record(0, ReqOutcome::Hit, Duration::from_micros(20));
-        state.telemetry.note_slow(
-            "r1",
-            None,
-            "enumerate",
-            ReqOutcome::Hit,
-            Duration::from_micros(20),
-        );
+        telemetry.record(0, ReqOutcome::Hit, Duration::from_micros(20));
+        let mut span = ActiveSpan::root("server", SpanKind::Server);
+        span.attr("id", "r1".to_owned());
+        span.finish(&telemetry);
     }
     println!(
-        "record+slow:    {:.2}us",
+        "record+span:    {:.2}us",
         t.elapsed().as_secs_f64() * 1e6 / n as f64
     );
 

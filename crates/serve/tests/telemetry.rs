@@ -1,7 +1,7 @@
 //! End-to-end telemetry tests over real sockets: a client-sent request
-//! id must round-trip into the response, the slow-query JSONL log, and
-//! the Prometheus exposition — and the `--prom-addr` plain-HTTP
-//! listener must serve a checker-clean exposition.
+//! id must round-trip into the response, the span log, and the
+//! Prometheus exposition — and the `--prom-addr` plain-HTTP listener
+//! must serve a checker-clean exposition.
 
 #![cfg(unix)]
 
@@ -9,7 +9,8 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use samm_core::telemetry::{jsonl_event, prom, FieldValue};
+use samm_core::telemetry::prom;
+use samm_core::telemetry::trace::{ActiveSpan, SpanKind};
 use samm_serve::client::Client;
 use samm_serve::json::{self, Json};
 use samm_serve::{start, ServerConfig};
@@ -33,19 +34,19 @@ fn scrape(addr: std::net::SocketAddr, target: &str) -> (String, String) {
 }
 
 #[test]
-fn request_ids_round_trip_into_response_slow_log_and_exposition() {
+fn request_ids_round_trip_into_response_span_log_and_exposition() {
     let dir = std::env::temp_dir().join(format!("samm-telemetry-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let slow_path = dir.join("slow.jsonl");
-    let _ = std::fs::remove_file(&slow_path);
+    let log_path = dir.join("trace.jsonl");
+    let _ = std::fs::remove_file(&log_path);
 
     let handle = start(ServerConfig {
         workers: 2,
         read_timeout: Duration::from_secs(5),
         prom_addr: Some("127.0.0.1:0".to_owned()),
-        slow_log: Some(slow_path.clone()),
-        // Zero threshold: every latency-tracked request is "slow", so
-        // the test is deterministic.
+        trace_log: Some(log_path.clone()),
+        // Zero threshold: every span is written and every request is
+        // "slow", so the test is deterministic.
         slow_threshold: Duration::ZERO,
         ..ServerConfig::default()
     })
@@ -68,18 +69,20 @@ fn request_ids_round_trip_into_response_slow_log_and_exposition() {
     assert!(ok(&tagged), "{tagged}");
     assert_eq!(tagged.get("id").and_then(Json::as_str), Some("client-77"));
 
-    // The slow log (threshold zero) carries both requests, ids intact.
-    let log = std::fs::read_to_string(&slow_path).unwrap();
+    // The span log (threshold zero) carries both requests' server
+    // spans, ids intact.
+    let log = std::fs::read_to_string(&log_path).unwrap();
     assert!(
         log.lines()
             .any(|l| l.contains(&format!("\"id\":\"{assigned}\""))),
-        "slow log must carry the server-assigned id:\n{log}"
+        "span log must carry the server-assigned id:\n{log}"
     );
     let tagged_line = log
         .lines()
         .find(|l| l.contains("\"id\":\"client-77\""))
-        .unwrap_or_else(|| panic!("slow log must carry the client id:\n{log}"));
-    assert!(tagged_line.contains("\"kind\":\"enumerate\""));
+        .unwrap_or_else(|| panic!("span log must carry the client id:\n{log}"));
+    assert!(tagged_line.contains("\"kind\":\"server\""));
+    assert!(tagged_line.contains("\"req\":\"enumerate\""));
     assert!(tagged_line.contains("\"outcome\":\"miss\""));
 
     // The HTTP exposition is checker-clean and names the last slow
@@ -138,17 +141,19 @@ const AWKWARD: [&str; 11] = [
     "all \"\\\n\r\t\u{1}\u{1f} é",
 ];
 
-/// The wire encoder (`Json`) and the JSONL lines (slow log, spans) share
-/// one escaper: both forms are byte-identical and parse back to the
+/// The wire encoder (`Json`) and the span JSONL lines share one
+/// escaper: both forms are byte-identical and parse back to the
 /// original string.
 #[test]
 fn wire_and_jsonl_strings_share_one_escaper() {
     for s in AWKWARD {
         let wire = Json::str(s).to_string();
-        let line = jsonl_event(&[("k", FieldValue::Str(s))]);
+        let mut span = ActiveSpan::root("server", SpanKind::Server);
+        span.attr("k", s.to_owned());
+        let line = span.into_record().to_jsonl();
         let field = line
-            .strip_prefix("{\"k\":")
-            .and_then(|rest| rest.strip_suffix('}'))
+            .split_once(",\"k\":")
+            .and_then(|(_, rest)| rest.strip_suffix('}'))
             .unwrap_or_else(|| panic!("unexpected JSONL shape: {line}"));
         assert_eq!(wire, field, "escaped forms differ for {s:?}");
         assert_eq!(json::parse(&wire).unwrap().as_str(), Some(s), "{wire}");
@@ -161,16 +166,16 @@ fn wire_and_jsonl_strings_share_one_escaper() {
 }
 
 #[test]
-fn awkward_client_ids_survive_the_response_and_the_slow_log() {
+fn awkward_client_ids_survive_the_response_and_the_span_log() {
     let dir = std::env::temp_dir().join(format!("samm-escape-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let slow_path = dir.join("slow.jsonl");
-    let _ = std::fs::remove_file(&slow_path);
+    let log_path = dir.join("trace.jsonl");
+    let _ = std::fs::remove_file(&log_path);
 
     let handle = start(ServerConfig {
         workers: 1,
         read_timeout: Duration::from_secs(5),
-        slow_log: Some(slow_path.clone()),
+        trace_log: Some(log_path.clone()),
         slow_threshold: Duration::ZERO,
         ..ServerConfig::default()
     })
@@ -184,17 +189,17 @@ fn awkward_client_ids_survive_the_response_and_the_slow_log() {
     assert_eq!(response.get("id").and_then(Json::as_str), Some(id));
     handle.shutdown().unwrap();
 
-    let log = std::fs::read_to_string(&slow_path).unwrap();
+    let log = std::fs::read_to_string(&log_path).unwrap();
     let entries: Vec<Json> = log
         .lines()
-        .map(|l| json::parse(l).unwrap_or_else(|e| panic!("unparseable slow-log line {l}: {e}")))
+        .map(|l| json::parse(l).unwrap_or_else(|e| panic!("unparseable span line {l}: {e}")))
         .collect();
     let entry = entries
         .iter()
         .find(|e| e.get("id").and_then(Json::as_str) == Some(id))
-        .unwrap_or_else(|| panic!("slow log must carry the id intact:\n{log}"));
-    assert_eq!(entry.get("kind").and_then(Json::as_str), Some("enumerate"));
-    assert!(log.contains("\"kind\":\"enumerate\""), "{log}");
+        .unwrap_or_else(|| panic!("span log must carry the id intact:\n{log}"));
+    assert_eq!(entry.get("req").and_then(Json::as_str), Some("enumerate"));
+    assert!(log.contains("\"req\":\"enumerate\""), "{log}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -202,7 +202,10 @@ fn forwarded_request_yields_one_linked_trace() {
     assert!(entry.dur_ns >= forward.dur_ns, "{entry:?} vs {forward:?}");
     assert!(forward.dur_ns >= owner.dur_ns, "{forward:?} vs {owner:?}");
     assert!(owner.dur_ns >= work.dur_ns, "{owner:?} vs {work:?}");
+    // The phases carry the run's own timers, not the cache's zeroed
+    // copy.
     let phase_sum: u64 = phases.iter().map(|p| p.dur_ns).sum();
+    assert!(phase_sum > 0, "phase spans must be timed: {phases:?}");
     assert!(
         phase_sum <= work.dur_ns,
         "phases ({phase_sum}) exceed the enumerate span ({})",
