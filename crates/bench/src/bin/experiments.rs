@@ -199,20 +199,19 @@ fn experiment_tso() {
         ModelSel::Pso,
         ModelSel::Weak,
     ] {
-        let outcomes = cached_enumerate(
+        let (value, _) = cached_enumerate(
             cache(),
             &entry.test.program,
             &model.policy(),
             &config(),
             enumerate_pruned,
         )
-        .expect("enumeration succeeds")
-        .0
-        .outcomes;
+        .expect("enumeration succeeds");
+        let outcomes = &value.outcomes;
         println!(
             "  {:9} -> {} ({} outcomes total)",
             model.name(),
-            if cond.observable_in(&outcomes) {
+            if cond.observable_in(outcomes) {
                 "allowed"
             } else {
                 "forbidden"

@@ -14,6 +14,15 @@
 //! and wall-clock observation timings are zeroed on insert so a hit
 //! returns the same bytes whichever run produced it.
 //!
+//! The entry is the only per-fingerprint state. Shards hold
+//! `Arc<CachedResult>`, so a hit clones no outcome set.
+//! [`EnumCache::get_or_fill`] runs one fill per fingerprint; concurrent
+//! callers for that key wait and count as hits, and a fill that errors
+//! or panics wakes them so the next caller fills. A fill must not look
+//! up its own fingerprint: it would wait on itself forever. The entry
+//! renders its wire JSON once ([`CachedResult::outcomes_json`],
+//! [`CachedResult::stats_json`]) for warm responses to splice.
+//!
 //! Budget interaction: a cache hit consumes no fork fuel. The cached
 //! answer is the *complete* answer, so serving it under a small
 //! [`EnumConfig::budget`](crate::enumerate::EnumConfig) is strictly
@@ -48,10 +57,11 @@
 //! ```
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 use crate::enumerate::{EnumConfig, EnumResult, EnumStats};
 use crate::error::EnumError;
@@ -62,52 +72,110 @@ use crate::outcome::{Outcome, OutcomeSet};
 use crate::policy::Policy;
 
 /// The memoized answer to one enumeration query.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct CachedResult {
     /// Every distinct final outcome of the program under the policy.
     pub outcomes: OutcomeSet,
     /// Deterministic run statistics (wall-clock timings zeroed; see the
     /// module docs).
     pub stats: EnumStats,
+    /// The `outcomes` and `stats` JSON fragments, rendered on first use;
+    /// the cache hands entries out behind `Arc`, so they cannot change.
+    wire: OnceLock<(String, String)>,
 }
 
+/// Equality is on the answer; the rendered fragments are derived from it.
+impl PartialEq for CachedResult {
+    fn eq(&self, other: &Self) -> bool {
+        self.outcomes == other.outcomes && self.stats == other.stats
+    }
+}
+
+impl Eq for CachedResult {}
+
 impl CachedResult {
+    /// An entry for `outcomes` with run statistics `stats`, taken as given.
+    pub fn new(outcomes: OutcomeSet, stats: EnumStats) -> Self {
+        CachedResult {
+            outcomes,
+            stats,
+            wire: OnceLock::new(),
+        }
+    }
+
     /// Extracts the cacheable part of an [`EnumResult`], normalizing the
     /// statistics to their deterministic subset.
     pub fn from_result(result: &EnumResult) -> Self {
         let mut stats = result.stats;
         stats.obs = stats.obs.map(|o| o.counters());
-        CachedResult {
-            outcomes: result.outcomes.clone(),
-            stats,
-        }
+        CachedResult::new(result.outcomes.clone(), stats)
     }
 
-    /// Number of distinct complete executions behind the outcome set.
-    pub fn distinct_executions(&self) -> usize {
-        self.stats.distinct_executions
+    /// The outcome set as JSON: one array per outcome, holding one array
+    /// of register values per thread (`[[[r,…],…],…]`).
+    pub fn outcomes_json(&self) -> &str {
+        &self.wire().0
+    }
+
+    /// The statistics as JSON ([`EnumStats::to_json`]).
+    pub fn stats_json(&self) -> &str {
+        &self.wire().1
+    }
+
+    fn wire(&self) -> &(String, String) {
+        self.wire.get_or_init(|| {
+            // Every element is written with a trailing comma; the commas
+            // before a closing bracket are dropped at the end.
+            let mut outcomes = String::from("[");
+            for o in self.outcomes.iter() {
+                outcomes.push('[');
+                for t in 0..o.thread_count() {
+                    outcomes.push('[');
+                    for v in o.thread_regs(t) {
+                        let _ = write!(outcomes, "{},", v.raw());
+                    }
+                    outcomes.push_str("],");
+                }
+                outcomes.push_str("],");
+            }
+            outcomes.push(']');
+            (outcomes.replace(",]", "]"), self.stats.to_json())
+        })
     }
 }
 
-/// One LRU shard: fingerprint → (last-touch stamp, answer).
+/// How [`EnumCache::get_or_fill`] found its answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lookup {
+    /// Answered from the cache, perhaps after waiting; `false` for the filler.
+    pub hit: bool,
+    /// This caller waited on another caller's fill for the same key.
+    pub waited: bool,
+}
+
+/// One LRU shard: fingerprint → (last-touch stamp, answer), plus the
+/// running fills, each with whether a caller waits on it (waking is a
+/// system call, so an unwatched fill skips it).
+#[derive(Default)]
 struct Shard {
-    entries: HashMap<u128, (u64, CachedResult)>,
+    entries: HashMap<u128, (u64, Arc<CachedResult>)>,
+    pending: HashMap<u128, bool>,
     clock: u64,
 }
 
 impl Shard {
-    fn touch(&mut self, key: u128) -> Option<CachedResult> {
+    fn touch(&mut self, key: u128) -> Option<Arc<CachedResult>> {
         self.clock += 1;
         let clock = self.clock;
         self.entries.get_mut(&key).map(|slot| {
             slot.0 = clock;
-            slot.1.clone()
+            Arc::clone(&slot.1)
         })
     }
 
     /// Inserts, evicting the least-recently-touched entry when the shard
     /// is at `capacity`. Returns `true` when an eviction happened.
-    fn insert(&mut self, key: u128, value: CachedResult, capacity: usize) -> bool {
+    fn insert(&mut self, key: u128, value: Arc<CachedResult>, capacity: usize) -> bool {
         self.clock += 1;
         let mut evicted = false;
         if !self.entries.contains_key(&key) && self.entries.len() >= capacity {
@@ -118,6 +186,42 @@ impl Shard {
         }
         self.entries.insert(key, (self.clock, value));
         evicted
+    }
+}
+
+/// A shard, the condition variable notified when one of its fills ends,
+/// and its lookup tallies.
+#[derive(Default)]
+struct ShardSlot {
+    shard: Mutex<Shard>,
+    filled: Condvar,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl ShardSlot {
+    fn lock(&self) -> MutexGuard<'_, Shard> {
+        self.shard.lock().expect("cache shard poisoned")
+    }
+
+    fn count(&self, hit: bool) {
+        let tally = if hit { &self.hits } else { &self.misses };
+        tally.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Clears a fill's pending mark and wakes the shard's waiters when
+/// dropped, whether the fill returned or unwound.
+struct PendingFill<'a> {
+    slot: &'a ShardSlot,
+    key: u128,
+}
+
+impl Drop for PendingFill<'_> {
+    fn drop(&mut self) {
+        if self.slot.lock().pending.remove(&self.key) == Some(true) {
+            self.slot.filled.notify_all();
+        }
     }
 }
 
@@ -182,14 +286,10 @@ pub struct ShardStats {
 /// so concurrent service workers rarely contend. Capacity is enforced
 /// per shard with least-recently-used eviction.
 pub struct EnumCache {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<ShardSlot>,
     capacity_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
     evictions: AtomicU64,
     insertions: AtomicU64,
-    shard_hits: Vec<AtomicU64>,
-    shard_misses: Vec<AtomicU64>,
 }
 
 impl std::fmt::Debug for EnumCache {
@@ -217,21 +317,10 @@ impl EnumCache {
     pub fn with_shards(shard_count: usize, capacity_per_shard: usize) -> Self {
         let shard_count = shard_count.max(1);
         EnumCache {
-            shards: (0..shard_count)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        entries: HashMap::new(),
-                        clock: 0,
-                    })
-                })
-                .collect(),
+            shards: (0..shard_count).map(|_| ShardSlot::default()).collect(),
             capacity_per_shard: capacity_per_shard.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
-            shard_hits: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
-            shard_misses: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -242,66 +331,89 @@ impl EnumCache {
         ((raw >> 64) ^ raw) as usize % self.shards.len()
     }
 
-    fn shard_of(&self, fp: Fingerprint) -> &Mutex<Shard> {
-        &self.shards[self.shard_index(fp)]
+    fn shard_of(&self, fp: Fingerprint) -> MutexGuard<'_, Shard> {
+        self.shards[self.shard_index(fp)].lock()
     }
 
-    /// Looks up an answer, refreshing its LRU stamp on a hit.
-    pub fn get(&self, fp: Fingerprint) -> Option<CachedResult> {
-        let idx = self.shard_index(fp);
-        let found = self.shards[idx]
-            .lock()
-            .expect("cache shard poisoned")
-            .touch(fp.raw());
-        match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.shard_hits[idx].fetch_add(1, Ordering::Relaxed)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.shard_misses[idx].fetch_add(1, Ordering::Relaxed)
-            }
-        };
+    fn insert_at(&self, shard: &mut Shard, key: u128, value: Arc<CachedResult>) {
+        if shard.insert(key, value, self.capacity_per_shard) {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        self.insertions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Looks up an answer, refreshing its LRU stamp on a hit. Does not
+    /// wait for a running fill: a key being filled is a miss.
+    pub fn get(&self, fp: Fingerprint) -> Option<Arc<CachedResult>> {
+        let slot = &self.shards[self.shard_index(fp)];
+        let found = slot.lock().touch(fp.raw());
+        slot.count(found.is_some());
         found
+    }
+
+    /// Looks up an answer, running `fill` to compute and insert it on a
+    /// miss. One fill per fingerprint runs at a time: a caller that finds
+    /// the key being filled waits, then counts as a hit (or fills itself
+    /// when that fill failed). Every call counts one hit or one miss.
+    /// `fill` runs with no lock held and must not look up `fp` itself, or
+    /// it waits on its own pending mark forever.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `fill` returns; errors are not cached. An error or a
+    /// panic in `fill` clears the pending mark and wakes the waiters.
+    pub fn get_or_fill<E>(
+        &self,
+        fp: Fingerprint,
+        fill: impl FnOnce() -> Result<CachedResult, E>,
+    ) -> Result<(Arc<CachedResult>, Lookup), E> {
+        let (slot, key) = (&self.shards[self.shard_index(fp)], fp.raw());
+        let mut shard = slot.lock();
+        let mut waited = false;
+        loop {
+            if let Some(found) = shard.touch(key) {
+                slot.count(true);
+                return Ok((found, Lookup { hit: true, waited }));
+            }
+            match shard.pending.get_mut(&key) {
+                Some(watched) => *watched = true,
+                None => {
+                    shard.pending.insert(key, false);
+                    break;
+                }
+            }
+            waited = true;
+            shard = slot.filled.wait(shard).expect("cache shard poisoned");
+        }
+        drop(shard);
+        slot.count(false);
+        let pending = PendingFill { slot, key };
+        let value = Arc::new(fill()?);
+        self.insert_at(&mut slot.lock(), key, Arc::clone(&value));
+        drop(pending);
+        Ok((value, Lookup { hit: false, waited }))
     }
 
     /// Inserts (or replaces) an answer.
     pub fn insert(&self, fp: Fingerprint, value: CachedResult) {
-        let evicted = self
-            .shard_of(fp)
-            .lock()
-            .expect("cache shard poisoned")
-            .insert(fp.raw(), value, self.capacity_per_shard);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        if evicted {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        self.insert_at(&mut self.shard_of(fp), fp.raw(), Arc::new(value));
     }
 
     /// Removes one entry; returns `true` when it was present.
     pub fn invalidate(&self, fp: Fingerprint) -> bool {
-        self.shard_of(fp)
-            .lock()
-            .expect("cache shard poisoned")
-            .entries
-            .remove(&fp.raw())
-            .is_some()
+        self.shard_of(fp).entries.remove(&fp.raw()).is_some()
     }
 
     /// Drops every entry (counters are kept).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("cache shard poisoned").entries.clear();
+        for slot in &self.shards {
+            slot.lock().entries.clear();
         }
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").entries.len())
-            .sum()
+        self.shards.iter().map(|s| s.lock().entries.len()).sum()
     }
 
     /// Returns `true` when no entries are resident.
@@ -313,11 +425,7 @@ impl EnumCache {
     /// refreshing LRU recency — the cluster router's pre-check, which
     /// must not skew the cache statistics of queries it never answers.
     pub fn contains(&self, fp: Fingerprint) -> bool {
-        self.shard_of(fp)
-            .lock()
-            .expect("cache shard poisoned")
-            .entries
-            .contains_key(&fp.raw())
+        self.shard_of(fp).entries.contains_key(&fp.raw())
     }
 
     /// Number of shards in this cache's geometry.
@@ -326,28 +434,28 @@ impl EnumCache {
     }
 
     /// Per-shard counters, indexed by shard, for per-shard exposition
-    /// labels. Hit/miss tallies are maintained per shard alongside the
-    /// global counters, so the per-shard rows always sum to the totals.
+    /// labels. Hits and misses are only tallied per shard, so the rows
+    /// always sum to the totals of [`EnumCache::stats`].
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()
-            .enumerate()
-            .map(|(i, shard)| ShardStats {
-                entries: shard.lock().expect("cache shard poisoned").entries.len(),
-                hits: self.shard_hits[i].load(Ordering::Relaxed),
-                misses: self.shard_misses[i].load(Ordering::Relaxed),
+            .map(|slot| ShardStats {
+                entries: slot.lock().entries.len(),
+                hits: slot.hits.load(Ordering::Relaxed),
+                misses: slot.misses.load(Ordering::Relaxed),
             })
             .collect()
     }
 
     /// A point-in-time snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
+        let shards = self.shard_stats();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: shards.iter().map(|s| s.hits).sum(),
+            misses: shards.iter().map(|s| s.misses).sum(),
             evictions: self.evictions.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
-            entries: self.len(),
+            entries: shards.iter().map(|s| s.entries).sum(),
         }
     }
 
@@ -367,10 +475,10 @@ impl EnumCache {
     /// removed best-effort and `path` is untouched.
     pub fn save_to(&self, path: impl AsRef<Path>) -> std::io::Result<usize> {
         let path = path.as_ref();
-        let mut rows: Vec<(u128, CachedResult)> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("cache shard poisoned");
-            rows.extend(shard.entries.iter().map(|(&k, (_, v))| (k, v.clone())));
+        let mut rows: Vec<(u128, Arc<CachedResult>)> = Vec::new();
+        for slot in &self.shards {
+            let shard = slot.lock();
+            rows.extend(shard.entries.iter().map(|(&k, (_, v))| (k, Arc::clone(v))));
         }
         rows.sort_by_key(|(k, _)| *k);
         let mut tmp_name = path.as_os_str().to_owned();
@@ -539,13 +647,14 @@ fn parse_line(line: &str) -> Option<(Fingerprint, CachedResult)> {
         max_graph_nodes: max_graph_nodes as usize,
         obs,
     };
-    Some((fp, CachedResult { outcomes, stats }))
+    Some((fp, CachedResult::new(outcomes, stats)))
 }
 
-/// Runs `engine` through the cache: on a hit the memoized answer is
-/// returned without enumerating; on a miss the engine runs (with
-/// `keep_executions` forced off — executions are never cached) and the
-/// normalized answer is inserted. The boolean is `true` on a hit.
+/// Runs `engine` through the cache with [`EnumCache::get_or_fill`]: on
+/// a hit the memoized answer is returned without enumerating; on a miss
+/// the engine runs (with `keep_executions` forced off — executions are
+/// never cached) and the normalized answer is inserted. Identical
+/// concurrent calls share one run. The boolean is `true` on a hit.
 ///
 /// Errors are **not** cached: a query that fails (over budget, node
 /// limit, ...) is retried fresh on the next call, so raising the budget
@@ -560,19 +669,16 @@ pub fn cached_enumerate(
     policy: &Policy,
     config: &EnumConfig,
     engine: impl FnOnce(&Program, &Policy, &EnumConfig) -> Result<EnumResult, EnumError>,
-) -> Result<(CachedResult, bool), EnumError> {
+) -> Result<(Arc<CachedResult>, bool), EnumError> {
     let fp = query_fingerprint(program, policy, config);
-    if let Some(hit) = cache.get(fp) {
-        return Ok((hit, true));
-    }
-    let run_config = EnumConfig {
-        keep_executions: false,
-        ..config.clone()
-    };
-    let result = engine(program, policy, &run_config)?;
-    let value = CachedResult::from_result(&result);
-    cache.insert(fp, value.clone());
-    Ok((value, false))
+    let (value, lookup) = cache.get_or_fill(fp, || {
+        let run_config = EnumConfig {
+            keep_executions: false,
+            ..config.clone()
+        };
+        engine(program, policy, &run_config).map(|result| CachedResult::from_result(&result))
+    })?;
+    Ok((value, lookup.hit))
 }
 
 #[cfg(test)]
@@ -658,10 +764,7 @@ mod tests {
     fn lru_evicts_the_least_recently_used() {
         // One shard of two entries gives exact global LRU order.
         let cache = EnumCache::with_shards(1, 2);
-        let value = CachedResult {
-            outcomes: OutcomeSet::default(),
-            stats: EnumStats::default(),
-        };
+        let value = CachedResult::new(OutcomeSet::default(), EnumStats::default());
         let fp = |n: u128| Fingerprint::from_raw(n);
         cache.insert(fp(1), value.clone());
         cache.insert(fp(2), value.clone());
@@ -729,7 +832,7 @@ mod tests {
         assert_eq!((loaded, skipped), (1, 2));
         let entry = cache.get(Fingerprint::from_raw(42)).unwrap();
         assert_eq!(entry.outcomes.len(), 2);
-        assert_eq!(entry.distinct_executions(), 1);
+        assert_eq!(entry.stats.distinct_executions, 1);
         assert!(cache.get(Fingerprint::from_raw(7)).is_none());
         std::fs::remove_file(&path).ok();
     }
@@ -746,10 +849,7 @@ mod tests {
         std::fs::write(&path, "garbage from a previous run\n").unwrap();
 
         let cache = EnumCache::new(8);
-        let value = CachedResult {
-            outcomes: OutcomeSet::default(),
-            stats: EnumStats::default(),
-        };
+        let value = CachedResult::new(OutcomeSet::default(), EnumStats::default());
         cache.insert(Fingerprint::from_raw(1), value.clone());
         cache.insert(Fingerprint::from_raw(2), value);
         assert_eq!(cache.save_to(&path).unwrap(), 2);
@@ -764,10 +864,7 @@ mod tests {
     #[test]
     fn shard_stats_sum_to_the_global_counters() {
         let cache = EnumCache::with_shards(4, 16);
-        let value = CachedResult {
-            outcomes: OutcomeSet::default(),
-            stats: EnumStats::default(),
-        };
+        let value = CachedResult::new(OutcomeSet::default(), EnumStats::default());
         for n in 0..10u128 {
             cache.insert(Fingerprint::from_raw(n), value.clone());
         }
@@ -788,5 +885,100 @@ mod tests {
         );
         assert_eq!(global.hits, 10);
         assert_eq!(global.misses, 10);
+    }
+
+    /// An entry distinguishable from the empty one.
+    fn sb_entry() -> CachedResult {
+        let result = enumerate(&sb(), &Policy::weak(), &EnumConfig::default()).unwrap();
+        CachedResult::from_result(&result)
+    }
+
+    #[test]
+    fn concurrent_callers_share_one_fill() {
+        const CALLERS: usize = 8;
+        let cache = EnumCache::new(64);
+        let fp = Fingerprint::from_raw(99);
+        let fills = AtomicU64::new(0);
+        let barrier = std::sync::Barrier::new(CALLERS);
+        let answers: Vec<(Arc<CachedResult>, Lookup)> = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        cache
+                            .get_or_fill(fp, || {
+                                fills.fetch_add(1, Ordering::Relaxed);
+                                // Long enough for every caller to arrive.
+                                std::thread::sleep(std::time::Duration::from_millis(50));
+                                Ok::<_, EnumError>(sb_entry())
+                            })
+                            .unwrap()
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        assert_eq!(fills.load(Ordering::Relaxed), 1, "one fill per key");
+        assert_eq!(answers.iter().filter(|(_, l)| !l.hit).count(), 1);
+        assert!(answers.iter().all(|(v, _)| **v == sb_entry()));
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, CALLERS as u64);
+        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.insertions, 1);
+    }
+
+    /// A `get_or_fill` of `fp` on another thread, given up on after ten
+    /// seconds, so a lost wake-up fails the test instead of hanging it.
+    fn fill_in_time(cache: &Arc<EnumCache>, fp: Fingerprint) -> Lookup {
+        let (cache, (done, answer)) = (Arc::clone(cache), std::sync::mpsc::channel());
+        std::thread::spawn(move || {
+            let filled = cache.get_or_fill(fp, || Ok::<_, EnumError>(sb_entry()));
+            done.send(filled.unwrap().1).unwrap();
+        });
+        answer
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("get_or_fill must not wait on a finished fill")
+    }
+
+    #[test]
+    fn a_failed_fill_caches_nothing_and_the_next_caller_fills() {
+        let cache = Arc::new(EnumCache::new(64));
+        let fp = Fingerprint::from_raw(5);
+        let failed = cache.get_or_fill(fp, || Err(EnumError::Stuck));
+        assert!(matches!(failed, Err(EnumError::Stuck)));
+        assert!(cache.is_empty(), "errors are never cached");
+        let filled = Lookup {
+            hit: false,
+            waited: false,
+        };
+        assert_eq!(fill_in_time(&cache, fp), filled);
+        assert_eq!(*cache.get(fp).unwrap(), sb_entry());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 2, 1));
+    }
+
+    #[test]
+    fn a_panicking_fill_releases_its_waiters() {
+        let cache = Arc::new(EnumCache::new(64));
+        let fp = Fingerprint::from_raw(6);
+        let (started, filling) = std::sync::mpsc::channel();
+        let filler = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                cache.get_or_fill(fp, || -> Result<CachedResult, EnumError> {
+                    started.send(()).unwrap();
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    panic!("fill panics")
+                })
+            })
+        };
+        filling.recv().unwrap();
+        let after_the_panic = Lookup {
+            hit: false,
+            waited: true,
+        };
+        assert_eq!(fill_in_time(&cache, fp), after_the_panic);
+        assert!(filler.join().is_err());
+        assert!(cache.contains(fp));
     }
 }

@@ -629,7 +629,8 @@ fn make_witness(behavior: Behavior, path: Vec<(NodeId, NodeId)>) -> Witness {
 ///
 /// # Errors
 ///
-/// As for [`crate::enumerate::behaviors`].
+/// As for [`crate::enumerate::behaviors`], including
+/// [`EnumError::Overbudget`] past [`EnumConfig::budget`] forks.
 pub fn refute(
     program: &Program,
     policy: &Policy,
@@ -657,6 +658,7 @@ pub fn refute(
     let mut stack: Vec<(Behavior, Vec<(NodeId, NodeId)>)> = vec![(root, Vec::new())];
     let mut blocked: Option<BlockedRefutation> = None;
     let mut explored = 0usize;
+    let mut forks = 0u64;
 
     while let Some((behavior, prefix)) = stack.pop() {
         explored += 1;
@@ -701,6 +703,10 @@ pub fn refute(
             let mut survivors = 0usize;
             let mut first_cycle: Option<NodeId> = None;
             for store in chosen {
+                forks += 1;
+                if let Some(budget) = config.budget.filter(|&b| forks > b) {
+                    return Err(EnumError::Overbudget { budget, forks });
+                }
                 let mut fork = behavior.clone();
                 let step = fork
                     .resolve_load(load, store)
@@ -979,6 +985,32 @@ mod tests {
         w.verify(&sb(), &Policy::weak(), config.max_nodes_per_thread)
             .unwrap();
         assert!(w.to_json().contains("\"serialization\""));
+    }
+
+    #[test]
+    fn refutation_honours_the_fork_budget() {
+        let one = EnumConfig::builder().budget(1).build();
+        for policy in [Policy::weak(), Policy::sequential_consistency()] {
+            assert_eq!(
+                refute(&sb(), &policy, &one, &zero_zero()).unwrap_err(),
+                EnumError::Overbudget {
+                    budget: 1,
+                    forks: 2
+                },
+                "{}",
+                policy.name()
+            );
+            // A budget the search fits in leaves the answer unchanged.
+            let unbudgeted = refute(&sb(), &policy, &EnumConfig::default(), &zero_zero());
+            let roomy = EnumConfig::builder().budget(1_000).build();
+            let budgeted = refute(&sb(), &policy, &roomy, &zero_zero());
+            assert_eq!(
+                format!("{budgeted:?}"),
+                format!("{unbudgeted:?}"),
+                "{}",
+                policy.name()
+            );
+        }
     }
 
     #[test]

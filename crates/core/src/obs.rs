@@ -63,6 +63,17 @@ impl Obs {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Adds the six counters of `stats` to these and leaves the timers
+    /// alone: statistics that came through the cache carry no timings.
+    pub fn add_counters(&self, stats: &ObsStats) {
+        Obs::add(&self.rule_a, stats.rule_a);
+        Obs::add(&self.rule_b, stats.rule_b);
+        Obs::add(&self.rule_c, stats.rule_c);
+        Obs::add(&self.closure_rounds, stats.closure_rounds);
+        Obs::add(&self.candidate_calls, stats.candidate_calls);
+        Obs::add(&self.candidate_stores, stats.candidate_stores);
+    }
+
     /// Starts timing a phase that may run the closure: the clock and
     /// the closure time recorded so far. Pair with [`Obs::end_phase`].
     pub fn start_phase(&self) -> (Instant, u64) {

@@ -223,7 +223,7 @@ fn run_entry_with(
             Some(cache) => {
                 let (value, hit) =
                     cached_enumerate(cache, &entry.test.program, policy, config, engine)?;
-                Ok((value.outcomes, value.stats, hit))
+                Ok((value.outcomes.clone(), value.stats, hit))
             }
             None => {
                 let result = engine(&entry.test.program, policy, config)?;

@@ -198,12 +198,11 @@ fn program_differs(
     let enum_config = EnumConfig::builder().keep_executions(false).build();
     let outcomes = |policy: &Policy| -> OutcomeSet {
         match cache {
-            Some(cache) => {
-                cached_enumerate(cache, program, policy, &enum_config, enumerate_pruned)
-                    .expect("enumeration succeeds")
-                    .0
-                    .outcomes
-            }
+            Some(cache) => cached_enumerate(cache, program, policy, &enum_config, enumerate_pruned)
+                .expect("enumeration succeeds")
+                .0
+                .outcomes
+                .clone(),
             None => {
                 enumerate_pruned(program, policy, &enum_config)
                     .expect("enumeration succeeds")

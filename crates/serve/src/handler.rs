@@ -4,20 +4,19 @@
 //! Every enumeration-backed request is answered through the
 //! content-addressed [`EnumCache`], so repeated queries for the same
 //! (program, policy, config) fingerprint cost a hash lookup instead of a
-//! fresh enumeration. Witness/refutation requests run fresh — their
-//! artifacts are path-dependent and are not cached.
+//! fresh enumeration, and identical concurrent queries share one.
+//! Witness/refutation requests run fresh — their artifacts are
+//! path-dependent and are not cached.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use samm_analyze::robust::StaticVerdict;
-use samm_core::cache::{cached_enumerate, EnumCache};
+use samm_core::cache::{CachedResult, EnumCache};
 use samm_core::enumerate::EnumConfig;
 use samm_core::error::EnumError;
 use samm_core::explain::{find_witness, refute, Goal, Refutation, RefuteOutcome};
-use samm_core::outcome::{Outcome, OutcomeSet};
 use samm_core::pruned::enumerate_pruned;
 use samm_core::telemetry::trace::{ActiveSpan, SpanKind, SpanSink, TraceContext};
 use samm_core::telemetry::HistogramSnapshot;
@@ -49,51 +48,6 @@ pub struct ServerState {
     pub observe: bool,
     /// Cluster membership and peer pools when serving in cluster mode.
     pub cluster: Option<Arc<Cluster>>,
-    /// Single-flight table: fingerprints with an enumeration currently
-    /// running, so identical concurrent queries wait for the leader's
-    /// cache insert instead of duplicating the work.
-    flights: Mutex<HashMap<u128, Arc<Flight>>>,
-    /// Pre-rendered `outcomes`/`stats` response fragments keyed by
-    /// fingerprint: the expensive parts of a warm enumerate response
-    /// are identical on every hit, so they are rendered once and
-    /// spliced as [`Json::Raw`] afterwards.
-    rendered: Mutex<HashMap<u128, RenderedResult>>,
-}
-
-/// The fingerprint-invariant parts of an enumerate response, rendered.
-#[derive(Debug, Clone)]
-struct RenderedResult {
-    outcomes: String,
-    stats: String,
-    outcome_count: usize,
-    executions: usize,
-}
-
-/// Bound on [`ServerState::rendered`]: above this the memo is cleared
-/// wholesale (entries re-render on their next hit). The enumerate
-/// cache evicts on its own schedule, so precise mirroring is not worth
-/// the bookkeeping — the memo just has to stay bounded.
-const RENDERED_CAP: usize = 8192;
-
-/// One in-flight enumeration other requests can wait on.
-#[derive(Debug, Default)]
-struct Flight {
-    done: Mutex<bool>,
-    finished: Condvar,
-}
-
-impl Flight {
-    fn finish(&self) {
-        *self.done.lock().expect("flight poisoned") = true;
-        self.finished.notify_all();
-    }
-
-    fn wait(&self) {
-        let mut done = self.done.lock().expect("flight poisoned");
-        while !*done {
-            done = self.finished.wait(done).expect("flight poisoned");
-        }
-    }
 }
 
 impl ServerState {
@@ -117,8 +71,6 @@ impl ServerState {
             telemetry,
             observe,
             cluster: None,
-            flights: Mutex::new(HashMap::new()),
-            rendered: Mutex::new(HashMap::new()),
         }
     }
 
@@ -380,24 +332,6 @@ fn condition_goal(entry: &CatalogEntry, condition: usize) -> Result<(Goal, Strin
     Ok((Goal::new(cond.clauses.clone()), cond.text.clone()))
 }
 
-fn outcomes_json(outcomes: &OutcomeSet) -> Json {
-    let render = |o: &Outcome| {
-        Json::Arr(
-            (0..o.thread_count())
-                .map(|t| {
-                    Json::Arr(
-                        o.thread_regs(t)
-                            .iter()
-                            .map(|v| Json::num(v.raw() as f64))
-                            .collect(),
-                    )
-                })
-                .collect(),
-        )
-    };
-    Json::Arr(outcomes.iter().map(render).collect())
-}
-
 fn enumerate_response(
     state: &ServerState,
     test: &str,
@@ -467,53 +401,21 @@ fn enumerate_response(
     // The cache keeps only the deterministic counters; the phase spans
     // need this run's own timers.
     let mut run_obs = None;
-    // Single-flight: one leader per fingerprint enumerates; identical
-    // concurrent queries wait for its cache insert and then hit.
-    let (value, hit) = loop {
-        let flight = {
-            let mut flights = state.flights.lock().expect("flights poisoned");
-            match flights.get(&fp.raw()) {
-                Some(flight) => Some(Arc::clone(flight)),
-                None => {
-                    flights.insert(fp.raw(), Arc::new(Flight::default()));
-                    None
-                }
-            }
-        };
-        if let Some(flight) = flight {
-            state
-                .telemetry
-                .singleflight_waits
-                .fetch_add(1, Ordering::Relaxed);
-            flight.wait();
-            // Leader finished: retry. A successful leader filled the
-            // cache (hit); a failed one left it empty and this waiter
-            // becomes the next leader.
-            continue;
-        }
-        let outcome = cached_enumerate(
-            &state.cache,
-            &entry.test.program,
-            &policy,
-            &config,
-            |program, policy, config| {
-                let result = enumerate_pruned(program, policy, config);
-                run_obs = result.as_ref().ok().and_then(|r| r.stats.obs);
-                result
-            },
-        );
-        let flight = state
-            .flights
-            .lock()
-            .expect("flights poisoned")
-            .remove(&fp.raw());
-        if let Some(flight) = flight {
-            flight.finish();
-        }
-        break outcome.map_err(enum_error)?;
-    };
-    if !hit {
-        state.telemetry.fold_stats(&value.stats);
+    // The cache runs one fill per fingerprint; identical concurrent
+    // queries wait for it and then hit.
+    let (value, lookup) = state
+        .cache
+        .get_or_fill(fp, || {
+            let result = enumerate_pruned(&entry.test.program, &policy, &config)?;
+            run_obs = result.stats.obs;
+            Ok(CachedResult::from_result(&result))
+        })
+        .map_err(enum_error)?;
+    if lookup.waited {
+        state
+            .telemetry
+            .singleflight_waits
+            .fetch_add(1, Ordering::Relaxed);
     }
     // A cache hit never records its work span: it would time nothing
     // but the cache probe, and the server span's `outcome` attribute
@@ -523,7 +425,8 @@ fn enumerate_response(
     // the disjoint obs timers become synthetic child spans, so a
     // flamegraph attributes the miss cost to closure/settle/resolve
     // work.
-    if !hit {
+    if !lookup.hit {
+        state.telemetry.fold_stats(&value.stats);
         if let Some(mut ws) = work_span {
             ws.attr("engine", ENGINE);
             ws.attr("explored", value.stats.explored as u64);
@@ -562,39 +465,20 @@ fn enumerate_response(
             ws.finish(&state.telemetry);
         }
     }
-    // The outcomes/stats fragments are fingerprint-invariant and
-    // dominate the response; render them once per key and splice the
-    // memoized strings on subsequent hits.
-    let fragments = {
-        let mut rendered = state.rendered.lock().expect("rendered poisoned");
-        match rendered.get(&fp.raw()) {
-            Some(found) => found.clone(),
-            None => {
-                if rendered.len() >= RENDERED_CAP {
-                    rendered.clear();
-                }
-                let fresh = RenderedResult {
-                    outcomes: outcomes_json(&value.outcomes).to_string(),
-                    stats: value.stats.to_json(),
-                    outcome_count: value.outcomes.len(),
-                    executions: value.distinct_executions(),
-                };
-                rendered.insert(fp.raw(), fresh.clone());
-                fresh
-            }
-        }
-    };
     let mut fields = vec![
         ("ok", Json::Bool(true)),
         ("kind", Json::str("enumerate")),
         ("test", Json::str(entry.test.name.clone())),
         ("model", Json::str(sel.name())),
         ("engine", Json::str(ENGINE)),
-        ("cache_hit", Json::Bool(hit)),
-        ("outcome_count", Json::num(fragments.outcome_count as f64)),
-        ("executions", Json::num(fragments.executions as f64)),
-        ("outcomes", Json::Raw(fragments.outcomes)),
-        ("stats", Json::Raw(fragments.stats)),
+        ("cache_hit", Json::Bool(lookup.hit)),
+        ("outcome_count", Json::num(value.outcomes.len() as f64)),
+        (
+            "executions",
+            Json::num(value.stats.distinct_executions as f64),
+        ),
+        ("outcomes", Json::Raw(value.outcomes_json().to_owned())),
+        ("stats", Json::Raw(value.stats_json().to_owned())),
     ];
     if let Some(cluster) = &state.cluster {
         fields.push(("node", Json::str(cluster.self_id())));
@@ -977,6 +861,72 @@ mod tests {
         assert_eq!(warm.get("cache_hit").and_then(Json::as_bool), Some(true));
         assert_eq!(cold.get("outcomes"), warm.get("outcomes"));
         assert_eq!(cold.get("outcome_count"), warm.get("outcome_count"));
+    }
+
+    /// The entry's rendered fragments are byte-identical to rendering
+    /// the answer through [`Json`], cold and warm, for every servable
+    /// query.
+    #[test]
+    fn enumerate_fragments_match_the_json_rendering() {
+        fn outcomes_json(outcomes: &samm_core::outcome::OutcomeSet) -> String {
+            let render = |o: &samm_core::outcome::Outcome| {
+                Json::Arr(
+                    (0..o.thread_count())
+                        .map(|t| {
+                            Json::Arr(
+                                o.thread_regs(t)
+                                    .iter()
+                                    .map(|v| Json::num(v.raw() as f64))
+                                    .collect(),
+                            )
+                        })
+                        .collect(),
+                )
+            };
+            Json::Arr(outcomes.iter().map(render).collect()).to_string()
+        }
+        let state = state();
+        let mut checked = 0;
+        for entry in cached_catalog() {
+            for sel in ModelSel::ALL {
+                let fresh =
+                    enumerate_pruned(&entry.test.program, &sel.policy(), &state.config(None));
+                let request = Request::Enumerate {
+                    test: entry.test.name.clone(),
+                    model: sel.name().to_owned(),
+                    budget: None,
+                };
+                let Ok(fresh) = fresh else {
+                    assert_eq!(handle(&state, &request).get("ok"), Some(&Json::Bool(false)));
+                    continue;
+                };
+                let stats = CachedResult::from_result(&fresh).stats.to_json();
+                for hit in [false, true] {
+                    let resp = handle(&state, &request);
+                    let field = |key| resp.get(key).map(Json::to_string);
+                    let name = format!("{}/{} hit={hit}", entry.test.name, sel.name());
+                    assert_eq!(resp.get("cache_hit"), Some(&Json::Bool(hit)), "{name}");
+                    assert_eq!(
+                        field("outcomes"),
+                        Some(outcomes_json(&fresh.outcomes)),
+                        "{name}"
+                    );
+                    assert_eq!(field("stats"), Some(stats.clone()), "{name}");
+                    assert_eq!(
+                        resp.get("outcome_count").and_then(Json::as_u64),
+                        Some(fresh.outcomes.len() as u64),
+                        "{name}"
+                    );
+                    assert_eq!(
+                        resp.get("executions").and_then(Json::as_u64),
+                        Some(fresh.stats.distinct_executions as u64),
+                        "{name}"
+                    );
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked >= 100, "only {checked} queries checked");
     }
 
     #[test]

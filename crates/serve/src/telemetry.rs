@@ -242,8 +242,9 @@ pub struct Telemetry {
     pub forwards_ok: AtomicU64,
     /// Forwards that failed over to local execution (peer unreachable).
     pub forward_fallbacks: AtomicU64,
-    /// Enumerations that waited on an identical in-flight query instead
-    /// of running their own (single-flight de-duplication).
+    /// `enumerate` requests that waited for another request's fill of
+    /// the same cache entry instead of running their own
+    /// ([`samm_core::cache::EnumCache::get_or_fill`]).
     pub singleflight_waits: AtomicU64,
     /// Forwarded-request tallies per peer node id.
     pub peer_forwards: Mutex<BTreeMap<String, u64>>,
@@ -383,15 +384,7 @@ impl Telemetry {
         self.enum_deduped
             .fetch_add(stats.deduped as u64, Ordering::Relaxed);
         if let Some(obs) = &stats.obs {
-            Obs::add(&self.obs_agg.rule_a, obs.rule_a);
-            Obs::add(&self.obs_agg.rule_b, obs.rule_b);
-            Obs::add(&self.obs_agg.rule_c, obs.rule_c);
-            Obs::add(&self.obs_agg.closure_rounds, obs.closure_rounds);
-            Obs::add(&self.obs_agg.candidate_calls, obs.candidate_calls);
-            Obs::add(&self.obs_agg.candidate_stores, obs.candidate_stores);
-            Obs::add(&self.obs_agg.closure_nanos, obs.closure_nanos);
-            Obs::add(&self.obs_agg.settle_nanos, obs.settle_nanos);
-            Obs::add(&self.obs_agg.resolve_nanos, obs.resolve_nanos);
+            self.obs_agg.add_counters(obs);
         }
     }
 

@@ -125,6 +125,77 @@ fn enumeration_cache_is_shared_across_connections() {
     handle.shutdown().unwrap();
 }
 
+/// Single-flight through the whole stack: identical cold queries sent
+/// at once by many clients run one enumeration, and every other client
+/// is answered from the cache entry it filled. Each round starts a fresh
+/// server; one round does not always overlap the fills, ten together do.
+#[test]
+fn concurrent_identical_queries_share_one_enumeration() {
+    const CLIENTS: usize = 8;
+    for round in 0..10 {
+        let handle = start(ServerConfig {
+            workers: 4,
+            ..test_config()
+        })
+        .unwrap();
+        let addr = handle.addr();
+        let barrier = std::sync::Barrier::new(CLIENTS);
+        let answers: Vec<Json> = std::thread::scope(|s| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut client = Client::connect(addr, TIMEOUT).unwrap();
+                        barrier.wait();
+                        client
+                            .request_raw(r#"{"kind":"enumerate","test":"IRIW","model":"Weak"}"#)
+                            .unwrap()
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        assert!(answers.iter().all(ok), "{answers:?}");
+        let fresh = answers
+            .iter()
+            .filter(|a| a.get("cache_hit").and_then(Json::as_bool) == Some(false))
+            .count();
+        assert_eq!(fresh, 1, "round {round}: exactly one client sees the fill");
+        assert!(answers
+            .iter()
+            .all(|a| a.get("outcomes") == answers[0].get("outcomes")));
+
+        let mut client = Client::connect(addr, TIMEOUT).unwrap();
+        let metrics = client.request_raw(r#"{"kind":"metrics"}"#).unwrap();
+        let cache = metrics.get("cache").unwrap();
+        assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(1));
+        assert_eq!(
+            cache.get("hits").and_then(Json::as_u64),
+            Some(CLIENTS as u64 - 1)
+        );
+        handle.shutdown().unwrap();
+    }
+}
+
+#[test]
+fn refutation_over_its_budget_is_a_structured_overbudget_error() {
+    let handle = start(test_config()).unwrap();
+    let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
+    let broke = client
+        .request_raw(r#"{"kind":"refutation","test":"SB","model":"Weak","condition":0,"budget":1}"#)
+        .unwrap();
+    assert!(!ok(&broke), "{broke}");
+    assert_eq!(error_kind(&broke), Some("overbudget"));
+    let metrics = client.request_raw(r#"{"kind":"metrics"}"#).unwrap();
+    let refutation = metrics
+        .get("telemetry")
+        .and_then(|t| t.get("kinds"))
+        .and_then(|k| k.get("refutation"))
+        .unwrap();
+    assert_eq!(refutation.get("overbudget").and_then(Json::as_u64), Some(1));
+    assert_eq!(refutation.get("miss").and_then(Json::as_u64), Some(0));
+    handle.shutdown().unwrap();
+}
+
 #[test]
 fn malformed_and_unknown_requests_return_structured_errors() {
     let handle = start(test_config()).unwrap();

@@ -121,7 +121,7 @@ fn handler_by_test() {
         );
     }
 
-    // cache.get clone cost in isolation
+    // cache.get (a shard lock and a refcount bump) in isolation
     let entry = {
         use samm_litmus::catalog;
         catalog::all()
@@ -146,7 +146,7 @@ fn handler_by_test() {
         std::hint::black_box(cache.get(fp));
     }
     println!(
-        "cache.get clone: {:.1}us",
+        "cache.get: {:.1}us",
         t.elapsed().as_secs_f64() * 1e6 / n as f64
     );
 }
