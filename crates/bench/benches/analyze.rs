@@ -1,11 +1,14 @@
 //! The DRF-SC short-circuit payoff: running a fenced catalog entry
 //! through the full model chain with the static certifier (one SC
 //! enumeration + four static checks) versus honest per-model
-//! enumeration, plus the raw cost of the static passes themselves.
+//! enumeration, plus the raw cost of the static passes themselves, and
+//! the service's verdict path over the whole catalog with and without
+//! the DRF certifier.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use samm_analyze::{certify, find_races, harness};
+use samm_core::cache::EnumCache;
 use samm_core::enumerate::EnumConfig;
 use samm_core::policy::Policy;
 use samm_litmus::{catalog, expect, CatalogEntry};
@@ -83,5 +86,42 @@ fn bench_static_passes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_certified_skip, bench_static_passes);
+/// The service's verdict path over the whole catalog on a cold cache:
+/// `run_entry_cached` with the DRF certifier `samm-serve` passes, versus
+/// certifying nothing (every model enumerated, as before the certifier
+/// was wired in).
+fn bench_verdict_catalog(c: &mut Criterion) {
+    let config = EnumConfig::builder()
+        .keep_executions(false)
+        .observe(true)
+        .build();
+    let entries = catalog::all();
+    let mut group = c.benchmark_group("analyze/verdict-catalog");
+    group.sample_size(10);
+    let certifiers: [(&str, expect::Certifier<'_>); 2] = [
+        ("uncertified", &|_, _| false),
+        ("drf-certified", &harness::drf_certifier),
+    ];
+    for (name, certifier) in certifiers {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let cache = EnumCache::new(1024);
+                for entry in &entries {
+                    std::hint::black_box(
+                        expect::run_entry_cached(entry, &config, &cache, certifier)
+                            .expect("enumeration succeeds"),
+                    );
+                }
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_certified_skip,
+    bench_static_passes,
+    bench_verdict_catalog
+);
 criterion_main!(benches);

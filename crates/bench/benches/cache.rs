@@ -67,15 +67,15 @@ fn bench_harness(c: &mut Criterion) {
     group.bench_function("cold", |b| {
         b.iter(|| {
             let cache = EnumCache::new(64);
-            let report = run_entry_cached(&entry, &cfg, &cache).expect("runs");
+            let report = run_entry_cached(&entry, &cfg, &cache, &|_, _| false).expect("runs");
             std::hint::black_box(report.rows.len())
         });
     });
     let warm = EnumCache::new(64);
-    run_entry_cached(&entry, &cfg, &warm).expect("fills");
+    run_entry_cached(&entry, &cfg, &warm, &|_, _| false).expect("fills");
     group.bench_function("warm", |b| {
         b.iter(|| {
-            let report = run_entry_cached(&entry, &cfg, &warm).expect("runs");
+            let report = run_entry_cached(&entry, &cfg, &warm, &|_, _| false).expect("runs");
             assert!(report.rows.iter().all(|r| r.cache_hit));
             std::hint::black_box(report.rows.len())
         });

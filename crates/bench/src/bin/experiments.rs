@@ -60,8 +60,8 @@ fn experiment_figures() {
     let mut pass = 0usize;
     let mut total = 0usize;
     for entry in catalog::paper_figures() {
-        let report =
-            expect::run_entry_cached(&entry, &config(), cache()).expect("enumeration succeeds");
+        let report = expect::run_entry_cached(&entry, &config(), cache(), &|_, _| false)
+            .expect("enumeration succeeds");
         println!("\n{report}");
         total += report.rows.len();
         pass += report.rows.iter().filter(|r| r.pass()).count();
@@ -120,8 +120,8 @@ fn experiment_classics() {
         if entry.test.name.starts_with("fig") {
             continue;
         }
-        let report =
-            expect::run_entry_cached(&entry, &config(), cache()).expect("enumeration succeeds");
+        let report = expect::run_entry_cached(&entry, &config(), cache(), &|_, _| false)
+            .expect("enumeration succeeds");
         println!("\n{report}");
         total += report.rows.len();
         pass += report.rows.iter().filter(|r| r.pass()).count();

@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 use crate::error::EnumError;
 use crate::exec::{Behavior, StepError};
-use crate::ids::NodeId;
 use crate::instr::Program;
 use crate::obs::{Obs, ObsStats};
 use crate::outcome::OutcomeSet;
@@ -211,11 +210,6 @@ pub struct Behaviors {
     finished: bool,
     /// Shared instrumentation counters (present iff `config.observe`).
     obs: Option<Arc<Obs>>,
-    /// Resolution-path table, present when created by
-    /// [`behaviors_with_paths`]: entry `id - 1` is the
-    /// `(parent id, load, store)` fork that created behaviour `id` (the
-    /// root is id 0 and has no entry).
-    paths: Option<Vec<(u64, NodeId, NodeId)>>,
 }
 
 impl Behaviors {
@@ -228,26 +222,6 @@ impl Behaviors {
             stats.obs = Some(obs.snapshot());
         }
         stats
-    }
-
-    /// The resolution path of behaviour `id` (its
-    /// [`Behavior::fork_id`]): the `(load, store)` pairs applied from the
-    /// root down to `id`, in application order, in O(depth). Returns
-    /// `None` for the root, for an unknown id, and when the stream was
-    /// not created by [`behaviors_with_paths`].
-    pub fn path_to(&self, id: u64) -> Option<Vec<(NodeId, NodeId)>> {
-        let paths = self.paths.as_ref()?;
-        let mut cursor = usize::try_from(id)
-            .ok()
-            .filter(|&i| i > 0 && i <= paths.len())?;
-        let mut path = Vec::new();
-        while cursor > 0 {
-            let (parent, load, store) = paths[cursor - 1];
-            path.push((load, store));
-            cursor = parent as usize;
-        }
-        path.reverse();
-        Some(path)
     }
 }
 
@@ -296,10 +270,6 @@ impl Iterator for Behaviors {
                         }
                     }
                     let mut fork = behavior.clone();
-                    if let Some(paths) = &mut self.paths {
-                        paths.push((behavior.fork_id(), load, store));
-                        fork.set_fork_id(paths.len() as u64);
-                    }
                     let step = fork.resolve_load(load, store).and_then(|()| {
                         fork.settle(
                             &self.program,
@@ -378,33 +348,6 @@ pub fn behaviors(
     policy: &Policy,
     config: &EnumConfig,
 ) -> Result<Behaviors, EnumError> {
-    behaviors_with(program, policy, config, false)
-}
-
-/// Like [`behaviors`], but additionally recording every fork's
-/// `(parent, load, store)` in a resolution-path table, so
-/// [`Behaviors::path_to`] can answer which resolutions produced a
-/// yielded behaviour — the raw material for the witnesses of
-/// [`crate::explain`]. Fork ids are assigned in fork order from the
-/// root's id 0, so the table is deterministic.
-///
-/// # Errors
-///
-/// As for [`behaviors`].
-pub fn behaviors_with_paths(
-    program: &Program,
-    policy: &Policy,
-    config: &EnumConfig,
-) -> Result<Behaviors, EnumError> {
-    behaviors_with(program, policy, config, true)
-}
-
-fn behaviors_with(
-    program: &Program,
-    policy: &Policy,
-    config: &EnumConfig,
-    record_paths: bool,
-) -> Result<Behaviors, EnumError> {
     let may_roll_back = policy.alias_speculation() || policy.has_bypass() || program.uses_rmw();
     let obs = config.observe.then(|| Arc::new(Obs::new()));
     let mut root = Behavior::new(program);
@@ -432,7 +375,6 @@ fn behaviors_with(
         stats: EnumStats::default(),
         finished: false,
         obs,
-        paths: record_paths.then(Vec::new),
     })
 }
 
@@ -974,40 +916,6 @@ mod tests {
             }
         ));
         assert!(stream.next().is_none());
-    }
-
-    #[test]
-    fn path_table_replays_every_yielded_behavior() {
-        let config = EnumConfig::default();
-        let limit = config.max_nodes_per_thread;
-        for prog in [sb(), mp()] {
-            for policy in [Policy::weak(), Policy::sequential_consistency()] {
-                let mut stream = behaviors_with_paths(&prog, &policy, &config).unwrap();
-                let mut yielded = 0usize;
-                while let Some(item) = stream.next() {
-                    let behavior = item.unwrap();
-                    let path = stream
-                        .path_to(behavior.fork_id())
-                        .expect("a yielded behaviour is a recorded fork");
-                    let mut replay = Behavior::new(&prog);
-                    replay.settle(&prog, &policy, limit).unwrap();
-                    for &(load, store) in &path {
-                        replay.resolve_load(load, store).unwrap();
-                        replay.settle(&prog, &policy, limit).unwrap();
-                    }
-                    assert!(replay.is_complete(), "{}: {path:?}", policy.name());
-                    assert_eq!(replay.outcome(), behavior.outcome(), "{}", policy.name());
-                    yielded += 1;
-                }
-                assert_eq!(yielded, stream.stats().distinct_executions);
-                assert_eq!(stream.path_to(0), None, "the root has no path");
-                assert_eq!(stream.path_to(u64::MAX), None, "unknown id");
-            }
-        }
-        // A stream created without the table answers no paths at all.
-        let mut plain = behaviors(&sb(), &Policy::weak(), &config).unwrap();
-        let first = plain.next().unwrap().unwrap();
-        assert_eq!(plain.path_to(first.fork_id()), None);
     }
 
     #[test]

@@ -146,10 +146,6 @@ pub struct Behavior {
     /// Shared instrumentation counters; `None` (the default) keeps every
     /// observation site at a single null check. Forks share the handle.
     obs: Option<Arc<Obs>>,
-    /// Identity of this behaviour in the serial enumerator's
-    /// resolution-path table (0 for the root; excluded from
-    /// [`Behavior::canonical_key`]).
-    fork_id: u64,
 }
 
 impl Clone for Behavior {
@@ -161,7 +157,6 @@ impl Clone for Behavior {
             init_map: Arc::clone(&self.init_map),
             thread_nodes: Arc::clone(&self.thread_nodes),
             obs: self.obs.clone(),
-            fork_id: self.fork_id,
         }
     }
 
@@ -174,7 +169,6 @@ impl Clone for Behavior {
         self.init_map.clone_from(&source.init_map);
         self.thread_nodes.clone_from(&source.thread_nodes);
         self.obs.clone_from(&source.obs);
-        self.fork_id = source.fork_id;
     }
 }
 
@@ -196,7 +190,6 @@ impl Behavior {
             init_map: Arc::new(BTreeMap::new()),
             thread_nodes: Arc::new(vec![Vec::new(); program.threads().len()]),
             obs: None,
-            fork_id: 0,
         };
         for (addr, value) in program.init_entries() {
             b.ensure_init(addr, value);
@@ -218,16 +211,6 @@ impl Behavior {
     /// The attached instrumentation counters, if any.
     pub fn obs(&self) -> Option<&Arc<Obs>> {
         self.obs.as_ref()
-    }
-
-    /// This behaviour's identity in the serial enumerator's
-    /// resolution-path table (see [`crate::enumerate::Behaviors::path_to`]).
-    pub fn fork_id(&self) -> u64 {
-        self.fork_id
-    }
-
-    pub(crate) fn set_fork_id(&mut self, id: u64) {
-        self.fork_id = id;
     }
 
     /// The current PC of a thread.

@@ -5,17 +5,17 @@
 //! graph plus a serialization, and a *forbidden* outcome by showing that
 //! the Store Atomicity rules (Figure 6) leave some load with no candidate
 //! store producing the required value. This module mechanizes both
-//! directions on top of the serial enumerator:
+//! directions on the production engine's behaviour stream:
 //!
-//! * [`find_witness`] streams the serial enumeration with its
-//!   resolution-path table ([`behaviors_with_paths`]) and, at the first
-//!   complete behaviour matching a [`Goal`], packages the resolution
-//!   path ([`crate::enumerate::Behaviors::path_to`]), the final
-//!   outcome, every load's observed store, and a serialization into a
-//!   [`Witness`]. The witness is *checkable*: [`Witness::verify`]
-//!   replays the path from a fresh root and re-validates the
-//!   serialization, so a stored witness re-executes to the same final
-//!   values.
+//! * [`find_witness`] pulls the pruned engine's goal-directed stream
+//!   ([`crate::pruned::stream`], symmetry off, path table on) and, at the
+//!   first complete behaviour matching a [`Goal`], packages the
+//!   resolution path ([`crate::pruned::PrunedStream::path_to`]), the
+//!   final outcome, every load's observed store, and a serialization
+//!   into a [`Witness`]. The search stops there. The witness is
+//!   *checkable*: [`Witness::verify`] replays the path from a fresh root
+//!   and re-validates the serialization, so a stored witness re-executes
+//!   to the same final values.
 //! * [`refute`] proves a goal unobservable. When the goal registers are
 //!   written by unique loads in branch-free threads it runs a guided
 //!   depth-first search that only ever resolves a goal load to a store
@@ -24,7 +24,9 @@
 //!   naming the store that was excluded and the closure rule ([`Rule`])
 //!   responsible. [`BlockedRefutation::verify`] replays the prefix and
 //!   machine-checks that the candidate set is indeed empty of the
-//!   required value and that the named rule's edge is present.
+//!   required value and that the named rule's edge is present. Goals
+//!   outside that fragment exhaust the same stream as [`find_witness`]
+//!   ([`Refutation::Exhaustive`]).
 //!
 //! ```
 //! use samm_core::explain::{find_witness, refute, Goal, RefuteOutcome};
@@ -56,7 +58,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::atomicity::Rule;
-use crate::enumerate::{behaviors_with_paths, EnumConfig};
+use crate::enumerate::EnumConfig;
 use crate::error::EnumError;
 use crate::exec::{Behavior, StepError};
 use crate::graph::{EdgeKind, ExecutionGraph};
@@ -64,6 +66,7 @@ use crate::ids::{NodeId, Reg, Value};
 use crate::instr::{Instr, Program};
 use crate::outcome::Outcome;
 use crate::policy::Policy;
+use crate::pruned::{stream, PrunedStream};
 use crate::serialize::{
     find_serialization, tso_serializations, validate_serialization, validate_tso_serialization,
 };
@@ -523,10 +526,10 @@ pub enum Refutation {
     /// set lacks the required value, and exhausted every alternative.
     Blocked(BlockedRefutation),
     /// The goal fell outside the guided-search fragment (branching
-    /// control flow or multiply-written goal registers); the full
-    /// enumeration was exhausted without observing it.
+    /// control flow or multiply-written goal registers); the pruned
+    /// engine's stream was exhausted without observing it.
     Exhaustive {
-        /// Behaviours explored by the enumeration.
+        /// Behaviours explored by the pruned stream.
         explored: usize,
         /// Distinct complete executions found.
         distinct: usize,
@@ -571,18 +574,30 @@ pub enum RefuteOutcome {
 ///
 /// # Errors
 ///
-/// As for [`crate::enumerate::behaviors`].
+/// As for [`crate::pruned::stream`] and its items; the fork budget
+/// counts the stream's claims.
 pub fn find_witness(
     program: &Program,
     policy: &Policy,
     config: &EnumConfig,
     goal: &Goal,
 ) -> Result<Option<Witness>, EnumError> {
-    let mut stream = behaviors_with_paths(program, policy, config)?;
-    while let Some(item) = stream.next() {
-        let behavior = item?;
+    let mut behaviors = stream(program, policy, config)?;
+    first_match(&mut behaviors, goal)
+}
+
+/// Pulls `behaviors` up to the first behaviour matching `goal` and
+/// packages it with its recorded path.
+fn first_match(
+    behaviors: &mut PrunedStream<'_>,
+    goal: &Goal,
+) -> Result<Option<Witness>, EnumError> {
+    while let Some(item) = behaviors.next() {
+        let (id, behavior) = item?;
         if goal.matches(&behavior.outcome()) {
-            let path = stream.path_to(behavior.fork_id()).unwrap_or_default();
+            let path = behaviors
+                .path_to(id)
+                .expect("the stream records a path for every yielded behaviour");
             return Ok(Some(make_witness(behavior, path)));
         }
     }
@@ -624,13 +639,13 @@ fn make_witness(behavior: Behavior, path: Vec<(NodeId, NodeId)>) -> Witness {
 /// never match (the register is written once), so exhausting the search
 /// is a sound unobservability proof, and the first blocked state yields
 /// a [`BlockedRefutation`] naming the closure rule that emptied the
-/// candidate set. Otherwise the full enumeration runs and
-/// [`Refutation::Exhaustive`] is returned.
+/// candidate set. Otherwise the pruned stream is exhausted and
+/// [`Refutation::Exhaustive`] reports its `explored` and distinct counts.
 ///
 /// # Errors
 ///
-/// As for [`crate::enumerate::behaviors`], including
-/// [`EnumError::Overbudget`] past [`EnumConfig::budget`] forks.
+/// As for [`find_witness`], including [`EnumError::Overbudget`] past
+/// [`EnumConfig::budget`] forks.
 pub fn refute(
     program: &Program,
     policy: &Policy,
@@ -755,24 +770,18 @@ pub fn refute(
     }))
 }
 
-/// The fall-back full enumeration for goals outside the guided fragment.
+/// The fall-back exhaustive search for goals outside the guided fragment.
 fn refute_exhaustive(
     program: &Program,
     policy: &Policy,
     config: &EnumConfig,
     goal: &Goal,
 ) -> Result<RefuteOutcome, EnumError> {
-    let mut stream = behaviors_with_paths(program, policy, config)?;
-    while let Some(item) = stream.next() {
-        let behavior = item?;
-        if goal.matches(&behavior.outcome()) {
-            let path = stream.path_to(behavior.fork_id()).unwrap_or_default();
-            return Ok(RefuteOutcome::Observable(Box::new(make_witness(
-                behavior, path,
-            ))));
-        }
+    let mut behaviors = stream(program, policy, config)?;
+    if let Some(witness) = first_match(&mut behaviors, goal)? {
+        return Ok(RefuteOutcome::Observable(Box::new(witness)));
     }
-    let stats = stream.stats();
+    let stats = behaviors.stats();
     Ok(RefuteOutcome::Refuted(Refutation::Exhaustive {
         explored: stats.explored,
         distinct: stats.distinct_executions,

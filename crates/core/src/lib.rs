@@ -52,7 +52,7 @@
 //! | [`candidates`] | §4 | `candidates(L)` and the load-resolution gate |
 //! | [`exec`] | §4.1 | graph generation + dataflow execution |
 //! | [`mod@enumerate`] | §4.1 | the behaviour-enumeration procedure (the serial oracle) |
-//! | [`pruned`] | §4.1 | prune-before-expand enumeration (the production engine) |
+//! | [`pruned`] | §4.1 | prune-before-expand enumeration and the path-recording behaviour stream (the production engine) |
 //! | [`serialize`] | §3.1 | serializability: witnesses and validation |
 //! | [`outcome`] | — | final register files, outcome sets |
 //! | [`speculation`] | §5 | aliasing-speculation analysis helpers |
@@ -99,8 +99,7 @@ pub(crate) mod testutil;
 pub use atomicity::Rule;
 pub use cache::{cached_enumerate, CacheStats, CachedResult, EnumCache};
 pub use enumerate::{
-    behaviors, behaviors_with_paths, enumerate, Behaviors, EnumConfig, EnumConfigBuilder,
-    EnumResult, EnumStats,
+    behaviors, enumerate, Behaviors, EnumConfig, EnumConfigBuilder, EnumResult, EnumStats,
 };
 pub use error::{CycleError, EnumError};
 pub use exec::Behavior;

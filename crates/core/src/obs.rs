@@ -10,11 +10,10 @@
 //! see experiment E19 for the measured overhead.
 //!
 //! There is no engine event stream. *Which* `(load, store)` resolutions
-//! produced a behaviour is answered by the serial stream's resolution
-//! path table ([`crate::enumerate::behaviors_with_paths`] and
-//! [`crate::enumerate::Behaviors::path_to`]), the one input
-//! [`crate::explain`] needs for witnesses; the pruned engine's prune
-//! counts live in [`crate::pruned::PruneStats`].
+//! produced a behaviour is answered by the pruned stream's path table
+//! ([`crate::pruned::stream`] and [`crate::pruned::PrunedStream::path_to`]),
+//! the one input [`crate::explain`] needs for witnesses; the pruned
+//! engine's prune counts live in [`crate::pruned::PruneStats`].
 //!
 //! No external dependencies: the JSON emitted by [`ObsStats::to_json`]
 //! is hand-rolled (flat objects of unsigned integers only).

@@ -30,6 +30,22 @@
 //!   (Active only when executions are not kept; see
 //!   [`EnumConfig::keep_executions`].)
 //!
+//! The search is a lazy stream of settled complete behaviours,
+//! [`PrunedStream`]. [`enumerate_pruned`] drains it and commits each
+//! behaviour, expanding orbits in the commit step. Goal-directed callers
+//! ([`crate::explain::find_witness`] and the exhaustive fallback of
+//! [`crate::explain::refute`]) pull it through [`stream`] and stop at the
+//! first match. Such a stream records a *path table*: one
+//! `(parent id, load, store)` entry per expanded fork, so the
+//! resolutions that reach a yielded behaviour are a walk up its parents
+//! ([`PrunedStream::path_to`]). Goal-directed streams run with symmetry
+//! **off**: orbit expansion happens only at commit, so a symmetric
+//! stream yields one representative per orbit, and a goal that is not
+//! thread-symmetric could match only a permuted image whose path was
+//! never explored. With the identity group the claim order equals the
+//! serial oracle's dedup order, so the first match is the same
+//! execution the serial stream would yield first.
+//!
 //! Soundness arguments for each rule live in `DESIGN.md`; the
 //! differential test fortress (`tests/pruned_differential.rs`,
 //! `tests/proptests.rs`, `tests/golden_pruning.rs`) pins behaviour-set
@@ -394,23 +410,51 @@ pub fn enumerate_pruned(
 /// identity-only (the per-claim canonicalization cost scales with |G|).
 const SYMMETRY_LIMIT: usize = 64;
 
-struct Engine<'a> {
+/// One explored partial behaviour: the behaviour, its observation set
+/// and that set's commutative hash, and its id in the path table (0 when
+/// paths are not recorded).
+type FrontierEntry = (Behavior, ObsSet, u64, usize);
+
+/// A lazy stream of the settled complete behaviours of a program, in
+/// the pruned engine's depth-first order.
+///
+/// [`enumerate_pruned`] drains a stream and commits each behaviour;
+/// [`stream`] hands one to a goal-directed caller, which stops at the
+/// first match ([`crate::explain::find_witness`] and the exhaustive
+/// fallback of [`crate::explain::refute`]). Each item is a behaviour
+/// with its id in the stream's *path table*: one
+/// `(parent id, load, store)` entry per expanded fork, so
+/// [`PrunedStream::path_to`] rebuilds the resolutions that reach any
+/// yielded behaviour by walking up the parents.
+pub struct PrunedStream<'a> {
     program: &'a Program,
     policy: &'a Policy,
     config: &'a EnumConfig,
     may_roll_back: bool,
     group: Vec<Vec<usize>>,
     seen: SeenTable,
-    frontier: Vec<(Behavior, ObsSet, u64)>,
+    frontier: Vec<FrontierEntry>,
     stats: EnumStats,
     pstats: PruneStats,
-    result: EnumResult,
     obs: Option<Arc<Obs>>,
+    /// The path table, present when paths are recorded: entry `id - 1`
+    /// is the `(parent id, load, store)` fork that created behaviour
+    /// `id` (the root is id 0 and has no entry).
+    paths: Option<Vec<(usize, NodeId, NodeId)>>,
+    /// The observation set of the behaviour yielded last (read by the
+    /// orbit expansion of [`enumerate_pruned`]'s commit step).
+    yielded: ObsSet,
+    /// Set once the stream has ended or failed.
+    finished: bool,
     // Reusable scratch buffers for the hot loop.
     loads_buf: Vec<NodeId>,
     stores_buf: Vec<NodeId>,
     stores_scratch: Vec<NodeId>,
     perm_buf: ObsSet,
+    /// Candidate child key and its canonical image, built in place so a
+    /// pruned claim allocates nothing.
+    child_buf: ObsSet,
+    canon_buf: ObsSet,
     survivors_buf: Vec<(NodeId, NodeId, ObsSet, u64)>,
     /// Unresolved memory operations of the behavior under expansion
     /// (filled by `completeness_scan`, read by the candidate gate).
@@ -422,47 +466,158 @@ struct Engine<'a> {
     stores_index_buf: Vec<(Addr, NodeId)>,
 }
 
-impl Engine<'_> {
-    /// Commits a complete representative: counts and inserts the outcome
-    /// of every distinct orbit image (just the behaviour itself when the
-    /// group is trivial).
-    /// Returns the behaviour back to the caller (for the fork pool)
-    /// unless it was retained as a kept execution.
-    fn commit(&mut self, behavior: Behavior, set: &ObsSet) -> Option<Behavior> {
-        if self.group.len() == 1 {
-            self.stats.distinct_executions += 1;
-            self.result.outcomes.insert(behavior.outcome());
-            if self.config.keep_executions {
-                self.result.executions.push(behavior);
-                return None;
-            }
-            return Some(behavior);
+impl std::fmt::Debug for PrunedStream<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PrunedStream")
+            .field("stats", &self.stats)
+            .field("frontier", &self.frontier.len())
+            .field("finished", &self.finished)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Starts a goal-directed stream over the complete behaviours of
+/// `program` under `policy`, recording the path table.
+///
+/// Symmetry reduction is **off** (identity group): a symmetric stream
+/// yields one representative per orbit of thread permutations, so a
+/// goal that is not thread-symmetric could miss its only matching
+/// image. With the identity group every distinct complete behaviour is
+/// yielded exactly once, and its path replays as is.
+///
+/// # Errors
+///
+/// Fails immediately when the initial behaviour cannot settle (node
+/// limit or an inconsistent root).
+///
+/// # Examples
+///
+/// ```
+/// use samm_core::enumerate::EnumConfig;
+/// use samm_core::pruned::stream;
+/// use samm_core::instr::{Instr, Program, ThreadProgram};
+/// use samm_core::ids::{Reg, Value};
+/// use samm_core::policy::Policy;
+///
+/// let t = |a: u64, b: u64| ThreadProgram::new(vec![
+///     Instr::Store { addr: a.into(), val: 1u64.into() },
+///     Instr::Load { dst: Reg::new(0), addr: b.into() },
+/// ]);
+/// let sb = Program::new(vec![t(0, 1), t(1, 0)]);
+/// let (policy, config) = (Policy::weak(), EnumConfig::default());
+/// let mut behaviors = stream(&sb, &policy, &config).unwrap();
+/// let (id, hit) = behaviors
+///     .find_map(|item| {
+///         let (id, b) = item.unwrap();
+///         let o = b.outcome();
+///         (o.reg(0, Reg::new(0)) == Value::ZERO && o.reg(1, Reg::new(0)) == Value::ZERO)
+///             .then_some((id, b))
+///     })
+///     .unwrap();
+/// // SB 0/0 needs both loads resolved to the init stores.
+/// assert_eq!(behaviors.path_to(id).unwrap().len(), 2);
+/// assert!(hit.is_complete());
+/// ```
+pub fn stream<'a>(
+    program: &'a Program,
+    policy: &'a Policy,
+    config: &'a EnumConfig,
+) -> Result<PrunedStream<'a>, EnumError> {
+    let identity = vec![(0..program.threads().len()).collect()];
+    PrunedStream::new(program, policy, config, identity, true)
+}
+
+impl<'a> PrunedStream<'a> {
+    fn new(
+        program: &'a Program,
+        policy: &'a Policy,
+        config: &'a EnumConfig,
+        group: Vec<Vec<usize>>,
+        record_paths: bool,
+    ) -> Result<Self, EnumError> {
+        let may_roll_back = policy.alias_speculation() || policy.has_bypass() || program.uses_rmw();
+        let obs = config.observe.then(|| Arc::new(Obs::new()));
+        let mut root = Behavior::new(program);
+        if let Some(obs) = &obs {
+            root.enable_obs(Arc::clone(obs));
         }
-        let rows = behavior.outcome_rows();
-        let mut images: FxHashSet<ObsSet> =
-            FxHashSet::with_capacity_and_hasher(self.group.len(), Default::default());
-        for perm in &self.group {
-            permute_set(perm, set, &mut self.perm_buf);
-            if !images.contains(&self.perm_buf) {
-                images.insert(self.perm_buf.clone());
-                self.stats.distinct_executions += 1;
-                let mut permuted = vec![Vec::new(); rows.len()];
-                for (t, row) in rows.iter().enumerate() {
-                    permuted[perm[t]] = row.clone();
-                }
-                self.result.outcomes.insert(Outcome::new(permuted));
+        match root.settle(program, policy, config.max_nodes_per_thread) {
+            Ok(()) => {}
+            Err(StepError::NodeLimit { thread, limit }) => {
+                return Err(EnumError::NodeLimit { thread, limit })
             }
+            Err(StepError::Inconsistent(e)) => return Err(EnumError::UnexpectedCycle(e)),
         }
-        self.pstats.orbit_commits += images.len() as u64 - 1;
-        Some(behavior)
+        Ok(PrunedStream {
+            program,
+            policy,
+            config,
+            may_roll_back,
+            pstats: PruneStats {
+                symmetry_group: group.len() as u64,
+                ..PruneStats::default()
+            },
+            group,
+            seen: {
+                let mut seen = SeenTable::default();
+                seen.insert(0, ObsSet::new());
+                seen
+            },
+            frontier: vec![(root, ObsSet::new(), 0, 0)],
+            stats: EnumStats::default(),
+            obs,
+            paths: record_paths.then(Vec::new),
+            yielded: ObsSet::new(),
+            finished: false,
+            loads_buf: Vec::new(),
+            stores_buf: Vec::new(),
+            stores_scratch: Vec::new(),
+            perm_buf: ObsSet::new(),
+            child_buf: ObsSet::new(),
+            canon_buf: ObsSet::new(),
+            survivors_buf: Vec::new(),
+            unresolved_buf: Vec::new(),
+            set_pool: Vec::new(),
+            stores_index_buf: Vec::new(),
+        })
     }
 
-    fn run(&mut self) -> Result<(), EnumError> {
-        // Loop-local scratch: the candidate child key and its canonical
-        // image are built in place, so a pruned claim allocates nothing.
-        let mut child_buf: ObsSet = Vec::new();
-        let mut canon_buf: ObsSet = Vec::new();
-        while let Some((behavior, set, set_h)) = self.frontier.pop() {
+    /// Statistics accumulated so far (complete once the stream is
+    /// drained). With [`EnumConfig::observe`] set, includes a live
+    /// [`crate::obs::ObsStats`] snapshot.
+    pub fn stats(&self) -> EnumStats {
+        let mut stats = self.stats;
+        if let Some(obs) = &self.obs {
+            stats.obs = Some(obs.snapshot());
+        }
+        stats
+    }
+
+    /// The resolution path of the behaviour yielded with `id`: the
+    /// `(load, store)` pairs applied from the root down to it, in
+    /// application order, in O(depth). The root's path is empty.
+    /// Returns `None` for an id the table does not hold.
+    pub fn path_to(&self, id: usize) -> Option<Vec<(NodeId, NodeId)>> {
+        let paths = self.paths.as_ref()?;
+        if id > paths.len() {
+            return None;
+        }
+        let mut path = Vec::new();
+        let mut cursor = id;
+        while cursor > 0 {
+            let (parent, load, store) = paths[cursor - 1];
+            path.push((load, store));
+            cursor = parent;
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    /// Explores until the next complete behaviour settles and returns it
+    /// with its path id; `None` once the frontier is exhausted. The
+    /// behaviour's observation set is left in `self.yielded`.
+    fn next_settled(&mut self) -> Result<Option<(usize, Behavior)>, EnumError> {
+        while let Some((behavior, set, set_h, id)) = self.frontier.pop() {
             self.stats.explored += 1;
             if self.stats.explored > self.config.max_behaviors {
                 return Err(EnumError::BehaviorLimit {
@@ -476,147 +631,202 @@ impl Engine<'_> {
                 &mut self.stores_index_buf,
                 &mut self.loads_buf,
             ) {
-                drop(self.commit(behavior, &set));
-                self.set_pool.push(set);
-                continue;
+                self.stats.distinct_executions += 1;
+                let retired = std::mem::replace(&mut self.yielded, set);
+                self.set_pool.push(retired);
+                return Ok(Some((id, behavior)));
             }
 
             if self.loads_buf.is_empty() {
                 return Err(EnumError::Stuck);
             }
-
-            // Phase 1: claim. Every (load, candidate) pair computes its
-            // child observation set and races for it in the seen-table;
-            // losers are pruned here, before any clone or graph work.
-            let loads = std::mem::take(&mut self.loads_buf);
-            let mut survivors = std::mem::take(&mut self.survivors_buf);
-            for &load in &loads {
-                behavior.candidates_gated_into(
-                    load,
-                    &self.unresolved_buf,
-                    &self.stores_index_buf,
-                    &mut self.stores_scratch,
-                    &mut self.stores_buf,
-                );
-                if let Some(obs) = behavior.obs() {
-                    Obs::add(&obs.candidate_calls, 1);
-                    Obs::add(&obs.candidate_stores, self.stores_buf.len() as u64);
-                }
-                let load_ident = ident(behavior.graph(), load);
-                let stores = std::mem::take(&mut self.stores_buf);
-                for &store in &stores {
-                    self.stats.forks += 1;
-                    self.pstats.claims += 1;
-                    if let Some(budget) = self.config.budget {
-                        if self.stats.forks as u64 > budget {
-                            return Err(EnumError::Overbudget {
-                                budget,
-                                forks: self.stats.forks as u64,
-                            });
-                        }
-                    }
-                    let pair = (load_ident, ident(behavior.graph(), store));
-                    let at = set.partition_point(|p| p < &pair);
-                    child_buf.clear();
-                    child_buf.reserve(set.len() + 1);
-                    child_buf.extend_from_slice(&set[..at]);
-                    child_buf.push(pair);
-                    child_buf.extend_from_slice(&set[at..]);
-                    let child_h = set_h.wrapping_add(pair_hash(pair));
-                    let (canonical, canonical_h): (&ObsSet, u64) = if self.group.len() == 1 {
-                        (&child_buf, child_h)
-                    } else {
-                        canonicalize_into(
-                            &self.group,
-                            &child_buf,
-                            &mut self.perm_buf,
-                            &mut canon_buf,
-                        );
-                        let h = if canon_buf == child_buf {
-                            child_h
-                        } else {
-                            set_hash(&canon_buf)
-                        };
-                        (&canon_buf, h)
-                    };
-                    if self.seen.contains(canonical_h, canonical) {
-                        self.stats.deduped += 1;
-                        if *canonical == child_buf {
-                            self.pstats.pruned_dominated += 1;
-                        } else {
-                            self.pstats.pruned_symmetric += 1;
-                        }
-                        continue;
-                    }
-                    self.seen.insert(canonical_h, canonical.clone());
-                    let mut child_set = self.set_pool.pop().unwrap_or_default();
-                    child_set.clone_from(&child_buf);
-                    survivors.push((load, store, child_set, child_h));
-                }
-                self.stores_buf = stores;
-            }
-            self.loads_buf = loads;
-
-            // Phase 2: expand the claim winners. The final winner takes
-            // the parent by move — a behaviour with a single surviving
-            // fork (the common case late in the search) never clones.
-            let total = survivors.len();
-            let mut parent = Some(behavior);
-            for (k, (load, store, child_set, child_h)) in survivors.drain(..).enumerate() {
-                let source = parent.as_ref().expect("parent consumed early");
-                let mut fork = if k + 1 == total {
-                    self.pstats.in_place += 1;
-                    parent.take().expect("parent consumed early")
-                } else {
-                    source.clone()
-                };
-                self.pstats.expanded += 1;
-                let step = fork.resolve_load(load, store).and_then(|()| {
-                    fork.settle(self.program, self.policy, self.config.max_nodes_per_thread)
-                });
-                match step {
-                    Ok(()) => self.frontier.push((fork, child_set, child_h)),
-                    Err(StepError::Inconsistent(e)) => {
-                        if self.may_roll_back {
-                            // The claim stays: any other path to this
-                            // observation set fails identically.
-                            self.stats.rolled_back += 1;
-                            self.pstats.rolled_back += 1;
-                        } else {
-                            return Err(EnumError::UnexpectedCycle(e));
-                        }
-                    }
-                    Err(StepError::NodeLimit { thread, limit }) => {
-                        return Err(EnumError::NodeLimit { thread, limit });
-                    }
-                }
-            }
-            self.survivors_buf = survivors;
+            self.expand(behavior, &set, set_h, id)?;
             self.set_pool.push(set);
         }
+        Ok(None)
+    }
+
+    /// Claims every fork of an incomplete `behavior` and pushes the
+    /// settled claim winners onto the frontier.
+    fn expand(
+        &mut self,
+        behavior: Behavior,
+        set: &ObsSet,
+        set_h: u64,
+        id: usize,
+    ) -> Result<(), EnumError> {
+        // Phase 1: claim. Every (load, candidate) pair computes its
+        // child observation set and races for it in the seen-table;
+        // losers are pruned here, before any clone or graph work.
+        let loads = std::mem::take(&mut self.loads_buf);
+        let mut survivors = std::mem::take(&mut self.survivors_buf);
+        for &load in &loads {
+            behavior.candidates_gated_into(
+                load,
+                &self.unresolved_buf,
+                &self.stores_index_buf,
+                &mut self.stores_scratch,
+                &mut self.stores_buf,
+            );
+            if let Some(obs) = behavior.obs() {
+                Obs::add(&obs.candidate_calls, 1);
+                Obs::add(&obs.candidate_stores, self.stores_buf.len() as u64);
+            }
+            let load_ident = ident(behavior.graph(), load);
+            let stores = std::mem::take(&mut self.stores_buf);
+            for &store in &stores {
+                self.stats.forks += 1;
+                self.pstats.claims += 1;
+                if let Some(budget) = self.config.budget {
+                    if self.stats.forks as u64 > budget {
+                        return Err(EnumError::Overbudget {
+                            budget,
+                            forks: self.stats.forks as u64,
+                        });
+                    }
+                }
+                let pair = (load_ident, ident(behavior.graph(), store));
+                let at = set.partition_point(|p| p < &pair);
+                let child = &mut self.child_buf;
+                child.clear();
+                child.reserve(set.len() + 1);
+                child.extend_from_slice(&set[..at]);
+                child.push(pair);
+                child.extend_from_slice(&set[at..]);
+                let child_h = set_h.wrapping_add(pair_hash(pair));
+                let (canonical, canonical_h): (&ObsSet, u64) = if self.group.len() == 1 {
+                    (&self.child_buf, child_h)
+                } else {
+                    canonicalize_into(
+                        &self.group,
+                        &self.child_buf,
+                        &mut self.perm_buf,
+                        &mut self.canon_buf,
+                    );
+                    let h = if self.canon_buf == self.child_buf {
+                        child_h
+                    } else {
+                        set_hash(&self.canon_buf)
+                    };
+                    (&self.canon_buf, h)
+                };
+                if self.seen.contains(canonical_h, canonical) {
+                    self.stats.deduped += 1;
+                    if *canonical == self.child_buf {
+                        self.pstats.pruned_dominated += 1;
+                    } else {
+                        self.pstats.pruned_symmetric += 1;
+                    }
+                    continue;
+                }
+                self.seen.insert(canonical_h, canonical.clone());
+                let mut child_set = self.set_pool.pop().unwrap_or_default();
+                child_set.clone_from(&self.child_buf);
+                survivors.push((load, store, child_set, child_h));
+            }
+            self.stores_buf = stores;
+        }
+        self.loads_buf = loads;
+
+        // Phase 2: expand the claim winners. The final winner takes
+        // the parent by move — a behaviour with a single surviving
+        // fork (the common case late in the search) never clones.
+        let total = survivors.len();
+        let mut parent = Some(behavior);
+        for (k, (load, store, child_set, child_h)) in survivors.drain(..).enumerate() {
+            let source = parent.as_ref().expect("parent consumed early");
+            let mut fork = if k + 1 == total {
+                self.pstats.in_place += 1;
+                parent.take().expect("parent consumed early")
+            } else {
+                source.clone()
+            };
+            self.pstats.expanded += 1;
+            let step = fork.resolve_load(load, store).and_then(|()| {
+                fork.settle(self.program, self.policy, self.config.max_nodes_per_thread)
+            });
+            match step {
+                Ok(()) => {
+                    let child_id = match &mut self.paths {
+                        Some(paths) => {
+                            paths.push((id, load, store));
+                            paths.len()
+                        }
+                        None => 0,
+                    };
+                    self.frontier.push((fork, child_set, child_h, child_id));
+                }
+                Err(StepError::Inconsistent(e)) => {
+                    if self.may_roll_back {
+                        // The claim stays: any other path to this
+                        // observation set fails identically.
+                        self.stats.rolled_back += 1;
+                        self.pstats.rolled_back += 1;
+                    } else {
+                        return Err(EnumError::UnexpectedCycle(e));
+                    }
+                }
+                Err(StepError::NodeLimit { thread, limit }) => {
+                    return Err(EnumError::NodeLimit { thread, limit });
+                }
+            }
+        }
+        self.survivors_buf = survivors;
         Ok(())
+    }
+
+    /// The commit step of [`enumerate_pruned`]: counts and inserts the
+    /// outcome of every distinct orbit image of the behaviour just
+    /// yielded (just the behaviour itself when the group is trivial).
+    fn commit(&mut self, result: &mut EnumResult, behavior: Behavior) {
+        if self.group.len() == 1 {
+            result.outcomes.insert(behavior.outcome());
+            if self.config.keep_executions {
+                result.executions.push(behavior);
+            }
+            return;
+        }
+        let rows = behavior.outcome_rows();
+        let mut images: FxHashSet<ObsSet> =
+            FxHashSet::with_capacity_and_hasher(self.group.len(), Default::default());
+        for perm in &self.group {
+            permute_set(perm, &self.yielded, &mut self.perm_buf);
+            if !images.contains(&self.perm_buf) {
+                images.insert(self.perm_buf.clone());
+                let mut permuted = vec![Vec::new(); rows.len()];
+                for (t, row) in rows.iter().enumerate() {
+                    permuted[perm[t]] = row.clone();
+                }
+                result.outcomes.insert(Outcome::new(permuted));
+            }
+        }
+        // The stream counted the representative itself.
+        let extra = images.len() - 1;
+        self.stats.distinct_executions += extra;
+        self.pstats.orbit_commits += extra as u64;
     }
 }
 
+impl Iterator for PrunedStream<'_> {
+    type Item = Result<(usize, Behavior), EnumError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.finished {
+            return None;
+        }
+        let item = self.next_settled().transpose();
+        self.finished = !matches!(item, Some(Ok(_)));
+        item
+    }
+}
+
+/// Drains a symmetry-reduced stream, committing every yielded
+/// representative (orbit expansion included).
 fn run(
     program: &Program,
     policy: &Policy,
     config: &EnumConfig,
 ) -> Result<(EnumResult, PruneStats), EnumError> {
-    let may_roll_back = policy.alias_speculation() || policy.has_bypass() || program.uses_rmw();
-    let obs = config.observe.then(|| Arc::new(Obs::new()));
-    let mut root = Behavior::new(program);
-    if let Some(obs) = &obs {
-        root.enable_obs(Arc::clone(obs));
-    }
-    match root.settle(program, policy, config.max_nodes_per_thread) {
-        Ok(()) => {}
-        Err(StepError::NodeLimit { thread, limit }) => {
-            return Err(EnumError::NodeLimit { thread, limit })
-        }
-        Err(StepError::Inconsistent(e)) => return Err(EnumError::UnexpectedCycle(e)),
-    }
-
     // Orbit expansion reconstructs counts and outcomes, but not the
     // permuted Behavior values themselves — so symmetry is only enabled
     // when the caller does not keep executions.
@@ -625,47 +835,12 @@ fn run(
     } else {
         symmetry_group(program, SYMMETRY_LIMIT)
     };
-
-    let mut engine = Engine {
-        program,
-        policy,
-        config,
-        may_roll_back,
-        pstats: PruneStats {
-            symmetry_group: group.len() as u64,
-            ..PruneStats::default()
-        },
-        group,
-        seen: {
-            let mut seen = SeenTable::default();
-            seen.insert(0, ObsSet::new());
-            seen
-        },
-        frontier: vec![(root, ObsSet::new(), 0)],
-        stats: EnumStats::default(),
-        result: EnumResult::default(),
-        obs,
-        loads_buf: Vec::new(),
-        stores_buf: Vec::new(),
-        stores_scratch: Vec::new(),
-        perm_buf: ObsSet::new(),
-        survivors_buf: Vec::new(),
-        unresolved_buf: Vec::new(),
-        set_pool: Vec::new(),
-        stores_index_buf: Vec::new(),
-    };
-    engine.run()?;
-
-    let Engine {
-        mut stats,
-        pstats,
-        mut result,
-        obs,
-        ..
-    } = engine;
-    if let Some(obs) = &obs {
-        stats.obs = Some(obs.snapshot());
+    let mut stream = PrunedStream::new(program, policy, config, group, false)?;
+    let mut result = EnumResult::default();
+    while let Some((_, behavior)) = stream.next_settled()? {
+        stream.commit(&mut result, behavior);
     }
+    result.stats = stream.stats();
     if config.keep_executions {
         // Deterministic execution order, sorted by canonical key.
         let mut keyed: Vec<(Vec<u8>, Behavior)> = result
@@ -676,8 +851,7 @@ fn run(
         keyed.sort_by(|a, b| a.0.cmp(&b.0));
         result.executions = keyed.into_iter().map(|(_, b)| b).collect();
     }
-    result.stats = stats;
-    Ok((result, pstats))
+    Ok((result, stream.pstats))
 }
 
 #[cfg(test)]
@@ -743,6 +917,26 @@ mod tests {
                 Instr::Load {
                     dst: Reg::new(0),
                     addr: 0u64.into(),
+                },
+            ])
+        };
+        Program::new(vec![t(), t()])
+    }
+
+    /// Two identical threads that each read a location and then write
+    /// it: a symmetric program whose outcomes are *not* all symmetric
+    /// (`0/1` and `1/0` form one orbit). The symmetric SB above cannot
+    /// serve here: its loads read 1 in every execution.
+    fn symmetric_race() -> Program {
+        let t = || {
+            ThreadProgram::new(vec![
+                Instr::Load {
+                    dst: Reg::new(0),
+                    addr: 0u64.into(),
+                },
+                Instr::Store {
+                    addr: 0u64.into(),
+                    val: 1u64.into(),
                 },
             ])
         };
@@ -896,6 +1090,91 @@ mod tests {
                 outcomes.contains(&(*b, *a)),
                 "outcome set must be closed under the thread swap"
             );
+        }
+    }
+
+    #[test]
+    fn path_table_replays_every_yielded_behavior() {
+        let config = EnumConfig::default();
+        let limit = config.max_nodes_per_thread;
+        for prog in [sb(), mp(), symmetric_sb()] {
+            for policy in policies() {
+                let mut behaviors = stream(&prog, &policy, &config).unwrap();
+                let mut yielded = 0usize;
+                while let Some(item) = behaviors.next() {
+                    let (id, behavior) = item.unwrap();
+                    let path = behaviors
+                        .path_to(id)
+                        .expect("a yielded behaviour is a recorded fork");
+                    let mut replay = Behavior::new(&prog);
+                    replay.settle(&prog, &policy, limit).unwrap();
+                    for &(load, store) in &path {
+                        replay.resolve_load(load, store).unwrap();
+                        replay.settle(&prog, &policy, limit).unwrap();
+                    }
+                    assert!(replay.is_complete(), "{}: {path:?}", policy.name());
+                    assert_eq!(replay.outcome(), behavior.outcome(), "{}", policy.name());
+                    yielded += 1;
+                }
+                // Symmetry is off: every distinct execution is yielded.
+                let serial = enumerate(&prog, &policy, &config).unwrap();
+                assert_eq!(yielded, behaviors.stats().distinct_executions);
+                assert_eq!(yielded, serial.stats.distinct_executions);
+                assert_eq!(behaviors.path_to(0), Some(Vec::new()), "the root's path");
+                assert_eq!(behaviors.path_to(usize::MAX), None, "unknown id");
+            }
+        }
+        // A stream created without the table answers no paths at all.
+        let (program, policy) = (sb(), Policy::weak());
+        let group = vec![vec![0, 1]];
+        let mut plain = PrunedStream::new(&program, &policy, &config, group, false).unwrap();
+        let (id, _) = plain.next().unwrap().unwrap();
+        assert_eq!(plain.path_to(id), None);
+    }
+
+    #[test]
+    fn goal_streams_turn_symmetry_off() {
+        use crate::explain::{find_witness, Goal};
+        let program = symmetric_race();
+        let config = EnumConfig::builder().keep_executions(false).build();
+        let goal = |a: u64, b: u64| {
+            Goal::new(vec![
+                (0, Reg::new(0), Value::new(a)),
+                (1, Reg::new(0), Value::new(b)),
+            ])
+        };
+        for policy in policies() {
+            // The production enumeration still reduces this program.
+            let (result, pstats) = enumerate_pruned_stats(&program, &policy, &config).unwrap();
+            assert_eq!(pstats.symmetry_group, 2, "{}", policy.name());
+            assert_eq!(result.outcomes.len(), 3, "{}", policy.name());
+            // A symmetric stream yields one representative per orbit, so
+            // one of the two asymmetric outcomes never appears in it.
+            let symmetric = PrunedStream::new(
+                &program,
+                &policy,
+                &config,
+                symmetry_group(&program, SYMMETRY_LIMIT),
+                false,
+            )
+            .unwrap();
+            let representatives: Vec<Outcome> =
+                symmetric.map(|item| item.unwrap().1.outcome()).collect();
+            assert_eq!(representatives.len(), 2, "{}", policy.name());
+            // The goal stream finds both images, and neither is symmetric.
+            for (a, b) in [(1, 0), (0, 1)] {
+                let witness = find_witness(&program, &policy, &config, &goal(a, b))
+                    .unwrap()
+                    .unwrap_or_else(|| panic!("{}: {a}/{b} is observable", policy.name()));
+                witness
+                    .verify(&program, &policy, config.max_nodes_per_thread)
+                    .unwrap();
+                assert!(goal(a, b).matches(&witness.outcome));
+            }
+            // Both loads reading the other's store would close a cycle.
+            assert!(find_witness(&program, &policy, &config, &goal(1, 1))
+                .unwrap()
+                .is_none());
         }
     }
 }

@@ -12,11 +12,12 @@
 //! are consistent with the reordering table. "Memory models therefore ought
 //! to permit this form of speculation."
 
-use crate::enumerate::{enumerate, EnumConfig, EnumResult};
+use crate::enumerate::{EnumConfig, EnumResult};
 use crate::error::EnumError;
 use crate::instr::Program;
 use crate::outcome::{Outcome, OutcomeSet};
 use crate::policy::Policy;
+use crate::pruned::enumerate_pruned;
 
 /// Side-by-side enumeration of a program with and without address-aliasing
 /// speculation.
@@ -59,7 +60,8 @@ impl SpeculationReport {
     }
 }
 
-/// Enumerates `program` under `policy` with speculation off and on.
+/// Enumerates `program` under `policy` with speculation off and on,
+/// with the production engine ([`enumerate_pruned`]).
 ///
 /// The supplied policy's speculation flag is overridden in both directions,
 /// so any base policy works.
@@ -91,8 +93,8 @@ pub fn compare(
 ) -> Result<SpeculationReport, EnumError> {
     let base_policy = policy.clone().with_alias_speculation(false);
     let spec_policy = policy.clone().with_alias_speculation(true);
-    let base = enumerate(program, &base_policy, config)?;
-    let speculative = enumerate(program, &spec_policy, config)?;
+    let base = enumerate_pruned(program, &base_policy, config)?;
+    let speculative = enumerate_pruned(program, &spec_policy, config)?;
     Ok(SpeculationReport { base, speculative })
 }
 

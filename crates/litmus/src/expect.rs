@@ -12,12 +12,12 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
-use samm_core::cache::{cached_enumerate, EnumCache};
+use samm_core::cache::{cached_enumerate, CachedResult, EnumCache};
 use samm_core::enumerate::{enumerate, EnumConfig, EnumResult, EnumStats};
 use samm_core::error::EnumError;
 use samm_core::instr::Program;
-use samm_core::outcome::OutcomeSet;
 use samm_core::policy::Policy;
 use samm_core::pruned::enumerate_pruned;
 
@@ -161,12 +161,14 @@ pub fn run_entry_serial(
     run_entry_with(entry, config, enumerate, None, None)
 }
 
-/// Like [`run_entry`], but consulting (and filling) the
-/// content-addressed `cache` for every per-model enumeration. Rows
-/// answered from the cache are marked [`VerdictRow::cache_hit`]; their
-/// outcome sets and deterministic statistics are bit-identical to a
-/// fresh run's, but their `stats` never carry wall-clock timings (see
-/// [`samm_core::cache`]).
+/// Like [`run_entry`], but consulting `certifier` before enumerating
+/// under each non-SC model (as [`run_entry_certified`] does) and
+/// consulting (and filling) the content-addressed `cache` for every
+/// enumeration that still runs. Rows answered from the cache are marked
+/// [`VerdictRow::cache_hit`]; their outcome sets and deterministic
+/// statistics are bit-identical to a fresh run's, but their `stats`
+/// never carry wall-clock timings (see [`samm_core::cache`]). Pass
+/// `&|_, _| false` to certify nothing.
 ///
 /// # Errors
 ///
@@ -175,8 +177,15 @@ pub fn run_entry_cached(
     entry: &CatalogEntry,
     config: &EnumConfig,
     cache: &EnumCache,
+    certifier: Certifier<'_>,
 ) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate_pruned, None, Some(cache))
+    run_entry_with(
+        entry,
+        config,
+        enumerate_pruned,
+        Some(certifier),
+        Some(cache),
+    )
 }
 
 /// Like [`run_entry`], but consulting `certifier` before enumerating
@@ -199,14 +208,13 @@ pub fn run_entry_certified(
     run_entry_with(entry, config, enumerate_pruned, Some(certifier), None)
 }
 
-/// The per-model answer assembled by [`run_entry_with`].
+/// The per-model answer assembled by [`run_entry_with`]. Models that
+/// share one enumeration (certified models and SC) share its `Arc`.
 #[derive(Clone)]
 struct ModelAnswer {
-    outcomes: OutcomeSet,
-    executions: usize,
+    result: Arc<CachedResult>,
     certified: bool,
     cache_hit: bool,
-    stats: EnumStats,
 }
 
 fn run_entry_with(
@@ -218,53 +226,38 @@ fn run_entry_with(
 ) -> Result<EntryReport, EnumError> {
     // One enumeration under `policy`, via the shared content-addressed
     // cache when one was provided.
-    let run = |policy: &Policy| -> Result<(OutcomeSet, EnumStats, bool), EnumError> {
-        match cache {
-            Some(cache) => {
-                let (value, hit) =
-                    cached_enumerate(cache, &entry.test.program, policy, config, engine)?;
-                Ok((value.outcomes.clone(), value.stats, hit))
-            }
+    let run = |policy: &Policy| -> Result<ModelAnswer, EnumError> {
+        let (result, cache_hit) = match cache {
+            Some(cache) => cached_enumerate(cache, &entry.test.program, policy, config, engine)?,
             None => {
                 let result = engine(&entry.test.program, policy, config)?;
-                Ok((result.outcomes, result.stats, false))
+                (
+                    Arc::new(CachedResult::new(result.outcomes, result.stats)),
+                    false,
+                )
             }
-        }
+        };
+        Ok(ModelAnswer {
+            result,
+            certified: false,
+            cache_hit,
+        })
     };
     let mut answers: BTreeMap<ModelSel, ModelAnswer> = BTreeMap::new();
-    let mut sc_result: Option<ModelAnswer> = None;
+    let mut sc_answer: Option<ModelAnswer> = None;
     for model in entry.models() {
-        let policy = model.policy();
-        let certified =
-            model != ModelSel::Sc && certifier.is_some_and(|c| c(&entry.test.program, &policy));
-        if certified {
-            if sc_result.is_none() {
-                let (outcomes, stats, cache_hit) = run(&ModelSel::Sc.policy())?;
-                sc_result = Some(ModelAnswer {
-                    executions: stats.distinct_executions,
-                    certified: false,
-                    outcomes,
-                    cache_hit,
-                    stats,
-                });
-            }
-            let mut answer = sc_result.clone().expect("just computed");
-            answer.certified = true;
-            answers.insert(model, answer);
-        } else {
-            let (outcomes, stats, cache_hit) = run(&policy)?;
-            let answer = ModelAnswer {
-                executions: stats.distinct_executions,
-                certified: false,
-                outcomes,
-                cache_hit,
-                stats,
+        let certified = model != ModelSel::Sc
+            && certifier.is_some_and(|c| c(&entry.test.program, &model.policy()));
+        let answer = if certified || model == ModelSel::Sc {
+            let sc = match &sc_answer {
+                Some(sc) => sc.clone(),
+                None => sc_answer.insert(run(&ModelSel::Sc.policy())?).clone(),
             };
-            if model == ModelSel::Sc {
-                sc_result = Some(answer.clone());
-            }
-            answers.insert(model, answer);
-        }
+            ModelAnswer { certified, ..sc }
+        } else {
+            run(&model.policy())?
+        };
+        answers.insert(model, answer);
     }
     let rows = entry
         .verdicts
@@ -276,12 +269,12 @@ fn run_entry_with(
                 model: v.model,
                 condition: condition.text.clone(),
                 expected_allowed: v.allowed,
-                observed_allowed: condition.observable_in(&answer.outcomes),
-                outcomes: answer.outcomes.len(),
-                executions: answer.executions,
+                observed_allowed: condition.observable_in(&answer.result.outcomes),
+                outcomes: answer.result.outcomes.len(),
+                executions: answer.result.stats.distinct_executions,
                 certified: answer.certified,
                 cache_hit: answer.cache_hit,
-                stats: answer.stats,
+                stats: answer.result.stats,
             }
         })
         .collect();
@@ -353,9 +346,9 @@ mod tests {
         let config = fast_config();
         for entry in [catalog::sb(), catalog::iriw()] {
             let fresh = run_entry(&entry, &config).unwrap();
-            let cold = run_entry_cached(&entry, &config, &cache).unwrap();
+            let cold = run_entry_cached(&entry, &config, &cache, &|_, _| false).unwrap();
             assert!(cold.rows.iter().all(|r| !r.cache_hit));
-            let warm = run_entry_cached(&entry, &config, &cache).unwrap();
+            let warm = run_entry_cached(&entry, &config, &cache, &|_, _| false).unwrap();
             assert!(warm.rows.iter().all(|r| r.cache_hit), "{warm}");
             // Hits must be transparent — same verdicts and counts as an
             // uncached run.
@@ -374,10 +367,29 @@ mod tests {
             }
         }
         assert!(cache.stats().hits > 0);
-        let text = run_entry_cached(&catalog::sb(), &config, &cache)
+        let text = run_entry_cached(&catalog::sb(), &config, &cache, &|_, _| false)
             .unwrap()
             .to_string();
         assert!(text.contains("[cached]"));
+    }
+
+    #[test]
+    fn certified_models_reuse_the_one_sc_run() {
+        let cache = EnumCache::new(16);
+        let entry = catalog::sb();
+        assert!(entry.models().len() > 2);
+        let report = run_entry_cached(&entry, &fast_config(), &cache, &|_, _| true).unwrap();
+        // Only SC enumerated; every other model answered from its run.
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.len(), 1);
+        let sc = run_entry(&entry, &fast_config()).unwrap();
+        let sc_row = sc.rows.iter().find(|r| r.model == ModelSel::Sc).unwrap();
+        for row in &report.rows {
+            assert_eq!(row.certified, row.model != ModelSel::Sc, "{row}");
+            assert_eq!(row.outcomes, sc_row.outcomes, "{row}");
+            assert_eq!(row.executions, sc_row.executions, "{row}");
+            assert!(!row.cache_hit, "{row}");
+        }
     }
 
     #[test]

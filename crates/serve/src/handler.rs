@@ -12,6 +12,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+use samm_analyze::harness::drf_certifier;
 use samm_analyze::robust::StaticVerdict;
 use samm_core::cache::{CachedResult, EnumCache};
 use samm_core::enumerate::EnumConfig;
@@ -518,9 +519,21 @@ fn verdict_response(
 ) -> Result<Json, ServiceError> {
     let entry = find_entry(test)?;
     let config = state.config(budget);
-    let report = run_entry_cached(entry, &config, &state.cache).map_err(enum_error)?;
+    let report =
+        run_entry_cached(entry, &config, &state.cache, &drf_certifier).map_err(enum_error)?;
+    // One fold per fresh enumeration: the rows of a model share its run,
+    // and certified rows share the SC run.
+    let mut folded: Vec<ModelSel> = Vec::new();
     for row in report.rows.iter().filter(|row| !row.cache_hit) {
-        state.telemetry.fold_stats(&row.stats);
+        let run = if row.certified {
+            ModelSel::Sc
+        } else {
+            row.model
+        };
+        if !folded.contains(&run) {
+            folded.push(run);
+            state.telemetry.fold_stats(&row.stats);
+        }
     }
     Ok(Json::obj([
         ("ok", Json::Bool(true)),
@@ -1011,6 +1024,96 @@ mod tests {
             report.get("rows").and_then(Json::as_arr).map(<[Json]>::len),
             Some(6)
         );
+    }
+
+    /// Verdict rows over models that `drf_certifier` proves
+    /// SC-equivalent are answered from the SC run and marked
+    /// `certified`, with the counts an uncertified harness reports.
+    #[test]
+    fn drf_certified_verdict_rows_match_the_uncertified_harness() {
+        let state = state();
+        for (test, certifies) in [("SB+fences", true), ("SB", false)] {
+            let entry = find_entry(test).unwrap();
+            let resp = handle(
+                &state,
+                &Request::Verdict {
+                    test: test.into(),
+                    budget: None,
+                },
+            );
+            let rows = resp
+                .get("report")
+                .and_then(|r| r.get("rows"))
+                .and_then(Json::as_arr)
+                .unwrap();
+            let reference = samm_litmus::expect::run_entry(entry, &state.config(None)).unwrap();
+            assert_eq!(rows.len(), reference.rows.len());
+            for (row, want) in rows.iter().zip(&reference.rows) {
+                let certified = row.get("certified").and_then(Json::as_bool).unwrap();
+                assert_eq!(
+                    certified,
+                    certifies && want.model != ModelSel::Sc,
+                    "{test}: {row}"
+                );
+                assert_eq!(
+                    row.get("observed_allowed").and_then(Json::as_bool),
+                    Some(want.observed_allowed),
+                    "{test}: {row}"
+                );
+                assert_eq!(
+                    row.get("outcomes").and_then(Json::as_u64),
+                    Some(want.outcomes as u64),
+                    "{test}: {row}"
+                );
+                assert_eq!(
+                    row.get("executions").and_then(Json::as_u64),
+                    Some(want.executions as u64),
+                    "{test}: {row}"
+                );
+            }
+        }
+    }
+
+    /// A cold verdict folds each fresh enumeration into the counters
+    /// once, however many rows share it; a warm one folds nothing.
+    #[test]
+    fn verdict_telemetry_folds_each_fresh_enumeration_once() {
+        let state = state();
+        let entry = find_entry("fig7").unwrap();
+        let models = entry.models();
+        assert!(entry.verdicts.len() > models.len(), "rows must share runs");
+        let program = &entry.test.program;
+        let mut runs: Vec<ModelSel> = models
+            .iter()
+            .map(|&m| {
+                if m != ModelSel::Sc && drf_certifier(program, &m.policy()) {
+                    ModelSel::Sc
+                } else {
+                    m
+                }
+            })
+            .collect();
+        runs.sort();
+        runs.dedup();
+        let expected: u64 = runs
+            .iter()
+            .map(|m| {
+                enumerate_pruned(program, &m.policy(), &state.config(None))
+                    .unwrap()
+                    .stats
+                    .explored as u64
+            })
+            .sum();
+        let verdict = Request::Verdict {
+            test: "fig7".into(),
+            budget: None,
+        };
+        let explored = || state.telemetry.enum_explored.load(Ordering::Relaxed);
+        let before = explored();
+        handle(&state, &verdict);
+        assert_eq!(explored() - before, expected);
+        handle(&state, &verdict);
+        assert_eq!(explored() - before, expected, "a warm verdict ran nothing");
     }
 
     #[test]

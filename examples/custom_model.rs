@@ -8,8 +8,9 @@
 //!
 //! Run with: `cargo run --release --example custom_model`
 
-use samm::core::enumerate::{enumerate, EnumConfig};
+use samm::core::enumerate::EnumConfig;
 use samm::core::policy::{Constraint, OpClass, Policy};
+use samm::core::pruned::enumerate_pruned;
 use samm::litmus::catalog;
 
 fn main() {
@@ -36,7 +37,7 @@ fn main() {
     );
     for entry in catalog::all() {
         let count = |p: &Policy| {
-            enumerate(&entry.test.program, p, &config)
+            enumerate_pruned(&entry.test.program, p, &config)
                 .expect("enumeration succeeds")
                 .outcomes
                 .len()
@@ -62,17 +63,17 @@ fn main() {
 
     // Sanity: the custom model sits between SC and Weak on every program.
     for entry in catalog::all() {
-        let sc = enumerate(
+        let sc = enumerate_pruned(
             &entry.test.program,
             &Policy::sequential_consistency(),
             &config,
         )
         .unwrap()
         .outcomes;
-        let cu = enumerate(&entry.test.program, &custom, &config)
+        let cu = enumerate_pruned(&entry.test.program, &custom, &config)
             .unwrap()
             .outcomes;
-        let weak = enumerate(&entry.test.program, &Policy::weak(), &config)
+        let weak = enumerate_pruned(&entry.test.program, &Policy::weak(), &config)
             .unwrap()
             .outcomes;
         assert!(

@@ -8,8 +8,9 @@
 //!
 //! Run with: `cargo run --release --example fence_synthesis`
 
-use samm::core::enumerate::{enumerate, EnumConfig};
+use samm::core::enumerate::EnumConfig;
 use samm::core::policy::Policy;
+use samm::core::pruned::enumerate_pruned;
 use samm::litmus::{catalog, fences, CondKind};
 
 fn main() {
@@ -25,7 +26,7 @@ fn main() {
             if cond.kind != CondKind::Forbidden {
                 continue;
             }
-            let outcomes = enumerate(&entry.test.program, &policy, &config)
+            let outcomes = enumerate_pruned(&entry.test.program, &policy, &config)
                 .expect("enumeration succeeds")
                 .outcomes;
             if !cond.observable_in(&outcomes) {

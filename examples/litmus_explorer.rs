@@ -12,8 +12,9 @@ use std::fs;
 use std::process::ExitCode;
 
 use samm::core::dot::{render, DotOptions};
-use samm::core::enumerate::{enumerate, EnumConfig};
+use samm::core::enumerate::EnumConfig;
 use samm::core::policy::Policy;
+use samm::core::pruned::enumerate_pruned;
 use samm::litmus::parser;
 
 const SAMPLE: &str = "\
@@ -90,7 +91,7 @@ fn main() -> ExitCode {
     };
 
     println!("=== {} under {} ===", compiled.name, policy.name());
-    let result = match enumerate(&compiled.program, &policy, &EnumConfig::default()) {
+    let result = match enumerate_pruned(&compiled.program, &policy, &EnumConfig::default()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("enumeration failed: {e}");

@@ -3,8 +3,9 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use samm::core::enumerate::{enumerate, EnumConfig};
+use samm::core::enumerate::EnumConfig;
 use samm::core::policy::Policy;
+use samm::core::pruned::enumerate_pruned;
 use samm::litmus::LitmusBuilder;
 
 fn main() {
@@ -29,7 +30,7 @@ fn main() {
         Policy::tso(),
         Policy::weak(),
     ] {
-        let result = enumerate(&test.program, &policy, &EnumConfig::default())
+        let result = enumerate_pruned(&test.program, &policy, &EnumConfig::default())
             .expect("enumeration succeeds");
         let observable = test.conditions[0].observable_in(&result.outcomes);
         println!(

@@ -8,8 +8,9 @@
 //! Run with: `cargo run --example speculation_study`
 
 use samm::core::dot::{render, DotOptions};
-use samm::core::enumerate::{enumerate, EnumConfig};
+use samm::core::enumerate::EnumConfig;
 use samm::core::policy::Policy;
+use samm::core::pruned::enumerate_pruned;
 use samm::core::speculation;
 use samm::litmus::catalog;
 
@@ -48,7 +49,7 @@ fn main() {
 
     // Render the new speculative execution (the paper's Figure 9, right).
     let cond = &entry.test.conditions[0]; // L3 = 2, L6 = &z, L8 = 2
-    let spec_result = enumerate(
+    let spec_result = enumerate_pruned(
         &entry.test.program,
         &Policy::weak().with_alias_speculation(true),
         &EnumConfig::default(),

@@ -5,7 +5,8 @@
 //!
 //! Run with: `cargo run --release --example tso_bracketing`
 
-use samm::core::enumerate::{enumerate, EnumConfig};
+use samm::core::enumerate::EnumConfig;
+use samm::core::pruned::enumerate_pruned;
 use samm::litmus::{catalog, ModelSel};
 
 fn main() {
@@ -29,7 +30,7 @@ fn main() {
         let mut cells = Vec::new();
         let mut sets = Vec::new();
         for model in models {
-            let outcomes = enumerate(&entry.test.program, &model.policy(), &config)
+            let outcomes = enumerate_pruned(&entry.test.program, &model.policy(), &config)
                 .expect("enumeration succeeds")
                 .outcomes;
             cells.push(format!("{:>10}", outcomes.len()));

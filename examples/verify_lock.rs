@@ -16,8 +16,9 @@
 //!
 //! Run with: `cargo run --release --example verify_lock`
 
-use samm::core::enumerate::{enumerate, EnumConfig};
+use samm::core::enumerate::EnumConfig;
 use samm::core::outcome::Outcome;
+use samm::core::pruned::enumerate_pruned;
 use samm::litmus::{CompiledLitmus, LitmusBuilder, ModelSel};
 
 fn lock_test(name: &str, acquire_fence: bool) -> CompiledLitmus {
@@ -56,7 +57,7 @@ fn lost_update(test: &CompiledLitmus, o: &Outcome) -> bool {
 fn check(test: &CompiledLitmus) {
     println!("--- {} ---", test.name);
     for model in ModelSel::ALL {
-        let result = enumerate(
+        let result = enumerate_pruned(
             &test.program,
             &model.policy(),
             &EnumConfig {
@@ -100,7 +101,7 @@ fn main() {
             keep_executions: false,
             ..EnumConfig::default()
         };
-        let fixed_outcomes = enumerate(&fixed.program, &model.policy(), &cfg)
+        let fixed_outcomes = enumerate_pruned(&fixed.program, &model.policy(), &cfg)
             .unwrap()
             .outcomes;
         assert!(
@@ -109,7 +110,7 @@ fn main() {
             model.name()
         );
     }
-    let weak_naive = enumerate(
+    let weak_naive = enumerate_pruned(
         &naive.program,
         &ModelSel::Weak.policy(),
         &EnumConfig {

@@ -13,11 +13,20 @@
 //!    programs and is raised in CI via `SAMM_DIFF_CORPUS=500`; the seed
 //!    is fixed so failures reproduce byte-for-byte.
 //!
+//! Both layers also check the goal-directed searches, which run on the
+//! pruned engine's behaviour stream: [`find_witness`] finds a witness
+//! exactly when the serial outcome set satisfies the goal, every witness
+//! replays, and [`refute`] agrees on observability.
+//!
 //! These are the acceptance tests for the pruned engine's soundness
 //! claims (dominance pruning, symmetry reduction, copy-on-write forks):
 //! each pruning rule must be invisible in the behaviour set.
 
 use samm::core::enumerate::{enumerate, EnumConfig};
+use samm::core::explain::{find_witness, refute, Goal, RefuteOutcome};
+use samm::core::ids::{Reg, Value};
+use samm::core::instr::Program;
+use samm::core::outcome::OutcomeSet;
 use samm::core::policy::Policy;
 use samm::core::pruned::enumerate_pruned;
 use samm::litmus::rand_prog::{random_program, RandConfig};
@@ -37,7 +46,7 @@ fn fresh_config() -> EnumConfig {
     EnumConfig::builder().keep_executions(false).build()
 }
 
-fn assert_engines_agree(program: &samm::core::instr::Program, policy: &Policy, label: &str) {
+fn assert_engines_agree(program: &Program, policy: &Policy, label: &str) -> OutcomeSet {
     let config = fresh_config();
     let serial = enumerate(program, policy, &config).expect("serial oracle succeeds");
     let pruned = enumerate_pruned(program, policy, &config).expect("pruned engine succeeds");
@@ -49,6 +58,93 @@ fn assert_engines_agree(program: &samm::core::instr::Program, policy: &Policy, l
         serial.stats.distinct_executions, pruned.stats.distinct_executions,
         "{label}: distinct-execution counts differ"
     );
+    serial.outcomes
+}
+
+/// `goal` is observable in the serial outcome set `serial` exactly when
+/// `find_witness` finds a witness and `refute` does not refute it, and
+/// every witness either search returns replays.
+fn assert_searches_agree(
+    program: &Program,
+    policy: &Policy,
+    serial: &OutcomeSet,
+    goal: &Goal,
+    label: &str,
+) {
+    let config = fresh_config();
+    let limit = config.max_nodes_per_thread;
+    let observable = serial.iter().any(|o| goal.matches(o));
+    let witness = find_witness(program, policy, &config, goal).expect("witness search succeeds");
+    assert_eq!(
+        witness.is_some(),
+        observable,
+        "{label}: find_witness disagrees with the serial outcome set on {goal}"
+    );
+    if let Some(w) = &witness {
+        assert!(goal.matches(&w.outcome), "{label}: witness misses {goal}");
+        w.verify(program, policy, limit)
+            .unwrap_or_else(|e| panic!("{label}: witness for {goal} does not replay: {e}"));
+    }
+    match refute(program, policy, &config, goal).expect("refutation succeeds") {
+        RefuteOutcome::Observable(w) => {
+            assert!(
+                observable,
+                "{label}: refute observed the unobservable {goal}"
+            );
+            w.verify(program, policy, limit)
+                .unwrap_or_else(|e| panic!("{label}: refute witness for {goal} fails: {e}"));
+        }
+        RefuteOutcome::Refuted(_) => {
+            assert!(!observable, "{label}: refute refuted the observable {goal}")
+        }
+    }
+}
+
+/// Catalog conditions: every condition of every entry under every model.
+#[test]
+fn goal_searches_match_serial_on_full_catalog() {
+    for entry in catalog::all() {
+        for model in MODELS {
+            let policy = model.policy();
+            let serial = enumerate(&entry.test.program, &policy, &fresh_config())
+                .expect("serial oracle succeeds")
+                .outcomes;
+            for condition in &entry.test.conditions {
+                assert_searches_agree(
+                    &entry.test.program,
+                    &policy,
+                    &serial,
+                    &Goal::new(condition.clauses.clone()),
+                    &format!("{} under {}", entry.test.name, model.name()),
+                );
+            }
+        }
+    }
+}
+
+/// Goals for a corpus program: a few complete outcomes observed under
+/// some model (so each is allowed by the weaker models and often
+/// forbidden by the stronger ones), one single-register clause, and a
+/// value no program of the generator stores.
+fn corpus_goals(union: &OutcomeSet) -> Vec<Goal> {
+    let mut goals: Vec<Goal> = union
+        .iter()
+        .step_by((union.len() / 4).max(1))
+        .map(|o| {
+            let mut clauses = Vec::new();
+            for t in 0..o.thread_count() {
+                for (r, &v) in o.thread_regs(t).iter().enumerate() {
+                    clauses.push((t, Reg::new(r), v));
+                }
+            }
+            Goal::new(clauses)
+        })
+        .collect();
+    if let Some(o) = union.iter().last() {
+        goals.push(Goal::new(vec![(0, Reg::new(0), o.reg(0, Reg::new(0)))]));
+    }
+    goals.push(Goal::new(vec![(0, Reg::new(0), Value::new(9_999))]));
+    goals
 }
 
 /// Layer 1: the whole catalog under the whole model chain.
@@ -115,12 +211,17 @@ fn pruned_matches_serial_on_seeded_corpus() {
         let shape = i % shapes.len();
         let mut rng = StdRng::seed_from_u64(0x5A44_1100 ^ (i as u64));
         let program = random_program(&mut rng, &shapes[shape]);
-        for model in MODELS {
-            assert_engines_agree(
-                &program,
-                &model.policy(),
-                &format!("corpus program {i} (shape {shape}) under {}", model.name()),
-            );
+        let label =
+            |model: ModelSel| format!("corpus program {i} (shape {shape}) under {}", model.name());
+        let serial: Vec<OutcomeSet> = MODELS
+            .iter()
+            .map(|&model| assert_engines_agree(&program, &model.policy(), &label(model)))
+            .collect();
+        let union: OutcomeSet = serial.iter().flat_map(|set| set.iter().cloned()).collect();
+        for goal in corpus_goals(&union) {
+            for (&model, set) in MODELS.iter().zip(&serial) {
+                assert_searches_agree(&program, &model.policy(), set, &goal, &label(model));
+            }
         }
     }
 }
