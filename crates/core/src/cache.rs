@@ -103,12 +103,13 @@ impl CachedResult {
         }
     }
 
-    /// Extracts the cacheable part of an [`EnumResult`], normalizing the
-    /// statistics to their deterministic subset.
-    pub fn from_result(result: &EnumResult) -> Self {
+    /// Takes the cacheable part of an [`EnumResult`], normalizing the
+    /// statistics to their deterministic subset. The outcome set moves
+    /// into the entry; kept executions are dropped.
+    pub fn from_result(result: EnumResult) -> Self {
         let mut stats = result.stats;
         stats.obs = stats.obs.map(|o| o.counters());
-        CachedResult::new(result.outcomes.clone(), stats)
+        CachedResult::new(result.outcomes, stats)
     }
 
     /// The outcome set as JSON: one array per outcome, holding one array
@@ -352,9 +353,11 @@ impl EnumCache {
     }
 
     /// Looks up an answer, running `fill` to compute and insert it on a
-    /// miss. One fill per fingerprint runs at a time: a caller that finds
-    /// the key being filled waits, then counts as a hit (or fills itself
-    /// when that fill failed). Every call counts one hit or one miss.
+    /// miss. `fill` returns the entry behind an `Arc`, so an answer that
+    /// is already shared elsewhere is inserted without a copy. One fill
+    /// per fingerprint runs at a time: a caller that finds the key being
+    /// filled waits, then counts as a hit (or fills itself when that
+    /// fill failed). Every call counts one hit or one miss.
     /// `fill` runs with no lock held and must not look up `fp` itself, or
     /// it waits on its own pending mark forever.
     ///
@@ -365,7 +368,7 @@ impl EnumCache {
     pub fn get_or_fill<E>(
         &self,
         fp: Fingerprint,
-        fill: impl FnOnce() -> Result<CachedResult, E>,
+        fill: impl FnOnce() -> Result<Arc<CachedResult>, E>,
     ) -> Result<(Arc<CachedResult>, Lookup), E> {
         let (slot, key) = (&self.shards[self.shard_index(fp)], fp.raw());
         let mut shard = slot.lock();
@@ -388,7 +391,7 @@ impl EnumCache {
         drop(shard);
         slot.count(false);
         let pending = PendingFill { slot, key };
-        let value = Arc::new(fill()?);
+        let value = fill()?;
         self.insert_at(&mut slot.lock(), key, Arc::clone(&value));
         drop(pending);
         Ok((value, Lookup { hit: false, waited }))
@@ -676,7 +679,8 @@ pub fn cached_enumerate(
             keep_executions: false,
             ..config.clone()
         };
-        engine(program, policy, &run_config).map(|result| CachedResult::from_result(&result))
+        engine(program, policy, &run_config)
+            .map(|result| Arc::new(CachedResult::from_result(result)))
     })?;
     Ok((value, lookup.hit))
 }
@@ -890,7 +894,7 @@ mod tests {
     /// An entry distinguishable from the empty one.
     fn sb_entry() -> CachedResult {
         let result = enumerate(&sb(), &Policy::weak(), &EnumConfig::default()).unwrap();
-        CachedResult::from_result(&result)
+        CachedResult::from_result(result)
     }
 
     #[test]
@@ -910,7 +914,7 @@ mod tests {
                                 fills.fetch_add(1, Ordering::Relaxed);
                                 // Long enough for every caller to arrive.
                                 std::thread::sleep(std::time::Duration::from_millis(50));
-                                Ok::<_, EnumError>(sb_entry())
+                                Ok::<_, EnumError>(Arc::new(sb_entry()))
                             })
                             .unwrap()
                     })
@@ -932,7 +936,7 @@ mod tests {
     fn fill_in_time(cache: &Arc<EnumCache>, fp: Fingerprint) -> Lookup {
         let (cache, (done, answer)) = (Arc::clone(cache), std::sync::mpsc::channel());
         std::thread::spawn(move || {
-            let filled = cache.get_or_fill(fp, || Ok::<_, EnumError>(sb_entry()));
+            let filled = cache.get_or_fill(fp, || Ok::<_, EnumError>(Arc::new(sb_entry())));
             done.send(filled.unwrap().1).unwrap();
         });
         answer
@@ -965,7 +969,7 @@ mod tests {
         let filler = {
             let cache = Arc::clone(&cache);
             std::thread::spawn(move || {
-                cache.get_or_fill(fp, || -> Result<CachedResult, EnumError> {
+                cache.get_or_fill(fp, || -> Result<Arc<CachedResult>, EnumError> {
                     started.send(()).unwrap();
                     std::thread::sleep(std::time::Duration::from_millis(50));
                     panic!("fill panics")

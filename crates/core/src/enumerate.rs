@@ -148,8 +148,9 @@ pub struct EnumStats {
     pub forks: usize,
     /// Forks discarded as duplicates of an already-seen behaviour.
     pub deduped: usize,
-    /// Forks rolled back because they violated Store Atomicity
-    /// (speculation/bypass only).
+    /// Forks rolled back because they violated Store Atomicity: mostly
+    /// under speculation, bypass and RMWs, but a candidate store can
+    /// close a cycle under any model.
     pub rolled_back: usize,
     /// Number of distinct complete executions (Load-Store graphs).
     pub distinct_executions: usize,
@@ -203,7 +204,6 @@ pub struct Behaviors {
     program: Program,
     policy: Policy,
     config: EnumConfig,
-    may_roll_back: bool,
     frontier: Vec<Behavior>,
     seen: HashSet<Vec<u8>>,
     stats: EnumStats,
@@ -285,14 +285,7 @@ impl Iterator for Behaviors {
                             }
                             self.frontier.push(fork);
                         }
-                        Err(StepError::Inconsistent(e)) => {
-                            if self.may_roll_back {
-                                self.stats.rolled_back += 1;
-                            } else {
-                                self.finished = true;
-                                return Some(Err(EnumError::UnexpectedCycle(e)));
-                            }
-                        }
+                        Err(StepError::Inconsistent(_)) => self.stats.rolled_back += 1,
                         Err(StepError::NodeLimit { thread, limit }) => {
                             self.finished = true;
                             return Some(Err(EnumError::NodeLimit { thread, limit }));
@@ -348,7 +341,6 @@ pub fn behaviors(
     policy: &Policy,
     config: &EnumConfig,
 ) -> Result<Behaviors, EnumError> {
-    let may_roll_back = policy.alias_speculation() || policy.has_bypass() || program.uses_rmw();
     let obs = config.observe.then(|| Arc::new(Obs::new()));
     let mut root = Behavior::new(program);
     if let Some(obs) = &obs {
@@ -369,7 +361,6 @@ pub fn behaviors(
         program: program.clone(),
         policy: policy.clone(),
         config: config.clone(),
-        may_roll_back,
         frontier: vec![root],
         seen,
         stats: EnumStats::default(),
@@ -408,9 +399,8 @@ pub fn behaviors(
 ///
 /// * [`EnumError::NodeLimit`] / [`EnumError::BehaviorLimit`] when limits are
 ///   exceeded;
-/// * [`EnumError::UnexpectedCycle`] when a non-speculative store-atomic
-///   model produces an inconsistent behaviour (an internal invariant
-///   violation);
+/// * [`EnumError::UnexpectedCycle`] when the initial behaviour is
+///   inconsistent (a fork that closes a cycle is rolled back instead);
 /// * [`EnumError::Stuck`] when a behaviour cannot make progress (likewise
 ///   an internal invariant violation).
 pub fn enumerate(

@@ -55,8 +55,9 @@ pub enum EnumError {
     /// resolvable load. This indicates an internal invariant violation and
     /// is never expected for well-formed programs.
     Stuck,
-    /// An ordering cycle arose in a context where the model guarantees
-    /// consistency (i.e. outside speculation/bypass forks).
+    /// The initial behaviour's ordering closed a cycle before any load
+    /// was resolved. (A cycle after a load resolution rolls that fork
+    /// back instead, under every model.)
     UnexpectedCycle(CycleError),
     /// The enumeration spent its fork fuel
     /// ([`EnumConfig::budget`](crate::enumerate::EnumConfig)) before
@@ -87,10 +88,7 @@ impl fmt::Display for EnumError {
                 "behaviour is quiescent with unresolved operations but no resolvable load"
             ),
             EnumError::UnexpectedCycle(e) => {
-                write!(
-                    f,
-                    "unexpected ordering cycle in a non-speculative model: {e}"
-                )
+                write!(f, "unexpected ordering cycle in the initial behaviour: {e}")
             }
             EnumError::Overbudget { budget, forks } => write!(
                 f,

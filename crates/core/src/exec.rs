@@ -33,8 +33,8 @@ use crate::policy::{Constraint, Policy};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StepError {
     /// An ordering edge closed a cycle: the behaviour violates Store
-    /// Atomicity. Under speculation/bypass this means "roll back the fork";
-    /// in a plain store-atomic model it is an internal error.
+    /// Atomicity. After a load resolution this means "roll back the fork"
+    /// under every model; in the initial behaviour it is an error.
     Inconsistent(CycleError),
     /// A thread exceeded the per-thread node budget (unbounded loop).
     NodeLimit {

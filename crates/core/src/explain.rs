@@ -652,7 +652,6 @@ pub fn refute(
     config: &EnumConfig,
     goal: &Goal,
 ) -> Result<RefuteOutcome, EnumError> {
-    let may_roll_back = policy.alias_speculation() || policy.has_bypass() || program.uses_rmw();
     let mut root = Behavior::new(program);
     match root.settle(program, policy, config.max_nodes_per_thread) {
         Ok(()) => {}
@@ -736,12 +735,8 @@ pub fn refute(
                         next.push((load, store));
                         stack.push((fork, next));
                     }
-                    Err(StepError::Inconsistent(e)) => {
-                        if may_roll_back {
-                            first_cycle.get_or_insert(store);
-                        } else {
-                            return Err(EnumError::UnexpectedCycle(e));
-                        }
+                    Err(StepError::Inconsistent(_)) => {
+                        first_cycle.get_or_insert(store);
                     }
                     Err(StepError::NodeLimit { thread, limit }) => {
                         return Err(EnumError::NodeLimit { thread, limit })

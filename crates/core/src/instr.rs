@@ -399,20 +399,6 @@ impl Program {
     pub fn instr_count(&self) -> usize {
         self.threads.iter().map(ThreadProgram::len).sum()
     }
-
-    /// Whether any thread uses an atomic read-modify-write instruction.
-    ///
-    /// Competing RMWs expose Store Atomicity conflicts that are only
-    /// detectable when the closure runs (two CASes observing the same
-    /// source contradict each other through rule b), so the enumerator
-    /// treats inconsistent forks of RMW programs as rejected candidates
-    /// rather than internal errors.
-    pub fn uses_rmw(&self) -> bool {
-        self.threads
-            .iter()
-            .flat_map(|t| t.instrs())
-            .any(|i| matches!(i, Instr::Rmw { .. }))
-    }
 }
 
 #[cfg(test)]

@@ -432,16 +432,6 @@ impl Policy {
     pub fn at_least_as_strong(&self, weaker: &Policy) -> bool {
         self.table.at_least_as_strong(&weaker.table)
     }
-
-    /// Whether the table contains any [`Constraint::Bypass`] entry (i.e. the
-    /// model is non-atomic in the TSO sense).
-    pub fn has_bypass(&self) -> bool {
-        OpClass::ALL.iter().any(|&a| {
-            OpClass::ALL
-                .iter()
-                .any(|&b| self.constraint(a, b) == Constraint::Bypass)
-        })
-    }
 }
 
 impl fmt::Display for Policy {
@@ -508,7 +498,7 @@ mod tests {
         }
         assert_eq!(p.constraint(Compute, Load), DataOnly);
         assert_eq!(p.constraint(Store, Compute), DataOnly);
-        assert!(!p.has_bypass());
+        assert!(p.table().cells().all(|(_, _, c)| c != Bypass));
     }
 
     #[test]
@@ -522,14 +512,13 @@ mod tests {
         // Buffered stores pass later branches; branches never pass stores.
         assert_eq!(p.constraint(Store, Branch), Free);
         assert_eq!(p.constraint(Branch, Store), Never);
-        assert!(p.has_bypass());
     }
 
     #[test]
     fn naive_tso_uses_plain_same_addr_edge() {
         let p = Policy::naive_tso();
         assert_eq!(p.constraint(OpClass::Store, OpClass::Load), SameAddr);
-        assert!(!p.has_bypass());
+        assert!(p.table().cells().all(|(_, _, c)| c != Bypass));
     }
 
     #[test]

@@ -430,7 +430,6 @@ pub struct PrunedStream<'a> {
     program: &'a Program,
     policy: &'a Policy,
     config: &'a EnumConfig,
-    may_roll_back: bool,
     group: Vec<Vec<usize>>,
     seen: SeenTable,
     frontier: Vec<FrontierEntry>,
@@ -535,7 +534,6 @@ impl<'a> PrunedStream<'a> {
         group: Vec<Vec<usize>>,
         record_paths: bool,
     ) -> Result<Self, EnumError> {
-        let may_roll_back = policy.alias_speculation() || policy.has_bypass() || program.uses_rmw();
         let obs = config.observe.then(|| Arc::new(Obs::new()));
         let mut root = Behavior::new(program);
         if let Some(obs) = &obs {
@@ -552,7 +550,6 @@ impl<'a> PrunedStream<'a> {
             program,
             policy,
             config,
-            may_roll_back,
             pstats: PruneStats {
                 symmetry_group: group.len() as u64,
                 ..PruneStats::default()
@@ -756,15 +753,11 @@ impl<'a> PrunedStream<'a> {
                     };
                     self.frontier.push((fork, child_set, child_h, child_id));
                 }
-                Err(StepError::Inconsistent(e)) => {
-                    if self.may_roll_back {
-                        // The claim stays: any other path to this
-                        // observation set fails identically.
-                        self.stats.rolled_back += 1;
-                        self.pstats.rolled_back += 1;
-                    } else {
-                        return Err(EnumError::UnexpectedCycle(e));
-                    }
+                Err(StepError::Inconsistent(_)) => {
+                    // The claim stays: any other path to this
+                    // observation set fails identically.
+                    self.stats.rolled_back += 1;
+                    self.pstats.rolled_back += 1;
                 }
                 Err(StepError::NodeLimit { thread, limit }) => {
                     return Err(EnumError::NodeLimit { thread, limit });

@@ -326,6 +326,101 @@ pub fn guaranteed_edge(first: &StaticEvent, second: &StaticEvent, policy: &Polic
     }
 }
 
+/// The part of a policy one program can observe: the effective table
+/// cell of every same-thread event pair the engine may consult, plus the
+/// speculation flag where it can matter.
+///
+/// The engine reads a policy in exactly two places, both when it emits a
+/// node: the combined constraint against each earlier node of the thread,
+/// and, for an address-sensitive pair, whether alias speculation skips
+/// the edge from the producer of the earlier node's address. So two
+/// policies with equal views run the same search step for step, and the
+/// verdict harness enumerates once per view. Recorded pairs:
+///
+/// * straight-line threads: event `i` before event `j`, `i < j` (the
+///   emitted node order is the listing order);
+/// * branchy threads: every ordered pair, self-pairs included, since a
+///   loop may emit any instruction after any other.
+///
+/// Cells are normalised where the engine cannot tell them apart:
+///
+/// * `DataOnly` is recorded as `Free`, as [`Policy::combined_constraint`]
+///   already returns it (neither inserts anything);
+/// * in a straight-line thread, an address-sensitive cell between two
+///   different immediate addresses is `Free`: the alias pair it creates
+///   is decided distinct as soon as the addresses are set, and an
+///   immediate address has no producer to order behind;
+/// * the speculation flag is kept only when some address-sensitive pair's
+///   earlier event has a register-held address, the only case in which
+///   [`Policy::alias_speculation`] changes an edge.
+///
+/// Views are compared between policies of one program; they are not a
+/// cache key across programs.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct TableView {
+    /// Per thread, the normalised cells of the recorded pairs, in
+    /// row-major pair order.
+    cells: Vec<Vec<Constraint>>,
+    alias_speculation: bool,
+}
+
+impl TableView {
+    /// The view of `policy` from `program`.
+    pub fn of(program: &Program, policy: &Policy) -> TableView {
+        let threads: Vec<ThreadEvents> = program.threads().iter().map(thread_events).collect();
+        TableView::from_events(&threads, policy)
+    }
+
+    /// The view of `policy` from a program whose threads' static events
+    /// are `threads` (one [`thread_events`] per thread), so one scan of
+    /// the program serves the views of several policies.
+    pub fn from_events(threads: &[ThreadEvents], policy: &Policy) -> TableView {
+        let mut alias_speculation = false;
+        let cells = threads
+            .iter()
+            .map(|thread| {
+                let (events, straight_line) = (&thread.events, thread.straight_line);
+                let mut cells = Vec::new();
+                for (i, first) in events.iter().enumerate() {
+                    let seconds = if straight_line {
+                        &events[i + 1..]
+                    } else {
+                        &events[..]
+                    };
+                    for second in seconds {
+                        let cell = view_cell(first, second, straight_line, policy);
+                        alias_speculation |= cell.is_address_sensitive()
+                            && first.addr_unknown()
+                            && policy.alias_speculation();
+                        cells.push(cell);
+                    }
+                }
+                cells
+            })
+            .collect();
+        TableView {
+            cells,
+            alias_speculation,
+        }
+    }
+}
+
+/// The normalised cell of one recorded pair; see [`TableView`].
+fn view_cell(
+    first: &StaticEvent,
+    second: &StaticEvent,
+    straight_line: bool,
+    policy: &Policy,
+) -> Constraint {
+    let cell = policy.combined_constraint(first.kind.classes(), second.kind.classes());
+    let distinct = matches!((first.addr, second.addr), (Some(a), Some(b)) if a != b);
+    if cell.is_address_sensitive() && straight_line && distinct {
+        Constraint::Free
+    } else {
+        cell
+    }
+}
+
 /// Would a fence inserted at instruction boundary `pos` (between
 /// instructions `pos - 1` and `pos`) of `thread` add any guaranteed
 /// memory-memory order not already present under `policy`?
@@ -564,6 +659,39 @@ mod tests {
         assert!(!te.straight_line);
         assert!(!fence_slot_is_vacuous(&t, &Policy::weak(), 1));
         assert!(!fence_is_dead(&t, &Policy::weak(), 1));
+    }
+
+    #[test]
+    fn views_keep_only_cells_the_engine_reads() {
+        use OpClass::{Load, Store};
+        let view = |instrs: Vec<Instr>, policy: &Policy| {
+            TableView::of(&Program::new(vec![ThreadProgram::new(instrs)]), policy)
+        };
+        let weak = Policy::weak();
+        let free_sl = Policy::custom(
+            "Weak, store->load free",
+            weak.table().with_entry(Store, Load, Constraint::DataOnly),
+        );
+        let spec = weak.clone().with_alias_speculation(true);
+        // Different immediate addresses: the x != y cell inserts nothing.
+        let distinct = || vec![store(0, 1), load(0, 1)];
+        assert_eq!(view(distinct(), &weak), view(distinct(), &free_sl));
+        assert_eq!(view(distinct(), &weak), view(distinct(), &spec));
+        // The same address: it orders the pair.
+        let same = || vec![store(0, 1), load(0, 0)];
+        assert_ne!(view(same(), &weak), view(same(), &free_sl));
+        // A register-held address: speculation skips the producer edge.
+        let pointer = || {
+            vec![
+                load(0, 0),
+                Instr::Store {
+                    addr: Operand::Reg(Reg::new(0)),
+                    val: imm(1),
+                },
+                load(1, 1),
+            ]
+        };
+        assert_ne!(view(pointer(), &weak), view(pointer(), &spec));
     }
 
     #[test]

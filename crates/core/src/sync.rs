@@ -58,7 +58,6 @@ pub fn check_well_synchronized(
     config: &EnumConfig,
     sync_addrs: &BTreeSet<Addr>,
 ) -> Result<SyncReport, EnumError> {
-    let may_roll_back = policy.alias_speculation() || policy.has_bypass() || program.uses_rmw();
     let mut report = SyncReport::default();
     let mut seen: HashSet<Vec<u8>> = HashSet::new();
     let mut frontier: Vec<Behavior> = Vec::new();
@@ -113,11 +112,7 @@ pub fn check_well_synchronized(
                             frontier.push(fork);
                         }
                     }
-                    Err(StepError::Inconsistent(e)) => {
-                        if !may_roll_back {
-                            return Err(EnumError::UnexpectedCycle(e));
-                        }
-                    }
+                    Err(StepError::Inconsistent(_)) => {}
                     Err(StepError::NodeLimit { thread, limit }) => {
                         return Err(EnumError::NodeLimit { thread, limit })
                     }

@@ -170,10 +170,4 @@ mod tests {
         let r = enumerate(&entry.test.program, &Policy::weak(), &EnumConfig::default()).unwrap();
         assert_eq!(r.outcomes.len(), 2);
     }
-
-    #[test]
-    fn rmw_programs_are_detected() {
-        assert!(cas_mutex().test.program.uses_rmw());
-        assert!(!super::super::sb().test.program.uses_rmw());
-    }
 }

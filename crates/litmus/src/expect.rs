@@ -9,17 +9,25 @@
 //! Every harness entry point enumerates with the production engine,
 //! [`enumerate_pruned`]. [`run_entry_serial`] runs the same harness on
 //! the serial oracle ([`enumerate`]) for differential checks.
+//!
+//! One entry runs the engine once per [`TableView`]: models whose
+//! tables agree on every cell the program reaches run the same search,
+//! so the later ones reuse the first one's answer (a certified model
+//! runs as SC).
 
-use std::collections::BTreeMap;
+use std::cell::OnceCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-use samm_core::cache::{cached_enumerate, CachedResult, EnumCache};
+use samm_core::cache::{CachedResult, EnumCache};
 use samm_core::enumerate::{enumerate, EnumConfig, EnumResult, EnumStats};
 use samm_core::error::EnumError;
+use samm_core::fingerprint::query_fingerprint;
 use samm_core::instr::Program;
 use samm_core::policy::Policy;
 use samm_core::pruned::enumerate_pruned;
+use samm_core::static_order::{thread_events, TableView, ThreadEvents};
 
 use crate::catalog::{CatalogEntry, ModelSel};
 
@@ -58,6 +66,11 @@ pub struct VerdictRow {
     /// content-addressed [`EnumCache`] instead of running fresh (only
     /// possible via [`run_entry_cached`] and friends).
     pub cache_hit: bool,
+    /// `true` on exactly one row per engine run the call made: the first
+    /// row that run answered. Rows of models with the same
+    /// [`TableView`], and certified rows, share a run, so folding the
+    /// `stats` of these rows counts every run once.
+    pub fresh_run: bool,
     /// Statistics of the enumeration that answered this row. For
     /// [certified](VerdictRow::certified) rows these are the SC run's
     /// stats. With [`EnumConfig::observe`] set they carry an
@@ -208,13 +221,12 @@ pub fn run_entry_certified(
     run_entry_with(entry, config, enumerate_pruned, Some(certifier), None)
 }
 
-/// The per-model answer assembled by [`run_entry_with`]. Models that
-/// share one enumeration (certified models and SC) share its `Arc`.
-#[derive(Clone)]
+/// The answer for one running model, assembled by [`run_entry_with`].
 struct ModelAnswer {
     result: Arc<CachedResult>,
-    certified: bool,
     cache_hit: bool,
+    /// The engine ran for this model (no earlier run had its view).
+    ran: bool,
 }
 
 fn run_entry_with(
@@ -224,46 +236,76 @@ fn run_entry_with(
     certifier: Option<Certifier<'_>>,
     cache: Option<&EnumCache>,
 ) -> Result<EntryReport, EnumError> {
-    // One enumeration under `policy`, via the shared content-addressed
-    // cache when one was provided.
-    let run = |policy: &Policy| -> Result<ModelAnswer, EnumError> {
-        let (result, cache_hit) = match cache {
-            Some(cache) => cached_enumerate(cache, &entry.test.program, policy, config, engine)?,
-            None => {
-                let result = engine(&entry.test.program, policy, config)?;
-                (
-                    Arc::new(CachedResult::new(result.outcomes, result.stats)),
-                    false,
-                )
-            }
-        };
-        Ok(ModelAnswer {
-            result,
-            certified: false,
-            cache_hit,
-        })
+    let program = &entry.test.program;
+    // Rows never carry executions.
+    let run_config = EnumConfig {
+        keep_executions: false,
+        ..config.clone()
     };
+    // The model whose run answers each model: SC for a certified model.
+    let mut runner: BTreeMap<ModelSel, ModelSel> = BTreeMap::new();
     let mut answers: BTreeMap<ModelSel, ModelAnswer> = BTreeMap::new();
-    let mut sc_answer: Option<ModelAnswer> = None;
+    // One engine run per table view: models the program cannot tell
+    // apart share its entry. Views are computed only on a miss.
+    let mut runs: HashMap<TableView, Arc<CachedResult>> = HashMap::new();
+    let events: OnceCell<Vec<ThreadEvents>> = OnceCell::new();
     for model in entry.models() {
-        let certified = model != ModelSel::Sc
-            && certifier.is_some_and(|c| c(&entry.test.program, &model.policy()));
-        let answer = if certified || model == ModelSel::Sc {
-            let sc = match &sc_answer {
-                Some(sc) => sc.clone(),
-                None => sc_answer.insert(run(&ModelSel::Sc.policy())?).clone(),
-            };
-            ModelAnswer { certified, ..sc }
-        } else {
-            run(&model.policy())?
+        let certified =
+            model != ModelSel::Sc && certifier.is_some_and(|c| c(program, &model.policy()));
+        let run_model = if certified { ModelSel::Sc } else { model };
+        runner.insert(model, run_model);
+        if answers.contains_key(&run_model) {
+            continue;
+        }
+        let policy = run_model.policy();
+        let mut ran = false;
+        let mut fill = || -> Result<Arc<CachedResult>, EnumError> {
+            let events =
+                events.get_or_init(|| program.threads().iter().map(thread_events).collect());
+            let view = TableView::from_events(events, &policy);
+            if let Some(shared) = runs.get(&view) {
+                return Ok(Arc::clone(shared));
+            }
+            let result = engine(program, &policy, &run_config)?;
+            // Cache entries keep only deterministic statistics.
+            let result = Arc::new(match cache {
+                Some(_) => CachedResult::from_result(result),
+                None => CachedResult::new(result.outcomes, result.stats),
+            });
+            runs.insert(view, Arc::clone(&result));
+            ran = true;
+            Ok(result)
         };
-        answers.insert(model, answer);
+        // With a cache, the model's own fingerprint is probed first, and
+        // a miss is filled from the shared run.
+        let (result, cache_hit) = match cache {
+            Some(cache) => {
+                let (result, lookup) =
+                    cache.get_or_fill(query_fingerprint(program, &policy, config), fill)?;
+                (result, lookup.hit)
+            }
+            None => (fill()?, false),
+        };
+        answers.insert(
+            run_model,
+            ModelAnswer {
+                result,
+                cache_hit,
+                ran,
+            },
+        );
     }
+    let mut unfolded: BTreeSet<ModelSel> = answers
+        .iter()
+        .filter(|(_, answer)| answer.ran)
+        .map(|(&model, _)| model)
+        .collect();
     let rows = entry
         .verdicts
         .iter()
         .map(|v| {
-            let answer = &answers[&v.model];
+            let run_model = runner[&v.model];
+            let answer = &answers[&run_model];
             let condition = &entry.test.conditions[v.condition];
             VerdictRow {
                 model: v.model,
@@ -272,8 +314,9 @@ fn run_entry_with(
                 observed_allowed: condition.observable_in(&answer.result.outcomes),
                 outcomes: answer.result.outcomes.len(),
                 executions: answer.result.stats.distinct_executions,
-                certified: answer.certified,
+                certified: run_model != v.model,
                 cache_hit: answer.cache_hit,
+                fresh_run: unfolded.remove(&run_model),
                 stats: answer.result.stats,
             }
         })

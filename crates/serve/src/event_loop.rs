@@ -631,8 +631,12 @@ impl EventLoop {
             }
         }
         // The last loop out wakes the workers so they can observe an
-        // empty queue with no remaining producers and exit.
+        // empty queue with no remaining producers and exit. The lock
+        // round-trip orders the count against a worker between its
+        // check and its wait; without it the wake-up can be lost and
+        // the worker, and the join, block forever.
         if self.shared.loops_alive.fetch_sub(1, Ordering::SeqCst) == 1 {
+            drop(self.shared.jobs.lock().expect("jobs poisoned"));
             self.shared.jobs_available.notify_all();
         }
     }

@@ -409,7 +409,7 @@ fn enumerate_response(
         .get_or_fill(fp, || {
             let result = enumerate_pruned(&entry.test.program, &policy, &config)?;
             run_obs = result.stats.obs;
-            Ok(CachedResult::from_result(&result))
+            Ok(Arc::new(CachedResult::from_result(result)))
         })
         .map_err(enum_error)?;
     if lookup.waited {
@@ -521,19 +521,9 @@ fn verdict_response(
     let config = state.config(budget);
     let report =
         run_entry_cached(entry, &config, &state.cache, &drf_certifier).map_err(enum_error)?;
-    // One fold per fresh enumeration: the rows of a model share its run,
-    // and certified rows share the SC run.
-    let mut folded: Vec<ModelSel> = Vec::new();
-    for row in report.rows.iter().filter(|row| !row.cache_hit) {
-        let run = if row.certified {
-            ModelSel::Sc
-        } else {
-            row.model
-        };
-        if !folded.contains(&run) {
-            folded.push(run);
-            state.telemetry.fold_stats(&row.stats);
-        }
+    // One fold per engine run: exactly one row of each run is marked.
+    for row in report.rows.iter().filter(|row| row.fresh_run) {
+        state.telemetry.fold_stats(&row.stats);
     }
     Ok(Json::obj([
         ("ok", Json::Bool(true)),
@@ -846,6 +836,9 @@ fn metrics_cluster_response(state: &ServerState, fwd: bool) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use samm_core::cache::cached_enumerate;
+    use samm_core::static_order::TableView;
+    use samm_litmus::expect::VerdictRow;
 
     fn state() -> ServerState {
         ServerState::new(EnumCache::new(64), None)
@@ -913,7 +906,8 @@ mod tests {
                     assert_eq!(handle(&state, &request).get("ok"), Some(&Json::Bool(false)));
                     continue;
                 };
-                let stats = CachedResult::from_result(&fresh).stats.to_json();
+                let fresh = CachedResult::from_result(fresh);
+                let stats = fresh.stats.to_json();
                 for hit in [false, true] {
                     let resp = handle(&state, &request);
                     let field = |key| resp.get(key).map(Json::to_string);
@@ -1026,6 +1020,122 @@ mod tests {
         );
     }
 
+    /// The verdict harness without table views: every running model
+    /// enumerates through `cache` under its own fingerprint, and
+    /// certified models share the SC run.
+    fn reference_verdict(entry: &CatalogEntry, cache: &EnumCache, config: &EnumConfig) -> Json {
+        let program = &entry.test.program;
+        let run_model = |m: ModelSel| {
+            if m != ModelSel::Sc && drf_certifier(program, &m.policy()) {
+                ModelSel::Sc
+            } else {
+                m
+            }
+        };
+        let mut answers = std::collections::BTreeMap::new();
+        for m in entry.models() {
+            answers.entry(run_model(m)).or_insert_with(|| {
+                cached_enumerate(
+                    cache,
+                    program,
+                    &run_model(m).policy(),
+                    config,
+                    enumerate_pruned,
+                )
+                .unwrap()
+            });
+        }
+        let rows = entry
+            .verdicts
+            .iter()
+            .map(|v| {
+                let (result, cache_hit) = &answers[&run_model(v.model)];
+                let condition = &entry.test.conditions[v.condition];
+                VerdictRow {
+                    model: v.model,
+                    condition: condition.text.clone(),
+                    expected_allowed: v.allowed,
+                    observed_allowed: condition.observable_in(&result.outcomes),
+                    outcomes: result.outcomes.len(),
+                    executions: result.stats.distinct_executions,
+                    certified: run_model(v.model) != v.model,
+                    cache_hit: *cache_hit,
+                    fresh_run: false,
+                    stats: result.stats,
+                }
+            })
+            .collect();
+        report_json(&EntryReport {
+            name: entry.test.name.clone(),
+            rows,
+        })
+    }
+
+    /// Sharing runs between models with equal table views changes no
+    /// byte of a verdict response and no cache entry or counter: every
+    /// catalog verdict, cold then warm, and with one model enumerated
+    /// beforehand on every other entry, matches the reference harness
+    /// running on a cache of its own.
+    #[test]
+    fn verdicts_match_a_harness_that_runs_every_model() {
+        let state = ServerState::new(EnumCache::new(4096), None);
+        let reference = EnumCache::new(4096);
+        let config = state.config(None);
+        let counters = |cache: &EnumCache| {
+            let s = cache.stats();
+            (s.hits, s.misses, s.insertions)
+        };
+        for (i, entry) in cached_catalog().iter().enumerate() {
+            let name = &entry.test.name;
+            if i % 2 == 1 {
+                let models = entry.models();
+                let model = models[i / 2 % models.len()];
+                let request = Request::Enumerate {
+                    test: name.clone(),
+                    model: model.name().to_owned(),
+                    budget: None,
+                };
+                assert_eq!(handle(&state, &request).get("ok"), Some(&Json::Bool(true)));
+                cached_enumerate(
+                    &reference,
+                    &entry.test.program,
+                    &model.policy(),
+                    &config,
+                    enumerate_pruned,
+                )
+                .unwrap();
+            }
+            for pass in ["cold", "warm"] {
+                let verdict = Request::Verdict {
+                    test: name.clone(),
+                    budget: None,
+                };
+                let response = handle(&state, &verdict);
+                assert_eq!(
+                    response.get("report").map(Json::to_string),
+                    Some(reference_verdict(entry, &reference, &config).to_string()),
+                    "{name} ({pass})"
+                );
+                assert_eq!(
+                    counters(&state.cache),
+                    counters(&reference),
+                    "{name} ({pass})"
+                );
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("samm-verdict-parity-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (served, referenced) = (dir.join("served"), dir.join("reference"));
+        state.cache.save_to(&served).unwrap();
+        reference.save_to(&referenced).unwrap();
+        let contents = |path| std::fs::read(path).unwrap();
+        assert!(
+            contents(&served) == contents(&referenced),
+            "cache contents differ"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// Verdict rows over models that `drf_certifier` proves
     /// SC-equivalent are answered from the SC run and marked
     /// `certified`, with the counts an uncertified harness reports.
@@ -1075,7 +1185,9 @@ mod tests {
     }
 
     /// A cold verdict folds each fresh enumeration into the counters
-    /// once, however many rows share it; a warm one folds nothing.
+    /// once, however many rows share it; a warm one folds nothing. Rows
+    /// share a run when their running models (SC for a certified model)
+    /// have the same table view.
     #[test]
     fn verdict_telemetry_folds_each_fresh_enumeration_once() {
         let state = state();
@@ -1083,27 +1195,23 @@ mod tests {
         let models = entry.models();
         assert!(entry.verdicts.len() > models.len(), "rows must share runs");
         let program = &entry.test.program;
-        let mut runs: Vec<ModelSel> = models
-            .iter()
-            .map(|&m| {
-                if m != ModelSel::Sc && drf_certifier(program, &m.policy()) {
-                    ModelSel::Sc
-                } else {
-                    m
-                }
-            })
-            .collect();
-        runs.sort();
-        runs.dedup();
-        let expected: u64 = runs
-            .iter()
-            .map(|m| {
-                enumerate_pruned(program, &m.policy(), &state.config(None))
+        let mut views: Vec<TableView> = Vec::new();
+        let mut expected = 0;
+        for m in models {
+            let policy = if m != ModelSel::Sc && drf_certifier(program, &m.policy()) {
+                ModelSel::Sc.policy()
+            } else {
+                m.policy()
+            };
+            let view = TableView::of(program, &policy);
+            if !views.contains(&view) {
+                views.push(view);
+                expected += enumerate_pruned(program, &policy, &state.config(None))
                     .unwrap()
                     .stats
-                    .explored as u64
-            })
-            .sum();
+                    .explored as u64;
+            }
+        }
         let verdict = Request::Verdict {
             test: "fig7".into(),
             budget: None,

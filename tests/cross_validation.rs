@@ -131,3 +131,27 @@ fn random_programs_with_branches_agree() {
         check_program(prog, &format!("random-branchy #{i}"));
     }
 }
+
+/// A store-atomic model can meet a dead-end fork: the non-speculative
+/// candidate rule offers a store whose Store Atomicity closure is cyclic.
+/// This 3-thread program of straight-line loads and stores (no fences,
+/// no RMWs) hits one under SC; both engines must roll the fork back and
+/// agree with the interleaving machine.
+#[test]
+fn sc_rolls_back_a_dead_end_fork() {
+    use samm::core::pruned::enumerate_pruned;
+    let cfg = RandConfig {
+        threads: 3,
+        ..RandConfig::default()
+    };
+    let program = &corpus(2, 400, &cfg)[81];
+    let oper_sc = oper::enumerate_sc(program, STATE_LIMIT).expect("oper SC succeeds");
+    assert_eq!(oper_sc.len(), 386);
+    let sc = Policy::sequential_consistency();
+    let serial = enumerate(program, &sc, &config()).expect("serial SC succeeds");
+    let pruned = enumerate_pruned(program, &sc, &config()).expect("pruned SC succeeds");
+    assert_eq!(serial.outcomes, oper_sc);
+    assert_eq!(pruned.outcomes, oper_sc);
+    assert!(serial.stats.rolled_back > 0, "the dead end is rolled back");
+    assert!(pruned.stats.rolled_back > 0, "the dead end is rolled back");
+}

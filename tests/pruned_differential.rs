@@ -18,17 +18,26 @@
 //! exactly when the serial outcome set satisfies the goal, every witness
 //! replays, and [`refute`] agrees on observability.
 //!
+//! Both layers also check table views ([`TableView`]): two models with
+//! equal views of a program must run identically on both engines, which
+//! is what lets the verdict harness enumerate once per view.
+//!
 //! These are the acceptance tests for the pruned engine's soundness
 //! claims (dominance pruning, symmetry reduction, copy-on-write forks):
 //! each pruning rule must be invisible in the behaviour set.
 
-use samm::core::enumerate::{enumerate, EnumConfig};
+use samm::analyze::harness::drf_certifier;
+use samm::core::cache::CachedResult;
+use samm::core::enumerate::{enumerate, EnumConfig, EnumResult};
+use samm::core::error::EnumError;
 use samm::core::explain::{find_witness, refute, Goal, RefuteOutcome};
 use samm::core::ids::{Reg, Value};
 use samm::core::instr::Program;
 use samm::core::outcome::OutcomeSet;
 use samm::core::policy::Policy;
 use samm::core::pruned::enumerate_pruned;
+use samm::core::static_order::TableView;
+use samm::litmus::expect::{self, EntryReport};
 use samm::litmus::rand_prog::{random_program, RandConfig};
 use samm::litmus::{catalog, ModelSel};
 
@@ -171,8 +180,8 @@ fn corpus_size() -> usize {
 
 /// The generator shapes the corpus cycles through; together they cover
 /// plain racy programs, speculation-relevant branches, fence-heavy
-/// programs and single-node atomics.
-fn shapes() -> [RandConfig; 4] {
+/// programs, single-node atomics and three-thread programs.
+fn shapes() -> [RandConfig; 5] {
     let base = RandConfig {
         threads: 2,
         ops_per_thread: 4,
@@ -195,9 +204,22 @@ fn shapes() -> [RandConfig; 4] {
         },
         RandConfig {
             rmw_prob: 0.35,
+            ..base.clone()
+        },
+        RandConfig {
+            threads: 3,
+            ops_per_thread: 3,
             ..base
         },
     ]
+}
+
+/// Program `i` of the seeded corpus and its shape index; see
+/// [`pruned_matches_serial_on_seeded_corpus`].
+fn corpus_program(i: usize, shapes: &[RandConfig]) -> (Program, usize) {
+    let shape = i % shapes.len();
+    let mut rng = StdRng::seed_from_u64(0x5A44_1100 ^ (i as u64));
+    (random_program(&mut rng, &shapes[shape]), shape)
 }
 
 /// Layer 2: the seeded random corpus. Seed 0xSAMM is fixed; program `i`
@@ -208,9 +230,7 @@ fn pruned_matches_serial_on_seeded_corpus() {
     let shapes = shapes();
     let n = corpus_size();
     for i in 0..n {
-        let shape = i % shapes.len();
-        let mut rng = StdRng::seed_from_u64(0x5A44_1100 ^ (i as u64));
-        let program = random_program(&mut rng, &shapes[shape]);
+        let (program, shape) = corpus_program(i, &shapes);
         let label =
             |model: ModelSel| format!("corpus program {i} (shape {shape}) under {}", model.name());
         let serial: Vec<OutcomeSet> = MODELS
@@ -224,4 +244,127 @@ fn pruned_matches_serial_on_seeded_corpus() {
             }
         }
     }
+}
+
+type Engine = fn(&Program, &Policy, &EnumConfig) -> Result<EnumResult, EnumError>;
+
+const ENGINES: [(&str, Engine); 2] = [("serial", enumerate), ("pruned", enumerate_pruned)];
+
+/// Everything a run reports that does not depend on the clock: the
+/// outcome set, the execution count, the search-shape counters and the
+/// instrumentation counters.
+fn run_record(engine: Engine, program: &Program, policy: &Policy) -> Result<CachedResult, String> {
+    let config = EnumConfig::builder()
+        .keep_executions(false)
+        .observe(true)
+        .build();
+    engine(program, policy, &config)
+        .map(CachedResult::from_result)
+        .map_err(|e| e.to_string())
+}
+
+/// Checks that every pair of models with equal views of `program` runs
+/// identically on both engines. Returns the number of such pairs.
+fn assert_equal_views_run_identically(program: &Program, label: &str) -> usize {
+    let views = ModelSel::ALL.map(|m| TableView::of(program, &m.policy()));
+    let mut equal = 0;
+    for (i, a) in ModelSel::ALL.iter().enumerate() {
+        for (j, b) in ModelSel::ALL.iter().enumerate().skip(i + 1) {
+            if views[i] != views[j] {
+                continue;
+            }
+            equal += 1;
+            for (name, engine) in ENGINES {
+                assert_eq!(
+                    run_record(engine, program, &a.policy()),
+                    run_record(engine, program, &b.policy()),
+                    "{label}: {} and {} share a view but their {name} runs differ",
+                    a.name(),
+                    b.name()
+                );
+            }
+        }
+    }
+    equal
+}
+
+#[test]
+fn equal_views_run_identically_on_full_catalog() {
+    let equal: usize = catalog::all()
+        .iter()
+        .map(|entry| assert_equal_views_run_identically(&entry.test.program, &entry.test.name))
+        .sum();
+    assert!(equal > 0, "the catalog has equal-view model pairs");
+}
+
+#[test]
+fn equal_views_run_identically_on_seeded_corpus() {
+    let shapes = shapes();
+    let mut equal = 0;
+    for i in 0..corpus_size() {
+        let (program, shape) = corpus_program(i, &shapes);
+        equal += assert_equal_views_run_identically(
+            &program,
+            &format!("corpus program {i} (shape {shape})"),
+        );
+    }
+    assert!(equal > 0, "the corpus has equal-view model pairs");
+}
+
+/// Views differ wherever the program can tell the tables apart, and the
+/// runs differ with them.
+#[test]
+fn views_differ_where_the_program_reads_the_difference() {
+    for (entry, a, b, why) in [
+        (
+            catalog::sb(),
+            ModelSel::Sc,
+            ModelSel::Weak,
+            "store->load order",
+        ),
+        (
+            catalog::fig8(),
+            ModelSel::Weak,
+            ModelSel::WeakSpec,
+            "speculation past a register-held address",
+        ),
+        (
+            catalog::fig3(),
+            ModelSel::NaiveTso,
+            ModelSel::Tso,
+            "same-address store->load: x != y vs bypass",
+        ),
+    ] {
+        let program = &entry.test.program;
+        let label = format!("{} {} vs {} ({why})", entry.test.name, a.name(), b.name());
+        assert_ne!(
+            TableView::of(program, &a.policy()),
+            TableView::of(program, &b.policy()),
+            "{label}"
+        );
+        assert_ne!(
+            run_record(enumerate_pruned, program, &a.policy()),
+            run_record(enumerate_pruned, program, &b.policy()),
+            "{label}"
+        );
+    }
+}
+
+/// Engine runs per catalog verdict: one per table view of the running
+/// models, where a certified model runs as SC. Before views, every
+/// (test, model) pair ran (141), or every running model (67) with the
+/// DRF certifier.
+#[test]
+fn catalog_verdicts_run_once_per_view() {
+    let config = fresh_config();
+    let runs = |report: EntryReport| report.rows.iter().filter(|r| r.fresh_run).count();
+    let (mut models, mut uncertified, mut certified) = (0, 0, 0);
+    for entry in catalog::all() {
+        models += entry.models().len();
+        uncertified += runs(expect::run_entry(&entry, &config).expect("verdict runs"));
+        certified += runs(
+            expect::run_entry_certified(&entry, &config, &drf_certifier).expect("verdict runs"),
+        );
+    }
+    assert_eq!((models, uncertified, certified), (141, 69, 52));
 }
