@@ -11,8 +11,8 @@
 //! being the noise-resistant number CI should trend) plus the verdict
 //! pass flag, so a perf regression and a correctness regression both
 //! surface as a diff in one artifact. The serving-path counterpart is
-//! `samm-load --bench-json` (BENCH_serve.json); together they cover
-//! the two performance planes EXPERIMENTS.md tracks.
+//! `samm-benchmark --out` (the workloads of `BENCHMARK.json`); together
+//! they cover the two performance planes EXPERIMENTS.md tracks.
 //!
 //! Exits non-zero when a test name is unknown, an enumeration fails,
 //! or any verdict row mismatches — a bench report over a broken build

@@ -20,21 +20,20 @@
 //! samm-load [--addr HOST:PORT] [--endpoints A:P,B:P,...]
 //!           [--concurrency N] [--passes N] [--batch N]
 //!           [--subset catalog-small|catalog|figures]
-//!           [--prom HOST:PORT] [--trace PATH] [--bench-json PATH]
-//!           [--shutdown]
+//!           [--prom HOST:PORT] [--trace PATH] [--shutdown]
 //! ```
 //!
 //! Fresh (cache-miss) requests run on the server's one engine, the
-//! pruned enumerator; the `--bench-json` report names it.
+//! pruned enumerator. The checked, per-layer performance report is
+//! `samm-benchmark --out` (see `BENCHMARK.json`); this tool generates
+//! load for smoke tests and prints one summary line per pass.
 //!
 //! `--trace PATH` makes the generator originate distributed traces:
 //! every wire request carries a fresh `trace` context plus a derived
 //! request id, and the matching client-side root span is appended to
 //! PATH as JSONL — concatenate it with the servers' `--trace-log`
 //! files and the client/server/forward spans of one request share a
-//! trace id. `--bench-json PATH` writes a machine-readable run report
-//! (per-pass throughput and latency quantiles, plus the fresh-vs-hit
-//! microsecond split measured client-side on unbatched runs).
+//! trace id.
 //!
 //! `--endpoints` takes a comma-separated list of servers (e.g. the
 //! members of a cluster); workers are spread across them round-robin
@@ -75,7 +74,6 @@ struct Options {
     subset: String,
     prom: Option<String>,
     trace: Option<PathBuf>,
-    bench_json: Option<PathBuf>,
     shutdown: bool,
 }
 
@@ -89,7 +87,6 @@ impl Default for Options {
             subset: "catalog-small".to_owned(),
             prom: None,
             trace: None,
-            bench_json: None,
             shutdown: false,
         }
     }
@@ -100,8 +97,7 @@ fn usage() -> ! {
         "usage: samm-load [--addr HOST:PORT] [--endpoints A:P,B:P,...]\n\
          \x20                [--concurrency N] [--passes N] [--batch N]\n\
          \x20                [--subset catalog-small|catalog|figures]\n\
-         \x20                [--prom HOST:PORT] [--trace PATH] [--bench-json PATH]\n\
-         \x20                [--shutdown]"
+         \x20                [--prom HOST:PORT] [--trace PATH] [--shutdown]"
     );
     std::process::exit(2);
 }
@@ -143,7 +139,6 @@ fn parse_args() -> Options {
             "--subset" => opts.subset = take("--subset"),
             "--prom" => opts.prom = Some(take("--prom")),
             "--trace" => opts.trace = Some(PathBuf::from(take("--trace"))),
-            "--bench-json" => opts.bench_json = Some(PathBuf::from(take("--bench-json"))),
             "--shutdown" => opts.shutdown = true,
             "--help" | "-h" => usage(),
             other => {
@@ -203,11 +198,6 @@ fn workload(entries: &[CatalogEntry]) -> Vec<String> {
 
 struct PassTally {
     latencies: HistogramSnapshot,
-    /// Round-trip latencies of responses that missed the cache — only
-    /// recorded on unbatched runs, where one line is one request.
-    fresh: HistogramSnapshot,
-    /// Round-trip latencies of cache-hit responses (unbatched runs).
-    hit: HistogramSnapshot,
     served: u64,
     hits: u64,
     forwarded: u64,
@@ -227,8 +217,6 @@ struct PassCounters {
     forwarded: AtomicU64,
     errors: AtomicU64,
     latencies: Histogram,
-    fresh: Histogram,
-    hit: Histogram,
 }
 
 impl PassCounters {
@@ -240,8 +228,6 @@ impl PassCounters {
             forwarded: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             latencies: Histogram::new(),
-            fresh: Histogram::new(),
-            hit: Histogram::new(),
         }
     }
 
@@ -371,15 +357,7 @@ fn run_pass(
                     let started = Instant::now();
                     match client.request_line(&line) {
                         Ok(response) => {
-                            let elapsed = started.elapsed();
-                            counters.latencies.record_duration(elapsed);
-                            if batch == 1 {
-                                if response.contains("\"cache_hit\":true") {
-                                    counters.hit.record_duration(elapsed);
-                                } else {
-                                    counters.fresh.record_duration(elapsed);
-                                }
-                            }
+                            counters.latencies.record_duration(started.elapsed());
                             if let (Some(mut span), Some(sink)) = (span.take(), tracer) {
                                 span.attr("ok", !response.contains("\"ok\":false"));
                                 span.finish(sink);
@@ -404,8 +382,6 @@ fn run_pass(
     });
     PassTally {
         latencies: counters.latencies.snapshot(),
-        fresh: counters.fresh.snapshot(),
-        hit: counters.hit.snapshot(),
         served: counters.served.into_inner(),
         hits: counters.hits.into_inner(),
         forwarded: counters.forwarded.into_inner(),
@@ -503,9 +479,6 @@ fn main() -> ExitCode {
     let mut total_errors = 0u64;
     let mut total_hits = 0u64;
     let mut total_forwarded = 0u64;
-    let mut fresh_total = HistogramSnapshot::default();
-    let mut hit_total = HistogramSnapshot::default();
-    let mut pass_rows = Vec::new();
     for pass in 1..=opts.passes.max(1) {
         let started = Instant::now();
         let tally = run_pass(
@@ -535,23 +508,6 @@ fn main() -> ExitCode {
             tally.latencies.max as f64 / 1e6,
             tally.errors,
         );
-        pass_rows.push(Json::obj([
-            ("pass", Json::num(pass as f64)),
-            ("ok", Json::num(tally.served as f64)),
-            ("errors", Json::num(tally.errors as f64)),
-            ("wall_s", Json::num(wall.as_secs_f64())),
-            (
-                "rps",
-                Json::num(tally.served as f64 / wall.as_secs_f64().max(1e-9)),
-            ),
-            ("hit_rate", Json::num(hit_rate)),
-            ("p50_ms", Json::num(quantile_ms(&tally.latencies, 0.50))),
-            ("p90_ms", Json::num(quantile_ms(&tally.latencies, 0.90))),
-            ("p99_ms", Json::num(quantile_ms(&tally.latencies, 0.99))),
-            ("max_ms", Json::num(tally.latencies.max as f64 / 1e6)),
-        ]));
-        fresh_total.merge(&tally.fresh);
-        hit_total.merge(&tally.hit);
         total_errors += tally.errors;
         total_hits += tally.hits;
         total_forwarded += tally.forwarded;
@@ -559,44 +515,6 @@ fn main() -> ExitCode {
     println!("total cache hits: {total_hits}");
     println!("forwarded responses: {total_forwarded}");
     println!("total protocol errors: {total_errors}");
-
-    if let Some(path) = &opts.bench_json {
-        let lat_us = |snap: &HistogramSnapshot| {
-            Json::obj([
-                ("count", Json::num(snap.count as f64)),
-                ("p50_us", Json::num(snap.quantile(0.50) as f64 / 1e3)),
-                ("p99_us", Json::num(snap.quantile(0.99) as f64 / 1e3)),
-                ("mean_us", Json::num(snap.mean() / 1e3)),
-                ("max_us", Json::num(snap.max as f64 / 1e3)),
-            ])
-        };
-        let report = Json::obj([
-            ("bench", Json::str("serve")),
-            ("subset", Json::str(&opts.subset)),
-            ("engine", Json::str(samm_serve::ENGINE)),
-            ("concurrency", Json::num(opts.concurrency as f64)),
-            ("batch", Json::num(opts.batch as f64)),
-            ("endpoints", Json::num(addrs.len() as f64)),
-            ("requests_per_pass", Json::num(lines.len() as f64)),
-            (
-                "unit",
-                Json::str(if opts.batch == 1 { "req" } else { "batch" }),
-            ),
-            ("passes", Json::Arr(pass_rows)),
-            ("fresh_us", lat_us(&fresh_total)),
-            ("hit_us", lat_us(&hit_total)),
-            ("cache_hits", Json::num(total_hits as f64)),
-            ("forwarded", Json::num(total_forwarded as f64)),
-            ("errors", Json::num(total_errors as f64)),
-        ]);
-        match std::fs::write(path, format!("{report}\n")) {
-            Ok(()) => println!("bench report written to {}", path.display()),
-            Err(e) => {
-                eprintln!("samm-load: cannot write {}: {e}", path.display());
-                total_errors += 1;
-            }
-        }
-    }
 
     if let Some(prom_addr) = &opts.prom {
         if let Err(e) = scrape_prom(prom_addr) {

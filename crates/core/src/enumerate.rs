@@ -8,6 +8,12 @@
 //!
 //! The result is the complete set of executions — and outcome set — of the
 //! program under the chosen memory model.
+//!
+//! [`enumerate`] is the serial oracle: one plain depth-first loop, kept
+//! deliberately simple so that the production engine
+//! ([`crate::pruned`]), which every witness, refutation and discipline
+//! check runs on, can be checked against it. The two loops are the only
+//! searches in the crate.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -193,183 +199,34 @@ pub struct EnumResult {
     pub stats: EnumStats,
 }
 
-/// A lazy stream of the complete behaviours of a program.
-///
-/// Created by [`behaviors`]; yields each distinct complete execution as it
-/// is discovered, so callers can stop early (e.g. at the first execution
-/// matching a violation condition) without paying for the full
-/// enumeration.
-#[derive(Debug)]
-pub struct Behaviors {
-    program: Program,
-    policy: Policy,
-    config: EnumConfig,
-    frontier: Vec<Behavior>,
-    seen: HashSet<Vec<u8>>,
-    stats: EnumStats,
-    finished: bool,
-    /// Shared instrumentation counters (present iff `config.observe`).
-    obs: Option<Arc<Obs>>,
-}
-
-impl Behaviors {
-    /// Statistics accumulated so far (complete once the iterator is
-    /// drained). With [`EnumConfig::observe`] set, includes a live
-    /// [`ObsStats`] snapshot.
-    pub fn stats(&self) -> EnumStats {
-        let mut stats = self.stats;
-        if let Some(obs) = &self.obs {
-            stats.obs = Some(obs.snapshot());
-        }
-        stats
-    }
-}
-
-impl Iterator for Behaviors {
-    type Item = Result<Behavior, EnumError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.finished {
-            return None;
-        }
-        while let Some(behavior) = self.frontier.pop() {
-            self.stats.explored += 1;
-            if self.stats.explored > self.config.max_behaviors {
-                self.finished = true;
-                return Some(Err(EnumError::BehaviorLimit {
-                    limit: self.config.max_behaviors,
-                }));
-            }
-            self.stats.max_graph_nodes = self.stats.max_graph_nodes.max(behavior.graph().len());
-
-            if behavior.is_complete() {
-                self.stats.distinct_executions += 1;
-                return Some(Ok(behavior));
-            }
-
-            let loads = behavior.resolvable_loads();
-            if loads.is_empty() {
-                self.finished = true;
-                return Some(Err(EnumError::Stuck));
-            }
-            for load in loads {
-                let stores = behavior.candidates(load);
-                if let Some(obs) = behavior.obs() {
-                    Obs::add(&obs.candidate_calls, 1);
-                    Obs::add(&obs.candidate_stores, stores.len() as u64);
-                }
-                for store in stores {
-                    self.stats.forks += 1;
-                    if let Some(budget) = self.config.budget {
-                        if self.stats.forks as u64 > budget {
-                            self.finished = true;
-                            return Some(Err(EnumError::Overbudget {
-                                budget,
-                                forks: self.stats.forks as u64,
-                            }));
-                        }
-                    }
-                    let mut fork = behavior.clone();
-                    let step = fork.resolve_load(load, store).and_then(|()| {
-                        fork.settle(
-                            &self.program,
-                            &self.policy,
-                            self.config.max_nodes_per_thread,
-                        )
-                    });
-                    match step {
-                        Ok(()) => {
-                            if self.config.dedup && !self.seen.insert(fork.canonical_key()) {
-                                self.stats.deduped += 1;
-                                continue;
-                            }
-                            self.frontier.push(fork);
-                        }
-                        Err(StepError::Inconsistent(_)) => self.stats.rolled_back += 1,
-                        Err(StepError::NodeLimit { thread, limit }) => {
-                            self.finished = true;
-                            return Some(Err(EnumError::NodeLimit { thread, limit }));
-                        }
-                    }
-                }
-            }
-        }
-        self.finished = true;
-        None
-    }
-}
-
-/// Starts a lazy enumeration of `program` under `policy`.
-///
-/// Unlike [`enumerate`], behaviours are produced on demand. Note that with
-/// [`EnumConfig::dedup`] disabled the stream may repeat equivalent
-/// executions (reached through different resolution orders); [`enumerate`]
-/// collapses those in post-processing.
-///
-/// # Errors
-///
-/// Fails immediately when the initial behaviour cannot settle (node limit
-/// or an inconsistent root).
-///
-/// # Examples
-///
-/// Find the first weak-model execution where both SB loads read 0, without
-/// enumerating the rest:
-///
-/// ```
-/// use samm_core::enumerate::{behaviors, EnumConfig};
-/// use samm_core::instr::{Instr, Program, ThreadProgram};
-/// use samm_core::ids::{Reg, Value};
-/// use samm_core::policy::Policy;
-///
-/// let t = |a: u64, b: u64| ThreadProgram::new(vec![
-///     Instr::Store { addr: a.into(), val: 1u64.into() },
-///     Instr::Load { dst: Reg::new(0), addr: b.into() },
-/// ]);
-/// let sb = Program::new(vec![t(0, 1), t(1, 0)]);
-/// let mut stream = behaviors(&sb, &Policy::weak(), &EnumConfig::default()).unwrap();
-/// let hit = stream.find(|b| {
-///     b.as_ref().is_ok_and(|b| {
-///         b.outcome().reg(0, Reg::new(0)) == Value::ZERO
-///             && b.outcome().reg(1, Reg::new(0)) == Value::ZERO
-///     })
-/// });
-/// assert!(hit.is_some());
-/// ```
-pub fn behaviors(
+/// Settles the initial behaviour of `program`, with a fresh
+/// instrumentation block attached when [`EnumConfig::observe`] is set.
+/// Shared by both engines.
+pub(crate) fn settled_root(
     program: &Program,
     policy: &Policy,
     config: &EnumConfig,
-) -> Result<Behaviors, EnumError> {
+) -> Result<(Behavior, Option<Arc<Obs>>), EnumError> {
     let obs = config.observe.then(|| Arc::new(Obs::new()));
     let mut root = Behavior::new(program);
     if let Some(obs) = &obs {
         root.enable_obs(Arc::clone(obs));
     }
     match root.settle(program, policy, config.max_nodes_per_thread) {
-        Ok(()) => {}
-        Err(StepError::NodeLimit { thread, limit }) => {
-            return Err(EnumError::NodeLimit { thread, limit })
-        }
-        Err(StepError::Inconsistent(e)) => return Err(EnumError::UnexpectedCycle(e)),
+        Ok(()) => Ok((root, obs)),
+        Err(StepError::NodeLimit { thread, limit }) => Err(EnumError::NodeLimit { thread, limit }),
+        Err(StepError::Inconsistent(e)) => Err(EnumError::UnexpectedCycle(e)),
     }
-    let mut seen = HashSet::new();
-    if config.dedup {
-        seen.insert(root.canonical_key());
-    }
-    Ok(Behaviors {
-        program: program.clone(),
-        policy: policy.clone(),
-        config: config.clone(),
-        frontier: vec![root],
-        seen,
-        stats: EnumStats::default(),
-        finished: false,
-        obs,
-    })
 }
 
-/// Enumerates every behaviour of `program` under `policy`.
+/// Enumerates every behaviour of `program` under `policy`: the serial
+/// oracle the production engine ([`crate::pruned`]) is checked against.
+///
+/// One depth-first loop: pop a behaviour, and either record it (when
+/// complete) or fork one copy per `(resolvable load, candidate store)`
+/// pair, resolve and settle each fork, roll back the inconsistent ones
+/// and, with [`EnumConfig::dedup`], discard forks whose canonical
+/// Load-Store-graph key was seen before.
 ///
 /// # Examples
 ///
@@ -399,6 +256,7 @@ pub fn behaviors(
 ///
 /// * [`EnumError::NodeLimit`] / [`EnumError::BehaviorLimit`] when limits are
 ///   exceeded;
+/// * [`EnumError::Overbudget`] past [`EnumConfig::budget`] forks;
 /// * [`EnumError::UnexpectedCycle`] when the initial behaviour is
 ///   inconsistent (a fork that closes a cycle is rolled back instead);
 /// * [`EnumError::Stuck`] when a behaviour cannot make progress (likewise
@@ -408,22 +266,77 @@ pub fn enumerate(
     policy: &Policy,
     config: &EnumConfig,
 ) -> Result<EnumResult, EnumError> {
-    let mut stream = behaviors(program, policy, config)?;
+    let (root, obs) = settled_root(program, policy, config)?;
+    let mut seen: HashSet<Vec<u8>> = HashSet::new();
+    if config.dedup {
+        seen.insert(root.canonical_key());
+    }
+    let mut frontier = vec![root];
     let mut result = EnumResult::default();
+    let stats = &mut result.stats;
     let mut final_keys: HashSet<Vec<u8>> = HashSet::new();
-    for item in &mut stream {
-        let behavior = item?;
-        result.outcomes.insert(behavior.outcome());
-        if config.keep_executions {
-            result.executions.push(behavior);
-        } else if !config.dedup {
-            // Executions are dropped, but the distinct count must still
-            // collapse duplicates reached through several resolution
-            // orders.
-            final_keys.insert(behavior.canonical_key());
+    while let Some(behavior) = frontier.pop() {
+        stats.explored += 1;
+        if stats.explored > config.max_behaviors {
+            return Err(EnumError::BehaviorLimit {
+                limit: config.max_behaviors,
+            });
+        }
+        stats.max_graph_nodes = stats.max_graph_nodes.max(behavior.graph().len());
+
+        if behavior.is_complete() {
+            stats.distinct_executions += 1;
+            result.outcomes.insert(behavior.outcome());
+            if config.keep_executions {
+                result.executions.push(behavior);
+            } else if !config.dedup {
+                // Executions are dropped, but the distinct count must still
+                // collapse duplicates reached through several resolution
+                // orders.
+                final_keys.insert(behavior.canonical_key());
+            }
+            continue;
+        }
+
+        let loads = behavior.resolvable_loads();
+        if loads.is_empty() {
+            return Err(EnumError::Stuck);
+        }
+        for load in loads {
+            let stores = behavior.candidates(load);
+            if let Some(obs) = behavior.obs() {
+                Obs::add(&obs.candidate_calls, 1);
+                Obs::add(&obs.candidate_stores, stores.len() as u64);
+            }
+            for store in stores {
+                stats.forks += 1;
+                if let Some(budget) = config.budget.filter(|&b| stats.forks as u64 > b) {
+                    return Err(EnumError::Overbudget {
+                        budget,
+                        forks: stats.forks as u64,
+                    });
+                }
+                let mut fork = behavior.clone();
+                let step = fork
+                    .resolve_load(load, store)
+                    .and_then(|()| fork.settle(program, policy, config.max_nodes_per_thread));
+                match step {
+                    Ok(()) => {
+                        if config.dedup && !seen.insert(fork.canonical_key()) {
+                            stats.deduped += 1;
+                            continue;
+                        }
+                        frontier.push(fork);
+                    }
+                    Err(StepError::Inconsistent(_)) => stats.rolled_back += 1,
+                    Err(StepError::NodeLimit { thread, limit }) => {
+                        return Err(EnumError::NodeLimit { thread, limit });
+                    }
+                }
+            }
         }
     }
-    result.stats = stream.stats();
+    stats.obs = obs.map(|obs| obs.snapshot());
 
     // Without dedup, identical complete behaviours are reached through
     // several resolution orders; collapse the count (and the kept
@@ -797,79 +710,8 @@ mod tests {
         assert_eq!(EnumConfig::builder().budget(7u64).build().budget, Some(7));
     }
 
-    // --- Behaviors: the lazy stream --------------------------------------
-
     #[test]
-    fn stream_early_stop_stats_are_consistent() {
-        // Pull exactly one complete behaviour, then stop: the stats must
-        // reflect one distinct execution and strictly less work than a
-        // full drain.
-        let config = EnumConfig::default();
-        let mut stream = behaviors(&sb(), &Policy::weak(), &config).unwrap();
-        let first = stream.next().unwrap().unwrap();
-        assert!(first.is_complete());
-        let early = stream.stats();
-        assert_eq!(early.distinct_executions, 1);
-        assert!(early.explored >= 1);
-
-        let full = enumerate(&sb(), &Policy::weak(), &config).unwrap().stats;
-        assert!(early.explored < full.explored);
-        assert!(early.forks <= full.forks);
-
-        // Draining the rest converges on the full-enumeration stats.
-        for item in &mut stream {
-            item.unwrap();
-        }
-        let drained = stream.stats();
-        assert_eq!(drained.explored, full.explored);
-        assert_eq!(drained.forks, full.forks);
-        assert_eq!(drained.deduped, full.deduped);
-        assert_eq!(drained.distinct_executions, full.distinct_executions);
-    }
-
-    #[test]
-    fn stream_yields_every_distinct_execution_once() {
-        let stream = behaviors(&sb(), &Policy::weak(), &EnumConfig::default()).unwrap();
-        let mut keys = std::collections::HashSet::new();
-        let mut outcomes = OutcomeSet::default();
-        for item in stream {
-            let behavior = item.unwrap();
-            assert!(
-                keys.insert(behavior.canonical_key()),
-                "deduped stream repeated an execution"
-            );
-            outcomes.insert(behavior.outcome());
-        }
-        let reference = enumerate(&sb(), &Policy::weak(), &EnumConfig::default()).unwrap();
-        assert_eq!(outcomes, reference.outcomes);
-        assert_eq!(keys.len(), reference.stats.distinct_executions);
-    }
-
-    #[test]
-    fn stream_behavior_limit_fuses_the_iterator() {
-        let config = EnumConfig {
-            max_behaviors: 2,
-            ..EnumConfig::default()
-        };
-        let mut stream = behaviors(&sb(), &Policy::weak(), &config).unwrap();
-        let err = loop {
-            match stream.next() {
-                Some(Ok(_)) => continue,
-                Some(Err(e)) => break e,
-                None => panic!("stream ended without hitting the limit"),
-            }
-        };
-        assert_eq!(err, EnumError::BehaviorLimit { limit: 2 });
-        // After the error the stream is fused: no further items, and the
-        // stats stop moving.
-        let stats = stream.stats();
-        assert!(stream.next().is_none());
-        assert!(stream.next().is_none());
-        assert_eq!(stream.stats(), stats);
-    }
-
-    #[test]
-    fn stream_node_limit_fuses_the_iterator() {
+    fn node_limit_during_refinement_propagates() {
         // T0 loops back to its load only while the loaded value is
         // non-zero, so the root settles fine and the node limit bites
         // during a later refinement (resolving the load against T1's
@@ -884,54 +726,14 @@ mod tests {
             ]),
             ThreadProgram::new(vec![st(X, 1)]),
         ]);
-        let config = EnumConfig {
-            max_nodes_per_thread: 6,
-            ..EnumConfig::default()
-        };
-        // The root settles (the limit bites mid-refinement, not at
-        // construction), so the error surfaces from the stream itself.
-        let mut stream = behaviors(&looping, &Policy::weak(), &config).unwrap();
-        let err = loop {
-            match stream.next() {
-                Some(Ok(_)) => continue,
-                Some(Err(e)) => break e,
-                None => panic!("stream ended without hitting the node limit"),
-            }
-        };
-        assert!(matches!(
+        let config = EnumConfig::builder().max_nodes_per_thread(6).build();
+        let err = enumerate(&looping, &Policy::weak(), &config).unwrap_err();
+        assert_eq!(
             err,
             EnumError::NodeLimit {
                 thread: 0,
                 limit: 6
             }
-        ));
-        assert!(stream.next().is_none());
-    }
-
-    #[test]
-    fn stream_dedup_off_covers_the_same_outcomes() {
-        // Without dedup the stream may repeat equivalent executions, but
-        // the distinct key set and the outcome set must match the deduped
-        // stream's exactly.
-        let dedup_off = EnumConfig {
-            dedup: false,
-            ..EnumConfig::default()
-        };
-        let mut keys = std::collections::HashSet::new();
-        let mut outcomes = OutcomeSet::default();
-        let mut yielded = 0usize;
-        for item in behaviors(&sb(), &Policy::weak(), &dedup_off).unwrap() {
-            let behavior = item.unwrap();
-            keys.insert(behavior.canonical_key());
-            outcomes.insert(behavior.outcome());
-            yielded += 1;
-        }
-        let reference = enumerate(&sb(), &Policy::weak(), &EnumConfig::default()).unwrap();
-        assert_eq!(outcomes, reference.outcomes);
-        assert_eq!(keys.len(), reference.stats.distinct_executions);
-        assert!(
-            yielded >= keys.len(),
-            "dedup-off must yield at least every distinct execution"
         );
     }
 }

@@ -16,17 +16,24 @@
 //!   *checkable*: [`Witness::verify`] replays the path from a fresh root
 //!   and re-validates the serialization, so a stored witness re-executes
 //!   to the same final values.
-//! * [`refute`] proves a goal unobservable. When the goal registers are
-//!   written by unique loads in branch-free threads it runs a guided
-//!   depth-first search that only ever resolves a goal load to a store
-//!   carrying the required value; the first state in which a goal load is
-//!   resolvable but has no such candidate becomes a [`BlockedRefutation`]
-//!   naming the store that was excluded and the closure rule ([`Rule`])
-//!   responsible. [`BlockedRefutation::verify`] replays the prefix and
-//!   machine-checks that the candidate set is indeed empty of the
-//!   required value and that the named rule's edge is present. Goals
-//!   outside that fragment exhaust the same stream as [`find_witness`]
-//!   ([`Refutation::Exhaustive`]).
+//! * [`refute`] proves a goal unobservable on the same stream. When the
+//!   goal registers are written by unique loads in branch-free threads,
+//!   the stream is [pinned](crate::pruned::PrunedStream::pin): a goal
+//!   load resolves only to stores carrying the required value. Its first
+//!   blocked state, a goal load that is resolvable but has no such
+//!   candidate (or whose every such fork rolls back), becomes a
+//!   [`BlockedRefutation`] naming the store that was excluded and the
+//!   closure rule ([`Rule`]) responsible.
+//!   [`BlockedRefutation::verify`] replays the prefix and machine-checks
+//!   that the candidate set is indeed empty of the required value and
+//!   that the named rule's edge is present. Goals outside that fragment
+//!   exhaust the whole stream ([`Refutation::Exhaustive`]).
+//!
+//! Both searches pull the same stream, so a witness from [`refute`] is
+//! the one [`find_witness`] returns. Pinning does not change which
+//! witness that is: the pinned stream is the whole stream restricted to
+//! goal-consistent observation sets, so its first match is the same
+//! execution, reached by the same path.
 //!
 //! ```
 //! use samm_core::explain::{find_witness, refute, Goal, RefuteOutcome};
@@ -54,7 +61,6 @@
 //! assert!(matches!(r, RefuteOutcome::Refuted(_)));
 //! ```
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::atomicity::Rule;
@@ -66,7 +72,7 @@ use crate::ids::{NodeId, Reg, Value};
 use crate::instr::{Instr, Program};
 use crate::outcome::Outcome;
 use crate::policy::Policy;
-use crate::pruned::{stream, PrunedStream};
+use crate::pruned::{stream, Pins, PrunedStream};
 use crate::serialize::{
     find_serialization, tso_serializations, validate_serialization, validate_tso_serialization,
 };
@@ -152,6 +158,34 @@ pub struct Witness {
 }
 
 impl Witness {
+    /// Packages a complete behaviour and the resolution path that reaches
+    /// it (e.g. from [`PrunedStream::path_to`]), choosing a strict
+    /// serialization when one exists and falling back to a store-buffer
+    /// one (paper Figure 10: TSO bypass executions have no strict
+    /// serialization).
+    pub fn new(behavior: Behavior, path: Vec<(NodeId, NodeId)>) -> Witness {
+        let serialization = match find_serialization(&behavior) {
+            Some(order) => Serialization::Strict(order),
+            None => match tso_serializations(&behavior, 1).into_iter().next() {
+                Some(order) => Serialization::Buffered(order),
+                None => Serialization::None,
+            },
+        };
+        let observations: Vec<(NodeId, NodeId, bool)> = behavior
+            .graph()
+            .iter()
+            .filter(|(_, n)| n.is_load())
+            .filter_map(|(id, n)| n.source().map(|s| (id, s, n.is_bypass_source())))
+            .collect();
+        Witness {
+            path,
+            outcome: behavior.outcome(),
+            serialization,
+            observations,
+            execution: behavior,
+        }
+    }
+
     /// Replays [`path`](Witness::path) from a fresh root and checks that
     /// the replay (a) completes, (b) produces
     /// [`outcome`](Witness::outcome), and (c) admits
@@ -522,14 +556,16 @@ fn rule_json(rule: Option<Rule>) -> String {
 /// A proof that a goal is unobservable under a policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Refutation {
-    /// The guided search found a state in which a goal load's candidate
-    /// set lacks the required value, and exhausted every alternative.
+    /// The pinned goal stream reached a state in which a goal load's
+    /// candidate set lacks the required value (or every fork to it rolls
+    /// back), and exhausted every alternative.
     Blocked(BlockedRefutation),
-    /// The goal fell outside the guided-search fragment (branching
-    /// control flow or multiply-written goal registers); the pruned
-    /// engine's stream was exhausted without observing it.
+    /// The goal stream was exhausted without observing the goal, and no
+    /// blocked state names a reason: the goal fell outside the guided
+    /// fragment (branching control flow or multiply-written goal
+    /// registers), or no pinned state blocked.
     Exhaustive {
-        /// Behaviours explored by the pruned stream.
+        /// Behaviours explored by the goal stream (pinned or whole).
         explored: usize,
         /// Distinct complete executions found.
         distinct: usize,
@@ -572,18 +608,35 @@ pub enum RefuteOutcome {
 /// it as a replayable [`Witness`]. Returns `Ok(None)` when the goal is
 /// unobservable (see [`refute`] for an explanation instead).
 ///
+/// Runs on the goal's stream: pinned when the goal falls in the guided
+/// fragment (see [`refute`]), the whole goal stream otherwise. Either
+/// way the first match is the same execution, reached by the same path.
+///
 /// # Errors
 ///
 /// As for [`crate::pruned::stream`] and its items; the fork budget
-/// counts the stream's claims.
+/// counts the stream's claims, which a pinned stream makes only for
+/// value-carrying candidates of the goal loads.
 pub fn find_witness(
     program: &Program,
     policy: &Policy,
     config: &EnumConfig,
     goal: &Goal,
 ) -> Result<Option<Witness>, EnumError> {
+    first_match(&mut goal_stream(program, policy, config, goal)?, goal)
+}
+
+/// The goal-directed stream for `goal`, pinned to the goal loads'
+/// values when the goal falls in the guided fragment.
+fn goal_stream<'a>(
+    program: &'a Program,
+    policy: &'a Policy,
+    config: &'a EnumConfig,
+    goal: &Goal,
+) -> Result<PrunedStream<'a>, EnumError> {
     let mut behaviors = stream(program, policy, config)?;
-    first_match(&mut behaviors, goal)
+    behaviors.pin(|root| goal_load_nodes(program, root, goal));
+    Ok(behaviors)
 }
 
 /// Pulls `behaviors` up to the first behaviour matching `goal` and
@@ -598,201 +651,76 @@ fn first_match(
             let path = behaviors
                 .path_to(id)
                 .expect("the stream records a path for every yielded behaviour");
-            return Ok(Some(make_witness(behavior, path)));
+            return Ok(Some(Witness::new(behavior, path)));
         }
     }
     Ok(None)
 }
 
-/// Packages a complete behaviour and its resolution path as a [`Witness`],
-/// choosing a strict serialization when one exists and falling back to a
-/// store-buffer one (paper Figure 10: TSO bypass executions have no
-/// strict serialization).
-fn make_witness(behavior: Behavior, path: Vec<(NodeId, NodeId)>) -> Witness {
-    let serialization = match find_serialization(&behavior) {
-        Some(order) => Serialization::Strict(order),
-        None => match tso_serializations(&behavior, 1).into_iter().next() {
-            Some(order) => Serialization::Buffered(order),
-            None => Serialization::None,
-        },
-    };
-    let observations: Vec<(NodeId, NodeId, bool)> = behavior
-        .graph()
-        .iter()
-        .filter(|(_, n)| n.is_load())
-        .filter_map(|(id, n)| n.source().map(|s| (id, s, n.is_bypass_source())))
-        .collect();
-    Witness {
-        path,
-        outcome: behavior.outcome(),
-        serialization,
-        observations,
-        execution: behavior,
-    }
-}
-
 /// Proves `goal` unobservable under `policy`, or returns its witness.
 ///
 /// When every goal register is written by exactly one Load/Rmw in a
-/// branch-free thread, a guided depth-first search resolves goal loads
-/// *only* to stores carrying the required value — pruned branches can
-/// never match (the register is written once), so exhausting the search
-/// is a sound unobservability proof, and the first blocked state yields
-/// a [`BlockedRefutation`] naming the closure rule that emptied the
-/// candidate set. Otherwise the pruned stream is exhausted and
-/// [`Refutation::Exhaustive`] reports its `explored` and distinct counts.
+/// branch-free thread, the goal's stream is *pinned*: each goal load
+/// resolves only to stores carrying the required value. Pruned branches
+/// can never match (the register is written once), so exhausting the
+/// pinned stream is a sound unobservability proof, and its first blocked
+/// state (a goal load with no value-carrying candidate, or whose
+/// value-carrying forks all roll back) becomes a [`BlockedRefutation`]
+/// naming the closure rule that emptied the candidate set. Otherwise the
+/// whole goal stream is exhausted and [`Refutation::Exhaustive`] reports
+/// its `explored` and distinct counts.
 ///
 /// # Errors
 ///
 /// As for [`find_witness`], including [`EnumError::Overbudget`] past
-/// [`EnumConfig::budget`] forks.
+/// [`EnumConfig::budget`] claims.
 pub fn refute(
     program: &Program,
     policy: &Policy,
     config: &EnumConfig,
     goal: &Goal,
 ) -> Result<RefuteOutcome, EnumError> {
-    let mut root = Behavior::new(program);
-    match root.settle(program, policy, config.max_nodes_per_thread) {
-        Ok(()) => {}
-        Err(StepError::NodeLimit { thread, limit }) => {
-            return Err(EnumError::NodeLimit { thread, limit })
-        }
-        Err(StepError::Inconsistent(e)) => return Err(EnumError::UnexpectedCycle(e)),
-    }
-
-    let Some(goal_loads) = goal_load_nodes(program, root.graph(), goal) else {
-        return refute_exhaustive(program, policy, config, goal);
-    };
-
-    let mut seen: HashSet<Vec<u8>> = HashSet::new();
-    if config.dedup {
-        seen.insert(root.canonical_key());
-    }
-    let mut stack: Vec<(Behavior, Vec<(NodeId, NodeId)>)> = vec![(root, Vec::new())];
-    let mut blocked: Option<BlockedRefutation> = None;
-    let mut explored = 0usize;
-    let mut forks = 0u64;
-
-    while let Some((behavior, prefix)) = stack.pop() {
-        explored += 1;
-        if explored > config.max_behaviors {
-            return Err(EnumError::BehaviorLimit {
-                limit: config.max_behaviors,
-            });
-        }
-        if behavior.is_complete() {
-            if goal.matches(&behavior.outcome()) {
-                return Ok(RefuteOutcome::Observable(Box::new(make_witness(
-                    behavior, prefix,
-                ))));
-            }
-            continue;
-        }
-        let loads = behavior.resolvable_loads();
-        if loads.is_empty() {
-            return Err(EnumError::Stuck);
-        }
-        for load in loads {
-            let cands = behavior.candidates(load);
-            let required = goal_loads.get(&load).copied();
-            let chosen: Vec<NodeId> = match required {
-                Some(v) => cands
-                    .iter()
-                    .copied()
-                    .filter(|&s| behavior.graph().node(s).stored_value() == Some(v))
-                    .collect(),
-                None => cands,
-            };
-            if let Some(v) = required {
-                if chosen.is_empty() && blocked.is_none() {
-                    blocked = Some(BlockedRefutation {
-                        prefix: prefix.clone(),
-                        load,
-                        required: v,
-                        reason: diagnose(behavior.graph(), load, v),
-                    });
-                }
-            }
-            let mut survivors = 0usize;
-            let mut first_cycle: Option<NodeId> = None;
-            for store in chosen {
-                forks += 1;
-                if let Some(budget) = config.budget.filter(|&b| forks > b) {
-                    return Err(EnumError::Overbudget { budget, forks });
-                }
-                let mut fork = behavior.clone();
-                let step = fork
-                    .resolve_load(load, store)
-                    .and_then(|()| fork.settle(program, policy, config.max_nodes_per_thread));
-                match step {
-                    Ok(()) => {
-                        survivors += 1;
-                        if config.dedup && !seen.insert(fork.canonical_key()) {
-                            continue; // duplicate of an explored state
-                        }
-                        let mut next = prefix.clone();
-                        next.push((load, store));
-                        stack.push((fork, next));
-                    }
-                    Err(StepError::Inconsistent(_)) => {
-                        first_cycle.get_or_insert(store);
-                    }
-                    Err(StepError::NodeLimit { thread, limit }) => {
-                        return Err(EnumError::NodeLimit { thread, limit })
-                    }
-                }
-            }
-            if let (Some(v), Some(store)) = (required, first_cycle) {
-                if survivors == 0 && blocked.is_none() {
-                    blocked = Some(BlockedRefutation {
-                        prefix: prefix.clone(),
-                        load,
-                        required: v,
-                        reason: RefuteReason::ResolutionCycle { store },
-                    });
-                }
-            }
-        }
-    }
-
-    Ok(RefuteOutcome::Refuted(match blocked {
-        Some(b) => Refutation::Blocked(b),
-        None => Refutation::Exhaustive {
-            explored,
-            distinct: 0,
-        },
-    }))
-}
-
-/// The fall-back exhaustive search for goals outside the guided fragment.
-fn refute_exhaustive(
-    program: &Program,
-    policy: &Policy,
-    config: &EnumConfig,
-    goal: &Goal,
-) -> Result<RefuteOutcome, EnumError> {
-    let mut behaviors = stream(program, policy, config)?;
+    let mut behaviors = goal_stream(program, policy, config, goal)?;
     if let Some(witness) = first_match(&mut behaviors, goal)? {
         return Ok(RefuteOutcome::Observable(Box::new(witness)));
     }
-    let stats = behaviors.stats();
-    Ok(RefuteOutcome::Refuted(Refutation::Exhaustive {
-        explored: stats.explored,
-        distinct: stats.distinct_executions,
-    }))
+    let refutation = match behaviors.blocked() {
+        Some(blocked) => {
+            let prefix = behaviors
+                .path_to(blocked.id)
+                .expect("the stream records a path for every expanded state");
+            let reason = match blocked.cycle {
+                Some(store) => RefuteReason::ResolutionCycle { store },
+                None => {
+                    let state = replay(program, policy, config.max_nodes_per_thread, &prefix)
+                        .expect("a recorded path replays");
+                    diagnose(state.graph(), blocked.load, blocked.required)
+                }
+            };
+            Refutation::Blocked(BlockedRefutation {
+                prefix,
+                load: blocked.load,
+                required: blocked.required,
+                reason,
+            })
+        }
+        None => {
+            let stats = behaviors.stats();
+            Refutation::Exhaustive {
+                explored: stats.explored,
+                distinct: stats.distinct_executions,
+            }
+        }
+    };
+    Ok(RefuteOutcome::Refuted(refutation))
 }
 
 /// Maps each goal clause to its load node in the settled root graph, or
 /// `None` when the goal falls outside the guided fragment: a clause's
 /// thread must be branch-free (no `BranchNz`/`Jump`) and its register
 /// written by exactly one instruction, a `Load` or `Rmw`.
-fn goal_load_nodes(
-    program: &Program,
-    graph: &ExecutionGraph,
-    goal: &Goal,
-) -> Option<HashMap<NodeId, Value>> {
-    let mut map = HashMap::new();
+fn goal_load_nodes(program: &Program, graph: &ExecutionGraph, goal: &Goal) -> Option<Pins> {
+    let mut map = Pins::new();
     for &(thread, reg, value) in goal.clauses() {
         let tp = program.threads().get(thread)?;
         let mut writers = 0usize;
@@ -1015,6 +943,51 @@ mod tests {
                 policy.name()
             );
         }
+    }
+
+    #[test]
+    fn witness_budget_counts_only_pinned_claims() {
+        // LB under Weak, both loads reading 1. The whole goal stream
+        // claims every candidate of every load and runs out of a budget of
+        // 7 before the match; the pinned stream claims only the
+        // value-carrying candidates and reaches the same witness in it.
+        let t = |mine: u64, theirs: u64| {
+            ThreadProgram::new(vec![
+                Instr::Load {
+                    dst: Reg::new(0),
+                    addr: mine.into(),
+                },
+                Instr::Store {
+                    addr: theirs.into(),
+                    val: 1u64.into(),
+                },
+            ])
+        };
+        let lb = Program::new(vec![t(0, 1), t(1, 0)]);
+        let goal = Goal::new(vec![
+            (0, Reg::new(0), Value::new(1)),
+            (1, Reg::new(0), Value::new(1)),
+        ]);
+        let weak = Policy::weak();
+        let seven = EnumConfig::builder().budget(7).build();
+        let mut whole = stream(&lb, &weak, &seven).unwrap();
+        assert_eq!(
+            whole.find_map(Result::err),
+            Some(EnumError::Overbudget {
+                budget: 7,
+                forks: 8
+            })
+        );
+        let witness = find_witness(&lb, &weak, &seven, &goal)
+            .unwrap()
+            .expect("LB 1/1 is allowed weak");
+        witness
+            .verify(&lb, &weak, seven.max_nodes_per_thread)
+            .unwrap();
+        let unbudgeted = find_witness(&lb, &weak, &EnumConfig::default(), &goal)
+            .unwrap()
+            .unwrap();
+        assert_eq!(witness.to_json(), unbudgeted.to_json());
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! entry point is [`enumerate::enumerate`], the paper's operational
 //! procedure for generating **all** behaviours of a multithreaded program
 //! under any store-atomic model — plus the TSO bypass extension (section 6)
-//! and address-aliasing speculation (section 5).
+//! and address-aliasing speculation (section 5). It is kept as the oracle
+//! for [`pruned::enumerate_pruned`], the production engine, whose stream
+//! also serves every witness, refutation and §8 discipline check.
 //!
 //! ## Quick start
 //!
@@ -52,7 +54,7 @@
 //! | [`candidates`] | §4 | `candidates(L)` and the load-resolution gate |
 //! | [`exec`] | §4.1 | graph generation + dataflow execution |
 //! | [`mod@enumerate`] | §4.1 | the behaviour-enumeration procedure (the serial oracle) |
-//! | [`pruned`] | §4.1 | prune-before-expand enumeration and the path-recording behaviour stream (the production engine) |
+//! | [`pruned`] | §4.1 | prune-before-expand enumeration and its behaviour stream, goal-pinned for witnesses and refutations (the production engine) |
 //! | [`serialize`] | §3.1 | serializability: witnesses and validation |
 //! | [`outcome`] | — | final register files, outcome sets |
 //! | [`speculation`] | §5 | aliasing-speculation analysis helpers |
@@ -98,9 +100,7 @@ pub(crate) mod testutil;
 
 pub use atomicity::Rule;
 pub use cache::{cached_enumerate, CacheStats, CachedResult, EnumCache};
-pub use enumerate::{
-    behaviors, enumerate, Behaviors, EnumConfig, EnumConfigBuilder, EnumResult, EnumStats,
-};
+pub use enumerate::{enumerate, EnumConfig, EnumConfigBuilder, EnumResult, EnumStats};
 pub use error::{CycleError, EnumError};
 pub use exec::Behavior;
 pub use explain::{

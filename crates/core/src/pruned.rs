@@ -31,35 +31,45 @@
 //!   [`EnumConfig::keep_executions`].)
 //!
 //! The search is a lazy stream of settled complete behaviours,
-//! [`PrunedStream`]. [`enumerate_pruned`] drains it and commits each
-//! behaviour, expanding orbits in the commit step. Goal-directed callers
-//! ([`crate::explain::find_witness`] and the exhaustive fallback of
-//! [`crate::explain::refute`]) pull it through [`stream`] and stop at the
-//! first match. Such a stream records a *path table*: one
-//! `(parent id, load, store)` entry per expanded fork, so the
-//! resolutions that reach a yielded behaviour are a walk up its parents
-//! ([`PrunedStream::path_to`]). Goal-directed streams run with symmetry
-//! **off**: orbit expansion happens only at commit, so a symmetric
-//! stream yields one representative per orbit, and a goal that is not
-//! thread-symmetric could match only a permuted image whose path was
-//! never explored. With the identity group the claim order equals the
-//! serial oracle's dedup order, so the first match is the same
-//! execution the serial stream would yield first.
+//! [`PrunedStream`], and it is the crate's one production search; the
+//! serial [`crate::enumerate::enumerate`] stays only as its oracle.
+//! [`enumerate_pruned`] drains it and commits each behaviour, expanding
+//! orbits in the commit step. Every other caller pulls a goal stream
+//! through [`stream`]:
+//!
+//! * [`crate::explain::find_witness`] and [`crate::explain::refute`]
+//!   stop at the first match. When the goal allows, they first
+//!   [pin](PrunedStream::pin) it: each goal load may resolve only to a
+//!   store carrying the goal's value, and the stream records its first
+//!   [blocked](PrunedStream::blocked) state, the refutation's proof.
+//! * [`crate::sync::check_well_synchronized`] drains it with a hook that
+//!   sees every resolvable load's candidate count
+//!   ([`PrunedStream::on_candidates`]).
+//!
+//! A goal stream records a *path table*: one `(parent id, load, store)`
+//! entry per expanded fork, so the resolutions that reach a yielded
+//! behaviour are a walk up its parents ([`PrunedStream::path_to`]). Goal
+//! streams run with symmetry **off**: orbit expansion happens only at
+//! commit, so a symmetric stream yields one representative per orbit,
+//! and a goal that is not thread-symmetric could match only a permuted
+//! image whose path was never explored. With the identity group the
+//! claim order equals the serial oracle's dedup order, so the first
+//! match is the same execution the serial oracle would reach first.
 //!
 //! Soundness arguments for each rule live in `DESIGN.md`; the
 //! differential test fortress (`tests/pruned_differential.rs`,
 //! `tests/proptests.rs`, `tests/golden_pruning.rs`) pins behaviour-set
 //! equality against the untouched serial oracle.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use crate::enumerate::{EnumConfig, EnumResult, EnumStats};
+use crate::enumerate::{settled_root, EnumConfig, EnumResult, EnumStats};
 use crate::error::EnumError;
 use crate::exec::{Behavior, StepError};
 use crate::graph::ExecutionGraph;
-use crate::ids::{Addr, NodeId};
+use crate::ids::{Addr, NodeId, Value};
 use crate::instr::Program;
 use crate::obs::Obs;
 use crate::outcome::Outcome;
@@ -415,14 +425,122 @@ const SYMMETRY_LIMIT: usize = 64;
 /// paths are not recorded).
 type FrontierEntry = (Behavior, ObsSet, u64, usize);
 
+/// The goal loads of a pinned stream, each with the value it must
+/// observe (see [`PrunedStream::pin`]).
+pub type Pins = HashMap<NodeId, Value>;
+
+/// The first blocked state of a pinned stream: a state in which a pinned
+/// load has no candidate carrying its value, or in which every fork to
+/// such a candidate rolls back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Blocked {
+    /// The blocked state's id in the path table
+    /// ([`PrunedStream::path_to`] gives its resolutions).
+    pub id: usize,
+    /// The first blocked pinned load of that state, in load order.
+    pub load: NodeId,
+    /// The value the load is pinned to.
+    pub required: Value,
+    /// `None` when no candidate carries the value; otherwise the first
+    /// candidate that does (every fork to such a candidate rolls back).
+    pub cycle: Option<NodeId>,
+}
+
+/// One pinned load of the state under expansion: its first
+/// value-carrying candidate, whether a lost claim of one survives, and
+/// how many of its won claims have not rolled back.
+struct PinTally {
+    load: NodeId,
+    first: Option<NodeId>,
+    survived: bool,
+    pending: usize,
+}
+
+/// The pins of a pinned stream and what blocked detection needs.
+struct Pinning {
+    pins: Pins,
+    /// Claimed observation sets whose fork rolled back. A claim that loses
+    /// to an earlier claim shares that claim's fate, so a lost claim
+    /// survives exactly when its set is not in here.
+    rolled: SeenTable,
+    /// The pinned loads of the state under expansion, in load order.
+    tally: Vec<PinTally>,
+    blocked: Option<Blocked>,
+}
+
+impl Pinning {
+    /// Keeps only the candidates carrying `load`'s pinned value and opens
+    /// its tally; returns whether `load` is pinned.
+    fn filter(&mut self, graph: &ExecutionGraph, load: NodeId, stores: &mut Vec<NodeId>) -> bool {
+        let Some(&required) = self.pins.get(&load) else {
+            return false;
+        };
+        stores.retain(|&s| graph.node(s).stored_value() == Some(required));
+        self.tally.push(PinTally {
+            load,
+            first: stores.first().copied(),
+            survived: false,
+            pending: 0,
+        });
+        true
+    }
+
+    /// The current pinned load's claim of `set` lost to an earlier claim
+    /// of the same set: it survives unless that claim rolled back.
+    fn lost(&mut self, hash: u64, set: &ObsSet) {
+        if !self.rolled.contains(hash, set) {
+            self.tally.last_mut().expect("tally opened").survived = true;
+        }
+    }
+
+    /// The current pinned load's claim won; its fork is settled later.
+    fn won(&mut self) {
+        self.tally.last_mut().expect("tally opened").pending += 1;
+    }
+
+    /// Records the rollback of the claimed fork `(load, _)` with
+    /// observation set `set`. (Pinned streams run on the identity group,
+    /// so a fork's set is its claimed set.)
+    fn rolled_back(&mut self, load: NodeId, hash: u64, set: ObsSet) {
+        self.rolled.insert(hash, set);
+        if let Some(tally) = self.tally.iter_mut().find(|t| t.load == load) {
+            tally.pending -= 1;
+        }
+    }
+
+    /// Closes the expansion of state `id`: the first pinned load none of
+    /// whose value-carrying forks survives (a claim lost to a surviving
+    /// set, or a won claim that settled) blocks it, unless an earlier
+    /// state already blocked.
+    fn close(&mut self, id: usize) {
+        if self.blocked.is_none() {
+            self.blocked = self
+                .tally
+                .iter()
+                .find(|t| !t.survived && t.pending == 0)
+                .map(|t| Blocked {
+                    id,
+                    load: t.load,
+                    required: self.pins[&t.load],
+                    cycle: t.first,
+                });
+        }
+        self.tally.clear();
+    }
+}
+
+/// A callback given `(graph, load, candidate count)` for each resolvable
+/// load of each expanded state (see [`PrunedStream::on_candidates`]).
+type CandidateHook<'a> = Box<dyn FnMut(&ExecutionGraph, NodeId, usize) + 'a>;
+
 /// A lazy stream of the settled complete behaviours of a program, in
 /// the pruned engine's depth-first order.
 ///
 /// [`enumerate_pruned`] drains a stream and commits each behaviour;
-/// [`stream`] hands one to a goal-directed caller, which stops at the
-/// first match ([`crate::explain::find_witness`] and the exhaustive
-/// fallback of [`crate::explain::refute`]). Each item is a behaviour
-/// with its id in the stream's *path table*: one
+/// [`stream`] hands one to a goal-directed caller: the witness and
+/// refutation searches of [`crate::explain`], which stop at the first
+/// match, and the discipline check of [`crate::sync`], which drains it.
+/// Each item is a behaviour with its id in the stream's *path table*: one
 /// `(parent id, load, store)` entry per expanded fork, so
 /// [`PrunedStream::path_to`] rebuilds the resolutions that reach any
 /// yielded behaviour by walking up the parents.
@@ -445,6 +563,10 @@ pub struct PrunedStream<'a> {
     yielded: ObsSet,
     /// Set once the stream has ended or failed.
     finished: bool,
+    /// Goal pins and blocked detection, on pinned streams only.
+    pinning: Option<Box<Pinning>>,
+    /// Called with every resolvable load's candidate count, when set.
+    on_candidates: Option<CandidateHook<'a>>,
     // Reusable scratch buffers for the hot loop.
     loads_buf: Vec<NodeId>,
     stores_buf: Vec<NodeId>,
@@ -471,6 +593,7 @@ impl std::fmt::Debug for PrunedStream<'_> {
             .field("stats", &self.stats)
             .field("frontier", &self.frontier.len())
             .field("finished", &self.finished)
+            .field("blocked", &self.blocked())
             .finish_non_exhaustive()
     }
 }
@@ -482,7 +605,9 @@ impl std::fmt::Debug for PrunedStream<'_> {
 /// yields one representative per orbit of thread permutations, so a
 /// goal that is not thread-symmetric could miss its only matching
 /// image. With the identity group every distinct complete behaviour is
-/// yielded exactly once, and its path replays as is.
+/// yielded exactly once, and its path replays as is. Before the first
+/// pull, [`PrunedStream::pin`] can restrict it to a goal and
+/// [`PrunedStream::on_candidates`] can watch its candidate sets.
 ///
 /// # Errors
 ///
@@ -534,18 +659,7 @@ impl<'a> PrunedStream<'a> {
         group: Vec<Vec<usize>>,
         record_paths: bool,
     ) -> Result<Self, EnumError> {
-        let obs = config.observe.then(|| Arc::new(Obs::new()));
-        let mut root = Behavior::new(program);
-        if let Some(obs) = &obs {
-            root.enable_obs(Arc::clone(obs));
-        }
-        match root.settle(program, policy, config.max_nodes_per_thread) {
-            Ok(()) => {}
-            Err(StepError::NodeLimit { thread, limit }) => {
-                return Err(EnumError::NodeLimit { thread, limit })
-            }
-            Err(StepError::Inconsistent(e)) => return Err(EnumError::UnexpectedCycle(e)),
-        }
+        let (root, obs) = settled_root(program, policy, config)?;
         Ok(PrunedStream {
             program,
             policy,
@@ -566,6 +680,8 @@ impl<'a> PrunedStream<'a> {
             paths: record_paths.then(Vec::new),
             yielded: ObsSet::new(),
             finished: false,
+            pinning: None,
+            on_candidates: None,
             loads_buf: Vec::new(),
             stores_buf: Vec::new(),
             stores_scratch: Vec::new(),
@@ -577,6 +693,48 @@ impl<'a> PrunedStream<'a> {
             set_pool: Vec::new(),
             stores_index_buf: Vec::new(),
         })
+    }
+
+    /// Pins the stream to a goal: `pins` reads the settled root's graph
+    /// and returns the goal loads with the value each must observe, or
+    /// `None` to leave the stream unpinned. In a pinned stream a pinned
+    /// load resolves only to candidates carrying its value, and the first
+    /// blocked state is recorded ([`PrunedStream::blocked`]). Returns
+    /// whether the stream was pinned.
+    ///
+    /// A goal-consistent observation set has only goal-consistent subsets
+    /// and claims happen in the same relative order, so the pinned stream
+    /// is the unpinned one restricted to goal-consistent sets: its first
+    /// match is the same execution, reached by the same path.
+    ///
+    /// # Panics
+    ///
+    /// When called after the first pull.
+    pub fn pin(&mut self, pins: impl FnOnce(&ExecutionGraph) -> Option<Pins>) -> bool {
+        assert_eq!(self.stats.explored, 0, "pin a stream before pulling it");
+        let root = self.frontier[0].0.graph();
+        self.pinning = pins(root).map(|pins| {
+            Box::new(Pinning {
+                pins,
+                rolled: SeenTable::default(),
+                tally: Vec::new(),
+                blocked: None,
+            })
+        });
+        self.pinning.is_some()
+    }
+
+    /// The first blocked state of a pinned stream seen so far; `None` on
+    /// unpinned streams.
+    pub fn blocked(&self) -> Option<Blocked> {
+        self.pinning.as_ref().and_then(|p| p.blocked)
+    }
+
+    /// Calls `hook` with `(graph, load, candidate count)` for every
+    /// resolvable load of every expanded state, before any pin filters
+    /// the candidates.
+    pub fn on_candidates(&mut self, hook: impl FnMut(&ExecutionGraph, NodeId, usize) + 'a) {
+        self.on_candidates = Some(Box::new(hook));
     }
 
     /// Statistics accumulated so far (complete once the stream is
@@ -669,6 +827,13 @@ impl<'a> PrunedStream<'a> {
                 Obs::add(&obs.candidate_calls, 1);
                 Obs::add(&obs.candidate_stores, self.stores_buf.len() as u64);
             }
+            if let Some(hook) = &mut self.on_candidates {
+                hook(behavior.graph(), load, self.stores_buf.len());
+            }
+            let pinned = match &mut self.pinning {
+                Some(pinning) => pinning.filter(behavior.graph(), load, &mut self.stores_buf),
+                None => false,
+            };
             let load_ident = ident(behavior.graph(), load);
             let stores = std::mem::take(&mut self.stores_buf);
             for &store in &stores {
@@ -708,6 +873,10 @@ impl<'a> PrunedStream<'a> {
                     (&self.canon_buf, h)
                 };
                 if self.seen.contains(canonical_h, canonical) {
+                    if pinned {
+                        let pinning = self.pinning.as_mut().expect("pinned");
+                        pinning.lost(canonical_h, canonical);
+                    }
                     self.stats.deduped += 1;
                     if *canonical == self.child_buf {
                         self.pstats.pruned_dominated += 1;
@@ -717,6 +886,9 @@ impl<'a> PrunedStream<'a> {
                     continue;
                 }
                 self.seen.insert(canonical_h, canonical.clone());
+                if pinned {
+                    self.pinning.as_mut().expect("pinned").won();
+                }
                 let mut child_set = self.set_pool.pop().unwrap_or_default();
                 child_set.clone_from(&self.child_buf);
                 survivors.push((load, store, child_set, child_h));
@@ -758,6 +930,9 @@ impl<'a> PrunedStream<'a> {
                     // observation set fails identically.
                     self.stats.rolled_back += 1;
                     self.pstats.rolled_back += 1;
+                    if let Some(pinning) = &mut self.pinning {
+                        pinning.rolled_back(load, child_h, child_set);
+                    }
                 }
                 Err(StepError::NodeLimit { thread, limit }) => {
                     return Err(EnumError::NodeLimit { thread, limit });
@@ -765,6 +940,9 @@ impl<'a> PrunedStream<'a> {
             }
         }
         self.survivors_buf = survivors;
+        if let Some(pinning) = &mut self.pinning {
+            pinning.close(id);
+        }
         Ok(())
     }
 
@@ -1123,6 +1301,52 @@ mod tests {
         let mut plain = PrunedStream::new(&program, &policy, &config, group, false).unwrap();
         let (id, _) = plain.next().unwrap().unwrap();
         assert_eq!(plain.path_to(id), None);
+    }
+
+    #[test]
+    fn a_claim_lost_to_a_rolled_back_set_shares_its_fate() {
+        let (goal_load, other_load) = (NodeId::new(4), NodeId::new(5));
+        let (store, required) = (NodeId::new(1), Value::new(1));
+        let mut pinning = Pinning {
+            pins: Pins::from([(goal_load, required)]),
+            rolled: SeenTable::default(),
+            tally: Vec::new(),
+            blocked: None,
+        };
+        let open = |pinning: &mut Pinning| {
+            pinning.tally.push(PinTally {
+                load: goal_load,
+                first: Some(store),
+                survived: false,
+                pending: 0,
+            })
+        };
+        let (rolled, settled): (ObsSet, ObsSet) = (vec![(1, 2), (3, 4)], vec![(1, 2), (5, 6)]);
+        // State 1 claims both sets by forking an unpinned load; the first
+        // fork rolls back, the second settles.
+        pinning.rolled_back(other_load, set_hash(&rolled), rolled.clone());
+        pinning.close(1);
+        // State 2's goal fork loses to the settled set: it survives.
+        open(&mut pinning);
+        pinning.lost(set_hash(&settled), &settled);
+        pinning.close(2);
+        assert_eq!(pinning.blocked, None);
+        // State 3's goal fork loses to the rolled-back set: it rolls back
+        // too, so the goal load is blocked by a resolution cycle.
+        open(&mut pinning);
+        pinning.lost(set_hash(&rolled), &rolled);
+        pinning.close(3);
+        let blocked = Blocked {
+            id: 3,
+            load: goal_load,
+            required,
+            cycle: Some(store),
+        };
+        assert_eq!(pinning.blocked, Some(blocked));
+        // Only the first blocked state is kept.
+        open(&mut pinning);
+        pinning.close(4);
+        assert_eq!(pinning.blocked, Some(blocked));
     }
 
     #[test]

@@ -7,19 +7,20 @@
 //! mechanisms: when a program obeys the discipline, it behaves identically
 //! under much weaker memory models.
 //!
-//! [`check_well_synchronized`] replays the enumeration of
-//! [`mod@crate::enumerate`] and records, for every *static* load site, the
-//! maximum number of candidate stores any of its dynamic instances ever
-//! had. Loads of designated synchronization addresses are exempt.
+//! [`check_well_synchronized`] drains the production engine's goal
+//! stream ([`crate::pruned::stream`], identity symmetry group) and
+//! records, for every *static* load site, the maximum number of candidate
+//! stores any of its dynamic instances ever had. Loads of designated
+//! synchronization addresses are exempt.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::enumerate::EnumConfig;
 use crate::error::EnumError;
-use crate::exec::{Behavior, StepError};
 use crate::ids::Addr;
 use crate::instr::Program;
 use crate::policy::Policy;
+use crate::pruned::stream;
 
 /// A static load site: `(thread, issue index within the thread)`.
 pub type LoadSite = (usize, u32);
@@ -47,82 +48,47 @@ impl SyncReport {
 /// Checks the well-synchronized discipline for `program` under `policy`.
 ///
 /// `sync_addrs` lists the synchronization variables (flags, locks); loads
-/// of those addresses may legitimately race and are not reported.
+/// of those addresses may legitimately race and are not reported. Every
+/// reachable partial behaviour is expanded once, so `explored` counts
+/// the distinct behaviours of the search.
 ///
 /// # Errors
 ///
-/// Propagates the same failures as [`crate::enumerate::enumerate`].
+/// Propagates the same failures as [`crate::pruned::enumerate_pruned`],
+/// including [`EnumError::Overbudget`] past [`EnumConfig::budget`]
+/// claims.
 pub fn check_well_synchronized(
     program: &Program,
     policy: &Policy,
     config: &EnumConfig,
     sync_addrs: &BTreeSet<Addr>,
 ) -> Result<SyncReport, EnumError> {
-    let mut report = SyncReport::default();
-    let mut seen: HashSet<Vec<u8>> = HashSet::new();
-    let mut frontier: Vec<Behavior> = Vec::new();
-
-    let mut root = Behavior::new(program);
-    match root.settle(program, policy, config.max_nodes_per_thread) {
-        Ok(()) => {}
-        Err(StepError::NodeLimit { thread, limit }) => {
-            return Err(EnumError::NodeLimit { thread, limit })
+    let mut max_candidates: BTreeMap<LoadSite, usize> = BTreeMap::new();
+    let mut behaviors = stream(program, policy, config)?;
+    behaviors.on_candidates(|graph, load, count| {
+        let node = graph.node(load);
+        let addr = node.addr().expect("resolvable load has an address");
+        if !sync_addrs.contains(&addr) {
+            let site = (node.thread().index(), node.index_in_thread());
+            let max = max_candidates.entry(site).or_insert(0);
+            *max = (*max).max(count);
         }
-        Err(StepError::Inconsistent(e)) => return Err(EnumError::UnexpectedCycle(e)),
+    });
+    for item in &mut behaviors {
+        item?;
     }
-    seen.insert(root.canonical_key());
-    frontier.push(root);
-
-    let mut racy: BTreeSet<LoadSite> = BTreeSet::new();
-
-    while let Some(behavior) = frontier.pop() {
-        report.explored += 1;
-        if report.explored > config.max_behaviors {
-            return Err(EnumError::BehaviorLimit {
-                limit: config.max_behaviors,
-            });
-        }
-        if behavior.is_complete() {
-            continue;
-        }
-        let loads = behavior.resolvable_loads();
-        if loads.is_empty() {
-            return Err(EnumError::Stuck);
-        }
-        for load in loads {
-            let node = behavior.graph().node(load);
-            let site: LoadSite = (node.thread().index(), node.index_in_thread());
-            let addr = node.addr().expect("resolvable load has an address");
-            let candidates = behavior.candidates(load);
-            if !sync_addrs.contains(&addr) {
-                let entry = report.max_candidates.entry(site).or_insert(0);
-                *entry = (*entry).max(candidates.len());
-                if candidates.len() > 1 {
-                    racy.insert(site);
-                }
-            }
-            for store in candidates {
-                let mut fork = behavior.clone();
-                let step = fork
-                    .resolve_load(load, store)
-                    .and_then(|()| fork.settle(program, policy, config.max_nodes_per_thread));
-                match step {
-                    Ok(()) => {
-                        if seen.insert(fork.canonical_key()) {
-                            frontier.push(fork);
-                        }
-                    }
-                    Err(StepError::Inconsistent(_)) => {}
-                    Err(StepError::NodeLimit { thread, limit }) => {
-                        return Err(EnumError::NodeLimit { thread, limit })
-                    }
-                }
-            }
-        }
-    }
-
-    report.racy_loads = racy.into_iter().collect();
-    Ok(report)
+    let explored = behaviors.stats().explored;
+    drop(behaviors);
+    let racy_loads = max_candidates
+        .iter()
+        .filter(|&(_, &max)| max > 1)
+        .map(|(&site, _)| site)
+        .collect();
+    Ok(SyncReport {
+        max_candidates,
+        racy_loads,
+        explored,
+    })
 }
 
 #[cfg(test)]

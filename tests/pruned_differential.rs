@@ -15,8 +15,11 @@
 //!
 //! Both layers also check the goal-directed searches, which run on the
 //! pruned engine's behaviour stream: [`find_witness`] finds a witness
-//! exactly when the serial outcome set satisfies the goal, every witness
-//! replays, and [`refute`] agrees on observability.
+//! exactly when the serial outcome set satisfies the goal, and it is the
+//! first match of the whole (unpinned) goal stream; every witness
+//! replays; [`refute`] agrees on observability and every blocked proof
+//! it returns verifies. The §8 discipline check, which drains the same
+//! stream, is checked against the serial oracle too.
 //!
 //! Both layers also check table views ([`TableView`]): two models with
 //! equal views of a program must run identically on both engines, which
@@ -30,16 +33,19 @@ use samm::analyze::harness::drf_certifier;
 use samm::core::cache::CachedResult;
 use samm::core::enumerate::{enumerate, EnumConfig, EnumResult};
 use samm::core::error::EnumError;
-use samm::core::explain::{find_witness, refute, Goal, RefuteOutcome};
+use samm::core::explain::{find_witness, refute, Goal, Refutation, RefuteOutcome, Witness};
 use samm::core::ids::{Reg, Value};
 use samm::core::instr::Program;
 use samm::core::outcome::OutcomeSet;
 use samm::core::policy::Policy;
-use samm::core::pruned::enumerate_pruned;
+use samm::core::pruned::{enumerate_pruned, stream};
 use samm::core::static_order::TableView;
+use samm::core::sync::check_well_synchronized;
 use samm::litmus::expect::{self, EntryReport};
 use samm::litmus::rand_prog::{random_program, RandConfig};
 use samm::litmus::{catalog, ModelSel};
+
+use std::collections::BTreeSet;
 
 use rand::prelude::*;
 
@@ -70,9 +76,33 @@ fn assert_engines_agree(program: &Program, policy: &Policy, label: &str) -> Outc
     serial.outcomes
 }
 
+/// The first behaviour of the whole goal stream that matches `goal`, as
+/// a witness: what [`find_witness`] returns when it cannot pin the goal.
+fn first_unpinned_match(
+    program: &Program,
+    policy: &Policy,
+    config: &EnumConfig,
+    goal: &Goal,
+) -> Option<Witness> {
+    let mut behaviors = stream(program, policy, config).expect("goal stream starts");
+    while let Some(item) = behaviors.next() {
+        let (id, behavior) = item.expect("goal stream succeeds");
+        if goal.matches(&behavior.outcome()) {
+            let path = behaviors
+                .path_to(id)
+                .expect("a yielded behaviour has a path");
+            return Some(Witness::new(behavior, path));
+        }
+    }
+    None
+}
+
 /// `goal` is observable in the serial outcome set `serial` exactly when
-/// `find_witness` finds a witness and `refute` does not refute it, and
-/// every witness either search returns replays.
+/// `find_witness` finds a witness and `refute` does not refute it. The
+/// witness is the first match of the whole goal stream, so pinning the
+/// goal's loads changes neither the execution found nor its path. Every
+/// witness either search returns replays, and so does every blocked
+/// proof.
 fn assert_searches_agree(
     program: &Program,
     policy: &Policy,
@@ -89,6 +119,12 @@ fn assert_searches_agree(
         observable,
         "{label}: find_witness disagrees with the serial outcome set on {goal}"
     );
+    let witness_json = witness.as_ref().map(Witness::to_json);
+    assert_eq!(
+        witness_json,
+        first_unpinned_match(program, policy, &config, goal).map(|w| w.to_json()),
+        "{label}: find_witness is not the goal stream's first match for {goal}"
+    );
     if let Some(w) = &witness {
         assert!(goal.matches(&w.outcome), "{label}: witness misses {goal}");
         w.verify(program, policy, limit)
@@ -96,15 +132,18 @@ fn assert_searches_agree(
     }
     match refute(program, policy, &config, goal).expect("refutation succeeds") {
         RefuteOutcome::Observable(w) => {
-            assert!(
-                observable,
-                "{label}: refute observed the unobservable {goal}"
+            assert_eq!(
+                Some(w.to_json()),
+                witness_json,
+                "{label}: refute and find_witness disagree on {goal}"
             );
-            w.verify(program, policy, limit)
-                .unwrap_or_else(|e| panic!("{label}: refute witness for {goal} fails: {e}"));
         }
-        RefuteOutcome::Refuted(_) => {
-            assert!(!observable, "{label}: refute refuted the observable {goal}")
+        RefuteOutcome::Refuted(refutation) => {
+            assert!(!observable, "{label}: refute refuted the observable {goal}");
+            if let Refutation::Blocked(b) = refutation {
+                b.verify(program, policy, limit)
+                    .unwrap_or_else(|e| panic!("{label}: blocked proof for {goal} fails: {e}"));
+            }
         }
     }
 }
@@ -244,6 +283,46 @@ fn pruned_matches_serial_on_seeded_corpus() {
             }
         }
     }
+}
+
+/// Paper §8: in a program that is well synchronized with no
+/// synchronization addresses, every load has exactly one eligible store,
+/// so the program is deterministic: under the model it has exactly one
+/// outcome, its SC outcome set. The discipline check runs on the pruned
+/// stream; the outcome sets come from the serial oracle.
+#[test]
+fn well_synchronized_programs_have_their_one_sc_outcome() {
+    let config = fresh_config();
+    let shapes = shapes();
+    let programs = catalog::all()
+        .into_iter()
+        .map(|entry| (entry.test.name.clone(), entry.test.program))
+        .chain((0..corpus_size()).map(|i| {
+            let (program, shape) = corpus_program(i, &shapes);
+            (format!("corpus program {i} (shape {shape})"), program)
+        }));
+    let mut synchronized = 0;
+    for (name, program) in programs {
+        let sc = enumerate(&program, &Policy::sequential_consistency(), &config)
+            .expect("serial oracle succeeds")
+            .outcomes;
+        for model in [ModelSel::Tso, ModelSel::Pso, ModelSel::Weak] {
+            let policy = model.policy();
+            let report = check_well_synchronized(&program, &policy, &config, &BTreeSet::new())
+                .expect("sync check succeeds");
+            if !report.is_well_synchronized() {
+                continue;
+            }
+            synchronized += 1;
+            let outcomes = enumerate(&program, &policy, &config)
+                .expect("serial oracle succeeds")
+                .outcomes;
+            let label = format!("{name} under {}", model.name());
+            assert_eq!(outcomes.len(), 1, "{label}: well synchronized yet racy");
+            assert_eq!(outcomes, sc, "{label}: differs from SC");
+        }
+    }
+    assert!(synchronized > 0, "no well-synchronized program was checked");
 }
 
 type Engine = fn(&Program, &Policy, &EnumConfig) -> Result<EnumResult, EnumError>;
