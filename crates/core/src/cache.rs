@@ -165,13 +165,13 @@ struct Shard {
 }
 
 impl Shard {
+    /// Returns a resident answer and refreshes its stamp; an absent key
+    /// leaves the shard as it was.
     fn touch(&mut self, key: u128) -> Option<Arc<CachedResult>> {
+        let slot = self.entries.get_mut(&key)?;
         self.clock += 1;
-        let clock = self.clock;
-        self.entries.get_mut(&key).map(|slot| {
-            slot.0 = clock;
-            Arc::clone(&slot.1)
-        })
+        slot.0 = self.clock;
+        Some(Arc::clone(&slot.1))
     }
 
     /// Inserts, evicting the least-recently-touched entry when the shard
@@ -350,6 +350,18 @@ impl EnumCache {
         let found = slot.lock().touch(fp.raw());
         slot.count(found.is_some());
         found
+    }
+
+    /// Looks up a resident answer, counting a hit and refreshing its LRU
+    /// stamp. A key that is absent, or still being filled, counts
+    /// nothing and changes nothing, so a caller that must never run a
+    /// fill itself (the event loop) can probe first and leave the miss
+    /// to [`EnumCache::get_or_fill`], which counts it once.
+    pub fn probe(&self, fp: Fingerprint) -> Option<Arc<CachedResult>> {
+        let slot = &self.shards[self.shard_index(fp)];
+        let found = slot.lock().touch(fp.raw())?;
+        slot.count(true);
+        Some(found)
     }
 
     /// Looks up an answer, running `fill` to compute and insert it on a
@@ -762,6 +774,60 @@ mod tests {
         let (stale, _) =
             cached_enumerate(&cache, &sb(), &Policy::weak(), &config, enumerate).unwrap();
         assert_ne!(fresh.outcomes, stale.outcomes);
+    }
+
+    /// The hit-only probe: a cold key counts nothing and touches no
+    /// entry; a resident key counts one hit and refreshes its recency.
+    #[test]
+    fn probe_counts_and_refreshes_only_hits() {
+        let cache = EnumCache::with_shards(1, 2);
+        let value = CachedResult::new(OutcomeSet::default(), EnumStats::default());
+        let fp = |n: u128| Fingerprint::from_raw(n);
+        let counters = |cache: &EnumCache| {
+            let s = cache.stats();
+            (s.hits, s.misses, s.insertions, s.evictions)
+        };
+        assert!(cache.probe(fp(1)).is_none());
+        assert_eq!(counters(&cache), (0, 0, 0, 0));
+        cache.insert(fp(1), value.clone());
+        cache.insert(fp(2), value.clone());
+        assert!(cache.probe(fp(3)).is_none());
+        assert_eq!(counters(&cache), (0, 0, 2, 0));
+        assert!(cache.probe(fp(1)).is_some()); // refresh 1; 2 is now LRU
+        assert_eq!(counters(&cache), (1, 0, 2, 0));
+        cache.insert(fp(3), value);
+        assert!(cache.contains(fp(1)));
+        assert!(!cache.contains(fp(2)), "the probe must refresh recency");
+    }
+
+    /// A key whose fill is still running is a probe miss that counts
+    /// nothing: the probe never waits on a fill.
+    #[test]
+    fn probe_does_not_wait_on_a_running_fill() {
+        let cache = Arc::new(EnumCache::new(64));
+        let fp = Fingerprint::from_raw(9);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let filler = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                cache
+                    .get_or_fill::<()>(fp, || {
+                        started_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                        Ok(Arc::new(sb_entry()))
+                    })
+                    .unwrap()
+            })
+        };
+        started_rx.recv().unwrap();
+        assert!(cache.probe(fp).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.insertions), (0, 1, 0));
+        release_tx.send(()).unwrap();
+        filler.join().unwrap();
+        assert!(cache.probe(fp).is_some());
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

@@ -3,23 +3,29 @@
 //!
 //! ```text
 //!            ┌ loop 0 (owns the listener) ── epoll/poll ── conns…
-//! clients ──►│ loop 1 ── epoll/poll ── conns…        │ parsed lines
-//!            └ loop … ──────────────────────────────▼
+//! clients ──►│ loop 1 ── epoll/poll ── conns…        │ parsed envelopes
+//!            └ loop … ── cache hits answered here    ▼ (everything else)
 //!                 ▲ completions (self-wake pipe)   shared job queue
 //!                 └─────────────────────────── M handler workers
 //! ```
 //!
 //! Each loop owns its connections outright: it reads newline-delimited
 //! requests as readiness allows — many per wakeup, so clients may
-//! pipeline — hands complete lines to the worker pool, and flushes
-//! finished responses back, possibly out of request order (clients
-//! match responses to requests by the echoed `id`). Backpressure is per
-//! connection: once `max_pipeline` requests are in flight the loop
-//! stops reading that socket until answers drain, letting TCP push back
-//! on the client. The accept path lives on loop 0 and hands new
-//! connections round-robin to the loops over their wake pipes; past
-//! `max_connections` a connection is answered with the structured
-//! `overloaded` error and closed.
+//! pipeline — and parses each line once. A top-level `enumerate` whose
+//! answer is already cached is answered on the loop itself
+//! (`handler::answer_hit`) when nothing else is in flight on its
+//! connection; every other request — misses, batches, verdicts,
+//! witnesses, refutations, certificates, metrics, shutdown and cluster
+//! forwards — goes to the worker pool as a parsed envelope, so no engine
+//! call ever runs on a loop thread. Finished responses are flushed back,
+//! possibly out of request order (clients match responses to requests by
+//! the echoed `id`); the in-flight rule keeps an inline answer from
+//! overtaking a queued one. Backpressure is per connection: once
+//! `max_pipeline` requests are in flight the loop stops reading that
+//! socket until answers drain, letting TCP push back on the client. The
+//! accept path lives on loop 0 and hands new connections round-robin to
+//! the loops over their wake pipes; past `max_connections` a connection
+//! is answered with the structured `overloaded` error and closed.
 //!
 //! Shutdown (a wire `shutdown` request or [`ServerHandle::shutdown`])
 //! stops accepting and reading, lets in-flight work finish within
@@ -43,7 +49,7 @@ use samm_core::telemetry::JsonlLog;
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::handler::{self, ServerState};
-use crate::protocol::{parse_envelope, ErrorKind, Request, ServiceError};
+use crate::protocol::{parse_envelope_bytes, Envelope, ErrorKind, Request, ServiceError};
 use crate::sys::{Event, Interest, Poller, PollerKind};
 use crate::telemetry::{LoopGauges, Telemetry};
 
@@ -137,11 +143,12 @@ const TICK: Duration = Duration::from_millis(500);
 /// unterminated line closes the connection as a framing violation.
 const MAX_LINE_BYTES: usize = 4 * 1024 * 1024;
 
-/// One parsed request line travelling to the worker pool.
+/// One parsed request line travelling to the worker pool: its envelope,
+/// or the error that answers it.
 struct Job {
     loop_id: usize,
     conn_token: u64,
-    line: String,
+    parsed: Result<Envelope, ServiceError>,
 }
 
 /// One finished response travelling back to its loop.
@@ -756,53 +763,79 @@ impl EventLoop {
         self.pump_conn(token);
     }
 
-    /// Extracts complete lines as pipeline capacity allows, dispatches
-    /// them to the worker pool, and refreshes poller interest. Also the
-    /// point where a flushed-out, EOF'd connection is finally closed.
+    /// Extracts complete lines as pipeline capacity allows, parses each
+    /// once, answers cache hits inline and dispatches the rest to the
+    /// worker pool, then refreshes poller interest. Also the point where
+    /// a flushed-out, EOF'd connection is finally closed.
     fn pump_conn(&mut self, token: u64) {
-        let draining = self.shared.draining.load(Ordering::SeqCst);
-        let max_pipeline = self.shared.max_pipeline;
+        let shared = &*self.shared;
+        let draining = shared.draining.load(Ordering::SeqCst);
         let mut jobs = Vec::new();
-        let closed = {
+        let mut answered = 0u64;
+        let (closed, dead) = {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            while !draining && conn.inflight < max_pipeline {
-                let Some(newline) = conn.read_buf.iter().position(|&b| b == b'\n') else {
+            let mut consumed = 0;
+            while !draining && conn.inflight < shared.max_pipeline {
+                let Some(newline) = conn.read_buf[consumed..].iter().position(|&b| b == b'\n')
+                else {
                     break;
                 };
-                let line_bytes: Vec<u8> = conn.read_buf.drain(..=newline).collect();
-                let line = String::from_utf8_lossy(&line_bytes).trim().to_owned();
+                let line = conn.read_buf[consumed..consumed + newline].trim_ascii();
+                consumed += newline + 1;
                 if line.is_empty() {
                     continue;
+                }
+                let parsed = parse_envelope_bytes(line);
+                // With nothing in flight, every earlier answer is already
+                // in the write buffer, so an inline answer keeps request
+                // order.
+                if conn.inflight == 0 {
+                    let hit = parsed
+                        .as_ref()
+                        .ok()
+                        .and_then(|envelope| handler::answer_hit(&shared.state, envelope));
+                    if let Some(response) = hit {
+                        let _ = writeln!(conn.write_buf, "{response}");
+                        answered += 1;
+                        continue;
+                    }
                 }
                 conn.inflight += 1;
                 jobs.push(Job {
                     loop_id: self.id,
                     conn_token: token,
-                    line,
+                    parsed,
                 });
             }
-            conn.closing && conn.is_quiescent()
+            conn.read_buf.drain(..consumed);
+            let dead = answered > 0 && conn.flush_writes().is_err();
+            (conn.closing && conn.is_quiescent(), dead)
         };
-        if closed {
-            self.close_conn(token);
-            return;
+        if answered > 0 {
+            self.gauges()
+                .answered
+                .fetch_add(answered, Ordering::Relaxed);
         }
         if !jobs.is_empty() {
             self.gauges()
                 .inflight
                 .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-            let mut queue = self.shared.jobs.lock().expect("jobs poisoned");
+            let mut queue = shared.jobs.lock().expect("jobs poisoned");
             queue.extend(jobs);
             let depth = queue.len() as u64;
             drop(queue);
-            self.shared
+            shared
                 .state
                 .telemetry
                 .queue_depth
                 .store(depth, Ordering::Relaxed);
-            self.shared.jobs_available.notify_all();
+            shared.jobs_available.notify_all();
+        }
+        if dead || closed {
+            self.close_conn(token);
+            return;
         }
         self.refresh_interest(token);
     }
@@ -936,7 +969,7 @@ fn worker_loop(shared: &Arc<EventShared>) {
             }
         };
         let Some(job) = job else { return };
-        let (response, begin_drain) = execute_line(&shared.state, &job.line);
+        let (response, begin_drain) = execute(&shared.state, &job.parsed);
         shared.loops[job.loop_id]
             .completions
             .lock()
@@ -950,19 +983,18 @@ fn worker_loop(shared: &Arc<EventShared>) {
     }
 }
 
-/// Parses and executes one request line; the bool asks the server to
-/// drain (the line was a `shutdown` request).
-fn execute_line(state: &ServerState, line: &str) -> (String, bool) {
-    match parse_envelope(line) {
+/// Executes one parsed request line; the bool asks the server to drain
+/// (the line was a `shutdown` request).
+fn execute(state: &ServerState, parsed: &Result<Envelope, ServiceError>) -> (String, bool) {
+    match parsed {
         Ok(envelope) => {
-            let response = handler::handle_envelope(state, &envelope);
-            let drain = envelope.request == Request::Shutdown;
-            (response.to_string(), drain)
+            let response = handler::handle_envelope(state, envelope);
+            (response.to_string(), envelope.request == Request::Shutdown)
         }
         Err(err) => {
             // Count the attempt too: `requests` tracks lines seen.
             state.telemetry.requests.fetch_add(1, Ordering::Relaxed);
-            (handler::error_response(state, &err).to_string(), false)
+            (handler::error_response(state, err).to_string(), false)
         }
     }
 }

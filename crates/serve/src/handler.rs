@@ -18,6 +18,8 @@ use samm_core::cache::{CachedResult, EnumCache};
 use samm_core::enumerate::EnumConfig;
 use samm_core::error::EnumError;
 use samm_core::explain::{find_witness, refute, Goal, Refutation, RefuteOutcome};
+use samm_core::fingerprint::Fingerprint;
+use samm_core::policy::Policy;
 use samm_core::pruned::enumerate_pruned;
 use samm_core::telemetry::trace::{ActiveSpan, SpanKind, SpanSink, TraceContext};
 use samm_core::telemetry::HistogramSnapshot;
@@ -166,6 +168,98 @@ fn handle_inner(
     top_level: bool,
     ctx: Option<TraceContext>,
 ) -> Json {
+    respond(
+        state,
+        request,
+        id,
+        fwd,
+        top_level,
+        ctx,
+        |span, id| match request {
+            Request::Enumerate {
+                test,
+                model,
+                budget,
+            } => enumerate_response(state, test, model, *budget, fwd, span),
+            Request::Batch(subs) => Ok(crate::batch::execute(state, subs, fwd, id, span)),
+            Request::Verdict { test, budget } => verdict_response(state, test, *budget),
+            Request::Witness {
+                test,
+                model,
+                condition,
+                budget,
+            } => witness_response(state, test, model, *condition, *budget),
+            Request::Refutation {
+                test,
+                model,
+                condition,
+                budget,
+            } => refutation_response(state, test, model, *condition, *budget),
+            Request::Certify {
+                test,
+                model,
+                robust,
+            } => certify_response(state, test, model, *robust),
+            Request::Metrics => Ok(metrics_response(state)),
+            Request::MetricsCluster => Ok(metrics_cluster_response(state, fwd)),
+            Request::MetricsProm => Ok(Json::obj([
+                ("ok", Json::Bool(true)),
+                ("kind", Json::str("metrics_prom")),
+                ("text", Json::str(state.render_prom())),
+            ])),
+            Request::Shutdown => Ok(Json::obj([
+                ("ok", Json::Bool(true)),
+                ("kind", Json::str("shutdown")),
+            ])),
+        },
+    )
+}
+
+/// Answers a top-level `enumerate` envelope whose answer is already in
+/// the cache, without running or waiting on anything: the event loop's
+/// inline path. Anything else — another kind, an unknown name, a key
+/// that is absent or still being filled — returns `None` having counted
+/// nothing, and goes to a worker. The answer passes through the same
+/// id, counter, histogram, span and response code as
+/// [`handle_envelope`], so it is the worker's hit answer byte for byte.
+pub(crate) fn answer_hit(state: &ServerState, envelope: &Envelope) -> Option<Json> {
+    let Request::Enumerate {
+        test,
+        model,
+        budget,
+    } = &envelope.request
+    else {
+        return None;
+    };
+    let query = EnumQuery::resolve(state, test, model, *budget).ok()?;
+    let value = state.cache.probe(query.fp)?;
+    Some(respond(
+        state,
+        &envelope.request,
+        envelope.id.as_deref(),
+        envelope.fwd,
+        true,
+        envelope.trace,
+        |_, _| {
+            // A resident key is never forwarded, even when a peer owns it.
+            note_local(state, envelope.fwd);
+            Ok(query.response(state, &value, true))
+        },
+    ))
+}
+
+/// The request frame every answer passes through: assigns or echoes the
+/// id, counts the request, opens the server span, runs `body`, renders
+/// an error, records the per-kind latency and closes the span.
+fn respond(
+    state: &ServerState,
+    request: &Request,
+    id: Option<&str>,
+    fwd: bool,
+    top_level: bool,
+    ctx: Option<TraceContext>,
+    body: impl FnOnce(Option<&ActiveSpan>, &str) -> Result<Json, ServiceError>,
+) -> Json {
     let id = id.map_or_else(|| state.telemetry.ids.next_id(), str::to_owned);
     let kind = kind_index(request);
     match (kind, request) {
@@ -211,47 +305,7 @@ fn handle_inner(
         None
     };
     let started = Instant::now();
-    let result = match request {
-        Request::Enumerate {
-            test,
-            model,
-            budget,
-        } => enumerate_response(state, test, model, *budget, fwd, span.as_ref()),
-        Request::Batch(subs) => Ok(crate::batch::execute(state, subs, fwd, &id, span.as_ref())),
-        Request::Verdict { test, budget } => verdict_response(state, test, *budget),
-        Request::Witness {
-            test,
-            model,
-            condition,
-            budget,
-        } => witness_response(state, test, model, *condition, *budget),
-        Request::Refutation {
-            test,
-            model,
-            condition,
-            budget,
-        } => refutation_response(state, test, model, *condition, *budget),
-        Request::Certify {
-            test,
-            model,
-            robust,
-        } => certify_response(state, test, model, *robust),
-        Request::Metrics => Ok(metrics_response(state)),
-        Request::MetricsCluster => Ok(metrics_cluster_response(state, fwd)),
-        Request::MetricsProm => Ok(Json::obj([
-            ("ok", Json::Bool(true)),
-            ("kind", Json::str("metrics_prom")),
-            ("text", Json::str(state.render_prom())),
-        ])),
-        Request::Shutdown => Ok(Json::obj([
-            ("ok", Json::Bool(true)),
-            ("kind", Json::str("shutdown")),
-        ])),
-    };
-    let mut response = match result {
-        Ok(response) => response,
-        Err(err) => error_response(state, &err),
-    };
+    let mut response = body(span.as_ref(), &id).unwrap_or_else(|err| error_response(state, &err));
     let elapsed = started.elapsed();
     if let Some(kind) = kind {
         let outcome = ReqOutcome::classify(&response);
@@ -333,6 +387,70 @@ fn condition_goal(entry: &CatalogEntry, condition: usize) -> Result<(Goal, Strin
     Ok((Goal::new(cond.clauses.clone()), cond.text.clone()))
 }
 
+/// One `enumerate` query resolved against the catalog: what the
+/// engine would run, and the cache key of its answer.
+struct EnumQuery {
+    entry: &'static CatalogEntry,
+    sel: ModelSel,
+    policy: Policy,
+    config: EnumConfig,
+    fp: Fingerprint,
+}
+
+impl EnumQuery {
+    fn resolve(
+        state: &ServerState,
+        test: &str,
+        model: &str,
+        budget: Option<u64>,
+    ) -> Result<EnumQuery, ServiceError> {
+        let entry = find_entry(test)?;
+        let sel = find_model(model)?;
+        let policy = sel.policy();
+        let config = state.config(budget);
+        let fp = samm_core::fingerprint::query_fingerprint(&entry.test.program, &policy, &config);
+        Ok(EnumQuery {
+            entry,
+            sel,
+            policy,
+            config,
+            fp,
+        })
+    }
+
+    /// The one builder of an `enumerate` answer, fresh or cached, on a
+    /// worker or on the event loop.
+    fn response(&self, state: &ServerState, value: &CachedResult, hit: bool) -> Json {
+        let mut fields = vec![
+            ("ok", Json::Bool(true)),
+            ("kind", Json::str("enumerate")),
+            ("test", Json::str(self.entry.test.name.clone())),
+            ("model", Json::str(self.sel.name())),
+            ("engine", Json::str(ENGINE)),
+            ("cache_hit", Json::Bool(hit)),
+            ("outcome_count", Json::num(value.outcomes.len() as f64)),
+            (
+                "executions",
+                Json::num(value.stats.distinct_executions as f64),
+            ),
+            ("outcomes", Json::Raw(value.outcomes_json().to_owned())),
+            ("stats", Json::Raw(value.stats_json().to_owned())),
+        ];
+        if let Some(cluster) = &state.cluster {
+            fields.push(("node", Json::str(cluster.self_id())));
+        }
+        Json::obj(fields)
+    }
+}
+
+/// Records that a cluster member answered an `enumerate` itself (zero
+/// hops); a forwarded request's hop was recorded by its sender.
+fn note_local(state: &ServerState, fwd: bool) {
+    if state.cluster.is_some() && !fwd {
+        state.telemetry.forward_hops.record(0);
+    }
+}
+
 fn enumerate_response(
     state: &ServerState,
     test: &str,
@@ -341,11 +459,8 @@ fn enumerate_response(
     fwd: bool,
     span: Option<&ActiveSpan>,
 ) -> Result<Json, ServiceError> {
-    let entry = find_entry(test)?;
-    let sel = find_model(model)?;
-    let policy = sel.policy();
-    let config = state.config(budget);
-    let fp = samm_core::fingerprint::query_fingerprint(&entry.test.program, &policy, &config);
+    let query = EnumQuery::resolve(state, test, model, budget)?;
+    let fp = query.fp;
 
     // Cluster routing: keys owned elsewhere are forwarded — unless this
     // request was itself forwarded here (`fwd`), the key is already in
@@ -394,9 +509,7 @@ fn enumerate_response(
             }
         }
     }
-    if state.cluster.is_some() && !fwd {
-        state.telemetry.forward_hops.record(0);
-    }
+    note_local(state, fwd);
 
     let work_span = span.map(|s| s.child("enumerate", SpanKind::Internal));
     // The cache keeps only the deterministic counters; the phase spans
@@ -407,7 +520,7 @@ fn enumerate_response(
     let (value, lookup) = state
         .cache
         .get_or_fill(fp, || {
-            let result = enumerate_pruned(&entry.test.program, &policy, &config)?;
+            let result = enumerate_pruned(&query.entry.test.program, &query.policy, &query.config)?;
             run_obs = result.stats.obs;
             Ok(Arc::new(CachedResult::from_result(result)))
         })
@@ -466,25 +579,7 @@ fn enumerate_response(
             ws.finish(&state.telemetry);
         }
     }
-    let mut fields = vec![
-        ("ok", Json::Bool(true)),
-        ("kind", Json::str("enumerate")),
-        ("test", Json::str(entry.test.name.clone())),
-        ("model", Json::str(sel.name())),
-        ("engine", Json::str(ENGINE)),
-        ("cache_hit", Json::Bool(lookup.hit)),
-        ("outcome_count", Json::num(value.outcomes.len() as f64)),
-        (
-            "executions",
-            Json::num(value.stats.distinct_executions as f64),
-        ),
-        ("outcomes", Json::Raw(value.outcomes_json().to_owned())),
-        ("stats", Json::Raw(value.stats_json().to_owned())),
-    ];
-    if let Some(cluster) = &state.cluster {
-        fields.push(("node", Json::str(cluster.self_id())));
-    }
-    Ok(Json::obj(fields))
+    Ok(query.response(state, &value, lookup.hit))
 }
 
 fn report_json(report: &EntryReport) -> Json {
@@ -934,6 +1029,122 @@ mod tests {
             }
         }
         assert!(checked >= 100, "only {checked} queries checked");
+    }
+
+    /// Everything a request may count: `requests`, `errors`, the cache
+    /// hits, misses and insertions, and every per-kind histogram count.
+    fn counters(state: &ServerState) -> Vec<u64> {
+        let cache = state.cache.stats();
+        let mut all = vec![
+            state.telemetry.requests.load(Ordering::Relaxed),
+            state.telemetry.errors.load(Ordering::Relaxed),
+            cache.hits,
+            cache.misses,
+            cache.insertions,
+        ];
+        for k in &state.telemetry.kinds {
+            all.extend([
+                k.hit.count(),
+                k.miss.count(),
+                k.overbudget.count(),
+                k.errors.load(Ordering::Relaxed),
+            ]);
+        }
+        all
+    }
+
+    fn envelope(request: Request, id: Option<&str>) -> Envelope {
+        Envelope {
+            id: id.map(str::to_owned),
+            request,
+            fwd: false,
+            trace: None,
+        }
+    }
+
+    /// The inline entry declines a cold key, a name it cannot resolve
+    /// and every other kind, counting nothing and running nothing.
+    #[test]
+    fn answer_hit_declines_without_counting() {
+        let state = state();
+        let enumerate = |test: &str| Request::Enumerate {
+            test: test.into(),
+            model: "TSO".into(),
+            budget: None,
+        };
+        for request in [
+            enumerate("SB"),
+            enumerate("NoSuchTest"),
+            Request::Batch(vec![Ok(envelope(enumerate("SB"), None))]),
+            Request::Verdict {
+                test: "SB".into(),
+                budget: None,
+            },
+            Request::Metrics,
+            Request::Shutdown,
+        ] {
+            assert!(answer_hit(&state, &envelope(request.clone(), None)).is_none());
+            assert!(counters(&state).iter().all(|&c| c == 0), "{request:?}");
+        }
+        assert!(state.cache.is_empty(), "the inline entry never fills");
+    }
+
+    /// On a warm key the inline answer is the worker's hit answer: the
+    /// same bytes apart from a server-assigned id, and exactly one more
+    /// request and one more cache hit, for every servable query.
+    #[test]
+    fn answer_hit_matches_the_worker_hit() {
+        let state = ServerState::new(EnumCache::new(4096), None);
+        let mut checked = 0;
+        for entry in cached_catalog() {
+            for sel in ModelSel::ALL {
+                let request = Request::Enumerate {
+                    test: entry.test.name.clone(),
+                    model: sel.name().to_owned(),
+                    budget: None,
+                };
+                let name = format!("{}/{}", entry.test.name, sel.name());
+                let cold = handle_envelope(&state, &envelope(request.clone(), Some("w")));
+                if cold.get("ok") != Some(&Json::Bool(true)) {
+                    continue;
+                }
+                let before = counters(&state);
+                let worker = handle_envelope(&state, &envelope(request.clone(), Some("w")));
+                let worker_delta: Vec<u64> = counters(&state)
+                    .iter()
+                    .zip(&before)
+                    .map(|(a, b)| a - b)
+                    .collect();
+                let before = counters(&state);
+                let inline = answer_hit(&state, &envelope(request.clone(), Some("w")))
+                    .unwrap_or_else(|| panic!("{name}: a warm key is answered inline"));
+                let inline_delta: Vec<u64> = counters(&state)
+                    .iter()
+                    .zip(&before)
+                    .map(|(a, b)| a - b)
+                    .collect();
+                assert_eq!(inline.to_string(), worker.to_string(), "{name}");
+                assert_eq!(inline_delta, worker_delta, "{name}");
+                let hits = |d: &[u64]| (d[0], d[2], d[3], d[4]);
+                assert_eq!(hits(&inline_delta), (1, 1, 0, 0), "{name}");
+                checked += 1;
+            }
+        }
+        assert!(checked >= 100, "only {checked} queries checked");
+        // Without a client id the inline answer gets a fresh server id.
+        let request = Request::Enumerate {
+            test: "SB".into(),
+            model: "TSO".into(),
+            budget: None,
+        };
+        let worker = handle_envelope(&state, &envelope(request.clone(), None));
+        let mut inline = answer_hit(&state, &envelope(request, None)).unwrap();
+        let (Json::Obj(w), Json::Obj(i)) = (&worker, &mut inline) else {
+            panic!("answers are objects");
+        };
+        assert_ne!(w.get("id"), i.get("id"));
+        i.insert("id".to_owned(), w["id"].clone());
+        assert_eq!(inline, worker);
     }
 
     #[test]

@@ -163,8 +163,15 @@ impl std::error::Error for ParseError {}
 
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
+    parse_bytes(input.as_bytes())
+}
+
+/// As [`parse`], over raw bytes: every string is checked as it is read,
+/// so input that is not UTF-8 is an `invalid UTF-8` error, never a
+/// silently replaced character.
+pub fn parse_bytes(input: &[u8]) -> Result<Json, ParseError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        bytes: input,
         pos: 0,
     };
     p.skip_ws();

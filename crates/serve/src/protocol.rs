@@ -271,7 +271,17 @@ pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
 /// As for [`parse_request`]; a non-string `id` is
 /// [`ErrorKind::Malformed`].
 pub fn parse_envelope(line: &str) -> Result<Envelope, ServiceError> {
-    let value = json::parse(line)
+    parse_envelope_bytes(line.as_bytes())
+}
+
+/// As [`parse_envelope`], over one raw line as read from a socket: a
+/// line that is not UTF-8 is [`ErrorKind::Malformed`].
+///
+/// # Errors
+///
+/// As for [`parse_envelope`].
+pub fn parse_envelope_bytes(line: &[u8]) -> Result<Envelope, ServiceError> {
+    let value = json::parse_bytes(line)
         .map_err(|e| ServiceError::new(ErrorKind::Malformed, format!("invalid JSON: {e}")))?;
     if !matches!(value, Json::Obj(_)) {
         return Err(ServiceError::new(
@@ -617,6 +627,24 @@ mod tests {
         assert_eq!(env.id, None);
         let err = parse_envelope(r#"{"kind":"metrics","id":7}"#).unwrap_err();
         assert_eq!(err.kind, ErrorKind::Malformed);
+    }
+
+    /// A byte line that is not UTF-8 is malformed, never parsed with a
+    /// replacement character standing in for the bad byte.
+    #[test]
+    fn invalid_utf8_lines_are_malformed() {
+        let env = parse_envelope_bytes(br#"{"kind":"metrics","id":"a"}"#).unwrap();
+        assert_eq!(env.id.as_deref(), Some("a"));
+        for line in [
+            &b"{\"kind\":\"metrics\",\"id\":\"a\xffb\"}"[..],
+            b"{\"kind\":\"metrics\",\"id\":\"\xe2\"}",
+            b"{\"kind\":\"metrics\",\"id\":\"a\"}\xff",
+        ] {
+            let err = parse_envelope_bytes(line).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Malformed, "{line:?}");
+        }
+        let err = parse_envelope_bytes(b"{\"kind\":\"metrics\",\"id\":\"a\xffb\"}").unwrap_err();
+        assert!(err.message.contains("invalid UTF-8"), "{err}");
     }
 
     #[test]

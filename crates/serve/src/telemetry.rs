@@ -280,6 +280,8 @@ pub struct LoopGauges {
     pub connections: AtomicU64,
     /// Requests dispatched to workers and not yet answered.
     pub inflight: AtomicU64,
+    /// Requests this loop answered itself: cache hits never dispatched.
+    pub answered: AtomicU64,
 }
 
 impl Default for Telemetry {
@@ -438,6 +440,17 @@ impl Telemetry {
                 Json::num(self.slow_total.load(Ordering::Relaxed) as f64),
             ),
             ("rate_5s", Json::num(self.rate.rate_per_sec(5))),
+            (
+                "loop_answered",
+                Json::Arr(
+                    self.loops
+                        .lock()
+                        .expect("loop gauges poisoned")
+                        .iter()
+                        .map(|g| Json::num(g.answered.load(Ordering::Relaxed) as f64))
+                        .collect(),
+                ),
+            ),
             ("kinds", Json::obj(kinds)),
             (
                 "rules",
@@ -677,21 +690,29 @@ impl Telemetry {
             );
         }
 
-        // Per-event-loop gauges (absent until a loop registers).
+        // Per-event-loop series (absent until a loop registers).
         let loops = self.loops.lock().expect("loop gauges poisoned").clone();
         if !loops.is_empty() {
             let loop_labels: Vec<String> = (0..loops.len()).map(|i| i.to_string()).collect();
-            for (name, help, pick) in [
+            for (name, help, pick, counter) in [
                 (
                     "samm_loop_connections",
                     "Open connections, by event loop.",
                     (|g: &LoopGauges| g.connections.load(Ordering::Relaxed))
                         as fn(&LoopGauges) -> u64,
+                    false,
                 ),
                 (
                     "samm_loop_inflight",
                     "Requests dispatched and not yet answered, by event loop.",
                     |g: &LoopGauges| g.inflight.load(Ordering::Relaxed),
+                    false,
+                ),
+                (
+                    "samm_loop_answered_total",
+                    "Cache hits the event loop answered itself, by event loop.",
+                    |g: &LoopGauges| g.answered.load(Ordering::Relaxed),
+                    true,
                 ),
             ] {
                 let series: Vec<(Vec<(&str, &str)>, f64)> = loop_labels
@@ -703,7 +724,11 @@ impl Telemetry {
                     .iter()
                     .map(|(labels, v)| (labels.as_slice(), *v))
                     .collect();
-                prom.gauge(name, help, &borrowed);
+                if counter {
+                    prom.counter(name, help, &borrowed);
+                } else {
+                    prom.gauge(name, help, &borrowed);
+                }
             }
         }
 
@@ -917,6 +942,7 @@ mod tests {
         ]);
         let gauges = telemetry.register_loop();
         gauges.connections.fetch_add(4, Ordering::Relaxed);
+        gauges.answered.fetch_add(3, Ordering::Relaxed);
         telemetry.overloaded.fetch_add(7, Ordering::Relaxed);
         let shards = vec![
             ShardStats {
@@ -956,6 +982,7 @@ mod tests {
             "samm_fleet_node_requests",
             "samm_loop_connections",
             "samm_loop_inflight",
+            "samm_loop_answered_total",
             "samm_cluster_self_info",
             "samm_cluster_node_up",
             "samm_closure_rule_applications_total",
@@ -970,6 +997,7 @@ mod tests {
         assert!(text.contains("samm_peer_forwards_total{peer=\"node-b\"} 1"));
         assert!(text.contains("samm_cluster_node_up{node=\"node-b\"} 0"));
         assert!(text.contains("samm_loop_connections{loop=\"0\"} 4"));
+        assert!(text.contains("samm_loop_answered_total{loop=\"0\"} 3"));
         assert!(text.contains("samm_batch_size_count 1"));
         assert!(text.contains("samm_robust_verdicts_total{verdict=\"robust\"} 2"));
         assert!(text.contains("samm_robust_verdicts_total{verdict=\"cycle\"} 1"));

@@ -1,15 +1,19 @@
 //! End-to-end tests of the readiness-driven event core over real
 //! loopback sockets: pipelining with out-of-order responses matched by
-//! id, the `batch` request kind over the wire, graceful drain, cache
-//! persistence, the connection limit, and both poller backends.
+//! id, cache hits answered on the loop without overtaking queued work,
+//! the `batch` request kind over the wire, graceful drain, cache
+//! persistence, the connection limit, both poller backends, and lines
+//! that are not UTF-8.
 
 #![cfg(unix)]
 
 use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 use samm_serve::client::Client;
-use samm_serve::json::Json;
+use samm_serve::json::{self, Json};
 use samm_serve::sys::PollerKind;
 use samm_serve::{start, ServerConfig};
 
@@ -214,5 +218,137 @@ fn max_connections_rejects_with_the_overloaded_error() {
     assert_eq!(metrics.get("overloaded").and_then(Json::as_u64), Some(1));
     drop(b);
     drop(c);
+    handle.shutdown().unwrap();
+}
+
+/// One raw connection: every burst leaves in a single `write`, and
+/// answers are read back as raw lines.
+struct RawConn {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl RawConn {
+    fn connect(addr: std::net::SocketAddr) -> RawConn {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        RawConn { stream, reader }
+    }
+
+    fn send(&mut self, bytes: &[u8]) {
+        self.stream.write_all(bytes).unwrap();
+    }
+
+    fn read_line(&mut self) -> String {
+        let mut line = String::new();
+        assert!(self.reader.read_line(&mut line).unwrap() > 0, "closed");
+        line.truncate(line.trim_end().len());
+        line
+    }
+
+    fn request(&mut self, line: &str) -> Json {
+        self.send(format!("{line}\n").as_bytes());
+        json::parse(&self.read_line()).unwrap()
+    }
+
+    /// Requests this server's one event loop has answered itself.
+    fn loop_answered(&mut self) -> u64 {
+        let metrics = self.request(r#"{"kind":"metrics"}"#);
+        let answered = metrics
+            .get("telemetry")
+            .and_then(|t| t.get("loop_answered"))
+            .and_then(Json::as_arr)
+            .expect("metrics report the per-loop inline answers");
+        assert_eq!(answered.len(), 1);
+        answered[0].as_u64().unwrap()
+    }
+}
+
+fn enumerate_line(test: &str, model: &str, id: &str) -> String {
+    format!(r#"{{"kind":"enumerate","test":"{test}","model":"{model}","id":"{id}"}}"#)
+}
+
+/// With one worker the job queue answers in order, and a cache hit the
+/// loop answers itself must not overtake a miss queued ahead of it: a
+/// pipelined cold, warm, cold, warm burst comes back in request order.
+/// A warm hit sent once the burst has drained is answered on the loop,
+/// with the bytes a worker's hit carries.
+#[test]
+fn inline_hits_never_overtake_queued_misses() {
+    let handle = start(ServerConfig {
+        workers: 1,
+        ..test_config()
+    })
+    .unwrap();
+    let mut conn = RawConn::connect(handle.addr());
+    for (test, model) in [("SB", "TSO"), ("MP", "TSO")] {
+        let cold = conn.request(&enumerate_line(test, model, "warm-up"));
+        assert_eq!(cold.get("cache_hit"), Some(&Json::Bool(false)), "{cold}");
+    }
+    let burst = [
+        enumerate_line("IRIW", "Weak", "cold-1"),
+        enumerate_line("SB", "TSO", "hit-1"),
+        enumerate_line("WRC", "Weak", "cold-2"),
+        enumerate_line("MP", "TSO", "hit-2"),
+    ];
+    conn.send(format!("{}\n", burst.join("\n")).as_bytes());
+    let answers: Vec<String> = burst.iter().map(|_| conn.read_line()).collect();
+    let order: Vec<(String, bool)> = answers
+        .iter()
+        .map(|line| {
+            let answer = json::parse(line).unwrap();
+            assert!(ok(&answer), "{answer}");
+            (
+                answer.get("id").and_then(Json::as_str).unwrap().to_owned(),
+                answer.get("cache_hit").and_then(Json::as_bool).unwrap(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        order,
+        [
+            ("cold-1".to_owned(), false),
+            ("hit-1".to_owned(), true),
+            ("cold-2".to_owned(), false),
+            ("hit-2".to_owned(), true),
+        ]
+    );
+
+    let before = conn.loop_answered();
+    conn.send(format!("{}\n", enumerate_line("SB", "TSO", "hit-1")).as_bytes());
+    let inline = conn.read_line();
+    assert_eq!(conn.loop_answered(), before + 1, "answered on the loop");
+    assert_eq!(
+        inline, answers[1],
+        "an inline hit is a worker hit on the wire"
+    );
+    handle.shutdown().unwrap();
+}
+
+/// A line that is not UTF-8 is answered with the structured `malformed`
+/// error, counted as a request and an error; its bytes are never echoed
+/// back altered.
+#[test]
+fn invalid_utf8_lines_are_malformed_over_the_wire() {
+    let handle = start(test_config()).unwrap();
+    let mut conn = RawConn::connect(handle.addr());
+    conn.send(b"{\"kind\":\"enumerate\",\"test\":\"SB\",\"model\":\"TSO\",\"id\":\"a\xffb\"}\n");
+    let line = conn.read_line();
+    assert!(!line.contains('\u{fffd}'), "{line}");
+    let answer = json::parse(&line).unwrap();
+    assert!(!ok(&answer), "{answer}");
+    let error = answer.get("error").unwrap();
+    assert_eq!(error.get("kind").and_then(Json::as_str), Some("malformed"));
+    assert!(
+        error
+            .get("message")
+            .and_then(Json::as_str)
+            .is_some_and(|m| m.contains("invalid UTF-8")),
+        "{answer}"
+    );
+    let metrics = conn.request(r#"{"kind":"metrics"}"#);
+    assert_eq!(metrics.get("requests").and_then(Json::as_u64), Some(1));
+    assert_eq!(metrics.get("errors").and_then(Json::as_u64), Some(1));
     handle.shutdown().unwrap();
 }
