@@ -1,0 +1,261 @@
+//! A request's answer between execution and the wire.
+//!
+//! The [`handler`](crate::handler) executes every request into an
+//! `Answer`: a typed `enumerate` answer (the resolved [`EnumQuery`] and
+//! the cache entry it found or filled), a batch of slot answers, or —
+//! for every other kind, every error and every answer a cluster peer
+//! produced — a [`Json`] tree. Two renderers read it:
+//!
+//! - the production path
+//!   ([`serve_envelope`](crate::handler::serve_envelope) and
+//!   [`serve_hit`](crate::handler::serve_hit)) appends the response
+//!   line to a byte buffer. Enumerate answers and batch frames are
+//!   written field by field in the wire's sorted key order, splicing
+//!   the entry's pre-rendered `outcomes` and `stats` fragments in place;
+//!   trees go through [`Json`]'s one renderer.
+//! - [`handle_envelope`](crate::handler::handle_envelope) builds the
+//!   same answer as a tree. It is the reference the writer is tested
+//!   against byte for byte.
+
+use std::sync::Arc;
+
+use samm_core::cache::CachedResult;
+use samm_core::enumerate::EnumConfig;
+use samm_core::fingerprint::{query_fingerprint, Fingerprint};
+use samm_core::policy::Policy;
+use samm_core::telemetry::write_escaped;
+use samm_litmus::catalog::{CatalogEntry, ModelSel};
+
+use crate::handler::{find_entry, find_model, ServerState};
+use crate::json::{ByteSink, Json};
+use crate::protocol::{ServiceError, ENGINE};
+use crate::telemetry::ReqOutcome;
+
+/// One `enumerate` query resolved against the catalog: what the engine
+/// would run, and the cache key of its answer.
+#[derive(Debug)]
+pub struct EnumQuery {
+    pub(crate) entry: &'static CatalogEntry,
+    pub(crate) sel: ModelSel,
+    pub(crate) policy: Policy,
+    pub(crate) config: EnumConfig,
+    pub(crate) fp: Fingerprint,
+}
+
+impl EnumQuery {
+    /// Looks up `test` and `model` (case-insensitively) and computes the
+    /// query's cache fingerprint under the server's configuration.
+    ///
+    /// # Errors
+    ///
+    /// The structured `unknown-test` / `unknown-model` errors.
+    pub fn resolve(
+        state: &ServerState,
+        test: &str,
+        model: &str,
+        budget: Option<u64>,
+    ) -> Result<EnumQuery, ServiceError> {
+        let entry = find_entry(test)?;
+        let sel = find_model(model)?;
+        let policy = sel.policy();
+        let config = state.config(budget);
+        let fp = query_fingerprint(&entry.test.program, &policy, &config);
+        Ok(EnumQuery {
+            entry,
+            sel,
+            policy,
+            config,
+            fp,
+        })
+    }
+
+    /// The cache key of this query's answer.
+    pub fn fingerprint(&self) -> Fingerprint {
+        self.fp
+    }
+
+    /// Appends this query's answer object — `value`, found in the cache
+    /// (`hit`) or freshly filled — to `out`, echoing `id`. The fields
+    /// are written in the order a [`Json`] object renders them.
+    pub fn write_answer(
+        &self,
+        state: &ServerState,
+        id: &str,
+        value: &CachedResult,
+        hit: bool,
+        out: &mut Vec<u8>,
+    ) {
+        out.extend_from_slice(b"{\"cache_hit\":");
+        out.extend_from_slice(if hit { b"true" } else { b"false" });
+        out.extend_from_slice(b",\"engine\":");
+        write_str(out, ENGINE);
+        out.extend_from_slice(b",\"executions\":");
+        write_count(out, value.stats.distinct_executions);
+        out.extend_from_slice(b",\"id\":");
+        write_str(out, id);
+        out.extend_from_slice(b",\"kind\":\"enumerate\",\"model\":");
+        write_str(out, self.sel.name());
+        if let Some(cluster) = &state.cluster {
+            out.extend_from_slice(b",\"node\":");
+            write_str(out, cluster.self_id());
+        }
+        out.extend_from_slice(b",\"ok\":true,\"outcome_count\":");
+        write_count(out, value.outcomes.len());
+        out.extend_from_slice(b",\"outcomes\":");
+        out.extend_from_slice(value.outcomes_json().as_bytes());
+        out.extend_from_slice(b",\"stats\":");
+        out.extend_from_slice(value.stats_json().as_bytes());
+        out.extend_from_slice(b",\"test\":");
+        write_str(out, &self.entry.test.name);
+        out.push(b'}');
+    }
+
+    /// The same answer as a tree (without its `id`): the reference
+    /// [`EnumQuery::write_answer`] is checked against.
+    fn answer_tree(&self, state: &ServerState, value: &CachedResult, hit: bool) -> Json {
+        let mut fields = vec![
+            ("ok", Json::Bool(true)),
+            ("kind", Json::str("enumerate")),
+            ("test", Json::str(self.entry.test.name.clone())),
+            ("model", Json::str(self.sel.name())),
+            ("engine", Json::str(ENGINE)),
+            ("cache_hit", Json::Bool(hit)),
+            ("outcome_count", Json::num(value.outcomes.len() as f64)),
+            (
+                "executions",
+                Json::num(value.stats.distinct_executions as f64),
+            ),
+            ("outcomes", Json::Raw(value.outcomes_json().to_owned())),
+            ("stats", Json::Raw(value.stats_json().to_owned())),
+        ];
+        if let Some(cluster) = &state.cluster {
+            fields.push(("node", Json::str(cluster.self_id())));
+        }
+        Json::obj(fields)
+    }
+}
+
+/// What a request produced, before its id is attached.
+pub(crate) enum Body {
+    /// An `enumerate` this node answered, from the cache (`hit`) or by a
+    /// fresh run.
+    Enumerate {
+        query: EnumQuery,
+        value: Arc<CachedResult>,
+        hit: bool,
+    },
+    /// A batch: its slot answers in request order, and how many of them
+    /// failed.
+    Batch { failed: usize, slots: Vec<Answer> },
+    /// Any other answer, error or peer reply, as a tree; the `id` field
+    /// is set when it is rendered.
+    Tree(Json),
+}
+
+impl Body {
+    /// Whether the answer is a success (`"ok":true`).
+    pub(crate) fn is_ok(&self) -> bool {
+        match self {
+            Body::Enumerate { .. } | Body::Batch { .. } => true,
+            Body::Tree(tree) => tree.get("ok").and_then(Json::as_bool) == Some(true),
+        }
+    }
+
+    /// How the answer counts in the per-kind latency telemetry.
+    pub(crate) fn outcome(&self) -> ReqOutcome {
+        match self {
+            Body::Enumerate { hit: true, .. } => ReqOutcome::Hit,
+            Body::Enumerate { hit: false, .. } | Body::Batch { .. } => ReqOutcome::Miss,
+            Body::Tree(tree) => ReqOutcome::classify(tree),
+        }
+    }
+}
+
+/// A request's answer with its effective id.
+pub(crate) struct Answer {
+    /// The client's id, or the one the server assigned. `None` only for
+    /// a batch slot whose tree is complete as it stands: a peer's reply,
+    /// which echoes the slot id it was sent, or a slot that failed to
+    /// parse, which has no id.
+    pub(crate) id: Option<String>,
+    pub(crate) body: Body,
+}
+
+impl Answer {
+    /// Appends the response line, newline included, to `out`.
+    pub(crate) fn write_line(self, state: &ServerState, out: &mut Vec<u8>) {
+        self.write(state, out);
+        out.push(b'\n');
+    }
+
+    fn write(self, state: &ServerState, out: &mut Vec<u8>) {
+        let Answer { id, body } = self;
+        match body {
+            Body::Enumerate { query, value, hit } => {
+                query.write_answer(state, framed(&id), &value, hit, out);
+            }
+            Body::Batch { failed, slots } => {
+                out.extend_from_slice(b"{\"count\":");
+                write_count(out, slots.len());
+                out.extend_from_slice(b",\"failed\":");
+                write_count(out, failed);
+                out.extend_from_slice(b",\"id\":");
+                write_str(out, framed(&id));
+                out.extend_from_slice(b",\"kind\":\"batch\",\"ok\":true,\"responses\":[");
+                for (i, slot) in slots.into_iter().enumerate() {
+                    if i > 0 {
+                        out.push(b',');
+                    }
+                    slot.write(state, out);
+                }
+                out.extend_from_slice(b"]}");
+            }
+            Body::Tree(tree) => with_id(tree, id).write_bytes(out),
+        }
+    }
+
+    /// The answer as a [`Json`] tree: the reference rendering.
+    pub(crate) fn into_json(self, state: &ServerState) -> Json {
+        let Answer { id, body } = self;
+        let tree = match body {
+            Body::Enumerate { query, value, hit } => query.answer_tree(state, &value, hit),
+            Body::Batch { failed, slots } => Json::obj([
+                ("ok", Json::Bool(true)),
+                ("kind", Json::str("batch")),
+                ("count", Json::num(slots.len() as f64)),
+                ("failed", Json::num(failed as f64)),
+                (
+                    "responses",
+                    Json::Arr(slots.into_iter().map(|s| s.into_json(state)).collect()),
+                ),
+            ]),
+            Body::Tree(tree) => tree,
+        };
+        with_id(tree, id)
+    }
+}
+
+/// The id of an enumerate answer or a batch frame, which always have one.
+fn framed(id: &Option<String>) -> &str {
+    id.as_deref().expect("enumerate and batch answers have ids")
+}
+
+/// Sets the `id` field of an answer object, when there is one to set.
+fn with_id(mut tree: Json, id: Option<String>) -> Json {
+    if let (Json::Obj(map), Some(id)) = (&mut tree, id) {
+        map.insert("id".to_owned(), Json::Str(id));
+    }
+    tree
+}
+
+/// Appends `s` as an escaped JSON string.
+fn write_str(out: &mut Vec<u8>, s: &str) {
+    // Appending to a Vec never fails.
+    let _ = write_escaped(&mut ByteSink(out), s);
+}
+
+/// Appends a count as a JSON number, as [`Json::num`] renders it.
+fn write_count(out: &mut Vec<u8>, n: usize) {
+    use std::fmt::Write;
+    let _ = write!(ByteSink(out), "{n}");
+}

@@ -18,7 +18,8 @@ use std::sync::atomic::Ordering;
 
 use samm_core::telemetry::trace::{ActiveSpan, SpanKind};
 
-use crate::handler::{find_entry, find_model, handle_sub, ServerState};
+use crate::answer::{Answer, Body, EnumQuery};
+use crate::handler::{error_response, handle_sub, ServerState};
 use crate::json::Json;
 use crate::protocol::{Envelope, Request, ServiceError};
 
@@ -33,10 +34,10 @@ pub(crate) fn execute(
     fwd: bool,
     parent_id: &str,
     span: Option<&ActiveSpan>,
-) -> Json {
+) -> Body {
     state.telemetry.batch_sizes.record(subs.len() as u64);
     let ctx = span.map(ActiveSpan::context);
-    let mut responses: Vec<Option<Json>> = vec![None; subs.len()];
+    let mut spliced: Vec<Option<Json>> = vec![None; subs.len()];
 
     // Distinct per-slot ids, echoed in each slot's response: the
     // client's own id wins, otherwise the slot index under the batch's
@@ -58,12 +59,25 @@ pub(crate) fn execute(
     if let Some(cluster) = state.cluster.as_ref().filter(|_| !fwd) {
         let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (index, slot) in subs.iter().enumerate() {
-            let Ok(env) = slot else { continue };
-            let Some(fp) = enumerate_fingerprint(state, &env.request) else {
+            // Unresolvable requests execute locally, where they produce
+            // their structured error.
+            let Ok(Envelope {
+                request:
+                    Request::Enumerate {
+                        test,
+                        model,
+                        budget,
+                    },
+                ..
+            }) = slot
+            else {
                 continue;
             };
-            let owner = cluster.owner_of(fp);
-            if cluster.node_id(owner) != cluster.self_id() && !state.cache.contains(fp) {
+            let Ok(query) = EnumQuery::resolve(state, test, model, *budget) else {
+                continue;
+            };
+            let owner = cluster.owner_of(query.fp);
+            if cluster.node_id(owner) != cluster.self_id() && !state.cache.contains(query.fp) {
                 groups.entry(owner).or_default().push(index);
             }
         }
@@ -85,16 +99,16 @@ pub(crate) fn execute(
                 fwd: true,
                 trace: fwd_span.as_ref().map(ActiveSpan::context),
             };
-            let spliced = cluster
+            let count = cluster
                 .forward(owner, &forwarded)
-                .and_then(|reply| splice(&indices, reply, &mut responses));
+                .and_then(|reply| splice(&indices, reply, &mut spliced));
             if let Some(mut fs) = fwd_span {
                 fs.attr("peer", cluster.node_id(owner).to_owned());
                 fs.attr("slots", indices.len() as u64);
-                fs.attr("ok", spliced.is_some());
+                fs.attr("ok", count.is_some());
                 fs.finish(&state.telemetry);
             }
-            match spliced {
+            match count {
                 Some(count) => {
                     for _ in 0..count {
                         state.telemetry.note_forward(cluster.node_id(owner));
@@ -113,84 +127,60 @@ pub(crate) fn execute(
         }
     }
 
-    let mut failed = 0u64;
-    let rendered: Vec<Json> = subs
+    let mut failed = 0;
+    let slots: Vec<Answer> = subs
         .iter()
-        .zip(responses)
-        .zip(&slot_ids)
-        .map(|((slot, splice_result), slot_id)| {
-            let response = match (slot, splice_result) {
-                (_, Some(spliced)) => spliced,
+        .zip(spliced)
+        .zip(slot_ids)
+        .map(|((slot, spliced), slot_id)| {
+            let answer = match (slot, spliced) {
+                // The peer's reply carries the slot id it was sent.
+                (_, Some(reply)) => Answer {
+                    id: None,
+                    body: Body::Tree(reply),
+                },
+                // Slots that already failed one forward attempt run
+                // locally (`fwd` forced) rather than re-routing.
                 (Ok(env), None) => {
-                    // Slots that already failed one forward attempt run
-                    // locally (`fwd` forced) rather than re-routing.
-                    let id = slot_id.as_deref().expect("ok slots have ids");
+                    let id = slot_id.expect("ok slots have ids");
                     handle_sub(state, env, true, id, ctx)
                 }
-                (Err(err), None) => {
-                    state.telemetry.errors.fetch_add(1, Ordering::Relaxed);
-                    err.to_response()
-                }
+                (Err(err), None) => Answer {
+                    id: None,
+                    body: Body::Tree(error_response(state, err)),
+                },
             };
-            if response.get("ok").and_then(Json::as_bool) != Some(true) {
+            if !answer.body.is_ok() {
                 failed += 1;
             }
-            response
+            answer
         })
         .collect();
-
-    Json::obj([
-        ("ok", Json::Bool(true)),
-        ("kind", Json::str("batch")),
-        ("count", Json::num(rendered.len() as f64)),
-        ("failed", Json::num(failed as f64)),
-        ("responses", Json::Arr(rendered)),
-    ])
+    Body::Batch { failed, slots }
 }
 
-/// The cache fingerprint of an enumerate request, when it resolves to a
-/// known test/model. Unresolvable requests return `None` and execute
-/// locally, where they produce their structured error.
-fn enumerate_fingerprint(
-    state: &ServerState,
-    request: &Request,
-) -> Option<samm_core::fingerprint::Fingerprint> {
-    let Request::Enumerate {
-        test,
-        model,
-        budget,
-        ..
-    } = request
-    else {
-        return None;
-    };
-    let entry = find_entry(test).ok()?;
-    let policy = find_model(model).ok()?.policy();
-    let config = state.config(*budget);
-    Some(samm_core::fingerprint::query_fingerprint(
-        &entry.test.program,
-        &policy,
-        &config,
-    ))
-}
-
-/// Splices a peer's batch reply back into the origin slots. Returns the
-/// number of slots filled, or `None` when the reply does not line up
-/// (the caller then falls back to local execution for the whole group).
-fn splice(indices: &[usize], reply: Json, responses: &mut [Option<Json>]) -> Option<usize> {
+/// Splices a peer's batch reply back into the origin slots, marking
+/// each `forwarded`. Returns the number of slots filled, or `None` when
+/// the reply does not line up (the caller then falls back to local
+/// execution for the whole group).
+fn splice(indices: &[usize], reply: Json, spliced: &mut [Option<Json>]) -> Option<usize> {
     if reply.get("ok").and_then(Json::as_bool) != Some(true) {
         return None;
     }
-    let peer_responses = reply.get("responses").and_then(Json::as_arr)?;
+    let Json::Obj(mut reply) = reply else {
+        return None;
+    };
+    let Some(Json::Arr(peer_responses)) = reply.remove("responses") else {
+        return None;
+    };
     if peer_responses.len() != indices.len() {
         return None;
     }
-    for (&index, peer_response) in indices.iter().zip(peer_responses) {
-        let mut response = peer_response.clone();
+    for (&index, mut response) in indices.iter().zip(peer_responses) {
         if let Json::Obj(map) = &mut response {
             map.insert("forwarded".to_owned(), Json::Bool(true));
         }
-        responses[index] = Some(response);
+        spliced[index] = Some(response);
     }
     Some(indices.len())
 }

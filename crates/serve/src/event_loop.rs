@@ -13,19 +13,24 @@
 //! requests as readiness allows — many per wakeup, so clients may
 //! pipeline — and parses each line once. A top-level `enumerate` whose
 //! answer is already cached is answered on the loop itself
-//! (`handler::answer_hit`) when nothing else is in flight on its
+//! ([`handler::serve_hit`]) when nothing else is in flight on its
 //! connection; every other request — misses, batches, verdicts,
 //! witnesses, refutations, certificates, metrics, shutdown and cluster
 //! forwards — goes to the worker pool as a parsed envelope, so no engine
-//! call ever runs on a loop thread. Finished responses are flushed back,
-//! possibly out of request order (clients match responses to requests by
-//! the echoed `id`); the in-flight rule keeps an inline answer from
-//! overtaking a queued one. Backpressure is per connection: once
-//! `max_pipeline` requests are in flight the loop stops reading that
-//! socket until answers drain, letting TCP push back on the client. The
-//! accept path lives on loop 0 and hands new connections round-robin to
-//! the loops over their wake pipes; past `max_connections` a connection
-//! is answered with the structured `overloaded` error and closed.
+//! call ever runs on a loop thread. Both write the response line
+//! straight into a byte buffer ([`crate::answer`]): the loop into the
+//! connection's write buffer, a worker into the bytes its completion
+//! carries back. Finished responses are flushed back, possibly out of
+//! request order (clients match responses to requests by the echoed
+//! `id`); the in-flight rule keeps an inline answer from overtaking a
+//! queued one. Backpressure is per connection: once `max_pipeline`
+//! requests are in flight, or more than `WRITE_HIGH_WATER` (1 MiB) of
+//! answers wait unsent, the loop takes no further lines and stops
+//! reading that socket until answers drain, letting TCP push back on
+//! the client. The accept path lives on loop 0 and hands new
+//! connections round-robin to the loops over their wake pipes; past
+//! `max_connections` a connection is answered with the structured
+//! `overloaded` error and closed.
 //!
 //! Shutdown (a wire `shutdown` request or [`ServerHandle::shutdown`])
 //! stops accepting and reading, lets in-flight work finish within
@@ -142,6 +147,11 @@ const TICK: Duration = Duration::from_millis(500);
 /// Hard cap on one request line (batch envelopes included); a longer
 /// unterminated line closes the connection as a framing violation.
 const MAX_LINE_BYTES: usize = 4 * 1024 * 1024;
+/// Pending output per connection past which the loop takes no further
+/// lines and stops reading the socket until a flush brings it back
+/// down: a client that pipelines without reading its answers is pushed
+/// back by TCP instead of growing the server's buffers.
+const WRITE_HIGH_WATER: usize = 1024 * 1024;
 
 /// One parsed request line travelling to the worker pool: its envelope,
 /// or the error that answers it.
@@ -154,7 +164,8 @@ struct Job {
 /// One finished response travelling back to its loop.
 struct Completion {
     conn_token: u64,
-    response: String,
+    /// The response line, newline included.
+    response: Vec<u8>,
     /// The request was `shutdown`: flush this response, then drain.
     begin_drain: bool,
 }
@@ -517,8 +528,18 @@ impl Conn {
         }
     }
 
+    fn pending_write(&self) -> usize {
+        self.write_buf.len() - self.write_pos
+    }
+
     fn has_pending_write(&self) -> bool {
-        self.write_pos < self.write_buf.len()
+        self.pending_write() > 0
+    }
+
+    /// Whether pending output is under the high-water mark, so the
+    /// connection may take more lines.
+    fn below_high_water(&self) -> bool {
+        self.pending_write() <= WRITE_HIGH_WATER
     }
 
     fn is_quiescent(&self) -> bool {
@@ -777,7 +798,14 @@ impl EventLoop {
                 return;
             };
             let mut consumed = 0;
+            let mut dead = false;
             while !draining && conn.inflight < shared.max_pipeline {
+                if !conn.below_high_water() {
+                    dead = conn.flush_writes().is_err();
+                    if dead || !conn.below_high_water() {
+                        break;
+                    }
+                }
                 let Some(newline) = conn.read_buf[consumed..].iter().position(|&b| b == b'\n')
                 else {
                     break;
@@ -792,14 +820,11 @@ impl EventLoop {
                 // in the write buffer, so an inline answer keeps request
                 // order.
                 if conn.inflight == 0 {
-                    let hit = parsed
-                        .as_ref()
-                        .ok()
-                        .and_then(|envelope| handler::answer_hit(&shared.state, envelope));
-                    if let Some(response) = hit {
-                        let _ = writeln!(conn.write_buf, "{response}");
-                        answered += 1;
-                        continue;
+                    if let Ok(envelope) = &parsed {
+                        if handler::serve_hit(&shared.state, envelope, &mut conn.write_buf) {
+                            answered += 1;
+                            continue;
+                        }
                     }
                 }
                 conn.inflight += 1;
@@ -810,7 +835,7 @@ impl EventLoop {
                 });
             }
             conn.read_buf.drain(..consumed);
-            let dead = answered > 0 && conn.flush_writes().is_err();
+            let dead = dead || (answered > 0 && conn.flush_writes().is_err());
             (conn.closing && conn.is_quiescent(), dead)
         };
         if answered > 0 {
@@ -847,7 +872,10 @@ impl EventLoop {
             return;
         };
         let wanted = Interest {
-            read: !conn.closing && !draining && conn.inflight < max_pipeline,
+            read: !conn.closing
+                && !draining
+                && conn.inflight < max_pipeline
+                && conn.below_high_water(),
             write: conn.has_pending_write(),
         };
         if wanted != conn.interest {
@@ -888,9 +916,7 @@ impl EventLoop {
                 return;
             };
             conn.inflight = conn.inflight.saturating_sub(1);
-            conn.write_buf
-                .extend_from_slice(completion.response.as_bytes());
-            conn.write_buf.push(b'\n');
+            conn.write_buf.extend_from_slice(&completion.response);
             conn.flush_writes().is_err()
         };
         if flush_failed {
@@ -983,18 +1009,22 @@ fn worker_loop(shared: &Arc<EventShared>) {
     }
 }
 
-/// Executes one parsed request line; the bool asks the server to drain
-/// (the line was a `shutdown` request).
-fn execute(state: &ServerState, parsed: &Result<Envelope, ServiceError>) -> (String, bool) {
+/// Executes one parsed request line into its response line, newline
+/// included; the bool asks the server to drain (the line was a
+/// `shutdown` request).
+fn execute(state: &ServerState, parsed: &Result<Envelope, ServiceError>) -> (Vec<u8>, bool) {
+    let mut response = Vec::new();
     match parsed {
         Ok(envelope) => {
-            let response = handler::handle_envelope(state, envelope);
-            (response.to_string(), envelope.request == Request::Shutdown)
+            handler::serve_envelope(state, envelope, &mut response);
+            (response, envelope.request == Request::Shutdown)
         }
         Err(err) => {
             // Count the attempt too: `requests` tracks lines seen.
             state.telemetry.requests.fetch_add(1, Ordering::Relaxed);
-            (handler::error_response(state, err).to_string(), false)
+            handler::error_response(state, err).write_bytes(&mut response);
+            response.push(b'\n');
+            (response, false)
         }
     }
 }

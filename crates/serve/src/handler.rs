@@ -1,5 +1,7 @@
-//! Request execution: turns a parsed [`Request`] into a response
-//! [`Json`] against shared server state.
+//! Request execution: turns a parsed [`Request`] into an answer
+//! against shared server state, and renders it — onto the wire through
+//! the byte writer ([`serve_envelope`]), or as the reference [`Json`]
+//! tree ([`handle_envelope`]); see [`crate::answer`].
 //!
 //! Every enumeration-backed request is answered through the
 //! content-addressed [`EnumCache`], so repeated queries for the same
@@ -18,20 +20,18 @@ use samm_core::cache::{CachedResult, EnumCache};
 use samm_core::enumerate::EnumConfig;
 use samm_core::error::EnumError;
 use samm_core::explain::{find_witness, refute, Goal, Refutation, RefuteOutcome};
-use samm_core::fingerprint::Fingerprint;
-use samm_core::policy::Policy;
 use samm_core::pruned::enumerate_pruned;
 use samm_core::telemetry::trace::{ActiveSpan, SpanKind, SpanSink, TraceContext};
 use samm_core::telemetry::HistogramSnapshot;
 use samm_litmus::catalog::{self, CatalogEntry, ModelSel};
 use samm_litmus::expect::{run_entry_cached, EntryReport};
 
+use crate::answer::{Answer, Body, EnumQuery};
 use crate::cluster::Cluster;
 use crate::json::Json;
 use crate::protocol::{Envelope, ErrorKind, Request, ServiceError, ENGINE};
 use crate::telemetry::{
-    kind_index, snapshot_from_json, snapshot_to_json, FleetSample, ReqOutcome, Telemetry,
-    KIND_NAMES,
+    kind_index, snapshot_from_json, snapshot_to_json, FleetSample, Telemetry, KIND_NAMES,
 };
 
 /// State shared by every worker: the enumeration cache, the default
@@ -117,18 +117,31 @@ pub fn handle(state: &ServerState, request: &Request) -> Json {
 /// response and recording latency telemetry: per-kind histograms split
 /// by hit/miss/overbudget, the request-rate window, and the span log.
 pub fn handle_traced(state: &ServerState, request: &Request, id: Option<&str>) -> Json {
-    handle_inner(state, request, id, false, true, None)
+    handle_inner(state, request, id.map(str::to_owned), false, true, None).into_json(state)
 }
 
 /// Executes a parsed envelope: as [`handle_traced`], honouring the
 /// envelope's `fwd` marker (a forwarded request is answered locally,
-/// never re-forwarded) and its propagated `trace` context. The entry
-/// point cluster-aware servers use.
+/// never re-forwarded) and its propagated `trace` context. Returns the
+/// answer as a tree: the reference rendering [`serve_envelope`]'s bytes
+/// are tested against.
 pub fn handle_envelope(state: &ServerState, envelope: &Envelope) -> Json {
+    execute_envelope(state, envelope).into_json(state)
+}
+
+/// Executes a parsed envelope as [`handle_envelope`] does and appends
+/// its response line, newline included, to `out`: the server's answer
+/// path. Enumerate answers and batch frames are written straight into
+/// `out`, with no [`Json`] tree in between.
+pub fn serve_envelope(state: &ServerState, envelope: &Envelope, out: &mut Vec<u8>) {
+    execute_envelope(state, envelope).write_line(state, out);
+}
+
+fn execute_envelope(state: &ServerState, envelope: &Envelope) -> Answer {
     handle_inner(
         state,
         &envelope.request,
-        envelope.id.as_deref(),
+        envelope.id.clone(),
         envelope.fwd,
         true,
         envelope.trace,
@@ -147,9 +160,9 @@ pub(crate) fn handle_sub(
     state: &ServerState,
     envelope: &Envelope,
     fwd: bool,
-    id: &str,
+    id: String,
     ctx: Option<TraceContext>,
-) -> Json {
+) -> Answer {
     handle_inner(
         state,
         &envelope.request,
@@ -163,25 +176,19 @@ pub(crate) fn handle_sub(
 fn handle_inner(
     state: &ServerState,
     request: &Request,
-    id: Option<&str>,
+    id: Option<String>,
     fwd: bool,
     top_level: bool,
     ctx: Option<TraceContext>,
-) -> Json {
-    respond(
-        state,
-        request,
-        id,
-        fwd,
-        top_level,
-        ctx,
-        |span, id| match request {
+) -> Answer {
+    respond(state, request, id, fwd, top_level, ctx, |span, id| {
+        let tree = match request {
             Request::Enumerate {
                 test,
                 model,
                 budget,
-            } => enumerate_response(state, test, model, *budget, fwd, span),
-            Request::Batch(subs) => Ok(crate::batch::execute(state, subs, fwd, id, span)),
+            } => return enumerate_response(state, test, model, *budget, fwd, span),
+            Request::Batch(subs) => return Ok(crate::batch::execute(state, subs, fwd, id, span)),
             Request::Verdict { test, budget } => verdict_response(state, test, *budget),
             Request::Witness {
                 test,
@@ -211,18 +218,28 @@ fn handle_inner(
                 ("ok", Json::Bool(true)),
                 ("kind", Json::str("shutdown")),
             ])),
-        },
-    )
+        };
+        tree.map(Body::Tree)
+    })
 }
 
 /// Answers a top-level `enumerate` envelope whose answer is already in
-/// the cache, without running or waiting on anything: the event loop's
-/// inline path. Anything else — another kind, an unknown name, a key
-/// that is absent or still being filled — returns `None` having counted
-/// nothing, and goes to a worker. The answer passes through the same
-/// id, counter, histogram, span and response code as
-/// [`handle_envelope`], so it is the worker's hit answer byte for byte.
-pub(crate) fn answer_hit(state: &ServerState, envelope: &Envelope) -> Option<Json> {
+/// the cache, without running or waiting on anything, appending the
+/// response line to `out`: the event loop's inline path. Anything else
+/// — another kind, an unknown name, a key that is absent or still being
+/// filled — returns `false` having counted and written nothing, and
+/// goes to a worker. The answer passes through the same id, counter,
+/// histogram, span and writer as [`serve_envelope`], so it is the
+/// worker's hit answer byte for byte.
+pub fn serve_hit(state: &ServerState, envelope: &Envelope, out: &mut Vec<u8>) -> bool {
+    let Some(answer) = answer_hit(state, envelope) else {
+        return false;
+    };
+    answer.write_line(state, out);
+    true
+}
+
+fn answer_hit(state: &ServerState, envelope: &Envelope) -> Option<Answer> {
     let Request::Enumerate {
         test,
         model,
@@ -236,31 +253,36 @@ pub(crate) fn answer_hit(state: &ServerState, envelope: &Envelope) -> Option<Jso
     Some(respond(
         state,
         &envelope.request,
-        envelope.id.as_deref(),
+        envelope.id.clone(),
         envelope.fwd,
         true,
         envelope.trace,
         |_, _| {
             // A resident key is never forwarded, even when a peer owns it.
             note_local(state, envelope.fwd);
-            Ok(query.response(state, &value, true))
+            Ok(Body::Enumerate {
+                query,
+                value,
+                hit: true,
+            })
         },
     ))
 }
 
 /// The request frame every answer passes through: assigns or echoes the
-/// id, counts the request, opens the server span, runs `body`, renders
-/// an error, records the per-kind latency and closes the span.
+/// id, counts the request, opens the server span, runs `body`, turns an
+/// error into its answer, records the per-kind latency and closes the
+/// span.
 fn respond(
     state: &ServerState,
     request: &Request,
-    id: Option<&str>,
+    id: Option<String>,
     fwd: bool,
     top_level: bool,
     ctx: Option<TraceContext>,
-    body: impl FnOnce(Option<&ActiveSpan>, &str) -> Result<Json, ServiceError>,
-) -> Json {
-    let id = id.map_or_else(|| state.telemetry.ids.next_id(), str::to_owned);
+    body: impl FnOnce(Option<&ActiveSpan>, &str) -> Result<Body, ServiceError>,
+) -> Answer {
+    let id = id.unwrap_or_else(|| state.telemetry.ids.next_id());
     let kind = kind_index(request);
     match (kind, request) {
         (Some(_), _) | (None, Request::Shutdown) => {
@@ -305,10 +327,11 @@ fn respond(
         None
     };
     let started = Instant::now();
-    let mut response = body(span.as_ref(), &id).unwrap_or_else(|err| error_response(state, &err));
+    let body =
+        body(span.as_ref(), &id).unwrap_or_else(|err| Body::Tree(error_response(state, &err)));
     let elapsed = started.elapsed();
     if let Some(kind) = kind {
-        let outcome = ReqOutcome::classify(&response);
+        let outcome = body.outcome();
         state.telemetry.record(kind, outcome, elapsed);
         if let Some(span) = &mut span {
             span.attr("outcome", outcome.label());
@@ -318,10 +341,7 @@ fn respond(
     if let Some(span) = span {
         span.finish(&state.telemetry);
     }
-    if let Json::Obj(map) = &mut response {
-        map.insert("id".to_owned(), Json::str(id));
-    }
-    response
+    Answer { id: Some(id), body }
 }
 
 /// Renders `err` as a response, counting it.
@@ -387,62 +407,6 @@ fn condition_goal(entry: &CatalogEntry, condition: usize) -> Result<(Goal, Strin
     Ok((Goal::new(cond.clauses.clone()), cond.text.clone()))
 }
 
-/// One `enumerate` query resolved against the catalog: what the
-/// engine would run, and the cache key of its answer.
-struct EnumQuery {
-    entry: &'static CatalogEntry,
-    sel: ModelSel,
-    policy: Policy,
-    config: EnumConfig,
-    fp: Fingerprint,
-}
-
-impl EnumQuery {
-    fn resolve(
-        state: &ServerState,
-        test: &str,
-        model: &str,
-        budget: Option<u64>,
-    ) -> Result<EnumQuery, ServiceError> {
-        let entry = find_entry(test)?;
-        let sel = find_model(model)?;
-        let policy = sel.policy();
-        let config = state.config(budget);
-        let fp = samm_core::fingerprint::query_fingerprint(&entry.test.program, &policy, &config);
-        Ok(EnumQuery {
-            entry,
-            sel,
-            policy,
-            config,
-            fp,
-        })
-    }
-
-    /// The one builder of an `enumerate` answer, fresh or cached, on a
-    /// worker or on the event loop.
-    fn response(&self, state: &ServerState, value: &CachedResult, hit: bool) -> Json {
-        let mut fields = vec![
-            ("ok", Json::Bool(true)),
-            ("kind", Json::str("enumerate")),
-            ("test", Json::str(self.entry.test.name.clone())),
-            ("model", Json::str(self.sel.name())),
-            ("engine", Json::str(ENGINE)),
-            ("cache_hit", Json::Bool(hit)),
-            ("outcome_count", Json::num(value.outcomes.len() as f64)),
-            (
-                "executions",
-                Json::num(value.stats.distinct_executions as f64),
-            ),
-            ("outcomes", Json::Raw(value.outcomes_json().to_owned())),
-            ("stats", Json::Raw(value.stats_json().to_owned())),
-        ];
-        if let Some(cluster) = &state.cluster {
-            fields.push(("node", Json::str(cluster.self_id())));
-        }
-        Json::obj(fields)
-    }
-}
-
 /// Records that a cluster member answered an `enumerate` itself (zero
 /// hops); a forwarded request's hop was recorded by its sender.
 fn note_local(state: &ServerState, fwd: bool) {
@@ -458,7 +422,7 @@ fn enumerate_response(
     budget: Option<u64>,
     fwd: bool,
     span: Option<&ActiveSpan>,
-) -> Result<Json, ServiceError> {
+) -> Result<Body, ServiceError> {
     let query = EnumQuery::resolve(state, test, model, budget)?;
     let fp = query.fp;
 
@@ -493,7 +457,7 @@ fn enumerate_response(
                         fs.attr("ok", true);
                         fs.finish(&state.telemetry);
                     }
-                    return Ok(response);
+                    return Ok(Body::Tree(response));
                 }
                 None => {
                     state
@@ -579,7 +543,11 @@ fn enumerate_response(
             ws.finish(&state.telemetry);
         }
     }
-    Ok(query.response(state, &value, lookup.hit))
+    Ok(Body::Enumerate {
+        query,
+        value,
+        hit: lookup.hit,
+    })
 }
 
 fn report_json(report: &EntryReport) -> Json {
@@ -1083,7 +1051,13 @@ mod tests {
             Request::Metrics,
             Request::Shutdown,
         ] {
-            assert!(answer_hit(&state, &envelope(request.clone(), None)).is_none());
+            let mut out = Vec::new();
+            assert!(!serve_hit(
+                &state,
+                &envelope(request.clone(), None),
+                &mut out
+            ));
+            assert!(out.is_empty(), "{request:?}");
             assert!(counters(&state).iter().all(|&c| c == 0), "{request:?}");
         }
         assert!(state.cache.is_empty(), "the inline entry never fills");
@@ -1116,14 +1090,17 @@ mod tests {
                     .map(|(a, b)| a - b)
                     .collect();
                 let before = counters(&state);
-                let inline = answer_hit(&state, &envelope(request.clone(), Some("w")))
-                    .unwrap_or_else(|| panic!("{name}: a warm key is answered inline"));
+                let mut inline = Vec::new();
+                assert!(
+                    serve_hit(&state, &envelope(request.clone(), Some("w")), &mut inline),
+                    "{name}: a warm key is answered inline"
+                );
                 let inline_delta: Vec<u64> = counters(&state)
                     .iter()
                     .zip(&before)
                     .map(|(a, b)| a - b)
                     .collect();
-                assert_eq!(inline.to_string(), worker.to_string(), "{name}");
+                assert_eq!(inline, format!("{worker}\n").into_bytes(), "{name}");
                 assert_eq!(inline_delta, worker_delta, "{name}");
                 let hits = |d: &[u64]| (d[0], d[2], d[3], d[4]);
                 assert_eq!(hits(&inline_delta), (1, 1, 0, 0), "{name}");
@@ -1138,13 +1115,16 @@ mod tests {
             budget: None,
         };
         let worker = handle_envelope(&state, &envelope(request.clone(), None));
-        let mut inline = answer_hit(&state, &envelope(request, None)).unwrap();
-        let (Json::Obj(w), Json::Obj(i)) = (&worker, &mut inline) else {
+        let mut line = Vec::new();
+        assert!(serve_hit(&state, &envelope(request, None), &mut line));
+        let inline = crate::json::parse_bytes(&line).unwrap();
+        let mut worker = worker;
+        let Json::Obj(w) = &mut worker else {
             panic!("answers are objects");
         };
-        assert_ne!(w.get("id"), i.get("id"));
-        i.insert("id".to_owned(), w["id"].clone());
-        assert_eq!(inline, worker);
+        assert_ne!(w.get("id"), inline.get("id"));
+        w.insert("id".to_owned(), inline.get("id").unwrap().clone());
+        assert_eq!(line, format!("{worker}\n").into_bytes());
     }
 
     #[test]

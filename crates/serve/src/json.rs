@@ -103,43 +103,70 @@ impl Json {
     }
 }
 
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Json {
+    /// Renders this value into `out`: the one JSON renderer, behind both
+    /// [`fmt::Display`] and [`Json::write_bytes`]. Fails only when `out`
+    /// does.
+    fn write_to<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
                 if n.fract() == 0.0 && n.is_finite() && n.abs() < 9e15 {
-                    write!(f, "{}", *n as i64)
+                    write!(out, "{}", *n as i64)
                 } else {
-                    write!(f, "{n}")
+                    write!(out, "{n}")
                 }
             }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                f.write_str("[")?;
+                out.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.write_str(",")?;
                     }
-                    item.fmt(f)?;
+                    item.write_to(out)?;
                 }
-                f.write_str("]")
+                out.write_str("]")
             }
             Json::Obj(map) => {
-                f.write_str("{")?;
+                out.write_str("{")?;
                 for (i, (k, v)) in map.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.write_str(",")?;
                     }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    v.fmt(f)?;
+                    write_escaped(out, k)?;
+                    out.write_str(":")?;
+                    v.write_to(out)?;
                 }
-                f.write_str("}")
+                out.write_str("}")
             }
-            Json::Raw(s) => f.write_str(s),
+            Json::Raw(s) => out.write_str(s),
         }
+    }
+
+    /// Appends this value's rendering to a byte buffer.
+    pub(crate) fn write_bytes(&self, out: &mut Vec<u8>) {
+        // Appending to a Vec never fails.
+        let _ = self.write_to(&mut ByteSink(out));
+    }
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
+    }
+}
+
+/// A byte buffer seen as a [`fmt::Write`] target, so the escaper and
+/// the renderer append to a response buffer without an intermediate
+/// `String`.
+pub(crate) struct ByteSink<'a>(pub(crate) &'a mut Vec<u8>);
+
+impl fmt::Write for ByteSink<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
     }
 }
 

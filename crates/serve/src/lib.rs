@@ -11,7 +11,8 @@
 //!
 //! The implementation is std-only (no async runtime, no serde): a
 //! hand-rolled JSON codec ([`json`]), a typed wire protocol
-//! ([`protocol`]), a request executor ([`handler`]), and a blocking
+//! ([`protocol`]), a request executor ([`handler`]) whose answers are
+//! written straight into the wire buffer ([`answer`]), and a blocking
 //! [`client`]. One I/O core hosts the executor: the readiness-driven
 //! [`event_loop`] (epoll on Linux, portable `poll` fallback — see
 //! [`sys`]) with request pipelining, the syscall-amortizing [`batch`]
@@ -47,6 +48,7 @@
 // for its two syscall surfaces (epoll/poll); everything else stays safe.
 #![deny(unsafe_code)]
 
+pub mod answer;
 pub mod batch;
 pub mod client;
 pub mod cluster;

@@ -6,6 +6,7 @@
 //! typed [`Request`] parsed from a line and the [`ServiceError`] shape
 //! every failure is reported in.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use samm_core::telemetry::trace::TraceContext;
@@ -203,19 +204,21 @@ impl fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-fn required_str(obj: &Json, key: &str) -> Result<String, ServiceError> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| {
-            ServiceError::new(
-                ErrorKind::Malformed,
-                format!("missing or non-string field '{key}'"),
-            )
-        })
+/// A request object's fields, consumed as the request is parsed.
+type Fields = BTreeMap<String, Json>;
+
+/// Moves the string field `key` out of the request object.
+fn required_str(obj: &mut Fields, key: &str) -> Result<String, ServiceError> {
+    match obj.remove(key) {
+        Some(Json::Str(s)) => Ok(s),
+        _ => Err(ServiceError::new(
+            ErrorKind::Malformed,
+            format!("missing or non-string field '{key}'"),
+        )),
+    }
 }
 
-fn optional_u64(obj: &Json, key: &str) -> Result<Option<u64>, ServiceError> {
+fn optional_u64(obj: &Fields, key: &str) -> Result<Option<u64>, ServiceError> {
     match obj.get(key) {
         None | Some(Json::Null) => Ok(None),
         Some(v) => v.as_u64().map(Some).ok_or_else(|| {
@@ -227,7 +230,7 @@ fn optional_u64(obj: &Json, key: &str) -> Result<Option<u64>, ServiceError> {
     }
 }
 
-fn optional_bool(obj: &Json, key: &str) -> Result<bool, ServiceError> {
+fn optional_bool(obj: &Fields, key: &str) -> Result<bool, ServiceError> {
     match obj.get(key) {
         None | Some(Json::Null) => Ok(false),
         Some(Json::Bool(b)) => Ok(*b),
@@ -238,10 +241,22 @@ fn optional_bool(obj: &Json, key: &str) -> Result<bool, ServiceError> {
     }
 }
 
+/// Moves the optional string `id` out of the request object.
+fn optional_id(obj: &mut Fields) -> Result<Option<String>, ServiceError> {
+    match obj.remove("id") {
+        None | Some(Json::Null) => Ok(None),
+        Some(Json::Str(id)) => Ok(Some(id)),
+        Some(_) => Err(ServiceError::new(
+            ErrorKind::Malformed,
+            "field 'id' must be a string",
+        )),
+    }
+}
+
 /// Validates the optional legacy `engine` field: one of
 /// [`LEGACY_ENGINES`] is accepted and ignored, anything else is
 /// malformed.
-fn check_engine(obj: &Json) -> Result<(), ServiceError> {
+fn check_engine(obj: &Fields) -> Result<(), ServiceError> {
     match obj.get("engine") {
         None | Some(Json::Null) => Ok(()),
         Some(v) if v.as_str().is_some_and(|e| LEGACY_ENGINES.contains(&e)) => Ok(()),
@@ -283,21 +298,16 @@ pub fn parse_envelope(line: &str) -> Result<Envelope, ServiceError> {
 pub fn parse_envelope_bytes(line: &[u8]) -> Result<Envelope, ServiceError> {
     let value = json::parse_bytes(line)
         .map_err(|e| ServiceError::new(ErrorKind::Malformed, format!("invalid JSON: {e}")))?;
-    if !matches!(value, Json::Obj(_)) {
+    let Json::Obj(mut obj) = value else {
         return Err(ServiceError::new(
             ErrorKind::Malformed,
             "request must be a JSON object",
         ));
-    }
-    let id = match value.get("id") {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(v.as_str().map(str::to_owned).ok_or_else(|| {
-            ServiceError::new(ErrorKind::Malformed, "field 'id' must be a string")
-        })?),
     };
-    let fwd = optional_bool(&value, "fwd")?;
-    let trace = lenient_trace(&value);
-    let request = parse_request_obj(&value)?;
+    let id = optional_id(&mut obj)?;
+    let fwd = optional_bool(&obj, "fwd")?;
+    let trace = lenient_trace(&obj);
+    let request = parse_request_obj(obj)?;
     Ok(Envelope {
         id,
         request,
@@ -309,28 +319,22 @@ pub fn parse_envelope_bytes(line: &[u8]) -> Result<Envelope, ServiceError> {
 /// Decodes the optional `trace` field. Deliberately infallible: any
 /// malformation (wrong type, bad hex, wrong shape) degrades to `None`
 /// so the request proceeds under a fresh root span.
-fn lenient_trace(value: &Json) -> Option<TraceContext> {
-    value
-        .get("trace")
+fn lenient_trace(obj: &Fields) -> Option<TraceContext> {
+    obj.get("trace")
         .and_then(Json::as_str)
         .and_then(TraceContext::parse)
 }
 
-fn parse_sub_envelope(value: &Json) -> Result<Envelope, ServiceError> {
-    if !matches!(value, Json::Obj(_)) {
+fn parse_sub_envelope(value: Json) -> Result<Envelope, ServiceError> {
+    let Json::Obj(mut obj) = value else {
         return Err(ServiceError::new(
             ErrorKind::Malformed,
             "batch sub-request must be a JSON object",
         ));
-    }
-    let id = match value.get("id") {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(v.as_str().map(str::to_owned).ok_or_else(|| {
-            ServiceError::new(ErrorKind::Malformed, "field 'id' must be a string")
-        })?),
     };
-    let request = parse_request_obj(value)?;
-    match request {
+    let id = optional_id(&mut obj)?;
+    let trace = lenient_trace(&obj);
+    match parse_request_obj(obj)? {
         Request::Batch(_) => Err(ServiceError::new(
             ErrorKind::Malformed,
             "batches do not nest",
@@ -343,21 +347,22 @@ fn parse_sub_envelope(value: &Json) -> Result<Envelope, ServiceError> {
             id,
             request,
             fwd: false,
-            trace: lenient_trace(value),
+            trace,
         }),
     }
 }
 
-fn parse_request_obj(value: &Json) -> Result<Request, ServiceError> {
-    let kind = required_str(value, "kind")?;
+/// Parses a request object, moving its strings into the [`Request`].
+fn parse_request_obj(mut obj: Fields) -> Result<Request, ServiceError> {
+    let kind = required_str(&mut obj, "kind")?;
     match kind.as_str() {
         "batch" => {
-            let subs = value
-                .get("requests")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| {
-                    ServiceError::new(ErrorKind::Malformed, "batch requires a 'requests' array")
-                })?;
+            let Some(Json::Arr(subs)) = obj.remove("requests") else {
+                return Err(ServiceError::new(
+                    ErrorKind::Malformed,
+                    "batch requires a 'requests' array",
+                ));
+            };
             if subs.is_empty() {
                 return Err(ServiceError::new(
                     ErrorKind::Malformed,
@@ -374,29 +379,29 @@ fn parse_request_obj(value: &Json) -> Result<Request, ServiceError> {
                 ));
             }
             Ok(Request::Batch(
-                subs.iter().map(parse_sub_envelope).collect(),
+                subs.into_iter().map(parse_sub_envelope).collect(),
             ))
         }
         "enumerate" => {
-            check_engine(value)?;
+            check_engine(&obj)?;
             Ok(Request::Enumerate {
-                test: required_str(value, "test")?,
-                model: required_str(value, "model")?,
-                budget: optional_u64(value, "budget")?,
+                test: required_str(&mut obj, "test")?,
+                model: required_str(&mut obj, "model")?,
+                budget: optional_u64(&obj, "budget")?,
             })
         }
         "verdict" => {
-            check_engine(value)?;
+            check_engine(&obj)?;
             Ok(Request::Verdict {
-                test: required_str(value, "test")?,
-                budget: optional_u64(value, "budget")?,
+                test: required_str(&mut obj, "test")?,
+                budget: optional_u64(&obj, "budget")?,
             })
         }
         "witness" | "refutation" => {
-            let test = required_str(value, "test")?;
-            let model = required_str(value, "model")?;
-            let condition = optional_u64(value, "condition")?.unwrap_or(0) as usize;
-            let budget = optional_u64(value, "budget")?;
+            let test = required_str(&mut obj, "test")?;
+            let model = required_str(&mut obj, "model")?;
+            let condition = optional_u64(&obj, "condition")?.unwrap_or(0) as usize;
+            let budget = optional_u64(&obj, "budget")?;
             Ok(if kind == "witness" {
                 Request::Witness {
                     test,
@@ -414,9 +419,9 @@ fn parse_request_obj(value: &Json) -> Result<Request, ServiceError> {
             })
         }
         "certify" => Ok(Request::Certify {
-            test: required_str(value, "test")?,
-            model: required_str(value, "model")?,
-            robust: optional_bool(value, "robust")?,
+            test: required_str(&mut obj, "test")?,
+            model: required_str(&mut obj, "model")?,
+            robust: optional_bool(&obj, "robust")?,
         }),
         "metrics" => Ok(Request::Metrics),
         "metrics_cluster" => Ok(Request::MetricsCluster),

@@ -352,3 +352,50 @@ fn invalid_utf8_lines_are_malformed_over_the_wire() {
     assert_eq!(metrics.get("errors").and_then(Json::as_u64), Some(1));
     handle.shutdown().unwrap();
 }
+
+/// A client that pipelines warm lines and never reads its answers is
+/// pushed back: once its pending output passes the high-water mark the
+/// server takes no further lines and stops reading the socket, instead
+/// of buffering every answer. Once the client reads, every line is
+/// answered.
+#[test]
+fn unread_answers_push_back_on_a_pipelining_client() {
+    let handle = start(test_config()).unwrap();
+    let mut conn = RawConn::connect(handle.addr());
+    let line = enumerate_line("IRIW", "Weak", "flood");
+    conn.request(&line);
+    conn.send(format!("{line}\n").as_bytes());
+    let answer_bytes = conn.read_line().len() + 1;
+    // Answers worth 64 MiB: far beyond what the socket buffers on the
+    // way can hold.
+    let lines = (64 << 20) / answer_bytes + 1;
+    let mut observer = RawConn::connect(handle.addr());
+    let before = observer.loop_answered();
+    let flood = format!("{line}\n").repeat(lines);
+    let mut writer = conn.stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || writer.write_all(flood.as_bytes()));
+
+    let mut answered = before;
+    loop {
+        std::thread::sleep(Duration::from_millis(250));
+        let now = observer.loop_answered();
+        if now == answered {
+            break;
+        }
+        answered = now;
+    }
+    let buffered = (answered - before) as usize * answer_bytes;
+    assert!(
+        buffered < 24 << 20,
+        "{} of {lines} unread answers ({buffered} bytes) were taken",
+        answered - before
+    );
+
+    for _ in 0..lines {
+        let answer = conn.read_line();
+        assert!(answer.contains(r#""cache_hit":true"#), "{answer}");
+    }
+    sender.join().unwrap().unwrap();
+    assert_eq!(observer.loop_answered(), before + lines as u64);
+    handle.shutdown().unwrap();
+}

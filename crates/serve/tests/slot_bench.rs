@@ -1,6 +1,10 @@
 //! Microbenchmarks for the warm request path — the per-slot pipeline
-//! that bounds `batch` throughput (E25): envelope parse, warm handler,
-//! response render, and client-side decode, plus the individual pieces
+//! that bounds `batch` throughput (E25, E31). `slot_cost` splits one
+//! served slot into the stages the server runs: envelope parse, query
+//! resolve (catalog lookup and fingerprint), cache probe and the byte
+//! writer; then times the whole served inline hit, a served 32-slot
+//! batch line, and the reference tree path (`handle_envelope` plus
+//! `to_string`) the writer replaces. The other tests time the pieces
 //! that have historically regressed (catalog lookup, `EnumConfig`
 //! construction, cache-hit clone, telemetry record).
 //!
@@ -10,57 +14,83 @@
 //! cargo test --release -p samm-serve --test slot_bench -- --ignored --nocapture
 //! ```
 use samm_core::cache::EnumCache;
-use samm_serve::handler::{handle_envelope, ServerState};
-use samm_serve::protocol::parse_envelope;
+use samm_serve::answer::EnumQuery;
+use samm_serve::handler::{handle_envelope, serve_envelope, serve_hit, ServerState};
+use samm_serve::protocol::{parse_envelope, parse_envelope_bytes, Request};
 use std::time::Instant;
+
+/// Mean microseconds per call of `f` over `n` calls.
+fn time_us<T>(n: usize, mut f: impl FnMut() -> T) -> f64 {
+    let t = Instant::now();
+    for _ in 0..n {
+        std::hint::black_box(f());
+    }
+    t.elapsed().as_secs_f64() * 1e6 / n as f64
+}
 
 #[test]
 #[ignore]
 fn slot_cost() {
     let state = ServerState::new(EnumCache::new(1024), None);
-    let line = r#"{"kind":"enumerate","test":"IRIW","model":"Weak"}"#;
-    let env = parse_envelope(line).unwrap();
+    let line = br#"{"kind":"enumerate","test":"IRIW","model":"Weak","id":"s7"}"#;
+    let env = parse_envelope_bytes(line).unwrap();
     handle_envelope(&state, &env); // warm the cache
     let n = 20000;
+    let Request::Enumerate {
+        test,
+        model,
+        budget,
+    } = &env.request
+    else {
+        unreachable!()
+    };
+    let query = EnumQuery::resolve(&state, test, model, *budget).unwrap();
+    let value = state.cache.probe(query.fingerprint()).unwrap();
+    let mut out = Vec::new();
 
-    let t = Instant::now();
-    for _ in 0..n {
-        std::hint::black_box(parse_envelope(line).unwrap());
-    }
+    println!("served slot, by stage:");
+    let parse = time_us(n, || parse_envelope_bytes(line).unwrap());
+    println!("  parse:          {parse:.2}us");
+    let resolve = time_us(n, || {
+        EnumQuery::resolve(&state, test, model, *budget).unwrap()
+    });
+    println!("  resolve:        {resolve:.2}us");
+    let probe = time_us(n, || state.cache.probe(query.fingerprint()));
+    println!("  probe:          {probe:.2}us");
+    let write = time_us(n, || {
+        out.clear();
+        query.write_answer(&state, "s7", &value, true, &mut out);
+    });
+    println!("  write ({}B): {write:.2}us", out.len());
+    let served = time_us(n, || {
+        out.clear();
+        serve_hit(&state, &env, &mut out)
+    });
+    println!("  served hit:     {served:.2}us (resolve, probe, telemetry, write)");
+
+    let batch = format!(
+        r#"{{"kind":"batch","requests":[{}]}}"#,
+        vec![std::str::from_utf8(line).unwrap(); 32].join(",")
+    );
+    let batch_env = parse_envelope(&batch).unwrap();
+    let per_slot = |us: f64| us / 32.0;
+    let served = time_us(n / 32, || {
+        out.clear();
+        serve_envelope(&state, &batch_env, &mut out);
+    });
     println!(
-        "parse_envelope: {:.1}us",
-        t.elapsed().as_secs_f64() * 1e6 / n as f64
+        "served batch32:   {served:.1}us ({:.2}us per slot)",
+        per_slot(served)
+    );
+    let reference = time_us(n / 32, || handle_envelope(&state, &batch_env).to_string());
+    println!(
+        "reference batch32: {reference:.1}us ({:.2}us per slot; tree, then to_string)",
+        per_slot(reference)
     );
 
-    let t = Instant::now();
-    for _ in 0..n {
-        std::hint::black_box(handle_envelope(&state, &env));
-    }
-    println!(
-        "handle warm:    {:.1}us",
-        t.elapsed().as_secs_f64() * 1e6 / n as f64
-    );
-
-    let resp = handle_envelope(&state, &env);
-    let t = Instant::now();
-    for _ in 0..n {
-        std::hint::black_box(resp.to_string());
-    }
-    println!(
-        "render ({}B): {:.1}us",
-        resp.to_string().len(),
-        t.elapsed().as_secs_f64() * 1e6 / n as f64
-    );
-
-    let rendered = resp.to_string();
-    let t = Instant::now();
-    for _ in 0..n {
-        std::hint::black_box(samm_serve::json::parse(&rendered).unwrap());
-    }
-    println!(
-        "client parse:   {:.1}us",
-        t.elapsed().as_secs_f64() * 1e6 / n as f64
-    );
+    let rendered = handle_envelope(&state, &env).to_string();
+    let client = time_us(n, || samm_serve::json::parse(&rendered).unwrap());
+    println!("client parse:     {client:.2}us");
 }
 
 #[test]
