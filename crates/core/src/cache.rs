@@ -552,7 +552,7 @@ impl EnumCache {
 }
 
 /// Version tag of the persistence line format.
-const PERSIST_VERSION: u32 = 1;
+const PERSIST_VERSION: u32 = 2;
 
 fn encode_stats(stats: &EnumStats) -> String {
     format!(
@@ -860,7 +860,9 @@ mod tests {
         let cache = EnumCache::new(64);
         let config = EnumConfig::default();
         let observed = EnumConfig::builder().observe(true).build();
-        for policy in [Policy::weak(), Policy::tso()] {
+        // Weak and SC differ on SB's one store->load cell; TSO would
+        // share Weak's view, and its entry.
+        for policy in [Policy::weak(), Policy::sequential_consistency()] {
             cached_enumerate(&cache, &sb(), &policy, &config, enumerate).unwrap();
             cached_enumerate(&cache, &sb(), &policy, &observed, enumerate).unwrap();
         }
@@ -870,7 +872,7 @@ mod tests {
         let restored = EnumCache::new(64);
         let (loaded, skipped) = restored.load_from(&path).unwrap();
         assert_eq!((loaded, skipped), (4, 0));
-        for policy in [Policy::weak(), Policy::tso()] {
+        for policy in [Policy::weak(), Policy::sequential_consistency()] {
             for cfg in [&config, &observed] {
                 let (value, hit) =
                     cached_enumerate(&restored, &sb(), &policy, cfg, enumerate).unwrap();
@@ -889,7 +891,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("corrupt-{}.cache", std::process::id()));
         let good = format!(
-            "1|{}|1,2,0,0,1,6|-|0,1/1,0;1,1/0,0",
+            "{PERSIST_VERSION}|{}|1,2,0,0,1,6|-|0,1/1,0;1,1/0,0",
             Fingerprint::from_raw(42)
         );
         let body = format!(

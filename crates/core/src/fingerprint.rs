@@ -2,12 +2,13 @@
 //!
 //! A litmus *query* — "enumerate this program under this policy with this
 //! configuration" — is pure: the answer depends only on the program text,
-//! the reordering table, the speculation flag, and the handful of
-//! [`EnumConfig`] switches that change the
-//! reported statistics. [`query_fingerprint`] hashes a canonical byte
-//! encoding of exactly those inputs into a stable 128-bit
-//! [`Fingerprint`], the key of the result cache in [`crate::cache`] and
-//! of the `samm-serve` service layer.
+//! the cells of the reordering table the program can reach, and the
+//! handful of [`EnumConfig`] switches that change the reported
+//! statistics. [`view_fingerprint`] hashes a canonical byte encoding of
+//! exactly those inputs — program, [`TableView`], config — into a stable
+//! 128-bit [`Fingerprint`], the key of the result cache in
+//! [`crate::cache`] and of the `samm-serve` service layer.
+//! [`query_fingerprint`] is the same key computed from a full policy.
 //!
 //! Two queries share a fingerprint iff a cached answer for one is a
 //! bit-identical answer for the other:
@@ -16,10 +17,12 @@
 //!   operand tags, raw register/address/value bits) plus the initial
 //!   memory image — *not* via `Debug` output, so the encoding is stable
 //!   across compiler versions and cosmetic refactors;
-//! * the **policy** is encoded as its 25 constraint-table cells plus the
-//!   alias-speculation flag. The display name is deliberately excluded:
-//!   two differently-named policies with the same table allow the same
-//!   behaviours;
+//! * the **policy** is encoded as the program's [`TableView`] of it: the
+//!   normalised cells of every same-thread pair the engine may consult,
+//!   plus the speculation flag where a register-held address can feel
+//!   it. Policies with equal views run the same search step for step
+//!   and give the same outcomes and deterministic statistics, so they
+//!   share one entry. The display name never takes part;
 //! * of the **configuration**, only `dedup`, `observe`,
 //!   `max_behaviors` and `max_nodes_per_thread` participate. `dedup`
 //!   and `observe` change the reported statistics (explored/deduped
@@ -28,6 +31,9 @@
 //!   changes a successful answer, and `budget` is a per-request fuel
 //!   allowance, not part of the answer — a cache hit costs no fuel (see
 //!   [`crate::cache`]).
+//!
+//! A view is only meaningful beside its program, which is why the
+//! program is always hashed in with it.
 //!
 //! The hash is FNV-1a/128 over the tagged encoding, prefixed with a
 //! format version so persisted caches self-invalidate when the encoding
@@ -38,10 +44,11 @@ use std::fmt;
 use crate::enumerate::EnumConfig;
 use crate::instr::{BinOp, Instr, Operand, Program, RmwOp};
 use crate::policy::{Constraint, Policy};
+use crate::static_order::TableView;
 
 /// Bumped whenever the canonical encoding changes; persisted cache
 /// entries carry it implicitly through their fingerprints.
-pub const FINGERPRINT_VERSION: u8 = 1;
+pub const FINGERPRINT_VERSION: u8 = 2;
 
 /// A stable 128-bit content hash of a litmus query.
 ///
@@ -270,16 +277,17 @@ fn constraint_tag(c: Constraint) -> u8 {
     }
 }
 
-/// Absorbs a policy: the 25 table cells in row-major [`OpClass::ALL`]
-/// order plus the alias-speculation flag. The display name is excluded
-/// (see the module docs).
-///
-/// [`OpClass::ALL`]: crate::policy::OpClass::ALL
-pub fn write_policy(h: &mut FingerprintHasher, policy: &Policy) {
-    for (_, _, constraint) in policy.table().cells() {
-        h.write_u8(constraint_tag(constraint));
+/// Absorbs a table view: per thread, its normalised cells in recorded
+/// pair order (each list length-prefixed), then the speculation flag.
+pub fn write_view(h: &mut FingerprintHasher, view: &TableView) {
+    h.write_usize(view.cells.len());
+    for thread in &view.cells {
+        h.write_usize(thread.len());
+        for &cell in thread {
+            h.write_u8(constraint_tag(cell));
+        }
     }
-    h.write_u8(u8::from(policy.alias_speculation()));
+    h.write_u8(u8::from(view.alias_speculation));
 }
 
 /// Absorbs the answer-relevant [`EnumConfig`] fields (see the module
@@ -291,16 +299,23 @@ pub fn write_config(h: &mut FingerprintHasher, config: &EnumConfig) {
     h.write_u64(u64::from(config.max_nodes_per_thread));
 }
 
-/// The content fingerprint of one enumeration query.
+/// The content fingerprint of one enumeration query: `program` under
+/// any policy whose view from it is `view`.
 ///
 /// Stable across processes, platforms and (modulo
 /// [`FINGERPRINT_VERSION`] bumps) releases.
-pub fn query_fingerprint(program: &Program, policy: &Policy, config: &EnumConfig) -> Fingerprint {
+pub fn view_fingerprint(program: &Program, view: &TableView, config: &EnumConfig) -> Fingerprint {
     let mut h = FingerprintHasher::new();
     write_program(&mut h, program);
-    write_policy(&mut h, policy);
+    write_view(&mut h, view);
     write_config(&mut h, config);
     h.finish()
+}
+
+/// The content fingerprint of `program` under `policy`:
+/// [`view_fingerprint`] of the policy's [`TableView`] from the program.
+pub fn query_fingerprint(program: &Program, policy: &Policy, config: &EnumConfig) -> Fingerprint {
+    view_fingerprint(program, &TableView::of(program, policy), config)
 }
 
 #[cfg(test)]
@@ -362,19 +377,75 @@ mod tests {
     }
 
     #[test]
-    fn policy_table_matters_but_name_does_not() {
+    fn sb_tells_sc_from_weak() {
+        let config = EnumConfig::default();
+        assert_ne!(
+            query_fingerprint(&sb(), &Policy::weak(), &config),
+            query_fingerprint(&sb(), &Policy::sequential_consistency(), &config)
+        );
+    }
+
+    #[test]
+    fn cells_the_program_cannot_reach_do_not_matter() {
+        use crate::policy::OpClass::{Fence, Load, Store};
         let config = EnumConfig::default();
         let weak = query_fingerprint(&sb(), &Policy::weak(), &config);
-        let sc = query_fingerprint(&sb(), &Policy::sequential_consistency(), &config);
-        assert_ne!(weak, sc);
-        let renamed = Policy::custom("NotWeak", *Policy::weak().table());
-        assert_eq!(
-            weak,
-            query_fingerprint(&sb(), &renamed, &config),
-            "the display name must not affect the content address"
+        // SB's threads are `S x; L y` with distinct immediate addresses:
+        // the load->load and fence cells are never consulted, and the
+        // store->load `x != y` entry decides nothing between x and y.
+        let table = Policy::weak()
+            .table()
+            .with_entry(Load, Load, Constraint::Never)
+            .with_entry(Fence, Fence, Constraint::Never)
+            .with_entry(Store, Load, Constraint::Free);
+        let other = Policy::custom("NotWeak", table);
+        assert_ne!(other.table(), Policy::weak().table());
+        assert_eq!(weak, query_fingerprint(&sb(), &other, &config));
+        // The one cell SB reads does matter.
+        let ordered = Policy::custom(
+            "Weak",
+            Policy::weak()
+                .table()
+                .with_entry(Store, Load, Constraint::Never),
         );
+        assert_ne!(weak, query_fingerprint(&sb(), &ordered, &config));
+    }
+
+    #[test]
+    fn speculation_matters_only_behind_a_register_held_address() {
+        let config = EnumConfig::default();
         let spec = Policy::weak().with_alias_speculation(true);
-        assert_ne!(weak, query_fingerprint(&sb(), &spec, &config));
+        assert_eq!(
+            query_fingerprint(&sb(), &Policy::weak(), &config),
+            query_fingerprint(&sb(), &spec, &config),
+            "SB's addresses are immediates"
+        );
+        // `r0 = L x; S [r0]; r1 = L y`: the store's address is held in a
+        // register, and store->load is address-sensitive under Weak.
+        let indirect = Program::new(vec![ThreadProgram::new(vec![
+            Instr::Load {
+                dst: Reg::new(0),
+                addr: 0u64.into(),
+            },
+            Instr::Store {
+                addr: Operand::Reg(Reg::new(0)),
+                val: 1u64.into(),
+            },
+            Instr::Load {
+                dst: Reg::new(1),
+                addr: 1u64.into(),
+            },
+        ])]);
+        assert_ne!(
+            query_fingerprint(&indirect, &Policy::weak(), &config),
+            query_fingerprint(&indirect, &spec, &config)
+        );
+        // Under SC every such cell is `never`: no edge to skip.
+        let sc = Policy::sequential_consistency();
+        assert_eq!(
+            query_fingerprint(&indirect, &sc, &config),
+            query_fingerprint(&indirect, &sc.clone().with_alias_speculation(true), &config)
+        );
     }
 
     #[test]

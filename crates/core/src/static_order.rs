@@ -354,14 +354,17 @@ pub fn guaranteed_edge(first: &StaticEvent, second: &StaticEvent, policy: &Polic
 ///   earlier event has a register-held address, the only case in which
 ///   [`Policy::alias_speculation`] changes an edge.
 ///
-/// Views are compared between policies of one program; they are not a
-/// cache key across programs.
+/// A view alone does not name its program: two different programs can
+/// have equal views. Beside its program it is a cache key:
+/// [`view_fingerprint`](crate::fingerprint::view_fingerprint) hashes the
+/// program, the view and the config, so every policy with the same view
+/// of that program shares one cache entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TableView {
     /// Per thread, the normalised cells of the recorded pairs, in
     /// row-major pair order.
-    cells: Vec<Vec<Constraint>>,
-    alias_speculation: bool,
+    pub(crate) cells: Vec<Vec<Constraint>>,
+    pub(crate) alias_speculation: bool,
 }
 
 impl TableView {

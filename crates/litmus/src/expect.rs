@@ -13,17 +13,18 @@
 //! One entry runs the engine once per [`TableView`]: models whose
 //! tables agree on every cell the program reaches run the same search,
 //! so the later ones reuse the first one's answer (a certified model
-//! runs as SC).
+//! runs as SC). Runs are keyed by
+//! [`view_fingerprint`], the cache's own key, so a cached harness makes
+//! one cache lookup per view.
 
-use std::cell::OnceCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
 use samm_core::cache::{CachedResult, EnumCache};
 use samm_core::enumerate::{enumerate, EnumConfig, EnumResult, EnumStats};
 use samm_core::error::EnumError;
-use samm_core::fingerprint::query_fingerprint;
+use samm_core::fingerprint::{view_fingerprint, Fingerprint};
 use samm_core::instr::Program;
 use samm_core::policy::Policy;
 use samm_core::pruned::enumerate_pruned;
@@ -221,11 +222,11 @@ pub fn run_entry_certified(
     run_entry_with(entry, config, enumerate_pruned, Some(certifier), None)
 }
 
-/// The answer for one running model, assembled by [`run_entry_with`].
-struct ModelAnswer {
+/// The answer of one engine run, assembled by [`run_entry_with`].
+struct RunAnswer {
     result: Arc<CachedResult>,
     cache_hit: bool,
-    /// The engine ran for this model (no earlier run had its view).
+    /// The engine ran: there is no cache, or it missed.
     ran: bool,
 }
 
@@ -242,70 +243,60 @@ fn run_entry_with(
         keep_executions: false,
         ..config.clone()
     };
-    // The model whose run answers each model: SC for a certified model.
-    let mut runner: BTreeMap<ModelSel, ModelSel> = BTreeMap::new();
-    let mut answers: BTreeMap<ModelSel, ModelAnswer> = BTreeMap::new();
-    // One engine run per table view: models the program cannot tell
-    // apart share its entry. Views are computed only on a miss.
-    let mut runs: HashMap<TableView, Arc<CachedResult>> = HashMap::new();
-    let events: OnceCell<Vec<ThreadEvents>> = OnceCell::new();
+    let events: Vec<ThreadEvents> = program.threads().iter().map(thread_events).collect();
+    // Per model: whether it is certified, and the view fingerprint of
+    // the run that answers it (SC's for a certified model).
+    let mut keys: BTreeMap<ModelSel, (bool, Fingerprint)> = BTreeMap::new();
+    // One run per view fingerprint, even with a cache: a small cache may
+    // evict a view between two models that share it.
+    let mut runs: HashMap<Fingerprint, RunAnswer> = HashMap::new();
     for model in entry.models() {
         let certified =
             model != ModelSel::Sc && certifier.is_some_and(|c| c(program, &model.policy()));
-        let run_model = if certified { ModelSel::Sc } else { model };
-        runner.insert(model, run_model);
-        if answers.contains_key(&run_model) {
+        let policy = if certified { ModelSel::Sc } else { model }.policy();
+        let view = TableView::from_events(&events, &policy);
+        let fp = view_fingerprint(program, &view, config);
+        keys.insert(model, (certified, fp));
+        if runs.contains_key(&fp) {
             continue;
         }
-        let policy = run_model.policy();
         let mut ran = false;
         let mut fill = || -> Result<Arc<CachedResult>, EnumError> {
-            let events =
-                events.get_or_init(|| program.threads().iter().map(thread_events).collect());
-            let view = TableView::from_events(events, &policy);
-            if let Some(shared) = runs.get(&view) {
-                return Ok(Arc::clone(shared));
-            }
+            ran = true;
             let result = engine(program, &policy, &run_config)?;
             // Cache entries keep only deterministic statistics.
-            let result = Arc::new(match cache {
+            Ok(Arc::new(match cache {
                 Some(_) => CachedResult::from_result(result),
                 None => CachedResult::new(result.outcomes, result.stats),
-            });
-            runs.insert(view, Arc::clone(&result));
-            ran = true;
-            Ok(result)
+            }))
         };
-        // With a cache, the model's own fingerprint is probed first, and
-        // a miss is filled from the shared run.
         let (result, cache_hit) = match cache {
             Some(cache) => {
-                let (result, lookup) =
-                    cache.get_or_fill(query_fingerprint(program, &policy, config), fill)?;
+                let (result, lookup) = cache.get_or_fill(fp, fill)?;
                 (result, lookup.hit)
             }
             None => (fill()?, false),
         };
-        answers.insert(
-            run_model,
-            ModelAnswer {
+        runs.insert(
+            fp,
+            RunAnswer {
                 result,
                 cache_hit,
                 ran,
             },
         );
     }
-    let mut unfolded: BTreeSet<ModelSel> = answers
+    let mut unfolded: HashSet<Fingerprint> = runs
         .iter()
         .filter(|(_, answer)| answer.ran)
-        .map(|(&model, _)| model)
+        .map(|(&fp, _)| fp)
         .collect();
     let rows = entry
         .verdicts
         .iter()
         .map(|v| {
-            let run_model = runner[&v.model];
-            let answer = &answers[&run_model];
+            let (certified, fp) = keys[&v.model];
+            let answer = &runs[&fp];
             let condition = &entry.test.conditions[v.condition];
             VerdictRow {
                 model: v.model,
@@ -314,9 +305,9 @@ fn run_entry_with(
                 observed_allowed: condition.observable_in(&answer.result.outcomes),
                 outcomes: answer.result.outcomes.len(),
                 executions: answer.result.stats.distinct_executions,
-                certified: run_model != v.model,
+                certified,
                 cache_hit: answer.cache_hit,
-                fresh_run: unfolded.remove(&run_model),
+                fresh_run: unfolded.remove(&fp),
                 stats: answer.result.stats,
             }
         })

@@ -21,30 +21,62 @@ use std::sync::Arc;
 
 use samm_core::cache::CachedResult;
 use samm_core::enumerate::EnumConfig;
-use samm_core::fingerprint::{query_fingerprint, Fingerprint};
+use samm_core::fingerprint::{view_fingerprint, Fingerprint};
 use samm_core::policy::Policy;
+use samm_core::static_order::{thread_events, TableView};
 use samm_core::telemetry::write_escaped;
 use samm_litmus::catalog::{CatalogEntry, ModelSel};
 
-use crate::handler::{find_entry, find_model, ServerState};
+use crate::handler::{catalog, find_entry_index, find_model_index, ServerState};
 use crate::json::{ByteSink, Json};
 use crate::protocol::{ServiceError, ENGINE};
 use crate::telemetry::ReqOutcome;
 
-/// One `enumerate` query resolved against the catalog: what the engine
-/// would run, and the cache key of its answer.
+/// One row of the server's resolution table: a (catalog entry, model)
+/// pair resolved once, when the server state is built. Budgets are not
+/// part of the fingerprint, so one row serves every budget.
+#[derive(Debug)]
+pub(crate) struct Resolved {
+    pub(crate) sel: ModelSel,
+    pub(crate) policy: Policy,
+    /// The cache key: program, table view and the server's config.
+    pub(crate) fp: Fingerprint,
+}
+
+/// The resolution table under `config`: one row per catalog entry and
+/// [`ModelSel::ALL`] model, entry-major.
+pub(crate) fn resolution_table(config: &EnumConfig) -> Vec<Resolved> {
+    let mut rows = Vec::with_capacity(catalog().len() * ModelSel::ALL.len());
+    for entry in catalog() {
+        let program = &entry.test.program;
+        let events: Vec<_> = program.threads().iter().map(thread_events).collect();
+        rows.extend(ModelSel::ALL.map(|sel| {
+            let policy = sel.policy();
+            let view = TableView::from_events(&events, &policy);
+            Resolved {
+                sel,
+                fp: view_fingerprint(program, &view, config),
+                policy,
+            }
+        }));
+    }
+    rows
+}
+
+/// One `enumerate` query resolved against the catalog: its row of the
+/// resolution table, and the budget it runs under on a miss.
 #[derive(Debug)]
 pub struct EnumQuery {
     pub(crate) entry: &'static CatalogEntry,
     pub(crate) sel: ModelSel,
-    pub(crate) policy: Policy,
-    pub(crate) config: EnumConfig,
     pub(crate) fp: Fingerprint,
+    pub(crate) row: usize,
+    pub(crate) budget: Option<u64>,
 }
 
 impl EnumQuery {
-    /// Looks up `test` and `model` (case-insensitively) and computes the
-    /// query's cache fingerprint under the server's configuration.
+    /// Looks up `test` and `model` (case-insensitively) and reads the
+    /// query's row of the server's resolution table.
     ///
     /// # Errors
     ///
@@ -55,17 +87,15 @@ impl EnumQuery {
         model: &str,
         budget: Option<u64>,
     ) -> Result<EnumQuery, ServiceError> {
-        let entry = find_entry(test)?;
-        let sel = find_model(model)?;
-        let policy = sel.policy();
-        let config = state.config(budget);
-        let fp = query_fingerprint(&entry.test.program, &policy, &config);
+        let entry = find_entry_index(test)?;
+        let row = entry * ModelSel::ALL.len() + find_model_index(model)?;
+        let resolved = &state.table[row];
         Ok(EnumQuery {
-            entry,
-            sel,
-            policy,
-            config,
-            fp,
+            entry: &catalog()[entry],
+            sel: resolved.sel,
+            fp: resolved.fp,
+            row,
+            budget,
         })
     }
 

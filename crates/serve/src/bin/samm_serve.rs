@@ -17,8 +17,9 @@
 //! The event-loop core multiplexes connections over a readiness poller
 //! (pipelining, `batch` envelopes, cluster mode) and answers fresh
 //! queries with the pruned engine. Prints `listening on <addr>` once
-//! bound (and
-//! `prometheus on <addr>` when `--prom-addr` was given), then serves
+//! bound (then `prometheus on <addr>` when `--prom-addr` was given, and
+//! how many persisted cache lines were loaded and refused when the
+//! `--persist` file existed), then serves
 //! until a client sends `{"kind":"shutdown"}`; the process drains
 //! in-flight work, persists the cache when `--persist` was given, and
 //! exits 0.
@@ -160,6 +161,9 @@ fn main() -> ExitCode {
     }
     if let Some(prom) = handle.prom_addr() {
         println!("prometheus on {prom}");
+    }
+    if let Some((loaded, refused)) = handle.persisted_lines() {
+        println!("persisted cache: {loaded} lines loaded, {refused} refused");
     }
     match handle.join() {
         Ok(()) => {

@@ -230,6 +230,7 @@ pub struct ServerHandle {
     workers: Vec<JoinHandle<()>>,
     prom: Option<JoinHandle<()>>,
     persist_path: Option<PathBuf>,
+    persisted: Option<(usize, usize)>,
 }
 
 impl std::fmt::Debug for ServerHandle {
@@ -253,6 +254,12 @@ impl ServerHandle {
     /// configured.
     pub fn prom_addr(&self) -> Option<SocketAddr> {
         self.prom_addr
+    }
+
+    /// Lines of the persisted cache file loaded and refused at start,
+    /// when a persistence file existed.
+    pub fn persisted_lines(&self) -> Option<(usize, usize)> {
+        self.persisted
     }
 
     /// Initiates a graceful drain and waits for every thread to exit,
@@ -317,11 +324,10 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
 
     let cache = EnumCache::with_shards(config.cache_shards.max(1), config.cache_capacity.max(1));
-    if let Some(path) = &config.persist_path {
-        if path.exists() {
-            cache.load_from(path)?;
-        }
-    }
+    let persisted = match &config.persist_path {
+        Some(path) if path.exists() => Some(cache.load_from(path)?),
+        _ => None,
+    };
     let log = config
         .trace_log
         .as_ref()
@@ -330,6 +336,11 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let spans = log.map(|log| Arc::new(log) as Arc<dyn SpanSink>);
     let telemetry = Telemetry::new(spans, config.slow_threshold);
     let mut state = ServerState::with_telemetry(cache, config.budget, telemetry, config.observe);
+    if let Some((loaded, refused)) = persisted {
+        for (counter, lines) in state.telemetry.persist_lines.iter().zip([loaded, refused]) {
+            counter.store(lines as u64, Ordering::Relaxed);
+        }
+    }
     if let Some(cluster_config) = config.cluster.clone() {
         state.set_cluster(Arc::new(Cluster::new(cluster_config)));
     }
@@ -421,6 +432,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         workers,
         prom,
         persist_path: config.persist_path,
+        persisted,
     })
 }
 

@@ -5,8 +5,10 @@
 //!
 //! Every enumeration-backed request is answered through the
 //! content-addressed [`EnumCache`], so repeated queries for the same
-//! (program, policy, config) fingerprint cost a hash lookup instead of a
-//! fresh enumeration, and identical concurrent queries share one.
+//! (program, table view, config) fingerprint cost a hash lookup instead
+//! of a fresh enumeration, and identical concurrent queries share one.
+//! An `enumerate` key is read from the resolution table the state
+//! builds at start ([`EnumQuery::resolve`]), never computed per request.
 //! Witness/refutation requests run fresh — their artifacts are
 //! path-dependent and are not cached.
 
@@ -26,7 +28,7 @@ use samm_core::telemetry::HistogramSnapshot;
 use samm_litmus::catalog::{self, CatalogEntry, ModelSel};
 use samm_litmus::expect::{run_entry_cached, EntryReport};
 
-use crate::answer::{Answer, Body, EnumQuery};
+use crate::answer::{resolution_table, Answer, Body, EnumQuery, Resolved};
 use crate::cluster::Cluster;
 use crate::json::Json;
 use crate::protocol::{Envelope, ErrorKind, Request, ServiceError, ENGINE};
@@ -35,7 +37,8 @@ use crate::telemetry::{
 };
 
 /// State shared by every worker: the enumeration cache, the default
-/// fork budget, and the telemetry block.
+/// fork budget, the telemetry block, and the resolution table every
+/// `enumerate` key is read from.
 #[derive(Debug)]
 pub struct ServerState {
     /// The content-addressed enumeration cache.
@@ -47,10 +50,14 @@ pub struct ServerState {
     pub telemetry: Telemetry,
     /// Whether enumerations run instrumented
     /// ([`EnumConfig::observe`]), feeding the aggregated closure-rule
-    /// counters. One server-wide setting so cache keys stay uniform.
-    pub observe: bool,
+    /// counters. Fixed at construction: the resolution table's
+    /// fingerprints are computed under it.
+    observe: bool,
     /// Cluster membership and peer pools when serving in cluster mode.
     pub cluster: Option<Arc<Cluster>>,
+    /// Every catalog entry × [`ModelSel::ALL`] resolved once: model,
+    /// policy and fingerprint ([`EnumQuery::resolve`]).
+    pub(crate) table: Vec<Resolved>,
 }
 
 impl ServerState {
@@ -68,13 +75,16 @@ impl ServerState {
         telemetry: Telemetry,
         observe: bool,
     ) -> Self {
-        ServerState {
+        let mut state = ServerState {
             cache,
             default_budget,
             telemetry,
             observe,
             cluster: None,
-        }
+            table: Vec::new(),
+        };
+        state.table = resolution_table(&state.config(None));
+        state
     }
 
     /// Attaches cluster membership; enumerate-backed requests are then
@@ -353,15 +363,20 @@ pub fn error_response(state: &ServerState, err: &ServiceError) -> Json {
 /// The catalog is immutable for the life of the process; building it
 /// runs every litmus builder (~100µs), so memoize it once instead of
 /// reconstructing it on every request.
-fn cached_catalog() -> &'static [CatalogEntry] {
+pub(crate) fn catalog() -> &'static [CatalogEntry] {
     static CATALOG: OnceLock<Vec<CatalogEntry>> = OnceLock::new();
     CATALOG.get_or_init(catalog::all)
 }
 
 pub(crate) fn find_entry(name: &str) -> Result<&'static CatalogEntry, ServiceError> {
-    cached_catalog()
+    find_entry_index(name).map(|index| &catalog()[index])
+}
+
+/// The catalog index of the entry named `name`, case-insensitively.
+pub(crate) fn find_entry_index(name: &str) -> Result<usize, ServiceError> {
+    catalog()
         .iter()
-        .find(|e| e.test.name.eq_ignore_ascii_case(name))
+        .position(|e| e.test.name.eq_ignore_ascii_case(name))
         .ok_or_else(|| {
             ServiceError::new(
                 ErrorKind::UnknownTest,
@@ -371,9 +386,15 @@ pub(crate) fn find_entry(name: &str) -> Result<&'static CatalogEntry, ServiceErr
 }
 
 pub(crate) fn find_model(name: &str) -> Result<ModelSel, ServiceError> {
+    find_model_index(name).map(|index| ModelSel::ALL[index])
+}
+
+/// The [`ModelSel::ALL`] index of the model named `name`,
+/// case-insensitively.
+pub(crate) fn find_model_index(name: &str) -> Result<usize, ServiceError> {
     ModelSel::ALL
-        .into_iter()
-        .find(|m| m.name().eq_ignore_ascii_case(name))
+        .iter()
+        .position(|m| m.name().eq_ignore_ascii_case(name))
         .ok_or_else(|| {
             let known: Vec<&str> = ModelSel::ALL.iter().map(|m| m.name()).collect();
             ServiceError::new(
@@ -484,7 +505,11 @@ fn enumerate_response(
     let (value, lookup) = state
         .cache
         .get_or_fill(fp, || {
-            let result = enumerate_pruned(&query.entry.test.program, &query.policy, &query.config)?;
+            let result = enumerate_pruned(
+                &query.entry.test.program,
+                &state.table[query.row].policy,
+                &state.config(query.budget),
+            )?;
             run_obs = result.stats.obs;
             Ok(Arc::new(CachedResult::from_result(result)))
         })
@@ -900,6 +925,7 @@ fn metrics_cluster_response(state: &ServerState, fwd: bool) -> Json {
 mod tests {
     use super::*;
     use samm_core::cache::cached_enumerate;
+    use samm_core::fingerprint::query_fingerprint;
     use samm_core::static_order::TableView;
     use samm_litmus::expect::VerdictRow;
 
@@ -932,9 +958,46 @@ mod tests {
         assert_eq!(cold.get("outcome_count"), warm.get("outcome_count"));
     }
 
+    /// Every row of the resolution table is the key a query computed on
+    /// its own would have: its model, that model's policy, and the
+    /// `query_fingerprint` under the server's config, whatever the
+    /// request's budget and name case.
+    #[test]
+    fn resolution_rows_are_the_queries_own_keys() {
+        for observe in [true, false] {
+            let state =
+                ServerState::with_telemetry(EnumCache::new(8), None, Telemetry::default(), observe);
+            let config = state.config(None);
+            let mut rows = 0;
+            for entry in catalog() {
+                for sel in ModelSel::ALL {
+                    let name = entry.test.name.to_lowercase();
+                    let query = EnumQuery::resolve(&state, &name, sel.name(), Some(3)).unwrap();
+                    let row = &state.table[query.row];
+                    assert_eq!(
+                        (query.entry.test.name.as_str(), row.sel),
+                        (entry.test.name.as_str(), sel)
+                    );
+                    assert_eq!(row.policy, sel.policy());
+                    let fp = query_fingerprint(&entry.test.program, &sel.policy(), &config);
+                    assert_eq!(
+                        (query.fp, row.fp),
+                        (fp, fp),
+                        "{}/{}",
+                        entry.test.name,
+                        sel.name()
+                    );
+                    rows += 1;
+                }
+            }
+            assert_eq!(rows, state.table.len());
+        }
+    }
+
     /// The entry's rendered fragments are byte-identical to rendering
-    /// the answer through [`Json`], cold and warm, for every servable
-    /// query.
+    /// the answer through [`Json`], on a query's first request (a hit
+    /// only if an earlier model shared its table view) and on its
+    /// second, for every servable query.
     #[test]
     fn enumerate_fragments_match_the_json_rendering() {
         fn outcomes_json(outcomes: &samm_core::outcome::OutcomeSet) -> String {
@@ -956,7 +1019,10 @@ mod tests {
         }
         let state = state();
         let mut checked = 0;
-        for entry in cached_catalog() {
+        for entry in catalog() {
+            // A key is warm from its first request when a model with the
+            // same table view of this entry was answered before it.
+            let mut views = std::collections::HashSet::new();
             for sel in ModelSel::ALL {
                 let fresh =
                     enumerate_pruned(&entry.test.program, &sel.policy(), &state.config(None));
@@ -971,7 +1037,8 @@ mod tests {
                 };
                 let fresh = CachedResult::from_result(fresh);
                 let stats = fresh.stats.to_json();
-                for hit in [false, true] {
+                let shared = !views.insert(TableView::of(&entry.test.program, &sel.policy()));
+                for hit in [shared, true] {
                     let resp = handle(&state, &request);
                     let field = |key| resp.get(key).map(Json::to_string);
                     let name = format!("{}/{} hit={hit}", entry.test.name, sel.name());
@@ -1070,7 +1137,7 @@ mod tests {
     fn answer_hit_matches_the_worker_hit() {
         let state = ServerState::new(EnumCache::new(4096), None);
         let mut checked = 0;
-        for entry in cached_catalog() {
+        for entry in catalog() {
             for sel in ModelSel::ALL {
                 let request = Request::Enumerate {
                     test: entry.test.name.clone(),
@@ -1211,9 +1278,10 @@ mod tests {
         );
     }
 
-    /// The verdict harness without table views: every running model
-    /// enumerates through `cache` under its own fingerprint, and
-    /// certified models share the SC run.
+    /// The verdict harness without table views or thread events: every
+    /// running model's key is its [`query_fingerprint`], certified
+    /// models run as SC, and each distinct key enumerates once through
+    /// `cache`.
     fn reference_verdict(entry: &CatalogEntry, cache: &EnumCache, config: &EnumConfig) -> Json {
         let program = &entry.test.program;
         let run_model = |m: ModelSel| {
@@ -1223,9 +1291,10 @@ mod tests {
                 m
             }
         };
+        let key = |m: ModelSel| query_fingerprint(program, &run_model(m).policy(), config);
         let mut answers = std::collections::BTreeMap::new();
         for m in entry.models() {
-            answers.entry(run_model(m)).or_insert_with(|| {
+            answers.entry(key(m)).or_insert_with(|| {
                 cached_enumerate(
                     cache,
                     program,
@@ -1240,7 +1309,7 @@ mod tests {
             .verdicts
             .iter()
             .map(|v| {
-                let (result, cache_hit) = &answers[&run_model(v.model)];
+                let (result, cache_hit) = &answers[&key(v.model)];
                 let condition = &entry.test.conditions[v.condition];
                 VerdictRow {
                     model: v.model,
@@ -1262,11 +1331,11 @@ mod tests {
         })
     }
 
-    /// Sharing runs between models with equal table views changes no
-    /// byte of a verdict response and no cache entry or counter: every
-    /// catalog verdict, cold then warm, and with one model enumerated
-    /// beforehand on every other entry, matches the reference harness
-    /// running on a cache of its own.
+    /// The harness's one-run-per-view memo changes no byte of a verdict
+    /// response and no cache entry or counter: every catalog verdict,
+    /// cold then warm, and with one model enumerated beforehand on every
+    /// other entry, matches the reference harness (one cache lookup per
+    /// distinct `query_fingerprint`) running on a cache of its own.
     #[test]
     fn verdicts_match_a_harness_that_runs_every_model() {
         let state = ServerState::new(EnumCache::new(4096), None);
@@ -1276,7 +1345,7 @@ mod tests {
             let s = cache.stats();
             (s.hits, s.misses, s.insertions)
         };
-        for (i, entry) in cached_catalog().iter().enumerate() {
+        for (i, entry) in catalog().iter().enumerate() {
             let name = &entry.test.name;
             if i % 2 == 1 {
                 let models = entry.models();

@@ -46,6 +46,10 @@ pub const KIND_NAMES: [&str; 6] = [
 /// [`Telemetry::robust_verdicts`] index order.
 pub const ROBUST_VERDICT_NAMES: [&str; 3] = ["robust", "cycle", "unknown"];
 
+/// Label values of the persisted-cache line counters, in
+/// [`Telemetry::persist_lines`] index order.
+pub const PERSIST_RESULT_NAMES: [&str; 2] = ["loaded", "refused"];
+
 /// `le` bounds of the `samm_batch_size` histogram (plain values, not
 /// nanoseconds): powers of two up to [`crate::protocol::MAX_BATCH`].
 pub const BATCH_SIZE_LE: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
@@ -246,6 +250,10 @@ pub struct Telemetry {
     /// the same cache entry instead of running their own
     /// ([`samm_core::cache::EnumCache::get_or_fill`]).
     pub singleflight_waits: AtomicU64,
+    /// Lines of the persisted cache file read at start, in
+    /// [`PERSIST_RESULT_NAMES`] order: loaded into the cache, and
+    /// refused (unparseable, or written by another format version).
+    pub persist_lines: [AtomicU64; 2],
     /// Forwarded-request tallies per peer node id.
     pub peer_forwards: Mutex<BTreeMap<String, u64>>,
     /// Per-event-loop gauges, registered by the event-loop core.
@@ -316,6 +324,7 @@ impl Telemetry {
             forwards_ok: AtomicU64::new(0),
             forward_fallbacks: AtomicU64::new(0),
             singleflight_waits: AtomicU64::new(0),
+            persist_lines: Default::default(),
             peer_forwards: Mutex::new(BTreeMap::new()),
             loops: Mutex::new(Vec::new()),
             spans,
@@ -469,6 +478,16 @@ impl Telemetry {
                     ROBUST_VERDICT_NAMES
                         .iter()
                         .zip(&self.robust_verdicts)
+                        .map(|(name, v)| (*name, Json::num(v.load(Ordering::Relaxed) as f64)))
+                        .collect::<Vec<_>>(),
+                ),
+            ),
+            (
+                "persist_lines",
+                Json::obj(
+                    PERSIST_RESULT_NAMES
+                        .iter()
+                        .zip(&self.persist_lines)
                         .map(|(name, v)| (*name, Json::num(v.load(Ordering::Relaxed) as f64)))
                         .collect::<Vec<_>>(),
                 ),
@@ -668,6 +687,20 @@ impl Telemetry {
             "samm_singleflight_waits_total",
             "Enumerations that waited on an identical in-flight query.",
             &[(&[], self.singleflight_waits.load(Ordering::Relaxed) as f64)],
+        );
+        let persist: Vec<(Vec<(&str, &str)>, f64)> = PERSIST_RESULT_NAMES
+            .iter()
+            .zip(&self.persist_lines)
+            .map(|(name, v)| (vec![("result", *name)], v.load(Ordering::Relaxed) as f64))
+            .collect();
+        let borrowed: Vec<(&[(&str, &str)], f64)> = persist
+            .iter()
+            .map(|(labels, v)| (labels.as_slice(), *v))
+            .collect();
+        prom.counter(
+            "samm_persist_lines_total",
+            "Persisted cache lines read at start, by result (loaded/refused).",
+            &borrowed,
         );
         let peer_forwards = self
             .peer_forwards

@@ -10,6 +10,7 @@
 
 #![cfg(unix)]
 
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
@@ -17,6 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use samm_core::cache::EnumCache;
+use samm_core::static_order::TableView;
 use samm_litmus::catalog::{self, ModelSel};
 use samm_serve::cluster::{Cluster, ClusterConfig};
 use samm_serve::handler::{error_response, handle_envelope, ServerState};
@@ -177,19 +179,40 @@ fn enumerate(test: &str, model: &str, id: Option<&str>) -> String {
     Json::obj(fields).to_string()
 }
 
-/// Single lines over every key, each sent as a miss and then as a hit,
-/// with client and server ids alternating; case-folded names; and every
-/// kind of failure.
-fn singles(twin: &mut Twin) {
+/// Single lines over every key, each sent twice, with client and server
+/// ids alternating; case-folded names; and every kind of failure. The
+/// second send is a hit. So is the first when the cache is `warm`, or
+/// when an earlier model of the same entry has the same table view: the
+/// cache key is (program, view, config).
+fn singles(twin: &mut Twin, warm: bool) {
+    let entries = catalog::all();
+    let mut views = HashSet::new();
     for (i, (test, model)) in catalog_keys().iter().enumerate() {
         let id = escaped_id(i);
-        let (miss_id, hit_id) = if i % 2 == 0 {
+        let (first_id, hit_id) = if i % 2 == 0 {
             (Some(id.as_str()), None)
         } else {
             (None, Some(id.as_str()))
         };
-        twin.send(&enumerate(test, model, miss_id));
-        twin.send(&enumerate(test, model, hit_id));
+        let entry = entries.iter().find(|e| &e.test.name == test).unwrap();
+        let sel = ModelSel::ALL
+            .into_iter()
+            .find(|m| m.name() == *model)
+            .unwrap();
+        let shared = !views.insert((
+            test.clone(),
+            TableView::of(&entry.test.program, &sel.policy()),
+        ));
+        for (id, hit) in [(first_id, warm || shared), (hit_id, true)] {
+            let answer = twin.send(&enumerate(test, model, id));
+            if answer.get("ok") == Some(&Json::Bool(true)) {
+                assert_eq!(
+                    answer.get("cache_hit"),
+                    Some(&Json::Bool(hit)),
+                    "{test}/{model}"
+                );
+            }
+        }
         if i % 7 == 0 {
             twin.send(&enumerate(
                 &test.to_lowercase(),
@@ -245,7 +268,7 @@ fn batches(twin: &mut Twin) {
 #[test]
 fn single_lines_match_the_reference_tree() {
     let mut twin = Twin::start(ServerConfig::default(), None);
-    singles(&mut twin);
+    singles(&mut twin, false);
     assert!(twin.inline_hits > 100, "{} inline hits", twin.inline_hits);
     twin.finish();
 }
@@ -255,7 +278,7 @@ fn batch_slots_match_the_reference_tree() {
     let mut twin = Twin::start(ServerConfig::default(), None);
     batches(&mut twin);
     // The keys are warm now: single lines are loop hits.
-    singles(&mut twin);
+    singles(&mut twin, true);
     twin.finish();
 }
 
@@ -306,7 +329,7 @@ fn cluster_answers_match_the_reference_tree() {
         "{forwarded} forwarded, {local} local"
     );
     batches(&mut twin);
-    singles(&mut twin);
+    singles(&mut twin, true);
     twin.finish();
     for peer in peers {
         peer.shutdown().unwrap();

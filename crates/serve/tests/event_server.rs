@@ -155,6 +155,95 @@ fn wire_shutdown_drains_and_persists_the_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A persist file from format version 1 (keyed by the full policy) is
+/// refused line by line at start: each refusal is counted in the handle,
+/// `metrics` and the exposition, and none of its answers is served. The
+/// version 1 lines here reuse the current keys and carry a wrong answer,
+/// so only the version check stands between them and a client.
+#[test]
+fn version_1_persist_lines_are_refused_and_counted() {
+    let dir = std::env::temp_dir().join(format!("samm-persist-v1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cache.samm");
+    let config = || ServerConfig {
+        persist_path: Some(path.clone()),
+        ..test_config()
+    };
+    let sb = r#"{"kind":"enumerate","test":"SB","model":"SC"}"#;
+    let mp = r#"{"kind":"enumerate","test":"MP","model":"SC"}"#;
+
+    let handle = start(config()).unwrap();
+    assert_eq!(handle.persisted_lines(), None, "no file yet");
+    let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
+    let cold_sb = client.request_raw(sb).unwrap();
+    assert!(ok(&cold_sb), "{cold_sb}");
+    assert!(ok(&client.request_raw(mp).unwrap()));
+    drop(client);
+    handle.shutdown().unwrap();
+    let current = std::fs::read_to_string(&path).unwrap();
+    let lines: Vec<&str> = current.lines().collect();
+    assert_eq!(lines.len(), 2);
+    assert!(lines.iter().all(|l| l.starts_with("2|")), "{current}");
+
+    // Every line rewritten as version 1 with a wrong outcome set, plus
+    // the current MP line.
+    let mp_fp = samm_core::fingerprint::query_fingerprint(
+        &samm_litmus::catalog::mp().test.program,
+        &samm_core::policy::Policy::sequential_consistency(),
+        &samm_core::enumerate::EnumConfig::builder()
+            .keep_executions(false)
+            .observe(true)
+            .build(),
+    )
+    .to_string();
+    let mut file = String::new();
+    for line in &lines {
+        let fields: Vec<&str> = line.split('|').collect();
+        file.push_str(&format!(
+            "1|{}|{}|{}|7/7\n",
+            fields[1], fields[2], fields[3]
+        ));
+    }
+    let mp_line = lines.iter().find(|l| l.contains(&mp_fp)).unwrap();
+    file.push_str(&format!("{mp_line}\n"));
+    std::fs::write(&path, file).unwrap();
+
+    let handle = start(config()).unwrap();
+    assert_eq!(handle.persisted_lines(), Some((1, 2)));
+    let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
+    let metrics = client.request_raw(r#"{"kind":"metrics"}"#).unwrap();
+    let persist = metrics
+        .get("telemetry")
+        .and_then(|t| t.get("persist_lines"))
+        .unwrap();
+    assert_eq!(persist.get("loaded").and_then(Json::as_u64), Some(1));
+    assert_eq!(persist.get("refused").and_then(Json::as_u64), Some(2));
+    let prom = client.request_raw(r#"{"kind":"metrics_prom"}"#).unwrap();
+    let text = prom.get("text").and_then(Json::as_str).unwrap();
+    assert!(
+        text.contains("samm_persist_lines_total{result=\"loaded\"} 1\n"),
+        "{text}"
+    );
+    assert!(
+        text.contains("samm_persist_lines_total{result=\"refused\"} 2\n"),
+        "{text}"
+    );
+    let sb_again = client.request_raw(sb).unwrap();
+    assert_eq!(
+        sb_again.get("cache_hit").and_then(Json::as_bool),
+        Some(false)
+    );
+    assert_eq!(sb_again.get("outcomes"), cold_sb.get("outcomes"));
+    let mp_again = client.request_raw(mp).unwrap();
+    assert_eq!(
+        mp_again.get("cache_hit").and_then(Json::as_bool),
+        Some(true)
+    );
+    drop(client);
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn poll_backend_and_multiple_loops_serve_correctly() {
     let handle = start(ServerConfig {

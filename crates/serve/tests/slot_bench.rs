@@ -1,8 +1,9 @@
 //! Microbenchmarks for the warm request path — the per-slot pipeline
 //! that bounds `batch` throughput (E25, E31). `slot_cost` splits one
 //! served slot into the stages the server runs: envelope parse, query
-//! resolve (catalog lookup and fingerprint), cache probe and the byte
-//! writer; then times the whole served inline hit, a served 32-slot
+//! resolve (catalog name lookup and a row of the start-up resolution
+//! table, beside the per-request resolution it replaced), cache probe
+//! and the byte writer; then times the whole served inline hit, a served 32-slot
 //! batch line, and the reference tree path (`handle_envelope` plus
 //! `to_string`) the writer replaces. The other tests time the pieces
 //! that have historically regressed (catalog lookup, `EnumConfig`
@@ -14,6 +15,9 @@
 //! cargo test --release -p samm-serve --test slot_bench -- --ignored --nocapture
 //! ```
 use samm_core::cache::EnumCache;
+use samm_core::enumerate::EnumConfig;
+use samm_core::fingerprint::{query_fingerprint, write_config, write_program, FingerprintHasher};
+use samm_litmus::catalog::ModelSel;
 use samm_serve::answer::EnumQuery;
 use samm_serve::handler::{handle_envelope, serve_envelope, serve_hit, ServerState};
 use samm_serve::protocol::{parse_envelope, parse_envelope_bytes, Request};
@@ -54,7 +58,46 @@ fn slot_cost() {
     let resolve = time_us(n, || {
         EnumQuery::resolve(&state, test, model, *budget).unwrap()
     });
-    println!("  resolve:        {resolve:.2}us");
+    println!("  resolve:        {resolve:.2}us (name lookup, resolution-table row)");
+    let catalog = samm_litmus::catalog::all();
+    let per_request = |keyed_by_view: bool| {
+        time_us(n, || {
+            let entry = catalog
+                .iter()
+                .find(|e| e.test.name.eq_ignore_ascii_case(test))
+                .unwrap();
+            let sel = ModelSel::ALL
+                .into_iter()
+                .find(|m| m.name().eq_ignore_ascii_case(model))
+                .unwrap();
+            let policy = sel.policy();
+            let config = EnumConfig::builder()
+                .keep_executions(false)
+                .observe(true)
+                .budget(*budget)
+                .build();
+            let program = &entry.test.program;
+            if keyed_by_view {
+                return query_fingerprint(program, &policy, &config);
+            }
+            let mut h = FingerprintHasher::new();
+            write_program(&mut h, program);
+            for (_, _, cell) in policy.table().cells() {
+                h.write_u8(cell as u8);
+            }
+            h.write_u8(u8::from(policy.alias_speculation()));
+            write_config(&mut h, &config);
+            h.finish()
+        })
+    };
+    println!(
+        "    per request, policy key: {:.2}us (lookup, policy, config, hash of 25 cells)",
+        per_request(false)
+    );
+    println!(
+        "    per request, view key:   {:.2}us (the same with the table view computed)",
+        per_request(true)
+    );
     let probe = time_us(n, || state.cache.probe(query.fingerprint()));
     println!("  probe:          {probe:.2}us");
     let write = time_us(n, || {

@@ -30,10 +30,11 @@
 //! each pruning rule must be invisible in the behaviour set.
 
 use samm::analyze::harness::drf_certifier;
-use samm::core::cache::CachedResult;
+use samm::core::cache::{CachedResult, EnumCache};
 use samm::core::enumerate::{enumerate, EnumConfig, EnumResult};
 use samm::core::error::EnumError;
 use samm::core::explain::{find_witness, refute, Goal, Refutation, RefuteOutcome, Witness};
+use samm::core::fingerprint::query_fingerprint;
 use samm::core::ids::{Reg, Value};
 use samm::core::instr::Program;
 use samm::core::outcome::OutcomeSet;
@@ -45,7 +46,7 @@ use samm::litmus::expect::{self, EntryReport};
 use samm::litmus::rand_prog::{random_program, RandConfig};
 use samm::litmus::{catalog, ModelSel};
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 use rand::prelude::*;
 
@@ -446,4 +447,69 @@ fn catalog_verdicts_run_once_per_view() {
         );
     }
     assert_eq!((models, uncertified, certified), (141, 69, 52));
+}
+
+/// The cache key is (program, table view, config): over the catalog's
+/// 141 verdict keys, two fingerprints are equal exactly when their
+/// entries and views are, so the keys fill 69 cache entries.
+#[test]
+fn catalog_keys_share_a_fingerprint_iff_entry_and_view_agree() {
+    let config = &fresh_config();
+    let entries = catalog::all();
+    let keys: Vec<_> = entries
+        .iter()
+        .enumerate()
+        .flat_map(|(i, entry)| {
+            let program = &entry.test.program;
+            entry.models().into_iter().map(move |m| {
+                let policy = m.policy();
+                let view = TableView::of(program, &policy);
+                ((i, view), query_fingerprint(program, &policy, config))
+            })
+        })
+        .collect();
+    assert_eq!(keys.len(), 141);
+    for (a, fa) in &keys {
+        for (b, fb) in &keys {
+            assert_eq!(fa == fb, a == b, "{a:?} vs {b:?}");
+        }
+    }
+    let distinct: HashSet<_> = keys.iter().map(|(_, fp)| fp).collect();
+    assert_eq!(distinct.len(), 69);
+}
+
+/// A one-entry cache, as the `fresh-mix` benchmark runs, costs no extra
+/// engine run: every new view evicts the last, yet each catalog verdict
+/// runs (and misses) exactly once per distinct view of its running
+/// models, a certified model running as SC.
+#[test]
+fn a_one_entry_cache_runs_each_view_once() {
+    let config = fresh_config();
+    let cache = EnumCache::new(1);
+    let mut total = 0;
+    for entry in catalog::all() {
+        let program = &entry.test.program;
+        let views: HashSet<TableView> = entry
+            .models()
+            .into_iter()
+            .map(|m| {
+                let certified = m != ModelSel::Sc && drf_certifier(program, &m.policy());
+                let run = if certified { ModelSel::Sc } else { m };
+                TableView::of(program, &run.policy())
+            })
+            .collect();
+        let misses = cache.stats().misses;
+        let report = expect::run_entry_cached(&entry, &config, &cache, &drf_certifier)
+            .expect("verdict runs");
+        let runs = report.rows.iter().filter(|r| r.fresh_run).count();
+        let name = &entry.test.name;
+        assert_eq!(runs, views.len(), "{name}: engine runs");
+        assert_eq!(
+            cache.stats().misses - misses,
+            views.len() as u64,
+            "{name}: cache misses"
+        );
+        total += runs;
+    }
+    assert_eq!(total, 52);
 }
