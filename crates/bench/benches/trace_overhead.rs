@@ -62,7 +62,7 @@ fn bench_warm_batch(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), &traced, |b, &traced| {
             let ring: Arc<dyn SpanSink> = Arc::new(TraceRing::new(4096));
             let telemetry = Telemetry::new(traced.then_some(ring), Duration::ZERO);
-            let state = ServerState::with_telemetry(EnumCache::new(64), None, telemetry, true);
+            let state = ServerState::with_telemetry(EnumCache::new(64), None, telemetry);
             handler::handle_envelope(&state, &env); // warm the cache
             b.iter(|| std::hint::black_box(handler::handle_envelope(&state, &env)));
         });

@@ -534,14 +534,14 @@ pub mod prom {
             .replace('\n', "\\n")
     }
 
-    fn render_labels(labels: &[(&str, &str)]) -> String {
-        if labels.is_empty() {
-            return String::new();
-        }
+    fn render_labels<'a>(labels: impl IntoIterator<Item = (&'a str, &'a str)>) -> String {
         let body: Vec<String> = labels
-            .iter()
+            .into_iter()
             .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
             .collect();
+        if body.is_empty() {
+            return String::new();
+        }
         format!("{{{}}}", body.join(","))
     }
 
@@ -572,25 +572,40 @@ pub mod prom {
         }
 
         /// A counter family with one sample per label set.
-        pub fn counter(&mut self, name: &str, help: &str, samples: &[(&[(&str, &str)], f64)]) {
+        pub fn counter<'l, L>(
+            &mut self,
+            name: &str,
+            help: &str,
+            samples: impl IntoIterator<Item = (L, f64)>,
+        ) where
+            L: AsRef<[(&'l str, &'l str)]>,
+        {
             self.header(name, help, "counter");
-            for (labels, value) in samples {
-                self.out.push_str(&format!(
-                    "{name}{} {}\n",
-                    render_labels(labels),
-                    render_value(*value)
-                ));
-            }
+            self.samples(name, samples);
         }
 
         /// A gauge family with one sample per label set.
-        pub fn gauge(&mut self, name: &str, help: &str, samples: &[(&[(&str, &str)], f64)]) {
+        pub fn gauge<'l, L>(
+            &mut self,
+            name: &str,
+            help: &str,
+            samples: impl IntoIterator<Item = (L, f64)>,
+        ) where
+            L: AsRef<[(&'l str, &'l str)]>,
+        {
             self.header(name, help, "gauge");
+            self.samples(name, samples);
+        }
+
+        fn samples<'l, L>(&mut self, name: &str, samples: impl IntoIterator<Item = (L, f64)>)
+        where
+            L: AsRef<[(&'l str, &'l str)]>,
+        {
             for (labels, value) in samples {
                 self.out.push_str(&format!(
                     "{name}{} {}\n",
-                    render_labels(labels),
-                    render_value(*value)
+                    render_labels(labels.as_ref().iter().copied()),
+                    render_value(value)
                 ));
             }
         }
@@ -598,71 +613,65 @@ pub mod prom {
         /// A histogram family rendered from snapshots, one per label
         /// set. Sample values are nanoseconds; the exposition is in
         /// seconds with thresholds `le_nanos` (ascending) plus `+Inf`.
-        pub fn histogram_nanos(
+        pub fn histogram_nanos<'l, L>(
             &mut self,
             name: &str,
             help: &str,
             le_nanos: &[u64],
-            series: &[(&[(&str, &str)], &HistogramSnapshot)],
-        ) {
+            series: impl IntoIterator<Item = (L, HistogramSnapshot)>,
+        ) where
+            L: AsRef<[(&'l str, &'l str)]>,
+        {
             self.histogram_scaled(name, help, le_nanos, series, 1e9);
         }
 
         /// A histogram family whose samples are plain values (batch
         /// sizes, hop counts), exposed with the thresholds as given —
         /// no unit scaling, unlike [`PromText::histogram_nanos`].
-        pub fn histogram_values(
+        pub fn histogram_values<'l, L>(
             &mut self,
             name: &str,
             help: &str,
             le: &[u64],
-            series: &[(&[(&str, &str)], &HistogramSnapshot)],
-        ) {
+            series: impl IntoIterator<Item = (L, HistogramSnapshot)>,
+        ) where
+            L: AsRef<[(&'l str, &'l str)]>,
+        {
             self.histogram_scaled(name, help, le, series, 1.0);
         }
 
-        fn histogram_scaled(
+        fn histogram_scaled<'l, L>(
             &mut self,
             name: &str,
             help: &str,
             le_bounds: &[u64],
-            series: &[(&[(&str, &str)], &HistogramSnapshot)],
+            series: impl IntoIterator<Item = (L, HistogramSnapshot)>,
             divisor: f64,
-        ) {
+        ) where
+            L: AsRef<[(&'l str, &'l str)]>,
+        {
             self.header(name, help, "histogram");
             for (labels, snap) in series {
+                let labels = labels.as_ref();
+                let with_le = |le: &str| render_labels(labels.iter().copied().chain([("le", le)]));
                 let cumulative = snap.cumulative_le(le_bounds);
                 for (bound, cum) in le_bounds.iter().zip(&cumulative) {
-                    let mut with_le: Vec<(&str, String)> =
-                        labels.iter().map(|(k, v)| (*k, (*v).to_owned())).collect();
-                    with_le.push(("le", render_value(*bound as f64 / divisor)));
-                    let borrowed: Vec<(&str, &str)> =
-                        with_le.iter().map(|(k, v)| (*k, v.as_str())).collect();
-                    self.out.push_str(&format!(
-                        "{name}_bucket{} {cum}\n",
-                        render_labels(&borrowed)
-                    ));
+                    let le = render_value(*bound as f64 / divisor);
+                    self.out
+                        .push_str(&format!("{name}_bucket{} {cum}\n", with_le(&le)));
                 }
-                let mut with_inf: Vec<(&str, String)> =
-                    labels.iter().map(|(k, v)| (*k, (*v).to_owned())).collect();
-                with_inf.push(("le", "+Inf".to_owned()));
-                let borrowed: Vec<(&str, &str)> =
-                    with_inf.iter().map(|(k, v)| (*k, v.as_str())).collect();
                 self.out.push_str(&format!(
                     "{name}_bucket{} {}\n",
-                    render_labels(&borrowed),
+                    with_le("+Inf"),
                     snap.count
                 ));
+                let plain = render_labels(labels.iter().copied());
                 self.out.push_str(&format!(
-                    "{name}_sum{} {}\n",
-                    render_labels(&labels.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>()),
+                    "{name}_sum{plain} {}\n",
                     render_value(snap.sum as f64 / divisor)
                 ));
-                self.out.push_str(&format!(
-                    "{name}_count{} {}\n",
-                    render_labels(&labels.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>()),
-                    snap.count
-                ));
+                self.out
+                    .push_str(&format!("{name}_count{plain} {}\n", snap.count));
             }
         }
 

@@ -1,20 +1,9 @@
 //! `samm-serve` — host the litmus-query service.
 //!
-//! ```text
-//! samm-serve [--addr HOST:PORT] [--workers N]
-//!            [--event-loops N] [--max-connections N] [--max-pipeline N]
-//!            [--poller epoll|poll] [--cluster FILE --node ID]
-//!            [--read-timeout-secs N] [--budget N]
-//!            [--cache-shards N] [--cache-capacity N] [--persist PATH]
-//!            [--prom-addr HOST:PORT] [--trace-log PATH]
-//!            [--trace-log-max-bytes N] [--slow-ms N] [--no-observe]
-//! ```
+//! The command line is documented in `docs/SERVICE.md`; `--help` prints
+//! the flag list.
 //!
-//! `--trace-log` writes every finished span as one JSONL line;
-//! `--slow-ms N` keeps only spans of at least N ms, which turns the
-//! trace log into a slow-request log (default 0: every span).
-//!
-//! The event-loop core multiplexes connections over a readiness poller
+//! The event-loop core multiplexes connections over `poll(2)`
 //! (pipelining, `batch` envelopes, cluster mode) and answers fresh
 //! queries with the pruned engine. Prints `listening on <addr>` once
 //! bound (then `prometheus on <addr>` when `--prom-addr` was given, and
@@ -29,18 +18,16 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use samm_serve::cluster::ClusterConfig;
-use samm_serve::sys::PollerKind;
 use samm_serve::ServerConfig;
 
 fn usage() -> ! {
     eprintln!(
         "usage: samm-serve [--addr HOST:PORT] [--workers N]\n\
          \x20                 [--event-loops N] [--max-connections N] [--max-pipeline N]\n\
-         \x20                 [--poller epoll|poll] [--cluster FILE --node ID]\n\
-         \x20                 [--read-timeout-secs N] [--budget N]\n\
+         \x20                 [--cluster FILE --node ID] [--read-timeout-secs N] [--budget N]\n\
          \x20                 [--cache-shards N] [--cache-capacity N] [--persist PATH]\n\
          \x20                 [--prom-addr HOST:PORT] [--trace-log PATH]\n\
-         \x20                 [--trace-log-max-bytes N] [--slow-ms N] [--no-observe]"
+         \x20                 [--trace-log-max-bytes N] [--slow-ms N]"
     );
     std::process::exit(2);
 }
@@ -69,13 +56,6 @@ fn main() -> ExitCode {
                 config.max_connections = parse_num("--max-connections", args.next());
             }
             "--max-pipeline" => config.max_pipeline = parse_num("--max-pipeline", args.next()),
-            "--poller" => match args.next().and_then(|p| PollerKind::parse(&p)) {
-                Some(kind) => config.poller = kind,
-                None => {
-                    eprintln!("samm-serve: --poller needs 'epoll' or 'poll'");
-                    usage();
-                }
-            },
             "--cluster" => match args.next() {
                 Some(path) => cluster_file = Some(PathBuf::from(path)),
                 None => usage(),
@@ -111,7 +91,6 @@ fn main() -> ExitCode {
             "--trace-log-max-bytes" => {
                 config.trace_log_max_bytes = parse_num("--trace-log-max-bytes", args.next());
             }
-            "--no-observe" => config.observe = false,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("samm-serve: unknown argument '{other}'");
@@ -135,7 +114,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let poller = config.poller;
     let node = config
         .cluster
         .as_ref()
@@ -149,15 +127,10 @@ fn main() -> ExitCode {
     };
     match &node {
         Some(id) => println!(
-            "listening on {} (event core, {}, cluster node {id})",
-            handle.addr(),
-            poller.name()
+            "listening on {} (event core, cluster node {id})",
+            handle.addr()
         ),
-        None => println!(
-            "listening on {} (event core, {})",
-            handle.addr(),
-            poller.name()
-        ),
+        None => println!("listening on {} (event core)", handle.addr()),
     }
     if let Some(prom) = handle.prom_addr() {
         println!("prometheus on {prom}");

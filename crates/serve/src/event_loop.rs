@@ -2,8 +2,8 @@
 //! many connections over a shared handler pool.
 //!
 //! ```text
-//!            ┌ loop 0 (owns the listener) ── epoll/poll ── conns…
-//! clients ──►│ loop 1 ── epoll/poll ── conns…        │ parsed envelopes
+//!            ┌ loop 0 (owns the listener) ── poll ── conns…
+//! clients ──►│ loop 1 ── poll ── conns…              │ parsed envelopes
 //!            └ loop … ── cache hits answered here    ▼ (everything else)
 //!                 ▲ completions (self-wake pipe)   shared job queue
 //!                 └─────────────────────────── M handler workers
@@ -55,7 +55,7 @@ use samm_core::telemetry::JsonlLog;
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::handler::{self, ServerState};
 use crate::protocol::{parse_envelope_bytes, Envelope, ErrorKind, Request, ServiceError};
-use crate::sys::{Event, Interest, Poller, PollerKind};
+use crate::sys::{Event, Interest, Poller};
 use crate::telemetry::{LoopGauges, Telemetry};
 
 /// Server construction parameters.
@@ -79,8 +79,6 @@ pub struct ServerConfig {
     /// How long a graceful drain waits for in-flight work and pending
     /// writes before forcing connections closed.
     pub drain_deadline: Duration,
-    /// Readiness backend.
-    pub poller: PollerKind,
     /// Cluster topology, when serving as a ring member.
     pub cluster: Option<ClusterConfig>,
     /// Default per-request fork budget (requests may override).
@@ -92,10 +90,6 @@ pub struct ServerConfig {
     /// When set, the cache is loaded from this file on start and saved
     /// back on drain.
     pub persist_path: Option<PathBuf>,
-    /// Run enumerations instrumented, feeding the aggregated
-    /// closure-rule counters in the exposition (≈ noise-level cost, see
-    /// EXPERIMENTS E19/E22).
-    pub observe: bool,
     /// When set, bind a plain-HTTP listener on this address serving the
     /// Prometheus exposition (`GET /metrics`).
     pub prom_addr: Option<String>,
@@ -121,13 +115,11 @@ impl Default for ServerConfig {
             max_pipeline: 64,
             read_timeout: Duration::from_secs(10),
             drain_deadline: Duration::from_secs(5),
-            poller: PollerKind::default_for_platform(),
             cluster: None,
             budget: None,
             cache_shards: 16,
             cache_capacity: 256,
             persist_path: None,
-            observe: true,
             prom_addr: None,
             slow_threshold: Duration::ZERO,
             trace_log: None,
@@ -315,7 +307,7 @@ impl ServerHandle {
 ///
 /// # Errors
 ///
-/// Propagates bind and poller-construction failures. A configured
+/// Propagates bind and wake-pipe failures. A configured
 /// persistence file that does not exist yet is not an error (first
 /// run).
 pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
@@ -335,7 +327,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         .transpose()?;
     let spans = log.map(|log| Arc::new(log) as Arc<dyn SpanSink>);
     let telemetry = Telemetry::new(spans, config.slow_threshold);
-    let mut state = ServerState::with_telemetry(cache, config.budget, telemetry, config.observe);
+    let mut state = ServerState::with_telemetry(cache, config.budget, telemetry);
     if let Some((loaded, refused)) = persisted {
         for (counter, lines) in state.telemetry.persist_lines.iter().zip([loaded, refused]) {
             counter.store(lines as u64, Ordering::Relaxed);
@@ -362,7 +354,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let mut wake_readers = Vec::with_capacity(loop_count);
     let mut loop_shareds = Vec::with_capacity(loop_count);
     for _ in 0..loop_count {
-        let mut poller = Poller::new(config.poller)?;
+        let mut poller = Poller::new();
         let (wake_write, wake_read) = UnixStream::pair()?;
         wake_read.set_nonblocking(true)?;
         wake_write.set_nonblocking(true)?;
@@ -449,15 +441,27 @@ fn wake_acceptor(addr: SocketAddr) {
 /// is cheap.
 fn prom_loop(listener: &TcpListener, shared: &EventShared) {
     loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => continue,
-        };
+        let accepted = listener.accept();
         if shared.draining.load(Ordering::SeqCst) {
             return;
         }
-        serve_prom_http(&shared.state, stream);
+        match accepted {
+            Ok((stream, _)) => serve_prom_http(&shared.state, stream),
+            Err(e) if transient_accept_error(&e) => {}
+            // A persistent error such as EMFILE lasts until a descriptor
+            // is freed; retrying at once would spin this thread.
+            Err(_) => std::thread::sleep(TICK),
+        }
     }
+}
+
+/// Whether an `accept` failure concerns only the connection it tried to
+/// take, so the next `accept` may succeed at once.
+fn transient_accept_error(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        IoErrorKind::Interrupted | IoErrorKind::ConnectionAborted
+    )
 }
 
 fn serve_prom_http(state: &ServerState, stream: TcpStream) {
@@ -611,6 +615,9 @@ struct EventLoop {
     next_loop: usize,
     drain_started: Option<Instant>,
     last_idle_scan: Instant,
+    /// The listener's read interest is off after a persistent accept
+    /// error; the idle scan turns it back on.
+    accept_paused: bool,
 }
 
 impl EventLoop {
@@ -632,6 +639,7 @@ impl EventLoop {
             next_loop: 0,
             drain_started: None,
             last_idle_scan: Instant::now(),
+            accept_paused: false,
         }
     }
 
@@ -688,6 +696,9 @@ impl EventLoop {
 
     /// The accept path: loop 0 pulls connections until `WouldBlock`,
     /// spreading them round-robin so every loop's share stays balanced.
+    /// A persistent error (out of descriptors: `EMFILE`, `ENFILE`) pauses
+    /// accepting until the next idle scan, so the pending connection
+    /// does not wake the loop again at once.
     fn accept_ready(&mut self) {
         loop {
             let Some(listener) = &self.listener else {
@@ -696,7 +707,11 @@ impl EventLoop {
             let stream = match listener.accept() {
                 Ok((stream, _)) => stream,
                 Err(e) if e.kind() == IoErrorKind::WouldBlock => return,
-                Err(_) => continue,
+                Err(e) if transient_accept_error(&e) => continue,
+                Err(_) => {
+                    self.set_accepting(false);
+                    return;
+                }
             };
             if self.shared.draining.load(Ordering::SeqCst) {
                 // A late connection during drain: drop it.
@@ -725,6 +740,23 @@ impl EventLoop {
                 self.shared.loops[target].wake();
             }
         }
+    }
+
+    /// Turns the listener's read interest on or off.
+    fn set_accepting(&mut self, on: bool) {
+        let Some(listener) = &self.listener else {
+            return;
+        };
+        let interest = if on { Interest::READ } else { Interest::NONE };
+        if self
+            .poller
+            .modify(listener.as_raw_fd(), LISTEN_TOKEN, interest)
+            .is_err()
+        {
+            // Without an accept path the server is useless; drain.
+            self.shared.begin_drain();
+        }
+        self.accept_paused = !on;
     }
 
     /// Takes ownership of connections the accept path handed over.
@@ -941,12 +973,15 @@ impl EventLoop {
     }
 
     /// Closes connections idle past the read timeout (with nothing in
-    /// flight), at most once per tick.
+    /// flight) and resumes a paused accept path, at most once per tick.
     fn scan_idle(&mut self) {
         if self.last_idle_scan.elapsed() < TICK {
             return;
         }
         self.last_idle_scan = Instant::now();
+        if self.accept_paused {
+            self.set_accepting(true);
+        }
         let timeout = self.shared.read_timeout;
         let idle: Vec<u64> = self
             .conns

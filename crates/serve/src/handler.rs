@@ -48,11 +48,6 @@ pub struct ServerState {
     /// Request/error/overload counters, latency histograms, rates, obs
     /// aggregation, span log.
     pub telemetry: Telemetry,
-    /// Whether enumerations run instrumented
-    /// ([`EnumConfig::observe`]), feeding the aggregated closure-rule
-    /// counters. Fixed at construction: the resolution table's
-    /// fingerprints are computed under it.
-    observe: bool,
     /// Cluster membership and peer pools when serving in cluster mode.
     pub cluster: Option<Arc<Cluster>>,
     /// Every catalog entry × [`ModelSel::ALL`] resolved once: model,
@@ -61,25 +56,22 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    /// Builds state with a cache of the given geometry, default
-    /// telemetry (no span log), and instrumentation on.
+    /// Builds state with a cache of the given geometry and default
+    /// telemetry (no span log).
     pub fn new(cache: EnumCache, default_budget: Option<u64>) -> Self {
-        ServerState::with_telemetry(cache, default_budget, Telemetry::default(), true)
+        ServerState::with_telemetry(cache, default_budget, Telemetry::default())
     }
 
-    /// Builds state with explicit telemetry and instrumentation
-    /// settings.
+    /// Builds state with explicit telemetry.
     pub fn with_telemetry(
         cache: EnumCache,
         default_budget: Option<u64>,
         telemetry: Telemetry,
-        observe: bool,
     ) -> Self {
         let mut state = ServerState {
             cache,
             default_budget,
             telemetry,
-            observe,
             cluster: None,
             table: Vec::new(),
         };
@@ -95,11 +87,12 @@ impl ServerState {
 
     /// The enumeration configuration for one request: server defaults,
     /// request budget override, executions never kept (only outcome
-    /// sets travel over the wire).
+    /// sets travel over the wire), always instrumented so fresh runs
+    /// feed the aggregated closure-rule counters.
     pub(crate) fn config(&self, budget: Option<u64>) -> EnumConfig {
         EnumConfig::builder()
             .keep_executions(false)
-            .observe(self.observe)
+            .observe(true)
             .budget(budget.or(self.default_budget))
             .build()
     }
@@ -964,34 +957,31 @@ mod tests {
     /// request's budget and name case.
     #[test]
     fn resolution_rows_are_the_queries_own_keys() {
-        for observe in [true, false] {
-            let state =
-                ServerState::with_telemetry(EnumCache::new(8), None, Telemetry::default(), observe);
-            let config = state.config(None);
-            let mut rows = 0;
-            for entry in catalog() {
-                for sel in ModelSel::ALL {
-                    let name = entry.test.name.to_lowercase();
-                    let query = EnumQuery::resolve(&state, &name, sel.name(), Some(3)).unwrap();
-                    let row = &state.table[query.row];
-                    assert_eq!(
-                        (query.entry.test.name.as_str(), row.sel),
-                        (entry.test.name.as_str(), sel)
-                    );
-                    assert_eq!(row.policy, sel.policy());
-                    let fp = query_fingerprint(&entry.test.program, &sel.policy(), &config);
-                    assert_eq!(
-                        (query.fp, row.fp),
-                        (fp, fp),
-                        "{}/{}",
-                        entry.test.name,
-                        sel.name()
-                    );
-                    rows += 1;
-                }
+        let state = ServerState::new(EnumCache::new(8), None);
+        let config = state.config(None);
+        let mut rows = 0;
+        for entry in catalog() {
+            for sel in ModelSel::ALL {
+                let name = entry.test.name.to_lowercase();
+                let query = EnumQuery::resolve(&state, &name, sel.name(), Some(3)).unwrap();
+                let row = &state.table[query.row];
+                assert_eq!(
+                    (query.entry.test.name.as_str(), row.sel),
+                    (entry.test.name.as_str(), sel)
+                );
+                assert_eq!(row.policy, sel.policy());
+                let fp = query_fingerprint(&entry.test.program, &sel.policy(), &config);
+                assert_eq!(
+                    (query.fp, row.fp),
+                    (fp, fp),
+                    "{}/{}",
+                    entry.test.name,
+                    sel.name()
+                );
+                rows += 1;
             }
-            assert_eq!(rows, state.table.len());
         }
+        assert_eq!(rows, state.table.len());
     }
 
     /// The entry's rendered fragments are byte-identical to rendering

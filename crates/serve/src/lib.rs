@@ -14,8 +14,8 @@
 //! ([`protocol`]), a request executor ([`handler`]) whose answers are
 //! written straight into the wire buffer ([`answer`]), and a blocking
 //! [`client`]. One I/O core hosts the executor: the readiness-driven
-//! [`event_loop`] (epoll on Linux, portable `poll` fallback — see
-//! [`sys`]) with request pipelining, the syscall-amortizing [`batch`]
+//! [`event_loop`] (over `poll(2)` — see [`sys`]) with request
+//! pipelining, the syscall-amortizing [`batch`]
 //! envelope, and graceful drain. [`ring`] and [`cluster`] scale it
 //! out: consistent-hash routing of [`samm_core::fingerprint`] keys
 //! across a static member list, peer forwarding on miss with
@@ -45,7 +45,7 @@
 
 #![warn(missing_docs)]
 // Denied rather than forbidden: the readiness poller ([`sys`]) opts in
-// for its two syscall surfaces (epoll/poll); everything else stays safe.
+// for its one `poll(2)` call; everything else stays safe.
 #![deny(unsafe_code)]
 
 pub mod answer;

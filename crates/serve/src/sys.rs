@@ -1,54 +1,16 @@
 //! Readiness polling for the event-loop core: a zero-dependency
-//! `epoll(7)` wrapper on Linux with a portable `poll(2)` fallback.
+//! `poll(2)` wrapper.
 //!
-//! The crate vendors nothing, so the two syscall surfaces are declared
-//! directly with `extern "C"`. Both backends are level-triggered and
-//! expose the same tiny [`Poller`] API: register a file descriptor with
-//! a caller-chosen `u64` token, then [`Poller::wait`] reports which
-//! tokens are readable/writable. The backend is selectable at runtime
-//! (`samm-serve --poller poll`) so the fallback path stays tested on
-//! Linux too.
+//! The crate vendors nothing, so the syscall is declared directly with
+//! `extern "C"`. The [`Poller`] is level-triggered: register a file
+//! descriptor with a caller-chosen `u64` token, then [`Poller::wait`]
+//! reports which tokens are readable/writable. Each wait costs time in
+//! the number of registered descriptors, not the number that are ready.
 
+use std::ffi::{c_int, c_short};
 use std::io;
 use std::os::fd::RawFd;
 use std::time::Duration;
-
-/// Which readiness backend drives the event loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PollerKind {
-    /// Linux `epoll(7)`. Construction fails on other platforms.
-    Epoll,
-    /// POSIX `poll(2)`. Works on every unix; O(n) per wait.
-    Poll,
-}
-
-impl PollerKind {
-    /// The preferred backend for the build target.
-    pub fn default_for_platform() -> PollerKind {
-        if cfg!(target_os = "linux") {
-            PollerKind::Epoll
-        } else {
-            PollerKind::Poll
-        }
-    }
-
-    /// Parses a CLI spelling (`epoll` / `poll`).
-    pub fn parse(text: &str) -> Option<PollerKind> {
-        match text {
-            "epoll" => Some(PollerKind::Epoll),
-            "poll" => Some(PollerKind::Poll),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            PollerKind::Epoll => "epoll",
-            PollerKind::Poll => "poll",
-        }
-    }
-}
 
 /// What a registration wants to be told about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,57 +59,77 @@ pub struct Event {
     pub hangup: bool,
 }
 
-/// A readiness poller: epoll-backed or poll-backed per [`PollerKind`].
-#[derive(Debug)]
-pub enum Poller {
-    /// Linux epoll backend.
-    #[cfg(target_os = "linux")]
-    Epoll(epoll::Epoll),
-    /// Portable poll backend.
-    Poll(pollset::PollSet),
+#[cfg(target_os = "linux")]
+type NFds = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NFds = std::ffi::c_uint;
+
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+const POLLERR: c_short = 0x008;
+const POLLHUP: c_short = 0x010;
+const POLLNVAL: c_short = 0x020;
+
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
+}
+
+fn poll_events(interest: Interest) -> c_short {
+    let mut events = 0;
+    if interest.read {
+        events |= POLLIN;
+    }
+    if interest.write {
+        events |= POLLOUT;
+    }
+    events
+}
+
+/// A readiness poller: the `pollfd` array every wait hands to the
+/// kernel, with the token of each entry beside it.
+#[derive(Debug, Default)]
+pub struct Poller {
+    fds: Vec<PollFd>,
+    tokens: Vec<u64>,
 }
 
 impl Poller {
-    /// Constructs the requested backend.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the backend is unavailable on this platform or the
-    /// kernel refuses the epoll instance.
-    pub fn new(kind: PollerKind) -> io::Result<Poller> {
-        match kind {
-            #[cfg(target_os = "linux")]
-            PollerKind::Epoll => Ok(Poller::Epoll(epoll::Epoll::new()?)),
-            #[cfg(not(target_os = "linux"))]
-            PollerKind::Epoll => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "epoll is Linux-only; use --poller poll",
-            )),
-            PollerKind::Poll => Ok(Poller::Poll(pollset::PollSet::new())),
-        }
+    /// An empty poller.
+    pub fn new() -> Poller {
+        Poller::default()
     }
 
-    /// The backend in use.
-    pub fn kind(&self) -> PollerKind {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(_) => PollerKind::Epoll,
-            Poller::Poll(_) => PollerKind::Poll,
-        }
+    fn position(&self, fd: RawFd) -> Option<usize> {
+        self.fds.iter().position(|slot| slot.fd == fd)
     }
 
     /// Starts watching `fd`, reporting events with `token`.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying `epoll_ctl` failure; the poll backend
-    /// only fails on a duplicate registration.
+    /// Fails when `fd` is already registered.
     pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.register(fd, token, interest),
-            Poller::Poll(p) => p.register(fd, token, interest),
+        if self.position(fd).is_some() {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                "fd already registered",
+            ));
         }
+        self.fds.push(PollFd {
+            fd,
+            events: poll_events(interest),
+            revents: 0,
+        });
+        self.tokens.push(token);
+        Ok(())
     }
 
     /// Changes what an already-registered `fd` is watched for.
@@ -156,20 +138,20 @@ impl Poller {
     ///
     /// Fails when `fd` was never registered.
     pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.modify(fd, token, interest),
-            Poller::Poll(p) => p.modify(fd, token, interest),
-        }
+        let i = self
+            .position(fd)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
+        self.fds[i].events = poll_events(interest);
+        self.tokens[i] = token;
+        Ok(())
     }
 
     /// Stops watching `fd`. Removing an unknown descriptor is a no-op —
     /// close paths call this unconditionally.
     pub fn deregister(&mut self, fd: RawFd) {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.deregister(fd),
-            Poller::Poll(p) => p.deregister(fd),
+        if let Some(i) = self.position(fd) {
+            self.fds.remove(i);
+            self.tokens.remove(i);
         }
     }
 
@@ -178,324 +160,41 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// Propagates syscall failures other than `EINTR` (which retries).
+    /// Propagates `poll` failures other than `EINTR` (which retries).
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         events.clear();
-        let timeout_ms: i32 = match timeout {
+        let timeout_ms: c_int = match timeout {
             None => -1,
-            Some(t) => t.as_millis().min(i32::MAX as u128) as i32,
+            Some(t) => t.as_millis().min(c_int::MAX as u128) as c_int,
         };
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.wait(events, timeout_ms),
-            Poller::Poll(p) => p.wait(events, timeout_ms),
-        }
-    }
-}
-
-/// The Linux `epoll(7)` backend.
-#[cfg(target_os = "linux")]
-pub mod epoll {
-    use super::{Event, Interest};
-    use std::ffi::c_int;
-    use std::io;
-    use std::os::fd::RawFd;
-
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-
-    /// `struct epoll_event`. The kernel ABI packs it on x86-64 (12
-    /// bytes, no padding after `events`); other architectures use the
-    /// natural C layout. Fields are read by value only — a reference
-    /// into a packed struct would be unaligned UB.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-        fn close(fd: c_int) -> c_int;
-    }
-
-    fn interest_bits(interest: Interest) -> u32 {
-        let mut bits = EPOLLRDHUP;
-        if interest.read {
-            bits |= EPOLLIN;
-        }
-        if interest.write {
-            bits |= EPOLLOUT;
-        }
-        bits
-    }
-
-    /// An owned epoll instance plus its reusable event buffer.
-    #[derive(Debug)]
-    pub struct Epoll {
-        epfd: c_int,
-        buf: Vec<u64>, // raw storage; cast to EpollEvent at the FFI boundary
-    }
-
-    impl Epoll {
-        const CAPACITY: usize = 256;
-
-        /// Creates the instance with `EPOLL_CLOEXEC`.
-        ///
-        /// # Errors
-        ///
-        /// Propagates `epoll_create1` failure.
-        pub fn new() -> io::Result<Epoll> {
-            // SAFETY: no pointer arguments; the returned fd is owned
-            // here and closed on drop.
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
+        let n = loop {
+            // SAFETY: `fds` is a live, correctly-sized pollfd array for
+            // the duration of the call; the kernel writes only the
+            // `revents` fields.
+            let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as NFds, timeout_ms) };
+            if n >= 0 {
+                break n;
             }
-            // Each EpollEvent is at most 16 bytes; two u64 slots per
-            // possible event keep the buffer aligned for either layout.
-            Ok(Epoll {
-                epfd,
-                buf: vec![0u64; Self::CAPACITY * 2],
-            })
-        }
-
-        fn ctl(&mut self, op: c_int, fd: RawFd, event: Option<EpollEvent>) -> io::Result<()> {
-            let mut event = event;
-            let ptr = event
-                .as_mut()
-                .map_or(std::ptr::null_mut(), |e| e as *mut EpollEvent);
-            // SAFETY: `ptr` is null (DEL) or points at a live
-            // EpollEvent on our stack for the duration of the call.
-            let rc = unsafe { epoll_ctl(self.epfd, op, fd, ptr) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
             }
-            Ok(())
+        };
+        if n == 0 {
+            return Ok(());
         }
-
-        /// Adds `fd` with `token`.
-        ///
-        /// # Errors
-        ///
-        /// Propagates `epoll_ctl(ADD)` failure (e.g. already added).
-        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(
-                EPOLL_CTL_ADD,
-                fd,
-                Some(EpollEvent {
-                    events: interest_bits(interest),
-                    data: token,
-                }),
-            )
-        }
-
-        /// Rewrites the interest set for `fd`.
-        ///
-        /// # Errors
-        ///
-        /// Propagates `epoll_ctl(MOD)` failure (e.g. never added).
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(
-                EPOLL_CTL_MOD,
-                fd,
-                Some(EpollEvent {
-                    events: interest_bits(interest),
-                    data: token,
-                }),
-            )
-        }
-
-        /// Removes `fd`; unknown descriptors are ignored.
-        pub fn deregister(&mut self, fd: RawFd) {
-            let _ = self.ctl(EPOLL_CTL_DEL, fd, None);
-        }
-
-        /// One `epoll_wait` round; `EINTR` retries.
-        pub(super) fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-            let events_ptr = self.buf.as_mut_ptr().cast::<EpollEvent>();
-            let n = loop {
-                // SAFETY: `events_ptr` points at owned storage large
-                // enough for CAPACITY EpollEvents and stays alive
-                // across the call; maxevents matches that capacity.
-                let n = unsafe {
-                    epoll_wait(self.epfd, events_ptr, Self::CAPACITY as c_int, timeout_ms)
-                };
-                if n >= 0 {
-                    break n as usize;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            };
-            for i in 0..n {
-                // SAFETY: epoll_wait initialized the first `n` slots.
-                let ev = unsafe { std::ptr::read_unaligned(events_ptr.add(i)) };
-                let bits = ev.events;
-                out.push(Event {
-                    token: ev.data,
-                    readable: bits & (EPOLLIN | EPOLLRDHUP) != 0,
-                    writable: bits & EPOLLOUT != 0,
-                    hangup: bits & (EPOLLERR | EPOLLHUP) != 0,
-                });
+        for (slot, &token) in self.fds.iter().zip(&self.tokens) {
+            if slot.revents == 0 {
+                continue;
             }
-            Ok(())
+            events.push(Event {
+                token,
+                readable: slot.revents & (POLLIN | POLLHUP) != 0,
+                writable: slot.revents & POLLOUT != 0,
+                hangup: slot.revents & (POLLERR | POLLHUP | POLLNVAL) != 0,
+            });
         }
-    }
-
-    impl Drop for Epoll {
-        fn drop(&mut self) {
-            // SAFETY: the fd was returned by epoll_create1 and is
-            // closed exactly once.
-            unsafe { close(self.epfd) };
-        }
-    }
-}
-
-/// The portable `poll(2)` backend: a registration table rebuilt into a
-/// `pollfd` array on every wait.
-pub mod pollset {
-    use super::{Event, Interest};
-    use std::ffi::{c_int, c_short};
-    use std::io;
-    use std::os::fd::RawFd;
-
-    #[cfg(target_os = "linux")]
-    type NFds = std::ffi::c_ulong;
-    #[cfg(not(target_os = "linux"))]
-    type NFds = std::ffi::c_uint;
-
-    const POLLIN: c_short = 0x001;
-    const POLLOUT: c_short = 0x004;
-    const POLLERR: c_short = 0x008;
-    const POLLHUP: c_short = 0x010;
-    const POLLNVAL: c_short = 0x020;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: c_int,
-        events: c_short,
-        revents: c_short,
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
-    }
-
-    /// The registration table.
-    #[derive(Debug, Default)]
-    pub struct PollSet {
-        entries: Vec<(RawFd, u64, Interest)>,
-    }
-
-    impl PollSet {
-        /// An empty set.
-        pub fn new() -> PollSet {
-            PollSet::default()
-        }
-
-        /// Adds `fd` with `token`.
-        ///
-        /// # Errors
-        ///
-        /// Fails when `fd` is already registered.
-        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            if self.entries.iter().any(|(f, _, _)| *f == fd) {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    "fd already registered",
-                ));
-            }
-            self.entries.push((fd, token, interest));
-            Ok(())
-        }
-
-        /// Rewrites the interest set for `fd`.
-        ///
-        /// # Errors
-        ///
-        /// Fails when `fd` was never registered.
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            for entry in &mut self.entries {
-                if entry.0 == fd {
-                    *entry = (fd, token, interest);
-                    return Ok(());
-                }
-            }
-            Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-        }
-
-        /// Removes `fd`; unknown descriptors are ignored.
-        pub fn deregister(&mut self, fd: RawFd) {
-            self.entries.retain(|(f, _, _)| *f != fd);
-        }
-
-        /// One `poll` round; `EINTR` retries.
-        pub(super) fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-            let mut fds: Vec<PollFd> = self
-                .entries
-                .iter()
-                .map(|(fd, _, interest)| {
-                    let mut events: c_short = 0;
-                    if interest.read {
-                        events |= POLLIN;
-                    }
-                    if interest.write {
-                        events |= POLLOUT;
-                    }
-                    PollFd {
-                        fd: *fd,
-                        events,
-                        revents: 0,
-                    }
-                })
-                .collect();
-            let n = loop {
-                // SAFETY: `fds` is a live, correctly-sized pollfd
-                // array for the duration of the call.
-                let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as NFds, timeout_ms) };
-                if n >= 0 {
-                    break n;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            };
-            if n == 0 {
-                return Ok(());
-            }
-            for (slot, (_, token, _)) in fds.iter().zip(&self.entries) {
-                if slot.revents == 0 {
-                    continue;
-                }
-                out.push(Event {
-                    token: *token,
-                    readable: slot.revents & (POLLIN | POLLHUP) != 0,
-                    writable: slot.revents & POLLOUT != 0,
-                    hangup: slot.revents & (POLLERR | POLLHUP | POLLNVAL) != 0,
-                });
-            }
-            Ok(())
-        }
+        Ok(())
     }
 }
 
@@ -506,84 +205,59 @@ mod tests {
     use std::os::fd::AsRawFd;
     use std::os::unix::net::UnixStream;
 
-    fn kinds() -> Vec<PollerKind> {
-        let mut kinds = vec![PollerKind::Poll];
-        if cfg!(target_os = "linux") {
-            kinds.push(PollerKind::Epoll);
-        }
-        kinds
+    #[test]
+    fn readiness_round_trip() {
+        let mut poller = Poller::new();
+        let (mut a, mut b) = UnixStream::pair().unwrap();
+        b.set_nonblocking(true).unwrap();
+        poller.register(b.as_raw_fd(), 7, Interest::READ).unwrap();
+
+        // Nothing to read yet: a short wait reports no events.
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(events.is_empty(), "spurious event");
+
+        a.write_all(b"x").unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(events.len(), 1, "expected one event");
+        assert_eq!(events[0].token, 7);
+        assert!(events[0].readable);
+        let mut buf = [0u8; 8];
+        assert_eq!(b.read(&mut buf).unwrap(), 1);
+
+        // Write interest on an empty socket buffer fires at once.
+        poller.modify(b.as_raw_fd(), 7, Interest::WRITE).unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 7 && e.writable),
+            "expected writable"
+        );
+
+        // Peer hangup surfaces as readable EOF and/or hangup.
+        poller.modify(b.as_raw_fd(), 7, Interest::READ).unwrap();
+        drop(a);
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.readable || e.hangup),
+            "expected EOF readiness"
+        );
+        poller.deregister(b.as_raw_fd());
+        poller.deregister(b.as_raw_fd()); // double-remove is a no-op
     }
 
     #[test]
-    fn readiness_round_trip_on_every_backend() {
-        for kind in kinds() {
-            let mut poller = Poller::new(kind).unwrap();
-            assert_eq!(poller.kind(), kind);
-            let (mut a, mut b) = UnixStream::pair().unwrap();
-            b.set_nonblocking(true).unwrap();
-            poller.register(b.as_raw_fd(), 7, Interest::READ).unwrap();
-
-            // Nothing to read yet: a short wait reports no events.
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.is_empty(), "{}: spurious event", kind.name());
-
-            a.write_all(b"x").unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert_eq!(events.len(), 1, "{}: expected one event", kind.name());
-            assert_eq!(events[0].token, 7);
-            assert!(events[0].readable);
-            let mut buf = [0u8; 8];
-            assert_eq!(b.read(&mut buf).unwrap(), 1);
-
-            // Write interest on an empty socket buffer fires at once.
-            poller.modify(b.as_raw_fd(), 7, Interest::WRITE).unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(
-                events.iter().any(|e| e.token == 7 && e.writable),
-                "{}: expected writable",
-                kind.name()
-            );
-
-            // Peer hangup surfaces as readable EOF and/or hangup.
-            poller.modify(b.as_raw_fd(), 7, Interest::READ).unwrap();
-            drop(a);
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(
-                events.iter().any(|e| e.readable || e.hangup),
-                "{}: expected EOF readiness",
-                kind.name()
-            );
-            poller.deregister(b.as_raw_fd());
-            poller.deregister(b.as_raw_fd()); // double-remove is a no-op
-        }
-    }
-
-    #[test]
-    fn poll_backend_rejects_duplicate_registration() {
+    fn duplicate_registration_is_rejected() {
         let (_a, b) = UnixStream::pair().unwrap();
-        let mut poller = Poller::new(PollerKind::Poll).unwrap();
+        let mut poller = Poller::new();
         poller.register(b.as_raw_fd(), 1, Interest::READ).unwrap();
         assert!(poller.register(b.as_raw_fd(), 2, Interest::READ).is_err());
-    }
-
-    #[test]
-    fn kind_parsing_round_trips() {
-        for kind in [PollerKind::Epoll, PollerKind::Poll] {
-            assert_eq!(PollerKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(PollerKind::parse("io_uring"), None);
-        assert!(matches!(
-            PollerKind::default_for_platform(),
-            PollerKind::Epoll | PollerKind::Poll
-        ));
     }
 }

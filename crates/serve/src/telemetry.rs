@@ -527,52 +527,47 @@ impl Telemetry {
         use samm_core::telemetry::prom::PromText;
         let mut prom = PromText::new();
 
-        let mut request_samples: Vec<(Vec<(&str, &str)>, f64)> = Vec::new();
-        for (name, k) in KIND_NAMES.iter().zip(&self.kinds) {
-            for (outcome, count) in [
-                ("hit", k.hit.count()),
-                ("miss", k.miss.count()),
-                ("overbudget", k.overbudget.count()),
-                ("error", k.errors.load(Ordering::Relaxed)),
-            ] {
-                request_samples.push((vec![("kind", *name), ("outcome", outcome)], count as f64));
-            }
-        }
-        let borrowed: Vec<(&[(&str, &str)], f64)> = request_samples
-            .iter()
-            .map(|(labels, v)| (labels.as_slice(), *v))
-            .collect();
+        let kinds = || KIND_NAMES.iter().copied().zip(&self.kinds);
         prom.counter(
             "samm_requests_total",
             "Requests served, by kind and outcome (hit/miss/overbudget/error).",
-            &borrowed,
+            kinds().flat_map(|(name, k)| {
+                [
+                    ("hit", k.hit.count()),
+                    ("miss", k.miss.count()),
+                    ("overbudget", k.overbudget.count()),
+                    ("error", k.errors.load(Ordering::Relaxed)),
+                ]
+                .map(|(outcome, count)| ([("kind", name), ("outcome", outcome)], count as f64))
+            }),
         );
         prom.counter(
             "samm_monitoring_requests_total",
             "metrics / metrics_prom requests (excluded from samm_requests_total).",
-            &[(&[], self.monitoring.load(Ordering::Relaxed) as f64)],
+            [([], self.monitoring.load(Ordering::Relaxed) as f64)],
         );
         prom.counter(
             "samm_overloaded_total",
             "Connections rejected because the server was at its connection limit.",
-            &[(&[], self.overloaded.load(Ordering::Relaxed) as f64)],
+            [([], self.overloaded.load(Ordering::Relaxed) as f64)],
         );
         prom.gauge(
             "samm_queue_depth",
             "Parsed requests waiting for a handler thread.",
-            &[(&[], self.queue_depth.load(Ordering::Relaxed) as f64)],
+            [([], self.queue_depth.load(Ordering::Relaxed) as f64)],
         );
         prom.gauge(
             "samm_uptime_seconds",
             "Seconds since the server started.",
-            &[(&[], self.started.elapsed().as_secs_f64())],
+            [([], self.started.elapsed().as_secs_f64())],
         );
 
         // Latency histograms, one series per (kind, outcome) with work.
-        let series: Vec<(Vec<(&str, &str)>, HistogramSnapshot)> = KIND_NAMES
-            .iter()
-            .zip(&self.kinds)
-            .flat_map(|(name, k)| {
+        prom.histogram_nanos(
+            "samm_request_latency_seconds",
+            "Request latency by kind and outcome.",
+            &LATENCY_LE_NANOS,
+            kinds().flat_map(|(name, k)| {
                 [
                     ("hit", k.hit.snapshot()),
                     ("miss", k.miss.snapshot()),
@@ -580,127 +575,95 @@ impl Telemetry {
                 ]
                 .into_iter()
                 .filter(|(_, snap)| snap.count > 0)
-                .map(|(outcome, snap)| (vec![("kind", *name), ("outcome", outcome)], snap))
-                .collect::<Vec<_>>()
-            })
-            .collect();
-        let borrowed: Vec<(&[(&str, &str)], &HistogramSnapshot)> = series
-            .iter()
-            .map(|(labels, snap)| (labels.as_slice(), snap))
-            .collect();
-        prom.histogram_nanos(
-            "samm_request_latency_seconds",
-            "Request latency by kind and outcome.",
-            &LATENCY_LE_NANOS,
-            &borrowed,
+                .map(move |(outcome, snap)| ([("kind", name), ("outcome", outcome)], snap))
+            }),
         );
 
         prom.counter(
             "samm_cache_hits_total",
             "Enumeration-cache lookups answered from the cache.",
-            &[(&[], cache.hits as f64)],
+            [([], cache.hits as f64)],
         );
         prom.counter(
             "samm_cache_misses_total",
             "Enumeration-cache lookups that ran fresh.",
-            &[(&[], cache.misses as f64)],
+            [([], cache.misses as f64)],
         );
         prom.counter(
             "samm_cache_evictions_total",
             "Enumeration-cache entries evicted.",
-            &[(&[], cache.evictions as f64)],
+            [([], cache.evictions as f64)],
         );
         prom.counter(
             "samm_cache_insertions_total",
             "Enumeration-cache entries inserted.",
-            &[(&[], cache.insertions as f64)],
+            [([], cache.insertions as f64)],
         );
         prom.gauge(
             "samm_cache_entries",
             "Enumeration-cache entries resident.",
-            &[(&[], cache.entries as f64)],
+            [([], cache.entries as f64)],
         );
 
         // Per-shard cache breakdown: hot shards show up as skew here.
         let shard_labels: Vec<String> = (0..shards.len()).map(|i| i.to_string()).collect();
-        let shard_series = |pick: fn(&ShardStats) -> u64| -> Vec<(Vec<(&str, &str)>, f64)> {
+        let by_shard = |pick: fn(&ShardStats) -> u64| {
             shard_labels
                 .iter()
                 .zip(shards)
-                .map(|(label, stats)| (vec![("shard", label.as_str())], pick(stats) as f64))
-                .collect()
+                .map(move |(label, stats)| ([("shard", label.as_str())], pick(stats) as f64))
         };
-        for (name, help, series) in [
-            (
-                "samm_cache_shard_entries",
-                "Enumeration-cache entries resident, by shard.",
-                shard_series(|s| s.entries as u64),
-            ),
-            (
-                "samm_cache_shard_hits_total",
-                "Enumeration-cache hits, by shard.",
-                shard_series(|s| s.hits),
-            ),
-            (
-                "samm_cache_shard_misses_total",
-                "Enumeration-cache misses, by shard.",
-                shard_series(|s| s.misses),
-            ),
-        ] {
-            let borrowed: Vec<(&[(&str, &str)], f64)> = series
-                .iter()
-                .map(|(labels, v)| (labels.as_slice(), *v))
-                .collect();
-            if name.ends_with("_total") {
-                prom.counter(name, help, &borrowed);
-            } else {
-                prom.gauge(name, help, &borrowed);
-            }
-        }
+        prom.gauge(
+            "samm_cache_shard_entries",
+            "Enumeration-cache entries resident, by shard.",
+            by_shard(|s| s.entries as u64),
+        );
+        prom.counter(
+            "samm_cache_shard_hits_total",
+            "Enumeration-cache hits, by shard.",
+            by_shard(|s| s.hits),
+        );
+        prom.counter(
+            "samm_cache_shard_misses_total",
+            "Enumeration-cache misses, by shard.",
+            by_shard(|s| s.misses),
+        );
 
         // Batch envelopes and cluster forwarding.
-        let batch_snap = self.batch_sizes.snapshot();
         prom.histogram_values(
             "samm_batch_size",
             "Sub-requests per batch envelope.",
             &BATCH_SIZE_LE,
-            &[(&[], &batch_snap)],
+            [([], self.batch_sizes.snapshot())],
         );
-        let hops_snap = self.forward_hops.snapshot();
         prom.histogram_values(
             "samm_forward_hops",
             "Cluster hops taken to answer an enumerate (0 = owned locally).",
             &FORWARD_HOPS_LE,
-            &[(&[], &hops_snap)],
+            [([], self.forward_hops.snapshot())],
         );
         prom.counter(
             "samm_forwards_total",
             "Requests forwarded to the owning peer and answered by it.",
-            &[(&[], self.forwards_ok.load(Ordering::Relaxed) as f64)],
+            [([], self.forwards_ok.load(Ordering::Relaxed) as f64)],
         );
         prom.counter(
             "samm_forward_fallbacks_total",
             "Forwards that failed over to local execution (peer unreachable).",
-            &[(&[], self.forward_fallbacks.load(Ordering::Relaxed) as f64)],
+            [([], self.forward_fallbacks.load(Ordering::Relaxed) as f64)],
         );
         prom.counter(
             "samm_singleflight_waits_total",
             "Enumerations that waited on an identical in-flight query.",
-            &[(&[], self.singleflight_waits.load(Ordering::Relaxed) as f64)],
+            [([], self.singleflight_waits.load(Ordering::Relaxed) as f64)],
         );
-        let persist: Vec<(Vec<(&str, &str)>, f64)> = PERSIST_RESULT_NAMES
-            .iter()
-            .zip(&self.persist_lines)
-            .map(|(name, v)| (vec![("result", *name)], v.load(Ordering::Relaxed) as f64))
-            .collect();
-        let borrowed: Vec<(&[(&str, &str)], f64)> = persist
-            .iter()
-            .map(|(labels, v)| (labels.as_slice(), *v))
-            .collect();
         prom.counter(
             "samm_persist_lines_total",
             "Persisted cache lines read at start, by result (loaded/refused).",
-            &borrowed,
+            PERSIST_RESULT_NAMES
+                .iter()
+                .zip(&self.persist_lines)
+                .map(|(name, v)| ([("result", *name)], v.load(Ordering::Relaxed) as f64)),
         );
         let peer_forwards = self
             .peer_forwards
@@ -708,18 +671,12 @@ impl Telemetry {
             .expect("peer forwards poisoned")
             .clone();
         if !peer_forwards.is_empty() {
-            let series: Vec<(Vec<(&str, &str)>, f64)> = peer_forwards
-                .iter()
-                .map(|(peer, count)| (vec![("peer", peer.as_str())], *count as f64))
-                .collect();
-            let borrowed: Vec<(&[(&str, &str)], f64)> = series
-                .iter()
-                .map(|(labels, v)| (labels.as_slice(), *v))
-                .collect();
             prom.counter(
                 "samm_peer_forwards_total",
                 "Requests forwarded, by destination peer.",
-                &borrowed,
+                peer_forwards
+                    .iter()
+                    .map(|(peer, count)| ([("peer", peer.as_str())], *count as f64)),
             );
         }
 
@@ -727,68 +684,47 @@ impl Telemetry {
         let loops = self.loops.lock().expect("loop gauges poisoned").clone();
         if !loops.is_empty() {
             let loop_labels: Vec<String> = (0..loops.len()).map(|i| i.to_string()).collect();
-            for (name, help, pick, counter) in [
-                (
-                    "samm_loop_connections",
-                    "Open connections, by event loop.",
-                    (|g: &LoopGauges| g.connections.load(Ordering::Relaxed))
-                        as fn(&LoopGauges) -> u64,
-                    false,
-                ),
-                (
-                    "samm_loop_inflight",
-                    "Requests dispatched and not yet answered, by event loop.",
-                    |g: &LoopGauges| g.inflight.load(Ordering::Relaxed),
-                    false,
-                ),
-                (
-                    "samm_loop_answered_total",
-                    "Cache hits the event loop answered itself, by event loop.",
-                    |g: &LoopGauges| g.answered.load(Ordering::Relaxed),
-                    true,
-                ),
-            ] {
-                let series: Vec<(Vec<(&str, &str)>, f64)> = loop_labels
-                    .iter()
-                    .zip(&loops)
-                    .map(|(label, gauges)| (vec![("loop", label.as_str())], pick(gauges) as f64))
-                    .collect();
-                let borrowed: Vec<(&[(&str, &str)], f64)> = series
-                    .iter()
-                    .map(|(labels, v)| (labels.as_slice(), *v))
-                    .collect();
-                if counter {
-                    prom.counter(name, help, &borrowed);
-                } else {
-                    prom.gauge(name, help, &borrowed);
-                }
-            }
+            let by_loop = |pick: fn(&LoopGauges) -> &AtomicU64| {
+                loop_labels.iter().zip(&loops).map(move |(label, gauges)| {
+                    (
+                        [("loop", label.as_str())],
+                        pick(gauges).load(Ordering::Relaxed) as f64,
+                    )
+                })
+            };
+            prom.gauge(
+                "samm_loop_connections",
+                "Open connections, by event loop.",
+                by_loop(|g| &g.connections),
+            );
+            prom.gauge(
+                "samm_loop_inflight",
+                "Requests dispatched and not yet answered, by event loop.",
+                by_loop(|g| &g.inflight),
+            );
+            prom.counter(
+                "samm_loop_answered_total",
+                "Cache hits the event loop answered itself, by event loop.",
+                by_loop(|g| &g.answered),
+            );
         }
 
         // Fleet view (absent until the first metrics_cluster fan-out).
         let fleet = self.fleet.lock().expect("fleet poisoned").clone();
         if !fleet.is_empty() {
-            let up: Vec<(Vec<(&str, &str)>, f64)> = fleet
-                .iter()
-                .map(|(node, s)| (vec![("node", node.as_str())], if s.up { 1.0 } else { 0.0 }))
-                .collect();
-            let borrowed: Vec<(&[(&str, &str)], f64)> =
-                up.iter().map(|(l, v)| (l.as_slice(), *v)).collect();
             prom.gauge(
                 "samm_fleet_node_up",
                 "Whether the node answered the last metrics_cluster fan-out.",
-                &borrowed,
+                fleet
+                    .iter()
+                    .map(|(node, s)| ([("node", node.as_str())], if s.up { 1.0 } else { 0.0 })),
             );
-            let requests: Vec<(Vec<(&str, &str)>, f64)> = fleet
-                .iter()
-                .map(|(node, s)| (vec![("node", node.as_str())], s.requests as f64))
-                .collect();
-            let borrowed: Vec<(&[(&str, &str)], f64)> =
-                requests.iter().map(|(l, v)| (l.as_slice(), *v)).collect();
             prom.gauge(
                 "samm_fleet_node_requests",
                 "Requests each node reported in the last metrics_cluster fan-out.",
-                &borrowed,
+                fleet
+                    .iter()
+                    .map(|(node, s)| ([("node", node.as_str())], s.requests as f64)),
             );
         }
 
@@ -797,21 +733,15 @@ impl Telemetry {
             prom.gauge(
                 "samm_cluster_self_info",
                 "This node's id (always 1; the id is the label).",
-                &[(&[("node", snapshot.self_id.as_str())], 1.0)],
+                [([("node", snapshot.self_id.as_str())], 1.0)],
             );
-            let series: Vec<(Vec<(&str, &str)>, f64)> = snapshot
-                .nodes
-                .iter()
-                .map(|(id, alive)| (vec![("node", id.as_str())], if *alive { 1.0 } else { 0.0 }))
-                .collect();
-            let borrowed: Vec<(&[(&str, &str)], f64)> = series
-                .iter()
-                .map(|(labels, v)| (labels.as_slice(), *v))
-                .collect();
             prom.gauge(
                 "samm_cluster_node_up",
                 "Cluster member liveness under this node's view (1 = alive).",
-                &borrowed,
+                snapshot
+                    .nodes
+                    .iter()
+                    .map(|(id, alive)| ([("node", id.as_str())], if *alive { 1.0 } else { 0.0 })),
             );
         }
 
@@ -819,65 +749,55 @@ impl Telemetry {
         prom.counter(
             "samm_closure_rule_applications_total",
             "Store Atomicity closure-rule edge insertions (paper Figure 6), by rule.",
-            &[
-                (&[("rule", "a")], obs.rule_a as f64),
-                (&[("rule", "b")], obs.rule_b as f64),
-                (&[("rule", "c")], obs.rule_c as f64),
+            [
+                ([("rule", "a")], obs.rule_a as f64),
+                ([("rule", "b")], obs.rule_b as f64),
+                ([("rule", "c")], obs.rule_c as f64),
             ],
         );
         prom.counter(
             "samm_closure_rounds_total",
             "Store Atomicity fixpoint rounds across fresh enumerations.",
-            &[(&[], obs.closure_rounds as f64)],
+            [([], obs.closure_rounds as f64)],
         );
         prom.counter(
             "samm_candidate_calls_total",
             "candidates(L) queries across fresh enumerations.",
-            &[(&[], obs.candidate_calls as f64)],
+            [([], obs.candidate_calls as f64)],
         );
         prom.counter(
             "samm_candidate_stores_total",
             "Candidate stores returned across fresh enumerations.",
-            &[(&[], obs.candidate_stores as f64)],
+            [([], obs.candidate_stores as f64)],
         );
         prom.counter(
             "samm_enum_explored_total",
             "Behaviours explored by fresh enumerations.",
-            &[(&[], self.enum_explored.load(Ordering::Relaxed) as f64)],
+            [([], self.enum_explored.load(Ordering::Relaxed) as f64)],
         );
         prom.counter(
             "samm_enum_forks_total",
             "Forks attempted by fresh enumerations.",
-            &[(&[], self.enum_forks.load(Ordering::Relaxed) as f64)],
+            [([], self.enum_forks.load(Ordering::Relaxed) as f64)],
         );
         prom.counter(
             "samm_enum_deduped_total",
             "Forks discarded as duplicates by fresh enumerations.",
-            &[(&[], self.enum_deduped.load(Ordering::Relaxed) as f64)],
+            [([], self.enum_deduped.load(Ordering::Relaxed) as f64)],
         );
 
         prom.counter(
             "samm_robust_verdicts_total",
             "Delay-set robustness verdicts answered by certify requests, by verdict.",
-            &[
-                (
-                    &[("verdict", "robust")],
-                    self.robust_verdicts[0].load(Ordering::Relaxed) as f64,
-                ),
-                (
-                    &[("verdict", "cycle")],
-                    self.robust_verdicts[1].load(Ordering::Relaxed) as f64,
-                ),
-                (
-                    &[("verdict", "unknown")],
-                    self.robust_verdicts[2].load(Ordering::Relaxed) as f64,
-                ),
-            ],
+            ROBUST_VERDICT_NAMES
+                .iter()
+                .zip(&self.robust_verdicts)
+                .map(|(verdict, n)| ([("verdict", *verdict)], n.load(Ordering::Relaxed) as f64)),
         );
         prom.counter(
             "samm_slow_queries_total",
             "Requests at or over the slow-query threshold.",
-            &[(&[], self.slow_total.load(Ordering::Relaxed) as f64)],
+            [([], self.slow_total.load(Ordering::Relaxed) as f64)],
         );
         let last = self
             .last_slow_id
@@ -888,7 +808,7 @@ impl Telemetry {
         prom.gauge(
             "samm_slow_last_request_info",
             "Id of the most recent slow query (always 1; the id is the label).",
-            &[(&[("id", last.as_str())], 1.0)],
+            [([("id", last.as_str())], 1.0)],
         );
         prom.render()
     }
@@ -1141,7 +1061,7 @@ mod tests {
         use samm_core::cache::EnumCache;
 
         let (telemetry, ring) = ring_telemetry(Duration::ZERO);
-        let state = ServerState::with_telemetry(EnumCache::new(64), None, telemetry, true);
+        let state = ServerState::with_telemetry(EnumCache::new(64), None, telemetry);
         let envelope = crate::protocol::parse_envelope(
             r#"{"kind":"batch","id":"b1","requests":[
                 {"kind":"enumerate","test":"SB","model":"TSO"},

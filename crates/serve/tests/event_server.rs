@@ -2,19 +2,19 @@
 //! loopback sockets: pipelining with out-of-order responses matched by
 //! id, cache hits answered on the loop without overtaking queued work,
 //! the `batch` request kind over the wire, graceful drain, cache
-//! persistence, the connection limit, both poller backends, and lines
-//! that are not UTF-8.
+//! persistence, the connection limit, many connections over several
+//! loops, running out of file descriptors, and lines that are not UTF-8.
 
 #![cfg(unix)]
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 use samm_serve::client::Client;
 use samm_serve::json::{self, Json};
-use samm_serve::sys::PollerKind;
 use samm_serve::{start, ServerConfig};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -244,16 +244,31 @@ fn version_1_persist_lines_are_refused_and_counted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The `samm_loop_connections` sample of every loop, scraped over HTTP
+/// so the scrape itself holds no loop connection.
+fn loop_connections(prom: SocketAddr) -> Vec<u64> {
+    let mut stream = TcpStream::connect(prom).unwrap();
+    stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+    stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    raw.lines()
+        .filter_map(|line| line.strip_prefix("samm_loop_connections{"))
+        .map(|rest| rest.rsplit(' ').next().unwrap().parse().unwrap())
+        .collect()
+}
+
 #[test]
-fn poll_backend_and_multiple_loops_serve_correctly() {
+fn many_connections_over_two_loops_are_served_and_released() {
     let handle = start(ServerConfig {
         event_loops: 2,
-        poller: PollerKind::Poll,
+        prom_addr: Some("127.0.0.1:0".to_owned()),
         ..test_config()
     })
     .unwrap();
-    // Several connections so both loops own some.
-    let mut clients: Vec<Client> = (0..4)
+    let prom = handle.prom_addr().unwrap();
+    // Enough connections that each loop's poll set holds a hundred.
+    let mut clients: Vec<Client> = (0..200)
         .map(|_| Client::connect(handle.addr(), TIMEOUT).unwrap())
         .collect();
     for (i, client) in clients.iter_mut().enumerate() {
@@ -261,14 +276,82 @@ fn poll_backend_and_multiple_loops_serve_correctly() {
             .request_raw(r#"{"kind":"enumerate","test":"SB","model":"TSO"}"#)
             .unwrap();
         assert!(ok(&response), "client {i}: {response}");
+        // The first answer warmed the shared cache for everyone.
+        if i > 0 {
+            assert_eq!(
+                response.get("cache_hit").and_then(Json::as_bool),
+                Some(true),
+                "client {i}"
+            );
+        }
     }
-    // The first answer warmed the shared cache for everyone.
-    let warm = clients[3]
-        .request_raw(r#"{"kind":"enumerate","test":"SB","model":"TSO"}"#)
-        .unwrap();
-    assert_eq!(warm.get("cache_hit").and_then(Json::as_bool), Some(true));
+    assert_eq!(loop_connections(prom), [100, 100]);
     drop(clients);
+    // Every registration goes when its client does.
+    let deadline = Instant::now() + TIMEOUT;
+    loop {
+        let open = loop_connections(prom);
+        if open == [0, 0] {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "connections still open: {open:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
     handle.shutdown().unwrap();
+}
+
+/// Kills the child process when dropped, so a failing test leaves no
+/// server behind.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// A server out of file descriptors keeps serving the connections it
+/// has: an `accept` failing with `EMFILE` pauses the accept path until
+/// the next tick instead of retrying at once, and a new connection is
+/// served once descriptors are free again.
+#[test]
+fn running_out_of_descriptors_does_not_stall_open_connections() {
+    let child = Command::new("sh")
+        .arg("-c")
+        .arg(r#"ulimit -n 64 && exec "$0" --addr 127.0.0.1:0 --workers 1"#)
+        .arg(env!("CARGO_BIN_EXE_samm-serve"))
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut server = KillOnDrop(child);
+    let mut stdout = BufReader::new(server.0.stdout.take().unwrap());
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).unwrap();
+    let addr: SocketAddr = banner
+        .strip_prefix("listening on ")
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|addr| addr.parse().ok())
+        .unwrap_or_else(|| panic!("no address in {banner:?}"));
+
+    let mut first = RawConn::connect(addr);
+    assert!(ok(&first.request(&enumerate_line("SB", "TSO", "a"))));
+    // More connections than the server has descriptors left: the
+    // kernel completes them all, the server can accept only some.
+    let flood: Vec<TcpStream> = (0..100)
+        .map(|_| TcpStream::connect_timeout(&addr, TIMEOUT).unwrap())
+        .collect();
+    let answer = first.request(&enumerate_line("SB", "TSO", "b"));
+    assert!(ok(&answer), "{answer}");
+    drop(flood);
+    let mut late = RawConn::connect(addr);
+    let answer = late.request(&enumerate_line("MP", "TSO", "c"));
+    assert!(ok(&answer), "{answer}");
 }
 
 #[test]

@@ -352,3 +352,43 @@ fn docs_metric_table_matches_the_prom_exposition() {
         "emitted by render_prom but missing from the SERVICE.md table: {undocumented:?}"
     );
 }
+
+/// The `--flags` named in `text`.
+fn flags(text: &str) -> std::collections::BTreeSet<String> {
+    text.split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+        .filter(|word| word.starts_with("--"))
+        .map(|word| {
+            let end = word[2..]
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .map_or(word.len(), |i| i + 2);
+            word[..end].to_owned()
+        })
+        .collect()
+}
+
+/// The command-line block of `docs/SERVICE.md` names exactly the flags
+/// `samm-serve --help` prints.
+#[test]
+fn docs_flags_match_the_help_output() {
+    let help = std::process::Command::new(env!("CARGO_BIN_EXE_samm-serve"))
+        .arg("--help")
+        .output()
+        .expect("samm-serve runs");
+    assert_eq!(help.status.code(), Some(2));
+    let printed = flags(&String::from_utf8_lossy(&help.stderr));
+
+    let doc = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../docs/SERVICE.md"
+    ))
+    .expect("docs/SERVICE.md is readable");
+    let block = doc
+        .split("```text\n")
+        .find(|block| block.starts_with("samm-serve ["))
+        .and_then(|block| block.split("```").next())
+        .expect("SERVICE.md has a samm-serve command-line block");
+    let documented = flags(block);
+
+    assert!(printed.len() >= 10, "too few flags in --help: {printed:?}");
+    assert_eq!(documented, printed);
+}
