@@ -28,6 +28,7 @@ use samm_core::cache::{cached_enumerate, EnumCache};
 use samm_core::dot::{render, DotOptions};
 use samm_core::enumerate::EnumConfig;
 use samm_core::explain::{find_witness, refute, Goal, Refutation, RefuteOutcome};
+use samm_core::obs::Observe;
 use samm_core::pruned::enumerate_pruned;
 use samm_litmus::catalog::{self, CatalogEntry, ModelSel};
 
@@ -236,7 +237,7 @@ fn main() -> ExitCode {
     if args.stats {
         println!();
         let observed = EnumConfig {
-            observe: true,
+            observe: Observe::Timed,
             ..config.clone()
         };
         for model in entry.models() {

@@ -67,8 +67,8 @@ pub fn enforce(graph: &mut ExecutionGraph) -> Result<usize, CycleError> {
 }
 
 /// [`enforce`] with optional instrumentation: when `obs` is present, the
-/// per-rule edge counters, the fixpoint round count, and the closure
-/// wall-clock are accumulated into it.
+/// per-rule edge counters and the fixpoint round count are accumulated
+/// into it, and the closure wall-clock too when its timers are on.
 ///
 /// # Errors
 ///
@@ -80,7 +80,7 @@ pub fn enforce_observed(
     SCRATCH.with(|cell| {
         let mut borrow = cell.borrow_mut();
         let scratch = &mut *borrow;
-        let start = obs.map(|_| Instant::now());
+        let start = obs.filter(|o| o.is_timed()).map(|_| Instant::now());
 
         // Snapshots that are invariant across rounds: the closure only adds
         // `@` edges, never nodes or resolutions, so the resolved loads and

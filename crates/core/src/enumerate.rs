@@ -21,7 +21,7 @@ use std::sync::Arc;
 use crate::error::EnumError;
 use crate::exec::{Behavior, StepError};
 use crate::instr::Program;
-use crate::obs::{Obs, ObsStats};
+use crate::obs::{Obs, ObsStats, Observe};
 use crate::outcome::OutcomeSet;
 use crate::policy::Policy;
 
@@ -39,11 +39,20 @@ pub struct EnumConfig {
     /// Keep the complete [`Behavior`]s in the result (disable to save
     /// memory when only outcomes matter).
     pub keep_executions: bool,
-    /// Collect [`crate::obs`] instrumentation (closure-rule counters and
-    /// per-phase timings) into [`EnumStats::obs`]. Off by default; when
-    /// off every instrumentation site is a single null check (experiment
-    /// E19 measures the overhead of both settings).
-    pub observe: bool,
+    /// How much [`crate::obs`] instrumentation to collect into
+    /// [`EnumStats::obs`], at one of three levels:
+    ///
+    /// * [`Observe::Off`] (the default): no snapshot, and every
+    ///   instrumentation site is a single null check;
+    /// * [`Observe::Count`]: the closure-rule and candidate counters,
+    ///   with no clock read and every `*_nanos` timing 0;
+    /// * [`Observe::Timed`]: the same counters plus the closure, settle
+    ///   and resolve timings, for callers that read them.
+    ///
+    /// Only whether the counters are on enters the fingerprint, so one
+    /// cache entry serves counted and timed queries alike. Experiment
+    /// E19 measures the overhead of each level.
+    pub observe: Observe,
     /// Per-request fork fuel: the enumeration aborts with
     /// [`EnumError::Overbudget`] once it has attempted this many
     /// `(load, candidate)` forks. `None` (the default) means unlimited.
@@ -58,7 +67,7 @@ impl Default for EnumConfig {
             max_nodes_per_thread: 256,
             dedup: true,
             keep_executions: true,
-            observe: false,
+            observe: Observe::Off,
             budget: None,
         }
     }
@@ -71,11 +80,12 @@ impl EnumConfig {
     ///
     /// ```
     /// use samm_core::enumerate::EnumConfig;
+    /// use samm_core::obs::Observe;
     /// let config = EnumConfig::builder()
     ///     .observe(true)
     ///     .budget(10_000)
     ///     .build();
-    /// assert!(config.observe);
+    /// assert_eq!(config.observe, Observe::Timed);
     /// assert_eq!(config.budget, Some(10_000));
     /// ```
     pub fn builder() -> EnumConfigBuilder {
@@ -124,10 +134,12 @@ impl EnumConfigBuilder {
         self
     }
 
-    /// Sets [`EnumConfig::observe`].
+    /// Sets [`EnumConfig::observe`]: an [`Observe`] level, or a `bool`
+    /// where `true` is [`Observe::Timed`] and `false` is
+    /// [`Observe::Off`].
     #[must_use]
-    pub fn observe(mut self, enabled: bool) -> Self {
-        self.config.observe = enabled;
+    pub fn observe(mut self, level: impl Into<Observe>) -> Self {
+        self.config.observe = level.into();
         self
     }
 
@@ -162,9 +174,10 @@ pub struct EnumStats {
     pub distinct_executions: usize,
     /// Largest node count of any behaviour's graph.
     pub max_graph_nodes: usize,
-    /// Instrumentation snapshot, present when [`EnumConfig::observe`] was
-    /// set. Counter fields are deterministic; `*_nanos` timings are not
-    /// (compare via [`ObsStats::counters`]).
+    /// Instrumentation snapshot, present when [`EnumConfig::observe`]
+    /// counts. Counter fields are deterministic; `*_nanos` timings are
+    /// not, and are 0 unless the run was [`Observe::Timed`] (compare via
+    /// [`ObsStats::counters`]).
     pub obs: Option<ObsStats>,
 }
 
@@ -200,14 +213,19 @@ pub struct EnumResult {
 }
 
 /// Settles the initial behaviour of `program`, with a fresh
-/// instrumentation block attached when [`EnumConfig::observe`] is set.
-/// Shared by both engines.
+/// instrumentation block attached when [`EnumConfig::observe`] counts
+/// (its timers on when it is [`Observe::Timed`]). Shared by both
+/// engines.
 pub(crate) fn settled_root(
     program: &Program,
     policy: &Policy,
     config: &EnumConfig,
 ) -> Result<(Behavior, Option<Arc<Obs>>), EnumError> {
-    let obs = config.observe.then(|| Arc::new(Obs::new()));
+    let obs = match config.observe {
+        Observe::Off => None,
+        Observe::Count => Some(Arc::new(Obs::new())),
+        Observe::Timed => Some(Arc::new(Obs::timed())),
+    };
     let mut root = Behavior::new(program);
     if let Some(obs) = &obs {
         root.enable_obs(Arc::clone(obs));
@@ -701,10 +719,17 @@ mod tests {
             max_nodes_per_thread: 9,
             dedup: false,
             keep_executions: false,
-            observe: true,
+            observe: Observe::Timed,
             budget: Some(5),
         };
         assert_eq!(config, expected);
+        assert_eq!(
+            EnumConfig::builder()
+                .observe(Observe::Count)
+                .build()
+                .observe,
+            Observe::Count
+        );
         assert_eq!(EnumConfig::builder().build(), EnumConfig::default());
         // budget() also accepts a bare integer.
         assert_eq!(EnumConfig::builder().budget(7u64).build().budget, Some(7));

@@ -674,7 +674,7 @@ impl Behavior {
         policy: &Policy,
         max_nodes_per_thread: u32,
     ) -> Result<(), StepError> {
-        let start = self.obs.as_ref().map(|o| o.start_phase());
+        let start = self.obs.as_ref().and_then(|o| o.start_phase());
         let result = self.settle_inner(program, policy, max_nodes_per_thread);
         if let (Some(start), Some(o)) = (start, &self.obs) {
             o.end_phase(&o.settle_nanos, start);
@@ -941,7 +941,7 @@ impl Behavior {
     /// store), under speculation it triggers rollback. The behaviour must
     /// be discarded in that case.
     pub fn resolve_load(&mut self, load: NodeId, store: NodeId) -> Result<(), StepError> {
-        let start = self.obs.as_ref().map(|o| o.start_phase());
+        let start = self.obs.as_ref().and_then(|o| o.start_phase());
         let result = self.resolve_load_inner(load, store);
         if let (Some(start), Some(o)) = (start, &self.obs) {
             o.end_phase(&o.resolve_nanos, start);

@@ -23,14 +23,17 @@
 //!   it. Policies with equal views run the same search step for step
 //!   and give the same outcomes and deterministic statistics, so they
 //!   share one entry. The display name never takes part;
-//! * of the **configuration**, only `dedup`, `observe`,
+//! * of the **configuration**, only `dedup`, whether `observe` counts,
 //!   `max_behaviors` and `max_nodes_per_thread` participate. `dedup`
-//!   and `observe` change the reported statistics (explored/deduped
+//!   and the counters change the reported statistics (explored/deduped
 //!   counts, presence of [`ObsStats`](crate::obs::ObsStats)); the two
-//!   limits are included conservatively. `keep_executions` never
-//!   changes a successful answer, and `budget` is a per-request fuel
-//!   allowance, not part of the answer — a cache hit costs no fuel (see
-//!   [`crate::cache`]).
+//!   limits are included conservatively. Whether a counting run also
+//!   reads the clock never changes a cached answer, whose timings are
+//!   zeroed, so [`Observe::Count`](crate::obs::Observe::Count) and
+//!   [`Observe::Timed`](crate::obs::Observe::Timed) share a key.
+//!   `keep_executions` never changes a successful answer, and `budget`
+//!   is a per-request fuel allowance, not part of the answer — a cache
+//!   hit costs no fuel (see [`crate::cache`]).
 //!
 //! A view is only meaningful beside its program, which is why the
 //! program is always hashed in with it.
@@ -294,7 +297,7 @@ pub fn write_view(h: &mut FingerprintHasher, view: &TableView) {
 /// docs for which fields participate and why).
 pub fn write_config(h: &mut FingerprintHasher, config: &EnumConfig) {
     h.write_u8(u8::from(config.dedup));
-    h.write_u8(u8::from(config.observe));
+    h.write_u8(u8::from(config.observe.counts()));
     h.write_usize(config.max_behaviors);
     h.write_u64(u64::from(config.max_nodes_per_thread));
 }
@@ -323,6 +326,7 @@ mod tests {
     use super::*;
     use crate::ids::Reg;
     use crate::instr::{Program, ThreadProgram};
+    use crate::obs::Observe;
 
     fn sb() -> Program {
         let t = |a: u64, b: u64| {
@@ -457,8 +461,11 @@ mod tests {
         same.budget = Some(42);
         assert_eq!(fp, query_fingerprint(&sb(), &Policy::weak(), &same));
         let mut diff = base.clone();
-        diff.observe = true;
-        assert_ne!(fp, query_fingerprint(&sb(), &Policy::weak(), &diff));
+        diff.observe = Observe::Timed;
+        let timed = query_fingerprint(&sb(), &Policy::weak(), &diff);
+        assert_ne!(fp, timed);
+        diff.observe = Observe::Count;
+        assert_eq!(timed, query_fingerprint(&sb(), &Policy::weak(), &diff));
         let mut diff = base.clone();
         diff.dedup = false;
         assert_ne!(fp, query_fingerprint(&sb(), &Policy::weak(), &diff));

@@ -4,10 +4,22 @@
 //! *how much work* finding them took. [`Obs`] is a block of relaxed
 //! atomic counters shared (via `Arc`) by every fork of a
 //! [`crate::exec::Behavior`]. It counts closure-rule applications by
-//! rule (a/b/c of the paper's Figure 6), closure rounds, `candidates(L)`
-//! queries, and accumulates wall-clock nanos per enumeration phase.
-//! Disabled (`Option::None`) it costs one pointer-null check per site —
-//! see experiment E19 for the measured overhead.
+//! rule (a/b/c of the paper's Figure 6), closure rounds and
+//! `candidates(L)` queries, and, when timed, accumulates wall-clock
+//! nanos per enumeration phase.
+//!
+//! [`Observe`] sets the level a run collects
+//! ([`crate::enumerate::EnumConfig::observe`]):
+//!
+//! * [`Observe::Off`] attaches no block: every site is one pointer-null
+//!   check;
+//! * [`Observe::Count`] keeps the counters and reads no clock: a phase
+//!   site costs one more branch on the block's timing switch;
+//! * [`Observe::Timed`] also reads the clock around the closure, settle
+//!   and resolve phases, about eight reads per fork.
+//!
+//! The counters are the same at both enabled levels. Experiment E19
+//! measures the cost of each level.
 //!
 //! There is no engine event stream. *Which* `(load, store)` resolutions
 //! produced a behaviour is answered by the pruned stream's path table
@@ -21,6 +33,37 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// How much instrumentation a run collects.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum Observe {
+    /// None: [`crate::enumerate::EnumStats::obs`] stays `None`.
+    #[default]
+    Off,
+    /// The counters, with every `*_nanos` timing left at 0.
+    Count,
+    /// The counters and the per-phase wall-clock timings.
+    Timed,
+}
+
+impl Observe {
+    /// Whether the run keeps the counters (and so reports an
+    /// [`ObsStats`]).
+    pub fn counts(self) -> bool {
+        self != Observe::Off
+    }
+}
+
+/// `true` is [`Observe::Timed`], `false` is [`Observe::Off`].
+impl From<bool> for Observe {
+    fn from(enabled: bool) -> Self {
+        if enabled {
+            Observe::Timed
+        } else {
+            Observe::Off
+        }
+    }
+}
 
 /// Live atomic counters, shared by every fork of an instrumented
 /// enumeration. All updates use [`Ordering::Relaxed`]: the counters are
@@ -48,12 +91,28 @@ pub struct Obs {
     /// Nanoseconds inside [`crate::exec::Behavior::resolve_load`],
     /// excluding the closure time of the calls it makes.
     pub resolve_nanos: AtomicU64,
+    /// Whether the phase sites read the clock.
+    timed: bool,
 }
 
 impl Obs {
-    /// Fresh zeroed counters.
+    /// Fresh zeroed counters that read no clock.
     pub fn new() -> Self {
         Obs::default()
+    }
+
+    /// Fresh zeroed counters with the phase timers on.
+    pub fn timed() -> Self {
+        Obs {
+            timed: true,
+            ..Obs::default()
+        }
+    }
+
+    /// Whether the phase timers are on.
+    #[inline]
+    pub fn is_timed(&self) -> bool {
+        self.timed
     }
 
     /// Adds `n` to a counter.
@@ -74,9 +133,12 @@ impl Obs {
     }
 
     /// Starts timing a phase that may run the closure: the clock and
-    /// the closure time recorded so far. Pair with [`Obs::end_phase`].
-    pub fn start_phase(&self) -> (Instant, u64) {
-        (Instant::now(), self.closure_nanos.load(Ordering::Relaxed))
+    /// the closure time recorded so far, or `None` without reading the
+    /// clock when the timers are off. Pair with [`Obs::end_phase`].
+    #[inline]
+    pub fn start_phase(&self) -> Option<(Instant, u64)> {
+        self.timed
+            .then(|| (Instant::now(), self.closure_nanos.load(Ordering::Relaxed)))
     }
 
     /// Adds the time since `start` to `counter`, less the closure time
@@ -110,8 +172,9 @@ impl Obs {
 ///
 /// The counter fields are deterministic for a fixed program/policy/config
 /// (both engines apply the same closure to the same fork set); the
-/// `*_nanos` timings are wall-clock and vary run to run. The three
-/// timings are disjoint, so their sum never exceeds the run's wall time.
+/// `*_nanos` timings are wall-clock and vary run to run, and are 0 on
+/// an [`Observe::Count`] run. The three timings are disjoint, so their
+/// sum never exceeds the run's wall time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObsStats {
     /// Rule-a edge insertions.
@@ -205,6 +268,22 @@ mod tests {
         assert_eq!(snap.rule_c, 1);
         assert_eq!(snap.rule_edges(), 3);
         assert_eq!(snap.closure_rounds, 3);
+    }
+
+    #[test]
+    fn only_a_timed_block_reads_the_clock() {
+        let counted = Obs::new();
+        assert!(!counted.is_timed());
+        assert!(counted.start_phase().is_none());
+        let timed = Obs::timed();
+        assert!(timed.is_timed());
+        let start = timed.start_phase().expect("a timed block starts phases");
+        timed.end_phase(&timed.settle_nanos, start);
+        assert_eq!(timed.snapshot().closure_nanos, 0);
+        assert!(Observe::Timed.counts() && Observe::Count.counts());
+        assert!(!Observe::Off.counts());
+        assert_eq!(Observe::from(true), Observe::Timed);
+        assert_eq!(Observe::from(false), Observe::Off);
     }
 
     #[test]

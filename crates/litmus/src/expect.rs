@@ -15,9 +15,12 @@
 //! so the later ones reuse the first one's answer (a certified model
 //! runs as SC). Runs are keyed by
 //! [`view_fingerprint`], the cache's own key, so a cached harness makes
-//! one cache lookup per view.
+//! one cache lookup per view. Which model is certified, and each run's
+//! policy and key, form the entry's [`VerdictPlan`]: every entry point
+//! builds one and runs it, and a caller that answers the same entry
+//! repeatedly can build it once ([`run_entry_planned`]).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -149,6 +152,73 @@ impl fmt::Display for EntryReport {
     }
 }
 
+/// The static facts behind one entry's verdicts: for each model its
+/// verdicts mention, whether the certifier proves it SC-equivalent, and
+/// the policy and view fingerprint of the run that answers it (SC's for
+/// a certified model).
+///
+/// A plan is a pure function of a fixed program, the certifier and the
+/// fingerprinted fields of the configuration (never the budget), and it
+/// holds no outcome. A server can therefore build each entry's plan once
+/// and run it for every verdict request ([`run_entry_planned`]); the
+/// other harness entry points build a plan and run it on the spot.
+#[derive(Debug, Clone)]
+pub struct VerdictPlan {
+    /// One row per model, in [`CatalogEntry::models`] order.
+    pub rows: Vec<PlanRow>,
+}
+
+/// One model's row of a [`VerdictPlan`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanRow {
+    /// The model a verdict names.
+    pub model: ModelSel,
+    /// The certifier proved the model SC-equivalent, so the SC run
+    /// answers it.
+    pub certified: bool,
+    /// The policy the answering run enumerates under.
+    pub policy: Policy,
+    /// The answering run's [`view_fingerprint`]: its cache key.
+    pub fp: Fingerprint,
+}
+
+impl VerdictPlan {
+    /// Plans `entry` under `config`, asking `certifier` (when given)
+    /// about every model but SC.
+    pub fn new(
+        entry: &CatalogEntry,
+        config: &EnumConfig,
+        certifier: Option<Certifier<'_>>,
+    ) -> VerdictPlan {
+        let program = &entry.test.program;
+        let events: Vec<ThreadEvents> = program.threads().iter().map(thread_events).collect();
+        let rows = entry
+            .models()
+            .into_iter()
+            .map(|model| {
+                let certified =
+                    model != ModelSel::Sc && certifier.is_some_and(|c| c(program, &model.policy()));
+                let policy = if certified { ModelSel::Sc } else { model }.policy();
+                let view = TableView::from_events(&events, &policy);
+                PlanRow {
+                    model,
+                    certified,
+                    fp: view_fingerprint(program, &view, config),
+                    policy,
+                }
+            })
+            .collect();
+        VerdictPlan { rows }
+    }
+
+    fn row(&self, model: ModelSel) -> &PlanRow {
+        self.rows
+            .iter()
+            .find(|row| row.model == model)
+            .expect("a plan has a row for every model its entry's verdicts name")
+    }
+}
+
 /// Runs one catalog entry: enumerates under each referenced model and
 /// evaluates every verdict.
 ///
@@ -156,7 +226,8 @@ impl fmt::Display for EntryReport {
 ///
 /// Propagates enumeration failures.
 pub fn run_entry(entry: &CatalogEntry, config: &EnumConfig) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate_pruned, None, None)
+    let plan = VerdictPlan::new(entry, config, None);
+    run_entry_with(entry, &plan, config, enumerate_pruned, None)
 }
 
 /// Like [`run_entry`], but enumerating with the serial oracle
@@ -172,7 +243,8 @@ pub fn run_entry_serial(
     entry: &CatalogEntry,
     config: &EnumConfig,
 ) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate, None, None)
+    let plan = VerdictPlan::new(entry, config, None);
+    run_entry_with(entry, &plan, config, enumerate, None)
 }
 
 /// Like [`run_entry`], but consulting `certifier` before enumerating
@@ -193,13 +265,25 @@ pub fn run_entry_cached(
     cache: &EnumCache,
     certifier: Certifier<'_>,
 ) -> Result<EntryReport, EnumError> {
-    run_entry_with(
-        entry,
-        config,
-        enumerate_pruned,
-        Some(certifier),
-        Some(cache),
-    )
+    let plan = VerdictPlan::new(entry, config, Some(certifier));
+    run_entry_planned(entry, &plan, config, cache)
+}
+
+/// Runs `plan`, built for `entry` by [`VerdictPlan::new`], as
+/// [`run_entry_cached`] runs the plan it builds. `config` may differ
+/// from the plan's only in fields the fingerprint leaves out, such as
+/// the budget or whether a counting run is timed.
+///
+/// # Errors
+///
+/// Propagates enumeration failures (which are never cached).
+pub fn run_entry_planned(
+    entry: &CatalogEntry,
+    plan: &VerdictPlan,
+    config: &EnumConfig,
+    cache: &EnumCache,
+) -> Result<EntryReport, EnumError> {
+    run_entry_with(entry, plan, config, enumerate_pruned, Some(cache))
 }
 
 /// Like [`run_entry`], but consulting `certifier` before enumerating
@@ -219,7 +303,8 @@ pub fn run_entry_certified(
     config: &EnumConfig,
     certifier: Certifier<'_>,
 ) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, config, enumerate_pruned, Some(certifier), None)
+    let plan = VerdictPlan::new(entry, config, Some(certifier));
+    run_entry_with(entry, &plan, config, enumerate_pruned, None)
 }
 
 /// The answer of one engine run, assembled by [`run_entry_with`].
@@ -232,9 +317,9 @@ struct RunAnswer {
 
 fn run_entry_with(
     entry: &CatalogEntry,
+    plan: &VerdictPlan,
     config: &EnumConfig,
     engine: Engine,
-    certifier: Option<Certifier<'_>>,
     cache: Option<&EnumCache>,
 ) -> Result<EntryReport, EnumError> {
     let program = &entry.test.program;
@@ -243,27 +328,17 @@ fn run_entry_with(
         keep_executions: false,
         ..config.clone()
     };
-    let events: Vec<ThreadEvents> = program.threads().iter().map(thread_events).collect();
-    // Per model: whether it is certified, and the view fingerprint of
-    // the run that answers it (SC's for a certified model).
-    let mut keys: BTreeMap<ModelSel, (bool, Fingerprint)> = BTreeMap::new();
     // One run per view fingerprint, even with a cache: a small cache may
     // evict a view between two models that share it.
     let mut runs: HashMap<Fingerprint, RunAnswer> = HashMap::new();
-    for model in entry.models() {
-        let certified =
-            model != ModelSel::Sc && certifier.is_some_and(|c| c(program, &model.policy()));
-        let policy = if certified { ModelSel::Sc } else { model }.policy();
-        let view = TableView::from_events(&events, &policy);
-        let fp = view_fingerprint(program, &view, config);
-        keys.insert(model, (certified, fp));
-        if runs.contains_key(&fp) {
+    for row in &plan.rows {
+        if runs.contains_key(&row.fp) {
             continue;
         }
         let mut ran = false;
         let mut fill = || -> Result<Arc<CachedResult>, EnumError> {
             ran = true;
-            let result = engine(program, &policy, &run_config)?;
+            let result = engine(program, &row.policy, &run_config)?;
             // Cache entries keep only deterministic statistics.
             Ok(Arc::new(match cache {
                 Some(_) => CachedResult::from_result(result),
@@ -272,13 +347,13 @@ fn run_entry_with(
         };
         let (result, cache_hit) = match cache {
             Some(cache) => {
-                let (result, lookup) = cache.get_or_fill(fp, fill)?;
+                let (result, lookup) = cache.get_or_fill(row.fp, fill)?;
                 (result, lookup.hit)
             }
             None => (fill()?, false),
         };
         runs.insert(
-            fp,
+            row.fp,
             RunAnswer {
                 result,
                 cache_hit,
@@ -295,7 +370,7 @@ fn run_entry_with(
         .verdicts
         .iter()
         .map(|v| {
-            let (certified, fp) = keys[&v.model];
+            let &PlanRow { certified, fp, .. } = plan.row(v.model);
             let answer = &runs[&fp];
             let condition = &entry.test.conditions[v.condition];
             VerdictRow {

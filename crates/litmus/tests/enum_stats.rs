@@ -1,18 +1,20 @@
 //! Checks for the enumeration instrumentation counters: they record
 //! the closure work they claim to, stay empty when observation is off,
-//! are bit-for-bit deterministic apart from timings, and the timings
-//! split a run into disjoint phases.
+//! are bit-for-bit deterministic apart from timings and the same with
+//! or without the clock, and the timings split a run into disjoint
+//! phases.
 
 use std::time::Instant;
 
 use samm_core::enumerate::{enumerate, EnumConfig};
+use samm_core::obs::Observe;
 use samm_core::pruned::enumerate_pruned;
 use samm_litmus::catalog::{self, ModelSel};
 
 fn observed_config() -> EnumConfig {
     EnumConfig {
         keep_executions: false,
-        observe: true,
+        observe: Observe::Timed,
         ..EnumConfig::default()
     }
 }
@@ -45,6 +47,48 @@ fn disabled_observation_leaves_obs_empty() {
     let sc = samm_litmus::catalog::ModelSel::Sc.policy();
     let result = enumerate(&entry.test.program, &sc, &config).expect("enumeration succeeds");
     assert!(result.stats.obs.is_none());
+}
+
+/// A count-only run keeps every counter a timed run keeps, on both
+/// engines and every catalog key, and reads no clock: all of its
+/// timings are 0.
+#[test]
+fn counted_runs_keep_the_timed_counters_without_timings() {
+    let counted = EnumConfig {
+        observe: Observe::Count,
+        ..observed_config()
+    };
+    let timed = observed_config();
+    let engines = [
+        ("pruned", enumerate_pruned as fn(&_, &_, &_) -> _),
+        ("serial", enumerate),
+    ];
+    for entry in catalog::all() {
+        for model in ModelSel::ALL {
+            let policy = model.policy();
+            for (name, engine) in engines {
+                let ctx = format!("{} / {} ({name})", entry.test.name, model.name());
+                let run = |config| {
+                    let result: samm_core::enumerate::EnumResult =
+                        engine(&entry.test.program, &policy, config)
+                            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    let mut stats = result.stats;
+                    let obs = stats.obs.take().expect("a counting run reports obs");
+                    (result.outcomes, stats, obs)
+                };
+                let (c_outcomes, c_stats, c_obs) = run(&counted);
+                let (t_outcomes, t_stats, t_obs) = run(&timed);
+                assert_eq!(c_outcomes, t_outcomes, "{ctx}: outcomes");
+                assert_eq!(c_stats, t_stats, "{ctx}: base stats");
+                assert_eq!(c_obs.counters(), t_obs.counters(), "{ctx}: counters");
+                assert_eq!(
+                    c_obs,
+                    c_obs.counters(),
+                    "{ctx}: a counted run read the clock"
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -38,7 +38,7 @@
 //! cache.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Read, Write};
+use std::io::{ErrorKind as IoErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -68,7 +68,9 @@ pub struct ServerConfig {
     /// Event-loop threads. Loop 0 also owns the listener.
     pub event_loops: usize,
     /// Open connections across all loops before new ones are rejected
-    /// with the structured `overloaded` error.
+    /// with the structured `overloaded` error. Defaults to the soft
+    /// open-files limit less a reserve of 32 descriptors, or 10,000
+    /// where the limit cannot be read.
     pub max_connections: usize,
     /// In-flight requests per connection before the loop stops reading
     /// that socket (pipelining backpressure).
@@ -111,7 +113,7 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 4,
             event_loops: 1,
-            max_connections: 10_000,
+            max_connections: default_max_connections(),
             max_pipeline: 64,
             read_timeout: Duration::from_secs(10),
             drain_deadline: Duration::from_secs(5),
@@ -126,6 +128,42 @@ impl Default for ServerConfig {
             trace_log_max_bytes: 64 * 1024 * 1024,
         }
     }
+}
+
+/// Descriptors kept back from the soft `RLIMIT_NOFILE` when the default
+/// connection cap is derived from it: standard streams, the listeners,
+/// wake pipes, scrape connections, the trace log, the persist file and
+/// peer pools, and the descriptor an over-capacity connection holds
+/// while it is told `overloaded`.
+const FD_RESERVE: usize = 32;
+/// The default connection cap where the descriptor limit is unknown.
+const FALLBACK_MAX_CONNECTIONS: usize = 10_000;
+
+/// The default connection cap: the soft open-files limit less
+/// `FD_RESERVE`, so a connection past the cap still finds a descriptor
+/// to be accepted with and is answered `overloaded` instead of waiting
+/// unanswered in the kernel's backlog. The limit is read from
+/// `/proc/self/limits`; where that file is absent or the limit is
+/// unlimited the cap is 10,000.
+fn default_max_connections() -> usize {
+    std::fs::read_to_string("/proc/self/limits")
+        .ok()
+        .and_then(|limits| soft_open_files(&limits))
+        .map_or(FALLBACK_MAX_CONNECTIONS, |soft| {
+            soft.saturating_sub(FD_RESERVE).max(1)
+        })
+}
+
+/// The soft limit on the `Max open files` row of a `/proc/<pid>/limits`
+/// table, or `None` when the row is missing or says `unlimited`.
+fn soft_open_files(limits: &str) -> Option<usize> {
+    limits
+        .lines()
+        .find_map(|line| line.strip_prefix("Max open files"))?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()
 }
 
 /// Poller token of the per-loop wake pipe.
@@ -428,29 +466,88 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-/// Unblocks a `TcpListener::accept` by completing one loopback
+/// Wakes the Prometheus listener's poller by completing one loopback
 /// connection; the listener rechecks the drain flag afterwards.
 fn wake_acceptor(addr: SocketAddr) {
     let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 /// Serves the Prometheus text exposition over bare HTTP/1.0 until the
-/// server drains: reads one request head, answers `GET /metrics` (and
-/// `GET /`) with the current exposition, anything else with 404, then
-/// closes. One connection at a time — scrapes are rare and the render
-/// is cheap.
+/// server drains: reads each connection's request head, answers
+/// `GET /metrics` (and `GET /`) with the current exposition, anything
+/// else with 404, then closes. Up to `MAX_SCRAPES` connections are
+/// served side by side over one poller, each given `SCRAPE_TIMEOUT` to
+/// send its head and take its answer, so an idle or slow client never
+/// delays another client's scrape.
 fn prom_loop(listener: &TcpListener, shared: &EventShared) {
+    let mut poller = Poller::new();
+    if listener.set_nonblocking(true).is_err()
+        || poller
+            .register(listener.as_raw_fd(), LISTEN_TOKEN, Interest::READ)
+            .is_err()
+    {
+        return;
+    }
+    let mut scrapes: HashMap<u64, Scrape> = HashMap::new();
+    let mut next_token = FIRST_CONN_TOKEN;
+    let mut accept_paused: Option<Instant> = None;
+    let mut events = Vec::new();
     loop {
-        let accepted = listener.accept();
+        if poller.wait(&mut events, Some(TICK)).is_err() {
+            std::thread::sleep(TICK);
+        }
         if shared.draining.load(Ordering::SeqCst) {
             return;
         }
-        match accepted {
-            Ok((stream, _)) => serve_prom_http(&shared.state, stream),
-            Err(e) if transient_accept_error(&e) => {}
-            // A persistent error such as EMFILE lasts until a descriptor
-            // is freed; retrying at once would spin this thread.
-            Err(_) => std::thread::sleep(TICK),
+        for event in &events {
+            if event.token != LISTEN_TOKEN {
+                let done = scrapes
+                    .get_mut(&event.token)
+                    .is_some_and(|scrape| scrape.progress(&shared.state, &mut poller, event.token));
+                if done {
+                    let scrape = scrapes.remove(&event.token).expect("scrape present");
+                    poller.deregister(scrape.stream.as_raw_fd());
+                }
+                continue;
+            }
+            loop {
+                let stream = match listener.accept() {
+                    Ok((stream, _)) => stream,
+                    Err(e) if e.kind() == IoErrorKind::WouldBlock => break,
+                    Err(e) if transient_accept_error(&e) => continue,
+                    // A persistent error such as EMFILE lasts until a
+                    // descriptor is freed; the listener stays silent
+                    // for a tick rather than wake this thread at once.
+                    Err(_) => {
+                        let _ = poller.modify(listener.as_raw_fd(), LISTEN_TOKEN, Interest::NONE);
+                        accept_paused = Some(Instant::now());
+                        break;
+                    }
+                };
+                // Past the cap, or unusable: dropping closes it.
+                if scrapes.len() >= MAX_SCRAPES
+                    || stream.set_nonblocking(true).is_err()
+                    || poller
+                        .register(stream.as_raw_fd(), next_token, Interest::READ)
+                        .is_err()
+                {
+                    continue;
+                }
+                scrapes.insert(next_token, Scrape::new(stream));
+                next_token += 1;
+            }
+        }
+        let now = Instant::now();
+        scrapes.retain(|_, scrape| {
+            let live = now < scrape.deadline;
+            if !live {
+                poller.deregister(scrape.stream.as_raw_fd());
+            }
+            live
+        });
+        if accept_paused.is_some_and(|since| since.elapsed() >= TICK) {
+            let _ = poller.modify(listener.as_raw_fd(), LISTEN_TOKEN, Interest::READ);
+            accept_paused = None;
         }
     }
 }
@@ -464,30 +561,93 @@ fn transient_accept_error(e: &std::io::Error) -> bool {
     )
 }
 
-fn serve_prom_http(state: &ServerState, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
-    // Drain the header block so well-behaved clients see a clean close.
-    let mut header = String::new();
-    loop {
-        header.clear();
-        match reader.read_line(&mut header) {
-            Ok(0) => break,
-            Ok(_) if header.trim().is_empty() => break,
-            Ok(_) => {}
-            Err(_) => return,
+/// Scrape connections the Prometheus listener serves at once; one
+/// accepted past the cap is closed unanswered.
+const MAX_SCRAPES: usize = 8;
+/// Time a scrape connection has to send its request head and take its
+/// answer before it is closed.
+const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
+/// Longest request head read; a longer one is answered as it stands.
+const MAX_SCRAPE_HEAD: usize = 8 * 1024;
+
+/// One connection to the Prometheus listener.
+struct Scrape {
+    stream: TcpStream,
+    /// The request head read so far.
+    head: Vec<u8>,
+    /// The HTTP response, once the head is complete.
+    response: Vec<u8>,
+    written: usize,
+    deadline: Instant,
+}
+
+impl Scrape {
+    fn new(stream: TcpStream) -> Scrape {
+        Scrape {
+            stream,
+            head: Vec::new(),
+            response: Vec::new(),
+            written: 0,
+            deadline: Instant::now() + SCRAPE_TIMEOUT,
         }
     }
-    let mut parts = request_line.split_whitespace();
+
+    /// Reads what the socket holds, answers once the head is complete
+    /// (a blank line, the size cap or the client's EOF), and writes what
+    /// the socket takes. Returns `true` when the connection is done:
+    /// answered in full, or failed.
+    fn progress(&mut self, state: &ServerState, poller: &mut Poller, token: u64) -> bool {
+        if self.response.is_empty() {
+            let mut chunk = [0u8; 1024];
+            let complete = loop {
+                match self.stream.read(&mut chunk) {
+                    Ok(0) => break true,
+                    Ok(n) => {
+                        self.head.extend_from_slice(&chunk[..n]);
+                        if self.head.len() >= MAX_SCRAPE_HEAD || head_complete(&self.head) {
+                            break true;
+                        }
+                    }
+                    Err(e) if e.kind() == IoErrorKind::WouldBlock => break false,
+                    Err(e) if e.kind() == IoErrorKind::Interrupted => {}
+                    Err(_) => return true,
+                }
+            };
+            if !complete {
+                return false;
+            }
+            self.response = prom_response(state, &self.head);
+            if poller
+                .modify(self.stream.as_raw_fd(), token, Interest::WRITE)
+                .is_err()
+            {
+                return true;
+            }
+        }
+        while self.written < self.response.len() {
+            match self.stream.write(&self.response[self.written..]) {
+                Ok(0) => return true,
+                Ok(n) => self.written += n,
+                Err(e) if e.kind() == IoErrorKind::WouldBlock => return false,
+                Err(e) if e.kind() == IoErrorKind::Interrupted => {}
+                Err(_) => return true,
+            }
+        }
+        true
+    }
+}
+
+/// Whether an HTTP request head has reached its blank line.
+fn head_complete(head: &[u8]) -> bool {
+    head.windows(2).any(|w| w == b"\n\n") || head.windows(3).any(|w| w == b"\n\r\n")
+}
+
+/// The HTTP/1.0 response to a request head: the exposition for
+/// `GET /metrics` and `GET /`, 404 for anything else.
+fn prom_response(state: &ServerState, head: &[u8]) -> Vec<u8> {
+    let line = head.split(|&b| b == b'\n').next().unwrap_or_default();
+    let line = String::from_utf8_lossy(line);
+    let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
     let (status, body) = if method == "GET" && (path == "/metrics" || path == "/") {
@@ -495,13 +655,12 @@ fn serve_prom_http(state: &ServerState, stream: TcpStream) {
     } else {
         ("404 Not Found", "not found\n".to_owned())
     };
-    let _ = write!(
-        writer,
+    format!(
         "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    );
-    let _ = writer.flush();
+    )
+    .into_bytes()
 }
 
 /// Answers an over-capacity connection with a structured `overloaded`
@@ -1073,5 +1232,29 @@ fn execute(state: &ServerState, parsed: &Result<Envelope, ServiceError>) -> (Vec
             response.push(b'\n');
             (response, false)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_soft_open_files_limit_is_read_from_the_limits_table() {
+        let limits = "Limit                     Soft Limit           Hard Limit           Units     \n\
+                      Max processes             63704                63704                processes \n\
+                      Max open files            1024                 524288               files     \n";
+        assert_eq!(soft_open_files(limits), Some(1024));
+        let unlimited =
+            "Max open files            unlimited            unlimited            files\n";
+        assert_eq!(soft_open_files(unlimited), None);
+        assert_eq!(soft_open_files("Max processes 5 5 processes\n"), None);
+    }
+
+    #[test]
+    fn a_request_head_ends_at_its_blank_line() {
+        assert!(head_complete(b"GET /metrics HTTP/1.0\r\n\r\n"));
+        assert!(head_complete(b"GET / HTTP/1.0\nHost: x\n\n"));
+        assert!(!head_complete(b"GET /metrics HTTP/1.0\r\nHost: x\r\n"));
     }
 }

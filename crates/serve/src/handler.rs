@@ -8,9 +8,14 @@
 //! (program, table view, config) fingerprint cost a hash lookup instead
 //! of a fresh enumeration, and identical concurrent queries share one.
 //! An `enumerate` key is read from the resolution table the state
-//! builds at start ([`EnumQuery::resolve`]), never computed per request.
-//! Witness/refutation requests run fresh — their artifacts are
-//! path-dependent and are not cached.
+//! builds at start ([`EnumQuery::resolve`]), never computed per request,
+//! and a verdict runs its entry's [`VerdictPlan`], built on the entry's
+//! first verdict. Witness/refutation requests run fresh — their
+//! artifacts are path-dependent and are not cached.
+//!
+//! Fresh runs keep the engine's counters, which feed the aggregated
+//! closure-rule families, and read the clock only for an `enumerate`
+//! miss that records its phase spans ([`Observe`]).
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -22,11 +27,12 @@ use samm_core::cache::{CachedResult, EnumCache};
 use samm_core::enumerate::EnumConfig;
 use samm_core::error::EnumError;
 use samm_core::explain::{find_witness, refute, Goal, Refutation, RefuteOutcome};
+use samm_core::obs::Observe;
 use samm_core::pruned::enumerate_pruned;
 use samm_core::telemetry::trace::{ActiveSpan, SpanKind, SpanSink, TraceContext};
 use samm_core::telemetry::HistogramSnapshot;
 use samm_litmus::catalog::{self, CatalogEntry, ModelSel};
-use samm_litmus::expect::{run_entry_cached, EntryReport};
+use samm_litmus::expect::{run_entry_planned, EntryReport, VerdictPlan};
 
 use crate::answer::{resolution_table, Answer, Body, EnumQuery, Resolved};
 use crate::cluster::Cluster;
@@ -37,8 +43,8 @@ use crate::telemetry::{
 };
 
 /// State shared by every worker: the enumeration cache, the default
-/// fork budget, the telemetry block, and the resolution table every
-/// `enumerate` key is read from.
+/// fork budget, the telemetry block, the resolution table every
+/// `enumerate` key is read from, and each entry's verdict plan.
 #[derive(Debug)]
 pub struct ServerState {
     /// The content-addressed enumeration cache.
@@ -53,6 +59,9 @@ pub struct ServerState {
     /// Every catalog entry × [`ModelSel::ALL`] resolved once: model,
     /// policy and fingerprint ([`EnumQuery::resolve`]).
     pub(crate) table: Vec<Resolved>,
+    /// One [`VerdictPlan`] per catalog entry, built on the entry's
+    /// first verdict, so start-up does no verdict work.
+    plans: Vec<OnceLock<VerdictPlan>>,
 }
 
 impl ServerState {
@@ -74,6 +83,7 @@ impl ServerState {
             telemetry,
             cluster: None,
             table: Vec::new(),
+            plans: catalog().iter().map(|_| OnceLock::new()).collect(),
         };
         state.table = resolution_table(&state.config(None));
         state
@@ -87,14 +97,24 @@ impl ServerState {
 
     /// The enumeration configuration for one request: server defaults,
     /// request budget override, executions never kept (only outcome
-    /// sets travel over the wire), always instrumented so fresh runs
-    /// feed the aggregated closure-rule counters.
+    /// sets travel over the wire), and counters always on so fresh runs
+    /// feed the aggregated closure-rule counters. No clock is read: a
+    /// run whose phase timings someone reads asks for
+    /// [`Observe::Timed`], which shares this configuration's cache key.
     pub(crate) fn config(&self, budget: Option<u64>) -> EnumConfig {
         EnumConfig::builder()
             .keep_executions(false)
-            .observe(true)
+            .observe(Observe::Count)
             .budget(budget.or(self.default_budget))
             .build()
+    }
+
+    /// The verdict plan of the catalog entry at `index`, built on first
+    /// use with the DRF certifier, every certificate re-checked.
+    pub(crate) fn verdict_plan(&self, index: usize) -> &VerdictPlan {
+        self.plans[index].get_or_init(|| {
+            VerdictPlan::new(&catalog()[index], &self.config(None), Some(&drf_certifier))
+        })
     }
 
     /// Renders the Prometheus exposition for the current state.
@@ -491,8 +511,17 @@ fn enumerate_response(
 
     let work_span = span.map(|s| s.child("enumerate", SpanKind::Internal));
     // The cache keeps only the deterministic counters; the phase spans
-    // need this run's own timers.
+    // need this run's own timers, so a run with a work span to record
+    // them in, and only such a run, reads the clock.
     let mut run_obs = None;
+    let config = EnumConfig {
+        observe: if work_span.is_some() {
+            Observe::Timed
+        } else {
+            Observe::Count
+        },
+        ..state.config(query.budget)
+    };
     // The cache runs one fill per fingerprint; identical concurrent
     // queries wait for it and then hit.
     let (value, lookup) = state
@@ -501,7 +530,7 @@ fn enumerate_response(
             let result = enumerate_pruned(
                 &query.entry.test.program,
                 &state.table[query.row].policy,
-                &state.config(query.budget),
+                &config,
             )?;
             run_obs = result.stats.obs;
             Ok(Arc::new(CachedResult::from_result(result)))
@@ -598,10 +627,14 @@ fn verdict_response(
     test: &str,
     budget: Option<u64>,
 ) -> Result<Json, ServiceError> {
-    let entry = find_entry(test)?;
-    let config = state.config(budget);
-    let report =
-        run_entry_cached(entry, &config, &state.cache, &drf_certifier).map_err(enum_error)?;
+    let index = find_entry_index(test)?;
+    let report = run_entry_planned(
+        &catalog()[index],
+        state.verdict_plan(index),
+        &state.config(budget),
+        &state.cache,
+    )
+    .map_err(enum_error)?;
     // One fold per engine run: exactly one row of each run is marked.
     for row in report.rows.iter().filter(|row| row.fresh_run) {
         state.telemetry.fold_stats(&row.stats);
@@ -611,6 +644,15 @@ fn verdict_response(
         ("kind", Json::str("verdict")),
         ("report", report_json(&report)),
     ]))
+}
+
+/// `config` with instrumentation off: witness and refutation answers
+/// read no counters.
+fn uncounted(config: EnumConfig) -> EnumConfig {
+    EnumConfig {
+        observe: Observe::Off,
+        ..config
+    }
 }
 
 fn witness_response(
@@ -623,7 +665,7 @@ fn witness_response(
     let entry = find_entry(test)?;
     let policy = find_model(model)?.policy();
     let (goal, text) = condition_goal(entry, condition)?;
-    let config = state.config(budget);
+    let config = uncounted(state.config(budget));
     let witness = find_witness(&entry.test.program, &policy, &config, &goal).map_err(enum_error)?;
     Ok(Json::obj([
         ("ok", Json::Bool(true)),
@@ -647,7 +689,7 @@ fn refutation_response(
     let entry = find_entry(test)?;
     let policy = find_model(model)?.policy();
     let (goal, text) = condition_goal(entry, condition)?;
-    let config = state.config(budget);
+    let config = uncounted(state.config(budget));
     let outcome = refute(&entry.test.program, &policy, &config, &goal).map_err(enum_error)?;
     let (refuted, proof, witness) = match outcome {
         RefuteOutcome::Observable(w) => (false, Json::Null, Json::Raw(w.to_json())),
@@ -918,9 +960,11 @@ fn metrics_cluster_response(state: &ServerState, fwd: bool) -> Json {
 mod tests {
     use super::*;
     use samm_core::cache::cached_enumerate;
-    use samm_core::fingerprint::query_fingerprint;
+    use samm_core::fingerprint::{query_fingerprint, Fingerprint};
+    use samm_core::policy::Policy;
     use samm_core::static_order::TableView;
-    use samm_litmus::expect::VerdictRow;
+    use samm_core::telemetry::trace::TraceRing;
+    use samm_litmus::expect::{PlanRow, VerdictRow};
 
     fn state() -> ServerState {
         ServerState::new(EnumCache::new(64), None)
@@ -1701,5 +1745,174 @@ mod tests {
         assert!(summary.has_family("samm_closure_rule_applications_total"));
         // The response as a whole is still one well-formed JSON line.
         crate::json::parse(&resp.to_string()).unwrap();
+    }
+
+    /// Each entry's verdict plan is built on its first verdict, and its
+    /// rows are the keys the harness derives on its own: for every
+    /// model, whether `drf_certifier` proves it SC-equivalent, and the
+    /// policy and `query_fingerprint` of the run that answers it, under
+    /// any budget.
+    #[test]
+    fn verdict_plans_are_the_keys_the_harness_derives() {
+        let state = state();
+        assert!(state.plans.iter().all(|plan| plan.get().is_none()));
+        for (index, entry) in catalog().iter().enumerate() {
+            let program = &entry.test.program;
+            for budget in [None, Some(3)] {
+                let config = state.config(budget);
+                let derived: Vec<PlanRow> = entry
+                    .models()
+                    .into_iter()
+                    .map(|model| {
+                        let certified =
+                            model != ModelSel::Sc && drf_certifier(program, &model.policy());
+                        let policy = if certified { ModelSel::Sc } else { model }.policy();
+                        PlanRow {
+                            model,
+                            certified,
+                            fp: query_fingerprint(program, &policy, &config),
+                            policy,
+                        }
+                    })
+                    .collect();
+                assert_eq!(
+                    state.verdict_plan(index).rows,
+                    derived,
+                    "{} under budget {budget:?}",
+                    entry.test.name
+                );
+            }
+        }
+        assert!(state.plans.iter().all(|plan| plan.get().is_some()));
+    }
+
+    /// A traced `enumerate` miss still reads the clock: its work span
+    /// has closure, settle and resolve children with measured time.
+    #[test]
+    fn a_traced_miss_records_timed_phase_children() {
+        let ring = Arc::new(TraceRing::new(256));
+        let telemetry = Telemetry::new(
+            Some(Arc::clone(&ring) as Arc<dyn SpanSink>),
+            std::time::Duration::ZERO,
+        );
+        let state = ServerState::with_telemetry(EnumCache::new(64), None, telemetry);
+        let response = handle(
+            &state,
+            &Request::Enumerate {
+                test: "IRIW".into(),
+                model: "Weak".into(),
+                budget: None,
+            },
+        );
+        assert_eq!(response.get("cache_hit"), Some(&Json::Bool(false)));
+        let spans = ring.snapshot();
+        let work = spans
+            .iter()
+            .find(|s| s.name == "enumerate")
+            .expect("a miss records its work span");
+        for phase in ["phase:closure", "phase:settle", "phase:resolve"] {
+            let child = spans
+                .iter()
+                .find(|s| s.name == phase && s.parent == work.span)
+                .unwrap_or_else(|| panic!("no {phase} child: {spans:?}"));
+            assert!(child.dur_ns > 0, "{phase} was not timed: {child:?}");
+        }
+    }
+
+    /// The Prometheus closure-rule counters after a fixed sequence of
+    /// misses, hits, verdicts, witnesses and refutations are the sums of
+    /// the counters of timed runs of each distinct key the sequence
+    /// enumerated: counting without the clock loses no count.
+    #[test]
+    fn prom_closure_counters_equal_those_of_timed_runs() {
+        let state = ServerState::new(EnumCache::new(4096), None);
+        let mut keys: Vec<(Fingerprint, &'static CatalogEntry, Policy)> = Vec::new();
+        let mut note = |fp, entry, policy: &Policy| {
+            if !keys.iter().any(|(k, _, _)| *k == fp) {
+                keys.push((fp, entry, policy.clone()));
+            }
+        };
+        for (index, entry) in catalog().iter().enumerate() {
+            let name = &entry.test.name;
+            match index % 3 {
+                0 => {
+                    for sel in ModelSel::ALL {
+                        let request = Request::Enumerate {
+                            test: name.clone(),
+                            model: sel.name().to_owned(),
+                            budget: None,
+                        };
+                        if handle(&state, &request).get("ok") == Some(&Json::Bool(true)) {
+                            let query = EnumQuery::resolve(&state, name, sel.name(), None).unwrap();
+                            note(query.fp, entry, &state.table[query.row].policy);
+                        }
+                    }
+                }
+                1 => {
+                    let request = Request::Verdict {
+                        test: name.clone(),
+                        budget: None,
+                    };
+                    assert_eq!(handle(&state, &request).get("ok"), Some(&Json::Bool(true)));
+                    for row in &state.verdict_plan(index).rows {
+                        note(row.fp, entry, &row.policy);
+                    }
+                }
+                _ => {
+                    for request in [
+                        Request::Witness {
+                            test: name.clone(),
+                            model: "SC".into(),
+                            condition: 0,
+                            budget: None,
+                        },
+                        Request::Refutation {
+                            test: name.clone(),
+                            model: "Weak".into(),
+                            condition: 0,
+                            budget: None,
+                        },
+                    ] {
+                        assert_eq!(handle(&state, &request).get("ok"), Some(&Json::Bool(true)));
+                    }
+                }
+            }
+        }
+        let timed = EnumConfig {
+            observe: Observe::Timed,
+            ..state.config(None)
+        };
+        let want = samm_core::obs::Obs::new();
+        for (_, entry, policy) in &keys {
+            let stats = enumerate_pruned(&entry.test.program, policy, &timed)
+                .unwrap()
+                .stats;
+            want.add_counters(&stats.obs.expect("a timed run counts"));
+        }
+        let want = want.snapshot();
+        assert!(want.rule_edges() > 0 && want.closure_rounds > 0);
+        let text = state.render_prom();
+        for line in [
+            format!(
+                "samm_closure_rule_applications_total{{rule=\"a\"}} {}",
+                want.rule_a
+            ),
+            format!(
+                "samm_closure_rule_applications_total{{rule=\"b\"}} {}",
+                want.rule_b
+            ),
+            format!(
+                "samm_closure_rule_applications_total{{rule=\"c\"}} {}",
+                want.rule_c
+            ),
+            format!("samm_closure_rounds_total {}", want.closure_rounds),
+            format!("samm_candidate_calls_total {}", want.candidate_calls),
+            format!("samm_candidate_stores_total {}", want.candidate_stores),
+        ] {
+            assert!(
+                text.lines().any(|l| l == line),
+                "missing {line:?} in\n{text}"
+            );
+        }
     }
 }

@@ -3,7 +3,8 @@
 //! id, cache hits answered on the loop without overtaking queued work,
 //! the `batch` request kind over the wire, graceful drain, cache
 //! persistence, the connection limit, many connections over several
-//! loops, running out of file descriptors, and lines that are not UTF-8.
+//! loops, running out of file descriptors, lines that are not UTF-8, and
+//! scrapes beside an idle scrape connection.
 
 #![cfg(unix)]
 
@@ -314,10 +315,11 @@ impl Drop for KillOnDrop {
     }
 }
 
-/// A server out of file descriptors keeps serving the connections it
-/// has: an `accept` failing with `EMFILE` pauses the accept path until
-/// the next tick instead of retrying at once, and a new connection is
-/// served once descriptors are free again.
+/// A server with few file descriptors keeps serving the connections it
+/// has: its default connection cap sits below the descriptor limit, so
+/// a flood past the cap is answered `overloaded` (an `accept` that still
+/// fails with `EMFILE` pauses the accept path until the next tick), and
+/// a new connection is served once the flood is gone.
 #[test]
 fn running_out_of_descriptors_does_not_stall_open_connections() {
     let child = Command::new("sh")
@@ -348,10 +350,91 @@ fn running_out_of_descriptors_does_not_stall_open_connections() {
         .collect();
     let answer = first.request(&enumerate_line("SB", "TSO", "b"));
     assert!(ok(&answer), "{answer}");
+    // The default connection cap sits below the descriptor limit, so
+    // the server takes the flood in arrival order up to its cap and
+    // answers every later connection `overloaded`: none is left
+    // waiting unanswered in the backlog.
+    let open = wire_connections(&mut first) - 1;
+    assert!((1..64).contains(&open), "{open} flood connections open");
+    for (i, conn) in flood.iter().enumerate().skip(open) {
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        conn.set_read_timeout(Some(TIMEOUT)).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let error = json::parse(line.trim_end()).unwrap();
+        assert_eq!(
+            error
+                .get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str),
+            Some("overloaded"),
+            "flood connection {i}: {line:?}"
+        );
+    }
+    // The connections it took are served.
+    for (i, conn) in flood.iter().take(open).enumerate() {
+        let mut raw = RawConn::from_stream(conn.try_clone().unwrap());
+        let answer = raw.request(&enumerate_line("SB", "TSO", &format!("f{i}")));
+        assert!(ok(&answer), "flood connection {i}: {answer}");
+    }
+    let metrics = first.request(r#"{"kind":"metrics"}"#);
+    assert_eq!(
+        metrics.get("overloaded").and_then(Json::as_u64),
+        Some((flood.len() - open) as u64),
+        "{metrics}"
+    );
     drop(flood);
+    // Wait for the server to see the flood go before connecting again.
+    let deadline = Instant::now() + TIMEOUT;
+    while wire_connections(&mut first) > 1 {
+        assert!(Instant::now() < deadline, "flood connections still open");
+        std::thread::sleep(Duration::from_millis(20));
+    }
     let mut late = RawConn::connect(addr);
     let answer = late.request(&enumerate_line("MP", "TSO", "c"));
     assert!(ok(&answer), "{answer}");
+}
+
+/// Open connections over every loop, read from the exposition a
+/// `metrics_prom` request returns over `conn`.
+fn wire_connections(conn: &mut RawConn) -> usize {
+    let prom = conn.request(r#"{"kind":"metrics_prom"}"#);
+    prom.get("text")
+        .and_then(Json::as_str)
+        .unwrap()
+        .lines()
+        .filter_map(|line| line.strip_prefix("samm_loop_connections{"))
+        .map(|rest| rest.rsplit(' ').next().unwrap().parse::<usize>().unwrap())
+        .sum()
+}
+
+/// An idle connection to the Prometheus listener delays no other
+/// client's scrape: each is answered well inside the 2 s a scrape
+/// connection may take to send its request.
+#[test]
+fn an_idle_scrape_connection_does_not_stall_other_scrapes() {
+    let handle = start(ServerConfig {
+        prom_addr: Some("127.0.0.1:0".to_owned()),
+        ..test_config()
+    })
+    .unwrap();
+    let prom = handle.prom_addr().unwrap();
+    let idle = TcpStream::connect(prom).unwrap();
+    // A second client that sent half a request head and stopped.
+    let mut trickle = TcpStream::connect(prom).unwrap();
+    trickle.write_all(b"GET /metrics HTTP/1.0\r\n").unwrap();
+    for _ in 0..3 {
+        let started = Instant::now();
+        let open = loop_connections(prom);
+        let took = started.elapsed();
+        assert_eq!(open, [0]);
+        assert!(
+            took < Duration::from_millis(500),
+            "scrape took {took:?} beside idle scrape connections"
+        );
+    }
+    drop((idle, trickle));
+    handle.shutdown().unwrap();
 }
 
 #[test]
@@ -402,7 +485,10 @@ struct RawConn {
 
 impl RawConn {
     fn connect(addr: std::net::SocketAddr) -> RawConn {
-        let stream = TcpStream::connect(addr).unwrap();
+        RawConn::from_stream(TcpStream::connect(addr).unwrap())
+    }
+
+    fn from_stream(stream: TcpStream) -> RawConn {
         stream.set_read_timeout(Some(TIMEOUT)).unwrap();
         let reader = BufReader::new(stream.try_clone().unwrap());
         RawConn { stream, reader }
