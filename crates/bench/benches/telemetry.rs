@@ -1,6 +1,7 @@
 //! Telemetry primitive cost (experiment E22): the histogram's hot-path
 //! `record`, snapshot merging, and a cold enumerate request through the
-//! serve-side telemetry wrapper (`handle_traced` with live histograms).
+//! serve-side telemetry wrapper (`handle_envelope` with live histograms),
+//! and one render of a populated Prometheus exposition.
 //! The bar mirrors E19's: per-request telemetry cost must be noise
 //! against real enumeration work.
 
@@ -8,8 +9,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use samm_core::cache::EnumCache;
 use samm_core::telemetry::Histogram;
+use samm_litmus::catalog::{self, ModelSel};
 use samm_serve::handler::{self, ServerState};
-use samm_serve::protocol::Request;
+use samm_serve::protocol::parse_envelope;
 
 fn bench_histogram(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry/histogram");
@@ -55,7 +57,7 @@ fn bench_histogram(c: &mut Criterion) {
     group.finish();
 }
 
-/// A fresh enumerate request through `handle_traced` (full telemetry:
+/// A fresh enumerate request through `handle_envelope` (full telemetry:
 /// id, histograms, obs folding). Cache capacity 0 would poison the
 /// measurement, so each iteration uses a fresh cache and the request is
 /// a cold miss doing real enumeration work. The enumeration-side cost
@@ -63,20 +65,59 @@ fn bench_histogram(c: &mut Criterion) {
 fn bench_request_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry/enumerate");
     group.sample_size(20);
-    let request = Request::Enumerate {
-        test: "IRIW".into(),
-        model: "Weak".into(),
-        budget: None,
-    };
+    let request =
+        parse_envelope(r#"{"kind":"enumerate","test":"IRIW","model":"Weak","id":"bench"}"#)
+            .unwrap();
     group.bench_function("observed", |b| {
         b.iter(|| {
             let state = ServerState::new(EnumCache::new(64), None);
-            let response = handler::handle_traced(&state, &request, Some("bench"));
+            let response = handler::handle_envelope(&state, &request);
             std::hint::black_box(response)
         });
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_histogram, bench_request_overhead);
+/// One render of the Prometheus exposition over a populated state: every
+/// catalog key enumerated under every model, a verdict per entry, one
+/// request of each other kind, and two loops' gauges. Event loop 0
+/// renders each scrape, so this is how long a scrape holds that loop.
+fn bench_prom_render(c: &mut Criterion) {
+    let state = ServerState::new(EnumCache::new(1024), None);
+    let _gauges = [
+        state.telemetry.register_loop(),
+        state.telemetry.register_loop(),
+    ];
+    let mut lines = vec![
+        r#"{"kind":"witness","test":"SB","model":"TSO"}"#.to_owned(),
+        r#"{"kind":"refutation","test":"SB","model":"SC"}"#.to_owned(),
+        r#"{"kind":"certify","test":"MP","model":"TSO","robust":true}"#.to_owned(),
+        r#"{"kind":"metrics"}"#.to_owned(),
+    ];
+    for entry in catalog::all() {
+        let test = &entry.test.name;
+        for sel in ModelSel::ALL {
+            let model = sel.name();
+            lines.push(format!(
+                r#"{{"kind":"enumerate","test":"{test}","model":"{model}"}}"#
+            ));
+        }
+        lines.push(format!(r#"{{"kind":"verdict","test":"{test}"}}"#));
+    }
+    for line in &lines {
+        handler::handle_envelope(&state, &parse_envelope(line).unwrap());
+    }
+    let mut group = c.benchmark_group("telemetry/prom");
+    group.bench_function("render", |b| {
+        b.iter(|| std::hint::black_box(state.render_prom()))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_histogram,
+    bench_request_overhead,
+    bench_prom_render
+);
 criterion_main!(benches);

@@ -188,7 +188,8 @@ fn splice(indices: &[usize], reply: Json, spliced: &mut [Option<Json>]) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::parse_request;
+    use crate::handler::handle_envelope;
+    use crate::protocol::parse_envelope;
     use samm_core::cache::EnumCache;
 
     fn state() -> ServerState {
@@ -207,8 +208,8 @@ mod tests {
             r#"{"kind":"metrics","id":"s1"}"#,
             r#"{"kind":"enumerate","test":"SB","model":"SC","id":"s2"}"#,
         ]);
-        let request = parse_request(&line).unwrap();
-        let response = crate::handler::handle(&state, &request);
+        let request = parse_envelope(&line).unwrap();
+        let response = handle_envelope(&state, &request);
         assert_eq!(response.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(response.get("count").and_then(Json::as_u64), Some(3));
         assert_eq!(response.get("failed").and_then(Json::as_u64), Some(0));
@@ -237,8 +238,8 @@ mod tests {
             r#"{"kind":"metrics","id":"mine"}"#,
             r#"{"kind":"enumerate","test":"SB","model":"SC"}"#,
         ]);
-        let request = parse_request(&line).unwrap();
-        let response = crate::handler::handle(&state, &request);
+        let request = parse_envelope(&line).unwrap();
+        let response = handle_envelope(&state, &request);
         let parent = response
             .get("id")
             .and_then(Json::as_str)
@@ -266,8 +267,8 @@ mod tests {
             r#"{"kind":"shutdown"}"#,
             r#"{"kind":"enumerate","test":"no-such-test","model":"TSO"}"#,
         ]);
-        let request = parse_request(&line).unwrap();
-        let response = crate::handler::handle(&state, &request);
+        let request = parse_envelope(&line).unwrap();
+        let response = handle_envelope(&state, &request);
         assert_eq!(response.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(response.get("failed").and_then(Json::as_u64), Some(3));
         let responses = response.get("responses").and_then(Json::as_arr).unwrap();
@@ -294,8 +295,8 @@ mod tests {
             r#"{"kind":"enumerate","test":"SB","model":"SC"}"#,
             r#"{"kind":"enumerate","test":"SB","model":"TSO"}"#,
         ];
-        let batch_request = parse_request(&batch_line(&subs)).unwrap();
-        let response = crate::handler::handle(&batched, &batch_request);
+        let batch_request = parse_envelope(&batch_line(&subs)).unwrap();
+        let response = handle_envelope(&batched, &batch_request);
         let batch_responses: Vec<Json> = response
             .get("responses")
             .and_then(Json::as_arr)
@@ -304,7 +305,7 @@ mod tests {
 
         let single_responses: Vec<Json> = subs
             .iter()
-            .map(|line| crate::handler::handle(&singles, &parse_request(line).unwrap()))
+            .map(|line| handle_envelope(&singles, &parse_envelope(line).unwrap()))
             .collect();
 
         for (b, s) in batch_responses.iter().zip(&single_responses) {

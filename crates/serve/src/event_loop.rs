@@ -2,7 +2,7 @@
 //! many connections over a shared handler pool.
 //!
 //! ```text
-//!            ┌ loop 0 (owns the listener) ── poll ── conns…
+//! scrapes ──►┌ loop 0 (owns the listeners) ── poll ── conns…, scrapes…
 //! clients ──►│ loop 1 ── poll ── conns…              │ parsed envelopes
 //!            └ loop … ── cache hits answered here    ▼ (everything else)
 //!                 ▲ completions (self-wake pipe)   shared job queue
@@ -31,6 +31,15 @@
 //! connections round-robin to the loops over their wake pipes; past
 //! `max_connections` a connection is answered with the structured
 //! `overloaded` error and closed.
+//!
+//! Loop 0 also owns the `--prom-addr` listener. A scrape connection is
+//! an ordinary connection marked as a scrape: its request head is read
+//! like any input and answered on loop 0 with the Prometheus exposition,
+//! then the connection closes once the answer is flushed. At most
+//! `MAX_SCRAPES` are open at once, each closed `SCRAPE_TIMEOUT` after it
+//! was accepted; they count neither toward `max_connections`, so an
+//! overloaded server can still be scraped, nor in the loop's connection
+//! gauge.
 //!
 //! Shutdown (a wire `shutdown` request or [`ServerHandle::shutdown`])
 //! stops accepting and reading, lets in-flight work finish within
@@ -132,9 +141,9 @@ impl Default for ServerConfig {
 
 /// Descriptors kept back from the soft `RLIMIT_NOFILE` when the default
 /// connection cap is derived from it: standard streams, the listeners,
-/// wake pipes, scrape connections, the trace log, the persist file and
-/// peer pools, and the descriptor an over-capacity connection holds
-/// while it is told `overloaded`.
+/// wake pipes, the scrape connections (at most `MAX_SCRAPES`), the trace
+/// log, the persist file and peer pools, and the descriptor an
+/// over-capacity connection holds while it is told `overloaded`.
 const FD_RESERVE: usize = 32;
 /// The default connection cap where the descriptor limit is unknown.
 const FALLBACK_MAX_CONNECTIONS: usize = 10_000;
@@ -168,10 +177,12 @@ fn soft_open_files(limits: &str) -> Option<usize> {
 
 /// Poller token of the per-loop wake pipe.
 const WAKE_TOKEN: u64 = 0;
-/// Poller token of the listener (loop 0 only).
+/// Poller token of the service listener (loop 0 only).
 const LISTEN_TOKEN: u64 = 1;
+/// Poller token of the Prometheus scrape listener (loop 0 only).
+const PROM_TOKEN: u64 = 2;
 /// First connection token.
-const FIRST_CONN_TOKEN: u64 = 2;
+const FIRST_CONN_TOKEN: u64 = 3;
 /// Poll tick: idle scans and drain checks run at least this often.
 const TICK: Duration = Duration::from_millis(500);
 /// Hard cap on one request line (batch envelopes included); a longer
@@ -258,7 +269,6 @@ pub struct ServerHandle {
     shared: Arc<EventShared>,
     loops: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    prom: Option<JoinHandle<()>>,
     persist_path: Option<PathBuf>,
     persisted: Option<(usize, usize)>,
 }
@@ -325,14 +335,6 @@ impl ServerHandle {
                 .join()
                 .map_err(|_| std::io::Error::other("worker thread panicked"))?;
         }
-        if let Some(prom) = self.prom.take() {
-            if let Some(addr) = self.prom_addr {
-                // Unblock the listener's accept so it can see the flag.
-                wake_acceptor(addr);
-            }
-            prom.join()
-                .map_err(|_| std::io::Error::other("prom thread panicked"))?;
-        }
         if let Some(path) = &self.persist_path {
             self.shared.state.cache.save_to(path)?;
         }
@@ -340,8 +342,8 @@ impl ServerHandle {
     }
 }
 
-/// Binds the listener and spawns the event loops, the worker pool, and
-/// (when configured) the Prometheus listener.
+/// Binds the listeners (the Prometheus one when configured) and spawns
+/// the event loops and the worker pool.
 ///
 /// # Errors
 ///
@@ -375,15 +377,14 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         state.set_cluster(Arc::new(Cluster::new(cluster_config)));
     }
 
-    let prom_listener = config
-        .prom_addr
-        .as_deref()
-        .map(TcpListener::bind)
-        .transpose()?;
-    let prom_addr = prom_listener
-        .as_ref()
-        .map(TcpListener::local_addr)
-        .transpose()?;
+    let mut listeners = vec![(LISTEN_TOKEN, listener)];
+    let mut prom_addr = None;
+    if let Some(addr) = &config.prom_addr {
+        let prom_listener = TcpListener::bind(addr)?;
+        prom_listener.set_nonblocking(true)?;
+        prom_addr = Some(prom_listener.local_addr()?);
+        listeners.push((PROM_TOKEN, prom_listener));
+    }
 
     // Build each loop's poller and wake pipe up front so a failure
     // aborts before any thread spawns.
@@ -431,28 +432,19 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         })
         .collect::<std::io::Result<Vec<_>>>()?;
 
-    let mut listener = Some(listener);
     let loops = pollers
         .into_iter()
         .zip(wake_readers)
         .enumerate()
         .map(|(loop_id, (poller, wake_read))| {
             let shared = Arc::clone(&shared);
-            let listener = if loop_id == 0 { listener.take() } else { None };
+            // Loop 0, the first, takes the listeners.
+            let listeners = std::mem::take(&mut listeners);
             std::thread::Builder::new()
                 .name(format!("samm-serve-loop-{loop_id}"))
-                .spawn(move || EventLoop::new(loop_id, shared, poller, wake_read, listener).run())
+                .spawn(move || EventLoop::new(loop_id, shared, poller, wake_read, listeners).run())
         })
         .collect::<std::io::Result<Vec<_>>>()?;
-
-    let prom = prom_listener
-        .map(|prom_listener| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("samm-serve-prom".to_owned())
-                .spawn(move || prom_loop(&prom_listener, &shared))
-        })
-        .transpose()?;
 
     Ok(ServerHandle {
         addr,
@@ -460,96 +452,9 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         shared,
         loops,
         workers,
-        prom,
         persist_path: config.persist_path,
         persisted,
     })
-}
-
-/// Wakes the Prometheus listener's poller by completing one loopback
-/// connection; the listener rechecks the drain flag afterwards.
-fn wake_acceptor(addr: SocketAddr) {
-    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
-}
-
-/// Serves the Prometheus text exposition over bare HTTP/1.0 until the
-/// server drains: reads each connection's request head, answers
-/// `GET /metrics` (and `GET /`) with the current exposition, anything
-/// else with 404, then closes. Up to `MAX_SCRAPES` connections are
-/// served side by side over one poller, each given `SCRAPE_TIMEOUT` to
-/// send its head and take its answer, so an idle or slow client never
-/// delays another client's scrape.
-fn prom_loop(listener: &TcpListener, shared: &EventShared) {
-    let mut poller = Poller::new();
-    if listener.set_nonblocking(true).is_err()
-        || poller
-            .register(listener.as_raw_fd(), LISTEN_TOKEN, Interest::READ)
-            .is_err()
-    {
-        return;
-    }
-    let mut scrapes: HashMap<u64, Scrape> = HashMap::new();
-    let mut next_token = FIRST_CONN_TOKEN;
-    let mut accept_paused: Option<Instant> = None;
-    let mut events = Vec::new();
-    loop {
-        if poller.wait(&mut events, Some(TICK)).is_err() {
-            std::thread::sleep(TICK);
-        }
-        if shared.draining.load(Ordering::SeqCst) {
-            return;
-        }
-        for event in &events {
-            if event.token != LISTEN_TOKEN {
-                let done = scrapes
-                    .get_mut(&event.token)
-                    .is_some_and(|scrape| scrape.progress(&shared.state, &mut poller, event.token));
-                if done {
-                    let scrape = scrapes.remove(&event.token).expect("scrape present");
-                    poller.deregister(scrape.stream.as_raw_fd());
-                }
-                continue;
-            }
-            loop {
-                let stream = match listener.accept() {
-                    Ok((stream, _)) => stream,
-                    Err(e) if e.kind() == IoErrorKind::WouldBlock => break,
-                    Err(e) if transient_accept_error(&e) => continue,
-                    // A persistent error such as EMFILE lasts until a
-                    // descriptor is freed; the listener stays silent
-                    // for a tick rather than wake this thread at once.
-                    Err(_) => {
-                        let _ = poller.modify(listener.as_raw_fd(), LISTEN_TOKEN, Interest::NONE);
-                        accept_paused = Some(Instant::now());
-                        break;
-                    }
-                };
-                // Past the cap, or unusable: dropping closes it.
-                if scrapes.len() >= MAX_SCRAPES
-                    || stream.set_nonblocking(true).is_err()
-                    || poller
-                        .register(stream.as_raw_fd(), next_token, Interest::READ)
-                        .is_err()
-                {
-                    continue;
-                }
-                scrapes.insert(next_token, Scrape::new(stream));
-                next_token += 1;
-            }
-        }
-        let now = Instant::now();
-        scrapes.retain(|_, scrape| {
-            let live = now < scrape.deadline;
-            if !live {
-                poller.deregister(scrape.stream.as_raw_fd());
-            }
-            live
-        });
-        if accept_paused.is_some_and(|since| since.elapsed() >= TICK) {
-            let _ = poller.modify(listener.as_raw_fd(), LISTEN_TOKEN, Interest::READ);
-            accept_paused = None;
-        }
-    }
 }
 
 /// Whether an `accept` failure concerns only the connection it tried to
@@ -561,81 +466,14 @@ fn transient_accept_error(e: &std::io::Error) -> bool {
     )
 }
 
-/// Scrape connections the Prometheus listener serves at once; one
-/// accepted past the cap is closed unanswered.
+/// Scrape connections served at once; one accepted past the cap is
+/// closed unanswered.
 const MAX_SCRAPES: usize = 8;
 /// Time a scrape connection has to send its request head and take its
 /// answer before it is closed.
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
 /// Longest request head read; a longer one is answered as it stands.
 const MAX_SCRAPE_HEAD: usize = 8 * 1024;
-
-/// One connection to the Prometheus listener.
-struct Scrape {
-    stream: TcpStream,
-    /// The request head read so far.
-    head: Vec<u8>,
-    /// The HTTP response, once the head is complete.
-    response: Vec<u8>,
-    written: usize,
-    deadline: Instant,
-}
-
-impl Scrape {
-    fn new(stream: TcpStream) -> Scrape {
-        Scrape {
-            stream,
-            head: Vec::new(),
-            response: Vec::new(),
-            written: 0,
-            deadline: Instant::now() + SCRAPE_TIMEOUT,
-        }
-    }
-
-    /// Reads what the socket holds, answers once the head is complete
-    /// (a blank line, the size cap or the client's EOF), and writes what
-    /// the socket takes. Returns `true` when the connection is done:
-    /// answered in full, or failed.
-    fn progress(&mut self, state: &ServerState, poller: &mut Poller, token: u64) -> bool {
-        if self.response.is_empty() {
-            let mut chunk = [0u8; 1024];
-            let complete = loop {
-                match self.stream.read(&mut chunk) {
-                    Ok(0) => break true,
-                    Ok(n) => {
-                        self.head.extend_from_slice(&chunk[..n]);
-                        if self.head.len() >= MAX_SCRAPE_HEAD || head_complete(&self.head) {
-                            break true;
-                        }
-                    }
-                    Err(e) if e.kind() == IoErrorKind::WouldBlock => break false,
-                    Err(e) if e.kind() == IoErrorKind::Interrupted => {}
-                    Err(_) => return true,
-                }
-            };
-            if !complete {
-                return false;
-            }
-            self.response = prom_response(state, &self.head);
-            if poller
-                .modify(self.stream.as_raw_fd(), token, Interest::WRITE)
-                .is_err()
-            {
-                return true;
-            }
-        }
-        while self.written < self.response.len() {
-            match self.stream.write(&self.response[self.written..]) {
-                Ok(0) => return true,
-                Ok(n) => self.written += n,
-                Err(e) if e.kind() == IoErrorKind::WouldBlock => return false,
-                Err(e) if e.kind() == IoErrorKind::Interrupted => {}
-                Err(_) => return true,
-            }
-        }
-        true
-    }
-}
 
 /// Whether an HTTP request head has reached its blank line.
 fn head_complete(head: &[u8]) -> bool {
@@ -684,13 +522,17 @@ struct Conn {
     /// Lines dispatched to the worker pool and not yet answered.
     inflight: usize,
     last_activity: Instant,
-    /// Read side finished (EOF or fatal read): flush, then close.
+    /// Read side finished (EOF, fatal read or a scrape answered): flush,
+    /// then close.
     closing: bool,
     interest: Interest,
+    /// Set on a Prometheus scrape connection: when it is closed,
+    /// answered or not.
+    scrape_deadline: Option<Instant>,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    fn new(stream: TcpStream, scrape_deadline: Option<Instant>) -> Conn {
         Conn {
             stream,
             read_buf: Vec::new(),
@@ -700,6 +542,7 @@ impl Conn {
             last_activity: Instant::now(),
             closing: false,
             interest: Interest::READ,
+            scrape_deadline,
         }
     }
 
@@ -745,6 +588,22 @@ impl Conn {
         }
     }
 
+    /// Answers a scrape connection once its request head is complete:
+    /// at its blank line, at `MAX_SCRAPE_HEAD` bytes or at the client's
+    /// EOF. The answer marks the connection closing, so it reads no
+    /// more and closes once the answer is flushed.
+    fn answer_scrape(&mut self, state: &ServerState) -> std::io::Result<()> {
+        let complete =
+            self.closing || self.read_buf.len() >= MAX_SCRAPE_HEAD || head_complete(&self.read_buf);
+        if !complete {
+            return Ok(());
+        }
+        self.write_buf = prom_response(state, &self.read_buf);
+        self.read_buf.clear();
+        self.closing = true;
+        self.flush_writes()
+    }
+
     fn flush_writes(&mut self) -> std::io::Result<()> {
         while self.has_pending_write() {
             match self.stream.write(&self.write_buf[self.write_pos..]) {
@@ -768,13 +627,17 @@ struct EventLoop {
     shared: Arc<EventShared>,
     poller: Poller,
     wake_read: UnixStream,
-    listener: Option<TcpListener>,
+    /// Loop 0's listeners under their poller tokens: the service
+    /// listener and, when configured, the scrape listener.
+    listeners: Vec<(u64, TcpListener)>,
     conns: HashMap<u64, Conn>,
+    /// Open scrape connections.
+    scrapes: usize,
     next_token: u64,
     next_loop: usize,
     drain_started: Option<Instant>,
     last_idle_scan: Instant,
-    /// The listener's read interest is off after a persistent accept
+    /// The listeners' read interest is off after a persistent accept
     /// error; the idle scan turns it back on.
     accept_paused: bool,
 }
@@ -785,15 +648,16 @@ impl EventLoop {
         shared: Arc<EventShared>,
         poller: Poller,
         wake_read: UnixStream,
-        listener: Option<TcpListener>,
+        listeners: Vec<(u64, TcpListener)>,
     ) -> EventLoop {
         EventLoop {
             id,
             shared,
             poller,
             wake_read,
-            listener,
+            listeners,
             conns: HashMap::new(),
+            scrapes: 0,
             next_token: FIRST_CONN_TOKEN,
             next_loop: 0,
             drain_started: None,
@@ -807,10 +671,10 @@ impl EventLoop {
     }
 
     fn run(mut self) {
-        if let Some(listener) = &self.listener {
+        for (token, listener) in &self.listeners {
             if self
                 .poller
-                .register(listener.as_raw_fd(), LISTEN_TOKEN, Interest::READ)
+                .register(listener.as_raw_fd(), *token, Interest::READ)
                 .is_err()
             {
                 // Without an accept path the server is useless; drain.
@@ -826,7 +690,7 @@ impl EventLoop {
             for &event in &events {
                 match event.token {
                     WAKE_TOKEN => self.drain_wake_pipe(),
-                    LISTEN_TOKEN => self.accept_ready(),
+                    LISTEN_TOKEN | PROM_TOKEN => self.accept_ready(event.token),
                     token => self.conn_ready(token, event),
                 }
             }
@@ -853,14 +717,16 @@ impl EventLoop {
         while matches!(self.wake_read.read(&mut buf), Ok(n) if n > 0) {}
     }
 
-    /// The accept path: loop 0 pulls connections until `WouldBlock`,
-    /// spreading them round-robin so every loop's share stays balanced.
-    /// A persistent error (out of descriptors: `EMFILE`, `ENFILE`) pauses
-    /// accepting until the next idle scan, so the pending connection
-    /// does not wake the loop again at once.
-    fn accept_ready(&mut self) {
+    /// The accept path of the listener under `token`: loop 0 pulls
+    /// connections until `WouldBlock`. Service connections are spread
+    /// round-robin so every loop's share stays balanced; scrape
+    /// connections stay on loop 0. A persistent error (out of
+    /// descriptors: `EMFILE`, `ENFILE`) pauses accepting until the next
+    /// idle scan, so the pending connection does not wake the loop
+    /// again at once.
+    fn accept_ready(&mut self, token: u64) {
         loop {
-            let Some(listener) = &self.listener else {
+            let Some((_, listener)) = self.listeners.iter().find(|(t, _)| *t == token) else {
                 return;
             };
             let stream = match listener.accept() {
@@ -876,6 +742,14 @@ impl EventLoop {
                 // A late connection during drain: drop it.
                 continue;
             }
+            if token == PROM_TOKEN {
+                // Past the scrape cap the connection is dropped
+                // unanswered.
+                if self.scrapes < MAX_SCRAPES {
+                    self.adopt(stream, Some(Instant::now() + SCRAPE_TIMEOUT));
+                }
+                continue;
+            }
             if self.shared.conn_count.load(Ordering::SeqCst) >= self.shared.max_connections {
                 self.shared
                     .state
@@ -889,7 +763,7 @@ impl EventLoop {
             let target = self.next_loop % self.shared.loops.len();
             self.next_loop = self.next_loop.wrapping_add(1);
             if target == self.id {
-                self.adopt(stream);
+                self.adopt(stream, None);
             } else {
                 self.shared.loops[target]
                     .inbox
@@ -901,19 +775,18 @@ impl EventLoop {
         }
     }
 
-    /// Turns the listener's read interest on or off.
+    /// Turns the listeners' read interest on or off.
     fn set_accepting(&mut self, on: bool) {
-        let Some(listener) = &self.listener else {
-            return;
-        };
         let interest = if on { Interest::READ } else { Interest::NONE };
-        if self
-            .poller
-            .modify(listener.as_raw_fd(), LISTEN_TOKEN, interest)
-            .is_err()
-        {
-            // Without an accept path the server is useless; drain.
-            self.shared.begin_drain();
+        for (token, listener) in &self.listeners {
+            if self
+                .poller
+                .modify(listener.as_raw_fd(), *token, interest)
+                .is_err()
+            {
+                // Without an accept path the server is useless; drain.
+                self.shared.begin_drain();
+            }
         }
         self.accept_paused = !on;
     }
@@ -928,37 +801,47 @@ impl EventLoop {
             inbox.drain(..).collect()
         };
         for stream in pending {
-            self.adopt(stream);
+            self.adopt(stream, None);
         }
     }
 
-    fn adopt(&mut self, stream: TcpStream) {
+    /// Registers an accepted connection: a service connection (already
+    /// counted in `conn_count` by the accept path) or, with a deadline,
+    /// a scrape connection.
+    fn adopt(&mut self, stream: TcpStream, scrape_deadline: Option<Instant>) {
+        let token = self.next_token;
         // One-line responses must leave immediately; Nagle + delayed
         // ACK otherwise adds ~40 ms per round trip on loopback.
-        if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-            self.shared.conn_count.fetch_sub(1, Ordering::SeqCst);
+        let usable = stream.set_nonblocking(true).is_ok()
+            && stream.set_nodelay(true).is_ok()
+            && self
+                .poller
+                .register(stream.as_raw_fd(), token, Interest::READ)
+                .is_ok();
+        if !usable {
+            if scrape_deadline.is_none() {
+                self.shared.conn_count.fetch_sub(1, Ordering::SeqCst);
+            }
             return;
         }
-        let token = self.next_token;
         self.next_token += 1;
-        let conn = Conn::new(stream);
-        if self
-            .poller
-            .register(conn.stream.as_raw_fd(), token, conn.interest)
-            .is_err()
-        {
-            self.shared.conn_count.fetch_sub(1, Ordering::SeqCst);
-            return;
+        if scrape_deadline.is_some() {
+            self.scrapes += 1;
+        } else {
+            self.gauges().connections.fetch_add(1, Ordering::Relaxed);
         }
-        self.conns.insert(token, conn);
-        self.gauges().connections.fetch_add(1, Ordering::Relaxed);
+        self.conns.insert(token, Conn::new(stream, scrape_deadline));
     }
 
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             self.poller.deregister(conn.stream.as_raw_fd());
-            self.shared.conn_count.fetch_sub(1, Ordering::SeqCst);
-            self.gauges().connections.fetch_sub(1, Ordering::Relaxed);
+            if conn.scrape_deadline.is_some() {
+                self.scrapes -= 1;
+            } else {
+                self.shared.conn_count.fetch_sub(1, Ordering::SeqCst);
+                self.gauges().connections.fetch_sub(1, Ordering::Relaxed);
+            }
             // Jobs still in flight for this connection complete anyway;
             // their completions are dropped in finish_completion.
         }
@@ -973,6 +856,9 @@ impl EventLoop {
             let mut dead = false;
             if event.readable && !conn.closing {
                 dead = conn.fill_read_buf();
+                if !dead && conn.scrape_deadline.is_some() {
+                    dead = conn.answer_scrape(&self.shared.state).is_err();
+                }
             }
             if event.writable {
                 dead = dead || conn.flush_writes().is_err();
@@ -1002,7 +888,9 @@ impl EventLoop {
             };
             let mut consumed = 0;
             let mut dead = false;
-            while !draining && conn.inflight < shared.max_pipeline {
+            // A scrape's request head is no request line.
+            while !draining && conn.scrape_deadline.is_none() && conn.inflight < shared.max_pipeline
+            {
                 if !conn.below_high_water() {
                     dead = conn.flush_writes().is_err();
                     if dead || !conn.below_high_water() {
@@ -1132,7 +1020,8 @@ impl EventLoop {
     }
 
     /// Closes connections idle past the read timeout (with nothing in
-    /// flight) and resumes a paused accept path, at most once per tick.
+    /// flight) and scrape connections past their deadline, and resumes a
+    /// paused accept path, at most once per tick.
     fn scan_idle(&mut self) {
         if self.last_idle_scan.elapsed() < TICK {
             return;
@@ -1145,7 +1034,10 @@ impl EventLoop {
         let idle: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, conn)| conn.inflight == 0 && conn.last_activity.elapsed() >= timeout)
+            .filter(|(_, conn)| match conn.scrape_deadline {
+                Some(deadline) => Instant::now() >= deadline,
+                None => conn.inflight == 0 && conn.last_activity.elapsed() >= timeout,
+            })
             .map(|(&token, _)| token)
             .collect();
         for token in idle {
@@ -1156,7 +1048,7 @@ impl EventLoop {
     /// One drain step. Returns `true` when this loop may exit: every
     /// connection quiescent and flushed, or the deadline passed.
     fn drain(&mut self) -> bool {
-        if let Some(listener) = self.listener.take() {
+        for (_, listener) in self.listeners.drain(..) {
             self.poller.deregister(listener.as_raw_fd());
         }
         let started = *self.drain_started.get_or_insert_with(Instant::now);

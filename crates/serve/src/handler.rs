@@ -128,23 +128,13 @@ impl ServerState {
     }
 }
 
-/// Executes one request with a server-assigned request id. Never panics
-/// on bad input: failures come back as `{"ok":false,"error":{...}}`
-/// objects. `Shutdown` is answered with a plain ok — the connection
-/// loop, not this function, performs the drain.
-pub fn handle(state: &ServerState, request: &Request) -> Json {
-    handle_traced(state, request, None)
-}
-
-/// As [`handle`], echoing `id` (or a server-assigned one) in the
-/// response and recording latency telemetry: per-kind histograms split
-/// by hit/miss/overbudget, the request-rate window, and the span log.
-pub fn handle_traced(state: &ServerState, request: &Request, id: Option<&str>) -> Json {
-    handle_inner(state, request, id.map(str::to_owned), false, true, None).into_json(state)
-}
-
-/// Executes a parsed envelope: as [`handle_traced`], honouring the
-/// envelope's `fwd` marker (a forwarded request is answered locally,
+/// Executes a parsed envelope, echoing its `id` (or a server-assigned
+/// one) in the response. Never panics on bad input: failures come back
+/// as `{"ok":false,"error":{...}}` objects. `Shutdown` is answered with a
+/// plain ok — the connection loop, not this function, performs the
+/// drain. Records latency telemetry (per-kind histograms split by
+/// hit/miss/overbudget, the request-rate window, the span log), honours
+/// the envelope's `fwd` marker (a forwarded request is answered locally,
 /// never re-forwarded) and its propagated `trace` context. Returns the
 /// answer as a tree: the reference rendering [`serve_envelope`]'s bytes
 /// are tested against.
@@ -978,17 +968,20 @@ mod tests {
             model: "TSO".into(),
             budget: None,
         };
-        let cold = handle(&state, &req);
+        let cold = handle_envelope(&state, &envelope(req, None));
         assert_eq!(cold.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(cold.get("cache_hit").and_then(Json::as_bool), Some(false));
         // The replay is a cache hit with the identical outcome set.
-        let warm = handle(
+        let warm = handle_envelope(
             &state,
-            &Request::Enumerate {
-                test: "sb".into(),
-                model: "tso".into(),
-                budget: None,
-            },
+            &envelope(
+                Request::Enumerate {
+                    test: "sb".into(),
+                    model: "tso".into(),
+                    budget: None,
+                },
+                None,
+            ),
         );
         assert_eq!(warm.get("cache_hit").and_then(Json::as_bool), Some(true));
         assert_eq!(cold.get("outcomes"), warm.get("outcomes"));
@@ -1060,20 +1053,26 @@ mod tests {
             for sel in ModelSel::ALL {
                 let fresh =
                     enumerate_pruned(&entry.test.program, &sel.policy(), &state.config(None));
-                let request = Request::Enumerate {
-                    test: entry.test.name.clone(),
-                    model: sel.name().to_owned(),
-                    budget: None,
-                };
+                let request = envelope(
+                    Request::Enumerate {
+                        test: entry.test.name.clone(),
+                        model: sel.name().to_owned(),
+                        budget: None,
+                    },
+                    None,
+                );
                 let Ok(fresh) = fresh else {
-                    assert_eq!(handle(&state, &request).get("ok"), Some(&Json::Bool(false)));
+                    assert_eq!(
+                        handle_envelope(&state, &request).get("ok"),
+                        Some(&Json::Bool(false))
+                    );
                     continue;
                 };
                 let fresh = CachedResult::from_result(fresh);
                 let stats = fresh.stats.to_json();
                 let shared = !views.insert(TableView::of(&entry.test.program, &sel.policy()));
                 for hit in [shared, true] {
-                    let resp = handle(&state, &request);
+                    let resp = handle_envelope(&state, &request);
                     let field = |key| resp.get(key).map(Json::to_string);
                     let name = format!("{}/{} hit={hit}", entry.test.name, sel.name());
                     assert_eq!(resp.get("cache_hit"), Some(&Json::Bool(hit)), "{name}");
@@ -1231,13 +1230,16 @@ mod tests {
     #[test]
     fn unknown_names_are_classified() {
         let state = state();
-        let err = handle(
+        let err = handle_envelope(
             &state,
-            &Request::Enumerate {
-                test: "NoSuchTest".into(),
-                model: "TSO".into(),
-                budget: None,
-            },
+            &envelope(
+                Request::Enumerate {
+                    test: "NoSuchTest".into(),
+                    model: "TSO".into(),
+                    budget: None,
+                },
+                None,
+            ),
         );
         assert_eq!(err.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(
@@ -1246,13 +1248,16 @@ mod tests {
                 .and_then(Json::as_str),
             Some("unknown-test")
         );
-        let err = handle(
+        let err = handle_envelope(
             &state,
-            &Request::Certify {
-                test: "SB".into(),
-                model: "NoSuchModel".into(),
-                robust: false,
-            },
+            &envelope(
+                Request::Certify {
+                    test: "SB".into(),
+                    model: "NoSuchModel".into(),
+                    robust: false,
+                },
+                None,
+            ),
         );
         assert_eq!(
             err.get("error")
@@ -1266,13 +1271,16 @@ mod tests {
     #[test]
     fn overbudget_is_a_structured_error() {
         let state = state();
-        let err = handle(
+        let err = handle_envelope(
             &state,
-            &Request::Enumerate {
-                test: "IRIW".into(),
-                model: "Weak".into(),
-                budget: Some(3),
-            },
+            &envelope(
+                Request::Enumerate {
+                    test: "IRIW".into(),
+                    model: "Weak".into(),
+                    budget: Some(3),
+                },
+                None,
+            ),
         );
         assert_eq!(err.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(
@@ -1282,13 +1290,16 @@ mod tests {
             Some("overbudget")
         );
         // Errors are never cached: a retry with enough budget succeeds.
-        let ok = handle(
+        let ok = handle_envelope(
             &state,
-            &Request::Enumerate {
-                test: "IRIW".into(),
-                model: "Weak".into(),
-                budget: None,
-            },
+            &envelope(
+                Request::Enumerate {
+                    test: "IRIW".into(),
+                    model: "Weak".into(),
+                    budget: None,
+                },
+                None,
+            ),
         );
         assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
     }
@@ -1296,12 +1307,15 @@ mod tests {
     #[test]
     fn verdict_report_passes() {
         let state = state();
-        let resp = handle(
+        let resp = handle_envelope(
             &state,
-            &Request::Verdict {
-                test: "SB".into(),
-                budget: None,
-            },
+            &envelope(
+                Request::Verdict {
+                    test: "SB".into(),
+                    budget: None,
+                },
+                None,
+            ),
         );
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
         let report = resp.get("report").unwrap();
@@ -1389,7 +1403,10 @@ mod tests {
                     model: model.name().to_owned(),
                     budget: None,
                 };
-                assert_eq!(handle(&state, &request).get("ok"), Some(&Json::Bool(true)));
+                assert_eq!(
+                    handle_envelope(&state, &envelope(request, None)).get("ok"),
+                    Some(&Json::Bool(true))
+                );
                 cached_enumerate(
                     &reference,
                     &entry.test.program,
@@ -1404,7 +1421,7 @@ mod tests {
                     test: name.clone(),
                     budget: None,
                 };
-                let response = handle(&state, &verdict);
+                let response = handle_envelope(&state, &envelope(verdict, None));
                 assert_eq!(
                     response.get("report").map(Json::to_string),
                     Some(reference_verdict(entry, &reference, &config).to_string()),
@@ -1438,12 +1455,15 @@ mod tests {
         let state = state();
         for (test, certifies) in [("SB+fences", true), ("SB", false)] {
             let entry = find_entry(test).unwrap();
-            let resp = handle(
+            let resp = handle_envelope(
                 &state,
-                &Request::Verdict {
-                    test: test.into(),
-                    budget: None,
-                },
+                &envelope(
+                    Request::Verdict {
+                        test: test.into(),
+                        budget: None,
+                    },
+                    None,
+                ),
             );
             let rows = resp
                 .get("report")
@@ -1506,15 +1526,18 @@ mod tests {
                     .explored as u64;
             }
         }
-        let verdict = Request::Verdict {
-            test: "fig7".into(),
-            budget: None,
-        };
+        let verdict = envelope(
+            Request::Verdict {
+                test: "fig7".into(),
+                budget: None,
+            },
+            None,
+        );
         let explored = || state.telemetry.enum_explored.load(Ordering::Relaxed);
         let before = explored();
-        handle(&state, &verdict);
+        handle_envelope(&state, &verdict);
         assert_eq!(explored() - before, expected);
-        handle(&state, &verdict);
+        handle_envelope(&state, &verdict);
         assert_eq!(explored() - before, expected, "a warm verdict ran nothing");
     }
 
@@ -1522,26 +1545,32 @@ mod tests {
     fn witness_and_refutation_agree_with_verdicts() {
         let state = state();
         // SB 0/0 is observable under TSO…
-        let w = handle(
+        let w = handle_envelope(
             &state,
-            &Request::Witness {
-                test: "SB".into(),
-                model: "TSO".into(),
-                condition: 0,
-                budget: None,
-            },
+            &envelope(
+                Request::Witness {
+                    test: "SB".into(),
+                    model: "TSO".into(),
+                    condition: 0,
+                    budget: None,
+                },
+                None,
+            ),
         );
         assert_eq!(w.get("found").and_then(Json::as_bool), Some(true));
         assert!(w.get("witness").is_some_and(|j| *j != Json::Null));
         // …and refuted under SC.
-        let r = handle(
+        let r = handle_envelope(
             &state,
-            &Request::Refutation {
-                test: "SB".into(),
-                model: "SC".into(),
-                condition: 0,
-                budget: None,
-            },
+            &envelope(
+                Request::Refutation {
+                    test: "SB".into(),
+                    model: "SC".into(),
+                    condition: 0,
+                    budget: None,
+                },
+                None,
+            ),
         );
         assert_eq!(r.get("refuted").and_then(Json::as_bool), Some(true));
         assert!(r.get("proof").is_some_and(|j| *j != Json::Null));
@@ -1554,13 +1583,16 @@ mod tests {
     #[test]
     fn certify_finds_drf_programs() {
         let state = state();
-        let resp = handle(
+        let resp = handle_envelope(
             &state,
-            &Request::Certify {
-                test: "MP+fences".into(),
-                model: "TSO".into(),
-                robust: false,
-            },
+            &envelope(
+                Request::Certify {
+                    test: "MP+fences".into(),
+                    model: "TSO".into(),
+                    robust: false,
+                },
+                None,
+            ),
         );
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
         if resp.get("certified") == Some(&Json::Bool(true)) {
@@ -1581,13 +1613,16 @@ mod tests {
         let state = state();
         // The racy-but-fenced scratch entry: uncertified by DRF/TLO,
         // robust by delay-set analysis.
-        let resp = handle(
+        let resp = handle_envelope(
             &state,
-            &Request::Certify {
-                test: "MP+fences+scratch".into(),
-                model: "Weak".into(),
-                robust: true,
-            },
+            &envelope(
+                Request::Certify {
+                    test: "MP+fences+scratch".into(),
+                    model: "Weak".into(),
+                    robust: true,
+                },
+                None,
+            ),
         );
         assert_eq!(resp.get("certified").and_then(Json::as_bool), Some(false));
         assert_eq!(resp.get("robust").and_then(Json::as_str), Some("robust"));
@@ -1596,13 +1631,16 @@ mod tests {
             Some(true)
         );
         // Unfenced SB under the weak model: a critical cycle, rendered.
-        let resp = handle(
+        let resp = handle_envelope(
             &state,
-            &Request::Certify {
-                test: "SB".into(),
-                model: "Weak".into(),
-                robust: true,
-            },
+            &envelope(
+                Request::Certify {
+                    test: "SB".into(),
+                    model: "Weak".into(),
+                    robust: true,
+                },
+                None,
+            ),
         );
         assert_eq!(resp.get("robust").and_then(Json::as_str), Some("cycle"));
         assert_eq!(
@@ -1615,13 +1653,16 @@ mod tests {
             .is_some_and(|c| c.contains("delayable")));
         // fig8 loads through published pointers: the analysis declines
         // soundly with a reason.
-        let resp = handle(
+        let resp = handle_envelope(
             &state,
-            &Request::Certify {
-                test: "fig8".into(),
-                model: "Weak".into(),
-                robust: true,
-            },
+            &envelope(
+                Request::Certify {
+                    test: "fig8".into(),
+                    model: "Weak".into(),
+                    robust: true,
+                },
+                None,
+            ),
         );
         assert_eq!(resp.get("robust").and_then(Json::as_str), Some("unknown"));
         assert!(resp.get("reason").and_then(Json::as_str).is_some());
@@ -1640,15 +1681,18 @@ mod tests {
     #[test]
     fn metrics_reports_counters_and_cache() {
         let state = state();
-        handle(
+        handle_envelope(
             &state,
-            &Request::Enumerate {
-                test: "SB".into(),
-                model: "SC".into(),
-                budget: None,
-            },
+            &envelope(
+                Request::Enumerate {
+                    test: "SB".into(),
+                    model: "SC".into(),
+                    budget: None,
+                },
+                None,
+            ),
         );
-        let m = handle(&state, &Request::Metrics);
+        let m = handle_envelope(&state, &envelope(Request::Metrics, None));
         assert_eq!(m.get("requests").and_then(Json::as_u64), Some(1));
         assert_eq!(m.get("errors").and_then(Json::as_u64), Some(0));
         let parsed = crate::json::parse(&m.to_string()).unwrap();
@@ -1662,20 +1706,23 @@ mod tests {
     #[test]
     fn monitoring_requests_are_reported_separately() {
         let state = state();
-        handle(
+        handle_envelope(
             &state,
-            &Request::Enumerate {
-                test: "SB".into(),
-                model: "SC".into(),
-                budget: None,
-            },
+            &envelope(
+                Request::Enumerate {
+                    test: "SB".into(),
+                    model: "SC".into(),
+                    budget: None,
+                },
+                None,
+            ),
         );
         // A burst of self-monitoring...
         for _ in 0..5 {
-            handle(&state, &Request::Metrics);
+            handle_envelope(&state, &envelope(Request::Metrics, None));
         }
-        handle(&state, &Request::MetricsProm);
-        let m = handle(&state, &Request::Metrics);
+        handle_envelope(&state, &envelope(Request::MetricsProm, None));
+        let m = handle_envelope(&state, &envelope(Request::Metrics, None));
         // ...leaves `requests` at the one real query.
         assert_eq!(m.get("requests").and_then(Json::as_u64), Some(1));
         // The metrics above plus this one, and the prom scrape.
@@ -1691,12 +1738,12 @@ mod tests {
             budget: None,
         };
         // Server-assigned ids are unique; client ids are echoed.
-        let first = handle(&state, &req);
-        let second = handle(&state, &req);
+        let first = handle_envelope(&state, &envelope(req.clone(), None));
+        let second = handle_envelope(&state, &envelope(req.clone(), None));
         let a = first.get("id").and_then(Json::as_str).unwrap();
         let b = second.get("id").and_then(Json::as_str).unwrap();
         assert_ne!(a, b);
-        let echoed = handle_traced(&state, &req, Some("client-77"));
+        let echoed = handle_envelope(&state, &envelope(req, Some("client-77")));
         assert_eq!(echoed.get("id").and_then(Json::as_str), Some("client-77"));
         // One miss then two hits, all in the enumerate histograms.
         let k = &state.telemetry.kinds[0];
@@ -1711,13 +1758,16 @@ mod tests {
     #[test]
     fn overbudget_latency_is_tracked_separately() {
         let state = state();
-        handle(
+        handle_envelope(
             &state,
-            &Request::Enumerate {
-                test: "IRIW".into(),
-                model: "Weak".into(),
-                budget: Some(3),
-            },
+            &envelope(
+                Request::Enumerate {
+                    test: "IRIW".into(),
+                    model: "Weak".into(),
+                    budget: Some(3),
+                },
+                None,
+            ),
         );
         let k = &state.telemetry.kinds[0];
         assert_eq!(k.overbudget.count(), 1);
@@ -1728,15 +1778,18 @@ mod tests {
     #[test]
     fn metrics_prom_response_is_a_valid_exposition() {
         let state = state();
-        handle(
+        handle_envelope(
             &state,
-            &Request::Enumerate {
-                test: "SB".into(),
-                model: "TSO".into(),
-                budget: None,
-            },
+            &envelope(
+                Request::Enumerate {
+                    test: "SB".into(),
+                    model: "TSO".into(),
+                    budget: None,
+                },
+                None,
+            ),
         );
-        let resp = handle(&state, &Request::MetricsProm);
+        let resp = handle_envelope(&state, &envelope(Request::MetricsProm, None));
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
         let text = resp.get("text").and_then(Json::as_str).unwrap();
         let summary = samm_core::telemetry::prom::check(text).expect("valid exposition");
@@ -1796,13 +1849,16 @@ mod tests {
             std::time::Duration::ZERO,
         );
         let state = ServerState::with_telemetry(EnumCache::new(64), None, telemetry);
-        let response = handle(
+        let response = handle_envelope(
             &state,
-            &Request::Enumerate {
-                test: "IRIW".into(),
-                model: "Weak".into(),
-                budget: None,
-            },
+            &envelope(
+                Request::Enumerate {
+                    test: "IRIW".into(),
+                    model: "Weak".into(),
+                    budget: None,
+                },
+                None,
+            ),
         );
         assert_eq!(response.get("cache_hit"), Some(&Json::Bool(false)));
         let spans = ring.snapshot();
@@ -1842,7 +1898,9 @@ mod tests {
                             model: sel.name().to_owned(),
                             budget: None,
                         };
-                        if handle(&state, &request).get("ok") == Some(&Json::Bool(true)) {
+                        if handle_envelope(&state, &envelope(request, None)).get("ok")
+                            == Some(&Json::Bool(true))
+                        {
                             let query = EnumQuery::resolve(&state, name, sel.name(), None).unwrap();
                             note(query.fp, entry, &state.table[query.row].policy);
                         }
@@ -1853,7 +1911,10 @@ mod tests {
                         test: name.clone(),
                         budget: None,
                     };
-                    assert_eq!(handle(&state, &request).get("ok"), Some(&Json::Bool(true)));
+                    assert_eq!(
+                        handle_envelope(&state, &envelope(request, None)).get("ok"),
+                        Some(&Json::Bool(true))
+                    );
                     for row in &state.verdict_plan(index).rows {
                         note(row.fp, entry, &row.policy);
                     }
@@ -1873,7 +1934,10 @@ mod tests {
                             budget: None,
                         },
                     ] {
-                        assert_eq!(handle(&state, &request).get("ok"), Some(&Json::Bool(true)));
+                        assert_eq!(
+                            handle_envelope(&state, &envelope(request, None)).get("ok"),
+                            Some(&Json::Bool(true))
+                        );
                     }
                 }
             }

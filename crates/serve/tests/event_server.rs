@@ -3,8 +3,9 @@
 //! id, cache hits answered on the loop without overtaking queued work,
 //! the `batch` request kind over the wire, graceful drain, cache
 //! persistence, the connection limit, many connections over several
-//! loops, running out of file descriptors, lines that are not UTF-8, and
-//! scrapes beside an idle scrape connection.
+//! loops, running out of file descriptors, lines that are not UTF-8,
+//! scrapes beside an idle scrape connection or past the connection cap,
+//! and shutdown with scrape connections open.
 
 #![cfg(unix)]
 
@@ -245,15 +246,21 @@ fn version_1_persist_lines_are_refused_and_counted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The `samm_loop_connections` sample of every loop, scraped over HTTP
-/// so the scrape itself holds no loop connection.
-fn loop_connections(prom: SocketAddr) -> Vec<u64> {
+/// The raw HTTP answer to one `GET /metrics` on the scrape listener.
+fn scrape(prom: SocketAddr) -> String {
     let mut stream = TcpStream::connect(prom).unwrap();
     stream.set_read_timeout(Some(TIMEOUT)).unwrap();
     stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
     let mut raw = String::new();
     stream.read_to_string(&mut raw).unwrap();
-    raw.lines()
+    raw
+}
+
+/// The `samm_loop_connections` sample of every loop, scraped over HTTP
+/// so the scrape itself holds no loop connection.
+fn loop_connections(prom: SocketAddr) -> Vec<u64> {
+    scrape(prom)
+        .lines()
         .filter_map(|line| line.strip_prefix("samm_loop_connections{"))
         .map(|rest| rest.rsplit(' ').next().unwrap().parse().unwrap())
         .collect()
@@ -474,6 +481,70 @@ fn max_connections_rejects_with_the_overloaded_error() {
     drop(b);
     drop(c);
     handle.shutdown().unwrap();
+}
+
+/// Scrape connections sit outside the connection cap: a server that
+/// turns service connections away as `overloaded` still answers a
+/// scrape, which counts the rejection.
+#[test]
+fn an_overloaded_server_still_answers_scrapes() {
+    let handle = start(ServerConfig {
+        max_connections: 2,
+        prom_addr: Some("127.0.0.1:0".to_owned()),
+        ..test_config()
+    })
+    .unwrap();
+    let mut a = Client::connect(handle.addr(), TIMEOUT).unwrap();
+    let mut b = Client::connect(handle.addr(), TIMEOUT).unwrap();
+    assert!(ok(&a.request_raw(r#"{"kind":"metrics"}"#).unwrap()));
+    assert!(ok(&b.request_raw(r#"{"kind":"metrics"}"#).unwrap()));
+    let mut rejected = Client::connect(handle.addr(), TIMEOUT).unwrap();
+    let overloaded = rejected.read_response().unwrap();
+    assert_eq!(
+        overloaded
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str),
+        Some("overloaded"),
+        "{overloaded}"
+    );
+    let raw = scrape(handle.prom_addr().unwrap());
+    assert!(raw.starts_with("HTTP/1.0 200 OK\r\n"), "{raw}");
+    assert!(
+        raw.lines().any(|line| line == "samm_overloaded_total 1"),
+        "{raw}"
+    );
+    drop((a, b, rejected));
+    handle.shutdown().unwrap();
+}
+
+/// `shutdown` returns within the drain deadline while an idle scrape
+/// connection and a half-sent request head are open, and both see EOF.
+#[test]
+fn shutdown_closes_open_scrape_connections() {
+    let drain_deadline = Duration::from_secs(2);
+    let handle = start(ServerConfig {
+        prom_addr: Some("127.0.0.1:0".to_owned()),
+        drain_deadline,
+        ..test_config()
+    })
+    .unwrap();
+    let prom = handle.prom_addr().unwrap();
+    let mut idle = TcpStream::connect(prom).unwrap();
+    let mut trickle = TcpStream::connect(prom).unwrap();
+    trickle.write_all(b"GET /metrics HTTP/1.0\r\n").unwrap();
+    // A scrape answered after both were opened: they are adopted and
+    // the half-sent head has been read.
+    assert!(scrape(prom).starts_with("HTTP/1.0 200 OK\r\n"));
+    let started = Instant::now();
+    handle.shutdown().unwrap();
+    let took = started.elapsed();
+    assert!(took < drain_deadline, "shutdown took {took:?}");
+    for stream in [&mut idle, &mut trickle] {
+        stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+        let mut rest = Vec::new();
+        assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0, "{rest:?}");
+    }
 }
 
 /// One raw connection: every burst leaves in a single `write`, and
