@@ -129,13 +129,17 @@ fn main() -> ExitCode {
     });
     let speedup = serial_us / pruned_us;
     let baseline_speedup = E20_BASELINE_US / pruned_us;
-    let (_, pstats) = enumerate_pruned_stats(&iriw.test.program, &weak, &config).unwrap();
+    let (result, pstats) = enumerate_pruned_stats(&iriw.test.program, &weak, &config).unwrap();
     println!(
         "E20 fresh IRIW/weak: serial {serial_us:.1} µs, pruned {pruned_us:.1} µs, \
          speedup {speedup:.1}× (documented baseline {E20_BASELINE_US} µs, \
          {baseline_speedup:.1}× vs baseline)"
     );
-    println!("pruned counters: {}", pstats.to_json());
+    println!(
+        "pruned counters: {{\"stats\":{},\"in_place\":{}}}",
+        result.stats.to_json(),
+        pstats.in_place
+    );
     if obs {
         // Micro-timings of the per-fork primitives, to steer optimization.
         let full = EnumConfig::builder().keep_executions(true).build();

@@ -551,8 +551,11 @@ impl EnumCache {
     }
 }
 
-/// Version tag of the persistence line format.
-const PERSIST_VERSION: u32 = 2;
+/// Version tag of the persistence line format. Bumped whenever the
+/// meaning of a stored field changes: version 2 keyed lines by table
+/// view, version 3 stores pruned-engine stats that no longer depend on
+/// `keep_executions`.
+const PERSIST_VERSION: u32 = 3;
 
 fn encode_stats(stats: &EnumStats) -> String {
     format!(
@@ -894,18 +897,25 @@ mod tests {
             "{PERSIST_VERSION}|{}|1,2,0,0,1,6|-|0,1/1,0;1,1/0,0",
             Fingerprint::from_raw(42)
         );
+        // A well-formed line of the previous version: its stats were
+        // counted under rules this version no longer applies.
+        let stale = format!(
+            "2|{}|1,2,0,0,1,6|-|0,1/1,0;1,1/0,0",
+            Fingerprint::from_raw(9)
+        );
         let body = format!(
-            "{good}\nnot a cache line\n9|{}|1,2,0,0,1,6|-|\n\n",
+            "{good}\nnot a cache line\n9|{}|1,2,0,0,1,6|-|\n{stale}\n\n",
             Fingerprint::from_raw(7)
         );
         std::fs::write(&path, body).unwrap();
         let cache = EnumCache::new(8);
         let (loaded, skipped) = cache.load_from(&path).unwrap();
-        assert_eq!((loaded, skipped), (1, 2));
+        assert_eq!((loaded, skipped), (1, 3));
         let entry = cache.get(Fingerprint::from_raw(42)).unwrap();
         assert_eq!(entry.outcomes.len(), 2);
         assert_eq!(entry.stats.distinct_executions, 1);
         assert!(cache.get(Fingerprint::from_raw(7)).is_none());
+        assert!(cache.get(Fingerprint::from_raw(9)).is_none());
         std::fs::remove_file(&path).ok();
     }
 

@@ -825,31 +825,19 @@ impl Behavior {
     /// Panics when the behaviour is not [complete](Behavior::is_complete):
     /// partial behaviours have unresolved registers.
     pub fn outcome(&self) -> crate::outcome::Outcome {
-        crate::outcome::Outcome::new(self.outcome_rows())
-    }
-
-    /// The final register file of every thread as raw per-thread rows.
-    ///
-    /// Exposed separately from [`Behavior::outcome`] so symmetry-aware
-    /// enumeration can permute rows across structurally identical threads
-    /// without rebuilding them per permutation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the behaviour is not [complete](Behavior::is_complete):
-    /// partial behaviours have unresolved registers.
-    pub fn outcome_rows(&self) -> Vec<Vec<Value>> {
         assert!(self.is_complete(), "outcome requires a complete behaviour");
-        (0..self.threads.len())
-            .map(|t| {
-                (0..self.threads[t].regs.len())
-                    .map(|r| {
-                        self.register_value(t, Reg::new(r))
-                            .expect("complete behaviour has resolved registers")
-                    })
-                    .collect()
-            })
-            .collect()
+        crate::outcome::Outcome::new(
+            (0..self.threads.len())
+                .map(|t| {
+                    (0..self.threads[t].regs.len())
+                        .map(|r| {
+                            self.register_value(t, Reg::new(r))
+                                .expect("complete behaviour has resolved registers")
+                        })
+                        .collect()
+                })
+                .collect(),
+        )
     }
 
     /// A canonical byte string identifying this behaviour up to

@@ -8,7 +8,7 @@
 //! directions on the production engine's behaviour stream:
 //!
 //! * [`find_witness`] pulls the pruned engine's goal-directed stream
-//!   ([`crate::pruned::stream`], symmetry off, path table on) and, at the
+//!   ([`crate::pruned::stream`], path table on) and, at the
 //!   first complete behaviour matching a [`Goal`], packages the
 //!   resolution path ([`crate::pruned::PrunedStream::path_to`]), the
 //!   final outcome, every load's observed store, and a serialization

@@ -25,7 +25,8 @@
 //! produced a behaviour is answered by the pruned stream's path table
 //! ([`crate::pruned::stream`] and [`crate::pruned::PrunedStream::path_to`]),
 //! the one input [`crate::explain`] needs for witnesses; the pruned
-//! engine's prune counts live in [`crate::pruned::PruneStats`].
+//! engine's claim counts are [`crate::enumerate::EnumStats`]'s `forks`
+//! and `deduped`, and [`crate::pruned::PruneStats`] adds `in_place`.
 //!
 //! No external dependencies: the JSON emitted by [`ObsStats::to_json`]
 //! is hand-rolled (flat objects of unsigned integers only).

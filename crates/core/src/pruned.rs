@@ -15,27 +15,22 @@
 //!   deterministic given the observations, so two forks with equal
 //!   observation sets settle to equal behaviours. The engine therefore
 //!   claims each fork's observation set in a seen-table *first* and only
-//!   clones, resolves, and settles the claim winners.
+//!   clones, resolves, and settles the claim winners. This is the paper's
+//!   §4.1 rule (discard a behaviour whose Load-Store graph was seen
+//!   before), applied before the fork instead of after it.
 //! * **Sleep-set / DPOR-style commute pruning.** Two independent
 //!   resolutions `(L₁,S₁)`, `(L₂,S₂)` reach the same observation set in
 //!   either order, so the second order loses the claim race at zero graph
 //!   cost. The claim table *is* the sleep set: no commuting fork is ever
 //!   expanded twice, without tracking per-state sleep sets explicitly.
-//! * **Symmetry reduction.** Threads with identical instruction sequences
-//!   induce program automorphisms. Observation sets are canonicalized to
-//!   the lexicographic minimum over the automorphism group before
-//!   claiming, so only one representative per orbit is explored; at
-//!   commit time the representative's orbit is expanded by permuting its
-//!   outcome rows, restoring the exact execution count and outcome set.
-//!   (Active only when executions are not kept; see
-//!   [`EnumConfig::keep_executions`].)
 //!
 //! The search is a lazy stream of settled complete behaviours,
 //! [`PrunedStream`], and it is the crate's one production search; the
-//! serial [`crate::enumerate::enumerate`] stays only as its oracle.
-//! [`enumerate_pruned`] drains it and commits each behaviour, expanding
-//! orbits in the commit step. Every other caller pulls a goal stream
-//! through [`stream`]:
+//! serial [`crate::enumerate::enumerate`] stays only as its oracle. Every
+//! distinct complete behaviour is yielded exactly once, in the order the
+//! serial oracle's dedup would first reach it. [`enumerate_pruned`]
+//! drains a stream and collects each behaviour's outcome. Every other
+//! caller pulls a goal stream through [`stream`]:
 //!
 //! * [`crate::explain::find_witness`] and [`crate::explain::refute`]
 //!   stop at the first match. When the goal allows, they first
@@ -46,22 +41,17 @@
 //!   sees every resolvable load's candidate count
 //!   ([`PrunedStream::on_candidates`]).
 //!
-//! A goal stream records a *path table*: one `(parent id, load, store)`
-//! entry per expanded fork, so the resolutions that reach a yielded
-//! behaviour are a walk up its parents ([`PrunedStream::path_to`]). Goal
-//! streams run with symmetry **off**: orbit expansion happens only at
-//! commit, so a symmetric stream yields one representative per orbit,
-//! and a goal that is not thread-symmetric could match only a permuted
-//! image whose path was never explored. With the identity group the
-//! claim order equals the serial oracle's dedup order, so the first
-//! match is the same execution the serial oracle would reach first.
+//! A goal stream differs from [`enumerate_pruned`]'s only in recording a
+//! *path table*: one `(parent id, load, store)` entry per expanded fork,
+//! so the resolutions that reach a yielded behaviour are a walk up its
+//! parents ([`PrunedStream::path_to`]).
 //!
 //! Soundness arguments for each rule live in `DESIGN.md`; the
 //! differential test fortress (`tests/pruned_differential.rs`,
 //! `tests/proptests.rs`, `tests/golden_pruning.rs`) pins behaviour-set
 //! equality against the untouched serial oracle.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -72,7 +62,6 @@ use crate::graph::ExecutionGraph;
 use crate::ids::{Addr, NodeId, Value};
 use crate::instr::Program;
 use crate::obs::Obs;
-use crate::outcome::Outcome;
 use crate::policy::Policy;
 
 /// Stable identity of a graph node across enumeration orders, packed into
@@ -109,16 +98,6 @@ fn ident(graph: &ExecutionGraph, id: NodeId) -> Ident {
 /// An observation set: the resolutions taken so far, sorted. Each load
 /// ident appears at most once, so sorting by pair sorts by load.
 type ObsSet = Vec<(Ident, Ident)>;
-
-/// Applies a thread permutation to an ident (init stores are fixed).
-fn permute_ident(perm: &[usize], id: Ident) -> Ident {
-    if id >> 120 == KIND_PROGRAM {
-        let thread = (id >> 32) as u64 as usize;
-        pack(KIND_PROGRAM, perm[thread] as u64, id as u32)
-    } else {
-        id
-    }
-}
 
 /// The multiply-rotate hasher popularized by rustc (`FxHasher`): claim
 /// keys are short vectors of packed words, where SipHash's per-call
@@ -164,26 +143,18 @@ impl Hasher for FxHasher {
     }
 }
 
-type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// Hash of one observation pair, mixed well enough that the commutative
-/// set hash below distributes. Summing per-pair hashes makes the child
-/// key's hash an O(1) update of its parent's (`insert` commutes), so a
-/// claim never re-hashes the whole set.
+/// Hash of one observation pair, mixed well enough that sums of pair
+/// hashes distribute. An observation set's hash is the sum of its pairs'
+/// hashes, so the child key's hash is an O(1) update of its parent's
+/// (`insert` commutes) and a claim never re-hashes the whole set.
 #[inline]
 fn pair_hash(pair: (Ident, Ident)) -> u64 {
     let mut h = FxHasher::default();
     h.write_u128(pair.0);
     h.write_u128(pair.1);
     h.finish()
-}
-
-/// Commutative hash of a whole observation set (root/orbit entries only;
-/// the hot path updates incrementally via [`pair_hash`]).
-fn set_hash(set: &ObsSet) -> u64 {
-    set.iter()
-        .fold(0u64, |acc, &p| acc.wrapping_add(pair_hash(p)))
 }
 
 /// The claim table: observation sets keyed by commutative hash, with
@@ -206,152 +177,16 @@ impl SeenTable {
     }
 }
 
-/// Maps `set` through `perm` into `out`, sorted.
-fn permute_set(perm: &[usize], set: &ObsSet, out: &mut ObsSet) {
-    out.clear();
-    out.extend(
-        set.iter()
-            .map(|&(l, s)| (permute_ident(perm, l), permute_ident(perm, s))),
-    );
-    out.sort_unstable();
-}
-
-/// Writes the lexicographically minimal image of `set` under `group` into
-/// `best`, using `scratch` for the per-permutation images (no allocation
-/// once the buffers have grown).
-fn canonicalize_into(group: &[Vec<usize>], set: &ObsSet, scratch: &mut ObsSet, best: &mut ObsSet) {
-    best.clear();
-    best.extend_from_slice(set);
-    for perm in &group[1..] {
-        permute_set(perm, set, scratch);
-        if *scratch < *best {
-            std::mem::swap(best, scratch);
-        }
-    }
-}
-
-/// The program's thread-symmetry group: all products of permutations
-/// within classes of structurally identical threads, identity first.
-/// Falls back to the identity-only group when the full group would
-/// exceed `limit` elements (the orbit bookkeeping would stop paying for
-/// itself).
-fn symmetry_group(program: &Program, limit: usize) -> Vec<Vec<usize>> {
-    let threads = program.threads();
-    let n = threads.len();
-    let identity: Vec<usize> = (0..n).collect();
-    // Group threads into classes of identical instruction sequences.
-    let mut classes: Vec<Vec<usize>> = Vec::new();
-    'threads: for (t, prog) in threads.iter().enumerate() {
-        for class in &mut classes {
-            if threads[class[0]] == *prog {
-                class.push(t);
-                continue 'threads;
-            }
-        }
-        classes.push(vec![t]);
-    }
-    if classes.iter().all(|c| c.len() == 1) {
-        return vec![identity];
-    }
-    // |G| = product of class factorials; bail out when too large.
-    let mut size: usize = 1;
-    for class in &classes {
-        for k in 2..=class.len() {
-            size = size.saturating_mul(k);
-            if size > limit {
-                return vec![identity];
-            }
-        }
-    }
-    // Build the group as the product of per-class permutations.
-    let mut group = vec![identity];
-    for class in &classes {
-        if class.len() < 2 {
-            continue;
-        }
-        let arrangements = permutations(class);
-        let mut next = Vec::with_capacity(group.len() * arrangements.len());
-        for base in &group {
-            for arrangement in &arrangements {
-                let mut perm = base.clone();
-                for (&slot, &value) in class.iter().zip(arrangement.iter()) {
-                    perm[slot] = value;
-                }
-                next.push(perm);
-            }
-        }
-        group = next;
-    }
-    // Keep the identity first so callers can skip it cheaply.
-    if let Some(pos) = group
-        .iter()
-        .position(|p| p.iter().enumerate().all(|(i, &v)| i == v))
-    {
-        group.swap(0, pos);
-    }
-    group
-}
-
-/// All orderings of `items` (small inputs only).
-fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
-    if items.len() <= 1 {
-        return vec![items.to_vec()];
-    }
-    let mut out = Vec::new();
-    for (i, &head) in items.iter().enumerate() {
-        let mut rest: Vec<usize> = items.to_vec();
-        rest.remove(i);
-        for mut tail in permutations(&rest) {
-            tail.insert(0, head);
-            out.push(tail);
-        }
-    }
-    out
-}
-
-/// Counters specific to the prune-before-expand engine, reported next to
-/// the shared [`EnumStats`] (whose `forks`/`deduped` fields count claim
-/// attempts and pre-expansion claim hits respectively).
+/// The one counter of the prune-before-expand engine that [`EnumStats`]
+/// cannot derive. The rest of its search shape is in [`EnumStats`]:
+/// `forks` counts claim attempts, `deduped` the claims lost to an
+/// already-claimed observation set before any fork was paid for, and
+/// `forks - deduped` the claims that were expanded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
-    /// `(load, store)` claim attempts (equals `EnumStats::forks`).
-    pub claims: u64,
-    /// Claims lost to an already-claimed identical observation set.
-    pub pruned_dominated: u64,
-    /// Claims lost to a thread-permuted observation set's claim.
-    pub pruned_symmetric: u64,
-    /// Claims that won and were actually cloned/resolved/settled.
-    pub expanded: u64,
     /// Expansions that consumed the parent in place instead of cloning
     /// (always the last surviving fork of each explored behaviour).
     pub in_place: u64,
-    /// Expanded forks rolled back for violating Store Atomicity.
-    pub rolled_back: u64,
-    /// Executions credited through orbit expansion beyond the explored
-    /// representatives.
-    pub orbit_commits: u64,
-    /// Size of the thread-symmetry group in effect (1 = no symmetry).
-    pub symmetry_group: u64,
-}
-
-impl PruneStats {
-    /// Serializes into a JSON object (same hand-rolled style as
-    /// [`EnumStats::to_json`]).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"claims\":{},\"pruned_dominated\":{},\"pruned_symmetric\":{},\
-             \"expanded\":{},\"in_place\":{},\"rolled_back\":{},\
-             \"orbit_commits\":{},\"symmetry_group\":{}}}",
-            self.claims,
-            self.pruned_dominated,
-            self.pruned_symmetric,
-            self.expanded,
-            self.in_place,
-            self.rolled_back,
-            self.orbit_commits,
-            self.symmetry_group,
-        )
-    }
 }
 
 /// [`enumerate_pruned`] returning the engine-specific [`PruneStats`]
@@ -415,10 +250,6 @@ pub fn enumerate_pruned(
 ) -> Result<EnumResult, EnumError> {
     run(program, policy, config).map(|(result, _)| result)
 }
-
-/// Maximum symmetry-group size before the engine falls back to
-/// identity-only (the per-claim canonicalization cost scales with |G|).
-const SYMMETRY_LIMIT: usize = 64;
 
 /// One explored partial behaviour: the behaviour, its observation set
 /// and that set's commutative hash, and its id in the path table (0 when
@@ -499,8 +330,7 @@ impl Pinning {
     }
 
     /// Records the rollback of the claimed fork `(load, _)` with
-    /// observation set `set`. (Pinned streams run on the identity group,
-    /// so a fork's set is its claimed set.)
+    /// observation set `set`.
     fn rolled_back(&mut self, load: NodeId, hash: u64, set: ObsSet) {
         self.rolled.insert(hash, set);
         if let Some(tally) = self.tally.iter_mut().find(|t| t.load == load) {
@@ -536,7 +366,7 @@ type CandidateHook<'a> = Box<dyn FnMut(&ExecutionGraph, NodeId, usize) + 'a>;
 /// A lazy stream of the settled complete behaviours of a program, in
 /// the pruned engine's depth-first order.
 ///
-/// [`enumerate_pruned`] drains a stream and commits each behaviour;
+/// [`enumerate_pruned`] drains a stream and collects each behaviour;
 /// [`stream`] hands one to a goal-directed caller: the witness and
 /// refutation searches of [`crate::explain`], which stop at the first
 /// match, and the discipline check of [`crate::sync`], which drains it.
@@ -548,7 +378,6 @@ pub struct PrunedStream<'a> {
     program: &'a Program,
     policy: &'a Policy,
     config: &'a EnumConfig,
-    group: Vec<Vec<usize>>,
     seen: SeenTable,
     frontier: Vec<FrontierEntry>,
     stats: EnumStats,
@@ -558,9 +387,6 @@ pub struct PrunedStream<'a> {
     /// is the `(parent id, load, store)` fork that created behaviour
     /// `id` (the root is id 0 and has no entry).
     paths: Option<Vec<(usize, NodeId, NodeId)>>,
-    /// The observation set of the behaviour yielded last (read by the
-    /// orbit expansion of [`enumerate_pruned`]'s commit step).
-    yielded: ObsSet,
     /// Set once the stream has ended or failed.
     finished: bool,
     /// Goal pins and blocked detection, on pinned streams only.
@@ -571,11 +397,9 @@ pub struct PrunedStream<'a> {
     loads_buf: Vec<NodeId>,
     stores_buf: Vec<NodeId>,
     stores_scratch: Vec<NodeId>,
-    perm_buf: ObsSet,
-    /// Candidate child key and its canonical image, built in place so a
-    /// pruned claim allocates nothing.
+    /// Candidate child key, built in place so a pruned claim allocates
+    /// nothing.
     child_buf: ObsSet,
-    canon_buf: ObsSet,
     survivors_buf: Vec<(NodeId, NodeId, ObsSet, u64)>,
     /// Unresolved memory operations of the behavior under expansion
     /// (filled by `completeness_scan`, read by the candidate gate).
@@ -601,13 +425,10 @@ impl std::fmt::Debug for PrunedStream<'_> {
 /// Starts a goal-directed stream over the complete behaviours of
 /// `program` under `policy`, recording the path table.
 ///
-/// Symmetry reduction is **off** (identity group): a symmetric stream
-/// yields one representative per orbit of thread permutations, so a
-/// goal that is not thread-symmetric could miss its only matching
-/// image. With the identity group every distinct complete behaviour is
-/// yielded exactly once, and its path replays as is. Before the first
-/// pull, [`PrunedStream::pin`] can restrict it to a goal and
-/// [`PrunedStream::on_candidates`] can watch its candidate sets.
+/// Every distinct complete behaviour is yielded exactly once, and its
+/// path replays as is. Before the first pull, [`PrunedStream::pin`] can
+/// restrict it to a goal and [`PrunedStream::on_candidates`] can watch
+/// its candidate sets.
 ///
 /// # Errors
 ///
@@ -647,8 +468,7 @@ pub fn stream<'a>(
     policy: &'a Policy,
     config: &'a EnumConfig,
 ) -> Result<PrunedStream<'a>, EnumError> {
-    let identity = vec![(0..program.threads().len()).collect()];
-    PrunedStream::new(program, policy, config, identity, true)
+    PrunedStream::new(program, policy, config, true)
 }
 
 impl<'a> PrunedStream<'a> {
@@ -656,7 +476,6 @@ impl<'a> PrunedStream<'a> {
         program: &'a Program,
         policy: &'a Policy,
         config: &'a EnumConfig,
-        group: Vec<Vec<usize>>,
         record_paths: bool,
     ) -> Result<Self, EnumError> {
         let (root, obs) = settled_root(program, policy, config)?;
@@ -664,11 +483,7 @@ impl<'a> PrunedStream<'a> {
             program,
             policy,
             config,
-            pstats: PruneStats {
-                symmetry_group: group.len() as u64,
-                ..PruneStats::default()
-            },
-            group,
+            pstats: PruneStats::default(),
             seen: {
                 let mut seen = SeenTable::default();
                 seen.insert(0, ObsSet::new());
@@ -678,16 +493,13 @@ impl<'a> PrunedStream<'a> {
             stats: EnumStats::default(),
             obs,
             paths: record_paths.then(Vec::new),
-            yielded: ObsSet::new(),
             finished: false,
             pinning: None,
             on_candidates: None,
             loads_buf: Vec::new(),
             stores_buf: Vec::new(),
             stores_scratch: Vec::new(),
-            perm_buf: ObsSet::new(),
             child_buf: ObsSet::new(),
-            canon_buf: ObsSet::new(),
             survivors_buf: Vec::new(),
             unresolved_buf: Vec::new(),
             set_pool: Vec::new(),
@@ -769,8 +581,7 @@ impl<'a> PrunedStream<'a> {
     }
 
     /// Explores until the next complete behaviour settles and returns it
-    /// with its path id; `None` once the frontier is exhausted. The
-    /// behaviour's observation set is left in `self.yielded`.
+    /// with its path id; `None` once the frontier is exhausted.
     fn next_settled(&mut self) -> Result<Option<(usize, Behavior)>, EnumError> {
         while let Some((behavior, set, set_h, id)) = self.frontier.pop() {
             self.stats.explored += 1;
@@ -787,8 +598,7 @@ impl<'a> PrunedStream<'a> {
                 &mut self.loads_buf,
             ) {
                 self.stats.distinct_executions += 1;
-                let retired = std::mem::replace(&mut self.yielded, set);
-                self.set_pool.push(retired);
+                self.set_pool.push(set);
                 return Ok(Some((id, behavior)));
             }
 
@@ -838,7 +648,6 @@ impl<'a> PrunedStream<'a> {
             let stores = std::mem::take(&mut self.stores_buf);
             for &store in &stores {
                 self.stats.forks += 1;
-                self.pstats.claims += 1;
                 if let Some(budget) = self.config.budget {
                     if self.stats.forks as u64 > budget {
                         return Err(EnumError::Overbudget {
@@ -856,36 +665,15 @@ impl<'a> PrunedStream<'a> {
                 child.push(pair);
                 child.extend_from_slice(&set[at..]);
                 let child_h = set_h.wrapping_add(pair_hash(pair));
-                let (canonical, canonical_h): (&ObsSet, u64) = if self.group.len() == 1 {
-                    (&self.child_buf, child_h)
-                } else {
-                    canonicalize_into(
-                        &self.group,
-                        &self.child_buf,
-                        &mut self.perm_buf,
-                        &mut self.canon_buf,
-                    );
-                    let h = if self.canon_buf == self.child_buf {
-                        child_h
-                    } else {
-                        set_hash(&self.canon_buf)
-                    };
-                    (&self.canon_buf, h)
-                };
-                if self.seen.contains(canonical_h, canonical) {
+                if self.seen.contains(child_h, &self.child_buf) {
                     if pinned {
                         let pinning = self.pinning.as_mut().expect("pinned");
-                        pinning.lost(canonical_h, canonical);
+                        pinning.lost(child_h, &self.child_buf);
                     }
                     self.stats.deduped += 1;
-                    if *canonical == self.child_buf {
-                        self.pstats.pruned_dominated += 1;
-                    } else {
-                        self.pstats.pruned_symmetric += 1;
-                    }
                     continue;
                 }
-                self.seen.insert(canonical_h, canonical.clone());
+                self.seen.insert(child_h, self.child_buf.clone());
                 if pinned {
                     self.pinning.as_mut().expect("pinned").won();
                 }
@@ -910,7 +698,6 @@ impl<'a> PrunedStream<'a> {
             } else {
                 source.clone()
             };
-            self.pstats.expanded += 1;
             let step = fork.resolve_load(load, store).and_then(|()| {
                 fork.settle(self.program, self.policy, self.config.max_nodes_per_thread)
             });
@@ -929,7 +716,6 @@ impl<'a> PrunedStream<'a> {
                     // The claim stays: any other path to this
                     // observation set fails identically.
                     self.stats.rolled_back += 1;
-                    self.pstats.rolled_back += 1;
                     if let Some(pinning) = &mut self.pinning {
                         pinning.rolled_back(load, child_h, child_set);
                     }
@@ -944,37 +730,6 @@ impl<'a> PrunedStream<'a> {
             pinning.close(id);
         }
         Ok(())
-    }
-
-    /// The commit step of [`enumerate_pruned`]: counts and inserts the
-    /// outcome of every distinct orbit image of the behaviour just
-    /// yielded (just the behaviour itself when the group is trivial).
-    fn commit(&mut self, result: &mut EnumResult, behavior: Behavior) {
-        if self.group.len() == 1 {
-            result.outcomes.insert(behavior.outcome());
-            if self.config.keep_executions {
-                result.executions.push(behavior);
-            }
-            return;
-        }
-        let rows = behavior.outcome_rows();
-        let mut images: FxHashSet<ObsSet> =
-            FxHashSet::with_capacity_and_hasher(self.group.len(), Default::default());
-        for perm in &self.group {
-            permute_set(perm, &self.yielded, &mut self.perm_buf);
-            if !images.contains(&self.perm_buf) {
-                images.insert(self.perm_buf.clone());
-                let mut permuted = vec![Vec::new(); rows.len()];
-                for (t, row) in rows.iter().enumerate() {
-                    permuted[perm[t]] = row.clone();
-                }
-                result.outcomes.insert(Outcome::new(permuted));
-            }
-        }
-        // The stream counted the representative itself.
-        let extra = images.len() - 1;
-        self.stats.distinct_executions += extra;
-        self.pstats.orbit_commits += extra as u64;
     }
 }
 
@@ -991,25 +746,20 @@ impl Iterator for PrunedStream<'_> {
     }
 }
 
-/// Drains a symmetry-reduced stream, committing every yielded
-/// representative (orbit expansion included).
+/// Drains a stream without a path table, collecting every yielded
+/// behaviour.
 fn run(
     program: &Program,
     policy: &Policy,
     config: &EnumConfig,
 ) -> Result<(EnumResult, PruneStats), EnumError> {
-    // Orbit expansion reconstructs counts and outcomes, but not the
-    // permuted Behavior values themselves — so symmetry is only enabled
-    // when the caller does not keep executions.
-    let group = if config.keep_executions {
-        vec![(0..program.threads().len()).collect()]
-    } else {
-        symmetry_group(program, SYMMETRY_LIMIT)
-    };
-    let mut stream = PrunedStream::new(program, policy, config, group, false)?;
+    let mut stream = PrunedStream::new(program, policy, config, false)?;
     let mut result = EnumResult::default();
     while let Some((_, behavior)) = stream.next_settled()? {
-        stream.commit(&mut result, behavior);
+        result.outcomes.insert(behavior.outcome());
+        if config.keep_executions {
+            result.executions.push(behavior);
+        }
     }
     result.stats = stream.stats();
     if config.keep_executions {
@@ -1048,7 +798,7 @@ mod tests {
         Program::new(vec![t(0, 1), t(1, 0)])
     }
 
-    /// Message passing with distinct per-thread code (no symmetry).
+    /// Message passing with distinct per-thread code.
     fn mp() -> Program {
         Program::new(vec![
             ThreadProgram::new(vec![
@@ -1074,10 +824,9 @@ mod tests {
         ])
     }
 
-    /// Two identical threads racing on one location: symmetric by
-    /// construction, with asymmetric complete executions (each load may
-    /// observe its own or the other thread's store), so orbit expansion
-    /// has real work to do.
+    /// Two identical threads racing on one location, with asymmetric
+    /// complete executions (each load may observe its own or the other
+    /// thread's store).
     fn symmetric_sb() -> Program {
         let t = || {
             ThreadProgram::new(vec![
@@ -1095,9 +844,9 @@ mod tests {
     }
 
     /// Two identical threads that each read a location and then write
-    /// it: a symmetric program whose outcomes are *not* all symmetric
-    /// (`0/1` and `1/0` form one orbit). The symmetric SB above cannot
-    /// serve here: its loads read 1 in every execution.
+    /// it: a program of identical threads whose outcomes are *not* all
+    /// symmetric (`0/1` and `1/0` are both observable). The symmetric SB
+    /// above cannot serve here: its loads read 1 in every execution.
     fn symmetric_race() -> Program {
         let t = || {
             ThreadProgram::new(vec![
@@ -1142,29 +891,10 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_program_explores_fewer_behaviors() {
-        let config = EnumConfig::builder().keep_executions(false).build();
-        let policy = Policy::weak();
-        let serial = enumerate(&symmetric_sb(), &policy, &config).unwrap();
-        let (pruned, pstats) = enumerate_pruned_stats(&symmetric_sb(), &policy, &config).unwrap();
-        assert_eq!(pstats.symmetry_group, 2);
-        assert!(pstats.pruned_symmetric > 0, "symmetry must fire");
-        assert!(pstats.orbit_commits > 0, "orbit expansion must fire");
-        assert!(
-            pruned.stats.explored < serial.stats.explored,
-            "pruned {} vs serial {}",
-            pruned.stats.explored,
-            serial.stats.explored
-        );
-        assert_eq!(serial.outcomes, pruned.outcomes);
-    }
-
-    #[test]
-    fn keep_executions_disables_symmetry_and_matches_serial_executions() {
+    fn kept_executions_match_serial_executions() {
         let config = EnumConfig::builder().keep_executions(true).build();
         let policy = Policy::weak();
-        let (pruned, pstats) = enumerate_pruned_stats(&symmetric_sb(), &policy, &config).unwrap();
-        assert_eq!(pstats.symmetry_group, 1);
+        let pruned = enumerate_pruned(&symmetric_sb(), &policy, &config).unwrap();
         let serial = enumerate(&symmetric_sb(), &policy, &config).unwrap();
         assert_eq!(pruned.executions.len(), serial.executions.len());
         assert_eq!(
@@ -1185,18 +915,15 @@ mod tests {
         let config = EnumConfig::builder().keep_executions(false).build();
         let policy = Policy::weak();
         let serial = enumerate(&sb(), &policy, &config).unwrap();
-        let (_, pstats) = enumerate_pruned_stats(&sb(), &policy, &config).unwrap();
+        let (pruned, pstats) = enumerate_pruned_stats(&sb(), &policy, &config).unwrap();
+        let expanded = pruned.stats.forks - pruned.stats.deduped;
         assert!(
-            pstats.expanded < serial.stats.forks as u64,
-            "expanded {} vs serial forks {}",
-            pstats.expanded,
+            expanded < serial.stats.forks,
+            "expanded {expanded} vs serial forks {}",
             serial.stats.forks
         );
         assert!(pstats.in_place > 0, "last fork must move, not clone");
-        assert_eq!(
-            pstats.claims,
-            pstats.pruned_dominated + pstats.pruned_symmetric + pstats.expanded
-        );
+        assert!(pstats.in_place as usize <= expanded);
     }
 
     #[test]
@@ -1229,42 +956,6 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_group_shapes() {
-        assert_eq!(symmetry_group(&mp(), 64).len(), 1);
-        assert_eq!(symmetry_group(&symmetric_sb(), 64).len(), 2);
-        let t = || {
-            ThreadProgram::new(vec![Instr::Store {
-                addr: 0u64.into(),
-                val: 1u64.into(),
-            }])
-        };
-        let triple = Program::new(vec![t(), t(), t()]);
-        assert_eq!(symmetry_group(&triple, 64).len(), 6);
-        // Over the limit: falls back to identity.
-        assert_eq!(symmetry_group(&triple, 5).len(), 1);
-    }
-
-    #[test]
-    fn outcome_rows_permute_correctly_under_symmetry() {
-        // Identical threads racing to store distinct... not possible with
-        // identical code; instead check the symmetric SB outcome set
-        // explicitly contains the asymmetric outcomes both ways.
-        let config = EnumConfig::builder().keep_executions(false).build();
-        let result = enumerate_pruned(&symmetric_sb(), &Policy::weak(), &config).unwrap();
-        let outcomes: Vec<(Value, Value)> = result
-            .outcomes
-            .iter()
-            .map(|o| (o.reg(0, Reg::new(0)), o.reg(1, Reg::new(0))))
-            .collect();
-        for (a, b) in &outcomes {
-            assert!(
-                outcomes.contains(&(*b, *a)),
-                "outcome set must be closed under the thread swap"
-            );
-        }
-    }
-
-    #[test]
     fn path_table_replays_every_yielded_behavior() {
         let config = EnumConfig::default();
         let limit = config.max_nodes_per_thread;
@@ -1287,7 +978,7 @@ mod tests {
                     assert_eq!(replay.outcome(), behavior.outcome(), "{}", policy.name());
                     yielded += 1;
                 }
-                // Symmetry is off: every distinct execution is yielded.
+                // Every distinct execution is yielded.
                 let serial = enumerate(&prog, &policy, &config).unwrap();
                 assert_eq!(yielded, behaviors.stats().distinct_executions);
                 assert_eq!(yielded, serial.stats.distinct_executions);
@@ -1297,8 +988,7 @@ mod tests {
         }
         // A stream created without the table answers no paths at all.
         let (program, policy) = (sb(), Policy::weak());
-        let group = vec![vec![0, 1]];
-        let mut plain = PrunedStream::new(&program, &policy, &config, group, false).unwrap();
+        let mut plain = PrunedStream::new(&program, &policy, &config, false).unwrap();
         let (id, _) = plain.next().unwrap().unwrap();
         assert_eq!(plain.path_to(id), None);
     }
@@ -1322,6 +1012,7 @@ mod tests {
             })
         };
         let (rolled, settled): (ObsSet, ObsSet) = (vec![(1, 2), (3, 4)], vec![(1, 2), (5, 6)]);
+        let set_hash = |set: &ObsSet| set.iter().map(|&p| pair_hash(p)).fold(0, u64::wrapping_add);
         // State 1 claims both sets by forking an unpinned load; the first
         // fork rolls back, the second settles.
         pinning.rolled_back(other_load, set_hash(&rolled), rolled.clone());
@@ -1350,7 +1041,7 @@ mod tests {
     }
 
     #[test]
-    fn goal_streams_turn_symmetry_off() {
+    fn goal_searches_find_both_images_on_identical_threads() {
         use crate::explain::{find_witness, Goal};
         let program = symmetric_race();
         let config = EnumConfig::builder().keep_executions(false).build();
@@ -1361,24 +1052,9 @@ mod tests {
             ])
         };
         for policy in policies() {
-            // The production enumeration still reduces this program.
-            let (result, pstats) = enumerate_pruned_stats(&program, &policy, &config).unwrap();
-            assert_eq!(pstats.symmetry_group, 2, "{}", policy.name());
+            let result = enumerate_pruned(&program, &policy, &config).unwrap();
             assert_eq!(result.outcomes.len(), 3, "{}", policy.name());
-            // A symmetric stream yields one representative per orbit, so
-            // one of the two asymmetric outcomes never appears in it.
-            let symmetric = PrunedStream::new(
-                &program,
-                &policy,
-                &config,
-                symmetry_group(&program, SYMMETRY_LIMIT),
-                false,
-            )
-            .unwrap();
-            let representatives: Vec<Outcome> =
-                symmetric.map(|item| item.unwrap().1.outcome()).collect();
-            assert_eq!(representatives.len(), 2, "{}", policy.name());
-            // The goal stream finds both images, and neither is symmetric.
+            // Both asymmetric outcomes have witnesses of their own.
             for (a, b) in [(1, 0), (0, 1)] {
                 let witness = find_witness(&program, &policy, &config, &goal(a, b))
                     .unwrap()

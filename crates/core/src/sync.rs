@@ -8,7 +8,7 @@
 //! under much weaker memory models.
 //!
 //! [`check_well_synchronized`] drains the production engine's goal
-//! stream ([`crate::pruned::stream`], identity symmetry group) and
+//! stream ([`crate::pruned::stream`]) and
 //! records, for every *static* load site, the maximum number of candidate
 //! stores any of its dynamic instances ever had. Loads of designated
 //! synchronization addresses are exempt.

@@ -1700,9 +1700,9 @@ mod tests {
         assert!(parsed.get("telemetry").is_some());
     }
 
-    /// Self-monitoring must not skew the service counters: `metrics`
-    /// and `metrics_prom` requests are tallied in `monitoring`, never
-    /// in `requests`.
+    /// Self-monitoring must not skew the service counters: `metrics`,
+    /// `metrics_cluster` and `metrics_prom` requests are tallied in
+    /// `monitoring`, never in `requests`.
     #[test]
     fn monitoring_requests_are_reported_separately() {
         let state = state();
@@ -1722,11 +1722,13 @@ mod tests {
             handle_envelope(&state, &envelope(Request::Metrics, None));
         }
         handle_envelope(&state, &envelope(Request::MetricsProm, None));
+        handle_envelope(&state, &envelope(Request::MetricsCluster, None));
         let m = handle_envelope(&state, &envelope(Request::Metrics, None));
         // ...leaves `requests` at the one real query.
         assert_eq!(m.get("requests").and_then(Json::as_u64), Some(1));
-        // The metrics above plus this one, and the prom scrape.
-        assert_eq!(m.get("monitoring").and_then(Json::as_u64), Some(7));
+        // The metrics above plus this one, the prom scrape and the
+        // fleet view.
+        assert_eq!(m.get("monitoring").and_then(Json::as_u64), Some(8));
     }
 
     #[test]

@@ -30,7 +30,8 @@ use crate::json::Json;
 use crate::protocol::Request;
 
 /// The latency-tracked request kinds, in wire-name order. `metrics`,
-/// `metrics_prom`, and `shutdown` are monitoring/control traffic and
+/// `metrics_cluster`, `metrics_prom`, and `shutdown` are
+/// monitoring/control traffic and
 /// are accounted separately (see the `monitoring` counter), so
 /// self-observation never skews the service rates.
 pub const KIND_NAMES: [&str; 6] = [
@@ -208,8 +209,9 @@ pub struct Telemetry {
     /// which are tallied in [`Telemetry::monitoring`]. A batch line
     /// counts once, however many slots it carries.
     pub requests: AtomicU64,
-    /// Monitoring requests (`metrics` / `metrics_prom`) — reported
-    /// separately so self-observation does not skew `requests`.
+    /// Monitoring requests (`metrics` / `metrics_cluster` /
+    /// `metrics_prom`) — reported separately so self-observation does
+    /// not skew `requests`.
     pub monitoring: AtomicU64,
     /// Requests (and batch slots) answered with a structured error.
     pub errors: AtomicU64,
@@ -543,7 +545,7 @@ impl Telemetry {
         );
         prom.counter(
             "samm_monitoring_requests_total",
-            "metrics / metrics_prom requests (excluded from samm_requests_total).",
+            "metrics / metrics_cluster / metrics_prom requests (excluded from samm_requests_total).",
             [([], self.monitoring.load(Ordering::Relaxed) as f64)],
         );
         prom.counter(

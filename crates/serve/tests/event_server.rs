@@ -185,7 +185,7 @@ fn version_1_persist_lines_are_refused_and_counted() {
     let current = std::fs::read_to_string(&path).unwrap();
     let lines: Vec<&str> = current.lines().collect();
     assert_eq!(lines.len(), 2);
-    assert!(lines.iter().all(|l| l.starts_with("2|")), "{current}");
+    assert!(lines.iter().all(|l| l.starts_with("3|")), "{current}");
 
     // Every line rewritten as version 1 with a wrong outcome set, plus
     // the current MP line.

@@ -249,8 +249,8 @@ proptest! {
     /// Differential: the prune-before-expand engine yields exactly the
     /// serial oracle's outcome set and distinct-execution count on random
     /// programs, across the whole model chain (± speculation). Dominance
-    /// pruning, symmetry reduction and copy-on-write forks must be
-    /// invisible in the behaviour set.
+    /// pruning and copy-on-write forks must be invisible in the
+    /// behaviour set.
     #[test]
     fn pruned_matches_serial_differentially(
         seed in any::<u64>(),

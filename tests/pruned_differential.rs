@@ -26,8 +26,8 @@
 //! is what lets the verdict harness enumerate once per view.
 //!
 //! These are the acceptance tests for the pruned engine's soundness
-//! claims (dominance pruning, symmetry reduction, copy-on-write forks):
-//! each pruning rule must be invisible in the behaviour set.
+//! claims (dominance pruning, copy-on-write forks): neither may be
+//! visible in the behaviour set.
 
 use samm::analyze::harness::drf_certifier;
 use samm::core::cache::{CachedResult, EnumCache};
@@ -205,6 +205,32 @@ fn pruned_matches_serial_on_full_catalog() {
                 &entry.test.program,
                 &model.policy(),
                 &format!("{} under {}", entry.test.name, model.name()),
+            );
+        }
+    }
+}
+
+/// `keep_executions` only decides whether executions are returned: the
+/// pruned engine runs the same search either way, so its stats and
+/// outcome set do not depend on it.
+#[test]
+fn kept_executions_leave_pruned_stats_unchanged() {
+    let config = |keep| EnumConfig::builder().keep_executions(keep).build();
+    for entry in catalog::all() {
+        for model in ModelSel::ALL {
+            let policy = model.policy();
+            let run = |keep| {
+                enumerate_pruned(&entry.test.program, &policy, &config(keep))
+                    .expect("pruned engine succeeds")
+            };
+            let (kept, dropped) = (run(true), run(false));
+            let label = format!("{} under {}", entry.test.name, model.name());
+            assert_eq!(kept.stats, dropped.stats, "{label}: stats differ");
+            assert_eq!(kept.outcomes, dropped.outcomes, "{label}: outcomes differ");
+            assert_eq!(
+                kept.executions.len(),
+                kept.stats.distinct_executions,
+                "{label}"
             );
         }
     }
