@@ -47,13 +47,41 @@ fn free_addrs(n: usize) -> Vec<SocketAddr> {
     listeners.iter().map(|l| l.local_addr().unwrap()).collect()
 }
 
+const NODES: [&str; 3] = ["node-a", "node-b", "node-c"];
+
+/// Counts a single-line answer as an inline hit of the node that
+/// answered it, when it was a cache hit there: a cluster member's loop
+/// answers resident hits only, and never a forward.
+fn note_hit(inline_hits: &mut [u64; 3], response: &Json) {
+    if response.get("cache_hit").and_then(Json::as_bool) == Some(true) {
+        let node = response.get("node").and_then(Json::as_str).unwrap();
+        inline_hits[NODES.iter().position(|n| *n == node).unwrap()] += 1;
+    }
+}
+
+/// The requests the event loop of the server at `addr` answered itself,
+/// read over a connection of its own.
+fn loop_answered(addr: SocketAddr) -> u64 {
+    let metrics = Client::connect(addr, TIMEOUT)
+        .unwrap()
+        .request_raw(r#"{"kind":"metrics"}"#)
+        .unwrap();
+    let answered = metrics
+        .get("telemetry")
+        .and_then(|t| t.get("loop_answered"))
+        .and_then(Json::as_arr)
+        .unwrap();
+    assert_eq!(answered.len(), 1);
+    answered[0].as_u64().unwrap()
+}
+
 fn start_cluster() -> (Vec<ServerHandle>, String) {
     let addrs = free_addrs(3);
     let topology = format!(
         "node-a {}\nnode-b {}\nnode-c {}\n",
         addrs[0], addrs[1], addrs[2]
     );
-    let handles = ["node-a", "node-b", "node-c"]
+    let handles = NODES
         .iter()
         .zip(&addrs)
         .map(|(id, addr)| {
@@ -77,10 +105,12 @@ fn cluster_forwards_to_owners_and_hits_their_caches() {
 
     // Pass 1 through node-a: remote-owned keys come back annotated with
     // the owner's node id and the forwarded marker.
+    let mut inline_hits = [0u64; 3];
     let mut forwarded = 0usize;
     for (test, model) in KEYS {
         let response = client.request_raw(&enumerate_line(test, model)).unwrap();
         assert!(ok(&response), "{test}/{model}: {response}");
+        note_hit(&mut inline_hits, &response);
         let node = response.get("node").and_then(Json::as_str).unwrap();
         if response.get("forwarded").and_then(Json::as_bool) == Some(true) {
             assert_ne!(node, "node-a", "forwarded answers carry the owner id");
@@ -97,6 +127,7 @@ fn cluster_forwards_to_owners_and_hits_their_caches() {
     for (test, model) in KEYS {
         let response = client.request_raw(&enumerate_line(test, model)).unwrap();
         assert!(ok(&response), "{test}/{model}: {response}");
+        note_hit(&mut inline_hits, &response);
         if response.get("forwarded").and_then(Json::as_bool) == Some(true) {
             assert_eq!(
                 response.get("cache_hit").and_then(Json::as_bool),
@@ -140,6 +171,12 @@ fn cluster_forwards_to_owners_and_hits_their_caches() {
     }
     assert!(batch_forwarded > 0, "batch must forward peer-owned slots");
 
+    // Each member's loop answered exactly the resident single-line hits
+    // it served; batches, misses and forwards all ran on workers.
+    let answered: Vec<u64> = handles.iter().map(|h| loop_answered(h.addr())).collect();
+    assert_eq!(answered, inline_hits);
+    assert!(inline_hits[0] > 0 && inline_hits[1..].iter().any(|&n| n > 0));
+
     // Drain node-c; keys it owned degrade to fallback (local compute or
     // the ring successor) — never to errors.
     handles.remove(2).shutdown().unwrap();
@@ -149,7 +186,10 @@ fn cluster_forwards_to_owners_and_hits_their_caches() {
             ok(&response),
             "{test}/{model} must survive a drained member: {response}"
         );
+        note_hit(&mut inline_hits, &response);
     }
+    let answered: Vec<u64> = handles.iter().map(|h| loop_answered(h.addr())).collect();
+    assert_eq!(answered, inline_hits[..2]);
 
     drop(client);
     for handle in handles {
