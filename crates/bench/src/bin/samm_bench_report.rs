@@ -10,7 +10,15 @@
 //! engine) wall microseconds (min and mean over `--iters` runs, min
 //! being the noise-resistant number CI should trend) plus the verdict
 //! pass flag, so a perf regression and a correctness regression both
-//! surface as a diff in one artifact. The serving-path counterpart is
+//! surface as a diff in one artifact.
+//!
+//! The `pruned` and `serial` rows time `expect::run_entry` and
+//! `run_entry_serial`: every model, no certifier, a verdict plan built
+//! per call. The `pruned-served` rows time the verdict as `samm-serve`
+//! answers it: the entry's DRF-certified `VerdictPlan`, built once,
+//! run by `run_entry_planned` at `Observe::Count` through a one-entry
+//! `EnumCache`, fresh for each run so every run is cold, as on the
+//! `fresh-mix` workload. The serving-path counterpart is
 //! `samm-benchmark --out` (the workloads of `BENCHMARK.json`); together
 //! they cover the two performance planes EXPERIMENTS.md tracks.
 //!
@@ -21,9 +29,12 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use samm_analyze::harness::drf_certifier;
+use samm_core::cache::EnumCache;
 use samm_core::enumerate::EnumConfig;
+use samm_core::obs::Observe;
 use samm_litmus::catalog::{self, CatalogEntry};
-use samm_litmus::expect::{run_entry, run_entry_serial, EntryReport};
+use samm_litmus::expect::{run_entry, run_entry_planned, run_entry_serial, VerdictPlan};
 use samm_serve::json::Json;
 
 /// Fast classics plus one paper figure: small enough that both
@@ -84,26 +95,32 @@ fn main() -> ExitCode {
         }
     }
 
-    type Engine = (
-        &'static str,
-        fn(&CatalogEntry, &EnumConfig) -> Result<EntryReport, samm_core::error::EnumError>,
-    );
-    let engines: [Engine; 2] = [("serial", run_entry_serial), ("pruned", run_entry)];
-
     let config = EnumConfig::default();
+    // The server's verdict configuration (`ServerState::config`).
+    let served = EnumConfig::builder()
+        .keep_executions(false)
+        .observe(Observe::Count)
+        .build();
     let mut rows = Vec::new();
     println!(
-        "{:<12} {:<10} {:>12} {:>12} {:>6}",
+        "{:<12} {:<14} {:>12} {:>12} {:>6}",
         "test", "engine", "min us", "mean us", "pass"
     );
     for entry in &entries {
-        for (engine, run) in engines {
+        let plan = VerdictPlan::new(entry, &served, Some(&drf_certifier));
+        for engine in ["serial", "pruned", "pruned-served"] {
             let mut min_us = f64::INFINITY;
             let mut sum_us = 0.0;
             let mut pass = true;
             for _ in 0..iters {
+                let cache = EnumCache::new(1);
                 let started = Instant::now();
-                let report = match run(entry, &config) {
+                let report = match engine {
+                    "serial" => run_entry_serial(entry, &config),
+                    "pruned" => run_entry(entry, &config),
+                    _ => run_entry_planned(entry, &plan, &served, &cache),
+                };
+                let report = match report {
                     Ok(report) => report,
                     Err(e) => {
                         eprintln!(
@@ -120,7 +137,7 @@ fn main() -> ExitCode {
             }
             let mean_us = sum_us / iters as f64;
             println!(
-                "{:<12} {engine:<10} {min_us:>12.1} {mean_us:>12.1} {:>6}",
+                "{:<12} {engine:<14} {min_us:>12.1} {mean_us:>12.1} {:>6}",
                 entry.test.name,
                 if pass { "yes" } else { "NO" },
             );

@@ -75,8 +75,8 @@ impl Clone for Closure {
         }
     }
 
-    // Capacity-reusing clone for enumeration fork scratch: `Vec`'s
-    // `clone_from` keeps the matrix allocation when it already fits.
+    // Capacity-reusing clone for the pruned engine's spare behaviours:
+    // `Vec`'s `clone_from` keeps the matrix allocation when it fits.
     fn clone_from(&mut self, source: &Self) {
         self.n = source.n;
         self.row_words = source.row_words;
@@ -99,6 +99,19 @@ impl Closure {
     /// Returns `true` when the order has no nodes.
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// Removes every node, keeping the matrices' allocations.
+    pub(crate) fn clear(&mut self) {
+        self.n = 0;
+        self.row_words = 0;
+        self.succ.clear();
+        self.pred.clear();
+    }
+
+    /// Bytes of heap the matrices hold, used or not.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.succ.capacity() + self.pred.capacity()) * std::mem::size_of::<u64>()
     }
 
     /// Adds a fresh, unordered node and returns its id.

@@ -19,7 +19,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::error::EnumError;
-use crate::exec::{Behavior, StepError};
+use crate::exec::{Behavior, Spare, StepError};
 use crate::instr::Program;
 use crate::obs::{Obs, ObsStats, Observe};
 use crate::outcome::OutcomeSet;
@@ -212,21 +212,22 @@ pub struct EnumResult {
     pub stats: EnumStats,
 }
 
-/// Settles the initial behaviour of `program`, with a fresh
-/// instrumentation block attached when [`EnumConfig::observe`] counts
-/// (its timers on when it is [`Observe::Timed`]). Shared by both
-/// engines.
+/// Settles the initial behaviour of `program` in `spare`'s allocations,
+/// with a fresh instrumentation block attached when
+/// [`EnumConfig::observe`] counts (its timers on when it is
+/// [`Observe::Timed`]). Shared by both engines.
 pub(crate) fn settled_root(
     program: &Program,
     policy: &Policy,
     config: &EnumConfig,
+    spare: Spare,
 ) -> Result<(Behavior, Option<Arc<Obs>>), EnumError> {
     let obs = match config.observe {
         Observe::Off => None,
         Observe::Count => Some(Arc::new(Obs::new())),
         Observe::Timed => Some(Arc::new(Obs::timed())),
     };
-    let mut root = Behavior::new(program);
+    let mut root = Behavior::new_in(program, spare);
     if let Some(obs) = &obs {
         root.enable_obs(Arc::clone(obs));
     }
@@ -284,7 +285,7 @@ pub fn enumerate(
     policy: &Policy,
     config: &EnumConfig,
 ) -> Result<EnumResult, EnumError> {
-    let (root, obs) = settled_root(program, policy, config)?;
+    let (root, obs) = settled_root(program, policy, config, Spare::default())?;
     let mut seen: HashSet<Vec<u8>> = HashSet::new();
     if config.dedup {
         seen.insert(root.canonical_key());

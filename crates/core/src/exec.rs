@@ -159,34 +159,80 @@ impl Clone for Behavior {
             obs: self.obs.clone(),
         }
     }
+}
 
-    // Capacity-reusing clone: forking into a recycled behaviour keeps its
-    // graph allocations instead of paying malloc/free per fork.
-    fn clone_from(&mut self, source: &Self) {
-        self.graph.clone_from(&source.graph);
-        self.threads.clone_from(&source.threads);
-        self.alias_pairs.clone_from(&source.alias_pairs);
-        self.init_map.clone_from(&source.init_map);
-        self.thread_nodes.clone_from(&source.thread_nodes);
-        self.obs.clone_from(&source.obs);
+/// The allocations of a spent behaviour, kept to fork into
+/// ([`Behavior::fork_into`]): its graph and alias pairs, which a fork
+/// copies, without the copy-on-write state a fork shares.
+#[derive(Debug, Default)]
+pub(crate) struct Spare {
+    graph: ExecutionGraph,
+    alias_pairs: Vec<AliasPair>,
+}
+
+impl Spare {
+    /// Drops the contents, keeping the allocations.
+    pub(crate) fn clear(&mut self) {
+        self.graph.clear();
+        self.alias_pairs.clear();
+    }
+
+    /// Bytes of heap the spare holds, used or not.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.graph.heap_bytes() + self.alias_pairs.capacity() * std::mem::size_of::<AliasPair>()
     }
 }
 
 impl Behavior {
+    /// A clone of `self` built in `spare`'s allocations: equal to
+    /// [`Clone::clone`], but with no graph allocation once the spare has
+    /// held a graph as large.
+    pub(crate) fn fork_into(&self, spare: Spare) -> Behavior {
+        let Spare {
+            mut graph,
+            mut alias_pairs,
+        } = spare;
+        graph.clone_from(&self.graph);
+        alias_pairs.clone_from(&self.alias_pairs);
+        Behavior {
+            graph,
+            threads: Arc::clone(&self.threads),
+            alias_pairs,
+            init_map: Arc::clone(&self.init_map),
+            thread_nodes: Arc::clone(&self.thread_nodes),
+            obs: self.obs.clone(),
+        }
+    }
+
+    /// Gives up the behaviour, keeping its allocations for
+    /// [`Behavior::fork_into`].
+    pub(crate) fn into_spare(self) -> Spare {
+        Spare {
+            graph: self.graph,
+            alias_pairs: self.alias_pairs,
+        }
+    }
+
     /// Creates the initial behaviour of `program`: empty graph, every
     /// thread at PC 0, plus init stores for the explicitly initialized
     /// addresses. Init stores for other addresses appear lazily as soon as
     /// the address is first used.
     pub fn new(program: &Program) -> Self {
+        Behavior::new_in(program, Spare::default())
+    }
+
+    /// [`Behavior::new`] built in `spare`'s allocations.
+    pub(crate) fn new_in(program: &Program, mut spare: Spare) -> Self {
+        spare.clear();
         let threads: Vec<ThreadState> = program
             .threads()
             .iter()
             .map(|t| ThreadState::new(t.reg_count()))
             .collect();
         let mut b = Behavior {
-            graph: ExecutionGraph::new(),
+            graph: spare.graph,
             threads: Arc::new(threads),
-            alias_pairs: Vec::new(),
+            alias_pairs: spare.alias_pairs,
             init_map: Arc::new(BTreeMap::new()),
             thread_nodes: Arc::new(vec![Vec::new(); program.threads().len()]),
             obs: None,

@@ -381,7 +381,7 @@ impl Clone for ExecutionGraph {
         }
     }
 
-    // Capacity-reusing clone for the enumeration fork pool.
+    // Capacity-reusing clone for the pruned engine's spare behaviours.
     fn clone_from(&mut self, source: &Self) {
         self.nodes.clone_from(&source.nodes);
         self.edges.clone_from(&source.edges);
@@ -403,6 +403,20 @@ impl ExecutionGraph {
     /// Returns `true` when the graph has no nodes.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// Removes every node and edge, keeping the allocations.
+    pub(crate) fn clear(&mut self) {
+        self.nodes.clear();
+        self.edges.clear();
+        self.closure.clear();
+    }
+
+    /// Bytes of heap the graph holds, used or not.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<Node>()
+            + self.edges.capacity() * std::mem::size_of::<Edge>()
+            + self.closure.heap_bytes()
     }
 
     /// Adds a node issued by `thread` with payload `detail`.

@@ -46,18 +46,28 @@
 //! so the resolutions that reach a yielded behaviour are a walk up its
 //! parents ([`PrunedStream::path_to`]).
 //!
+//! Each thread keeps one engine *arena*: the claim table, the frontier,
+//! the scratch buffers and a bounded pool of spent behaviours' graphs.
+//! A stream takes it when it starts and gives it back, cleared, when it
+//! is dropped, so a fork copies into a spent behaviour's allocations and
+//! a query on a thread that ran one before allocates little. Only
+//! capacity crosses from one stream to the next: no claim, set,
+//! behaviour or result.
+//!
 //! Soundness arguments for each rule live in `DESIGN.md`; the
 //! differential test fortress (`tests/pruned_differential.rs`,
 //! `tests/proptests.rs`, `tests/golden_pruning.rs`) pins behaviour-set
 //! equality against the untouched serial oracle.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::mem::size_of;
 use std::sync::Arc;
 
 use crate::enumerate::{settled_root, EnumConfig, EnumResult, EnumStats};
 use crate::error::EnumError;
-use crate::exec::{Behavior, StepError};
+use crate::exec::{Behavior, Spare, StepError};
 use crate::graph::ExecutionGraph;
 use crate::ids::{Addr, NodeId, Value};
 use crate::instr::Program;
@@ -94,10 +104,6 @@ fn ident(graph: &ExecutionGraph, id: NodeId) -> Ident {
         )
     }
 }
-
-/// An observation set: the resolutions taken so far, sorted. Each load
-/// ident appears at most once, so sorting by pair sorts by load.
-type ObsSet = Vec<(Ident, Ident)>;
 
 /// The multiply-rotate hasher popularized by rustc (`FxHasher`): claim
 /// keys are short vectors of packed words, where SipHash's per-call
@@ -163,42 +169,69 @@ type SetId = usize;
 
 /// The claim table and the one copy of every claimed observation set:
 /// frontier entries and rolled-back claims refer to a set by its
-/// [`SetId`]. Sets are found by commutative hash, comparing sets exactly
-/// along each (nearly always one-long) chain of equal hashes — a
+/// [`SetId`]. An observation set is the resolutions taken so far as
+/// `(load ident, store ident)` pairs, sorted; each load ident appears at
+/// most once, so sorting by pair sorts by load. All sets lie back to back
+/// in one buffer. Sets are found by commutative hash, comparing sets
+/// exactly along each (nearly always one-long) chain of equal hashes — a
 /// collision costs a memcmp, never a wrong prune.
 #[derive(Default)]
 struct SeenTable {
-    /// Every claimed set in claim order, each with the next-older set of
-    /// the same hash.
-    sets: Vec<(ObsSet, Option<SetId>)>,
+    /// Every claimed set's pairs, in claim order.
+    pairs: Vec<(Ident, Ident)>,
+    /// Every claimed set in claim order: its start and length in `pairs`,
+    /// and the next-older set of the same hash.
+    sets: Vec<(usize, usize, Option<SetId>)>,
     /// The newest claimed set of each hash.
     heads: FxHashMap<u64, SetId>,
 }
 
 impl SeenTable {
-    /// The id of the claimed set equal to `set`, if any.
-    fn find(&self, hash: u64, set: &[(Ident, Ident)]) -> Option<SetId> {
+    /// Empties the table, then claims the empty set, the root's, as set 0
+    /// with hash 0.
+    fn reset(&mut self) {
+        self.pairs.clear();
+        self.sets.clear();
+        self.heads.clear();
+        self.heads.insert(0, 0);
+        self.sets.push((0, 0, None));
+    }
+
+    fn get(&self, id: SetId) -> &[(Ident, Ident)] {
+        let (start, len, _) = self.sets[id];
+        &self.pairs[start..start + len]
+    }
+
+    /// Claims the set `parent` plus `pair`, whose hash is `hash`: its new
+    /// id, or the id of the equal set claimed before. The candidate set is
+    /// built at the end of `pairs` and stays there only when it wins, so
+    /// a lost claim allocates nothing.
+    fn claim(&mut self, parent: SetId, pair: (Ident, Ident), hash: u64) -> Result<SetId, SetId> {
+        let (start, len, _) = self.sets[parent];
+        let at = start + self.pairs[start..start + len].partition_point(|p| p < &pair);
+        let child = self.pairs.len();
+        self.pairs.extend_from_within(start..at);
+        self.pairs.push(pair);
+        self.pairs.extend_from_within(at..start + len);
         let mut next = self.heads.get(&hash).copied();
         while let Some(id) = next {
-            let (claimed, older) = &self.sets[id];
-            if claimed == set {
-                return Some(id);
+            if self.get(id) == &self.pairs[child..] {
+                self.pairs.truncate(child);
+                return Err(id);
             }
-            next = *older;
+            next = self.sets[id].2;
         }
-        None
-    }
-
-    /// Claims `set`, which must not be claimed yet.
-    fn insert(&mut self, hash: u64, set: ObsSet) -> SetId {
         let id = self.sets.len();
         let older = self.heads.insert(hash, id);
-        self.sets.push((set, older));
-        id
+        self.sets.push((child, len + 1, older));
+        Ok(id)
     }
 
-    fn get(&self, id: SetId) -> &ObsSet {
-        &self.sets[id].0
+    /// Bytes of heap the table holds, used or not.
+    fn heap_bytes(&self) -> usize {
+        self.pairs.capacity() * size_of::<(Ident, Ident)>()
+            + self.sets.capacity() * size_of::<(usize, usize, Option<SetId>)>()
+            + self.heads.capacity() * size_of::<(u64, SetId)>()
     }
 }
 
@@ -280,6 +313,104 @@ pub fn enumerate_pruned(
 /// in the claim table and that set's commutative hash, and its id in the
 /// path table (0 when paths are not recorded).
 type FrontierEntry = (Behavior, SetId, u64, usize);
+
+/// The most spare behaviours an arena keeps. A fork beyond the pool
+/// clones, so the bound costs allocations, never correctness; it keeps a
+/// thread's spare graphs from growing with the widest search it ran.
+const POOL_CAP: usize = 32;
+
+/// The most heap an idle arena may hold: a stream whose arena grew past
+/// it frees the arena when dropped, so one huge query does not pin its
+/// memory to the thread for good.
+const ARENA_KEEP_BYTES: usize = 1 << 20;
+
+/// Everything a stream allocates that a later stream on the same thread
+/// can reuse. Between streams every part is empty: only capacity is kept.
+#[derive(Default)]
+struct Arena {
+    seen: SeenTable,
+    frontier: Vec<FrontierEntry>,
+    /// Spent behaviours' allocations, forked into before any clone: the
+    /// rolled-back forks, the parents with no surviving fork, and the
+    /// complete behaviours [`enumerate_pruned`] has read.
+    pool: Vec<Spare>,
+    /// The path table, used when paths are recorded: entry `id - 1` is
+    /// the `(parent id, load, store)` fork that created behaviour `id`
+    /// (the root is id 0 and has no entry).
+    paths: Vec<(usize, NodeId, NodeId)>,
+    // Reusable scratch buffers for the hot loop.
+    loads_buf: Vec<NodeId>,
+    stores_buf: Vec<NodeId>,
+    stores_scratch: Vec<NodeId>,
+    survivors_buf: Vec<(NodeId, NodeId, SetId, u64)>,
+    /// Unresolved memory operations of the behavior under expansion
+    /// (filled by `completeness_scan`, read by the candidate gate).
+    unresolved_buf: Vec<NodeId>,
+    /// Addressed stores of the behavior under expansion, in node order
+    /// (filled by `completeness_scan`, read by the candidate gate).
+    stores_index_buf: Vec<(Addr, NodeId)>,
+}
+
+thread_local! {
+    /// The thread's idle arena; a running stream holds it, so a stream
+    /// started inside another starts with a fresh one.
+    static ARENA: Cell<Option<Arena>> = const { Cell::new(None) };
+}
+
+impl Arena {
+    /// The thread's idle arena, or a new one when it has none.
+    fn take() -> Arena {
+        ARENA
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_default()
+    }
+
+    /// Clears the arena and gives it back to the thread, unless it grew
+    /// past [`ARENA_KEEP_BYTES`].
+    fn give_back(mut self) {
+        self.clear();
+        if self.heap_bytes() <= ARENA_KEEP_BYTES {
+            // Fails only while the thread is exiting; the arena is then
+            // freed here.
+            let _ = ARENA.try_with(|slot| slot.set(Some(self)));
+        }
+    }
+
+    /// Keeps `behavior`'s allocations for a later fork, while the pool has
+    /// room.
+    fn spend(&mut self, behavior: Behavior) {
+        if self.pool.len() < POOL_CAP {
+            self.pool.push(behavior.into_spare());
+        }
+    }
+
+    /// Empties every part, keeping the capacity.
+    fn clear(&mut self) {
+        while let Some((behavior, ..)) = self.frontier.pop() {
+            self.spend(behavior);
+        }
+        self.pool.iter_mut().for_each(Spare::clear);
+        self.seen.reset();
+        self.paths.clear();
+        self.loads_buf.clear();
+        self.stores_buf.clear();
+        self.stores_scratch.clear();
+        self.survivors_buf.clear();
+        self.unresolved_buf.clear();
+        self.stores_index_buf.clear();
+    }
+
+    /// Bytes of heap the parts that grow with the search hold, used or
+    /// not (the scratch buffers grow only with the program).
+    fn heap_bytes(&self) -> usize {
+        self.seen.heap_bytes()
+            + self.frontier.capacity() * size_of::<FrontierEntry>()
+            + self.pool.iter().map(Spare::heap_bytes).sum::<usize>()
+            + self.paths.capacity() * size_of::<(usize, NodeId, NodeId)>()
+    }
+}
 
 /// The goal loads of a pinned stream, each with the value it must
 /// observe (see [`PrunedStream::pin`]).
@@ -403,42 +534,32 @@ pub struct PrunedStream<'a> {
     program: &'a Program,
     policy: &'a Policy,
     config: &'a EnumConfig,
-    seen: SeenTable,
-    frontier: Vec<FrontierEntry>,
+    /// The thread's arena while the stream runs.
+    arena: Arena,
     stats: EnumStats,
     pstats: PruneStats,
     obs: Option<Arc<Obs>>,
-    /// The path table, present when paths are recorded: entry `id - 1`
-    /// is the `(parent id, load, store)` fork that created behaviour
-    /// `id` (the root is id 0 and has no entry).
-    paths: Option<Vec<(usize, NodeId, NodeId)>>,
+    /// Whether the path table is recorded.
+    record_paths: bool,
     /// Set once the stream has ended or failed.
     finished: bool,
     /// Goal pins and blocked detection, on pinned streams only.
     pinning: Option<Box<Pinning>>,
     /// Called with every resolvable load's candidate count, when set.
     on_candidates: Option<CandidateHook<'a>>,
-    // Reusable scratch buffers for the hot loop.
-    loads_buf: Vec<NodeId>,
-    stores_buf: Vec<NodeId>,
-    stores_scratch: Vec<NodeId>,
-    /// Candidate child key, built in place so a pruned claim allocates
-    /// nothing.
-    child_buf: ObsSet,
-    survivors_buf: Vec<(NodeId, NodeId, SetId, u64)>,
-    /// Unresolved memory operations of the behavior under expansion
-    /// (filled by `completeness_scan`, read by the candidate gate).
-    unresolved_buf: Vec<NodeId>,
-    /// Addressed stores of the behavior under expansion, in node order
-    /// (filled by `completeness_scan`, read by the candidate gate).
-    stores_index_buf: Vec<(Addr, NodeId)>,
+}
+
+impl Drop for PrunedStream<'_> {
+    fn drop(&mut self) {
+        std::mem::take(&mut self.arena).give_back();
+    }
 }
 
 impl std::fmt::Debug for PrunedStream<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PrunedStream")
             .field("stats", &self.stats)
-            .field("frontier", &self.frontier.len())
+            .field("frontier", &self.arena.frontier.len())
             .field("finished", &self.finished)
             .field("blocked", &self.blocked())
             .finish_non_exhaustive()
@@ -501,32 +622,30 @@ impl<'a> PrunedStream<'a> {
         config: &'a EnumConfig,
         record_paths: bool,
     ) -> Result<Self, EnumError> {
-        let (root, obs) = settled_root(program, policy, config)?;
+        let mut arena = Arena::take();
+        let spare = arena.pool.pop().unwrap_or_default();
+        let (root, obs) = match settled_root(program, policy, config, spare) {
+            Ok(settled) => settled,
+            Err(e) => {
+                arena.give_back();
+                return Err(e);
+            }
+        };
+        arena.seen.reset();
+        // The root's set is the empty one, claimed first.
+        arena.frontier.push((root, 0, 0, 0));
         Ok(PrunedStream {
             program,
             policy,
             config,
+            arena,
             pstats: PruneStats::default(),
-            seen: {
-                let mut seen = SeenTable::default();
-                seen.insert(0, ObsSet::new());
-                seen
-            },
-            // The root's set is the empty one, claimed first.
-            frontier: vec![(root, 0, 0, 0)],
             stats: EnumStats::default(),
             obs,
-            paths: record_paths.then(Vec::new),
+            record_paths,
             finished: false,
             pinning: None,
             on_candidates: None,
-            loads_buf: Vec::new(),
-            stores_buf: Vec::new(),
-            stores_scratch: Vec::new(),
-            child_buf: ObsSet::new(),
-            survivors_buf: Vec::new(),
-            unresolved_buf: Vec::new(),
-            stores_index_buf: Vec::new(),
         })
     }
 
@@ -547,7 +666,7 @@ impl<'a> PrunedStream<'a> {
     /// When called after the first pull.
     pub fn pin(&mut self, pins: impl FnOnce(&ExecutionGraph) -> Option<Pins>) -> bool {
         assert_eq!(self.stats.explored, 0, "pin a stream before pulling it");
-        let root = self.frontier[0].0.graph();
+        let root = self.arena.frontier[0].0.graph();
         self.pinning = pins(root).map(|pins| {
             Box::new(Pinning {
                 pins,
@@ -588,8 +707,8 @@ impl<'a> PrunedStream<'a> {
     /// application order, in O(depth). The root's path is empty.
     /// Returns `None` for an id the table does not hold.
     pub fn path_to(&self, id: usize) -> Option<Vec<(NodeId, NodeId)>> {
-        let paths = self.paths.as_ref()?;
-        if id > paths.len() {
+        let paths = &self.arena.paths;
+        if !self.record_paths || id > paths.len() {
             return None;
         }
         let mut path = Vec::new();
@@ -606,7 +725,7 @@ impl<'a> PrunedStream<'a> {
     /// Explores until the next complete behaviour settles and returns it
     /// with its path id; `None` once the frontier is exhausted.
     fn next_settled(&mut self) -> Result<Option<(usize, Behavior)>, EnumError> {
-        while let Some((behavior, set, set_h, id)) = self.frontier.pop() {
+        while let Some((behavior, set, set_h, id)) = self.arena.frontier.pop() {
             self.stats.explored += 1;
             if self.stats.explored > self.config.max_behaviors {
                 return Err(EnumError::BehaviorLimit {
@@ -615,16 +734,17 @@ impl<'a> PrunedStream<'a> {
             }
             self.stats.max_graph_nodes = self.stats.max_graph_nodes.max(behavior.graph().len());
 
+            let arena = &mut self.arena;
             if behavior.completeness_scan(
-                &mut self.unresolved_buf,
-                &mut self.stores_index_buf,
-                &mut self.loads_buf,
+                &mut arena.unresolved_buf,
+                &mut arena.stores_index_buf,
+                &mut arena.loads_buf,
             ) {
                 self.stats.distinct_executions += 1;
                 return Ok(Some((id, behavior)));
             }
 
-            if self.loads_buf.is_empty() {
+            if arena.loads_buf.is_empty() {
                 return Err(EnumError::Stuck);
             }
             self.expand(behavior, set, set_h, id)?;
@@ -644,30 +764,30 @@ impl<'a> PrunedStream<'a> {
         // Phase 1: claim. Every (load, candidate) pair computes its
         // child observation set and races for it in the seen-table;
         // losers are pruned here, before any clone or graph work.
-        let loads = std::mem::take(&mut self.loads_buf);
-        let mut survivors = std::mem::take(&mut self.survivors_buf);
+        let arena = &mut self.arena;
+        let loads = std::mem::take(&mut arena.loads_buf);
+        let mut survivors = std::mem::take(&mut arena.survivors_buf);
         for &load in &loads {
             behavior.candidates_gated_into(
                 load,
-                &self.unresolved_buf,
-                &self.stores_index_buf,
-                &mut self.stores_scratch,
-                &mut self.stores_buf,
+                &arena.unresolved_buf,
+                &arena.stores_index_buf,
+                &mut arena.stores_scratch,
+                &mut arena.stores_buf,
             );
             if let Some(obs) = behavior.obs() {
                 Obs::add(&obs.candidate_calls, 1);
-                Obs::add(&obs.candidate_stores, self.stores_buf.len() as u64);
+                Obs::add(&obs.candidate_stores, arena.stores_buf.len() as u64);
             }
             if let Some(hook) = &mut self.on_candidates {
-                hook(behavior.graph(), load, self.stores_buf.len());
+                hook(behavior.graph(), load, arena.stores_buf.len());
             }
             let pinned = match &mut self.pinning {
-                Some(pinning) => pinning.filter(behavior.graph(), load, &mut self.stores_buf),
+                Some(pinning) => pinning.filter(behavior.graph(), load, &mut arena.stores_buf),
                 None => false,
             };
             let load_ident = ident(behavior.graph(), load);
-            let stores = std::mem::take(&mut self.stores_buf);
-            for &store in &stores {
+            for &store in &arena.stores_buf {
                 self.stats.forks += 1;
                 if let Some(budget) = self.config.budget {
                     if self.stats.forks as u64 > budget {
@@ -678,35 +798,29 @@ impl<'a> PrunedStream<'a> {
                     }
                 }
                 let pair = (load_ident, ident(behavior.graph(), store));
-                let parent_set = self.seen.get(set);
-                let at = parent_set.partition_point(|p| p < &pair);
-                let child = &mut self.child_buf;
-                child.clear();
-                child.reserve(parent_set.len() + 1);
-                child.extend_from_slice(&parent_set[..at]);
-                child.push(pair);
-                child.extend_from_slice(&parent_set[at..]);
                 let child_h = set_h.wrapping_add(pair_hash(pair));
-                if let Some(winner) = self.seen.find(child_h, &self.child_buf) {
-                    if pinned {
-                        self.pinning.as_mut().expect("pinned").lost(winner);
+                match arena.seen.claim(set, pair, child_h) {
+                    Err(winner) => {
+                        if pinned {
+                            self.pinning.as_mut().expect("pinned").lost(winner);
+                        }
+                        self.stats.deduped += 1;
                     }
-                    self.stats.deduped += 1;
-                    continue;
+                    Ok(child_set) => {
+                        if pinned {
+                            self.pinning.as_mut().expect("pinned").won();
+                        }
+                        survivors.push((load, store, child_set, child_h));
+                    }
                 }
-                let child_set = self.seen.insert(child_h, self.child_buf.clone());
-                if pinned {
-                    self.pinning.as_mut().expect("pinned").won();
-                }
-                survivors.push((load, store, child_set, child_h));
             }
-            self.stores_buf = stores;
         }
-        self.loads_buf = loads;
+        arena.loads_buf = loads;
 
         // Phase 2: expand the claim winners. The final winner takes
         // the parent by move — a behaviour with a single surviving
-        // fork (the common case late in the search) never clones.
+        // fork (the common case late in the search) never clones — and
+        // the others copy into spare allocations while the pool has any.
         let total = survivors.len();
         let mut parent = Some(behavior);
         for (k, (load, store, child_set, child_h)) in survivors.drain(..).enumerate() {
@@ -715,25 +829,28 @@ impl<'a> PrunedStream<'a> {
                 self.pstats.in_place += 1;
                 parent.take().expect("parent consumed early")
             } else {
-                source.clone()
+                match arena.pool.pop() {
+                    Some(spare) => source.fork_into(spare),
+                    None => source.clone(),
+                }
             };
             let step = fork.resolve_load(load, store).and_then(|()| {
                 fork.settle(self.program, self.policy, self.config.max_nodes_per_thread)
             });
             match step {
                 Ok(()) => {
-                    let child_id = match &mut self.paths {
-                        Some(paths) => {
-                            paths.push((id, load, store));
-                            paths.len()
-                        }
-                        None => 0,
+                    let child_id = if self.record_paths {
+                        arena.paths.push((id, load, store));
+                        arena.paths.len()
+                    } else {
+                        0
                     };
-                    self.frontier.push((fork, child_set, child_h, child_id));
+                    arena.frontier.push((fork, child_set, child_h, child_id));
                 }
                 Err(StepError::Inconsistent(_)) => {
                     // The claim stays: any other path to this
                     // observation set fails identically.
+                    arena.spend(fork);
                     self.stats.rolled_back += 1;
                     if let Some(pinning) = &mut self.pinning {
                         pinning.rolled_back(load, child_set);
@@ -744,7 +861,10 @@ impl<'a> PrunedStream<'a> {
                 }
             }
         }
-        self.survivors_buf = survivors;
+        arena.survivors_buf = survivors;
+        if let Some(behavior) = parent {
+            arena.spend(behavior);
+        }
         if let Some(pinning) = &mut self.pinning {
             pinning.close(id);
         }
@@ -778,6 +898,8 @@ fn run(
         result.outcomes.insert(behavior.outcome());
         if config.keep_executions {
             result.executions.push(behavior);
+        } else {
+            stream.arena.spend(behavior);
         }
     }
     result.stats = stream.stats();

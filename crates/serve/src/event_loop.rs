@@ -1151,6 +1151,7 @@ fn execute(
         Err(err) => {
             // Count the attempt too: `requests` tracks lines seen.
             state.telemetry.requests.fetch_add(1, Ordering::Relaxed);
+            state.telemetry.malformed.fetch_add(1, Ordering::Relaxed);
             handler::error_response(state, err).write_bytes(out);
             out.push(b'\n');
             false

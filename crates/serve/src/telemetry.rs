@@ -209,6 +209,10 @@ pub struct Telemetry {
     /// which are tallied in [`Telemetry::monitoring`]. A batch line
     /// counts once, however many slots it carries.
     pub requests: AtomicU64,
+    /// Request lines that did not parse into a request (counted in
+    /// `requests` too, and exposed as `samm_requests_total`'s
+    /// `kind="malformed",outcome="error"` series).
+    pub malformed: AtomicU64,
     /// Monitoring requests (`metrics` / `metrics_cluster` /
     /// `metrics_prom`) — reported separately so self-observation does
     /// not skew `requests`.
@@ -311,6 +315,7 @@ impl Telemetry {
             ids: RequestIdGen::new("r"),
             kinds: Default::default(),
             requests: AtomicU64::new(0),
+            malformed: AtomicU64::new(0),
             monitoring: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             overloaded: AtomicU64::new(0),
@@ -532,18 +537,24 @@ impl Telemetry {
         let mut prom = PromText::new();
 
         let kinds = || KIND_NAMES.iter().copied().zip(&self.kinds);
+        let malformed = self.malformed.load(Ordering::Relaxed);
         prom.counter(
             "samm_requests_total",
-            "Requests served, by kind and outcome (hit/miss/overbudget/error).",
-            kinds().flat_map(|(name, k)| {
-                [
-                    ("hit", k.hit.count()),
-                    ("miss", k.miss.count()),
-                    ("overbudget", k.overbudget.count()),
-                    ("error", k.errors.load(Ordering::Relaxed)),
-                ]
-                .map(|(outcome, count)| ([("kind", name), ("outcome", outcome)], count as f64))
-            }),
+            "Requests served, by kind and outcome (hit/miss/overbudget/error); unparseable lines are kind malformed.",
+            kinds()
+                .flat_map(|(name, k)| {
+                    [
+                        ("hit", k.hit.count()),
+                        ("miss", k.miss.count()),
+                        ("overbudget", k.overbudget.count()),
+                        ("error", k.errors.load(Ordering::Relaxed)),
+                    ]
+                    .map(|(outcome, count)| ([("kind", name), ("outcome", outcome)], count as f64))
+                })
+                .chain([(
+                    [("kind", "malformed"), ("outcome", "error")],
+                    malformed as f64,
+                )]),
         );
         prom.counter(
             "samm_monitoring_requests_total",

@@ -247,3 +247,59 @@ fn monitoring_traffic_never_reaches_the_request_histograms() {
     }
     handle.shutdown().unwrap();
 }
+
+/// Sums every series of the exposition's `samm_requests_total` family.
+fn requests_total(text: &str) -> f64 {
+    text.lines()
+        .filter(|l| l.starts_with("samm_requests_total{"))
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<f64>().unwrap())
+        .sum()
+}
+
+#[test]
+fn malformed_lines_are_counted_in_the_request_family() {
+    let handle = start(ServerConfig {
+        workers: 1,
+        read_timeout: Duration::from_secs(5),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
+    let malformed = [
+        "not json",
+        "{}",
+        r#"{"kind":"nope"}"#,
+        r#"{"kind":"enumerate","id":7}"#,
+        "[1,2",
+    ];
+    let valid = [
+        r#"{"kind":"enumerate","test":"SB","model":"SC"}"#,
+        r#"{"kind":"enumerate","test":"SB","model":"SC"}"#,
+        r#"{"kind":"enumerate","test":"NOPE","model":"SC"}"#,
+        r#"{"kind":"verdict","test":"MP"}"#,
+    ];
+    for line in malformed {
+        let answer = client.request_raw(line).unwrap();
+        assert!(!ok(&answer), "{line} must fail: {answer}");
+    }
+    for line in valid {
+        client.request_raw(line).unwrap();
+    }
+    let wire = client.request_raw(r#"{"kind":"metrics_prom"}"#).unwrap();
+    let text = wire.get("text").and_then(Json::as_str).unwrap();
+    prom::check(text).expect("valid exposition");
+    assert!(
+        text.contains(&format!(
+            "samm_requests_total{{kind=\"malformed\",outcome=\"error\"}} {}",
+            malformed.len()
+        )),
+        "{text}"
+    );
+    let metrics = client.request_raw(r#"{"kind":"metrics"}"#).unwrap();
+    let requests = metrics.get("requests").and_then(Json::as_u64).unwrap();
+    assert_eq!(requests as usize, malformed.len() + valid.len());
+    // With no batch line (whose slots count in their own kinds too) and
+    // no shutdown line, the family and `requests` count the same lines.
+    assert_eq!(requests_total(text), requests as f64, "{text}");
+    handle.shutdown().unwrap();
+}
