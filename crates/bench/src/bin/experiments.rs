@@ -131,7 +131,7 @@ fn experiment_classics() {
 
 /// E10: the outcome-count bracketing table.
 fn experiment_bracketing() {
-    heading("E10 — outcome counts per model (SC ⊆ TSO ⊆ PSO ⊆ Weak ⊆ Weak+spec)");
+    heading("E10 — outcome counts per model (SC ⊆ TSO ⊆ PSO; SC ⊆ NaiveTSO ⊆ Weak ⊆ Weak+spec)");
     print!("{:<12}", "test");
     for m in ModelSel::ALL {
         print!("{:>10}", m.name());
@@ -152,7 +152,7 @@ fn experiment_bracketing() {
         }
         println!();
     }
-    println!("\n(naive TSO may dip below TSO — that is Figure 11's point)");
+    println!("\n(naive TSO may dip below TSO — that is Figure 11's point; TSO and PSO are not inside Weak)");
 }
 
 /// E8 focus: the speculation case study in numbers.

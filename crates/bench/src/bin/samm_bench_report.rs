@@ -18,7 +18,10 @@
 //! answers it: the entry's DRF-certified `VerdictPlan`, built once,
 //! run by `run_entry_planned` at `Observe::Count` through a one-entry
 //! `EnumCache`, fresh for each run so every run is cold, as on the
-//! `fresh-mix` workload. The serving-path counterpart is
+//! `fresh-mix` workload; each such row also records the verdict's
+//! engine runs (`engine_runs`) and the views it classified from a
+//! weaker view's run instead of searching (`classified_views`). The
+//! serving-path counterpart is
 //! `samm-benchmark --out` (the workloads of `BENCHMARK.json`); together
 //! they cover the two performance planes EXPERIMENTS.md tracks.
 //!
@@ -112,8 +115,10 @@ fn main() -> ExitCode {
             let mut min_us = f64::INFINITY;
             let mut sum_us = 0.0;
             let mut pass = true;
+            let mut shape = None;
             for _ in 0..iters {
-                let cache = EnumCache::new(1);
+                // One shard of one entry: `fresh-mix`'s geometry.
+                let cache = EnumCache::with_shards(1, 1);
                 let started = Instant::now();
                 let report = match engine {
                     "serial" => run_entry_serial(entry, &config),
@@ -134,12 +139,25 @@ fn main() -> ExitCode {
                 min_us = min_us.min(us);
                 sum_us += us;
                 pass &= report.all_pass();
+                if engine == "pruned-served" {
+                    let runs = report.rows.iter().filter(|r| r.fresh_run).count();
+                    let mut classified: Vec<usize> = (0..report.rows.len())
+                        .filter(|&i| report.rows[i].classified)
+                        .map(|i| plan.verdict_row(i).run)
+                        .collect();
+                    classified.sort_unstable();
+                    classified.dedup();
+                    shape = Some((runs, classified.len()));
+                }
             }
             let mean_us = sum_us / iters as f64;
             println!(
-                "{:<12} {engine:<14} {min_us:>12.1} {mean_us:>12.1} {:>6}",
+                "{:<12} {engine:<14} {min_us:>12.1} {mean_us:>12.1} {:>6}{}",
                 entry.test.name,
                 if pass { "yes" } else { "NO" },
+                shape.map_or(String::new(), |(runs, classified)| format!(
+                    "  {runs} runs, {classified} classified"
+                )),
             );
             if !pass {
                 eprintln!(
@@ -148,13 +166,18 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::FAILURE;
             }
-            rows.push(Json::obj([
+            let mut row = vec![
                 ("test", Json::str(&entry.test.name)),
                 ("engine", Json::str(engine)),
                 ("wall_us_min", Json::num(min_us)),
                 ("wall_us_mean", Json::num(mean_us)),
                 ("pass", Json::Bool(pass)),
-            ]));
+            ];
+            if let Some((runs, classified)) = shape {
+                row.push(("engine_runs", Json::num(runs as f64)));
+                row.push(("classified_views", Json::num(classified as f64)));
+            }
+            rows.push(Json::obj(row));
         }
     }
 

@@ -125,22 +125,31 @@ impl CachedResult {
 
     fn wire(&self) -> &(String, String) {
         self.wire.get_or_init(|| {
-            // Every element is written with a trailing comma; the commas
-            // before a closing bracket are dropped at the end.
+            // A comma goes before every element but the first of its
+            // array.
             let mut outcomes = String::from("[");
-            for o in self.outcomes.iter() {
+            for (i, o) in self.outcomes.iter().enumerate() {
+                if i > 0 {
+                    outcomes.push(',');
+                }
                 outcomes.push('[');
                 for t in 0..o.thread_count() {
-                    outcomes.push('[');
-                    for v in o.thread_regs(t) {
-                        let _ = write!(outcomes, "{},", v.raw());
+                    if t > 0 {
+                        outcomes.push(',');
                     }
-                    outcomes.push_str("],");
+                    outcomes.push('[');
+                    for (r, v) in o.thread_regs(t).iter().enumerate() {
+                        if r > 0 {
+                            outcomes.push(',');
+                        }
+                        let _ = write!(outcomes, "{}", v.raw());
+                    }
+                    outcomes.push(']');
                 }
-                outcomes.push_str("],");
+                outcomes.push(']');
             }
             outcomes.push(']');
-            (outcomes.replace(",]", "]"), self.stats.to_json())
+            (outcomes, self.stats.to_json())
         })
     }
 }

@@ -222,6 +222,74 @@ impl Closure {
         Ok(true)
     }
 
+    /// Inserts every `(from, to)` edge of `edges` and re-closes once: the
+    /// bulk counterpart of [`Closure::add_edge`], for a batch of edges
+    /// that would pay one incremental update each. The successor rows are
+    /// re-closed by Warshall's algorithm with only the new edges'
+    /// endpoints as pivots — the old relation is already closed, so a new
+    /// path alternates closed segments and new edges, and its only
+    /// intermediate nodes are those endpoints — and the predecessor rows
+    /// are then rebuilt as the transpose.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CycleError`] when the edges make the order cyclic. The
+    /// order is then left cyclic and must be discarded.
+    pub fn add_edges(
+        &mut self,
+        edges: impl IntoIterator<Item = (NodeId, NodeId)>,
+    ) -> Result<(), CycleError> {
+        let rw = self.row_words;
+        EDGE_SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            let (pivots, _) = &mut *scratch;
+            pivots.clear();
+            for (from, to) in edges {
+                if from == to {
+                    return Err(CycleError { from, to });
+                }
+                let (i, j) = (from.index(), to.index());
+                self.succ[i * rw + j / WORD_BITS] |= 1 << (j % WORD_BITS);
+                pivots.insert(i);
+                pivots.insert(j);
+            }
+            for k in pivots.iter() {
+                let (kw, kb) = (k / WORD_BITS, k % WORD_BITS);
+                for i in 0..self.n {
+                    if self.succ[i * rw + kw] >> kb & 1 != 0 {
+                        for w in 0..rw {
+                            let bits = self.succ[k * rw + w];
+                            self.succ[i * rw + w] |= bits;
+                        }
+                    }
+                }
+            }
+            // Every cycle runs through a new edge, so through a pivot.
+            if let Some(k) = pivots
+                .iter()
+                .find(|&k| self.succ[k * rw + k / WORD_BITS] >> (k % WORD_BITS) & 1 != 0)
+            {
+                let node = NodeId::new(k);
+                return Err(CycleError {
+                    from: node,
+                    to: node,
+                });
+            }
+            self.pred.fill(0);
+            for i in 0..self.n {
+                for w in 0..rw {
+                    let mut bits = self.succ[i * rw + w];
+                    while bits != 0 {
+                        let j = w * WORD_BITS + bits.trailing_zeros() as usize;
+                        self.pred[j * rw + i / WORD_BITS] |= 1 << (i % WORD_BITS);
+                        bits &= bits - 1;
+                    }
+                }
+            }
+            Ok(())
+        })
+    }
+
     /// Common strict ancestors of `a` and `b`.
     pub fn common_ancestors(&self, a: NodeId, b: NodeId) -> BitSet {
         let mut out = BitSet::new();
@@ -365,6 +433,52 @@ mod tests {
         assert!(c.reaches(v[0], v[2]));
         assert!(!c.reaches(v[2], v[0]));
         assert!(!c.reaches(v[2], v[1]));
+    }
+
+    /// Bulk insertion closes to the same order as one `add_edge` per
+    /// edge, over a row-word boundary too, and finds exactly the cycles
+    /// incremental insertion would.
+    #[test]
+    fn bulk_edges_match_incremental_insertion() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % bound as u64) as usize
+        };
+        for round in 0..200 {
+            let n = if round % 4 == 0 { 70 } else { 2 + next(20) };
+            let mut base = Closure::new();
+            let v = ids(&mut base, n);
+            for _ in 0..n {
+                let (a, b) = (next(n), next(n));
+                let _ = base.add_edge(v[a.min(b)], v[a.max(b)]);
+            }
+            let batch: Vec<(NodeId, NodeId)> =
+                (0..1 + next(n)).map(|_| (v[next(n)], v[next(n)])).collect();
+            let mut incremental = base.clone();
+            let expected = batch
+                .iter()
+                .try_for_each(|&(a, b)| incremental.add_edge(a, b).map(drop));
+            let mut bulk = base.clone();
+            let got = bulk.add_edges(batch.iter().copied());
+            assert_eq!(got.is_ok(), expected.is_ok(), "round {round}: {batch:?}");
+            if got.is_ok() {
+                for &a in &v {
+                    assert_eq!(
+                        bulk.successors(a).iter().collect::<Vec<_>>(),
+                        incremental.successors(a).iter().collect::<Vec<_>>(),
+                        "round {round}"
+                    );
+                    assert_eq!(
+                        bulk.predecessors(a).iter().collect::<Vec<_>>(),
+                        incremental.predecessors(a).iter().collect::<Vec<_>>(),
+                        "round {round}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use crate::atomicity;
 use crate::candidates;
 use crate::error::CycleError;
-use crate::graph::{EdgeKind, ExecutionGraph, Input, NodeDetail, RmwKind};
+use crate::graph::{Edge, EdgeKind, ExecutionGraph, Input, NodeDetail, RmwKind};
 use crate::ids::{Addr, NodeId, Reg, ThreadId, Value};
 use crate::instr::{Instr, Operand, Program, RmwOp};
 use crate::obs::Obs;
@@ -884,6 +884,63 @@ impl Behavior {
                 })
                 .collect(),
         )
+    }
+
+    /// Classifies this complete behaviour under a stronger store-atomic
+    /// `policy`: adds every local `≺` edge `policy`'s table asks for (as
+    /// [`Behavior::emit_node`] and the alias pairs would have, with every
+    /// address now known) in one bulk closure update, then closes Store
+    /// Atomicity. Returns whether the result is acyclic, i.e. whether
+    /// this execution is one of `policy`'s (DESIGN §4). `edges` is
+    /// scratch.
+    ///
+    /// `policy` must be plain on the program — no bypass cell between
+    /// possibly equal addresses, no speculation past a register-held
+    /// address — and dominate, cell by cell, the table the behaviour was
+    /// built under. A cyclic result leaves the behaviour in an
+    /// unspecified state: it must be discarded.
+    pub(crate) fn strengthen(&mut self, policy: &Policy, edges: &mut Vec<Edge>) -> bool {
+        let graph = &self.graph;
+        edges.clear();
+        let mut push = |from: NodeId, to: NodeId, kind: EdgeKind| {
+            if !graph.precedes(from, to) {
+                edges.push(Edge {
+                    from,
+                    to,
+                    kind,
+                    rule: None,
+                });
+            }
+        };
+        for nodes in self.thread_nodes.iter() {
+            for (j, &id) in nodes.iter().enumerate() {
+                let node = graph.node(id);
+                for &prior in &nodes[..j] {
+                    let first = graph.node(prior);
+                    match policy.combined_constraint(first.classes(), node.classes()) {
+                        Constraint::Never => push(prior, id, EdgeKind::Program),
+                        c @ (Constraint::SameAddr | Constraint::Bypass) => {
+                            if first.addr() == node.addr() {
+                                debug_assert_eq!(
+                                    c,
+                                    Constraint::SameAddr,
+                                    "a plain view bypasses nothing"
+                                );
+                                push(prior, id, EdgeKind::Alias);
+                            }
+                            if !policy.alias_speculation() {
+                                if let Some(producer) = self.addr_producer(prior) {
+                                    push(producer, id, EdgeKind::AddrResolve);
+                                }
+                            }
+                        }
+                        Constraint::Free | Constraint::DataOnly => {}
+                    }
+                }
+            }
+        }
+        edges.is_empty()
+            || (self.graph.add_edges(edges).is_ok() && atomicity::enforce(&mut self.graph).is_ok())
     }
 
     /// A canonical byte string identifying this behaviour up to

@@ -558,6 +558,21 @@ impl ExecutionGraph {
         Ok(added)
     }
 
+    /// Inserts every edge of `edges` (none of them [`EdgeKind::Bypass`])
+    /// and re-closes `@` once ([`Closure::add_edges`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CycleError`] when the edges make `@` cyclic; the graph is
+    /// then left cyclic and must be discarded.
+    pub(crate) fn add_edges(&mut self, edges: &[Edge]) -> Result<(), CycleError> {
+        debug_assert!(edges.iter().all(|e| e.kind.in_order()));
+        self.closure
+            .add_edges(edges.iter().map(|e| (e.from, e.to)))?;
+        self.edges.extend_from_slice(edges);
+        Ok(())
+    }
+
     /// Inserts a Store Atomicity edge tagged with the closure [`Rule`]
     /// that demanded it, so witnesses and refutations can cite the rule.
     ///

@@ -72,6 +72,7 @@ use crate::graph::ExecutionGraph;
 use crate::ids::{Addr, NodeId, Value};
 use crate::instr::Program;
 use crate::obs::Obs;
+use crate::outcome::OutcomeSet;
 use crate::policy::Policy;
 
 /// Stable identity of a graph node across enumeration orders, packed into
@@ -914,6 +915,92 @@ fn run(
         result.executions = keyed.into_iter().map(|(_, b)| b).collect();
     }
     Ok((result, stream.pstats))
+}
+
+/// One stronger view classified from a base run by
+/// [`enumerate_classified`].
+#[derive(Debug, Clone, Copy)]
+pub struct Classify<'a> {
+    /// The policy of the view: plain on the program and, cell by cell,
+    /// at least as strong as the base policy.
+    pub policy: &'a Policy,
+    /// The view also dominates the previous view of the list, so it is
+    /// classified on the graph that view left, instead of on the base
+    /// execution's.
+    pub extends: bool,
+}
+
+/// What [`enumerate_classified`] found for one classified view: the same
+/// outcome set and execution count as a run under its policy.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Classified {
+    /// Every distinct final outcome of the view's executions.
+    pub outcomes: OutcomeSet,
+    /// The view's distinct complete executions.
+    pub executions: usize,
+}
+
+/// Enumerates `program` under the plain `base` policy, as
+/// [`enumerate_pruned`] does, and classifies every complete execution
+/// under each of `views`, weakest first: an execution is one of a
+/// stronger view's when it stays acyclic once that view's local `≺`
+/// edges are added and Store Atomicity is closed again
+/// ([`Behavior::strengthen`], DESIGN §4). A view that
+/// [extends](Classify::extends) the previous one starts from the graph
+/// that one left, and is skipped once that one is cyclic; the last such
+/// chain works on the base execution in place, so classification forks,
+/// claims and clones nothing along a chain. The base run's statistics are
+/// the only ones returned: the classified views ran no search. No
+/// execution is kept, whatever [`EnumConfig::keep_executions`] says.
+///
+/// # Errors
+///
+/// As for [`enumerate_pruned`], for the base run.
+pub fn enumerate_classified(
+    program: &Program,
+    base: &Policy,
+    views: &[Classify<'_>],
+    config: &EnumConfig,
+) -> Result<(EnumResult, Vec<Classified>), EnumError> {
+    let mut stream = PrunedStream::new(program, base, config, false)?;
+    let mut result = EnumResult::default();
+    let mut classified = vec![Classified::default(); views.len()];
+    let mut edges = Vec::new();
+    while let Some((_, mut behavior)) = stream.next_settled()? {
+        let outcome = behavior.outcome();
+        let mut start = 0;
+        while start < views.len() {
+            let end = start
+                + 1
+                + views[start + 1..]
+                    .iter()
+                    .take_while(|view| view.extends)
+                    .count();
+            let in_place = end == views.len();
+            let mut copy = (!in_place).then(|| {
+                let spare = stream.arena.pool.pop().unwrap_or_default();
+                behavior.fork_into(spare)
+            });
+            let target = copy.as_mut().unwrap_or(&mut behavior);
+            for (view, found) in views[start..end].iter().zip(&mut classified[start..end]) {
+                if !target.strengthen(view.policy, &mut edges) {
+                    break;
+                }
+                if !found.outcomes.contains(&outcome) {
+                    found.outcomes.insert(outcome.clone());
+                }
+                found.executions += 1;
+            }
+            if let Some(copy) = copy {
+                stream.arena.spend(copy);
+            }
+            start = end;
+        }
+        result.outcomes.insert(outcome);
+        stream.arena.spend(behavior);
+    }
+    result.stats = stream.stats();
+    Ok((result, classified))
 }
 
 #[cfg(test)]

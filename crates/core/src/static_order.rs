@@ -406,6 +406,51 @@ impl TableView {
             alias_speculation,
         }
     }
+
+    /// Whether the view is *plain*: no [`Constraint::Bypass`] cell and no
+    /// speculation flag. A plain view's executions are exactly those
+    /// whose closure of its local `≺` edges, the program's data edges and
+    /// the source edges, under Store Atomicity, is acyclic (DESIGN §4).
+    pub fn is_plain(&self) -> bool {
+        !self.alias_speculation
+            && self
+                .cells
+                .iter()
+                .flatten()
+                .all(|&cell| cell != Constraint::Bypass)
+    }
+
+    /// Whether this view orders at least what `weaker` orders, cell by
+    /// cell (`Never ⊒ SameAddr ⊒ Free`). Both views must be plain and of
+    /// the same program; then every local edge `weaker` inserts is in the
+    /// closure of this view's local edges and the data edges.
+    pub fn dominates(&self, weaker: &TableView) -> bool {
+        self.cells.len() == weaker.cells.len()
+            && self.cells.iter().zip(&weaker.cells).all(|(mine, theirs)| {
+                mine.len() == theirs.len()
+                    && mine.iter().zip(theirs).all(|(&m, &t)| rank(m) >= rank(t))
+            })
+    }
+
+    /// The sum of the view's cell ranks: a view that dominates another,
+    /// and differs from it, weighs more, so sorting views by weight puts
+    /// every view after the views it dominates.
+    pub fn weight(&self) -> usize {
+        self.cells
+            .iter()
+            .flatten()
+            .map(|&cell| usize::from(rank(cell)))
+            .sum()
+    }
+}
+
+/// A cell's place in the order `Never ⊒ SameAddr ⊒ Free`.
+fn rank(cell: Constraint) -> u8 {
+    match cell {
+        Constraint::Never => 2,
+        Constraint::SameAddr | Constraint::Bypass => 1,
+        Constraint::Free | Constraint::DataOnly => 0,
+    }
 }
 
 /// The normalised cell of one recorded pair; see [`TableView`].
@@ -695,6 +740,39 @@ mod tests {
             ]
         };
         assert_ne!(view(pointer(), &weak), view(pointer(), &spec));
+    }
+
+    /// Plain views order by cell; bypass and speculation cells the
+    /// program reaches make a view unclassifiable.
+    #[test]
+    fn plain_views_dominate_cell_by_cell() {
+        let view = |instrs: Vec<Instr>, policy: &Policy| {
+            TableView::of(&Program::new(vec![ThreadProgram::new(instrs)]), policy)
+        };
+        let sb = || vec![store(0, 1), load(0, 1)];
+        let (sc, tso, weak) = (
+            view(sb(), &Policy::sequential_consistency()),
+            view(sb(), &Policy::tso()),
+            view(sb(), &Policy::weak()),
+        );
+        // Different immediate addresses: TSO's bypass cell is `Free`.
+        assert!(sc.is_plain() && tso.is_plain() && weak.is_plain());
+        assert!(sc.dominates(&weak) && sc.dominates(&tso) && tso.dominates(&weak));
+        assert!(!weak.dominates(&sc));
+        assert!(sc.weight() > weak.weight());
+        // The same address keeps TSO's bypass cell.
+        let forwarding = vec![store(0, 1), load(0, 0)];
+        assert!(!view(forwarding, &Policy::tso()).is_plain());
+        // Speculation past a register-held address.
+        let pointer = vec![
+            load(0, 0),
+            Instr::Store {
+                addr: Operand::Reg(Reg::new(0)),
+                val: imm(1),
+            },
+            load(1, 1),
+        ];
+        assert!(!view(pointer, &Policy::weak().with_alias_speculation(true)).is_plain());
     }
 
     #[test]

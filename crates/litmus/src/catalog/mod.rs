@@ -51,9 +51,13 @@ impl ModelSel {
         ModelSel::WeakSpec,
     ];
 
-    /// The store-atomic models that form the inclusion chain
-    /// `SC ⊆ TSO ⊆ PSO ⊆ Weak ⊆ Weak+spec` (naive TSO is *not* in the
-    /// chain — that is the point of Figure 11).
+    /// The paper's model sequence, strongest first. It is not one
+    /// inclusion chain: `SC ⊆ TSO ⊆ PSO` and `SC ⊆ Weak ⊆ Weak+spec`
+    /// hold on every program, but TSO and PSO are not contained in Weak,
+    /// since TSO's forwarded load may feed an address dependency that
+    /// Weak orders behind the store (reproduction finding 4). Naive TSO
+    /// is left out: it sits inside TSO, and between SC and Weak (the
+    /// point of Figure 11).
     pub const CHAIN: [ModelSel; 5] = [
         ModelSel::Sc,
         ModelSel::Tso,

@@ -20,7 +20,6 @@
 //! builds one and runs it, and a caller that answers the same entry
 //! repeatedly can build it once ([`run_entry_planned`]).
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -30,7 +29,7 @@ use samm_core::error::EnumError;
 use samm_core::fingerprint::{view_fingerprint, Fingerprint};
 use samm_core::instr::Program;
 use samm_core::policy::Policy;
-use samm_core::pruned::enumerate_pruned;
+use samm_core::pruned::{enumerate_classified, enumerate_pruned, Classify};
 use samm_core::static_order::{thread_events, TableView, ThreadEvents};
 
 use crate::catalog::{CatalogEntry, ModelSel};
@@ -70,6 +69,10 @@ pub struct VerdictRow {
     /// content-addressed [`EnumCache`] instead of running fresh (only
     /// possible via [`run_entry_cached`] and friends).
     pub cache_hit: bool,
+    /// `true` when this row's view was classified from a weaker view's
+    /// search in this call instead of searched (see [`VerdictPlan`]); its
+    /// `stats` then hold only the execution count.
+    pub classified: bool,
     /// `true` on exactly one row per engine run the call made: the first
     /// row that run answered. Rows of models with the same
     /// [`TableView`], and certified rows, share a run, so folding the
@@ -117,6 +120,9 @@ impl fmt::Display for VerdictRow {
         if self.cache_hit {
             write!(f, " [cached]")?;
         }
+        if self.classified {
+            write!(f, " [classified]")?;
+        }
         Ok(())
     }
 }
@@ -155,7 +161,16 @@ impl fmt::Display for EntryReport {
 /// The static facts behind one entry's verdicts: for each model its
 /// verdicts mention, whether the certifier proves it SC-equivalent, and
 /// the policy and view fingerprint of the run that answers it (SC's for
-/// a certified model).
+/// a certified model); which distinct runs those rows need; and which of
+/// those runs are classified from a weaker run instead of searched.
+///
+/// A run is *classified* when its [`TableView`] is
+/// [plain](TableView::is_plain) and [dominates](TableView::dominates)
+/// another plain run's view: the pruned harness then searches only under
+/// the weakest such view, its *base*, and keeps each of the base's
+/// executions under the stronger view when it stays acyclic with the
+/// stronger view's edges added ([`enumerate_classified`], DESIGN §4). A
+/// base is undominated, so it always runs a search.
 ///
 /// A plan is a pure function of a fixed program, the certifier and the
 /// fingerprinted fields of the configuration (never the budget), and it
@@ -166,6 +181,11 @@ impl fmt::Display for EntryReport {
 pub struct VerdictPlan {
     /// One row per model, in [`CatalogEntry::models`] order.
     pub rows: Vec<PlanRow>,
+    /// One run per distinct view the rows need, in first-use order.
+    pub runs: Vec<PlanRun>,
+    /// For each verdict of the entry, in catalog order, the index of its
+    /// model's row.
+    pub verdict_rows: Vec<usize>,
 }
 
 /// One model's row of a [`VerdictPlan`].
@@ -180,6 +200,25 @@ pub struct PlanRow {
     pub policy: Policy,
     /// The answering run's [`view_fingerprint`]: its cache key.
     pub fp: Fingerprint,
+    /// The index of the answering run in [`VerdictPlan::runs`].
+    pub run: usize,
+}
+
+/// One distinct view of a [`VerdictPlan`]: what answers the rows that
+/// share it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanRun {
+    /// The policy a search under this view enumerates under.
+    pub policy: Policy,
+    /// The view's [`view_fingerprint`]: its cache key.
+    pub fp: Fingerprint,
+    /// `Some(base)` when this view is classified from the run at index
+    /// `base` instead of searched.
+    pub base: Option<usize>,
+    /// On a base run, the runs classified from it, weakest first, each
+    /// with whether it dominates the one before it
+    /// ([`Classify::extends`]).
+    pub classifies: Vec<(usize, bool)>,
 }
 
 impl VerdictPlan {
@@ -192,7 +231,9 @@ impl VerdictPlan {
     ) -> VerdictPlan {
         let program = &entry.test.program;
         let events: Vec<ThreadEvents> = program.threads().iter().map(thread_events).collect();
-        let rows = entry
+        let mut runs: Vec<PlanRun> = Vec::new();
+        let mut views: Vec<TableView> = Vec::new();
+        let rows: Vec<PlanRow> = entry
             .models()
             .into_iter()
             .map(|model| {
@@ -200,22 +241,68 @@ impl VerdictPlan {
                     model != ModelSel::Sc && certifier.is_some_and(|c| c(program, &model.policy()));
                 let policy = if certified { ModelSel::Sc } else { model }.policy();
                 let view = TableView::from_events(&events, &policy);
+                let fp = view_fingerprint(program, &view, config);
+                let run = match runs.iter().position(|run| run.fp == fp) {
+                    Some(run) => run,
+                    None => {
+                        runs.push(PlanRun {
+                            policy: policy.clone(),
+                            fp,
+                            base: None,
+                            classifies: Vec::new(),
+                        });
+                        views.push(view);
+                        runs.len() - 1
+                    }
+                };
                 PlanRow {
                     model,
                     certified,
-                    fp: view_fingerprint(program, &view, config),
                     policy,
+                    fp,
+                    run,
                 }
             })
             .collect();
-        VerdictPlan { rows }
+        // Each plain view that dominates another is classified from the
+        // first minimal plain view it dominates, which is undominated.
+        let plain: Vec<bool> = views.iter().map(TableView::is_plain).collect();
+        let below =
+            |i: usize, j: usize| i != j && plain[i] && plain[j] && views[i].dominates(&views[j]);
+        for i in 0..runs.len() {
+            runs[i].base =
+                (0..runs.len()).find(|&j| below(i, j) && !(0..runs.len()).any(|k| below(j, k)));
+        }
+        for b in 0..runs.len() {
+            let mut classified: Vec<usize> = (0..runs.len())
+                .filter(|&i| runs[i].base == Some(b))
+                .collect();
+            classified.sort_by_key(|&i| views[i].weight());
+            runs[b].classifies = classified
+                .iter()
+                .enumerate()
+                .map(|(k, &i)| (i, k > 0 && views[i].dominates(&views[classified[k - 1]])))
+                .collect();
+        }
+        let verdict_rows = entry
+            .verdicts
+            .iter()
+            .map(|v| {
+                rows.iter()
+                    .position(|row| row.model == v.model)
+                    .expect("a plan has a row for every model its entry's verdicts name")
+            })
+            .collect();
+        VerdictPlan {
+            rows,
+            runs,
+            verdict_rows,
+        }
     }
 
-    fn row(&self, model: ModelSel) -> &PlanRow {
-        self.rows
-            .iter()
-            .find(|row| row.model == model)
-            .expect("a plan has a row for every model its entry's verdicts name")
+    /// The row answering verdict `index` of the entry.
+    pub fn verdict_row(&self, index: usize) -> &PlanRow {
+        &self.rows[self.verdict_rows[index]]
     }
 }
 
@@ -227,7 +314,7 @@ impl VerdictPlan {
 /// Propagates enumeration failures.
 pub fn run_entry(entry: &CatalogEntry, config: &EnumConfig) -> Result<EntryReport, EnumError> {
     let plan = VerdictPlan::new(entry, config, None);
-    run_entry_with(entry, &plan, config, enumerate_pruned, None)
+    run_entry_with(entry, &plan, config, false)
 }
 
 /// Like [`run_entry`], but enumerating with the serial oracle
@@ -244,7 +331,7 @@ pub fn run_entry_serial(
     config: &EnumConfig,
 ) -> Result<EntryReport, EnumError> {
     let plan = VerdictPlan::new(entry, config, None);
-    run_entry_with(entry, &plan, config, enumerate, None)
+    run_entry_with(entry, &plan, config, true)
 }
 
 /// Like [`run_entry`], but consulting `certifier` before enumerating
@@ -283,7 +370,8 @@ pub fn run_entry_planned(
     config: &EnumConfig,
     cache: &EnumCache,
 ) -> Result<EntryReport, EnumError> {
-    run_entry_with(entry, plan, config, enumerate_pruned, Some(cache))
+    let answers = answer_plan(entry, plan, config, Some(cache))?;
+    Ok(plan_report(entry, plan, &answers))
 }
 
 /// Like [`run_entry`], but consulting `certifier` before enumerating
@@ -304,41 +392,115 @@ pub fn run_entry_certified(
     certifier: Certifier<'_>,
 ) -> Result<EntryReport, EnumError> {
     let plan = VerdictPlan::new(entry, config, Some(certifier));
-    run_entry_with(entry, &plan, config, enumerate_pruned, None)
+    run_entry_with(entry, &plan, config, false)
 }
 
-/// The answer of one engine run, assembled by [`run_entry_with`].
-struct RunAnswer {
-    result: Arc<CachedResult>,
-    cache_hit: bool,
-    /// The engine ran: there is no cache, or it missed.
-    ran: bool,
+/// How one run of a [`VerdictPlan`] was answered by [`answer_plan`].
+#[derive(Debug, Clone)]
+pub struct RunAnswer {
+    /// The run's outcome set and statistics. A classified run's
+    /// statistics hold only its execution count: it ran no search.
+    pub result: Arc<CachedResult>,
+    /// Answered from the content-addressed cache.
+    pub cache_hit: bool,
+    /// The engine searched under this run's view in this call: there is
+    /// no cache, or it missed.
+    pub ran: bool,
+    /// Classified from its base run's executions in this call.
+    pub classified: bool,
 }
 
-fn run_entry_with(
+/// Answers every run of `plan`, built for `entry` by [`VerdictPlan::new`],
+/// on the pruned engine, consulting and filling `cache` when given. A
+/// classified run that is resident in the cache is a hit; otherwise it is
+/// classified when its base searches in this call, and never inserted
+/// (it has no search statistics of its own), and it searches on its own
+/// when its base was a hit. `config` may differ from the plan's only in
+/// fields the fingerprint leaves out, such as the budget or whether a
+/// counting run is timed.
+///
+/// # Errors
+///
+/// Propagates enumeration failures (which are never cached).
+pub fn answer_plan(
+    entry: &CatalogEntry,
+    plan: &VerdictPlan,
+    config: &EnumConfig,
+    cache: Option<&EnumCache>,
+) -> Result<Vec<RunAnswer>, EnumError> {
+    answer_runs(entry, plan, config, enumerate_pruned, true, cache)
+}
+
+fn answer_runs(
     entry: &CatalogEntry,
     plan: &VerdictPlan,
     config: &EnumConfig,
     engine: Engine,
+    classify: bool,
     cache: Option<&EnumCache>,
-) -> Result<EntryReport, EnumError> {
+) -> Result<Vec<RunAnswer>, EnumError> {
     let program = &entry.test.program;
     // Rows never carry executions.
     let run_config = EnumConfig {
         keep_executions: false,
         ..config.clone()
     };
-    // One run per view fingerprint, even with a cache: a small cache may
-    // evict a view between two models that share it.
-    let mut runs: HashMap<Fingerprint, RunAnswer> = HashMap::new();
-    for row in &plan.rows {
-        if runs.contains_key(&row.fp) {
+    let mut answers: Vec<Option<RunAnswer>> = vec![None; plan.runs.len()];
+    let classified = |run: &PlanRun| classify && run.base.is_some();
+    if let Some(cache) = cache {
+        for (answer, run) in answers.iter_mut().zip(&plan.runs) {
+            if classified(run) {
+                *answer = cache.probe(run.fp).map(|result| RunAnswer {
+                    result,
+                    cache_hit: true,
+                    ran: false,
+                    classified: false,
+                });
+            }
+        }
+    }
+    // Bases and unclassified runs first, then the classified runs no
+    // search of their base answered. One run per view, even with a
+    // cache: a small cache may evict a view between two models that
+    // share it.
+    let order = (0..plan.runs.len())
+        .filter(|&i| !classified(&plan.runs[i]))
+        .chain((0..plan.runs.len()).filter(|&i| classified(&plan.runs[i])));
+    for i in order {
+        if answers[i].is_some() {
             continue;
         }
+        let run = &plan.runs[i];
+        // The views classified from this run's search: those still
+        // unanswered. A view whose predecessor is answered already
+        // starts again from the base execution.
+        let mut views = Vec::new();
+        let mut targets = Vec::new();
+        if classify && run.base.is_none() {
+            let mut previous = None;
+            for &(k, extends) in &run.classifies {
+                if answers[k].is_none() {
+                    views.push(Classify {
+                        policy: &plan.runs[k].policy,
+                        extends: extends && previous == targets.last().copied(),
+                    });
+                    targets.push(k);
+                }
+                previous = Some(k);
+            }
+        }
+        let mut found = Vec::new();
         let mut ran = false;
         let mut fill = || -> Result<Arc<CachedResult>, EnumError> {
             ran = true;
-            let result = engine(program, &row.policy, &run_config)?;
+            let result = if views.is_empty() {
+                engine(program, &run.policy, &run_config)?
+            } else {
+                let (result, classified) =
+                    enumerate_classified(program, &run.policy, &views, &run_config)?;
+                found = classified;
+                result
+            };
             // Cache entries keep only deterministic statistics.
             Ok(Arc::new(match cache {
                 Some(_) => CachedResult::from_result(result),
@@ -347,31 +509,47 @@ fn run_entry_with(
         };
         let (result, cache_hit) = match cache {
             Some(cache) => {
-                let (result, lookup) = cache.get_or_fill(row.fp, fill)?;
+                let (result, lookup) = cache.get_or_fill(run.fp, fill)?;
                 (result, lookup.hit)
             }
             None => (fill()?, false),
         };
-        runs.insert(
-            row.fp,
-            RunAnswer {
-                result,
-                cache_hit,
-                ran,
-            },
-        );
+        answers[i] = Some(RunAnswer {
+            result,
+            cache_hit,
+            ran,
+            classified: false,
+        });
+        for (k, view) in targets.into_iter().zip(found) {
+            let stats = EnumStats {
+                distinct_executions: view.executions,
+                ..EnumStats::default()
+            };
+            answers[k] = Some(RunAnswer {
+                result: Arc::new(CachedResult::new(view.outcomes, stats)),
+                cache_hit: false,
+                ran: false,
+                classified: true,
+            });
+        }
     }
-    let mut unfolded: HashSet<Fingerprint> = runs
-        .iter()
-        .filter(|(_, answer)| answer.ran)
-        .map(|(&fp, _)| fp)
-        .collect();
+    Ok(answers
+        .into_iter()
+        .map(|answer| answer.expect("every run of a plan is answered"))
+        .collect())
+}
+
+/// The report of `entry`'s verdicts from its plan's run answers
+/// ([`answer_plan`]).
+pub fn plan_report(entry: &CatalogEntry, plan: &VerdictPlan, answers: &[RunAnswer]) -> EntryReport {
+    let mut unfolded: Vec<bool> = answers.iter().map(|answer| answer.ran).collect();
     let rows = entry
         .verdicts
         .iter()
-        .map(|v| {
-            let &PlanRow { certified, fp, .. } = plan.row(v.model);
-            let answer = &runs[&fp];
+        .enumerate()
+        .map(|(index, v)| {
+            let &PlanRow { certified, run, .. } = plan.verdict_row(index);
+            let answer = &answers[run];
             let condition = &entry.test.conditions[v.condition];
             VerdictRow {
                 model: v.model,
@@ -382,15 +560,32 @@ fn run_entry_with(
                 executions: answer.result.stats.distinct_executions,
                 certified,
                 cache_hit: answer.cache_hit,
-                fresh_run: unfolded.remove(&fp),
+                classified: answer.classified,
+                fresh_run: std::mem::take(&mut unfolded[run]),
                 stats: answer.result.stats,
             }
         })
         .collect();
-    Ok(EntryReport {
+    EntryReport {
         name: entry.test.name.clone(),
         rows,
-    })
+    }
+}
+
+/// Runs `plan` on the pruned engine, or on the serial oracle, which
+/// classifies nothing: it searches under every view.
+fn run_entry_with(
+    entry: &CatalogEntry,
+    plan: &VerdictPlan,
+    config: &EnumConfig,
+    serial: bool,
+) -> Result<EntryReport, EnumError> {
+    let answers = if serial {
+        answer_runs(entry, plan, config, enumerate, false, None)?
+    } else {
+        answer_plan(entry, plan, config, None)?
+    };
+    Ok(plan_report(entry, plan, &answers))
 }
 
 /// Runs a set of entries, collecting per-entry reports.
@@ -457,21 +652,36 @@ mod tests {
             let fresh = run_entry(&entry, &config).unwrap();
             let cold = run_entry_cached(&entry, &config, &cache, &|_, _| false).unwrap();
             assert!(cold.rows.iter().all(|r| !r.cache_hit));
+            assert!(cold.rows.iter().any(|r| r.classified), "{cold}");
+            // The classified views were not inserted: with their bases
+            // resident, they search on their own once, then hit.
+            let misses = cache.stats().misses;
             let warm = run_entry_cached(&entry, &config, &cache, &|_, _| false).unwrap();
-            assert!(warm.rows.iter().all(|r| r.cache_hit), "{warm}");
-            // Hits must be transparent — same verdicts and counts as an
-            // uncached run.
+            assert!(warm.rows.iter().all(|r| !r.classified), "{warm}");
+            let searched = warm.rows.iter().filter(|r| r.fresh_run).count();
+            assert_eq!(cache.stats().misses - misses, searched as u64, "{warm}");
+            assert!(
+                searched > 0 && warm.rows.iter().any(|r| r.cache_hit),
+                "{warm}"
+            );
+            let warmer = run_entry_cached(&entry, &config, &cache, &|_, _| false).unwrap();
+            assert!(warmer.rows.iter().all(|r| r.cache_hit), "{warmer}");
+            // Hits and classified rows must be transparent — same verdicts
+            // and counts as an uncached run; a search's statistics are
+            // its own, and a classified row has none.
             for (f, rows) in fresh
                 .rows
                 .iter()
-                .zip(cold.rows.iter().zip(&warm.rows))
-                .map(|(f, (c, w))| (f, [c, w]))
+                .zip(cold.rows.iter().zip(warm.rows.iter().zip(&warmer.rows)))
+                .map(|(f, (c, (w, v)))| (f, [c, w, v]))
             {
                 for r in rows {
                     assert_eq!(f.observed_allowed, r.observed_allowed);
                     assert_eq!(f.outcomes, r.outcomes);
                     assert_eq!(f.executions, r.executions);
-                    assert_eq!(f.stats.forks, r.stats.forks);
+                    if !f.classified && !r.classified {
+                        assert_eq!(f.stats.forks, r.stats.forks);
+                    }
                 }
             }
         }
@@ -480,6 +690,8 @@ mod tests {
             .unwrap()
             .to_string();
         assert!(text.contains("[cached]"));
+        let text = run_entry(&catalog::sb(), &config).unwrap().to_string();
+        assert!(text.contains("[classified]"));
     }
 
     #[test]

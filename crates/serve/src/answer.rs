@@ -2,17 +2,20 @@
 //!
 //! The [`handler`](crate::handler) executes every request into an
 //! `Answer`: a typed `enumerate` answer (the resolved [`EnumQuery`] and
-//! the cache entry it found or filled), a batch of slot answers, or —
-//! for every other kind, every error and every answer a cluster peer
-//! produced — a [`Json`] tree. Two renderers read it:
+//! the cache entry it found or filled), a typed `verdict` answer (the
+//! entry's plan runs' answers), a batch of slot answers, or — for every
+//! other kind, every error and every answer a cluster peer produced — a
+//! [`Json`] tree. Two renderers read it:
 //!
 //! - the production path
 //!   ([`serve_envelope`](crate::handler::serve_envelope) and
 //!   [`serve_hit`](crate::handler::serve_hit)) appends the response
-//!   line to a byte buffer. Enumerate answers and batch frames are
-//!   written field by field in the wire's sorted key order, splicing
-//!   the entry's pre-rendered `outcomes` and `stats` fragments in place;
-//!   trees go through [`Json`]'s one renderer.
+//!   line to a byte buffer. Enumerate and verdict answers and batch
+//!   frames are written field by field in the wire's sorted key order,
+//!   splicing pre-rendered fragments in place: the cache entry's
+//!   `outcomes` and `stats`, and each verdict row's constant bytes,
+//!   rendered once with its entry's [`ServedPlan`]; trees go through
+//!   [`Json`]'s one renderer.
 //! - [`handle_envelope`](crate::handler::handle_envelope) builds the
 //!   same answer as a tree. It is the reference the writer is tested
 //!   against byte for byte.
@@ -26,8 +29,9 @@ use samm_core::policy::Policy;
 use samm_core::static_order::{thread_events, TableView};
 use samm_core::telemetry::write_escaped;
 use samm_litmus::catalog::{CatalogEntry, ModelSel};
+use samm_litmus::expect::{plan_report, RunAnswer, VerdictPlan};
 
-use crate::handler::{catalog, find_entry_index, find_model_index, ServerState};
+use crate::handler::{catalog, find_entry_index, find_model_index, report_json, ServerState};
 use crate::json::{ByteSink, Json};
 use crate::protocol::{ServiceError, ENGINE};
 use crate::telemetry::ReqOutcome;
@@ -116,7 +120,7 @@ impl EnumQuery {
         out: &mut Vec<u8>,
     ) {
         out.extend_from_slice(b"{\"cache_hit\":");
-        out.extend_from_slice(if hit { b"true" } else { b"false" });
+        write_bool(out, hit);
         out.extend_from_slice(b",\"engine\":");
         write_str(out, ENGINE);
         out.extend_from_slice(b",\"executions\":");
@@ -165,6 +169,106 @@ impl EnumQuery {
     }
 }
 
+/// A catalog entry's [`VerdictPlan`] with the constant bytes of its
+/// verdict answer, rendered once when the plan is built.
+#[derive(Debug)]
+pub(crate) struct ServedPlan {
+    pub(crate) plan: VerdictPlan,
+    /// The entry's name as a JSON string.
+    name: Vec<u8>,
+    /// Per verdict, in catalog order: the bytes between `cache_hit`'s
+    /// value and `executions`' (`certified`, `condition`), then those
+    /// between `executions`' and `observed_allowed`'s value
+    /// (`expected_allowed`, `model`), split at the index beside them.
+    rows: Vec<(Vec<u8>, usize)>,
+}
+
+impl ServedPlan {
+    /// Renders `plan`'s fragments for `entry`.
+    pub(crate) fn new(entry: &CatalogEntry, plan: VerdictPlan) -> ServedPlan {
+        let mut name = Vec::new();
+        write_str(&mut name, &entry.test.name);
+        let rows = entry
+            .verdicts
+            .iter()
+            .enumerate()
+            .map(|(index, v)| {
+                let mut bytes = Vec::new();
+                bytes.extend_from_slice(b",\"certified\":");
+                write_bool(&mut bytes, plan.verdict_row(index).certified);
+                bytes.extend_from_slice(b",\"condition\":");
+                write_str(&mut bytes, &entry.test.conditions[v.condition].text);
+                bytes.extend_from_slice(b",\"executions\":");
+                let split = bytes.len();
+                bytes.extend_from_slice(b",\"expected_allowed\":");
+                write_bool(&mut bytes, v.allowed);
+                bytes.extend_from_slice(b",\"model\":");
+                write_str(&mut bytes, v.model.name());
+                bytes.extend_from_slice(b",\"observed_allowed\":");
+                (bytes, split)
+            })
+            .collect();
+        ServedPlan { plan, name, rows }
+    }
+
+    /// Appends the verdict answer of `entry` from its plan runs'
+    /// `answers` to `out`, echoing `id`, in the order a [`Json`] object
+    /// renders its fields.
+    fn write_answer(
+        &self,
+        entry: &CatalogEntry,
+        id: &str,
+        answers: &[RunAnswer],
+        out: &mut Vec<u8>,
+    ) {
+        let observed: Vec<bool> = entry
+            .verdicts
+            .iter()
+            .enumerate()
+            .map(|(index, v)| {
+                let answer = &answers[self.plan.verdict_row(index).run];
+                entry.test.conditions[v.condition].observable_in(&answer.result.outcomes)
+            })
+            .collect();
+        let all_pass = entry
+            .verdicts
+            .iter()
+            .zip(&observed)
+            .all(|(v, &observed)| observed == v.allowed);
+        out.extend_from_slice(b"{\"id\":");
+        write_str(out, id);
+        out.extend_from_slice(b",\"kind\":\"verdict\",\"ok\":true,\"report\":{\"all_pass\":");
+        write_bool(out, all_pass);
+        out.extend_from_slice(b",\"name\":");
+        out.extend_from_slice(&self.name);
+        out.extend_from_slice(b",\"rows\":[");
+        for (index, ((v, &observed), (bytes, split))) in entry
+            .verdicts
+            .iter()
+            .zip(&observed)
+            .zip(&self.rows)
+            .enumerate()
+        {
+            let answer = &answers[self.plan.verdict_row(index).run];
+            if index > 0 {
+                out.push(b',');
+            }
+            out.extend_from_slice(b"{\"cache_hit\":");
+            write_bool(out, answer.cache_hit);
+            out.extend_from_slice(&bytes[..*split]);
+            write_count(out, answer.result.stats.distinct_executions);
+            out.extend_from_slice(&bytes[*split..]);
+            write_bool(out, observed);
+            out.extend_from_slice(b",\"outcomes\":");
+            write_count(out, answer.result.outcomes.len());
+            out.extend_from_slice(b",\"pass\":");
+            write_bool(out, observed == v.allowed);
+            out.push(b'}');
+        }
+        out.extend_from_slice(b"]}}");
+    }
+}
+
 /// What a request produced, before its id is attached.
 pub(crate) enum Body {
     /// An `enumerate` this node answered, from the cache (`hit`) or by a
@@ -173,6 +277,12 @@ pub(crate) enum Body {
         query: EnumQuery,
         value: Arc<CachedResult>,
         hit: bool,
+    },
+    /// A `verdict` on the catalog entry at `index`: one answer per run
+    /// of its plan.
+    Verdict {
+        index: usize,
+        answers: Vec<RunAnswer>,
     },
     /// A batch: its slot answers in request order, and how many of them
     /// failed.
@@ -186,7 +296,7 @@ impl Body {
     /// Whether the answer is a success (`"ok":true`).
     pub(crate) fn is_ok(&self) -> bool {
         match self {
-            Body::Enumerate { .. } | Body::Batch { .. } => true,
+            Body::Enumerate { .. } | Body::Verdict { .. } | Body::Batch { .. } => true,
             Body::Tree(tree) => tree.get("ok").and_then(Json::as_bool) == Some(true),
         }
     }
@@ -195,7 +305,9 @@ impl Body {
     pub(crate) fn outcome(&self) -> ReqOutcome {
         match self {
             Body::Enumerate { hit: true, .. } => ReqOutcome::Hit,
-            Body::Enumerate { hit: false, .. } | Body::Batch { .. } => ReqOutcome::Miss,
+            Body::Enumerate { hit: false, .. } | Body::Verdict { .. } | Body::Batch { .. } => {
+                ReqOutcome::Miss
+            }
             Body::Tree(tree) => ReqOutcome::classify(tree),
         }
     }
@@ -224,6 +336,14 @@ impl Answer {
             Body::Enumerate { query, value, hit } => {
                 query.write_answer(state, framed(&id), &value, hit, out);
             }
+            Body::Verdict { index, answers } => {
+                state.served_plan(index).write_answer(
+                    &catalog()[index],
+                    framed(&id),
+                    &answers,
+                    out,
+                );
+            }
             Body::Batch { failed, slots } => {
                 out.extend_from_slice(b"{\"count\":");
                 write_count(out, slots.len());
@@ -249,6 +369,15 @@ impl Answer {
         let Answer { id, body } = self;
         let tree = match body {
             Body::Enumerate { query, value, hit } => query.answer_tree(state, &value, hit),
+            Body::Verdict { index, answers } => {
+                let entry = &catalog()[index];
+                let report = plan_report(entry, state.verdict_plan(index), &answers);
+                Json::obj([
+                    ("ok", Json::Bool(true)),
+                    ("kind", Json::str("verdict")),
+                    ("report", report_json(&report)),
+                ])
+            }
             Body::Batch { failed, slots } => Json::obj([
                 ("ok", Json::Bool(true)),
                 ("kind", Json::str("batch")),
@@ -265,7 +394,8 @@ impl Answer {
     }
 }
 
-/// The id of an enumerate answer or a batch frame, which always have one.
+/// The id of an enumerate or verdict answer or a batch frame, which
+/// always have one.
 fn framed(id: &Option<String>) -> &str {
     id.as_deref().expect("enumerate and batch answers have ids")
 }
@@ -282,6 +412,11 @@ fn with_id(mut tree: Json, id: Option<String>) -> Json {
 fn write_str(out: &mut Vec<u8>, s: &str) {
     // Appending to a Vec never fails.
     let _ = write_escaped(&mut ByteSink(out), s);
+}
+
+/// Appends `b` as a JSON boolean.
+fn write_bool(out: &mut Vec<u8>, b: bool) {
+    out.extend_from_slice(if b { b"true" } else { b"false" });
 }
 
 /// Appends a count as a JSON number, as [`Json::num`] renders it.

@@ -145,10 +145,15 @@ pub(crate) fn execute(
                     let id = slot_id.expect("ok slots have ids");
                     handle_sub(state, env, true, id, ctx)
                 }
-                (Err(err), None) => Answer {
-                    id: None,
-                    body: Body::Tree(error_response(state, err)),
-                },
+                // A slot that does not parse counts in the request
+                // family as a malformed line does.
+                (Err(err), None) => {
+                    state.telemetry.malformed.fetch_add(1, Ordering::Relaxed);
+                    Answer {
+                        id: None,
+                        body: Body::Tree(error_response(state, err)),
+                    }
+                }
             };
             if !answer.body.is_ok() {
                 failed += 1;

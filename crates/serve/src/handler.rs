@@ -32,9 +32,9 @@ use samm_core::pruned::enumerate_pruned;
 use samm_core::telemetry::trace::{ActiveSpan, SpanKind, SpanSink, TraceContext};
 use samm_core::telemetry::HistogramSnapshot;
 use samm_litmus::catalog::{self, CatalogEntry, ModelSel};
-use samm_litmus::expect::{run_entry_planned, EntryReport, VerdictPlan};
+use samm_litmus::expect::{answer_plan, EntryReport, VerdictPlan};
 
-use crate::answer::{resolution_table, Answer, Body, EnumQuery, Resolved};
+use crate::answer::{resolution_table, Answer, Body, EnumQuery, Resolved, ServedPlan};
 use crate::cluster::Cluster;
 use crate::json::Json;
 use crate::protocol::{Envelope, ErrorKind, Request, ServiceError, ENGINE};
@@ -59,9 +59,10 @@ pub struct ServerState {
     /// Every catalog entry × [`ModelSel::ALL`] resolved once: model,
     /// policy and fingerprint ([`EnumQuery::resolve`]).
     pub(crate) table: Vec<Resolved>,
-    /// One [`VerdictPlan`] per catalog entry, built on the entry's
-    /// first verdict, so start-up does no verdict work.
-    plans: Vec<OnceLock<VerdictPlan>>,
+    /// One [`VerdictPlan`] per catalog entry, with its answer's constant
+    /// bytes, built on the entry's first verdict, so start-up does no
+    /// verdict work.
+    plans: Vec<OnceLock<ServedPlan>>,
 }
 
 impl ServerState {
@@ -112,8 +113,15 @@ impl ServerState {
     /// The verdict plan of the catalog entry at `index`, built on first
     /// use with the DRF certifier, every certificate re-checked.
     pub(crate) fn verdict_plan(&self, index: usize) -> &VerdictPlan {
+        &self.served_plan(index).plan
+    }
+
+    /// [`ServerState::verdict_plan`] with its answer's constant bytes.
+    pub(crate) fn served_plan(&self, index: usize) -> &ServedPlan {
         self.plans[index].get_or_init(|| {
-            VerdictPlan::new(&catalog()[index], &self.config(None), Some(&drf_certifier))
+            let entry = &catalog()[index];
+            let plan = VerdictPlan::new(entry, &self.config(None), Some(&drf_certifier));
+            ServedPlan::new(entry, plan)
         })
     }
 
@@ -202,7 +210,7 @@ fn handle_inner(
                 budget,
             } => return enumerate_response(state, test, model, *budget, fwd, span),
             Request::Batch(subs) => return Ok(crate::batch::execute(state, subs, fwd, id, span)),
-            Request::Verdict { test, budget } => verdict_response(state, test, *budget),
+            Request::Verdict { test, budget } => return verdict_response(state, test, *budget),
             Request::Witness {
                 test,
                 model,
@@ -587,7 +595,8 @@ fn enumerate_response(
     })
 }
 
-fn report_json(report: &EntryReport) -> Json {
+/// A verdict report as the reference tree renders it.
+pub(crate) fn report_json(report: &EntryReport) -> Json {
     let rows = report
         .rows
         .iter()
@@ -616,24 +625,20 @@ fn verdict_response(
     state: &ServerState,
     test: &str,
     budget: Option<u64>,
-) -> Result<Json, ServiceError> {
+) -> Result<Body, ServiceError> {
     let index = find_entry_index(test)?;
-    let report = run_entry_planned(
+    let answers = answer_plan(
         &catalog()[index],
         state.verdict_plan(index),
         &state.config(budget),
-        &state.cache,
+        Some(&state.cache),
     )
     .map_err(enum_error)?;
-    // One fold per engine run: exactly one row of each run is marked.
-    for row in report.rows.iter().filter(|row| row.fresh_run) {
-        state.telemetry.fold_stats(&row.stats);
+    // One fold per engine run; a classified view ran none.
+    for answer in answers.iter().filter(|answer| answer.ran) {
+        state.telemetry.fold_stats(&answer.result.stats);
     }
-    Ok(Json::obj([
-        ("ok", Json::Bool(true)),
-        ("kind", Json::str("verdict")),
-        ("report", report_json(&report)),
-    ]))
+    Ok(Body::Verdict { index, answers })
 }
 
 /// `config` with instrumentation off: witness and refutation answers
@@ -950,6 +955,7 @@ fn metrics_cluster_response(state: &ServerState, fwd: bool) -> Json {
 mod tests {
     use super::*;
     use samm_core::cache::cached_enumerate;
+    use samm_core::enumerate::EnumStats;
     use samm_core::fingerprint::{query_fingerprint, Fingerprint};
     use samm_core::policy::Policy;
     use samm_core::static_order::TableView;
@@ -1326,10 +1332,12 @@ mod tests {
         );
     }
 
-    /// The verdict harness without table views or thread events: every
+    /// The verdict harness without plans or thread events: every
     /// running model's key is its [`query_fingerprint`], certified
     /// models run as SC, and each distinct key enumerates once through
-    /// `cache`.
+    /// `cache` — except a view classified from a weaker one (plain, and
+    /// dominating another plain running view), which, when neither it
+    /// nor its base is resident, runs fresh outside the cache.
     fn reference_verdict(entry: &CatalogEntry, cache: &EnumCache, config: &EnumConfig) -> Json {
         let program = &entry.test.program;
         let run_model = |m: ModelSel| {
@@ -1340,18 +1348,35 @@ mod tests {
             }
         };
         let key = |m: ModelSel| query_fingerprint(program, &run_model(m).policy(), config);
-        let mut answers = std::collections::BTreeMap::new();
+        // The distinct running views, in model order, with whether each
+        // was resident before the verdict.
+        let mut views: Vec<(ModelSel, TableView, bool)> = Vec::new();
         for m in entry.models() {
-            answers.entry(key(m)).or_insert_with(|| {
-                cached_enumerate(
-                    cache,
-                    program,
-                    &run_model(m).policy(),
-                    config,
-                    enumerate_pruned,
-                )
-                .unwrap()
-            });
+            if !views.iter().any(|&(v, ..)| key(v) == key(m)) {
+                let view = TableView::of(program, &run_model(m).policy());
+                views.push((m, view, cache.contains(key(m))));
+            }
+        }
+        let below =
+            |a: &TableView, b: &TableView| a != b && a.is_plain() && b.is_plain() && a.dominates(b);
+        let mut answers = std::collections::BTreeMap::new();
+        for (m, view, resident) in &views {
+            let base = views
+                .iter()
+                .find(|(_, b, _)| below(view, b) && !views.iter().any(|(_, c, _)| below(b, c)));
+            let policy = run_model(*m).policy();
+            let answer = match base {
+                Some(&(_, _, false)) if !resident => {
+                    let result = enumerate_pruned(program, &policy, config).unwrap();
+                    let stats = EnumStats {
+                        distinct_executions: result.stats.distinct_executions,
+                        ..EnumStats::default()
+                    };
+                    (Arc::new(CachedResult::new(result.outcomes, stats)), false)
+                }
+                _ => cached_enumerate(cache, program, &policy, config, enumerate_pruned).unwrap(),
+            };
+            answers.insert(key(*m), answer);
         }
         let rows = entry
             .verdicts
@@ -1368,6 +1393,7 @@ mod tests {
                     executions: result.stats.distinct_executions,
                     certified: run_model(v.model) != v.model,
                     cache_hit: *cache_hit,
+                    classified: false,
                     fresh_run: false,
                     stats: result.stats,
                 }
@@ -1379,11 +1405,13 @@ mod tests {
         })
     }
 
-    /// The harness's one-run-per-view memo changes no byte of a verdict
-    /// response and no cache entry or counter: every catalog verdict,
-    /// cold then warm, and with one model enumerated beforehand on every
-    /// other entry, matches the reference harness (one cache lookup per
-    /// distinct `query_fingerprint`) running on a cache of its own.
+    /// The harness's one-run-per-view memo and its classified views
+    /// change no byte of a verdict response, cache entry or counter from
+    /// the reference harness's: every catalog verdict, cold, warm and
+    /// warm again, with one model enumerated beforehand on every other
+    /// entry, matches the reference harness (one cache lookup per
+    /// distinct `query_fingerprint`, a classified view outside the cache)
+    /// running on a cache of its own.
     #[test]
     fn verdicts_match_a_harness_that_runs_every_model() {
         let state = ServerState::new(EnumCache::new(4096), None);
@@ -1416,7 +1444,7 @@ mod tests {
                 )
                 .unwrap();
             }
-            for pass in ["cold", "warm"] {
+            for pass in ["cold", "warm", "warm again"] {
                 let verdict = Request::Verdict {
                     test: name.clone(),
                     budget: None,
@@ -1815,21 +1843,31 @@ mod tests {
             let program = &entry.test.program;
             for budget in [None, Some(3)] {
                 let config = state.config(budget);
-                let derived: Vec<PlanRow> = entry
+                let mut derived: Vec<PlanRow> = entry
                     .models()
                     .into_iter()
                     .map(|model| {
                         let certified =
                             model != ModelSel::Sc && drf_certifier(program, &model.policy());
                         let policy = if certified { ModelSel::Sc } else { model }.policy();
+                        let fp = query_fingerprint(program, &policy, &config);
                         PlanRow {
                             model,
                             certified,
-                            fp: query_fingerprint(program, &policy, &config),
+                            fp,
                             policy,
+                            run: 0,
                         }
                     })
                     .collect();
+                // Each row's run is the first-use index of its key.
+                let mut keys = Vec::new();
+                for row in &mut derived {
+                    row.run = keys.iter().position(|&fp| fp == row.fp).unwrap_or_else(|| {
+                        keys.push(row.fp);
+                        keys.len() - 1
+                    });
+                }
                 assert_eq!(
                     state.verdict_plan(index).rows,
                     derived,
@@ -1917,8 +1955,11 @@ mod tests {
                         handle_envelope(&state, &envelope(request, None)).get("ok"),
                         Some(&Json::Bool(true))
                     );
-                    for row in &state.verdict_plan(index).rows {
-                        note(row.fp, entry, &row.policy);
+                    // A classified view runs no search of its own.
+                    for run in &state.verdict_plan(index).runs {
+                        if run.base.is_none() {
+                            note(run.fp, entry, &run.policy);
+                        }
                     }
                 }
                 _ => {

@@ -209,9 +209,10 @@ pub struct Telemetry {
     /// which are tallied in [`Telemetry::monitoring`]. A batch line
     /// counts once, however many slots it carries.
     pub requests: AtomicU64,
-    /// Request lines that did not parse into a request (counted in
-    /// `requests` too, and exposed as `samm_requests_total`'s
-    /// `kind="malformed",outcome="error"` series).
+    /// Request lines and batch slots that did not parse into a request
+    /// (a line is counted in `requests` too, a slot is not), exposed as
+    /// `samm_requests_total`'s `kind="malformed",outcome="error"`
+    /// series.
     pub malformed: AtomicU64,
     /// Monitoring requests (`metrics` / `metrics_cluster` /
     /// `metrics_prom`) — reported separately so self-observation does
@@ -540,7 +541,7 @@ impl Telemetry {
         let malformed = self.malformed.load(Ordering::Relaxed);
         prom.counter(
             "samm_requests_total",
-            "Requests served, by kind and outcome (hit/miss/overbudget/error); unparseable lines are kind malformed.",
+            "Requests served, by kind and outcome (hit/miss/overbudget/error), counting each batch line and each of its slots; unparseable lines and slots are kind malformed.",
             kinds()
                 .flat_map(|(name, k)| {
                     [

@@ -3,8 +3,10 @@
 //! [`ServerState`] fed the same lines renders each answer as the
 //! reference [`Json`] tree through `handle_envelope`. Every line must be
 //! byte for byte the same — top-level misses and hits, inline loop hits,
-//! batch slots and error slots, escaped and server-assigned ids, a
-//! cluster member's `node` field and a peer's spliced answers — and the
+//! every catalog verdict (cold, warm, budgeted and overbudget, on a
+//! one-entry cache too), batch slots and error slots, escaped and
+//! server-assigned ids, a cluster member's `node` field and a peer's
+//! spliced answers — and the
 //! two sides must count the same requests, errors, per-kind outcomes,
 //! cache lookups and batch sizes.
 
@@ -115,7 +117,7 @@ impl Twin {
                 all.push(m.get("cache").and_then(|c| c.get(key)).cloned());
             }
             let kinds = m.get("telemetry").and_then(|t| t.get("kinds")).unwrap();
-            for kind in ["enumerate", "batch", "certify"] {
+            for kind in ["enumerate", "verdict", "batch", "certify"] {
                 for outcome in ["hit", "miss", "overbudget", "errors"] {
                     all.push(kinds.get(kind).and_then(|k| k.get(outcome)).cloned());
                 }
@@ -273,6 +275,87 @@ fn batches(twin: &mut Twin) {
             assert_eq!(answer.get("failed").and_then(Json::as_u64), Some(3));
         }
     }
+}
+
+/// A verdict request object, with `budget` and `id` when given.
+fn verdict(test: &str, budget: Option<u64>, id: Option<&str>) -> String {
+    let mut fields = vec![("kind", Json::str("verdict")), ("test", Json::str(test))];
+    if let Some(budget) = budget {
+        fields.push(("budget", Json::num(budget as f64)));
+    }
+    if let Some(id) = id {
+        fields.push(("id", Json::str(id)));
+    }
+    Json::obj(fields).to_string()
+}
+
+/// Every catalog verdict as single lines and as batch slots: with a
+/// budget no run fits in (overbudget when the entry is `cold`), with no
+/// budget (then warm), with a budget every run fits in, and under an
+/// unknown test name.
+fn verdicts(twin: &mut Twin, cold: bool) {
+    let entries = catalog::all();
+    for (i, entry) in entries.iter().enumerate() {
+        let test = &entry.test.name;
+        let id = escaped_id(i);
+        let overbudget = twin.send(&verdict(test, Some(1), None));
+        if cold {
+            assert_eq!(
+                overbudget.get("error").and_then(|e| e.get("kind")),
+                Some(&Json::str("overbudget")),
+                "{test}"
+            );
+        }
+        for line in [
+            verdict(test, None, Some(&id)),
+            verdict(test, None, None),
+            verdict(test, Some(1_000_000), None),
+            verdict(&test.to_lowercase(), Some(1), Some(&id)),
+        ] {
+            twin.send(&line);
+        }
+    }
+    twin.send(&verdict("NoSuchTest", None, Some("v")));
+    for (b, chunk) in entries.chunks(4).enumerate() {
+        let mut slots = Vec::new();
+        for (i, entry) in chunk.iter().enumerate() {
+            let test = &entry.test.name;
+            let id = (i % 2 == b % 2).then(|| escaped_id(i));
+            slots.push(verdict(test, None, id.as_deref()));
+            slots.push(verdict(test, Some(1_000_000), None));
+            slots.push(verdict(test, Some(2), id.as_deref()));
+        }
+        slots.push(verdict("NoSuchTest", Some(5), None));
+        let answer = twin.send(&format!(
+            r#"{{"kind":"batch","requests":[{}]}}"#,
+            slots.join(",")
+        ));
+        // The unknown test fails; budgeted slots fail only on a miss.
+        let failed = answer.get("failed").and_then(Json::as_u64).unwrap();
+        assert!((1..=chunk.len() as u64 + 1).contains(&failed), "{failed}");
+    }
+}
+
+#[test]
+fn verdicts_match_the_reference_tree() {
+    let mut twin = Twin::start(ServerConfig::default(), None);
+    verdicts(&mut twin, true);
+    verdicts(&mut twin, false);
+    twin.finish();
+}
+
+/// On a one-entry cache, as the `fresh-mix` workload runs, every verdict
+/// classifies its dominated views afresh.
+#[test]
+fn verdicts_on_a_one_entry_cache_match_the_reference_tree() {
+    let config = ServerConfig {
+        cache_capacity: 1,
+        cache_shards: 1,
+        ..ServerConfig::default()
+    };
+    let mut twin = Twin::start(config, None);
+    verdicts(&mut twin, true);
+    twin.finish();
 }
 
 #[test]

@@ -303,3 +303,41 @@ fn malformed_lines_are_counted_in_the_request_family() {
     assert_eq!(requests_total(text), requests as f64, "{text}");
     handle.shutdown().unwrap();
 }
+
+/// The family counts each batch line and each of its slots, a slot that
+/// does not parse as `malformed`: beside `requests`, which counts the
+/// batch line once, it reads one more per slot.
+#[test]
+fn batch_lines_and_their_slots_are_counted_in_the_request_family() {
+    let handle = start(ServerConfig {
+        workers: 1,
+        read_timeout: Duration::from_secs(5),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
+    for line in [
+        r#"{"kind":"enumerate","test":"SB","model":"SC"}"#,
+        r#"{"kind":"verdict","test":"MP"}"#,
+    ] {
+        assert!(ok(&client.request_raw(line).unwrap()), "{line}");
+    }
+    let batch = client
+        .request_raw(
+            r#"{"kind":"batch","requests":[{"kind":"enumerate","test":"SB","model":"TSO"},"x"]}"#,
+        )
+        .unwrap();
+    assert_eq!(batch.get("failed").and_then(Json::as_u64), Some(1));
+    let wire = client.request_raw(r#"{"kind":"metrics_prom"}"#).unwrap();
+    let text = wire.get("text").and_then(Json::as_str).unwrap();
+    prom::check(text).expect("valid exposition");
+    assert!(
+        text.contains("samm_requests_total{kind=\"malformed\",outcome=\"error\"} 1"),
+        "{text}"
+    );
+    let metrics = client.request_raw(r#"{"kind":"metrics"}"#).unwrap();
+    let requests = metrics.get("requests").and_then(Json::as_u64).unwrap();
+    assert_eq!(requests, 3);
+    assert_eq!(requests_total(text), (requests + 2) as f64, "{text}");
+    handle.shutdown().unwrap();
+}

@@ -1,7 +1,9 @@
 //! Model bracketing across the whole catalog (paper section 6): prints,
 //! for every litmus test, the number of distinct outcomes under each model
-//! and whether each condition is observable — the `SC ⊆ TSO ⊆ PSO ⊆ Weak`
-//! chain made visible, with naive TSO shown as the odd one out.
+//! and whether each condition is observable — the `SC ⊆ TSO ⊆ PSO` and
+//! `SC ⊆ NaiveTSO ⊆ Weak` chains made visible, with naive TSO shown as
+//! the odd one out. (TSO and PSO are not inside Weak: reproduction
+//! finding 4 in EXPERIMENTS.md.)
 //!
 //! Run with: `cargo run --release --example tso_bracketing`
 

@@ -42,12 +42,13 @@ use samm::core::policy::Policy;
 use samm::core::pruned::{enumerate_pruned, stream};
 use samm::core::static_order::TableView;
 use samm::core::sync::check_well_synchronized;
-use samm::litmus::expect::{self, EntryReport};
+use samm::litmus::expect::{self, Certifier, EntryReport, VerdictPlan};
 use samm::litmus::rand_prog::{random_program, RandConfig};
-use samm::litmus::{catalog, ModelSel};
+use samm::litmus::{catalog, CatalogEntry, CompiledCondition, CompiledLitmus, CondKind, ModelSel};
 
 use std::collections::{BTreeSet, HashSet};
 
+use proptest::prelude::*;
 use rand::prelude::*;
 
 const MODELS: [ModelSel; 5] = [
@@ -456,23 +457,29 @@ fn views_differ_where_the_program_reads_the_difference() {
     }
 }
 
-/// Engine runs per catalog verdict: one per table view of the running
-/// models, where a certified model runs as SC. Before views, every
-/// (test, model) pair ran (141), or every running model (67) with the
-/// DRF certifier.
+/// Engine runs per catalog verdict: one per undominated table view of
+/// the running models, where a certified model runs as SC; every other
+/// view is classified from the run of a weaker view. Before views, every
+/// (test, model) pair ran (141); with one run per view, 69 ran, or 52
+/// with the DRF certifier. Classification leaves 37 searches either way:
+/// 32 (uncertified) and 15 (certified) of those views are classified.
 #[test]
 fn catalog_verdicts_run_once_per_view() {
     let config = fresh_config();
-    let runs = |report: EntryReport| report.rows.iter().filter(|r| r.fresh_run).count();
-    let (mut models, mut uncertified, mut certified) = (0, 0, 0);
+    let runs = |report: &EntryReport| report.rows.iter().filter(|r| r.fresh_run).count();
+    let classified = |plan: &VerdictPlan| plan.runs.iter().filter(|r| r.base.is_some()).count();
+    let (mut models, mut uncertified, mut certified) = (0, (0, 0), (0, 0));
     for entry in catalog::all() {
         models += entry.models().len();
-        uncertified += runs(expect::run_entry(&entry, &config).expect("verdict runs"));
-        certified += runs(
-            expect::run_entry_certified(&entry, &config, &drf_certifier).expect("verdict runs"),
-        );
+        let report = expect::run_entry(&entry, &config).expect("verdict runs");
+        uncertified.0 += runs(&report);
+        uncertified.1 += classified(&VerdictPlan::new(&entry, &config, None));
+        let report =
+            expect::run_entry_certified(&entry, &config, &drf_certifier).expect("verdict runs");
+        certified.0 += runs(&report);
+        certified.1 += classified(&VerdictPlan::new(&entry, &config, Some(&drf_certifier)));
     }
-    assert_eq!((models, uncertified, certified), (141, 69, 52));
+    assert_eq!((models, uncertified, certified), (141, (37, 32), (37, 15)));
 }
 
 /// The cache key is (program, table view, config): over the catalog's
@@ -506,12 +513,15 @@ fn catalog_keys_share_a_fingerprint_iff_entry_and_view_agree() {
 
 /// A one-entry cache, as the `fresh-mix` benchmark runs, costs no extra
 /// engine run: every new view evicts the last, yet each catalog verdict
-/// runs (and misses) exactly once per distinct view of its running
-/// models, a certified model running as SC.
+/// runs (and misses) exactly once per distinct undominated view of its
+/// running models, a certified model running as SC. The classified views
+/// count neither a hit nor a miss and are never inserted.
 #[test]
 fn a_one_entry_cache_runs_each_view_once() {
     let config = fresh_config();
-    let cache = EnumCache::new(1);
+    // One shard of one entry, as `fresh-mix` starts the server
+    // (`EnumCache::new(1)` would make one entry per shard).
+    let cache = EnumCache::with_shards(1, 1);
     let mut total = 0;
     for entry in catalog::all() {
         let program = &entry.test.program;
@@ -524,18 +534,138 @@ fn a_one_entry_cache_runs_each_view_once() {
                 TableView::of(program, &run.policy())
             })
             .collect();
-        let misses = cache.stats().misses;
+        let plan = VerdictPlan::new(&entry, &config, Some(&drf_certifier));
+        assert_eq!(
+            plan.runs.len(),
+            views.len(),
+            "{}: plan runs",
+            entry.test.name
+        );
+        let searched = plan.runs.iter().filter(|r| r.base.is_none()).count();
+        let (misses, hits) = (cache.stats().misses, cache.stats().hits);
         let report = expect::run_entry_cached(&entry, &config, &cache, &drf_certifier)
             .expect("verdict runs");
         let runs = report.rows.iter().filter(|r| r.fresh_run).count();
         let name = &entry.test.name;
-        assert_eq!(runs, views.len(), "{name}: engine runs");
+        assert_eq!(runs, searched, "{name}: engine runs");
         assert_eq!(
             cache.stats().misses - misses,
-            views.len() as u64,
+            searched as u64,
             "{name}: cache misses"
         );
+        assert_eq!(cache.stats().hits, hits, "{name}: cache hits");
+        for row in &report.rows {
+            let planned = plan.rows.iter().find(|r| r.model == row.model);
+            let run = planned.expect("every model is planned").run;
+            assert_eq!(
+                row.classified,
+                plan.runs[run].base.is_some(),
+                "{name}: {row}"
+            );
+            assert!(!row.cache_hit, "{name}: {row}");
+        }
         total += runs;
     }
-    assert_eq!(total, 52);
+    assert_eq!(total, 37);
+}
+
+/// Every classified view of `entry`'s verdict plans, with and without the
+/// DRF certifier, has the outcome set and execution count of a separate
+/// pruned search and of the serial oracle under its policy. Returns the
+/// number of classified views checked.
+fn assert_classification_is_exact(entry: &CatalogEntry, label: &str) -> usize {
+    let config = fresh_config();
+    let program = &entry.test.program;
+    let mut checked = 0;
+    let certifiers: [Option<Certifier<'_>>; 2] = [None, Some(&drf_certifier)];
+    for certifier in certifiers {
+        let plan = VerdictPlan::new(entry, &config, certifier);
+        let answers = expect::answer_plan(entry, &plan, &config, None).expect("plan runs");
+        for (run, answer) in plan.runs.iter().zip(&answers) {
+            assert_eq!(answer.classified, run.base.is_some(), "{label}");
+            assert_eq!(answer.ran, run.base.is_none(), "{label}");
+            if !answer.classified {
+                continue;
+            }
+            let name = run.policy.name();
+            let base = plan.runs[run.base.expect("classified")].policy.name();
+            let pruned = enumerate_pruned(program, &run.policy, &config).expect("pruned runs");
+            let serial = enumerate(program, &run.policy, &config).expect("serial runs");
+            for (engine, result) in [("pruned", &pruned), ("serial", &serial)] {
+                assert_eq!(
+                    answer.result.outcomes, result.outcomes,
+                    "{label}: {name} classified from {base} differs from its {engine} run"
+                );
+                assert_eq!(
+                    answer.result.stats.distinct_executions, result.stats.distinct_executions,
+                    "{label}: {name} classified from {base}: executions differ from its {engine} run"
+                );
+            }
+            checked += 1;
+        }
+    }
+    checked
+}
+
+/// A verdict entry for a generated program: one always-true condition
+/// and a verdict under every model, so its plan classifies every plain
+/// view that dominates another.
+fn every_model_entry(program: Program, name: &str) -> CatalogEntry {
+    let test = CompiledLitmus {
+        name: name.to_owned(),
+        program,
+        addr_of: Default::default(),
+        regs: Vec::new(),
+        conditions: vec![CompiledCondition {
+            kind: CondKind::Allowed,
+            clauses: Vec::new(),
+            text: "true".to_owned(),
+        }],
+    };
+    let verdicts: Vec<(usize, ModelSel, bool)> =
+        ModelSel::ALL.iter().map(|&m| (0, m, true)).collect();
+    CatalogEntry::new(test, "generated", &verdicts)
+}
+
+/// Classification on the catalog: every classified view of every entry's
+/// plan, and of a plan that names every model.
+#[test]
+fn classified_views_match_separate_runs_on_full_catalog() {
+    let mut checked = 0;
+    for entry in catalog::all() {
+        let name = entry.test.name.clone();
+        checked += assert_classification_is_exact(&entry, &name);
+        checked += assert_classification_is_exact(
+            &every_model_entry(entry.test.program, &name),
+            &format!("{name} (every model)"),
+        );
+    }
+    assert!(checked > 0, "the catalog classifies some view");
+}
+
+/// Classification on the seeded corpus, every model named.
+#[test]
+fn classified_views_match_separate_runs_on_seeded_corpus() {
+    let shapes = shapes();
+    let mut checked = 0;
+    for i in 0..corpus_size() {
+        let (program, shape) = corpus_program(i, &shapes);
+        let label = format!("corpus program {i} (shape {shape})");
+        checked += assert_classification_is_exact(&every_model_entry(program, &label), &label);
+    }
+    assert!(checked > 0, "the corpus classifies some view");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Classification on random programs of every corpus shape: every
+    /// classified view equals its separate pruned and serial runs.
+    #[test]
+    fn pruned_classification_matches_separate_runs(seed in any::<u64>(), shape in 0usize..5) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let program = random_program(&mut rng, &shapes()[shape]);
+        let label = format!("seed {seed} (shape {shape})");
+        assert_classification_is_exact(&every_model_entry(program, &label), &label);
+    }
 }
