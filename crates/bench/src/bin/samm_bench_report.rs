@@ -21,6 +21,13 @@
 //! `fresh-mix` workload; each such row also records the verdict's
 //! engine runs (`engine_runs`) and the views it classified from a
 //! weaker view's run instead of searching (`classified_views`). The
+//! `witness` and `refutation` rows time `explain::find_witness` and
+//! `explain::refute` as `samm-serve` answers them (no counters, no
+//! executions kept): one run is the test's every condition under every
+//! model, and each such row records its calls (`calls`). A `witness`
+//! row passes when every witness replays and a witness exists exactly
+//! where `refute` finds the condition observable; a `refutation` row
+//! passes when every blocked proof verifies. The
 //! serving-path counterpart is
 //! `samm-benchmark --out` (the workloads of `BENCHMARK.json`); together
 //! they cover the two performance planes EXPERIMENTS.md tracks.
@@ -35,8 +42,9 @@ use std::time::Instant;
 use samm_analyze::harness::drf_certifier;
 use samm_core::cache::EnumCache;
 use samm_core::enumerate::EnumConfig;
+use samm_core::explain::{find_witness, refute, Goal, Refutation, RefuteOutcome};
 use samm_core::obs::Observe;
-use samm_litmus::catalog::{self, CatalogEntry};
+use samm_litmus::catalog::{self, CatalogEntry, ModelSel};
 use samm_litmus::expect::{run_entry, run_entry_planned, run_entry_serial, VerdictPlan};
 use samm_serve::json::Json;
 
@@ -109,6 +117,11 @@ fn main() -> ExitCode {
         "{:<12} {:<14} {:>12} {:>12} {:>6}",
         "test", "engine", "min us", "mean us", "pass"
     );
+    // The server's witness and refutation configuration.
+    let explained = EnumConfig {
+        observe: Observe::Off,
+        ..served.clone()
+    };
     for entry in &entries {
         let plan = VerdictPlan::new(entry, &served, Some(&drf_certifier));
         for engine in ["serial", "pruned", "pruned-served"] {
@@ -179,6 +192,39 @@ fn main() -> ExitCode {
             }
             rows.push(Json::obj(row));
         }
+        for engine in ["witness", "refutation"] {
+            let (min_us, mean_us, calls, pass) =
+                match time_explain(entry, engine, &explained, iters) {
+                    Ok(timed) => timed,
+                    Err(e) => {
+                        eprintln!(
+                            "samm-bench-report: {}/{engine} failed: {e}",
+                            entry.test.name
+                        );
+                        return ExitCode::FAILURE;
+                    }
+                };
+            println!(
+                "{:<12} {engine:<14} {min_us:>12.1} {mean_us:>12.1} {:>6}  {calls} calls",
+                entry.test.name,
+                if pass { "yes" } else { "NO" },
+            );
+            if !pass {
+                eprintln!(
+                    "samm-bench-report: unchecked {engine} in {}",
+                    entry.test.name
+                );
+                return ExitCode::FAILURE;
+            }
+            rows.push(Json::obj([
+                ("test", Json::str(&entry.test.name)),
+                ("engine", Json::str(engine)),
+                ("wall_us_min", Json::num(min_us)),
+                ("wall_us_mean", Json::num(mean_us)),
+                ("pass", Json::Bool(pass)),
+                ("calls", Json::num(calls as f64)),
+            ]));
+        }
     }
 
     let report = Json::obj([
@@ -196,4 +242,67 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Times `engine` (`witness` or `refutation`) over every condition of
+/// `entry` under every model, `iters` times: the min and mean wall
+/// microseconds of one such run, its calls, and whether every answer
+/// checks out (checked once, outside the timed runs).
+fn time_explain(
+    entry: &CatalogEntry,
+    engine: &str,
+    config: &EnumConfig,
+    iters: usize,
+) -> Result<(f64, f64, usize, bool), String> {
+    let program = &entry.test.program;
+    let policies: Vec<_> = ModelSel::ALL.iter().map(|m| m.policy()).collect();
+    let goals: Vec<Goal> = entry
+        .test
+        .conditions
+        .iter()
+        .map(|c| Goal::new(c.clauses.clone()))
+        .collect();
+    let limit = config.max_nodes_per_thread;
+    let mut pass = true;
+    for policy in &policies {
+        for goal in &goals {
+            let witness = find_witness(program, policy, config, goal).map_err(|e| e.to_string())?;
+            match refute(program, policy, config, goal).map_err(|e| e.to_string())? {
+                RefuteOutcome::Observable(_) => pass &= witness.is_some(),
+                RefuteOutcome::Refuted(refutation) => {
+                    pass &= witness.is_none();
+                    if let Refutation::Blocked(blocked) = refutation {
+                        pass &= blocked.verify(program, policy, limit).is_ok();
+                    }
+                }
+            }
+            if let Some(witness) = witness {
+                pass &= witness.verify(program, policy, limit).is_ok();
+            }
+        }
+    }
+    let (mut min_us, mut sum_us) = (f64::INFINITY, 0.0);
+    for _ in 0..iters {
+        let started = Instant::now();
+        for policy in &policies {
+            for goal in &goals {
+                let answered = if engine == "witness" {
+                    find_witness(program, policy, config, goal).map(|w| w.is_some())
+                } else {
+                    refute(program, policy, config, goal)
+                        .map(|r| matches!(r, RefuteOutcome::Refuted(_)))
+                };
+                std::hint::black_box(answered.map_err(|e| e.to_string())?);
+            }
+        }
+        let us = started.elapsed().as_secs_f64() * 1e6;
+        min_us = min_us.min(us);
+        sum_us += us;
+    }
+    Ok((
+        min_us,
+        sum_us / iters as f64,
+        policies.len() * goals.len(),
+        pass,
+    ))
 }

@@ -128,9 +128,15 @@ impl Closure {
 
     /// Grows every row by one word (when node count crosses a multiple
     /// of 64). Rare: O(n²/64) work amortized over 64 node insertions.
+    /// An empty order has no rows to move, so it widens in place and
+    /// keeps the matrices' allocations (a cleared spare's first node).
     fn widen(&mut self) {
         let old = self.row_words;
         let new = old + 1;
+        if self.n == 0 {
+            self.row_words = new;
+            return;
+        }
         for matrix in [&mut self.succ, &mut self.pred] {
             let mut widened = Vec::with_capacity((self.n + 1) * new);
             for row in 0..self.n {

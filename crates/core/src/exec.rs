@@ -894,11 +894,13 @@ impl Behavior {
     /// this execution is one of `policy`'s (DESIGN §4). `edges` is
     /// scratch.
     ///
-    /// `policy` must be plain on the program — no bypass cell between
-    /// possibly equal addresses, no speculation past a register-held
-    /// address — and dominate, cell by cell, the table the behaviour was
-    /// built under. A cyclic result leaves the behaviour in an
-    /// unspecified state: it must be discarded.
+    /// `policy`'s view of the program must
+    /// [dominate](crate::static_order::TableView::dominates) the view the
+    /// behaviour was built under: the same speculation flag and bypass
+    /// cells, every other cell at least as strong. Bypass cells are
+    /// skipped: the behaviour already holds every edge they decide. A
+    /// cyclic result leaves the behaviour in an unspecified state: it
+    /// must be discarded.
     pub(crate) fn strengthen(&mut self, policy: &Policy, edges: &mut Vec<Edge>) -> bool {
         let graph = &self.graph;
         edges.clear();
@@ -919,13 +921,8 @@ impl Behavior {
                     let first = graph.node(prior);
                     match policy.combined_constraint(first.classes(), node.classes()) {
                         Constraint::Never => push(prior, id, EdgeKind::Program),
-                        c @ (Constraint::SameAddr | Constraint::Bypass) => {
+                        Constraint::SameAddr => {
                             if first.addr() == node.addr() {
-                                debug_assert_eq!(
-                                    c,
-                                    Constraint::SameAddr,
-                                    "a plain view bypasses nothing"
-                                );
                                 push(prior, id, EdgeKind::Alias);
                             }
                             if !policy.alias_speculation() {
@@ -934,7 +931,7 @@ impl Behavior {
                                 }
                             }
                         }
-                        Constraint::Free | Constraint::DataOnly => {}
+                        Constraint::Bypass | Constraint::Free | Constraint::DataOnly => {}
                     }
                 }
             }

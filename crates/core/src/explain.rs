@@ -23,7 +23,8 @@
 //!   blocked state, a goal load that is resolvable but has no such
 //!   candidate (or whose every such fork rolls back), becomes a
 //!   [`BlockedRefutation`] naming the store that was excluded and the
-//!   closure rule ([`Rule`]) responsible.
+//!   closure rule ([`Rule`]) responsible, diagnosed on the stream's copy
+//!   of that state's graph ([`PrunedStream::blocked_graph`]).
 //!   [`BlockedRefutation::verify`] replays the prefix and machine-checks
 //!   that the candidate set is indeed empty of the required value and
 //!   that the named rule's edge is present. Goals outside that fragment
@@ -691,11 +692,13 @@ pub fn refute(
                 .expect("the stream records a path for every expanded state");
             let reason = match blocked.cycle {
                 Some(store) => RefuteReason::ResolutionCycle { store },
-                None => {
-                    let state = replay(program, policy, config.max_nodes_per_thread, &prefix)
-                        .expect("a recorded path replays");
-                    diagnose(state.graph(), blocked.load, blocked.required)
-                }
+                None => diagnose(
+                    behaviors
+                        .blocked_graph()
+                        .expect("a pinned stream keeps the graph of a load it blocks"),
+                    blocked.load,
+                    blocked.required,
+                ),
             };
             Refutation::Blocked(BlockedRefutation {
                 prefix,
@@ -1112,6 +1115,38 @@ mod tests {
             panic!("old value 1 unobservable");
         };
         assert_eq!(b.reason, RefuteReason::NoSuchStore);
+    }
+
+    /// A refutation diagnoses its blocked load on the stream's copy of
+    /// the blocked state's graph; a replay of the prefix from a fresh
+    /// root gives the same reason.
+    #[test]
+    fn blocked_state_graph_is_the_replayed_one() {
+        let config = EnumConfig::default();
+        let cases = [
+            (Policy::sequential_consistency(), zero_zero()),
+            (
+                Policy::weak(),
+                Goal::new(vec![(0, Reg::new(0), Value::new(7))]),
+            ),
+        ];
+        let program = sb();
+        for (policy, goal) in cases {
+            let mut behaviors = goal_stream(&program, &policy, &config, &goal).unwrap();
+            assert!(first_match(&mut behaviors, &goal).unwrap().is_none());
+            let blocked = behaviors.blocked().expect("the goal blocks");
+            assert_eq!(blocked.cycle, None);
+            let prefix = behaviors.path_to(blocked.id).unwrap();
+            let replayed = replay(&program, &policy, config.max_nodes_per_thread, &prefix).unwrap();
+            let kept = behaviors.blocked_graph().expect("the graph is kept");
+            assert_eq!(kept.edges(), replayed.graph().edges(), "{}", policy.name());
+            assert_eq!(
+                diagnose(kept, blocked.load, blocked.required),
+                diagnose(replayed.graph(), blocked.load, blocked.required),
+                "{}",
+                policy.name()
+            );
+        }
     }
 
     #[test]

@@ -454,6 +454,9 @@ struct Pinning {
     /// The pinned loads of the state under expansion, in load order.
     tally: Vec<PinTally>,
     blocked: Option<Blocked>,
+    /// The graph of the first blocked state, kept when its blocked load
+    /// has no value-carrying candidate.
+    blocked_graph: Option<ExecutionGraph>,
 }
 
 impl Pinning {
@@ -495,6 +498,19 @@ impl Pinning {
         }
     }
 
+    /// Keeps a copy of the graph of the state under expansion when, with
+    /// no state blocked before it, one of its pinned loads has no
+    /// value-carrying candidate: the state is then the first blocked one,
+    /// and a refutation diagnoses that load on this graph.
+    fn keep_graph(&mut self, graph: &ExecutionGraph) {
+        if self.blocked.is_none()
+            && self.blocked_graph.is_none()
+            && self.tally.iter().any(|t| t.first.is_none())
+        {
+            self.blocked_graph = Some(graph.clone());
+        }
+    }
+
     /// Closes the expansion of state `id`: the first pinned load none of
     /// whose value-carrying forks survives (a claim lost to a surviving
     /// set, or a won claim that settled) blocks it, unless an earlier
@@ -511,6 +527,9 @@ impl Pinning {
                     required: self.pins[&t.load],
                     cycle: t.first,
                 });
+            if self.blocked.is_some_and(|b| b.cycle.is_some()) {
+                self.blocked_graph = None;
+            }
         }
         self.tally.clear();
     }
@@ -674,6 +693,7 @@ impl<'a> PrunedStream<'a> {
                 rolled: FxHashSet::default(),
                 tally: Vec::new(),
                 blocked: None,
+                blocked_graph: None,
             })
         });
         self.pinning.is_some()
@@ -683,6 +703,15 @@ impl<'a> PrunedStream<'a> {
     /// unpinned streams.
     pub fn blocked(&self) -> Option<Blocked> {
         self.pinning.as_ref().and_then(|p| p.blocked)
+    }
+
+    /// The graph of the [first blocked state](PrunedStream::blocked) as
+    /// the stream reached it, when its blocked load has no candidate
+    /// carrying the value ([`Blocked::cycle`] is `None`): the graph a
+    /// replay of the state's path from a fresh root settles to.
+    pub fn blocked_graph(&self) -> Option<&ExecutionGraph> {
+        let pinning = self.pinning.as_ref()?;
+        pinning.blocked.and(pinning.blocked_graph.as_ref())
     }
 
     /// Calls `hook` with `(graph, load, candidate count)` for every
@@ -817,6 +846,9 @@ impl<'a> PrunedStream<'a> {
             }
         }
         arena.loads_buf = loads;
+        if let Some(pinning) = &mut self.pinning {
+            pinning.keep_graph(behavior.graph());
+        }
 
         // Phase 2: expand the claim winners. The final winner takes
         // the parent by move — a behaviour with a single surviving
@@ -921,8 +953,9 @@ fn run(
 /// [`enumerate_classified`].
 #[derive(Debug, Clone, Copy)]
 pub struct Classify<'a> {
-    /// The policy of the view: plain on the program and, cell by cell,
-    /// at least as strong as the base policy.
+    /// The policy of the view: its view of the program
+    /// [dominates](crate::static_order::TableView::dominates) the base
+    /// policy's.
     pub policy: &'a Policy,
     /// The view also dominates the previous view of the list, so it is
     /// classified on the graph that view left, instead of on the base
@@ -940,7 +973,7 @@ pub struct Classified {
     pub executions: usize,
 }
 
-/// Enumerates `program` under the plain `base` policy, as
+/// Enumerates `program` under the `base` policy, as
 /// [`enumerate_pruned`] does, and classifies every complete execution
 /// under each of `views`, weakest first: an execution is one of a
 /// stronger view's when it stays acyclic once that view's local `≺`
@@ -1230,6 +1263,7 @@ mod tests {
             rolled: FxHashSet::default(),
             tally: Vec::new(),
             blocked: None,
+            blocked_graph: None,
         };
         let open = |pinning: &mut Pinning| {
             pinning.tally.push(PinTally {

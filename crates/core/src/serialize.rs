@@ -9,17 +9,28 @@
 //!
 //! Conditions 2 and 3 together say a serialization is exactly an
 //! interleaving that *replays* correctly on a single atomic memory. This
-//! module searches for witnesses by backtracking over topological orders of
-//! the **base** ordering (local `≺` edges plus observation edges — Store
-//! Atomicity edges deliberately excluded) while simulating the atomic
-//! memory, so that the central theorem of the paper — an execution closed
-//! under Store Atomicity without cycles is serializable, and vice versa —
-//! can be *tested* rather than assumed (see the property tests in
-//! `tests/`).
+//! module searches for witnesses by backtracking over topological orders
+//! while simulating the atomic memory, so that the central theorem of the
+//! paper — an execution closed under Store Atomicity without cycles is
+//! serializable, and vice versa — can be *tested* rather than assumed (see
+//! the property tests in `tests/`).
+//!
+//! The strict search walks the linearizations of the execution's own
+//! closed `@` ([`ExecutionGraph::order`]). Every serialization
+//! linearizes `@`: the base ordering (local `≺` edges and observation
+//! edges) holds by conditions 1 and 2, and each Store Atomicity edge of
+//! Figure 6 is derived from edges that hold in every serialization, so
+//! it holds too (§3.3; DESIGN §4). Walking `@` instead of the base order
+//! therefore prunes only prefixes that cannot complete, and the search
+//! meets the same serializations in the same (lexicographic) order.
 //!
 //! TSO-bypassed loads observe their source before it is globally visible;
 //! such executions genuinely violate memory atomicity and correctly report
-//! "not serializable" here (the paper's Figure 10).
+//! "not serializable" here (the paper's Figure 10). Their *buffered*
+//! witnesses ([`tso_serializations`]) are searched over the base ordering
+//! alone, Store Atomicity edges excluded: a forwarded load is not placed
+//! after its source, so the rules' premises need not hold in a buffered
+//! order.
 
 use std::collections::HashMap;
 use std::error::Error as StdError;
@@ -27,7 +38,7 @@ use std::fmt;
 
 use crate::closure::Closure;
 use crate::exec::Behavior;
-use crate::graph::EdgeKind;
+use crate::graph::{EdgeKind, ExecutionGraph};
 use crate::ids::{Addr, NodeId};
 
 /// Why a proposed serialization is invalid.
@@ -99,88 +110,195 @@ fn base_closure(behavior: &Behavior) -> Option<Closure> {
     Some(closure)
 }
 
-/// State for the backtracking search over serializations.
+/// The memory operations of a complete behaviour and the order every
+/// serialization of the search must extend, set up once for the
+/// backtracking search. One search serves both witness kinds: a strict
+/// search replays on an atomic memory, a buffered one with the
+/// store-buffer forwarding exception (see [`tso_serializations`]).
 struct Search<'a> {
-    behavior: &'a Behavior,
-    base: Closure,
-    mem_ops: Vec<NodeId>,
+    graph: &'a ExecutionGraph,
+    /// The memory operations, in node order: the DFS tries them in this
+    /// order at every step, so it finds serializations in lexicographic
+    /// order of their operation indices.
+    ops: Vec<NodeId>,
+    /// Words per bitmask over `ops`.
+    words: usize,
+    /// Row `i` (`words` words): the operations the order puts before
+    /// `ops[i]`.
+    preds: Vec<u64>,
+    /// Each operation's address, as an index into the last-store array.
+    addrs: Vec<usize>,
+    /// Buffered searches only: for each load, its thread's
+    /// program-earlier stores to its address, newest first. The first of
+    /// them not yet placed is still in the store buffer.
+    buffers: Vec<Vec<usize>>,
     /// Remaining budget of search steps; guards against pathological
     /// graphs.
     budget: usize,
 }
 
-impl Search<'_> {
-    /// Depth-first search: extend `prefix` with every currently legal
+/// The search's position: the placed prefix, its bitmask, and the most
+/// recent store to each address.
+struct Prefix {
+    placed: Vec<NodeId>,
+    mask: Vec<u64>,
+    last_store: Vec<Option<NodeId>>,
+}
+
+impl<'a> Search<'a> {
+    /// Sets up a search over the linearizations of `order` restricted to
+    /// the memory operations of `behavior`, buffered or strict.
+    fn new(behavior: &'a Behavior, order: &Closure, buffered: bool) -> Search<'a> {
+        let graph = behavior.graph();
+        let ops: Vec<NodeId> = graph.memory_ops().collect();
+        let words = ops.len().div_ceil(64);
+        let mut index = vec![usize::MAX; graph.len()];
+        for (i, op) in ops.iter().enumerate() {
+            index[op.index()] = i;
+        }
+        let mut preds = vec![0u64; ops.len() * words];
+        for (i, &op) in ops.iter().enumerate() {
+            for p in order.predecessors(op).iter() {
+                let j = index[p];
+                if j != usize::MAX {
+                    preds[i * words + j / 64] |= 1 << (j % 64);
+                }
+            }
+        }
+        let addr_of = |op: NodeId| {
+            graph
+                .node(op)
+                .addr()
+                .expect("complete execution has addresses")
+        };
+        let mut distinct: Vec<Addr> = ops.iter().map(|&op| addr_of(op)).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let addrs = ops
+            .iter()
+            .map(|&op| {
+                distinct
+                    .binary_search(&addr_of(op))
+                    .expect("every address is collected")
+            })
+            .collect();
+        let buffers = if buffered {
+            ops.iter()
+                .map(|&op| {
+                    let load = graph.node(op);
+                    if !load.is_load() {
+                        return Vec::new();
+                    }
+                    let mut stores: Vec<usize> = (0..ops.len())
+                        .filter(|&j| {
+                            let n = graph.node(ops[j]);
+                            n.is_store()
+                                && n.thread() == load.thread()
+                                && n.addr() == load.addr()
+                                && n.index_in_thread() < load.index_in_thread()
+                        })
+                        .collect();
+                    stores
+                        .sort_by_key(|&j| std::cmp::Reverse(graph.node(ops[j]).index_in_thread()));
+                    stores
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Search {
+            graph,
+            ops,
+            words,
+            preds,
+            addrs,
+            buffers,
+            budget: 2_000_000,
+        }
+    }
+
+    fn is_placed(mask: &[u64], i: usize) -> bool {
+        mask[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    /// Whether every operation the order puts before `ops[i]` is placed.
+    fn ready(&self, i: usize, mask: &[u64]) -> bool {
+        self.preds[i * self.words..(i + 1) * self.words]
+            .iter()
+            .zip(mask)
+            .all(|(&pred, &placed)| pred & !placed == 0)
+    }
+
+    /// The store a load placed now reads, or `None` when it cannot be
+    /// placed now: the most recent store to its address, or, in a
+    /// buffered search, the newest pending store of its own buffer.
+    /// Forwarding is mandatory while such a store is pending, and RMWs
+    /// never forward: they wait for the same-address entry to drain, so a
+    /// pending store blocks placing the RMW here at all.
+    fn reads(&self, i: usize, prefix: &Prefix) -> Option<Option<NodeId>> {
+        let pending = self
+            .buffers
+            .get(i)
+            .and_then(|stores| stores.iter().find(|&&j| !Self::is_placed(&prefix.mask, j)));
+        match pending {
+            Some(_) if self.graph.node(self.ops[i]).is_rmw() => None,
+            Some(&j) => Some(Some(self.ops[j])),
+            None => Some(prefix.last_store[self.addrs[i]]),
+        }
+    }
+
+    /// Depth-first search: extend the prefix with every currently legal
     /// operation. Returns `true` to stop early (used by `find`).
-    fn dfs(
-        &mut self,
-        placed: &mut Vec<NodeId>,
-        placed_mask: &mut Vec<bool>,
-        last_store: &mut HashMap<Addr, NodeId>,
-        out: &mut Vec<Vec<NodeId>>,
-        limit: usize,
-    ) -> bool {
+    fn dfs(&mut self, prefix: &mut Prefix, out: &mut Vec<Vec<NodeId>>, limit: usize) -> bool {
         if self.budget == 0 {
             return true;
         }
         self.budget -= 1;
-        if placed.len() == self.mem_ops.len() {
-            out.push(placed.clone());
+        if prefix.placed.len() == self.ops.len() {
+            out.push(prefix.placed.clone());
             return out.len() >= limit;
         }
-        for i in 0..self.mem_ops.len() {
-            let op = self.mem_ops[i];
-            if placed_mask[i] {
+        for i in 0..self.ops.len() {
+            if Self::is_placed(&prefix.mask, i) || !self.ready(i, &prefix.mask) {
                 continue;
             }
-            // All base-order predecessors among memory ops must be placed.
-            let ready = self
-                .base
-                .predecessors(op)
-                .iter()
-                .map(NodeId::new)
-                .filter(|p| self.behavior.graph().node(*p).is_memory())
-                .all(|p| {
-                    let idx = self
-                        .mem_ops
-                        .iter()
-                        .position(|&m| m == p)
-                        .expect("memory op");
-                    placed_mask[idx]
-                });
-            if !ready {
-                continue;
-            }
-            let node = self.behavior.graph().node(op);
-            let addr = node.addr().expect("complete execution has addresses");
+            let op = self.ops[i];
+            let node = self.graph.node(op);
             // Replay on an atomic memory. A node may have a load facet
-            // (the most recent store must be its source), a store facet
-            // (it becomes the most recent store), or — for successful
-            // RMWs — both, atomically.
-            if node.is_load() && last_store.get(&addr).copied() != node.source() {
+            // (it must read its source), a store facet (it becomes the
+            // most recent store), or — for successful RMWs — both,
+            // atomically.
+            if node.is_load() && self.reads(i, prefix) != Some(node.source()) {
                 continue;
             }
-            let writes = node.is_store();
-            let prev = if writes {
-                last_store.insert(addr, op)
-            } else {
-                None
-            };
-            placed.push(op);
-            placed_mask[i] = true;
-            if self.dfs(placed, placed_mask, last_store, out, limit) {
+            let addr = self.addrs[i];
+            let prev = prefix.last_store[addr];
+            if node.is_store() {
+                prefix.last_store[addr] = Some(op);
+            }
+            prefix.placed.push(op);
+            prefix.mask[i / 64] |= 1 << (i % 64);
+            if self.dfs(prefix, out, limit) {
                 return true;
             }
-            placed.pop();
-            placed_mask[i] = false;
-            if writes {
-                match prev {
-                    Some(p) => last_store.insert(addr, p),
-                    None => last_store.remove(&addr),
-                };
-            }
+            prefix.placed.pop();
+            prefix.mask[i / 64] &= !(1 << (i % 64));
+            prefix.last_store[addr] = prev;
         }
         false
+    }
+
+    /// Runs the search from the empty prefix, up to `limit` orders.
+    fn run(mut self, limit: usize) -> Vec<Vec<NodeId>> {
+        let addresses = self.addrs.iter().max().map_or(0, |&a| a + 1);
+        let mut prefix = Prefix {
+            placed: Vec::with_capacity(self.ops.len()),
+            mask: vec![0; self.words],
+            last_store: vec![None; addresses],
+        };
+        let mut out = Vec::new();
+        self.dfs(&mut prefix, &mut out, limit);
+        out
     }
 }
 
@@ -199,26 +317,7 @@ pub fn serializations(behavior: &Behavior, limit: usize) -> Vec<Vec<NodeId>> {
         behavior.is_complete(),
         "serializations need a complete behaviour"
     );
-    let Some(base) = base_closure(behavior) else {
-        return Vec::new();
-    };
-    let mem_ops: Vec<NodeId> = behavior.graph().memory_ops().collect();
-    let n = mem_ops.len();
-    let mut search = Search {
-        behavior,
-        base,
-        mem_ops,
-        budget: 2_000_000,
-    };
-    let mut out = Vec::new();
-    search.dfs(
-        &mut Vec::with_capacity(n),
-        &mut vec![false; n],
-        &mut HashMap::new(),
-        &mut out,
-        limit,
-    );
-    out
+    Search::new(behavior, behavior.graph().order(), false).run(limit)
 }
 
 /// Finds one serialization, if any exists.
@@ -309,124 +408,6 @@ pub fn validate_serialization(
 // standard x86-TSO/SPARC-TSO axiomatization, implemented as a replay with
 // the forwarding exception.
 
-/// State for the TSO-witness backtracking search.
-struct TsoSearch<'a> {
-    behavior: &'a Behavior,
-    base: Closure,
-    mem_ops: Vec<NodeId>,
-    budget: usize,
-}
-
-impl TsoSearch<'_> {
-    /// The newest same-thread, same-address store program-order-before
-    /// `load` that has not been placed yet (still "in the buffer").
-    fn pending_local_store(
-        &self,
-        load: NodeId,
-        addr: Addr,
-        placed_mask: &[bool],
-    ) -> Option<NodeId> {
-        let graph = self.behavior.graph();
-        let l = graph.node(load);
-        let mut best: Option<(u32, NodeId)> = None;
-        for (i, &op) in self.mem_ops.iter().enumerate() {
-            if placed_mask[i] {
-                continue;
-            }
-            let n = graph.node(op);
-            if n.is_store()
-                && n.thread() == l.thread()
-                && n.addr() == Some(addr)
-                && n.index_in_thread() < l.index_in_thread()
-                && best.is_none_or(|(idx, _)| n.index_in_thread() > idx)
-            {
-                best = Some((n.index_in_thread(), op));
-            }
-        }
-        best.map(|(_, op)| op)
-    }
-
-    fn dfs(
-        &mut self,
-        placed: &mut Vec<NodeId>,
-        placed_mask: &mut Vec<bool>,
-        last_store: &mut HashMap<Addr, NodeId>,
-        out: &mut Vec<Vec<NodeId>>,
-        limit: usize,
-    ) -> bool {
-        if self.budget == 0 {
-            return true;
-        }
-        self.budget -= 1;
-        if placed.len() == self.mem_ops.len() {
-            out.push(placed.clone());
-            return out.len() >= limit;
-        }
-        for i in 0..self.mem_ops.len() {
-            let op = self.mem_ops[i];
-            if placed_mask[i] {
-                continue;
-            }
-            let ready = self
-                .base
-                .predecessors(op)
-                .iter()
-                .map(NodeId::new)
-                .filter(|p| self.behavior.graph().node(*p).is_memory())
-                .all(|p| {
-                    let idx = self
-                        .mem_ops
-                        .iter()
-                        .position(|&m| m == p)
-                        .expect("memory op");
-                    placed_mask[idx]
-                });
-            if !ready {
-                continue;
-            }
-            let node = self.behavior.graph().node(op);
-            let addr = node.addr().expect("complete execution has addresses");
-            if node.is_load() {
-                let expected = match self.pending_local_store(op, addr, placed_mask) {
-                    // Forwarding is mandatory while a local same-address
-                    // store is pending. RMWs never forward: they wait for
-                    // the same-address entry to drain, so a pending store
-                    // blocks placing the RMW here at all.
-                    Some(pending) if node.is_rmw() => {
-                        let _ = pending;
-                        continue;
-                    }
-                    Some(pending) => Some(pending),
-                    None => last_store.get(&addr).copied(),
-                };
-                if expected != node.source() {
-                    continue;
-                }
-            }
-            let writes = node.is_store();
-            let prev = if writes {
-                last_store.insert(addr, op)
-            } else {
-                None
-            };
-            placed.push(op);
-            placed_mask[i] = true;
-            if self.dfs(placed, placed_mask, last_store, out, limit) {
-                return true;
-            }
-            placed.pop();
-            placed_mask[i] = false;
-            if writes {
-                match prev {
-                    Some(p) => last_store.insert(addr, p),
-                    None => last_store.remove(&addr),
-                };
-            }
-        }
-        false
-    }
-}
-
 /// Enumerates TSO witnesses of a complete behaviour produced under
 /// [`Policy::tso`](crate::policy::Policy::tso) (or any stronger model), up
 /// to `limit`.
@@ -443,26 +424,10 @@ pub fn tso_serializations(behavior: &Behavior, limit: usize) -> Vec<Vec<NodeId>>
         behavior.is_complete(),
         "TSO witnesses need a complete behaviour"
     );
-    let Some(base) = base_closure(behavior) else {
-        return Vec::new();
-    };
-    let mem_ops: Vec<NodeId> = behavior.graph().memory_ops().collect();
-    let n = mem_ops.len();
-    let mut search = TsoSearch {
-        behavior,
-        base,
-        mem_ops,
-        budget: 2_000_000,
-    };
-    let mut out = Vec::new();
-    search.dfs(
-        &mut Vec::with_capacity(n),
-        &mut vec![false; n],
-        &mut HashMap::new(),
-        &mut out,
-        limit,
-    );
-    out
+    match base_closure(behavior) {
+        Some(base) => Search::new(behavior, &base, true).run(limit),
+        None => Vec::new(),
+    }
 }
 
 /// Whether a TSO-model execution has a TSO witness (it always should; see

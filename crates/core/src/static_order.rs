@@ -407,28 +407,23 @@ impl TableView {
         }
     }
 
-    /// Whether the view is *plain*: no [`Constraint::Bypass`] cell and no
-    /// speculation flag. A plain view's executions are exactly those
-    /// whose closure of its local `≺` edges, the program's data edges and
-    /// the source edges, under Store Atomicity, is acyclic (DESIGN §4).
-    pub fn is_plain(&self) -> bool {
-        !self.alias_speculation
-            && self
-                .cells
-                .iter()
-                .flatten()
-                .all(|&cell| cell != Constraint::Bypass)
-    }
-
-    /// Whether this view orders at least what `weaker` orders, cell by
-    /// cell (`Never ⊒ SameAddr ⊒ Free`). Both views must be plain and of
-    /// the same program; then every local edge `weaker` inserts is in the
-    /// closure of this view's local edges and the data edges.
+    /// Whether this view orders at least what `weaker` orders: both
+    /// views have the same speculation flag and the same
+    /// [`Constraint::Bypass`] cells, and every other cell dominates
+    /// (`Never ⊒ SameAddr ⊒ Free`). Both views must be of the same
+    /// program; then every local edge `weaker` inserts is in the closure
+    /// of this view's local edges and the data edges, and both views
+    /// decide every store-buffer bypass alike, so this view's executions
+    /// are `weaker`'s that stay acyclic with this view's edges added
+    /// (DESIGN §4).
     pub fn dominates(&self, weaker: &TableView) -> bool {
-        self.cells.len() == weaker.cells.len()
+        self.alias_speculation == weaker.alias_speculation
+            && self.cells.len() == weaker.cells.len()
             && self.cells.iter().zip(&weaker.cells).all(|(mine, theirs)| {
                 mine.len() == theirs.len()
-                    && mine.iter().zip(theirs).all(|(&m, &t)| rank(m) >= rank(t))
+                    && mine.iter().zip(theirs).all(|(&m, &t)| {
+                        (m == Constraint::Bypass) == (t == Constraint::Bypass) && rank(m) >= rank(t)
+                    })
             })
     }
 
@@ -742,10 +737,11 @@ mod tests {
         assert_ne!(view(pointer(), &weak), view(pointer(), &spec));
     }
 
-    /// Plain views order by cell; bypass and speculation cells the
-    /// program reaches make a view unclassifiable.
+    /// Views order by cell where their bypass cells and speculation
+    /// flags agree; a bypass or speculation cell on one side only makes
+    /// the views incomparable.
     #[test]
-    fn plain_views_dominate_cell_by_cell() {
+    fn views_dominate_cell_by_cell() {
         let view = |instrs: Vec<Instr>, policy: &Policy| {
             TableView::of(&Program::new(vec![ThreadProgram::new(instrs)]), policy)
         };
@@ -756,23 +752,36 @@ mod tests {
             view(sb(), &Policy::weak()),
         );
         // Different immediate addresses: TSO's bypass cell is `Free`.
-        assert!(sc.is_plain() && tso.is_plain() && weak.is_plain());
         assert!(sc.dominates(&weak) && sc.dominates(&tso) && tso.dominates(&weak));
         assert!(!weak.dominates(&sc));
         assert!(sc.weight() > weak.weight());
-        // The same address keeps TSO's bypass cell.
-        let forwarding = vec![store(0, 1), load(0, 0)];
-        assert!(!view(forwarding, &Policy::tso()).is_plain());
+        // The same address keeps TSO's and PSO's bypass cell: TSO
+        // dominates PSO, and neither compares with a view without it.
+        let forwarding = || vec![store(0, 1), store(1, 1), load(0, 0)];
+        let (tso, pso, sc) = (
+            view(forwarding(), &Policy::tso()),
+            view(forwarding(), &Policy::pso()),
+            view(forwarding(), &Policy::sequential_consistency()),
+        );
+        assert!(tso.dominates(&pso) && !pso.dominates(&tso));
+        assert!(!sc.dominates(&tso) && !sc.dominates(&pso));
         // Speculation past a register-held address.
-        let pointer = vec![
-            load(0, 0),
-            Instr::Store {
-                addr: Operand::Reg(Reg::new(0)),
-                val: imm(1),
-            },
-            load(1, 1),
-        ];
-        assert!(!view(pointer, &Policy::weak().with_alias_speculation(true)).is_plain());
+        let pointer = || {
+            vec![
+                load(0, 0),
+                Instr::Store {
+                    addr: Operand::Reg(Reg::new(0)),
+                    val: imm(1),
+                },
+                load(1, 1),
+            ]
+        };
+        let (spec, weak) = (
+            view(pointer(), &Policy::weak().with_alias_speculation(true)),
+            view(pointer(), &Policy::weak()),
+        );
+        assert!(!weak.dominates(&spec) && !spec.dominates(&weak));
+        assert!(view(pointer(), &Policy::sequential_consistency()).dominates(&weak));
     }
 
     #[test]

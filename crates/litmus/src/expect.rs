@@ -164,9 +164,10 @@ impl fmt::Display for EntryReport {
 /// a certified model); which distinct runs those rows need; and which of
 /// those runs are classified from a weaker run instead of searched.
 ///
-/// A run is *classified* when its [`TableView`] is
-/// [plain](TableView::is_plain) and [dominates](TableView::dominates)
-/// another plain run's view: the pruned harness then searches only under
+/// A run is *classified* when its [`TableView`]
+/// [dominates](TableView::dominates) another run's view (the same bypass
+/// cells and speculation flag, every other cell at least as strong): the
+/// pruned harness then searches only under
 /// the weakest such view, its *base*, and keeps each of the base's
 /// executions under the stronger view when it stays acyclic with the
 /// stronger view's edges added ([`enumerate_classified`], DESIGN §4). A
@@ -264,11 +265,9 @@ impl VerdictPlan {
                 }
             })
             .collect();
-        // Each plain view that dominates another is classified from the
-        // first minimal plain view it dominates, which is undominated.
-        let plain: Vec<bool> = views.iter().map(TableView::is_plain).collect();
-        let below =
-            |i: usize, j: usize| i != j && plain[i] && plain[j] && views[i].dominates(&views[j]);
+        // Each view that dominates another is classified from the first
+        // minimal view it dominates, which is undominated.
+        let below = |i: usize, j: usize| i != j && views[i].dominates(&views[j]);
         for i in 0..runs.len() {
             runs[i].base =
                 (0..runs.len()).find(|&j| below(i, j) && !(0..runs.len()).any(|k| below(j, k)));

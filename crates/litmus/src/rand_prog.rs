@@ -35,6 +35,13 @@ pub struct RandConfig {
     /// (swap, fetch-add or CAS, chosen uniformly) instead of a plain
     /// load/store.
     pub rmw_prob: f64,
+    /// Probability that a memory slot's address is held in the register
+    /// of an earlier load (when one exists) instead of an immediate, so
+    /// that aliasing is decided only at run time. The generator consults
+    /// the random source for it only when it is positive, so a corpus
+    /// drawn with it at zero (the default) is the one drawn before it
+    /// existed.
+    pub addr_dep_prob: f64,
 }
 
 impl Default for RandConfig {
@@ -48,6 +55,7 @@ impl Default for RandConfig {
             data_dep_prob: 0.25,
             branch_prob: 0.0,
             rmw_prob: 0.0,
+            addr_dep_prob: 0.0,
         }
     }
 }
@@ -76,7 +84,13 @@ pub fn random_program<R: Rng + ?Sized>(rng: &mut R, config: &RandConfig) -> Prog
         let mut loaded_regs: Vec<Reg> = Vec::new();
         let mut slots = 0usize;
         while slots < config.ops_per_thread {
-            let addr = Operand::Imm(Value::new(rng.gen_range(0..config.locations)));
+            let mut addr = Operand::Imm(Value::new(rng.gen_range(0..config.locations)));
+            if config.addr_dep_prob > 0.0
+                && !loaded_regs.is_empty()
+                && rng.gen_bool(config.addr_dep_prob)
+            {
+                addr = Operand::Reg(*loaded_regs.choose(rng).expect("non-empty"));
+            }
             if rng.gen_bool(config.fence_prob) {
                 instrs.push(Instr::Fence);
                 slots += 1;
@@ -238,6 +252,33 @@ mod tests {
                 assert!(!r.unwrap().outcomes.is_empty());
             }
         }
+    }
+
+    #[test]
+    fn register_held_addresses_are_generated_on_request() {
+        let cfg = RandConfig {
+            addr_dep_prob: 0.5,
+            ..RandConfig::default()
+        };
+        let register_held = |prog: &Program| {
+            prog.threads().iter().flat_map(|t| t.instrs()).any(|i| {
+                matches!(
+                    i,
+                    Instr::Load {
+                        addr: Operand::Reg(_),
+                        ..
+                    } | Instr::Store {
+                        addr: Operand::Reg(_),
+                        ..
+                    }
+                )
+            })
+        };
+        let programs = corpus(11, 10, &cfg);
+        assert!(programs.iter().any(register_held));
+        assert!(!corpus(11, 10, &RandConfig::default())
+            .iter()
+            .any(register_held));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use samm_core::telemetry::write_escaped;
 use samm_litmus::catalog::{CatalogEntry, ModelSel};
 use samm_litmus::expect::{plan_report, RunAnswer, VerdictPlan};
 
-use crate::handler::{catalog, find_entry_index, find_model_index, report_json, ServerState};
+use crate::handler::{catalog, report_json, ServerState};
 use crate::json::{ByteSink, Json};
 use crate::protocol::{ServiceError, ENGINE};
 use crate::telemetry::ReqOutcome;
@@ -91,11 +91,9 @@ impl EnumQuery {
         model: &str,
         budget: Option<u64>,
     ) -> Result<EnumQuery, ServiceError> {
-        let entry = find_entry_index(test)?;
-        let row = entry * ModelSel::ALL.len() + find_model_index(model)?;
-        let resolved = &state.table[row];
+        let (entry, row, resolved) = state.resolve(test, model)?;
         Ok(EnumQuery {
-            entry: &catalog()[entry],
+            entry,
             sel: resolved.sel,
             fp: resolved.fp,
             row,

@@ -90,6 +90,25 @@ impl ServerState {
         state
     }
 
+    /// Looks up `test` and `model` (case-insensitively) in the
+    /// resolution table: the catalog entry, the index of its row and the
+    /// row. Every request that names a (test, model) pair resolves it
+    /// here.
+    ///
+    /// # Errors
+    ///
+    /// The structured `unknown-test` / `unknown-model` errors, the test
+    /// checked first.
+    pub(crate) fn resolve(
+        &self,
+        test: &str,
+        model: &str,
+    ) -> Result<(&'static CatalogEntry, usize, &Resolved), ServiceError> {
+        let entry = find_entry_index(test)?;
+        let row = entry * ModelSel::ALL.len() + find_model_index(model)?;
+        Ok((&catalog()[entry], row, &self.table[row]))
+    }
+
     /// Attaches cluster membership; enumerate-backed requests are then
     /// routed through the consistent-hash ring.
     pub fn set_cluster(&mut self, cluster: Arc<Cluster>) {
@@ -379,10 +398,6 @@ pub(crate) fn catalog() -> &'static [CatalogEntry] {
     CATALOG.get_or_init(catalog::all)
 }
 
-pub(crate) fn find_entry(name: &str) -> Result<&'static CatalogEntry, ServiceError> {
-    find_entry_index(name).map(|index| &catalog()[index])
-}
-
 /// The catalog index of the entry named `name`, case-insensitively.
 pub(crate) fn find_entry_index(name: &str) -> Result<usize, ServiceError> {
     catalog()
@@ -394,10 +409,6 @@ pub(crate) fn find_entry_index(name: &str) -> Result<usize, ServiceError> {
                 format!("no catalog entry named '{name}'"),
             )
         })
-}
-
-pub(crate) fn find_model(name: &str) -> Result<ModelSel, ServiceError> {
-    find_model_index(name).map(|index| ModelSel::ALL[index])
 }
 
 /// The [`ModelSel::ALL`] index of the model named `name`,
@@ -657,11 +668,11 @@ fn witness_response(
     condition: usize,
     budget: Option<u64>,
 ) -> Result<Json, ServiceError> {
-    let entry = find_entry(test)?;
-    let policy = find_model(model)?.policy();
+    let (entry, _, resolved) = state.resolve(test, model)?;
     let (goal, text) = condition_goal(entry, condition)?;
     let config = uncounted(state.config(budget));
-    let witness = find_witness(&entry.test.program, &policy, &config, &goal).map_err(enum_error)?;
+    let witness =
+        find_witness(&entry.test.program, &resolved.policy, &config, &goal).map_err(enum_error)?;
     Ok(Json::obj([
         ("ok", Json::Bool(true)),
         ("kind", Json::str("witness")),
@@ -681,11 +692,11 @@ fn refutation_response(
     condition: usize,
     budget: Option<u64>,
 ) -> Result<Json, ServiceError> {
-    let entry = find_entry(test)?;
-    let policy = find_model(model)?.policy();
+    let (entry, _, resolved) = state.resolve(test, model)?;
     let (goal, text) = condition_goal(entry, condition)?;
     let config = uncounted(state.config(budget));
-    let outcome = refute(&entry.test.program, &policy, &config, &goal).map_err(enum_error)?;
+    let outcome =
+        refute(&entry.test.program, &resolved.policy, &config, &goal).map_err(enum_error)?;
     let (refuted, proof, witness) = match outcome {
         RefuteOutcome::Observable(w) => (false, Json::Null, Json::Raw(w.to_json())),
         RefuteOutcome::Refuted(Refutation::Blocked(b)) => (
@@ -722,12 +733,12 @@ fn certify_response(
     model: &str,
     robust: bool,
 ) -> Result<Json, ServiceError> {
-    let entry = find_entry(test)?;
-    let policy = find_model(model)?.policy();
-    let certificate = samm_analyze::certify(&entry.test.program, &policy);
+    let (entry, _, resolved) = state.resolve(test, model)?;
+    let policy = &resolved.policy;
+    let certificate = samm_analyze::certify(&entry.test.program, policy);
     let checked = certificate
         .as_ref()
-        .is_some_and(|c| c.check(&entry.test.program, &policy));
+        .is_some_and(|c| c.check(&entry.test.program, policy));
     let mut fields = vec![
         ("ok", Json::Bool(true)),
         ("kind", Json::str("certify")),
@@ -735,13 +746,13 @@ fn certify_response(
         ("checked", Json::Bool(checked)),
     ];
     if robust {
-        let verdict = samm_analyze::analyze_static(&entry.test.program, &policy);
+        let verdict = samm_analyze::analyze_static(&entry.test.program, policy);
         state.telemetry.record_robust_verdict(verdict.name());
         // Evidence self-checks: a robustness certificate or critical
         // cycle must revalidate before the client is told about it.
         let robust_checked = match &verdict {
-            StaticVerdict::Robust(cert) => cert.check(&entry.test.program, &policy),
-            StaticVerdict::CycleFound(cycle) => cycle.check(&entry.test.program, &policy),
+            StaticVerdict::Robust(cert) => cert.check(&entry.test.program, policy),
+            StaticVerdict::CycleFound(cycle) => cycle.check(&entry.test.program, policy),
             StaticVerdict::Unknown(_) => true,
         };
         fields.push(("robust", Json::str(verdict.name())));
@@ -1335,8 +1346,8 @@ mod tests {
     /// The verdict harness without plans or thread events: every
     /// running model's key is its [`query_fingerprint`], certified
     /// models run as SC, and each distinct key enumerates once through
-    /// `cache` — except a view classified from a weaker one (plain, and
-    /// dominating another plain running view), which, when neither it
+    /// `cache` — except a view classified from a weaker one (dominating
+    /// another running view), which, when neither it
     /// nor its base is resident, runs fresh outside the cache.
     fn reference_verdict(entry: &CatalogEntry, cache: &EnumCache, config: &EnumConfig) -> Json {
         let program = &entry.test.program;
@@ -1357,8 +1368,7 @@ mod tests {
                 views.push((m, view, cache.contains(key(m))));
             }
         }
-        let below =
-            |a: &TableView, b: &TableView| a != b && a.is_plain() && b.is_plain() && a.dominates(b);
+        let below = |a: &TableView, b: &TableView| a != b && a.dominates(b);
         let mut answers = std::collections::BTreeMap::new();
         for (m, view, resident) in &views {
             let base = views
@@ -1482,7 +1492,7 @@ mod tests {
     fn drf_certified_verdict_rows_match_the_uncertified_harness() {
         let state = state();
         for (test, certifies) in [("SB+fences", true), ("SB", false)] {
-            let entry = find_entry(test).unwrap();
+            let entry = &catalog()[find_entry_index(test).unwrap()];
             let resp = handle_envelope(
                 &state,
                 &envelope(
@@ -1529,16 +1539,17 @@ mod tests {
     /// A cold verdict folds each fresh enumeration into the counters
     /// once, however many rows share it; a warm one folds nothing. Rows
     /// share a run when their running models (SC for a certified model)
-    /// have the same table view.
+    /// have the same table view. fig7 classifies TSO from PSO: the
+    /// classified view folds nothing until a verdict whose PSO run is a
+    /// hit searches it.
     #[test]
     fn verdict_telemetry_folds_each_fresh_enumeration_once() {
         let state = state();
-        let entry = find_entry("fig7").unwrap();
+        let entry = &catalog()[find_entry_index("fig7").unwrap()];
         let models = entry.models();
         assert!(entry.verdicts.len() > models.len(), "rows must share runs");
         let program = &entry.test.program;
-        let mut views: Vec<TableView> = Vec::new();
-        let mut expected = 0;
+        let mut views: Vec<(TableView, Policy)> = Vec::new();
         for m in models {
             let policy = if m != ModelSel::Sc && drf_certifier(program, &m.policy()) {
                 ModelSel::Sc.policy()
@@ -1546,14 +1557,26 @@ mod tests {
                 m.policy()
             };
             let view = TableView::of(program, &policy);
-            if !views.contains(&view) {
-                views.push(view);
-                expected += enumerate_pruned(program, &policy, &state.config(None))
-                    .unwrap()
-                    .stats
-                    .explored as u64;
+            if !views.iter().any(|(v, _)| *v == view) {
+                views.push((view, policy));
             }
         }
+        // A view that dominates another is classified from the other's
+        // search on a cold verdict, and is never inserted; on the next
+        // verdict its base is a hit, so it searches on its own.
+        let (mut cold, mut classified) = (0, 0);
+        for (view, policy) in &views {
+            let explored = enumerate_pruned(program, policy, &state.config(None))
+                .unwrap()
+                .stats
+                .explored as u64;
+            if views.iter().any(|(v, _)| v != view && view.dominates(v)) {
+                classified += explored;
+            } else {
+                cold += explored;
+            }
+        }
+        assert!(cold > 0 && classified > 0);
         let verdict = envelope(
             Request::Verdict {
                 test: "fig7".into(),
@@ -1564,9 +1587,19 @@ mod tests {
         let explored = || state.telemetry.enum_explored.load(Ordering::Relaxed);
         let before = explored();
         handle_envelope(&state, &verdict);
-        assert_eq!(explored() - before, expected);
+        assert_eq!(explored() - before, cold);
         handle_envelope(&state, &verdict);
-        assert_eq!(explored() - before, expected, "a warm verdict ran nothing");
+        assert_eq!(
+            explored() - before,
+            cold + classified,
+            "the classified views searched"
+        );
+        handle_envelope(&state, &verdict);
+        assert_eq!(
+            explored() - before,
+            cold + classified,
+            "a warm verdict ran nothing"
+        );
     }
 
     #[test]

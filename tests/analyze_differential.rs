@@ -160,6 +160,7 @@ fn random_corpus_certificates_match_enumeration() {
         data_dep_prob: 0.3,
         branch_prob: 0.0,
         rmw_prob: 0.1,
+        addr_dep_prob: 0.0,
     };
     let serial_config = fast();
     let mut rng = StdRng::seed_from_u64(0x5a33);
@@ -212,6 +213,7 @@ proptest! {
             data_dep_prob: 0.3,
             branch_prob: if branchy { 0.3 } else { 0.0 },
             rmw_prob: 0.1,
+            addr_dep_prob: 0.0,
         };
         let mut rng = StdRng::seed_from_u64(seed);
         let program = random_program(&mut rng, &gen_config);
@@ -247,6 +249,7 @@ proptest! {
             data_dep_prob: 0.25,
             branch_prob: 0.0,
             rmw_prob: 0.0,
+            addr_dep_prob: 0.0,
         };
         let mut rng = StdRng::seed_from_u64(seed);
         let program = random_program(&mut rng, &gen_config);
@@ -310,6 +313,7 @@ fn write_write_races_have_no_fixed_order() {
         data_dep_prob: 0.0,
         branch_prob: 0.0,
         rmw_prob: 0.0,
+        addr_dep_prob: 0.0,
     };
     let config = EnumConfig {
         keep_executions: true,

@@ -89,6 +89,7 @@ fn random_programs_respect_the_inclusion_chain() {
         data_dep_prob: 0.25,
         branch_prob: 0.15,
         rmw_prob: 0.0,
+        addr_dep_prob: 0.0,
     };
     for (i, prog) in corpus(0xBEEF, 40, &cfg).iter().enumerate() {
         assert_chain(prog, &format!("random #{i}"));

@@ -54,6 +54,7 @@ fn gen_config(branchy: bool) -> RandConfig {
         data_dep_prob: 0.25,
         branch_prob: if branchy { 0.25 } else { 0.0 },
         rmw_prob: 0.1,
+        addr_dep_prob: 0.0,
     }
 }
 

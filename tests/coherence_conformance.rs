@@ -63,6 +63,7 @@ fn random_programs_run_coherently() {
         data_dep_prob: 0.2,
         branch_prob: 0.15,
         rmw_prob: 0.0,
+        addr_dep_prob: 0.0,
     };
     for (i, prog) in corpus(0xD1CE, 20, &cfg).iter().enumerate() {
         check_program(prog, &format!("random #{i}"));
@@ -80,6 +81,7 @@ fn random_rmw_programs_run_coherently() {
         data_dep_prob: 0.2,
         branch_prob: 0.1,
         rmw_prob: 0.4,
+        addr_dep_prob: 0.0,
     };
     for (i, prog) in corpus(0xFAA, 15, &cfg).iter().enumerate() {
         check_program(prog, &format!("random-rmw #{i}"));

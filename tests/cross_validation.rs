@@ -75,6 +75,7 @@ fn random_two_thread_programs_agree() {
         data_dep_prob: 0.25,
         branch_prob: 0.0,
         rmw_prob: 0.0,
+        addr_dep_prob: 0.0,
     };
     for (i, prog) in corpus(0xA11CE, 40, &cfg).iter().enumerate() {
         check_program(prog, &format!("random-2t #{i}"));
@@ -92,6 +93,7 @@ fn random_three_thread_programs_agree() {
         data_dep_prob: 0.2,
         branch_prob: 0.0,
         rmw_prob: 0.0,
+        addr_dep_prob: 0.0,
     };
     for (i, prog) in corpus(0xB0B, 15, &cfg).iter().enumerate() {
         check_program(prog, &format!("random-3t #{i}"));
@@ -109,6 +111,7 @@ fn random_programs_with_rmws_agree() {
         data_dep_prob: 0.2,
         branch_prob: 0.1,
         rmw_prob: 0.35,
+        addr_dep_prob: 0.0,
     };
     for (i, prog) in corpus(0xA70, 25, &cfg).iter().enumerate() {
         check_program(prog, &format!("random-rmw #{i}"));
@@ -126,6 +129,7 @@ fn random_programs_with_branches_agree() {
         data_dep_prob: 0.3,
         branch_prob: 0.35,
         rmw_prob: 0.0,
+        addr_dep_prob: 0.0,
     };
     for (i, prog) in corpus(0xCAFE, 25, &cfg).iter().enumerate() {
         check_program(prog, &format!("random-branchy #{i}"));

@@ -132,6 +132,7 @@ fn program_from_seed(seed: u64, branchy: bool) -> samm::core::instr::Program {
         data_dep_prob: 0.25,
         branch_prob: if branchy { 0.3 } else { 0.0 },
         rmw_prob: 0.0,
+        addr_dep_prob: 0.0,
     };
     let mut rng = StdRng::seed_from_u64(seed);
     random_program(&mut rng, &cfg)
@@ -148,6 +149,7 @@ fn rmw_program_from_seed(seed: u64) -> samm::core::instr::Program {
         data_dep_prob: 0.2,
         branch_prob: 0.0,
         rmw_prob: 0.35,
+        addr_dep_prob: 0.0,
     };
     let mut rng = StdRng::seed_from_u64(seed);
     random_program(&mut rng, &cfg)

@@ -150,6 +150,7 @@ fn shapes() -> [RandConfig; 4] {
         data_dep_prob: 0.25,
         branch_prob: 0.0,
         rmw_prob: 0.0,
+        addr_dep_prob: 0.0,
     };
     [
         base.clone(),
