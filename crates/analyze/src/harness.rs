@@ -1,23 +1,18 @@
-//! The SC-equivalence short-circuit wired into the litmus harness.
+//! The SC-equivalence certifiers the litmus harness plans with.
 //!
-//! [`run_entry`] behaves like [`samm_litmus::expect::run_entry`] but
-//! consults the static certifiers first: any model the analyzer proves
-//! SC-equivalent for the entry's program reuses a single SC enumeration
-//! instead of enumerating again. Two certificate layers fire in order of
-//! cost: the DRF/TLO certifier ([`mod@crate::certify`]) and, where it
-//! declines, the delay-set robustness certifier ([`crate::robust`]) —
-//! which also covers racy-but-fenced programs whose behaviour sets
-//! provably collapse to SC. On a fully fenced test run under the whole
-//! model chain this replaces N weak-model enumerations with one SC run
-//! plus N cheap static checks (see the `analyze` and `robustness`
-//! Criterion benches).
+//! Passed to [`samm_litmus::expect::VerdictPlan::new`], a certifier lets
+//! any model the analyzer proves SC-equivalent for an entry's program
+//! reuse a single SC enumeration instead of enumerating again. Two
+//! certificate layers fire in order of cost: the DRF/TLO certifier
+//! ([`mod@crate::certify`]) and, where it declines, the delay-set
+//! robustness certifier ([`crate::robust`]) — which also covers
+//! racy-but-fenced programs whose behaviour sets provably collapse to
+//! SC. On a fully fenced test run under the whole model chain this
+//! replaces N weak-model enumerations with one SC run plus N cheap
+//! static checks (see the `analyze` and `robustness` Criterion benches).
 
-use samm_core::enumerate::EnumConfig;
-use samm_core::error::EnumError;
 use samm_core::instr::Program;
 use samm_core::policy::Policy;
-use samm_litmus::catalog::{CatalogEntry, ModelSel};
-use samm_litmus::expect::{run_entry_certified, EntryReport};
 
 use crate::certify::certify;
 use crate::robust::{analyze_static, StaticVerdict};
@@ -41,8 +36,8 @@ pub fn robust_certifier(program: &Program, policy: &Policy) -> bool {
     matches!(analyze_static(program, policy), StaticVerdict::Robust(cert) if cert.check(program, policy))
 }
 
-/// The combined certifier closure the harness plugs into
-/// [`samm_litmus::expect::run_entry_certified`]: the DRF/TLO layer
+/// The combined certifier the harness plans with
+/// ([`samm_litmus::expect::VerdictPlan::new`]): the DRF/TLO layer
 /// first (cheapest, strongest guarantees), then the delay-set
 /// robustness layer. Every certificate is re-checked before being
 /// trusted.
@@ -50,29 +45,12 @@ pub fn checked_certifier(program: &Program, policy: &Policy) -> bool {
     drf_certifier(program, policy) || robust_certifier(program, policy)
 }
 
-/// Runs one catalog entry with the DRF-SC short-circuit.
-///
-/// # Errors
-///
-/// Propagates enumeration failures.
-pub fn run_entry(entry: &CatalogEntry, config: &EnumConfig) -> Result<EntryReport, EnumError> {
-    run_entry_certified(entry, config, &checked_certifier)
-}
-
-/// The models of an entry the certifier would short-circuit — handy for
-/// reporting and for the bench harness.
-pub fn certified_models(entry: &CatalogEntry) -> Vec<ModelSel> {
-    entry
-        .models()
-        .into_iter()
-        .filter(|m| *m != ModelSel::Sc && checked_certifier(&entry.test.program, &m.policy()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use samm_litmus::catalog;
+    use samm_core::enumerate::EnumConfig;
+    use samm_litmus::catalog::{self, CatalogEntry, ModelSel};
+    use samm_litmus::expect::{run_entry_planned, EntryReport, VerdictPlan};
 
     fn fast() -> EnumConfig {
         EnumConfig {
@@ -81,10 +59,21 @@ mod tests {
         }
     }
 
+    /// `entry`'s report, planned with [`checked_certifier`].
+    fn certified_report(entry: &CatalogEntry, config: &EnumConfig) -> EntryReport {
+        let plan = VerdictPlan::new(entry, config, Some(&checked_certifier));
+        run_entry_planned(entry, &plan, config, None).unwrap()
+    }
+
+    /// Whether `checked_certifier` proves `model` SC-equivalent on `entry`.
+    fn certifies(entry: &CatalogEntry, model: ModelSel) -> bool {
+        checked_certifier(&entry.test.program, &model.policy())
+    }
+
     #[test]
     fn fenced_sb_short_circuits_every_weak_model() {
         let entry = catalog::sb_fenced();
-        let report = run_entry(&entry, &fast()).unwrap();
+        let report = certified_report(&entry, &fast());
         assert!(report.all_pass(), "{report}");
         for row in &report.rows {
             assert_eq!(
@@ -99,17 +88,19 @@ mod tests {
     #[test]
     fn racy_sb_never_short_circuits() {
         let entry = catalog::sb();
-        let report = run_entry(&entry, &fast()).unwrap();
+        let report = certified_report(&entry, &fast());
         assert!(report.all_pass(), "{report}");
         assert!(report.rows.iter().all(|r| !r.certified));
-        assert!(certified_models(&entry).is_empty());
+        for model in entry.models().into_iter().filter(|&m| m != ModelSel::Sc) {
+            assert!(!certifies(&entry, model), "{model}");
+        }
     }
 
     #[test]
     fn certified_reports_match_plain_harness_verdicts() {
         for entry in catalog::all() {
             let plain = samm_litmus::expect::run_entry(&entry, &fast()).unwrap();
-            let certified = run_entry(&entry, &fast()).unwrap();
+            let certified = certified_report(&entry, &fast());
             assert!(certified.all_pass(), "{certified}");
             assert_eq!(plain.rows.len(), certified.rows.len());
             for (p, c) in plain.rows.iter().zip(&certified.rows) {
@@ -152,11 +143,13 @@ mod tests {
                 model.name()
             );
         }
-        let report = run_entry(&entry, &fast()).unwrap();
+        let report = certified_report(&entry, &fast());
         assert!(report.all_pass(), "{report}");
         for row in &report.rows {
             assert_eq!(row.certified, row.model != ModelSel::Sc, "{}", row.model);
         }
-        assert_eq!(certified_models(&entry).len(), entry.models().len() - 1);
+        for model in entry.models().into_iter().filter(|&m| m != ModelSel::Sc) {
+            assert!(certifies(&entry, model), "{model}");
+        }
     }
 }

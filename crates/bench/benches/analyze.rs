@@ -11,6 +11,7 @@ use samm_analyze::{certify, find_races, harness};
 use samm_core::cache::EnumCache;
 use samm_core::enumerate::EnumConfig;
 use samm_core::policy::Policy;
+use samm_litmus::expect::{run_entry_planned, VerdictPlan};
 use samm_litmus::{catalog, expect, CatalogEntry};
 
 fn fast_config() -> EnumConfig {
@@ -52,8 +53,10 @@ fn bench_certified_skip(c: &mut Criterion) {
             &entry,
             |b, entry| {
                 b.iter(|| {
+                    let plan = VerdictPlan::new(entry, &config, Some(&harness::checked_certifier));
                     std::hint::black_box(
-                        harness::run_entry(entry, &config).expect("enumeration succeeds"),
+                        run_entry_planned(entry, &plan, &config, None)
+                            .expect("enumeration succeeds"),
                     )
                 });
             },
@@ -87,7 +90,7 @@ fn bench_static_passes(c: &mut Criterion) {
 }
 
 /// The service's verdict path over the whole catalog on a cold cache:
-/// `run_entry_cached` with the DRF certifier `samm-serve` passes, versus
+/// `run_entry_planned` with the DRF certifier `samm-serve` passes, versus
 /// certifying nothing (every model enumerated, as before the certifier
 /// was wired in).
 fn bench_verdict_catalog(c: &mut Criterion) {
@@ -107,8 +110,9 @@ fn bench_verdict_catalog(c: &mut Criterion) {
             b.iter(|| {
                 let cache = EnumCache::new(1024);
                 for entry in &entries {
+                    let plan = VerdictPlan::new(entry, &config, Some(certifier));
                     std::hint::black_box(
-                        expect::run_entry_cached(entry, &config, &cache, certifier)
+                        run_entry_planned(entry, &plan, &config, Some(&cache))
                             .expect("enumeration succeeds"),
                     );
                 }

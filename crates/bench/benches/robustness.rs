@@ -9,6 +9,7 @@ use samm_analyze::harness;
 use samm_analyze::robust::{analyze_robustness, analyze_static, break_cycles};
 use samm_core::enumerate::EnumConfig;
 use samm_core::pruned::enumerate_pruned;
+use samm_litmus::expect::{run_entry_planned, VerdictPlan};
 use samm_litmus::{catalog, expect, CatalogEntry};
 
 fn fast_config() -> EnumConfig {
@@ -78,7 +79,10 @@ fn bench_harness_short_circuit(c: &mut Criterion) {
     });
     group.bench_function("certified", |b| {
         b.iter(|| {
-            std::hint::black_box(harness::run_entry(&entry, &config).expect("enumeration succeeds"))
+            let plan = VerdictPlan::new(&entry, &config, Some(&harness::checked_certifier));
+            std::hint::black_box(
+                run_entry_planned(&entry, &plan, &config, None).expect("enumeration succeeds"),
+            )
         });
     });
     group.finish();

@@ -20,7 +20,7 @@ use samm_core::enumerate::EnumConfig;
 use samm_core::policy::Policy;
 use samm_core::pruned::enumerate_pruned;
 use samm_core::speculation;
-use samm_litmus::{catalog, expect, ModelSel};
+use samm_litmus::{catalog, expect, CatalogEntry, ModelSel};
 
 /// The process-wide content-addressed enumeration cache shared by every
 /// verdict-matrix experiment.
@@ -32,6 +32,12 @@ fn cache() -> &'static EnumCache {
 
 fn config() -> EnumConfig {
     EnumConfig::builder().keep_executions(false).build()
+}
+
+/// `entry`'s verdict report through the shared cache, certifying nothing.
+fn verdicts(entry: &CatalogEntry) -> expect::EntryReport {
+    let plan = expect::VerdictPlan::new(entry, &config(), None);
+    expect::run_entry_planned(entry, &plan, &config(), Some(cache())).expect("enumeration succeeds")
 }
 
 fn heading(s: &str) {
@@ -60,8 +66,7 @@ fn experiment_figures() {
     let mut pass = 0usize;
     let mut total = 0usize;
     for entry in catalog::paper_figures() {
-        let report = expect::run_entry_cached(&entry, &config(), cache(), &|_, _| false)
-            .expect("enumeration succeeds");
+        let report = verdicts(&entry);
         println!("\n{report}");
         total += report.rows.len();
         pass += report.rows.iter().filter(|r| r.pass()).count();
@@ -120,8 +125,7 @@ fn experiment_classics() {
         if entry.test.name.starts_with("fig") {
             continue;
         }
-        let report = expect::run_entry_cached(&entry, &config(), cache(), &|_, _| false)
-            .expect("enumeration succeeds");
+        let report = verdicts(&entry);
         println!("\n{report}");
         total += report.rows.len();
         pass += report.rows.iter().filter(|r| r.pass()).count();
@@ -140,14 +144,9 @@ fn experiment_bracketing() {
     for entry in catalog::all() {
         print!("{:<12}", entry.test.name);
         for model in ModelSel::ALL {
-            let (value, _) = cached_enumerate(
-                cache(),
-                &entry.test.program,
-                &model.policy(),
-                &config(),
-                enumerate_pruned,
-            )
-            .expect("enumeration succeeds");
+            let (value, _) =
+                cached_enumerate(cache(), &entry.test.program, &model.policy(), &config())
+                    .expect("enumeration succeeds");
             print!("{:>10}", value.outcomes.len());
         }
         println!();
@@ -199,14 +198,8 @@ fn experiment_tso() {
         ModelSel::Pso,
         ModelSel::Weak,
     ] {
-        let (value, _) = cached_enumerate(
-            cache(),
-            &entry.test.program,
-            &model.policy(),
-            &config(),
-            enumerate_pruned,
-        )
-        .expect("enumeration succeeds");
+        let (value, _) = cached_enumerate(cache(), &entry.test.program, &model.policy(), &config())
+            .expect("enumeration succeeds");
         let outcomes = &value.outcomes;
         println!(
             "  {:9} -> {} ({} outcomes total)",
@@ -297,14 +290,8 @@ fn experiment_stats() {
     );
     for entry in catalog::paper_figures() {
         for model in [ModelSel::Sc, ModelSel::Weak] {
-            let (r, _) = cached_enumerate(
-                cache(),
-                &entry.test.program,
-                &model.policy(),
-                &config(),
-                enumerate_pruned,
-            )
-            .expect("enumeration succeeds");
+            let (r, _) = cached_enumerate(cache(), &entry.test.program, &model.policy(), &config())
+                .expect("enumeration succeeds");
             println!(
                 "{:<12} {:>9} {:>10} {:>9} {:>9} {:>11}",
                 entry.test.name,
@@ -325,7 +312,7 @@ fn experiment_engines() {
     use std::time::Instant;
     heading("E17 — pruned engine vs the serial oracle (engine equivalence + wall-clock)");
     let entries = catalog::all();
-    let time = |run: &dyn Fn(&samm_litmus::CatalogEntry) -> expect::EntryReport| {
+    let time = |run: &dyn Fn(&CatalogEntry) -> expect::EntryReport| {
         let start = Instant::now();
         let reports: Vec<_> = entries.iter().map(run).collect();
         (reports, start.elapsed())

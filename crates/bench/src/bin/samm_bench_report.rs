@@ -136,7 +136,7 @@ fn main() -> ExitCode {
                 let report = match engine {
                     "serial" => run_entry_serial(entry, &config),
                     "pruned" => run_entry(entry, &config),
-                    _ => run_entry_planned(entry, &plan, &served, &cache),
+                    _ => run_entry_planned(entry, &plan, &served, Some(&cache)),
                 };
                 let report = match report {
                     Ok(report) => report,

@@ -7,9 +7,11 @@
 //! samm-figures --check   # regenerate in memory and fail on any drift
 //! ```
 //!
-//! The output is fully deterministic (serial enumeration, no
-//! timestamps), so the generated files are committed and CI runs
-//! `--check` to keep them in sync with the code.
+//! The output is fully deterministic (no timestamps): the behaviour-set
+//! tables count the serial oracle's search (`enumerate`), and the verdict
+//! matrices run the production harness (`expect::run_entry`, pruned
+//! engine). The generated files are committed and CI runs `--check` to
+//! keep them in sync with the code.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -245,14 +245,10 @@ fn main() -> ExitCode {
                 continue;
             }
             let outcome = match &cache {
-                Some(cache) => cached_enumerate(
-                    cache,
-                    &entry.test.program,
-                    &model.policy(),
-                    &observed,
-                    enumerate_pruned,
-                )
-                .map(|(value, hit)| (value.stats, hit)),
+                Some(cache) => {
+                    cached_enumerate(cache, &entry.test.program, &model.policy(), &observed)
+                        .map(|(value, hit)| (value.stats, hit))
+                }
                 None => enumerate_pruned(&entry.test.program, &model.policy(), &observed)
                     .map(|result| (result.stats, false)),
             };

@@ -9,10 +9,12 @@
 //! enumeration.
 //!
 //! What is cached is a [`CachedResult`]: the outcome set plus the
-//! *deterministic* statistics of the run. Kept executions are never
-//! cached (they are large, and callers that need graphs re-enumerate),
-//! and wall-clock observation timings are zeroed on insert so a hit
-//! returns the same bytes whichever run produced it.
+//! *deterministic* statistics of the production engine's run
+//! ([`enumerate_pruned`]; [`cached_enumerate`] runs no other engine).
+//! Kept executions are never cached (they are large, and callers that
+//! need graphs re-enumerate), and wall-clock observation timings are
+//! zeroed on insert so a hit returns the same bytes whichever run
+//! produced it.
 //!
 //! The entry is the only per-fingerprint state. Shards hold
 //! `Arc<CachedResult>`, so a hit clones no outcome set.
@@ -35,7 +37,7 @@
 //!
 //! ```
 //! use samm_core::cache::{cached_enumerate, EnumCache};
-//! use samm_core::enumerate::{enumerate, EnumConfig};
+//! use samm_core::enumerate::EnumConfig;
 //! use samm_core::instr::{Instr, Program, ThreadProgram};
 //! use samm_core::ids::Reg;
 //! use samm_core::policy::Policy;
@@ -48,9 +50,9 @@
 //! let cache = EnumCache::new(1024);
 //! let config = EnumConfig::default();
 //!
-//! let (cold, hit) = cached_enumerate(&cache, &sb, &Policy::weak(), &config, enumerate).unwrap();
+//! let (cold, hit) = cached_enumerate(&cache, &sb, &Policy::weak(), &config).unwrap();
 //! assert!(!hit);
-//! let (warm, hit) = cached_enumerate(&cache, &sb, &Policy::weak(), &config, enumerate).unwrap();
+//! let (warm, hit) = cached_enumerate(&cache, &sb, &Policy::weak(), &config).unwrap();
 //! assert!(hit);
 //! assert_eq!(warm, cold);
 //! assert_eq!(cache.stats().hits, 1);
@@ -70,6 +72,7 @@ use crate::ids::Value;
 use crate::instr::Program;
 use crate::outcome::{Outcome, OutcomeSet};
 use crate::policy::Policy;
+use crate::pruned::enumerate_pruned;
 
 /// The memoized answer to one enumeration query.
 #[derive(Debug, Clone)]
@@ -423,18 +426,6 @@ impl EnumCache {
         self.insert_at(&mut self.shard_of(fp), fp.raw(), Arc::new(value));
     }
 
-    /// Removes one entry; returns `true` when it was present.
-    pub fn invalidate(&self, fp: Fingerprint) -> bool {
-        self.shard_of(fp).entries.remove(&fp.raw()).is_some()
-    }
-
-    /// Drops every entry (counters are kept).
-    pub fn clear(&self) {
-        for slot in &self.shards {
-            slot.lock().entries.clear();
-        }
-    }
-
     /// Number of resident entries.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().entries.len()).sum()
@@ -450,11 +441,6 @@ impl EnumCache {
     /// must not skew the cache statistics of queries it never answers.
     pub fn contains(&self, fp: Fingerprint) -> bool {
         self.shard_of(fp).entries.contains_key(&fp.raw())
-    }
-
-    /// Number of shards in this cache's geometry.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Per-shard counters, indexed by shard, for per-shard exposition
@@ -677,10 +663,12 @@ fn parse_line(line: &str) -> Option<(Fingerprint, CachedResult)> {
     Some((fp, CachedResult::new(outcomes, stats)))
 }
 
-/// Runs `engine` through the cache with [`EnumCache::get_or_fill`]: on
-/// a hit the memoized answer is returned without enumerating; on a miss
-/// the engine runs (with `keep_executions` forced off — executions are
-/// never cached) and the normalized answer is inserted. Identical
+/// Runs the production engine, [`enumerate_pruned`], through the cache
+/// with [`EnumCache::get_or_fill`]: on a hit the memoized answer is
+/// returned without enumerating; on a miss the engine runs (with
+/// `keep_executions` forced off — executions are never cached) and the
+/// normalized answer is inserted. Every entry is the pruned engine's, so
+/// an entry's statistics never depend on who filled it. Identical
 /// concurrent calls share one run. The boolean is `true` on a hit.
 ///
 /// Errors are **not** cached: a query that fails (over budget, node
@@ -689,13 +677,12 @@ fn parse_line(line: &str) -> Option<(Fingerprint, CachedResult)> {
 ///
 /// # Errors
 ///
-/// Whatever `engine` returns on a miss.
+/// Whatever [`enumerate_pruned`] returns on a miss.
 pub fn cached_enumerate(
     cache: &EnumCache,
     program: &Program,
     policy: &Policy,
     config: &EnumConfig,
-    engine: impl FnOnce(&Program, &Policy, &EnumConfig) -> Result<EnumResult, EnumError>,
 ) -> Result<(Arc<CachedResult>, bool), EnumError> {
     let fp = query_fingerprint(program, policy, config);
     let (value, lookup) = cache.get_or_fill(fp, || {
@@ -703,7 +690,7 @@ pub fn cached_enumerate(
             keep_executions: false,
             ..config.clone()
         };
-        engine(program, policy, &run_config)
+        enumerate_pruned(program, policy, &run_config)
             .map(|result| Arc::new(CachedResult::from_result(result)))
     })?;
     Ok((value, lookup.hit))
@@ -712,7 +699,6 @@ pub fn cached_enumerate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::enumerate;
     use crate::ids::{Addr, Reg};
     use crate::instr::{Instr, ThreadProgram};
 
@@ -736,12 +722,10 @@ mod tests {
     fn hit_returns_the_memoized_answer() {
         let cache = EnumCache::new(64);
         let config = EnumConfig::default();
-        let (cold, hit) =
-            cached_enumerate(&cache, &sb(), &Policy::weak(), &config, enumerate).unwrap();
+        let (cold, hit) = cached_enumerate(&cache, &sb(), &Policy::weak(), &config).unwrap();
         assert!(!hit);
         assert_eq!(cold.outcomes.len(), 4);
-        let (warm, hit) =
-            cached_enumerate(&cache, &sb(), &Policy::weak(), &config, enumerate).unwrap();
+        let (warm, hit) = cached_enumerate(&cache, &sb(), &Policy::weak(), &config).unwrap();
         assert!(hit);
         assert_eq!(warm, cold);
         let stats = cache.stats();
@@ -754,7 +738,7 @@ mod tests {
         let config = EnumConfig::builder().observe(true).build();
         let fill = || {
             let cache = EnumCache::new(64);
-            cached_enumerate(&cache, &sb(), &Policy::weak(), &config, enumerate)
+            cached_enumerate(&cache, &sb(), &Policy::weak(), &config)
                 .unwrap()
                 .0
         };
@@ -767,24 +751,21 @@ mod tests {
     fn mutated_ast_never_hits_the_stale_entry() {
         let cache = EnumCache::new(64);
         let config = EnumConfig::default();
-        let (_, hit) =
-            cached_enumerate(&cache, &sb(), &Policy::weak(), &config, enumerate).unwrap();
+        let (_, hit) = cached_enumerate(&cache, &sb(), &Policy::weak(), &config).unwrap();
         assert!(!hit);
         // Poison scenario: the program changes underneath the cache. The
         // mutated AST has a different fingerprint, so the stale entry is
         // unreachable and a fresh enumeration runs.
         let mut mutated = sb();
         mutated.set_init(Addr::new(1), Value::new(1));
-        let (fresh, hit) =
-            cached_enumerate(&cache, &mutated, &Policy::weak(), &config, enumerate).unwrap();
+        let (fresh, hit) = cached_enumerate(&cache, &mutated, &Policy::weak(), &config).unwrap();
         assert!(
             !hit,
             "a mutated program must not be served the stale answer"
         );
         // With y initially 1, thread 0's load can read 1 even before
         // thread 1's store: the answer genuinely differs.
-        let (stale, _) =
-            cached_enumerate(&cache, &sb(), &Policy::weak(), &config, enumerate).unwrap();
+        let (stale, _) = cached_enumerate(&cache, &sb(), &Policy::weak(), &config).unwrap();
         assert_ne!(fresh.outcomes, stale.outcomes);
     }
 
@@ -857,10 +838,6 @@ mod tests {
         assert!(cache.get(fp(2)).is_none(), "LRU entry must be evicted");
         assert!(cache.get(fp(3)).is_some());
         assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.invalidate(fp(3)));
-        assert!(!cache.invalidate(fp(3)));
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]
@@ -875,8 +852,8 @@ mod tests {
         // Weak and SC differ on SB's one store->load cell; TSO would
         // share Weak's view, and its entry.
         for policy in [Policy::weak(), Policy::sequential_consistency()] {
-            cached_enumerate(&cache, &sb(), &policy, &config, enumerate).unwrap();
-            cached_enumerate(&cache, &sb(), &policy, &observed, enumerate).unwrap();
+            cached_enumerate(&cache, &sb(), &policy, &config).unwrap();
+            cached_enumerate(&cache, &sb(), &policy, &observed).unwrap();
         }
         let written = cache.save_to(&path).unwrap();
         assert_eq!(written, 4);
@@ -886,11 +863,10 @@ mod tests {
         assert_eq!((loaded, skipped), (4, 0));
         for policy in [Policy::weak(), Policy::sequential_consistency()] {
             for cfg in [&config, &observed] {
-                let (value, hit) =
-                    cached_enumerate(&restored, &sb(), &policy, cfg, enumerate).unwrap();
+                let (value, hit) = cached_enumerate(&restored, &sb(), &policy, cfg).unwrap();
                 assert!(hit, "persisted entry must hit after reload");
                 let (direct, _) =
-                    cached_enumerate(&EnumCache::new(8), &sb(), &policy, cfg, enumerate).unwrap();
+                    cached_enumerate(&EnumCache::new(8), &sb(), &policy, cfg).unwrap();
                 assert_eq!(value, direct);
             }
         }
@@ -963,7 +939,7 @@ mod tests {
             cache.get(Fingerprint::from_raw(n));
         }
         let per_shard = cache.shard_stats();
-        assert_eq!(per_shard.len(), cache.shard_count());
+        assert_eq!(per_shard.len(), 4);
         let global = cache.stats();
         assert_eq!(
             per_shard.iter().map(|s| s.entries).sum::<usize>(),
@@ -980,7 +956,7 @@ mod tests {
 
     /// An entry distinguishable from the empty one.
     fn sb_entry() -> CachedResult {
-        let result = enumerate(&sb(), &Policy::weak(), &EnumConfig::default()).unwrap();
+        let result = enumerate_pruned(&sb(), &Policy::weak(), &EnumConfig::default()).unwrap();
         CachedResult::from_result(result)
     }
 

@@ -342,14 +342,28 @@ impl Behavior {
         }
     }
 
-    /// Emits one graph node for thread `thread`, wiring data edges, policy
-    /// edges against all earlier nodes of the thread, and init edges.
+    /// The one reading of `policy`'s reordering-table cell for `prior`
+    /// and a later node `id` of its thread, strongest over the Load and
+    /// Store facets of RMW nodes. Beside the cell comes the producer of
+    /// `prior`'s address that `id` waits on under a `SameAddr` or `Bypass`
+    /// cell when alias speculation is off (non-speculative address
+    /// disambiguation, §5.1).
+    fn cell(&self, policy: &Policy, prior: NodeId, id: NodeId) -> (Constraint, Option<NodeId>) {
+        let (first, second) = (self.graph.node(prior), self.graph.node(id));
+        let cell = policy.combined_constraint(first.classes(), second.classes());
+        let waits = matches!(cell, Constraint::SameAddr | Constraint::Bypass)
+            && !policy.alias_speculation();
+        (cell, waits.then(|| self.addr_producer(prior)).flatten())
+    }
+
     /// Mutable access to one thread's state, unsharing the copy-on-write
     /// thread vector on first mutation after a fork.
     fn thread_mut(&mut self, thread: usize) -> &mut ThreadState {
         &mut Arc::make_mut(&mut self.threads)[thread]
     }
 
+    /// Emits one graph node for thread `thread`, wiring data edges, policy
+    /// edges against all earlier nodes of the thread, and init edges.
     fn emit_node(
         &mut self,
         policy: &Policy,
@@ -390,33 +404,24 @@ impl Behavior {
         }
 
         // Reordering-table edges against every earlier node of the thread.
-        // RMW nodes carry both a Load and a Store facet; the constraint for
-        // a pair is the strongest over all facet combinations.
-        let classes = self.graph.node(id).classes();
         let priors: Vec<NodeId> = self.thread_nodes[thread].clone();
         for prior in priors {
-            let prior_classes = self.graph.node(prior).classes();
-            match policy.combined_constraint(prior_classes, classes) {
-                Constraint::Never => {
+            match self.cell(policy, prior, id) {
+                (Constraint::Never, _) => {
                     self.graph.add_edge(prior, id, EdgeKind::Program)?;
                 }
-                c @ (Constraint::SameAddr | Constraint::Bypass) => {
+                (c @ (Constraint::SameAddr | Constraint::Bypass), resolve) => {
                     self.alias_pairs.push(AliasPair {
                         first: prior,
                         second: id,
                         bypass: c == Constraint::Bypass,
                         state: AliasState::Pending,
                     });
-                    // Non-speculative address disambiguation (§5.1): the
-                    // later operation depends on the instruction providing
-                    // the earlier operation's address.
-                    if !policy.alias_speculation() {
-                        if let Some(producer) = self.addr_producer(prior) {
-                            self.graph.add_edge(producer, id, EdgeKind::AddrResolve)?;
-                        }
+                    if let Some(producer) = resolve {
+                        self.graph.add_edge(producer, id, EdgeKind::AddrResolve)?;
                     }
                 }
-                Constraint::Free | Constraint::DataOnly => {}
+                (Constraint::Free | Constraint::DataOnly, _) => {}
             }
         }
 
@@ -916,22 +921,18 @@ impl Behavior {
         };
         for nodes in self.thread_nodes.iter() {
             for (j, &id) in nodes.iter().enumerate() {
-                let node = graph.node(id);
                 for &prior in &nodes[..j] {
-                    let first = graph.node(prior);
-                    match policy.combined_constraint(first.classes(), node.classes()) {
-                        Constraint::Never => push(prior, id, EdgeKind::Program),
-                        Constraint::SameAddr => {
-                            if first.addr() == node.addr() {
+                    match self.cell(policy, prior, id) {
+                        (Constraint::Never, _) => push(prior, id, EdgeKind::Program),
+                        (Constraint::SameAddr, resolve) => {
+                            if graph.node(prior).addr() == graph.node(id).addr() {
                                 push(prior, id, EdgeKind::Alias);
                             }
-                            if !policy.alias_speculation() {
-                                if let Some(producer) = self.addr_producer(prior) {
-                                    push(producer, id, EdgeKind::AddrResolve);
-                                }
+                            if let Some(producer) = resolve {
+                                push(producer, id, EdgeKind::AddrResolve);
                             }
                         }
-                        Constraint::Bypass | Constraint::Free | Constraint::DataOnly => {}
+                        (Constraint::Bypass | Constraint::Free | Constraint::DataOnly, _) => {}
                     }
                 }
             }

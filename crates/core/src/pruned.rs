@@ -978,7 +978,7 @@ pub struct Classified {
 /// under each of `views`, weakest first: an execution is one of a
 /// stronger view's when it stays acyclic once that view's local `≺`
 /// edges are added and Store Atomicity is closed again
-/// ([`Behavior::strengthen`], DESIGN §4). A view that
+/// (`Behavior::strengthen`, DESIGN §4). A view that
 /// [extends](Classify::extends) the previous one starts from the graph
 /// that one left, and is skipped once that one is cyclic; the last such
 /// chain works on the base execution in place, so classification forks,

@@ -6,25 +6,27 @@
 //! S1") into pass/fail rows. The `experiments` binary of `samm-bench`
 //! prints these rows as the reproduction record.
 //!
-//! Every harness entry point enumerates with the production engine,
-//! [`enumerate_pruned`]. [`run_entry_serial`] runs the same harness on
-//! the serial oracle ([`enumerate`]) for differential checks.
-//!
 //! One entry runs the engine once per [`TableView`]: models whose
 //! tables agree on every cell the program reaches run the same search,
 //! so the later ones reuse the first one's answer (a certified model
 //! runs as SC). Runs are keyed by
 //! [`view_fingerprint`], the cache's own key, so a cached harness makes
 //! one cache lookup per view. Which model is certified, and each run's
-//! policy and key, form the entry's [`VerdictPlan`]: every entry point
-//! builds one and runs it, and a caller that answers the same entry
-//! repeatedly can build it once ([`run_entry_planned`]).
+//! policy and key, form the entry's [`VerdictPlan`]. [`answer_plan`] is
+//! the one code that answers a plan, on the production engine
+//! ([`enumerate_pruned`]); [`run_entry`] and [`run_entry_planned`] turn
+//! its answers into rows with [`plan_report`]. A caller that answers the
+//! same entry repeatedly builds its plan once ([`run_entry_planned`]).
+//!
+//! [`run_entry_serial`] is the serial oracle's own loop for differential
+//! checks: one [`enumerate`] per view of the same plan, with no cache
+//! and no classification.
 
 use std::fmt;
 use std::sync::Arc;
 
 use samm_core::cache::{CachedResult, EnumCache};
-use samm_core::enumerate::{enumerate, EnumConfig, EnumResult, EnumStats};
+use samm_core::enumerate::{enumerate, EnumConfig, EnumStats};
 use samm_core::error::EnumError;
 use samm_core::fingerprint::{view_fingerprint, Fingerprint};
 use samm_core::instr::Program;
@@ -33,10 +35,6 @@ use samm_core::pruned::{enumerate_classified, enumerate_pruned, Classify};
 use samm_core::static_order::{thread_events, TableView, ThreadEvents};
 
 use crate::catalog::{CatalogEntry, ModelSel};
-
-/// An enumeration engine: the pruned [`enumerate_pruned`] or the serial
-/// oracle [`enumerate`].
-type Engine = fn(&Program, &Policy, &EnumConfig) -> Result<EnumResult, EnumError>;
 
 /// An SC-equivalence certifier: returns `true` when it can prove the
 /// program's behaviour set under the given (weak) policy equals its SC
@@ -67,7 +65,8 @@ pub struct VerdictRow {
     pub certified: bool,
     /// `true` when the enumeration behind this row was answered from the
     /// content-addressed [`EnumCache`] instead of running fresh (only
-    /// possible via [`run_entry_cached`] and friends).
+    /// possible when [`run_entry_planned`] or [`answer_plan`] is given a
+    /// cache).
     pub cache_hit: bool,
     /// `true` when this row's view was classified from a weaker view's
     /// search in this call instead of searched (see [`VerdictPlan`]); its
@@ -176,8 +175,9 @@ impl fmt::Display for EntryReport {
 /// A plan is a pure function of a fixed program, the certifier and the
 /// fingerprinted fields of the configuration (never the budget), and it
 /// holds no outcome. A server can therefore build each entry's plan once
-/// and run it for every verdict request ([`run_entry_planned`]); the
-/// other harness entry points build a plan and run it on the spot.
+/// and run it for every verdict request ([`run_entry_planned`]);
+/// [`run_entry`] and [`run_entry_serial`] build an uncertified plan and
+/// run it on the spot.
 #[derive(Debug, Clone)]
 pub struct VerdictPlan {
     /// One row per model, in [`CatalogEntry::models`] order.
@@ -224,7 +224,11 @@ pub struct PlanRun {
 
 impl VerdictPlan {
     /// Plans `entry` under `config`, asking `certifier` (when given)
-    /// about every model but SC.
+    /// about every model but SC. A model it proves SC-equivalent is
+    /// answered by the SC run: its outcome set provably equals SC's, and
+    /// its execution count is the SC run's by convention (the DRF/TLO
+    /// certificates preserve it exactly, robustness certificates only
+    /// promise outcome-set equality).
     pub fn new(
         entry: &CatalogEntry,
         config: &EnumConfig,
@@ -312,15 +316,15 @@ impl VerdictPlan {
 ///
 /// Propagates enumeration failures.
 pub fn run_entry(entry: &CatalogEntry, config: &EnumConfig) -> Result<EntryReport, EnumError> {
-    let plan = VerdictPlan::new(entry, config, None);
-    run_entry_with(entry, &plan, config, false)
+    run_entry_planned(entry, &VerdictPlan::new(entry, config, None), config, None)
 }
 
-/// Like [`run_entry`], but enumerating with the serial oracle
-/// ([`enumerate`]). Verdicts, outcome sets and execution counts are
-/// identical to [`run_entry`]'s — the engines are behaviour-equivalent —
-/// but the search-shape statistics (`explored`, `forks`, `deduped`)
-/// count unpruned work.
+/// The serial oracle's harness: one serial [`enumerate`] per view of
+/// `entry`'s uncertified plan, with no cache and no classification.
+/// Verdicts, outcome sets and execution counts are identical to
+/// [`run_entry`]'s — the engines are behaviour-equivalent — but the
+/// search-shape statistics (`explored`, `forks`, `deduped`) count
+/// unpruned work.
 ///
 /// # Errors
 ///
@@ -330,35 +334,33 @@ pub fn run_entry_serial(
     config: &EnumConfig,
 ) -> Result<EntryReport, EnumError> {
     let plan = VerdictPlan::new(entry, config, None);
-    run_entry_with(entry, &plan, config, true)
+    let config = EnumConfig {
+        keep_executions: false,
+        ..config.clone()
+    };
+    let answers = plan
+        .runs
+        .iter()
+        .map(|run| {
+            let result = enumerate(&entry.test.program, &run.policy, &config)?;
+            Ok(RunAnswer {
+                result: Arc::new(CachedResult::new(result.outcomes, result.stats)),
+                cache_hit: false,
+                classified: false,
+            })
+        })
+        .collect::<Result<Vec<_>, EnumError>>()?;
+    Ok(plan_report(entry, &plan, &answers))
 }
 
-/// Like [`run_entry`], but consulting `certifier` before enumerating
-/// under each non-SC model (as [`run_entry_certified`] does) and
-/// consulting (and filling) the content-addressed `cache` for every
-/// enumeration that still runs. Rows answered from the cache are marked
-/// [`VerdictRow::cache_hit`]; their outcome sets and deterministic
-/// statistics are bit-identical to a fresh run's, but their `stats`
-/// never carry wall-clock timings (see [`samm_core::cache`]). Pass
-/// `&|_, _| false` to certify nothing.
-///
-/// # Errors
-///
-/// Propagates enumeration failures (which are never cached).
-pub fn run_entry_cached(
-    entry: &CatalogEntry,
-    config: &EnumConfig,
-    cache: &EnumCache,
-    certifier: Certifier<'_>,
-) -> Result<EntryReport, EnumError> {
-    let plan = VerdictPlan::new(entry, config, Some(certifier));
-    run_entry_planned(entry, &plan, config, cache)
-}
-
-/// Runs `plan`, built for `entry` by [`VerdictPlan::new`], as
-/// [`run_entry_cached`] runs the plan it builds. `config` may differ
-/// from the plan's only in fields the fingerprint leaves out, such as
-/// the budget or whether a counting run is timed.
+/// Runs `plan`, built for `entry` by [`VerdictPlan::new`], through
+/// [`answer_plan`] and reports its verdicts. Rows answered from `cache`
+/// are marked [`VerdictRow::cache_hit`]; their outcome sets and
+/// deterministic statistics are bit-identical to a fresh run's, but
+/// their `stats` never carry wall-clock timings (see
+/// [`samm_core::cache`]). `config` may differ from the plan's only in
+/// fields the fingerprint leaves out, such as the budget or whether a
+/// counting run is timed.
 ///
 /// # Errors
 ///
@@ -367,34 +369,14 @@ pub fn run_entry_planned(
     entry: &CatalogEntry,
     plan: &VerdictPlan,
     config: &EnumConfig,
-    cache: &EnumCache,
+    cache: Option<&EnumCache>,
 ) -> Result<EntryReport, EnumError> {
-    let answers = answer_plan(entry, plan, config, Some(cache))?;
+    let answers = answer_plan(entry, plan, config, cache)?;
     Ok(plan_report(entry, plan, &answers))
 }
 
-/// Like [`run_entry`], but consulting `certifier` before enumerating
-/// under each non-SC model: models the certifier proves SC-equivalent
-/// reuse a single SC enumeration, and their rows are marked
-/// [`VerdictRow::certified`]. For certified rows the reported outcome
-/// and execution counts are the SC run's: outcome sets are provably
-/// equal, while execution counts are the SC run's by convention — the
-/// DRF/TLO certificates preserve them exactly, robustness certificates
-/// only promise outcome-set equality.
-///
-/// # Errors
-///
-/// Propagates enumeration failures.
-pub fn run_entry_certified(
-    entry: &CatalogEntry,
-    config: &EnumConfig,
-    certifier: Certifier<'_>,
-) -> Result<EntryReport, EnumError> {
-    let plan = VerdictPlan::new(entry, config, Some(certifier));
-    run_entry_with(entry, &plan, config, false)
-}
-
-/// How one run of a [`VerdictPlan`] was answered by [`answer_plan`].
+/// How one run of a [`VerdictPlan`] was answered by [`answer_plan`]. A
+/// run that is neither a hit nor classified was searched in this call.
 #[derive(Debug, Clone)]
 pub struct RunAnswer {
     /// The run's outcome set and statistics. A classified run's
@@ -402,9 +384,6 @@ pub struct RunAnswer {
     pub result: Arc<CachedResult>,
     /// Answered from the content-addressed cache.
     pub cache_hit: bool,
-    /// The engine searched under this run's view in this call: there is
-    /// no cache, or it missed.
-    pub ran: bool,
     /// Classified from its base run's executions in this call.
     pub classified: bool,
 }
@@ -427,17 +406,6 @@ pub fn answer_plan(
     config: &EnumConfig,
     cache: Option<&EnumCache>,
 ) -> Result<Vec<RunAnswer>, EnumError> {
-    answer_runs(entry, plan, config, enumerate_pruned, true, cache)
-}
-
-fn answer_runs(
-    entry: &CatalogEntry,
-    plan: &VerdictPlan,
-    config: &EnumConfig,
-    engine: Engine,
-    classify: bool,
-    cache: Option<&EnumCache>,
-) -> Result<Vec<RunAnswer>, EnumError> {
     let program = &entry.test.program;
     // Rows never carry executions.
     let run_config = EnumConfig {
@@ -445,14 +413,12 @@ fn answer_runs(
         ..config.clone()
     };
     let mut answers: Vec<Option<RunAnswer>> = vec![None; plan.runs.len()];
-    let classified = |run: &PlanRun| classify && run.base.is_some();
     if let Some(cache) = cache {
         for (answer, run) in answers.iter_mut().zip(&plan.runs) {
-            if classified(run) {
+            if run.base.is_some() {
                 *answer = cache.probe(run.fp).map(|result| RunAnswer {
                     result,
                     cache_hit: true,
-                    ran: false,
                     classified: false,
                 });
             }
@@ -462,9 +428,10 @@ fn answer_runs(
     // search of their base answered. One run per view, even with a
     // cache: a small cache may evict a view between two models that
     // share it.
+    let classified = |i: &usize| plan.runs[*i].base.is_some();
     let order = (0..plan.runs.len())
-        .filter(|&i| !classified(&plan.runs[i]))
-        .chain((0..plan.runs.len()).filter(|&i| classified(&plan.runs[i])));
+        .filter(|i| !classified(i))
+        .chain((0..plan.runs.len()).filter(classified));
     for i in order {
         if answers[i].is_some() {
             continue;
@@ -475,25 +442,21 @@ fn answer_runs(
         // starts again from the base execution.
         let mut views = Vec::new();
         let mut targets = Vec::new();
-        if classify && run.base.is_none() {
-            let mut previous = None;
-            for &(k, extends) in &run.classifies {
-                if answers[k].is_none() {
-                    views.push(Classify {
-                        policy: &plan.runs[k].policy,
-                        extends: extends && previous == targets.last().copied(),
-                    });
-                    targets.push(k);
-                }
-                previous = Some(k);
+        let mut previous = None;
+        for &(k, extends) in &run.classifies {
+            if answers[k].is_none() {
+                views.push(Classify {
+                    policy: &plan.runs[k].policy,
+                    extends: extends && previous == targets.last().copied(),
+                });
+                targets.push(k);
             }
+            previous = Some(k);
         }
         let mut found = Vec::new();
-        let mut ran = false;
         let mut fill = || -> Result<Arc<CachedResult>, EnumError> {
-            ran = true;
             let result = if views.is_empty() {
-                engine(program, &run.policy, &run_config)?
+                enumerate_pruned(program, &run.policy, &run_config)?
             } else {
                 let (result, classified) =
                     enumerate_classified(program, &run.policy, &views, &run_config)?;
@@ -516,7 +479,6 @@ fn answer_runs(
         answers[i] = Some(RunAnswer {
             result,
             cache_hit,
-            ran,
             classified: false,
         });
         for (k, view) in targets.into_iter().zip(found) {
@@ -527,7 +489,6 @@ fn answer_runs(
             answers[k] = Some(RunAnswer {
                 result: Arc::new(CachedResult::new(view.outcomes, stats)),
                 cache_hit: false,
-                ran: false,
                 classified: true,
             });
         }
@@ -541,7 +502,10 @@ fn answer_runs(
 /// The report of `entry`'s verdicts from its plan's run answers
 /// ([`answer_plan`]).
 pub fn plan_report(entry: &CatalogEntry, plan: &VerdictPlan, answers: &[RunAnswer]) -> EntryReport {
-    let mut unfolded: Vec<bool> = answers.iter().map(|answer| answer.ran).collect();
+    let mut unfolded: Vec<bool> = answers
+        .iter()
+        .map(|answer| !answer.cache_hit && !answer.classified)
+        .collect();
     let rows = entry
         .verdicts
         .iter()
@@ -571,34 +535,6 @@ pub fn plan_report(entry: &CatalogEntry, plan: &VerdictPlan, answers: &[RunAnswe
     }
 }
 
-/// Runs `plan` on the pruned engine, or on the serial oracle, which
-/// classifies nothing: it searches under every view.
-fn run_entry_with(
-    entry: &CatalogEntry,
-    plan: &VerdictPlan,
-    config: &EnumConfig,
-    serial: bool,
-) -> Result<EntryReport, EnumError> {
-    let answers = if serial {
-        answer_runs(entry, plan, config, enumerate, false, None)?
-    } else {
-        answer_plan(entry, plan, config, None)?
-    };
-    Ok(plan_report(entry, plan, &answers))
-}
-
-/// Runs a set of entries, collecting per-entry reports.
-///
-/// # Errors
-///
-/// Stops at the first enumeration failure.
-pub fn run_all(
-    entries: &[CatalogEntry],
-    config: &EnumConfig,
-) -> Result<Vec<EntryReport>, EnumError> {
-    entries.iter().map(|e| run_entry(e, config)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,6 +545,17 @@ mod tests {
             keep_executions: false,
             ..EnumConfig::default()
         }
+    }
+
+    /// `entry`'s report through `cache`, with `certifier` planning.
+    fn cached(
+        entry: &CatalogEntry,
+        config: &EnumConfig,
+        cache: &EnumCache,
+        certifier: Certifier<'_>,
+    ) -> EntryReport {
+        let plan = VerdictPlan::new(entry, config, Some(certifier));
+        run_entry_planned(entry, &plan, config, Some(cache)).unwrap()
     }
 
     #[test]
@@ -627,18 +574,21 @@ mod tests {
         assert!(text.contains("forbidden"));
     }
 
+    /// The serial oracle's harness and the production harness agree row
+    /// by row on every catalog entry.
     #[test]
     fn pruned_harness_agrees_with_the_serial_oracle() {
         let config = fast_config();
-        for entry in [catalog::sb(), catalog::iriw(), catalog::fig10()] {
+        for entry in catalog::all() {
             let serial = run_entry_serial(&entry, &config).unwrap();
             let pruned = run_entry(&entry, &config).unwrap();
             assert!(pruned.all_pass(), "{pruned}");
             assert_eq!(serial.rows.len(), pruned.rows.len());
             for (s, p) in serial.rows.iter().zip(&pruned.rows) {
-                assert_eq!(s.observed_allowed, p.observed_allowed);
-                assert_eq!(s.outcomes, p.outcomes);
-                assert_eq!(s.executions, p.executions);
+                let name = &entry.test.name;
+                assert_eq!(s.observed_allowed, p.observed_allowed, "{name}: {p}");
+                assert_eq!(s.outcomes, p.outcomes, "{name}: {p}");
+                assert_eq!(s.executions, p.executions, "{name}: {p}");
             }
         }
     }
@@ -649,13 +599,13 @@ mod tests {
         let config = fast_config();
         for entry in [catalog::sb(), catalog::iriw()] {
             let fresh = run_entry(&entry, &config).unwrap();
-            let cold = run_entry_cached(&entry, &config, &cache, &|_, _| false).unwrap();
+            let cold = cached(&entry, &config, &cache, &|_, _| false);
             assert!(cold.rows.iter().all(|r| !r.cache_hit));
             assert!(cold.rows.iter().any(|r| r.classified), "{cold}");
             // The classified views were not inserted: with their bases
             // resident, they search on their own once, then hit.
             let misses = cache.stats().misses;
-            let warm = run_entry_cached(&entry, &config, &cache, &|_, _| false).unwrap();
+            let warm = cached(&entry, &config, &cache, &|_, _| false);
             assert!(warm.rows.iter().all(|r| !r.classified), "{warm}");
             let searched = warm.rows.iter().filter(|r| r.fresh_run).count();
             assert_eq!(cache.stats().misses - misses, searched as u64, "{warm}");
@@ -663,7 +613,7 @@ mod tests {
                 searched > 0 && warm.rows.iter().any(|r| r.cache_hit),
                 "{warm}"
             );
-            let warmer = run_entry_cached(&entry, &config, &cache, &|_, _| false).unwrap();
+            let warmer = cached(&entry, &config, &cache, &|_, _| false);
             assert!(warmer.rows.iter().all(|r| r.cache_hit), "{warmer}");
             // Hits and classified rows must be transparent — same verdicts
             // and counts as an uncached run; a search's statistics are
@@ -685,9 +635,7 @@ mod tests {
             }
         }
         assert!(cache.stats().hits > 0);
-        let text = run_entry_cached(&catalog::sb(), &config, &cache, &|_, _| false)
-            .unwrap()
-            .to_string();
+        let text = cached(&catalog::sb(), &config, &cache, &|_, _| false).to_string();
         assert!(text.contains("[cached]"));
         let text = run_entry(&catalog::sb(), &config).unwrap().to_string();
         assert!(text.contains("[classified]"));
@@ -698,7 +646,7 @@ mod tests {
         let cache = EnumCache::new(16);
         let entry = catalog::sb();
         assert!(entry.models().len() > 2);
-        let report = run_entry_cached(&entry, &fast_config(), &cache, &|_, _| true).unwrap();
+        let report = cached(&entry, &fast_config(), &cache, &|_, _| true);
         // Only SC enumerated; every other model answered from its run.
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.len(), 1);

@@ -35,8 +35,5 @@ pub mod synthesis;
 pub use ast::{CompiledCondition, CompiledLitmus, CondKind, LitmusError, LitmusTest};
 pub use builder::LitmusBuilder;
 pub use catalog::{CatalogEntry, ModelSel, Verdict};
-pub use expect::{
-    run_all, run_entry, run_entry_cached, run_entry_certified, run_entry_serial, Certifier,
-    EntryReport, VerdictRow,
-};
+pub use expect::{run_entry, run_entry_serial, Certifier, EntryReport, VerdictRow};
 pub use parser::{parse, ParseError};

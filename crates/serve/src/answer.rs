@@ -14,7 +14,7 @@
 //!   frames are written field by field in the wire's sorted key order,
 //!   splicing pre-rendered fragments in place: the cache entry's
 //!   `outcomes` and `stats`, and each verdict row's constant bytes,
-//!   rendered once with its entry's [`ServedPlan`]; trees go through
+//!   rendered once with its entry's `ServedPlan`; trees go through
 //!   [`Json`]'s one renderer.
 //! - [`handle_envelope`](crate::handler::handle_envelope) builds the
 //!   same answer as a tree. It is the reference the writer is tested

@@ -646,7 +646,10 @@ fn verdict_response(
     )
     .map_err(enum_error)?;
     // One fold per engine run; a classified view ran none.
-    for answer in answers.iter().filter(|answer| answer.ran) {
+    for answer in answers
+        .iter()
+        .filter(|answer| !answer.cache_hit && !answer.classified)
+    {
         state.telemetry.fold_stats(&answer.result.stats);
     }
     Ok(Body::Verdict { index, answers })
@@ -1384,7 +1387,7 @@ mod tests {
                     };
                     (Arc::new(CachedResult::new(result.outcomes, stats)), false)
                 }
-                _ => cached_enumerate(cache, program, &policy, config, enumerate_pruned).unwrap(),
+                _ => cached_enumerate(cache, program, &policy, config).unwrap(),
             };
             answers.insert(key(*m), answer);
         }
@@ -1445,14 +1448,8 @@ mod tests {
                     handle_envelope(&state, &envelope(request, None)).get("ok"),
                     Some(&Json::Bool(true))
                 );
-                cached_enumerate(
-                    &reference,
-                    &entry.test.program,
-                    &model.policy(),
-                    &config,
-                    enumerate_pruned,
-                )
-                .unwrap();
+                cached_enumerate(&reference, &entry.test.program, &model.policy(), &config)
+                    .unwrap();
             }
             for pass in ["cold", "warm", "warm again"] {
                 let verdict = Request::Verdict {

@@ -205,14 +205,7 @@ fn handler_by_test() {
     let policy = samm_core::policy::Policy::weak();
     let config = samm_core::enumerate::EnumConfig::default();
     let cache = EnumCache::new(64);
-    samm_core::cache::cached_enumerate(
-        &cache,
-        &entry.test.program,
-        &policy,
-        &config,
-        samm_core::enumerate::enumerate,
-    )
-    .unwrap();
+    samm_core::cache::cached_enumerate(&cache, &entry.test.program, &policy, &config).unwrap();
     let fp = samm_core::fingerprint::query_fingerprint(&entry.test.program, &policy, &config);
     let t = Instant::now();
     for _ in 0..n {

@@ -476,10 +476,10 @@ fn catalog_verdicts_run_once_per_view() {
         let report = expect::run_entry(&entry, &config).expect("verdict runs");
         uncertified.0 += runs(&report);
         uncertified.1 += classified(&VerdictPlan::new(&entry, &config, None));
-        let report =
-            expect::run_entry_certified(&entry, &config, &drf_certifier).expect("verdict runs");
+        let plan = VerdictPlan::new(&entry, &config, Some(&drf_certifier));
+        let report = expect::run_entry_planned(&entry, &plan, &config, None).expect("verdict runs");
         certified.0 += runs(&report);
-        certified.1 += classified(&VerdictPlan::new(&entry, &config, Some(&drf_certifier)));
+        certified.1 += classified(&plan);
     }
     assert_eq!((models, uncertified, certified), (141, (31, 38), (31, 21)));
 }
@@ -545,8 +545,8 @@ fn a_one_entry_cache_runs_each_view_once() {
         );
         let searched = plan.runs.iter().filter(|r| r.base.is_none()).count();
         let (misses, hits) = (cache.stats().misses, cache.stats().hits);
-        let report = expect::run_entry_cached(&entry, &config, &cache, &drf_certifier)
-            .expect("verdict runs");
+        let report =
+            expect::run_entry_planned(&entry, &plan, &config, Some(&cache)).expect("verdict runs");
         let runs = report.rows.iter().filter(|r| r.fresh_run).count();
         let name = &entry.test.name;
         assert_eq!(runs, searched, "{name}: engine runs");
@@ -586,7 +586,8 @@ fn assert_classification_is_exact(entry: &CatalogEntry, label: &str) -> Vec<(Str
         let answers = expect::answer_plan(entry, &plan, &config, None).expect("plan runs");
         for (run, answer) in plan.runs.iter().zip(&answers) {
             assert_eq!(answer.classified, run.base.is_some(), "{label}");
-            assert_eq!(answer.ran, run.base.is_none(), "{label}");
+            let searched = !answer.cache_hit && !answer.classified;
+            assert_eq!(searched, run.base.is_none(), "{label}");
             if !answer.classified {
                 continue;
             }
