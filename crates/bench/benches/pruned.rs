@@ -6,8 +6,9 @@
 //! headline number) the E20 configuration both EXPERIMENTS.md tables
 //! quote. The pruned engine's win comes from killing claims on the
 //! dedup fingerprint *before* paying for a fork, plus flat-arena
-//! copy-on-write forks; `samm-prunecheck` gates the same measurement in
-//! CI.
+//! copy-on-write forks. `samm-bench-report` gates the engines' ratio in
+//! CI, on IRIW's whole verdict (every model) rather than IRIW under
+//! Weak alone.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

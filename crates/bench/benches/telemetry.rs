@@ -1,6 +1,6 @@
 //! Telemetry primitive cost (experiment E22): the histogram's hot-path
 //! `record`, snapshot merging, and a cold enumerate request through the
-//! serve-side telemetry wrapper (`handle_envelope` with live histograms),
+//! serve-side telemetry wrapper (`serve_envelope` with live histograms),
 //! and one render of a populated Prometheus exposition.
 //! The bar mirrors E19's: per-request telemetry cost must be noise
 //! against real enumeration work.
@@ -57,7 +57,7 @@ fn bench_histogram(c: &mut Criterion) {
     group.finish();
 }
 
-/// A fresh enumerate request through `handle_envelope` (full telemetry:
+/// A fresh enumerate request through `serve_envelope` (full telemetry:
 /// id, histograms, obs folding). Cache capacity 0 would poison the
 /// measurement, so each iteration uses a fresh cache and the request is
 /// a cold miss doing real enumeration work. The enumeration-side cost
@@ -71,7 +71,8 @@ fn bench_request_overhead(c: &mut Criterion) {
     group.bench_function("observed", |b| {
         b.iter(|| {
             let state = ServerState::new(EnumCache::new(64), None);
-            let response = handler::handle_envelope(&state, &request);
+            let mut response = Vec::new();
+            handler::serve_envelope(&state, &request, &mut response);
             std::hint::black_box(response)
         });
     });

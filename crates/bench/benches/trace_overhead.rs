@@ -63,8 +63,12 @@ fn bench_warm_batch(c: &mut Criterion) {
             let ring: Arc<dyn SpanSink> = Arc::new(TraceRing::new(4096));
             let telemetry = Telemetry::new(traced.then_some(ring), Duration::ZERO);
             let state = ServerState::with_telemetry(EnumCache::new(64), None, telemetry);
-            handler::handle_envelope(&state, &env); // warm the cache
-            b.iter(|| std::hint::black_box(handler::handle_envelope(&state, &env)));
+            let mut out = Vec::new();
+            handler::serve_envelope(&state, &env, &mut out); // warm the cache
+            b.iter(|| {
+                out.clear();
+                handler::serve_envelope(&state, &env, &mut out);
+            });
         });
     }
     group.finish();

@@ -33,8 +33,14 @@
 //! they cover the two performance planes EXPERIMENTS.md tracks.
 //!
 //! Exits non-zero when a test name is unknown, an enumeration fails,
-//! or any verdict row mismatches — a bench report over a broken build
-//! is worse than none.
+//! any verdict row mismatches — a bench report over a broken build is
+//! worse than none — or the pruned engine is less than
+//! [`MIN_IRIW_SPEEDUP`] times faster than the serial oracle on IRIW.
+//! That gate compares the `serial` and `pruned` rows' `wall_us_min`,
+//! so it times IRIW's whole verdict (every model, run by each engine
+//! in this process), not only IRIW under Weak. That the two engines
+//! answer alike is checked by `tests/pruned_differential.rs` and the
+//! `expect` unit tests, not here.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -47,6 +53,12 @@ use samm_core::obs::Observe;
 use samm_litmus::catalog::{self, CatalogEntry, ModelSel};
 use samm_litmus::expect::{run_entry, run_entry_planned, run_entry_serial, VerdictPlan};
 use samm_serve::json::Json;
+
+/// The least `serial`/`pruned` ratio of IRIW's `wall_us_min` a report
+/// passes with. Both engines run in one process on the same host phase,
+/// so the ratio does not move with the host's speed the way a recorded
+/// time does.
+const MIN_IRIW_SPEEDUP: f64 = 3.0;
 
 /// Fast classics plus one paper figure: small enough that both
 /// engines × `--iters` runs stay under a second, varied enough that
@@ -113,6 +125,8 @@ fn main() -> ExitCode {
         .observe(Observe::Count)
         .build();
     let mut rows = Vec::new();
+    // IRIW's `serial` and `pruned` minima, for the speedup gate.
+    let (mut iriw_serial, mut iriw_pruned) = (None, None);
     println!(
         "{:<12} {:<14} {:>12} {:>12} {:>6}",
         "test", "engine", "min us", "mean us", "pass"
@@ -179,6 +193,13 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::FAILURE;
             }
+            if entry.test.name == "IRIW" {
+                match engine {
+                    "serial" => iriw_serial = Some(min_us),
+                    "pruned" => iriw_pruned = Some(min_us),
+                    _ => {}
+                }
+            }
             let mut row = vec![
                 ("test", Json::str(&entry.test.name)),
                 ("engine", Json::str(engine)),
@@ -232,16 +253,28 @@ fn main() -> ExitCode {
         ("iters", Json::num(iters as f64)),
         ("results", Json::Arr(rows)),
     ]);
-    match std::fs::write(&out, format!("{report}\n")) {
-        Ok(()) => {
-            println!("bench report written to {out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("samm-bench-report: cannot write {out}: {e}");
-            ExitCode::FAILURE
-        }
+    if let Err(e) = std::fs::write(&out, format!("{report}\n")) {
+        eprintln!("samm-bench-report: cannot write {out}: {e}");
+        return ExitCode::FAILURE;
     }
+    println!("bench report written to {out}");
+    let (Some(serial_us), Some(pruned_us)) = (iriw_serial, iriw_pruned) else {
+        println!("speedup gate not applied: IRIW was not timed");
+        return ExitCode::SUCCESS;
+    };
+    let speedup = serial_us / pruned_us;
+    println!(
+        "IRIW verdict: serial {serial_us:.1} us, pruned {pruned_us:.1} us, \
+         {speedup:.1}x (gate {MIN_IRIW_SPEEDUP}x)"
+    );
+    if speedup < MIN_IRIW_SPEEDUP {
+        eprintln!(
+            "samm-bench-report: pruned only {speedup:.1}x faster than serial on IRIW, \
+             below {MIN_IRIW_SPEEDUP}x"
+        );
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 /// Times `engine` (`witness` or `refutation`) over every condition of

@@ -5,20 +5,16 @@
 //! the cache entry it found or filled), a typed `verdict` answer (the
 //! entry's plan runs' answers), a batch of slot answers, or — for every
 //! other kind, every error and every answer a cluster peer produced — a
-//! [`Json`] tree. Two renderers read it:
-//!
-//! - the production path
-//!   ([`serve_envelope`](crate::handler::serve_envelope) and
-//!   [`serve_hit`](crate::handler::serve_hit)) appends the response
-//!   line to a byte buffer. Enumerate and verdict answers and batch
-//!   frames are written field by field in the wire's sorted key order,
-//!   splicing pre-rendered fragments in place: the cache entry's
-//!   `outcomes` and `stats`, and each verdict row's constant bytes,
-//!   rendered once with its entry's `ServedPlan`; trees go through
-//!   [`Json`]'s one renderer.
-//! - [`handle_envelope`](crate::handler::handle_envelope) builds the
-//!   same answer as a tree. It is the reference the writer is tested
-//!   against byte for byte.
+//! [`Json`] tree. One renderer writes it: `Answer::write_line`, behind
+//! [`serve_envelope`](crate::handler::serve_envelope) and
+//! [`serve_hit`](crate::handler::serve_hit), appends the response line
+//! to a byte buffer. Enumerate and verdict answers and batch frames are
+//! written field by field in the wire's sorted key order, splicing
+//! pre-rendered fragments in place: the cache entry's `outcomes` and
+//! `stats`, and each verdict row's constant bytes, rendered once with
+//! its entry's `ServedPlan`; trees go through [`Json`]'s one renderer.
+//! The committed transcript `tests/golden/answers.jsonl` pins the bytes
+//! it writes.
 
 use std::sync::Arc;
 
@@ -29,9 +25,9 @@ use samm_core::policy::Policy;
 use samm_core::static_order::{thread_events, TableView};
 use samm_core::telemetry::write_escaped;
 use samm_litmus::catalog::{CatalogEntry, ModelSel};
-use samm_litmus::expect::{plan_report, RunAnswer, VerdictPlan};
+use samm_litmus::expect::{RunAnswer, VerdictPlan};
 
-use crate::handler::{catalog, report_json, ServerState};
+use crate::handler::{catalog, ServerState};
 use crate::json::{ByteSink, Json};
 use crate::protocol::{ServiceError, ENGINE};
 use crate::telemetry::ReqOutcome;
@@ -140,30 +136,6 @@ impl EnumQuery {
         out.extend_from_slice(b",\"test\":");
         write_str(out, &self.entry.test.name);
         out.push(b'}');
-    }
-
-    /// The same answer as a tree (without its `id`): the reference
-    /// [`EnumQuery::write_answer`] is checked against.
-    fn answer_tree(&self, state: &ServerState, value: &CachedResult, hit: bool) -> Json {
-        let mut fields = vec![
-            ("ok", Json::Bool(true)),
-            ("kind", Json::str("enumerate")),
-            ("test", Json::str(self.entry.test.name.clone())),
-            ("model", Json::str(self.sel.name())),
-            ("engine", Json::str(ENGINE)),
-            ("cache_hit", Json::Bool(hit)),
-            ("outcome_count", Json::num(value.outcomes.len() as f64)),
-            (
-                "executions",
-                Json::num(value.stats.distinct_executions as f64),
-            ),
-            ("outcomes", Json::Raw(value.outcomes_json().to_owned())),
-            ("stats", Json::Raw(value.stats_json().to_owned())),
-        ];
-        if let Some(cluster) = &state.cluster {
-            fields.push(("node", Json::str(cluster.self_id())));
-        }
-        Json::obj(fields)
     }
 }
 
@@ -360,35 +332,6 @@ impl Answer {
             }
             Body::Tree(tree) => with_id(tree, id).write_bytes(out),
         }
-    }
-
-    /// The answer as a [`Json`] tree: the reference rendering.
-    pub(crate) fn into_json(self, state: &ServerState) -> Json {
-        let Answer { id, body } = self;
-        let tree = match body {
-            Body::Enumerate { query, value, hit } => query.answer_tree(state, &value, hit),
-            Body::Verdict { index, answers } => {
-                let entry = &catalog()[index];
-                let report = plan_report(entry, state.verdict_plan(index), &answers);
-                Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("kind", Json::str("verdict")),
-                    ("report", report_json(&report)),
-                ])
-            }
-            Body::Batch { failed, slots } => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("kind", Json::str("batch")),
-                ("count", Json::num(slots.len() as f64)),
-                ("failed", Json::num(failed as f64)),
-                (
-                    "responses",
-                    Json::Arr(slots.into_iter().map(|s| s.into_json(state)).collect()),
-                ),
-            ]),
-            Body::Tree(tree) => tree,
-        };
-        with_id(tree, id)
     }
 }
 

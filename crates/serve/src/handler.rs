@@ -1,7 +1,6 @@
 //! Request execution: turns a parsed [`Request`] into an answer
-//! against shared server state, and renders it — onto the wire through
-//! the byte writer ([`serve_envelope`]), or as the reference [`Json`]
-//! tree ([`handle_envelope`]); see [`crate::answer`].
+//! against shared server state and writes it onto the wire
+//! ([`serve_envelope`]); see [`crate::answer`].
 //!
 //! Every enumeration-backed request is answered through the
 //! content-addressed [`EnumCache`], so repeated queries for the same
@@ -32,7 +31,7 @@ use samm_core::pruned::enumerate_pruned;
 use samm_core::telemetry::trace::{ActiveSpan, SpanKind, SpanSink, TraceContext};
 use samm_core::telemetry::HistogramSnapshot;
 use samm_litmus::catalog::{self, CatalogEntry, ModelSel};
-use samm_litmus::expect::{answer_plan, EntryReport, VerdictPlan};
+use samm_litmus::expect::{answer_plan, VerdictPlan};
 
 use crate::answer::{resolution_table, Answer, Body, EnumQuery, Resolved, ServedPlan};
 use crate::cluster::Cluster;
@@ -156,28 +155,18 @@ impl ServerState {
 }
 
 /// Executes a parsed envelope, echoing its `id` (or a server-assigned
-/// one) in the response. Never panics on bad input: failures come back
-/// as `{"ok":false,"error":{...}}` objects. `Shutdown` is answered with a
-/// plain ok — the connection loop, not this function, performs the
-/// drain. Records latency telemetry (per-kind histograms split by
-/// hit/miss/overbudget, the request-rate window, the span log), honours
-/// the envelope's `fwd` marker (a forwarded request is answered locally,
-/// never re-forwarded) and its propagated `trace` context. Returns the
-/// answer as a tree: the reference rendering [`serve_envelope`]'s bytes
-/// are tested against.
-pub fn handle_envelope(state: &ServerState, envelope: &Envelope) -> Json {
-    execute_envelope(state, envelope).into_json(state)
-}
-
-/// Executes a parsed envelope as [`handle_envelope`] does and appends
-/// its response line, newline included, to `out`: the server's answer
-/// path. Enumerate answers and batch frames are written straight into
-/// `out`, with no [`Json`] tree in between.
+/// one) in the response, and appends its response line, newline
+/// included, to `out`: the server's answer path. Never panics on bad
+/// input: failures come back as `{"ok":false,"error":{...}}` objects.
+/// `Shutdown` is answered with a plain ok — the connection loop, not
+/// this function, performs the drain. Records latency telemetry
+/// (per-kind histograms split by hit/miss/overbudget, the request-rate
+/// window, the span log), honours the envelope's `fwd` marker (a
+/// forwarded request is answered locally, never re-forwarded) and its
+/// propagated `trace` context. Enumerate and verdict answers and batch
+/// frames are written straight into `out`, with no [`Json`] tree in
+/// between.
 pub fn serve_envelope(state: &ServerState, envelope: &Envelope, out: &mut Vec<u8>) {
-    execute_envelope(state, envelope).write_line(state, out);
-}
-
-fn execute_envelope(state: &ServerState, envelope: &Envelope) -> Answer {
     handle_inner(
         state,
         &envelope.request,
@@ -186,6 +175,18 @@ fn execute_envelope(state: &ServerState, envelope: &Envelope) -> Answer {
         true,
         envelope.trace,
     )
+    .write_line(state, out);
+}
+
+/// [`serve_envelope`]'s answer, parsed back into a [`Json`] value, for
+/// callers that read answers as trees. Its rendering equals the wire
+/// line as a JSON value, though not always in bytes: parsing sorts the
+/// keys of every object, and the spliced `stats`, witness and
+/// refutation objects are not written in sorted order.
+pub fn handle_envelope(state: &ServerState, envelope: &Envelope) -> Json {
+    let mut line = Vec::new();
+    serve_envelope(state, envelope, &mut line);
+    crate::json::parse_bytes(&line).expect("the server writes well-formed JSON")
 }
 
 /// Executes one sub-request of a batch: per-kind latency telemetry and
@@ -606,32 +607,6 @@ fn enumerate_response(
     })
 }
 
-/// A verdict report as the reference tree renders it.
-pub(crate) fn report_json(report: &EntryReport) -> Json {
-    let rows = report
-        .rows
-        .iter()
-        .map(|row| {
-            Json::obj([
-                ("model", Json::str(row.model.name())),
-                ("condition", Json::str(row.condition.clone())),
-                ("expected_allowed", Json::Bool(row.expected_allowed)),
-                ("observed_allowed", Json::Bool(row.observed_allowed)),
-                ("pass", Json::Bool(row.pass())),
-                ("outcomes", Json::num(row.outcomes as f64)),
-                ("executions", Json::num(row.executions as f64)),
-                ("certified", Json::Bool(row.certified)),
-                ("cache_hit", Json::Bool(row.cache_hit)),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("name", Json::str(report.name.clone())),
-        ("all_pass", Json::Bool(report.all_pass())),
-        ("rows", Json::Arr(rows)),
-    ])
-}
-
 fn verdict_response(
     state: &ServerState,
     test: &str,
@@ -974,7 +949,7 @@ mod tests {
     use samm_core::policy::Policy;
     use samm_core::static_order::TableView;
     use samm_core::telemetry::trace::TraceRing;
-    use samm_litmus::expect::{PlanRow, VerdictRow};
+    use samm_litmus::expect::{EntryReport, PlanRow, VerdictRow};
 
     fn state() -> ServerState {
         ServerState::new(EnumCache::new(64), None)
@@ -1042,9 +1017,10 @@ mod tests {
     }
 
     /// The entry's rendered fragments are byte-identical to rendering
-    /// the answer through [`Json`], on a query's first request (a hit
-    /// only if an earlier model shared its table view) and on its
-    /// second, for every servable query.
+    /// the answer through [`Json`]: the served line splices them in
+    /// place, on a query's first request (a hit only if an earlier model
+    /// shared its table view) and on its second, for every servable
+    /// query.
     #[test]
     fn enumerate_fragments_match_the_json_rendering() {
         fn outcomes_json(outcomes: &samm_core::outcome::OutcomeSet) -> String {
@@ -1089,19 +1065,20 @@ mod tests {
                     continue;
                 };
                 let fresh = CachedResult::from_result(fresh);
-                let stats = fresh.stats.to_json();
+                let fragments = format!(
+                    ",\"outcomes\":{},\"stats\":{},",
+                    outcomes_json(&fresh.outcomes),
+                    fresh.stats.to_json()
+                );
                 let shared = !views.insert(TableView::of(&entry.test.program, &sel.policy()));
                 for hit in [shared, true] {
-                    let resp = handle_envelope(&state, &request);
-                    let field = |key| resp.get(key).map(Json::to_string);
+                    let mut line = Vec::new();
+                    serve_envelope(&state, &request, &mut line);
+                    let line = String::from_utf8(line).unwrap();
+                    let resp = crate::json::parse(&line).unwrap();
                     let name = format!("{}/{} hit={hit}", entry.test.name, sel.name());
                     assert_eq!(resp.get("cache_hit"), Some(&Json::Bool(hit)), "{name}");
-                    assert_eq!(
-                        field("outcomes"),
-                        Some(outcomes_json(&fresh.outcomes)),
-                        "{name}"
-                    );
-                    assert_eq!(field("stats"), Some(stats.clone()), "{name}");
+                    assert!(line.contains(&fragments), "{name}: {line}");
                     assert_eq!(
                         resp.get("outcome_count").and_then(Json::as_u64),
                         Some(fresh.outcomes.len() as u64),
@@ -1189,6 +1166,11 @@ mod tests {
     #[test]
     fn answer_hit_matches_the_worker_hit() {
         let state = ServerState::new(EnumCache::new(4096), None);
+        let serve = |request: &Request, id| {
+            let mut line = Vec::new();
+            serve_envelope(&state, &envelope(request.clone(), id), &mut line);
+            line
+        };
         let mut checked = 0;
         for entry in catalog() {
             for sel in ModelSel::ALL {
@@ -1198,12 +1180,12 @@ mod tests {
                     budget: None,
                 };
                 let name = format!("{}/{}", entry.test.name, sel.name());
-                let cold = handle_envelope(&state, &envelope(request.clone(), Some("w")));
+                let cold = crate::json::parse_bytes(&serve(&request, Some("w"))).unwrap();
                 if cold.get("ok") != Some(&Json::Bool(true)) {
                     continue;
                 }
                 let before = counters(&state);
-                let worker = handle_envelope(&state, &envelope(request.clone(), Some("w")));
+                let worker = serve(&request, Some("w"));
                 let worker_delta: Vec<u64> = counters(&state)
                     .iter()
                     .zip(&before)
@@ -1220,7 +1202,7 @@ mod tests {
                     .zip(&before)
                     .map(|(a, b)| a - b)
                     .collect();
-                assert_eq!(inline, format!("{worker}\n").into_bytes(), "{name}");
+                assert_eq!(inline, worker, "{name}");
                 assert_eq!(inline_delta, worker_delta, "{name}");
                 let hits = |d: &[u64]| (d[0], d[2], d[3], d[4]);
                 assert_eq!(hits(&inline_delta), (1, 1, 0, 0), "{name}");
@@ -1234,17 +1216,20 @@ mod tests {
             model: "TSO".into(),
             budget: None,
         };
-        let worker = handle_envelope(&state, &envelope(request.clone(), None));
-        let mut line = Vec::new();
-        assert!(serve_hit(&state, &envelope(request, None), &mut line));
-        let inline = crate::json::parse_bytes(&line).unwrap();
-        let mut worker = worker;
-        let Json::Obj(w) = &mut worker else {
-            panic!("answers are objects");
+        let worker = String::from_utf8(serve(&request, None)).unwrap();
+        let mut inline = Vec::new();
+        assert!(serve_hit(&state, &envelope(request, None), &mut inline));
+        let inline = String::from_utf8(inline).unwrap();
+        let id = |line: &str| {
+            let id = crate::json::parse(line)
+                .unwrap()
+                .get("id")
+                .cloned()
+                .unwrap();
+            format!("\"id\":{id}")
         };
-        assert_ne!(w.get("id"), inline.get("id"));
-        w.insert("id".to_owned(), inline.get("id").unwrap().clone());
-        assert_eq!(line, format!("{worker}\n").into_bytes());
+        assert_ne!(id(&worker), id(&inline));
+        assert_eq!(inline, worker.replace(&id(&worker), &id(&inline)));
     }
 
     #[test]
@@ -1352,7 +1337,11 @@ mod tests {
     /// `cache` — except a view classified from a weaker one (dominating
     /// another running view), which, when neither it
     /// nor its base is resident, runs fresh outside the cache.
-    fn reference_verdict(entry: &CatalogEntry, cache: &EnumCache, config: &EnumConfig) -> Json {
+    fn reference_verdict(
+        entry: &CatalogEntry,
+        cache: &EnumCache,
+        config: &EnumConfig,
+    ) -> EntryReport {
         let program = &entry.test.program;
         let run_model = |m: ModelSel| {
             if m != ModelSel::Sc && drf_certifier(program, &m.policy()) {
@@ -1412,10 +1401,41 @@ mod tests {
                 }
             })
             .collect();
-        report_json(&EntryReport {
+        EntryReport {
             name: entry.test.name.clone(),
             rows,
-        })
+        }
+    }
+
+    /// Asserts that a served verdict `report` says what `want` says,
+    /// field by field.
+    fn assert_report(report: &Json, want: &EntryReport, context: &str) {
+        assert_eq!(
+            report.get("name"),
+            Some(&Json::str(&want.name)),
+            "{context}"
+        );
+        assert_eq!(
+            report.get("all_pass"),
+            Some(&Json::Bool(want.all_pass())),
+            "{context}"
+        );
+        let rows = report.get("rows").and_then(Json::as_arr).unwrap();
+        assert_eq!(rows.len(), want.rows.len(), "{context}");
+        for (row, want) in rows.iter().zip(&want.rows) {
+            let expected = Json::obj([
+                ("model", Json::str(want.model.name())),
+                ("condition", Json::str(&want.condition)),
+                ("expected_allowed", Json::Bool(want.expected_allowed)),
+                ("observed_allowed", Json::Bool(want.observed_allowed)),
+                ("pass", Json::Bool(want.pass())),
+                ("outcomes", Json::num(want.outcomes as f64)),
+                ("executions", Json::num(want.executions as f64)),
+                ("certified", Json::Bool(want.certified)),
+                ("cache_hit", Json::Bool(want.cache_hit)),
+            ]);
+            assert_eq!(row, &expected, "{context}");
+        }
     }
 
     /// The harness's one-run-per-view memo and its classified views
@@ -1457,10 +1477,10 @@ mod tests {
                     budget: None,
                 };
                 let response = handle_envelope(&state, &envelope(verdict, None));
-                assert_eq!(
-                    response.get("report").map(Json::to_string),
-                    Some(reference_verdict(entry, &reference, &config).to_string()),
-                    "{name} ({pass})"
+                assert_report(
+                    response.get("report").unwrap(),
+                    &reference_verdict(entry, &reference, &config),
+                    &format!("{name} ({pass})"),
                 );
                 assert_eq!(
                     counters(&state.cache),

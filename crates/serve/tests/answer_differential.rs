@@ -1,8 +1,8 @@
 //! Differential test of the served answer path. A live server writes
-//! every answer straight into its connection buffer; a twin in-process
-//! [`ServerState`] fed the same lines renders each answer as the
-//! reference [`Json`] tree through `handle_envelope`. Every line must be
-//! byte for byte the same — top-level misses and hits, inline loop hits,
+//! every answer straight into its connection buffer, on its event loop
+//! or on a worker; a twin in-process [`ServerState`] fed the same lines
+//! answers each through `serve_envelope`. Every line must be byte for
+//! byte the same — top-level misses and hits, inline loop hits,
 //! every catalog verdict (cold, warm, budgeted and overbudget, on a
 //! one-entry cache too), batch slots and error slots, escaped and
 //! server-assigned ids, a cluster member's `node` field and a peer's
@@ -23,7 +23,7 @@ use samm_core::cache::EnumCache;
 use samm_core::static_order::TableView;
 use samm_litmus::catalog::{self, ModelSel};
 use samm_serve::cluster::{Cluster, ClusterConfig};
-use samm_serve::handler::{error_response, handle_envelope, ServerState};
+use samm_serve::handler::{error_response, handle_envelope, serve_envelope, ServerState};
 use samm_serve::json::{self, Json};
 use samm_serve::{parse_envelope, start, ServerConfig, ServerHandle};
 
@@ -70,27 +70,30 @@ impl Twin {
             .unwrap();
         let mut served = String::new();
         assert!(self.reader.read_line(&mut served).unwrap() > 0, "closed");
-        // The worker's error path for a line that does not parse.
-        let reference = match parse_envelope(line) {
-            Ok(envelope) => handle_envelope(&self.reference, &envelope),
+        let mut reference = Vec::new();
+        match parse_envelope(line) {
+            Ok(envelope) => serve_envelope(&self.reference, &envelope, &mut reference),
+            // The worker's error path for a line that does not parse.
             Err(err) => {
                 self.reference
                     .telemetry
                     .requests
                     .fetch_add(1, Ordering::Relaxed);
-                error_response(&self.reference, &err)
+                let error = error_response(&self.reference, &err);
+                reference.extend_from_slice(format!("{error}\n").as_bytes());
             }
-        };
-        assert_eq!(served, format!("{reference}\n"), "{line}");
+        }
+        assert_eq!(served, String::from_utf8(reference).unwrap(), "{line}");
+        let answer = json::parse(&served).unwrap();
         self.lines += 1;
         let single = !line.contains("\"batch\"");
         if single
-            && reference.get("cache_hit") == Some(&Json::Bool(true))
-            && reference.get("forwarded").is_none()
+            && answer.get("cache_hit") == Some(&Json::Bool(true))
+            && answer.get("forwarded").is_none()
         {
             self.inline_hits += 1;
         }
-        reference
+        answer
     }
 
     /// Asserts both sides counted the same, and that the event loop
@@ -105,9 +108,7 @@ impl Twin {
         };
         let metrics = r#"{"kind":"metrics","id":"m"}"#;
         let served = self.monitor(metrics);
-        // Reparsed, so the spliced `cache` section reads as a tree.
         let reference = handle_envelope(&self.reference, &parse_envelope(metrics).unwrap());
-        let reference = json::parse(&reference.to_string()).unwrap();
         let counters = |m: &Json| {
             let mut all = Vec::new();
             for key in ["requests", "errors", "monitoring"] {
@@ -337,7 +338,7 @@ fn verdicts(twin: &mut Twin, cold: bool) {
 }
 
 #[test]
-fn verdicts_match_the_reference_tree() {
+fn verdicts_match_the_in_process_answers() {
     let mut twin = Twin::start(ServerConfig::default(), None);
     verdicts(&mut twin, true);
     verdicts(&mut twin, false);
@@ -347,7 +348,7 @@ fn verdicts_match_the_reference_tree() {
 /// On a one-entry cache, as the `fresh-mix` workload runs, every verdict
 /// classifies its dominated views afresh.
 #[test]
-fn verdicts_on_a_one_entry_cache_match_the_reference_tree() {
+fn verdicts_on_a_one_entry_cache_match_the_in_process_answers() {
     let config = ServerConfig {
         cache_capacity: 1,
         cache_shards: 1,
@@ -359,7 +360,7 @@ fn verdicts_on_a_one_entry_cache_match_the_reference_tree() {
 }
 
 #[test]
-fn single_lines_match_the_reference_tree() {
+fn single_lines_match_the_in_process_answers() {
     let mut twin = Twin::start(ServerConfig::default(), None);
     singles(&mut twin, false);
     assert!(twin.inline_hits > 100, "{} inline hits", twin.inline_hits);
@@ -367,7 +368,7 @@ fn single_lines_match_the_reference_tree() {
 }
 
 #[test]
-fn batch_slots_match_the_reference_tree() {
+fn batch_slots_match_the_in_process_answers() {
     let mut twin = Twin::start(ServerConfig::default(), None);
     batches(&mut twin);
     // The keys are warm now: single lines are loop hits.
@@ -384,10 +385,10 @@ fn free_addrs(n: usize) -> Vec<SocketAddr> {
 }
 
 /// A two-node cluster on each side: the served `node-a` and the
-/// reference `node-a` each forward to a `node-b` of their own, so every
+/// in-process `node-a` each forward to a `node-b` of their own, so every
 /// answer carries a `node` field or comes back spliced from the peer.
 #[test]
-fn cluster_answers_match_the_reference_tree() {
+fn cluster_answers_match_the_in_process_answers() {
     let [served_a, served_b, reference_a, reference_b] = free_addrs(4)[..] else {
         unreachable!()
     };

@@ -3,9 +3,9 @@
 //! served slot into the stages the server runs: envelope parse, query
 //! resolve (catalog name lookup and a row of the start-up resolution
 //! table, beside the per-request resolution it replaced), cache probe
-//! and the byte writer; then times the whole served inline hit, a served 32-slot
-//! batch line, and the reference tree path (`handle_envelope` plus
-//! `to_string`) the writer replaces. The other tests time the pieces
+//! and the byte writer; then times the whole served inline hit, a served
+//! 32-slot batch line, and a client's parse of the answer. The other
+//! tests time the pieces
 //! that have historically regressed (catalog lookup, `EnumConfig`
 //! construction, cache-hit clone, telemetry record).
 //!
@@ -19,7 +19,7 @@ use samm_core::enumerate::EnumConfig;
 use samm_core::fingerprint::{query_fingerprint, write_config, write_program, FingerprintHasher};
 use samm_litmus::catalog::ModelSel;
 use samm_serve::answer::EnumQuery;
-use samm_serve::handler::{handle_envelope, serve_envelope, serve_hit, ServerState};
+use samm_serve::handler::{serve_envelope, serve_hit, ServerState};
 use samm_serve::protocol::{parse_envelope, parse_envelope_bytes, Request};
 use std::time::Instant;
 
@@ -38,7 +38,8 @@ fn slot_cost() {
     let state = ServerState::new(EnumCache::new(1024), None);
     let line = br#"{"kind":"enumerate","test":"IRIW","model":"Weak","id":"s7"}"#;
     let env = parse_envelope_bytes(line).unwrap();
-    handle_envelope(&state, &env); // warm the cache
+    let mut out = Vec::new();
+    serve_envelope(&state, &env, &mut out); // warm the cache
     let n = 20000;
     let Request::Enumerate {
         test,
@@ -50,7 +51,6 @@ fn slot_cost() {
     };
     let query = EnumQuery::resolve(&state, test, model, *budget).unwrap();
     let value = state.cache.probe(query.fingerprint()).unwrap();
-    let mut out = Vec::new();
 
     println!("served slot, by stage:");
     let parse = time_us(n, || parse_envelope_bytes(line).unwrap());
@@ -125,14 +125,10 @@ fn slot_cost() {
         "served batch32:   {served:.1}us ({:.2}us per slot)",
         per_slot(served)
     );
-    let reference = time_us(n / 32, || handle_envelope(&state, &batch_env).to_string());
-    println!(
-        "reference batch32: {reference:.1}us ({:.2}us per slot; tree, then to_string)",
-        per_slot(reference)
-    );
 
-    let rendered = handle_envelope(&state, &env).to_string();
-    let client = time_us(n, || samm_serve::json::parse(&rendered).unwrap());
+    out.clear();
+    serve_envelope(&state, &env, &mut out);
+    let client = time_us(n, || samm_serve::json::parse_bytes(&out).unwrap());
     println!("client parse:     {client:.2}us");
 }
 
@@ -146,7 +142,7 @@ fn handler_pieces() {
         .unwrap();
     let state = ServerState::new(EnumCache::new(1024), None);
     let env = parse_envelope(r#"{"kind":"enumerate","test":"IRIW","model":"Weak"}"#).unwrap();
-    handle_envelope(&state, &env);
+    serve_envelope(&state, &env, &mut Vec::new());
     let n = 20000;
 
     let policy = samm_core::policy::Policy::weak();
@@ -182,12 +178,14 @@ fn handler_by_test() {
         ("metrics ", r#"{"kind":"metrics"}"#),
     ] {
         let env = parse_envelope(line).unwrap();
-        handle_envelope(&state, &env);
-        let sz = handle_envelope(&state, &env).to_string().len();
+        let mut out = Vec::new();
+        serve_envelope(&state, &env, &mut out);
         let t = Instant::now();
         for _ in 0..n {
-            std::hint::black_box(handle_envelope(&state, &env));
+            out.clear();
+            serve_envelope(&state, &env, &mut out);
         }
+        let sz = out.len();
         println!(
             "{name} ({sz:5}B): {:.1}us",
             t.elapsed().as_secs_f64() * 1e6 / n as f64
