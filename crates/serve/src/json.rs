@@ -1,4 +1,4 @@
-//! A minimal JSON value type, parser, and writer.
+//! A minimal JSON value type, one lexer with two builders, and a writer.
 //!
 //! The repository policy is no external dependencies (serde is not
 //! available offline), and the wire protocol needs only a small JSON
@@ -8,12 +8,28 @@
 //! `samm_core::explain` and the hand-rolled `to_json` outputs of the
 //! stats types) into a tree without re-parsing them.
 //!
+//! One lexer reads JSON for two builders. [`parse_bytes`] (and
+//! [`parse`]) builds a [`Json`] tree; `protocol::parse_envelope_bytes`
+//! reads a request line straight into an `Envelope`, with no tree.
+//! Both walk arrays and objects through the same lexer calls, so a
+//! syntax error carries the same message at the same byte offset
+//! whichever builder meets it. The tree is left only for responses and
+//! clients:
+//! - `client::Client::read_response`, under `request_raw` and
+//!   `request`: the cluster's peer replies (`cluster::Cluster::forward`
+//!   and the `metrics_cluster` fan-out), `samm-top`, `samm-load` and
+//!   the `samm-benchmark` harness;
+//! - `handler::handle_envelope`, the tree API that parses the served
+//!   line back;
+//! - tests.
+//!
 //! Numbers are kept as `f64` on parse — wire payloads carry counts and
 //! small ids, all well inside the 2^53 exact-integer range — and
 //! rendered without a trailing `.0` when integral. Strings are escaped
 //! by [`samm_core::telemetry::write_escaped`], the same escaper the
 //! span JSONL lines use.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -81,9 +97,7 @@ impl Json {
 
     /// The numeric payload as a `u64`, when integral and in range.
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64().and_then(|n| {
-            (n.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&n)).then_some(n as u64)
-        })
+        self.as_f64().and_then(f64_as_u64)
     }
 
     /// The boolean payload, if this is a boolean.
@@ -197,29 +211,114 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 /// so input that is not UTF-8 is an `invalid UTF-8` error, never a
 /// silently replaced character.
 pub fn parse_bytes(input: &[u8]) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: input,
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.error("trailing characters after JSON value"));
-    }
+    let mut lex = Lexer::new(input);
+    let value = tree(&mut lex, 0)?;
+    lex.finish()?;
     Ok(value)
+}
+
+/// The tree builder: reads the value at the lexer's position into a
+/// [`Json`].
+fn tree(lex: &mut Lexer<'_>, depth: usize) -> Result<Json, ParseError> {
+    Ok(match lex.token(depth)? {
+        Token::Null => Json::Null,
+        Token::Bool(b) => Json::Bool(b),
+        Token::Num(n) => Json::Num(n),
+        Token::Str(s) => Json::Str(s.into_owned()),
+        Token::Arr => {
+            let mut items = Vec::new();
+            lex.array(depth, |lex, depth| {
+                items.push(tree(lex, depth)?);
+                Ok(())
+            })?;
+            Json::Arr(items)
+        }
+        Token::Obj => {
+            let mut map = BTreeMap::new();
+            lex.object(depth, |lex, key, depth| {
+                let value = tree(lex, depth)?;
+                map.insert(key.into_owned(), value);
+                Ok(())
+            })?;
+            Json::Obj(map)
+        }
+    })
+}
+
+/// A number's payload as a `u64`, when integral and in range: the one
+/// reading of every count and index a request carries.
+pub(crate) fn f64_as_u64(n: f64) -> Option<u64> {
+    (n.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&n)).then_some(n as u64)
+}
+
+/// Whether `b` ends a string run: the closing `"`, an escape's `\`, or
+/// a control byte, which a string may not hold.
+fn ends_run(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
 }
 
 /// Nesting depth bound: malformed deeply-nested input must not blow the
 /// stack of a service worker.
 const MAX_DEPTH: usize = 64;
 
-struct Parser<'a> {
+/// The first token of a JSON value, as [`Lexer::token`] reads it: a
+/// scalar whole, a container only by its opening bracket.
+#[derive(Default, PartialEq)]
+pub(crate) enum Token<'a> {
+    /// `null`.
+    #[default]
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number.
+    Num(f64),
+    /// A string, borrowed from the input unless it held an escape.
+    Str(Cow<'a, str>),
+    /// An array's `[`, not yet consumed.
+    Arr,
+    /// An object's `{`, not yet consumed.
+    Obj,
+}
+
+/// The one JSON lexer, under two builders: [`tree`] (the [`Json`]
+/// values of [`parse_bytes`]) and `protocol`'s request builder, which
+/// reads a request line straight into an `Envelope`. Both walk
+/// containers with [`Lexer::array`] and [`Lexer::object`], so a syntax
+/// error is reported with the same message at the same byte offset
+/// whichever builder reads the input, and both bound nesting by
+/// [`MAX_DEPTH`].
+pub(crate) struct Lexer<'a> {
     bytes: &'a [u8],
+    /// `bytes` as text when all of it is UTF-8, as it is unless the
+    /// input is broken: a string is then sliced out of it, not checked
+    /// again run by run.
+    text: Option<&'a str>,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Lexer<'a> {
+    /// A lexer at the first value of `bytes`, past leading whitespace.
+    #[inline]
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        let mut lex = Lexer {
+            bytes,
+            text: std::str::from_utf8(bytes).ok(),
+            pos: 0,
+        };
+        lex.skip_ws();
+        lex
+    }
+
+    /// Checks that only whitespace follows the value just read.
+    #[inline]
+    pub(crate) fn finish(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.error("trailing characters after JSON value"));
+        }
+        Ok(())
+    }
+
     fn error(&self, message: &str) -> ParseError {
         ParseError {
             message: message.to_owned(),
@@ -227,16 +326,19 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn eat(&mut self, expected: u8) -> Result<(), ParseError> {
         if self.peek() == Some(expected) {
             self.pos += 1;
@@ -246,62 +348,103 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_literal(&mut self, literal: &str, value: Json) -> Result<Json, ParseError> {
+    #[inline]
+    fn literal(&mut self, literal: &str, token: Token<'a>) -> Result<Token<'a>, ParseError> {
         if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
             self.pos += literal.len();
-            Ok(value)
+            Ok(token)
         } else {
             Err(self.error(&format!("expected '{literal}'")))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
+    /// Reads the first token of the value at `depth` (0 for the whole
+    /// input): a scalar is consumed, a container's bracket is not — walk
+    /// it with [`Lexer::array`] or [`Lexer::object`], or skip it with
+    /// [`Lexer::skip_container`].
+    #[inline]
+    pub(crate) fn token(&mut self, depth: usize) -> Result<Token<'a>, ParseError> {
         if depth > MAX_DEPTH {
             return Err(self.error("nesting too deep"));
         }
         match self.peek() {
-            Some(b'n') => self.eat_literal("null", Json::Null),
-            Some(b't') => self.eat_literal("true", Json::Bool(true)),
-            Some(b'f') => self.eat_literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'n') => self.literal("null", Token::Null),
+            Some(b't') => self.literal("true", Token::Bool(true)),
+            Some(b'f') => self.literal("false", Token::Bool(false)),
+            Some(b'"') => self.string().map(Token::Str),
+            Some(b'[') => Ok(Token::Arr),
+            Some(b'{') => Ok(Token::Obj),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number().map(Token::Num),
             Some(_) => Err(self.error("unexpected character")),
             None => Err(self.error("unexpected end of input")),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
+    /// Reads the value at `depth` whole and returns its first token: a
+    /// container is walked and checked, not built.
+    #[inline]
+    pub(crate) fn value(&mut self, depth: usize) -> Result<Token<'a>, ParseError> {
+        let token = self.token(depth)?;
+        self.skip_container(&token, depth)?;
+        Ok(token)
+    }
+
+    /// Walks and checks the container whose opening `token` was just
+    /// read at `depth`, building nothing; a no-op after a scalar.
+    #[inline]
+    pub(crate) fn skip_container(
+        &mut self,
+        token: &Token<'a>,
+        depth: usize,
+    ) -> Result<(), ParseError> {
+        match token {
+            Token::Arr => self.array(depth, |lex, depth| lex.value(depth).map(drop)),
+            Token::Obj => self.object(depth, |lex, _, depth| lex.value(depth).map(drop)),
+            _ => Ok(()),
+        }
+    }
+
+    /// Walks the array at `depth` whose `[` is next: `element` reads
+    /// each element, at `depth + 1`, from its first byte.
+    pub(crate) fn array(
+        &mut self,
+        depth: usize,
+        mut element: impl FnMut(&mut Self, usize) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
         self.eat(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            element(self, depth + 1)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
                 _ => return Err(self.error("expected ',' or ']'")),
             }
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
+    /// Walks the object at `depth` whose `{` is next: `member` reads
+    /// each member's value, at `depth + 1`, given its decoded key.
+    /// Members come in input order, duplicates included.
+    pub(crate) fn object(
+        &mut self,
+        depth: usize,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>, usize) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
         self.eat(b'{')?;
-        let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(map));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -309,21 +452,22 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            map.insert(key, value);
+            member(self, key, depth + 1)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(map));
+                    return Ok(());
                 }
                 _ => return Err(self.error("expected ',' or '}'")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// Reads a string, borrowing it from the input when it holds no
+    /// escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
@@ -334,21 +478,30 @@ impl<'a> Parser<'a> {
             // checkable chunk — validating per run instead of per
             // character keeps parsing linear in the input size.
             let start = self.pos;
-            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
-                self.pos += 1;
-            }
-            if self.pos > start {
-                let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.error("invalid UTF-8"))?;
-                out.push_str(run);
-            }
+            let rest = &self.bytes[start..];
+            self.pos += rest.iter().position(|&b| ends_run(b)).unwrap_or(rest.len());
+            let bytes: &'a [u8] = self.bytes;
+            // A run starts after an ASCII byte and ends at one or at the
+            // end of the input, so it is a char-boundary slice of `text`.
+            let run = self
+                .text
+                .and_then(|text| text.get(start..self.pos))
+                .map_or_else(|| std::str::from_utf8(&bytes[start..self.pos]), Ok)
+                .map_err(|_| self.error("invalid UTF-8"))?;
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    // Every escape pushes a character, so an empty
+                    // `out` means the string is this one run.
+                    if out.is_empty() {
+                        return Ok(Cow::Borrowed(run));
+                    }
+                    out.push_str(run);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
+                    out.push_str(run);
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -385,7 +538,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, ParseError> {
+    fn number(&mut self) -> Result<f64, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -411,7 +564,6 @@ impl<'a> Parser<'a> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.error("invalid number"))?;
         text.parse::<f64>()
-            .map(Json::Num)
             .map_err(|_| self.error("invalid number"))
     }
 }

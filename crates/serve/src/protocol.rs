@@ -5,13 +5,22 @@
 //! line. `docs/SERVICE.md` documents the schemas; this module holds the
 //! typed [`Request`] parsed from a line and the [`ServiceError`] shape
 //! every failure is reported in.
+//!
+//! [`parse_envelope_bytes`] is the second builder on `json`'s one lexer
+//! (the first builds [`Json`] trees): it reads a line straight into an
+//! [`Envelope`]. It matches the known keys as it meets them, walks a
+//! batch's `requests` array in place, and allocates only the strings
+//! the envelope keeps. The whole line is read before any field is
+//! judged, so a syntax error anywhere makes the line malformed. Unknown
+//! keys are ignored but must hold valid JSON, and the last of repeated
+//! keys wins.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::mem::take;
 
 use samm_core::telemetry::trace::TraceContext;
 
-use crate::json::{self, Json};
+use crate::json::{self, Json, Lexer, ParseError, Token};
 
 /// The engine every enumeration runs on (`samm_core::pruned`), as
 /// echoed in enumerate responses.
@@ -204,69 +213,6 @@ impl fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// A request object's fields, consumed as the request is parsed.
-type Fields = BTreeMap<String, Json>;
-
-/// Moves the string field `key` out of the request object.
-fn required_str(obj: &mut Fields, key: &str) -> Result<String, ServiceError> {
-    match obj.remove(key) {
-        Some(Json::Str(s)) => Ok(s),
-        _ => Err(ServiceError::new(
-            ErrorKind::Malformed,
-            format!("missing or non-string field '{key}'"),
-        )),
-    }
-}
-
-fn optional_u64(obj: &Fields, key: &str) -> Result<Option<u64>, ServiceError> {
-    match obj.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-            ServiceError::new(
-                ErrorKind::Malformed,
-                format!("field '{key}' must be a non-negative integer"),
-            )
-        }),
-    }
-}
-
-fn optional_bool(obj: &Fields, key: &str) -> Result<bool, ServiceError> {
-    match obj.get(key) {
-        None | Some(Json::Null) => Ok(false),
-        Some(Json::Bool(b)) => Ok(*b),
-        Some(_) => Err(ServiceError::new(
-            ErrorKind::Malformed,
-            format!("field '{key}' must be a boolean"),
-        )),
-    }
-}
-
-/// Moves the optional string `id` out of the request object.
-fn optional_id(obj: &mut Fields) -> Result<Option<String>, ServiceError> {
-    match obj.remove("id") {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Str(id)) => Ok(Some(id)),
-        Some(_) => Err(ServiceError::new(
-            ErrorKind::Malformed,
-            "field 'id' must be a string",
-        )),
-    }
-}
-
-/// Validates the optional legacy `engine` field: one of
-/// [`LEGACY_ENGINES`] is accepted and ignored, anything else is
-/// malformed.
-fn check_engine(obj: &Fields) -> Result<(), ServiceError> {
-    match obj.get("engine") {
-        None | Some(Json::Null) => Ok(()),
-        Some(v) if v.as_str().is_some_and(|e| LEGACY_ENGINES.contains(&e)) => Ok(()),
-        Some(_) => Err(ServiceError::new(
-            ErrorKind::Malformed,
-            "field 'engine' must be \"serial\", \"parallel\" or \"pruned\" (all run the pruned engine)",
-        )),
-    }
-}
-
 /// Parses one request line, discarding any `id` field — see
 /// [`parse_envelope`] for the id-aware entry point the server uses.
 ///
@@ -296,141 +242,335 @@ pub fn parse_envelope(line: &str) -> Result<Envelope, ServiceError> {
 ///
 /// As for [`parse_envelope`].
 pub fn parse_envelope_bytes(line: &[u8]) -> Result<Envelope, ServiceError> {
-    let value = json::parse_bytes(line)
-        .map_err(|e| ServiceError::new(ErrorKind::Malformed, format!("invalid JSON: {e}")))?;
-    let Json::Obj(mut obj) = value else {
-        return Err(ServiceError::new(
+    read_line(line)
+        .map_err(|e| ServiceError::new(ErrorKind::Malformed, format!("invalid JSON: {e}")))?
+}
+
+/// Reads the whole line, then judges its fields: a syntax error
+/// anywhere in the line outranks every schema error.
+fn read_line(line: &[u8]) -> Result<Result<Envelope, ServiceError>, ParseError> {
+    let mut lex = Lexer::new(line);
+    let token = lex.token(0)?;
+    let mut fields = Fields::default();
+    if token == Token::Obj {
+        fields.read(&mut lex, 0)?;
+    } else {
+        lex.skip_container(&token, 0)?;
+    }
+    lex.finish()?;
+    Ok(if token == Token::Obj {
+        fields.envelope()
+    } else {
+        Err(ServiceError::new(
             ErrorKind::Malformed,
             "request must be a JSON object",
-        ));
-    };
-    let id = optional_id(&mut obj)?;
-    let fwd = optional_bool(&obj, "fwd")?;
-    let trace = lenient_trace(&obj);
-    let request = parse_request_obj(obj)?;
-    Ok(Envelope {
-        id,
-        request,
-        fwd,
-        trace,
+        ))
     })
+}
+
+/// A request object's known fields, each the last value its key had
+/// (a missing key reads as `null`). A container value is kept only as
+/// its opening token; `requests` is kept as its slots.
+#[derive(Default)]
+struct Fields<'a> {
+    kind: Token<'a>,
+    test: Token<'a>,
+    model: Token<'a>,
+    id: Token<'a>,
+    budget: Token<'a>,
+    condition: Token<'a>,
+    robust: Token<'a>,
+    engine: Token<'a>,
+    fwd: Token<'a>,
+    trace: Token<'a>,
+    /// The last `requests` value, if it was an array.
+    requests: Option<Slots>,
+}
+
+/// A batch's `requests` array: its length and, for a batch of at most
+/// [`MAX_BATCH`] slots, every slot read.
+struct Slots {
+    count: usize,
+    read: Vec<Result<Envelope, ServiceError>>,
+}
+
+impl<'a> Fields<'a> {
+    /// Reads the object at `depth` whose `{` is next. Unknown keys are
+    /// checked as JSON and skipped.
+    fn read(&mut self, lex: &mut Lexer<'a>, depth: usize) -> Result<(), ParseError> {
+        let fields = self;
+        lex.object(depth, |lex, key, depth| {
+            let field = match &*key {
+                "kind" => &mut fields.kind,
+                "test" => &mut fields.test,
+                "model" => &mut fields.model,
+                "id" => &mut fields.id,
+                "budget" => &mut fields.budget,
+                "condition" => &mut fields.condition,
+                "robust" => &mut fields.robust,
+                "engine" => &mut fields.engine,
+                "fwd" => &mut fields.fwd,
+                "trace" => &mut fields.trace,
+                "requests" => {
+                    fields.requests = Slots::read(lex, depth)?;
+                    return Ok(());
+                }
+                _ => {
+                    lex.value(depth)?;
+                    return Ok(());
+                }
+            };
+            *field = lex.value(depth)?;
+            Ok(())
+        })
+    }
+
+    /// Judges a line's fields: `id`, then `fwd`, then `trace`, then the
+    /// request.
+    fn envelope(&mut self) -> Result<Envelope, ServiceError> {
+        let id = optional_id(take(&mut self.id))?;
+        let fwd = optional_bool(&self.fwd, "fwd")?;
+        let trace = lenient_trace(&self.trace);
+        let request = self.request()?;
+        Ok(Envelope {
+            id,
+            request,
+            fwd,
+            trace,
+        })
+    }
+
+    /// Judges a batch slot's fields: `id`, then `trace`, then the
+    /// request, which may be neither a batch nor a shutdown. A slot's
+    /// `fwd` is ignored.
+    fn slot(&mut self) -> Result<Envelope, ServiceError> {
+        let id = optional_id(take(&mut self.id))?;
+        let trace = lenient_trace(&self.trace);
+        match self.request()? {
+            Request::Batch(_) => Err(ServiceError::new(
+                ErrorKind::Malformed,
+                "batches do not nest",
+            )),
+            Request::Shutdown => Err(ServiceError::new(
+                ErrorKind::Malformed,
+                "'shutdown' is not allowed inside a batch",
+            )),
+            request => Ok(Envelope {
+                id,
+                request,
+                fwd: false,
+                trace,
+            }),
+        }
+    }
+
+    /// Judges the request itself, moving its strings into the
+    /// [`Request`].
+    fn request(&mut self) -> Result<Request, ServiceError> {
+        let Token::Str(kind) = &self.kind else {
+            return Err(missing_str("kind"));
+        };
+        let kind: &str = kind;
+        match kind {
+            "batch" => {
+                let Some(slots) = self.requests.take() else {
+                    return Err(ServiceError::new(
+                        ErrorKind::Malformed,
+                        "batch requires a 'requests' array",
+                    ));
+                };
+                if slots.count == 0 {
+                    return Err(ServiceError::new(
+                        ErrorKind::Malformed,
+                        "batch 'requests' must not be empty",
+                    ));
+                }
+                if slots.count > MAX_BATCH {
+                    return Err(ServiceError::new(
+                        ErrorKind::Malformed,
+                        format!(
+                            "batch carries {} sub-requests; the limit is {MAX_BATCH}",
+                            slots.count
+                        ),
+                    ));
+                }
+                Ok(Request::Batch(slots.read))
+            }
+            "enumerate" => {
+                check_engine(&self.engine)?;
+                Ok(Request::Enumerate {
+                    test: required_str(take(&mut self.test), "test")?,
+                    model: required_str(take(&mut self.model), "model")?,
+                    budget: optional_u64(&self.budget, "budget")?,
+                })
+            }
+            "verdict" => {
+                check_engine(&self.engine)?;
+                Ok(Request::Verdict {
+                    test: required_str(take(&mut self.test), "test")?,
+                    budget: optional_u64(&self.budget, "budget")?,
+                })
+            }
+            "witness" | "refutation" => {
+                let test = required_str(take(&mut self.test), "test")?;
+                let model = required_str(take(&mut self.model), "model")?;
+                let condition = optional_u64(&self.condition, "condition")?.unwrap_or(0) as usize;
+                let budget = optional_u64(&self.budget, "budget")?;
+                Ok(if kind == "witness" {
+                    Request::Witness {
+                        test,
+                        model,
+                        condition,
+                        budget,
+                    }
+                } else {
+                    Request::Refutation {
+                        test,
+                        model,
+                        condition,
+                        budget,
+                    }
+                })
+            }
+            "certify" => Ok(Request::Certify {
+                test: required_str(take(&mut self.test), "test")?,
+                model: required_str(take(&mut self.model), "model")?,
+                robust: optional_bool(&self.robust, "robust")?,
+            }),
+            "metrics" => Ok(Request::Metrics),
+            "metrics_cluster" => Ok(Request::MetricsCluster),
+            "metrics_prom" => Ok(Request::MetricsProm),
+            "shutdown" => Ok(Request::Shutdown),
+            other => Err(ServiceError::new(
+                ErrorKind::UnknownKind,
+                format!("unknown request kind '{other}'"),
+            )),
+        }
+    }
+}
+
+impl Slots {
+    /// Reads the `requests` value at `depth`: `None` unless it is an
+    /// array. Past [`MAX_BATCH`] slots, slots are only counted and
+    /// checked as JSON: an oversized batch is refused by its count.
+    fn read(lex: &mut Lexer<'_>, depth: usize) -> Result<Option<Slots>, ParseError> {
+        let token = lex.token(depth)?;
+        if token != Token::Arr {
+            lex.skip_container(&token, depth)?;
+            return Ok(None);
+        }
+        let mut slots = Slots {
+            count: 0,
+            read: Vec::new(),
+        };
+        lex.array(depth, |lex, depth| {
+            slots.count += 1;
+            if slots.count <= MAX_BATCH {
+                slots.read.push(read_slot(lex, depth)?);
+            } else {
+                if slots.count == MAX_BATCH + 1 {
+                    slots.read = Vec::new();
+                }
+                lex.value(depth)?;
+            }
+            Ok(())
+        })?;
+        Ok(Some(slots))
+    }
+}
+
+/// Reads and judges one batch slot at `depth`.
+fn read_slot(
+    lex: &mut Lexer<'_>,
+    depth: usize,
+) -> Result<Result<Envelope, ServiceError>, ParseError> {
+    let token = lex.token(depth)?;
+    if token != Token::Obj {
+        lex.skip_container(&token, depth)?;
+        return Ok(Err(ServiceError::new(
+            ErrorKind::Malformed,
+            "batch sub-request must be a JSON object",
+        )));
+    }
+    let mut fields = Fields::default();
+    fields.read(lex, depth)?;
+    Ok(fields.slot())
+}
+
+/// A required string field, moved out of its token.
+fn required_str(value: Token<'_>, key: &str) -> Result<String, ServiceError> {
+    match value {
+        Token::Str(s) => Ok(s.into_owned()),
+        _ => Err(missing_str(key)),
+    }
+}
+
+fn missing_str(key: &str) -> ServiceError {
+    ServiceError::new(
+        ErrorKind::Malformed,
+        format!("missing or non-string field '{key}'"),
+    )
+}
+
+/// An optional count: read as `f64`, then accepted when integral and
+/// in range, so `1e2`, `1.0`, `01` and `-0` are counts too.
+fn optional_u64(value: &Token<'_>, key: &str) -> Result<Option<u64>, ServiceError> {
+    let count = match value {
+        Token::Null => return Ok(None),
+        Token::Num(n) => json::f64_as_u64(*n),
+        _ => None,
+    };
+    count.map(Some).ok_or_else(|| {
+        ServiceError::new(
+            ErrorKind::Malformed,
+            format!("field '{key}' must be a non-negative integer"),
+        )
+    })
+}
+
+fn optional_bool(value: &Token<'_>, key: &str) -> Result<bool, ServiceError> {
+    match value {
+        Token::Null => Ok(false),
+        Token::Bool(b) => Ok(*b),
+        _ => Err(ServiceError::new(
+            ErrorKind::Malformed,
+            format!("field '{key}' must be a boolean"),
+        )),
+    }
+}
+
+fn optional_id(value: Token<'_>) -> Result<Option<String>, ServiceError> {
+    match value {
+        Token::Null => Ok(None),
+        Token::Str(id) => Ok(Some(id.into_owned())),
+        _ => Err(ServiceError::new(
+            ErrorKind::Malformed,
+            "field 'id' must be a string",
+        )),
+    }
+}
+
+/// Validates the optional legacy `engine` field: one of
+/// [`LEGACY_ENGINES`] is accepted and ignored, anything else is
+/// malformed.
+fn check_engine(value: &Token<'_>) -> Result<(), ServiceError> {
+    match value {
+        Token::Null => Ok(()),
+        Token::Str(e) if LEGACY_ENGINES.contains(&&**e) => Ok(()),
+        _ => Err(ServiceError::new(
+            ErrorKind::Malformed,
+            "field 'engine' must be \"serial\", \"parallel\" or \"pruned\" (all run the pruned engine)",
+        )),
+    }
 }
 
 /// Decodes the optional `trace` field. Deliberately infallible: any
 /// malformation (wrong type, bad hex, wrong shape) degrades to `None`
 /// so the request proceeds under a fresh root span.
-fn lenient_trace(obj: &Fields) -> Option<TraceContext> {
-    obj.get("trace")
-        .and_then(Json::as_str)
-        .and_then(TraceContext::parse)
-}
-
-fn parse_sub_envelope(value: Json) -> Result<Envelope, ServiceError> {
-    let Json::Obj(mut obj) = value else {
-        return Err(ServiceError::new(
-            ErrorKind::Malformed,
-            "batch sub-request must be a JSON object",
-        ));
-    };
-    let id = optional_id(&mut obj)?;
-    let trace = lenient_trace(&obj);
-    match parse_request_obj(obj)? {
-        Request::Batch(_) => Err(ServiceError::new(
-            ErrorKind::Malformed,
-            "batches do not nest",
-        )),
-        Request::Shutdown => Err(ServiceError::new(
-            ErrorKind::Malformed,
-            "'shutdown' is not allowed inside a batch",
-        )),
-        request => Ok(Envelope {
-            id,
-            request,
-            fwd: false,
-            trace,
-        }),
-    }
-}
-
-/// Parses a request object, moving its strings into the [`Request`].
-fn parse_request_obj(mut obj: Fields) -> Result<Request, ServiceError> {
-    let kind = required_str(&mut obj, "kind")?;
-    match kind.as_str() {
-        "batch" => {
-            let Some(Json::Arr(subs)) = obj.remove("requests") else {
-                return Err(ServiceError::new(
-                    ErrorKind::Malformed,
-                    "batch requires a 'requests' array",
-                ));
-            };
-            if subs.is_empty() {
-                return Err(ServiceError::new(
-                    ErrorKind::Malformed,
-                    "batch 'requests' must not be empty",
-                ));
-            }
-            if subs.len() > MAX_BATCH {
-                return Err(ServiceError::new(
-                    ErrorKind::Malformed,
-                    format!(
-                        "batch carries {} sub-requests; the limit is {MAX_BATCH}",
-                        subs.len()
-                    ),
-                ));
-            }
-            Ok(Request::Batch(
-                subs.into_iter().map(parse_sub_envelope).collect(),
-            ))
-        }
-        "enumerate" => {
-            check_engine(&obj)?;
-            Ok(Request::Enumerate {
-                test: required_str(&mut obj, "test")?,
-                model: required_str(&mut obj, "model")?,
-                budget: optional_u64(&obj, "budget")?,
-            })
-        }
-        "verdict" => {
-            check_engine(&obj)?;
-            Ok(Request::Verdict {
-                test: required_str(&mut obj, "test")?,
-                budget: optional_u64(&obj, "budget")?,
-            })
-        }
-        "witness" | "refutation" => {
-            let test = required_str(&mut obj, "test")?;
-            let model = required_str(&mut obj, "model")?;
-            let condition = optional_u64(&obj, "condition")?.unwrap_or(0) as usize;
-            let budget = optional_u64(&obj, "budget")?;
-            Ok(if kind == "witness" {
-                Request::Witness {
-                    test,
-                    model,
-                    condition,
-                    budget,
-                }
-            } else {
-                Request::Refutation {
-                    test,
-                    model,
-                    condition,
-                    budget,
-                }
-            })
-        }
-        "certify" => Ok(Request::Certify {
-            test: required_str(&mut obj, "test")?,
-            model: required_str(&mut obj, "model")?,
-            robust: optional_bool(&obj, "robust")?,
-        }),
-        "metrics" => Ok(Request::Metrics),
-        "metrics_cluster" => Ok(Request::MetricsCluster),
-        "metrics_prom" => Ok(Request::MetricsProm),
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(ServiceError::new(
-            ErrorKind::UnknownKind,
-            format!("unknown request kind '{other}'"),
-        )),
+fn lenient_trace(value: &Token<'_>) -> Option<TraceContext> {
+    match value {
+        Token::Str(s) => TraceContext::parse(s),
+        _ => None,
     }
 }
 
@@ -791,6 +931,96 @@ mod tests {
             assert_eq!(env.trace, None, "{line}");
             assert_eq!(env.request, Request::Metrics, "{line}");
         }
+    }
+
+    /// The request grammar `docs/SERVICE.md` states, case by case.
+    #[test]
+    fn repeated_keys_take_the_last_value() {
+        assert_eq!(
+            parse_request(r#"{"kind":"verdict","test":"SB","kind":"metrics"}"#).unwrap(),
+            Request::Metrics
+        );
+        let env = parse_envelope(r#"{"id":7,"kind":"metrics","id":"b"}"#).unwrap();
+        assert_eq!(env.id.as_deref(), Some("b"));
+        let err = parse_envelope(r#"{"id":"a","kind":"metrics","id":7}"#).unwrap_err();
+        assert_eq!(err.message, "field 'id' must be a string");
+        let line = r#"{"kind":"batch","requests":[{"kind":"metrics"}],"requests":7}"#;
+        let err = parse_request(line).unwrap_err();
+        assert_eq!(err.message, "batch requires a 'requests' array");
+    }
+
+    #[test]
+    fn counts_are_numbers_read_as_f64() {
+        for (spelling, count) in [("1e2", 100), ("1.0", 1), ("01", 1), ("-0", 0), ("1E+1", 10)] {
+            let line = format!(r#"{{"kind":"verdict","test":"SB","budget":{spelling}}}"#);
+            assert_eq!(
+                parse_request(&line).unwrap(),
+                Request::Verdict {
+                    test: "SB".into(),
+                    budget: Some(count),
+                },
+                "{spelling}"
+            );
+        }
+        for spelling in ["1.5", "-1", "\"1\"", "true", "[]", "9007199254740994"] {
+            let line =
+                format!(r#"{{"kind":"witness","test":"SB","model":"TSO","condition":{spelling}}}"#);
+            let err = parse_request(&line).unwrap_err();
+            assert_eq!(
+                err.message, "field 'condition' must be a non-negative integer",
+                "{spelling}"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_keys_are_ignored_but_must_be_json() {
+        let plain = parse_envelope(r#"{"kind":"metrics"}"#).unwrap();
+        let line = r#"{"x":{"a":[1,{"b":null}]},"kind":"metrics","\u00e9":"\n"}"#;
+        assert_eq!(parse_envelope(line).unwrap(), plain);
+        let err = parse_envelope(r#"{"x":[1,],"kind":"metrics"}"#).unwrap_err();
+        assert_eq!(err.message, "invalid JSON: unexpected character at byte 8");
+        let deep = format!(
+            r#"{{"kind":"metrics","x":{}1{}}}"#,
+            "[".repeat(64),
+            "]".repeat(64)
+        );
+        let err = parse_envelope(&deep).unwrap_err();
+        assert_eq!(err.message, "invalid JSON: nesting too deep at byte 86");
+    }
+
+    #[test]
+    fn escaped_names_and_ids_are_decoded() {
+        let env = parse_envelope(
+            r#"{"\u006bind":"enum\u0065rate","test":"S\u0042","mod\u0065l":"TSO","id":"a\"\\\/\n\u00e9"}"#,
+        )
+        .unwrap();
+        assert_eq!(env.id.as_deref(), Some("a\"\\/\n\u{e9}"));
+        assert_eq!(
+            env.request,
+            Request::Enumerate {
+                test: "SB".into(),
+                model: "TSO".into(),
+                budget: None,
+            }
+        );
+    }
+
+    /// A syntax error anywhere outranks every schema error before it.
+    #[test]
+    fn the_whole_line_is_read_before_any_field_is_judged() {
+        let err = parse_envelope(r#"{"id":7,"kind":"metrics",}"#).unwrap_err();
+        assert_eq!(err.message, "invalid JSON: expected '\"' at byte 25");
+        let err = parse_envelope(r#"{"kind":"frob"} x"#).unwrap_err();
+        assert_eq!(
+            err.message,
+            "invalid JSON: trailing characters after JSON value at byte 16"
+        );
+        let line = r#"{"kind":"batch","requests":[{"kind":"metrics"},{"kind":"metrics"]}"#;
+        let err = parse_envelope(line).unwrap_err();
+        assert_eq!(err.message, "invalid JSON: expected ',' or '}' at byte 64");
+        let err = parse_envelope("[1,2] ").unwrap_err();
+        assert_eq!(err.message, "request must be a JSON object");
     }
 
     #[test]

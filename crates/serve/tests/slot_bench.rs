@@ -3,8 +3,9 @@
 //! served slot into the stages the server runs: envelope parse, query
 //! resolve (catalog name lookup and a row of the start-up resolution
 //! table, beside the per-request resolution it replaced), cache probe
-//! and the byte writer; then times the whole served inline hit, a served
-//! 32-slot batch line, and a client's parse of the answer. The other
+//! and the byte writer; then times the whole served inline hit, the
+//! parse of a 32-slot batch line and its serving, and a client's parse
+//! of the answer. The other
 //! tests time the pieces
 //! that have historically regressed (catalog lookup, `EnumConfig`
 //! construction, cache-hit clone, telemetry record).
@@ -117,6 +118,12 @@ fn slot_cost() {
     );
     let batch_env = parse_envelope(&batch).unwrap();
     let per_slot = |us: f64| us / 32.0;
+    let parse = time_us(n / 32, || parse_envelope(&batch).unwrap());
+    println!(
+        "batch32 parse:    {parse:.1}us ({:.2}us per slot, {}B line)",
+        per_slot(parse),
+        batch.len()
+    );
     let served = time_us(n / 32, || {
         out.clear();
         serve_envelope(&state, &batch_env, &mut out);
