@@ -74,48 +74,6 @@ fn experiment_figures() {
     println!("\nfigure verdicts: {pass}/{total} match the paper");
 }
 
-/// Writes DOT renderings of each paper figure's key execution to
-/// `target/figures/` (render with `dot -Tpng`).
-fn emit_figure_dots() {
-    use samm_core::dot::{render, DotOptions};
-    let dir = std::path::Path::new("target/figures");
-    if std::fs::create_dir_all(dir).is_err() {
-        eprintln!("cannot create {}; skipping DOT output", dir.display());
-        return;
-    }
-    let cases = [
-        (catalog::fig3(), ModelSel::Weak, 1usize),
-        (catalog::fig4(), ModelSel::Weak, 2),
-        (catalog::fig5(), ModelSel::Weak, 1),
-        (catalog::fig7(), ModelSel::Weak, 0),
-        (catalog::fig8(), ModelSel::WeakSpec, 0),
-        (catalog::fig10(), ModelSel::Tso, 0),
-    ];
-    for (entry, model, cond_index) in cases {
-        let result = enumerate_pruned(&entry.test.program, &model.policy(), &EnumConfig::default())
-            .expect("enumeration succeeds");
-        let cond = &entry.test.conditions[cond_index];
-        if let Some(exec) = result
-            .executions
-            .iter()
-            .find(|b| cond.matches(&b.outcome()))
-        {
-            let dot = render(
-                exec,
-                &DotOptions {
-                    title: format!("{} under {} ({})", entry.test.name, model.name(), cond.text),
-                    loads_and_stores_only: true,
-                    ..DotOptions::default()
-                },
-            );
-            let path = dir.join(format!("{}_{}.dot", entry.test.name, model.name()));
-            if std::fs::write(&path, dot).is_ok() {
-                println!("wrote {}", path.display());
-            }
-        }
-    }
-}
-
 /// The classic litmus suite across all models.
 fn experiment_classics() {
     heading("classic litmus suite (verdict matrix)");
@@ -391,7 +349,6 @@ fn main() {
     println!("samm experiments — reproducing 'Memory Model = Instruction Reordering + Store Atomicity' (ISCA 2006)");
     experiment_tables();
     experiment_figures();
-    emit_figure_dots();
     experiment_classics();
     experiment_bracketing();
     experiment_speculation();

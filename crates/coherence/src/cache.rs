@@ -141,11 +141,6 @@ impl L1Cache {
             _ => None,
         }
     }
-
-    /// Number of valid lines (for stats).
-    pub fn valid_lines(&self) -> usize {
-        self.lines.len()
-    }
 }
 
 #[cfg(test)]

@@ -147,12 +147,6 @@ impl BitSet {
         );
     }
 
-    /// Makes `self` an exact copy of `other`, reusing its storage.
-    pub fn copy_from(&mut self, other: &BitSet) {
-        self.words.clear();
-        self.words.extend_from_slice(&other.words);
-    }
-
     /// Makes `self` the set encoded by `words`, reusing its storage.
     pub fn copy_from_words(&mut self, words: &[u64]) {
         self.words.clear();

@@ -284,11 +284,6 @@ impl Behavior {
         }
     }
 
-    /// Number of registers a thread's program uses.
-    pub fn register_count(&self, thread: usize) -> usize {
-        self.threads[thread].regs.len()
-    }
-
     /// Number of program threads (excluding the init pseudo-thread).
     pub fn thread_count(&self) -> usize {
         self.threads.len()

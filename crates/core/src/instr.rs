@@ -394,11 +394,6 @@ impl Program {
     pub fn set_init(&mut self, addr: Addr, value: Value) {
         self.init.insert(addr, value);
     }
-
-    /// Total static instruction count across all threads.
-    pub fn instr_count(&self) -> usize {
-        self.threads.iter().map(ThreadProgram::len).sum()
-    }
 }
 
 #[cfg(test)]

@@ -3,18 +3,20 @@
 //! The [`handler`](crate::handler) executes every request into an
 //! `Answer`: a typed `enumerate` answer (the resolved [`EnumQuery`] and
 //! the cache entry it found or filled), a typed `verdict` answer (the
-//! entry's plan runs' answers), a batch of slot answers, or — for every
-//! other kind, every error and every answer a cluster peer produced — a
-//! [`Json`] tree. One renderer writes it: `Answer::write_line`, behind
+//! entry's plan runs' answers), a batch of slot answers, an `enumerate`
+//! answer a cluster peer wrote ([`Relayed`]: the owner's bytes, checked
+//! by [`cluster::relay`](crate::cluster::relay)), or — for every other
+//! kind and every error — a [`Json`] tree. One renderer writes it:
+//! `Answer::write_line`, behind
 //! [`serve_envelope`](crate::handler::serve_envelope) and
 //! [`serve_hit`](crate::handler::serve_hit), appends the response line
 //! to a byte buffer. Enumerate and verdict answers and batch frames are
 //! written field by field in the wire's sorted key order, splicing
 //! pre-rendered fragments in place: the cache entry's `outcomes` and
 //! `stats`, and each verdict row's constant bytes, rendered once with
-//! its entry's `ServedPlan`; trees go through [`Json`]'s one renderer.
-//! The committed transcript `tests/golden/answers.jsonl` pins the bytes
-//! it writes.
+//! its entry's `ServedPlan`; a relayed answer is copied as it stands;
+//! trees go through [`Json`]'s one renderer. The committed transcript
+//! `tests/golden/answers.jsonl` pins the bytes it writes.
 
 use std::sync::Arc;
 
@@ -29,7 +31,7 @@ use samm_litmus::expect::{RunAnswer, VerdictPlan};
 
 use crate::handler::{catalog, ServerState};
 use crate::json::{ByteSink, Json};
-use crate::protocol::{ServiceError, ENGINE};
+use crate::protocol::{Request, ServiceError, ENGINE};
 use crate::telemetry::ReqOutcome;
 
 /// One row of the server's resolution table: a (catalog entry, model)
@@ -95,6 +97,19 @@ impl EnumQuery {
             row,
             budget,
         })
+    }
+
+    /// The query of `request` when it is an `enumerate` that resolves.
+    pub(crate) fn of(state: &ServerState, request: &Request) -> Option<EnumQuery> {
+        let Request::Enumerate {
+            test,
+            model,
+            budget,
+        } = request
+        else {
+            return None;
+        };
+        EnumQuery::resolve(state, test, model, *budget).ok()
     }
 
     /// The cache key of this query's answer.
@@ -257,18 +272,26 @@ pub(crate) enum Body {
     /// A batch: its slot answers in request order, and how many of them
     /// failed.
     Batch { failed: usize, slots: Vec<Answer> },
-    /// Any other answer, error or peer reply, as a tree; the `id` field
-    /// is set when it is rendered.
+    /// An `enumerate` the slot's owner answered, which echoes the slot's
+    /// id.
+    Relayed(Relayed),
+    /// Any other answer or error, as a tree; the `id` field is set when
+    /// it is rendered.
     Tree(Json),
+}
+
+/// A cluster peer's `enumerate` answer, relayed as the owner wrote it
+/// with `"forwarded":true` inserted, and how it counts.
+#[derive(Debug)]
+pub struct Relayed {
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) outcome: ReqOutcome,
 }
 
 impl Body {
     /// Whether the answer is a success (`"ok":true`).
     pub(crate) fn is_ok(&self) -> bool {
-        match self {
-            Body::Enumerate { .. } | Body::Verdict { .. } | Body::Batch { .. } => true,
-            Body::Tree(tree) => tree.get("ok").and_then(Json::as_bool) == Some(true),
-        }
+        matches!(self.outcome(), ReqOutcome::Hit | ReqOutcome::Miss)
     }
 
     /// How the answer counts in the per-kind latency telemetry.
@@ -278,6 +301,7 @@ impl Body {
             Body::Enumerate { hit: false, .. } | Body::Verdict { .. } | Body::Batch { .. } => {
                 ReqOutcome::Miss
             }
+            Body::Relayed(relayed) => relayed.outcome,
             Body::Tree(tree) => ReqOutcome::classify(tree),
         }
     }
@@ -285,10 +309,9 @@ impl Body {
 
 /// A request's answer with its effective id.
 pub(crate) struct Answer {
-    /// The client's id, or the one the server assigned. `None` only for
-    /// a batch slot whose tree is complete as it stands: a peer's reply,
-    /// which echoes the slot id it was sent, or a slot that failed to
-    /// parse, which has no id.
+    /// The client's id, or the one the server assigned; a relayed
+    /// answer already holds it. `None` only for a batch slot that has
+    /// none to set: a relayed answer, or a slot that failed to parse.
     pub(crate) id: Option<String>,
     pub(crate) body: Body,
 }
@@ -330,6 +353,7 @@ impl Answer {
                 }
                 out.extend_from_slice(b"]}");
             }
+            Body::Relayed(relayed) => out.extend_from_slice(&relayed.bytes),
             Body::Tree(tree) => with_id(tree, id).write_bytes(out),
         }
     }

@@ -7,21 +7,20 @@
 //! failing sub-request yields a structured error object *in its slot*
 //! and its neighbours still execute.
 //!
-//! In cluster mode, enumerate sub-requests owned by a peer are
-//! regrouped into one forwarded sub-batch per owner (the `fwd` marker
-//! prevents re-forwarding) and the peer's answers are spliced back into
-//! their original slots; an unreachable peer degrades that group to
-//! local execution, never to an error.
+//! In cluster mode, enumerate slots owned by a peer go through the one
+//! forward path, `cluster::Cluster::route`: one forwarded sub-batch per
+//! owner (the `fwd` marker prevents re-forwarding), whose checked
+//! answers fill their original slots as the owner wrote them, plus
+//! `"forwarded":true`. A group whose owner is unreachable or whose reply
+//! fails the check is answered locally, never with an error.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
-use samm_core::telemetry::trace::{ActiveSpan, SpanKind};
+use samm_core::telemetry::trace::ActiveSpan;
 
-use crate::answer::{Answer, Body, EnumQuery};
+use crate::answer::{Answer, Body};
 use crate::handler::{error_response, handle_sub, ServerState};
-use crate::json::Json;
-use crate::protocol::{Envelope, Request, ServiceError};
+use crate::protocol::{Envelope, ServiceError};
 
 /// Executes a parsed batch. `fwd` marks a batch that already crossed
 /// one cluster hop: its sub-requests are answered locally. `parent_id`
@@ -37,113 +36,40 @@ pub(crate) fn execute(
 ) -> Body {
     state.telemetry.batch_sizes.record(subs.len() as u64);
     let ctx = span.map(ActiveSpan::context);
-    let mut spliced: Vec<Option<Json>> = vec![None; subs.len()];
 
     // Distinct per-slot ids, echoed in each slot's response: the
     // client's own id wins, otherwise the slot index under the batch's
     // id. Forwarded sub-envelopes carry them so peers echo the same id.
-    let slot_ids: Vec<Option<String>> = subs
+    let slots: Vec<Option<(&Envelope, String)>> = subs
         .iter()
         .enumerate()
-        .map(|(index, slot)| match slot {
-            Ok(env) => Some(
-                env.id
-                    .clone()
-                    .unwrap_or_else(|| format!("{parent_id}.{index}")),
-            ),
-            Err(_) => None,
+        .map(|(index, sub)| {
+            let env = sub.as_ref().ok()?;
+            let id = env.id.clone();
+            Some((env, id.unwrap_or_else(|| format!("{parent_id}.{index}"))))
         })
         .collect();
-
-    // Cluster regrouping: collect peer-owned enumerate slots per owner.
-    if let Some(cluster) = state.cluster.as_ref().filter(|_| !fwd) {
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (index, slot) in subs.iter().enumerate() {
-            // Unresolvable requests execute locally, where they produce
-            // their structured error.
-            let Ok(Envelope {
-                request:
-                    Request::Enumerate {
-                        test,
-                        model,
-                        budget,
-                    },
-                ..
-            }) = slot
-            else {
-                continue;
-            };
-            let Ok(query) = EnumQuery::resolve(state, test, model, *budget) else {
-                continue;
-            };
-            let owner = cluster.owner_of(query.fp);
-            if cluster.node_id(owner) != cluster.self_id() && !state.cache.contains(query.fp) {
-                groups.entry(owner).or_default().push(index);
-            }
-        }
-        for (owner, indices) in groups {
-            let fwd_span = span.map(|s| s.child("forward", SpanKind::Client));
-            let forwarded = Envelope {
-                id: None,
-                request: Request::Batch(
-                    indices
-                        .iter()
-                        .map(|&i| {
-                            subs[i].clone().map(|mut env| {
-                                env.id.clone_from(&slot_ids[i]);
-                                env
-                            })
-                        })
-                        .collect(),
-                ),
-                fwd: true,
-                trace: fwd_span.as_ref().map(ActiveSpan::context),
-            };
-            let count = cluster
-                .forward(owner, &forwarded)
-                .and_then(|reply| splice(&indices, reply, &mut spliced));
-            if let Some(mut fs) = fwd_span {
-                fs.attr("peer", cluster.node_id(owner).to_owned());
-                fs.attr("slots", indices.len() as u64);
-                fs.attr("ok", count.is_some());
-                fs.finish(&state.telemetry);
-            }
-            match count {
-                Some(count) => {
-                    for _ in 0..count {
-                        state.telemetry.note_forward(cluster.node_id(owner));
-                        state.telemetry.forward_hops.record(1);
-                    }
-                }
-                None => {
-                    // Transport failure or a malformed peer reply: the
-                    // slots stay unfilled and execute locally below.
-                    state
-                        .telemetry
-                        .forward_fallbacks
-                        .fetch_add(indices.len() as u64, Ordering::Relaxed);
-                }
-            }
-        }
-    }
+    let mut relayed = match state.cluster.as_ref().filter(|_| !fwd) {
+        Some(cluster) => cluster.route(state, &slots, true, span),
+        None => Vec::new(),
+    };
+    relayed.resize_with(subs.len(), || None);
 
     let mut failed = 0;
     let slots: Vec<Answer> = subs
         .iter()
-        .zip(spliced)
-        .zip(slot_ids)
-        .map(|((slot, spliced), slot_id)| {
-            let answer = match (slot, spliced) {
-                // The peer's reply carries the slot id it was sent.
-                (_, Some(reply)) => Answer {
+        .zip(slots)
+        .zip(relayed)
+        .map(|((sub, slot), relayed)| {
+            let answer = match (sub, relayed) {
+                // The owner's answer echoes the slot id it was sent.
+                (_, Some(relayed)) => Answer {
                     id: None,
-                    body: Body::Tree(reply),
+                    body: Body::Relayed(relayed),
                 },
-                // Slots that already failed one forward attempt run
-                // locally (`fwd` forced) rather than re-routing.
-                (Ok(env), None) => {
-                    let id = slot_id.expect("ok slots have ids");
-                    handle_sub(state, env, true, id, ctx)
+                (Ok(_), None) => {
+                    let (env, id) = slot.expect("ok slots have ids");
+                    handle_sub(state, env, id, ctx)
                 }
                 // A slot that does not parse counts in the request
                 // family as a malformed line does.
@@ -164,36 +90,11 @@ pub(crate) fn execute(
     Body::Batch { failed, slots }
 }
 
-/// Splices a peer's batch reply back into the origin slots, marking
-/// each `forwarded`. Returns the number of slots filled, or `None` when
-/// the reply does not line up (the caller then falls back to local
-/// execution for the whole group).
-fn splice(indices: &[usize], reply: Json, spliced: &mut [Option<Json>]) -> Option<usize> {
-    if reply.get("ok").and_then(Json::as_bool) != Some(true) {
-        return None;
-    }
-    let Json::Obj(mut reply) = reply else {
-        return None;
-    };
-    let Some(Json::Arr(peer_responses)) = reply.remove("responses") else {
-        return None;
-    };
-    if peer_responses.len() != indices.len() {
-        return None;
-    }
-    for (&index, mut response) in indices.iter().zip(peer_responses) {
-        if let Json::Obj(map) = &mut response {
-            map.insert("forwarded".to_owned(), Json::Bool(true));
-        }
-        spliced[index] = Some(response);
-    }
-    Some(indices.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::handler::handle_envelope;
+    use crate::json::Json;
     use crate::protocol::parse_envelope;
     use samm_core::cache::EnumCache;
 

@@ -7,23 +7,32 @@
 //! everyone agrees on. A node answers keys it owns (or already has
 //! cached) locally and forwards the rest to the owner over the ordinary
 //! wire protocol with the `fwd` marker set — the owner never forwards
-//! again, so disagreeing ring views (mid-drain) cannot loop. A peer
-//! that fails a forward is marked dead for [`DEAD_RETRY`] and its ring
-//! arcs fall to their successors; the failed request is answered
-//! locally (fallback), so a draining or crashed node degrades service
-//! to local-compute rather than errors.
+//! again, so disagreeing ring views (mid-drain) cannot loop.
+//! `Cluster::route` is the one forward path, for a top-level
+//! `enumerate` and a batch's slots alike; it relays the owner's answer
+//! bytes once [`relay`] has checked them on the shared JSON lexer. A
+//! peer that fails a forward is marked dead for [`DEAD_RETRY`] and its
+//! ring arcs fall to their successors. The failed request, like one
+//! whose reply fails the check, is answered locally (fallback), so a
+//! draining or crashed node degrades service to local-compute rather
+//! than errors.
 
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use samm_core::fingerprint::Fingerprint;
+use samm_core::telemetry::trace::{ActiveSpan, SpanKind};
 
+use crate::answer::{EnumQuery, Relayed};
 use crate::client::Client;
-use crate::json::Json;
-use crate::protocol::{render_envelope, Envelope};
+use crate::handler::ServerState;
+use crate::json::{Lexer, ParseError, Token};
+use crate::protocol::{render_envelope, Envelope, Request};
 use crate::ring::HashRing;
+use crate::telemetry::ReqOutcome;
 
 /// How long a peer stays dead after a failed forward before the next
 /// forward attempt probes it again (half-open).
@@ -207,79 +216,123 @@ impl Cluster {
         self.owner_of(fp) == self.self_index
     }
 
-    fn mark_dead(&self, index: usize) {
+    /// Marks peer `index` dead from now on, or alive again.
+    fn mark(&self, index: usize, dead: bool) {
         *self.peers[index]
             .last_failure
             .lock()
-            .expect("peer liveness poisoned") = Some(Instant::now());
+            .expect("peer liveness poisoned") = dead.then(Instant::now);
     }
 
-    fn mark_alive(&self, index: usize) {
-        *self.peers[index]
-            .last_failure
-            .lock()
-            .expect("peer liveness poisoned") = None;
-    }
-
-    /// Forwards `env` to node `owner` with the `fwd` marker set and
-    /// returns the peer's response. On any transport failure the peer
-    /// is marked dead and `None` returned — the caller answers
-    /// locally; the failure itself is recorded on the peer's liveness
-    /// mark, so no error detail is surfaced here.
-    pub fn forward(&self, owner: usize, env: &Envelope) -> Option<Json> {
+    /// Sends `env`, which carries the `fwd` marker, to node `owner` and
+    /// returns what `accept` makes of the peer's reply line, or `None`.
+    /// A pooled connection that fails is retried once on a fresh one (it
+    /// may have idled out); a second transport failure marks the peer
+    /// dead. A connection is pooled again only after an accepted reply.
+    pub fn forward<T>(
+        &self,
+        owner: usize,
+        env: &Envelope,
+        accept: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> Option<T> {
         debug_assert_ne!(owner, self.self_index, "never forward to self");
-        let mut forwarded = env.clone();
-        forwarded.fwd = true;
-        let line = render_envelope(&forwarded).to_string();
-        let pooled = self.peers[owner]
-            .pool
-            .lock()
-            .expect("peer pool poisoned")
-            .pop();
-        let mut client = match pooled {
-            Some(client) => client,
-            None => match Client::connect(self.nodes[owner].addr, self.peer_timeout) {
-                Ok(client) => client,
+        debug_assert!(env.fwd, "forwarded envelopes carry the fwd marker");
+        let line = render_envelope(env).to_string();
+        let pool = &self.peers[owner].pool;
+        let mut pooled = pool.lock().expect("peer pool poisoned").pop();
+        let (client, reply) = loop {
+            let retry = pooled.is_some();
+            let client = pooled.take().map_or_else(
+                || Client::connect(self.nodes[owner].addr, self.peer_timeout),
+                Ok,
+            );
+            match client.and_then(|mut c| c.request_line(&line).map(|reply| (c, reply))) {
+                Ok(exchanged) => break exchanged,
+                Err(_) if retry => {}
                 Err(_) => {
-                    self.mark_dead(owner);
+                    self.mark(owner, true);
                     return None;
                 }
-            },
-        };
-        match client.request_raw(&line) {
-            Ok(response) => {
-                self.mark_alive(owner);
-                self.peers[owner]
-                    .pool
-                    .lock()
-                    .expect("peer pool poisoned")
-                    .push(client);
-                Some(response)
             }
-            Err(_) => {
-                // The pooled connection may simply have idled out;
-                // retry once on a fresh connection before declaring
-                // the peer dead.
-                drop(client);
-                match Client::connect(self.nodes[owner].addr, self.peer_timeout)
-                    .and_then(|mut fresh| fresh.request_raw(&line).map(|r| (fresh, r)))
-                {
-                    Ok((fresh, response)) => {
-                        self.mark_alive(owner);
-                        self.peers[owner]
-                            .pool
-                            .lock()
-                            .expect("peer pool poisoned")
-                            .push(fresh);
-                        Some(response)
-                    }
-                    Err(_) => {
-                        self.mark_dead(owner);
-                        None
-                    }
-                }
+        };
+        self.mark(owner, false);
+        let accepted = accept(reply.as_bytes())?;
+        pool.lock().expect("peer pool poisoned").push(client);
+        Some(accepted)
+    }
+
+    /// The one forward path for `enumerate` answers: forwards the slots
+    /// a peer owns and this node does not hold, one envelope per owner,
+    /// and returns, per slot, the owner's checked answer or `None` (an
+    /// unforwarded slot, or a failed forward, which the caller answers
+    /// locally). A slot is an `enumerate` envelope with its effective id;
+    /// `None` or any other kind is never forwarded. With `batch`, each
+    /// owner's slots travel as one `fwd` batch whatever their number;
+    /// without, the one slot travels as a top-level `enumerate` with its
+    /// id, which the owner echoes. Opens the `forward` spans under
+    /// `span` and counts the forward telemetry: forwards, fallbacks and
+    /// each resolved slot's hops.
+    pub(crate) fn route(
+        &self,
+        state: &ServerState,
+        slots: &[Option<(&Envelope, String)>],
+        batch: bool,
+        span: Option<&ActiveSpan>,
+    ) -> Vec<Option<Relayed>> {
+        let mut groups: BTreeMap<usize, Vec<(usize, &Envelope, &str)>> = BTreeMap::new();
+        for (index, slot) in slots.iter().enumerate() {
+            let Some((env, id)) = slot else { continue };
+            // A request that does not resolve is answered locally, with
+            // its structured error.
+            let Some(query) = EnumQuery::of(state, &env.request) else {
+                continue;
+            };
+            let owner = self.owner_of(query.fp);
+            if owner != self.self_index && !state.cache.contains(query.fp) {
+                groups.entry(owner).or_default().push((index, env, id));
+            } else {
+                state.telemetry.forward_hops.record(0);
             }
         }
+        let mut relayed: Vec<Option<Relayed>> = slots.iter().map(|_| None).collect();
+        for (owner, group) in groups {
+            let ids: Vec<&str> = group.iter().map(|&(_, _, id)| id).collect();
+            let (id, request) = if batch {
+                let subs = group.iter().map(|&(_, sub, id)| {
+                    let id = Some(id.to_owned());
+                    Ok(Envelope { id, ..sub.clone() })
+                });
+                (None, Request::Batch(subs.collect()))
+            } else {
+                (Some(ids[0].to_owned()), group[0].1.request.clone())
+            };
+            // The forward span is the parent the owner continues under:
+            // its context travels in the envelope's trace field.
+            let fwd_span = span.map(|s| s.child("forward", SpanKind::Client));
+            let env = Envelope {
+                id,
+                request,
+                fwd: true,
+                trace: fwd_span.as_ref().map(ActiveSpan::context),
+            };
+            let answers = self.forward(owner, &env, |line| relay(line, &ids, batch));
+            let peer = self.node_id(owner);
+            if let Some(mut fs) = fwd_span {
+                fs.attr("peer", peer.to_owned());
+                fs.attr("slots", group.len() as u64);
+                fs.attr("ok", answers.is_some());
+                fs.finish(&state.telemetry);
+            }
+            let Some(answers) = answers else {
+                group.iter().for_each(|_| state.telemetry.note_fallback());
+                continue;
+            };
+            for (&(index, ..), answer) in group.iter().zip(answers) {
+                state.telemetry.note_forward(peer);
+                relayed[index] = Some(answer);
+            }
+        }
+        relayed
     }
 
     /// The current membership/liveness view.
@@ -294,6 +347,93 @@ impl Cluster {
                 .collect(),
         }
     }
+}
+
+/// Checks a peer's reply line to a forward of `enumerate` answers
+/// echoing `ids` — a batch's, with one `responses` element per id, when
+/// `batch` — and returns each answer as the owner wrote it, with
+/// `"forwarded":true` inserted. The check walks the line on the shared
+/// JSON lexer and builds no tree. `None` for any other reply: a line
+/// that is not one object, a batch that is not `ok`, an answer without a
+/// boolean `ok` or with another id, a wrong slot count, or trailing
+/// bytes.
+pub fn relay(line: &[u8], ids: &[&str], batch: bool) -> Option<Vec<Relayed>> {
+    let mut lex = Lexer::new(line);
+    let mut answers = Vec::with_capacity(ids.len());
+    if batch {
+        let mut ok = false;
+        lex.object(0, |lex, key, depth| {
+            match (key.as_ref(), lex.token(depth)?) {
+                ("ok", Token::Bool(b)) => ok = b,
+                ("responses", Token::Arr) => lex.array(depth, |lex, depth| {
+                    let id = ids.get(answers.len()).copied().unwrap_or_default();
+                    answers.push(relay_answer(lex, line, depth, id)?);
+                    Ok(())
+                })?,
+                (_, token) => lex.skip_container(&token, depth)?,
+            }
+            Ok(())
+        })
+        .ok()?;
+        if !ok {
+            return None;
+        }
+    } else {
+        answers.push(relay_answer(&mut lex, line, 0, ids.first()?).ok()?);
+    }
+    lex.finish().ok()?;
+    if answers.len() != ids.len() {
+        return None;
+    }
+    answers.into_iter().collect()
+}
+
+/// Reads the answer object at `lex`'s position in `line`: `None` unless
+/// it has a boolean `ok` and echoes `id`. The answer's outcome is
+/// read from `ok`, `error.kind` and `cache_hit`, and `"forwarded":true`
+/// goes in sorted key order among its top-level keys.
+fn relay_answer(
+    lex: &mut Lexer<'_>,
+    line: &[u8],
+    depth: usize,
+    id: &str,
+) -> Result<Option<Relayed>, ParseError> {
+    let start = lex.pos();
+    let (mut ok, mut hit, mut overbudget, mut echoed) = (None, false, false, false);
+    // The end of the last member whose key sorts before `forwarded`.
+    let mut after = None;
+    lex.object(depth, |lex, key, depth| {
+        match (key.as_ref(), lex.token(depth)?) {
+            ("ok", Token::Bool(b)) => ok = Some(b),
+            ("cache_hit", Token::Bool(b)) => hit = b,
+            ("id", Token::Str(echo)) => echoed = echo == id,
+            ("error", Token::Obj) => lex.object(depth, |lex, key, depth| {
+                let value = lex.value(depth)?;
+                overbudget |=
+                    key == "kind" && matches!(value, Token::Str(kind) if kind == "overbudget");
+                Ok(())
+            })?,
+            (_, token) => lex.skip_container(&token, depth)?,
+        }
+        if key.as_ref() < "forwarded" {
+            after = Some(lex.pos());
+        }
+        Ok(())
+    })?;
+    let outcome = match (ok, echoed) {
+        (Some(true), true) if hit => ReqOutcome::Hit,
+        (Some(true), true) => ReqOutcome::Miss,
+        (Some(false), true) if overbudget => ReqOutcome::Overbudget,
+        (Some(false), true) => ReqOutcome::Error,
+        _ => return Ok(None),
+    };
+    // A boolean `ok` makes the object non-empty, so a member follows `{`.
+    let (at, field): (_, &[u8]) = match after {
+        Some(at) => (at, b",\"forwarded\":true"),
+        None => (start + 1, b"\"forwarded\":true,"),
+    };
+    let bytes = [&line[start..at], field, &line[at..lex.pos()]].concat();
+    Ok(Some(Relayed { bytes, outcome }))
 }
 
 #[cfg(test)]
@@ -357,17 +497,17 @@ mod tests {
         };
         let primary = cluster.owner_of(fp);
         if primary != cluster.self_index {
-            cluster.mark_dead(primary);
+            cluster.mark(primary, true);
             let fallback = cluster.owner_of(fp);
             assert_ne!(fallback, primary, "dead owner must shed the key");
             let snapshot = cluster.snapshot();
             assert!(!snapshot.nodes[primary].1);
-            cluster.mark_alive(primary);
+            cluster.mark(primary, false);
             assert_eq!(cluster.owner_of(fp), primary);
         }
         // With every peer dead, all keys land here.
-        cluster.mark_dead(1);
-        cluster.mark_dead(2);
+        cluster.mark(1, true);
+        cluster.mark(2, true);
         assert_eq!(cluster.owner_of(fp), cluster.self_index);
         assert!(cluster.owns(fp));
     }

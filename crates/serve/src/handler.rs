@@ -16,7 +16,7 @@
 //! closure-rule families, and read the clock only for an `enumerate`
 //! miss that records its phase spans ([`Observe`]).
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -169,7 +169,7 @@ impl ServerState {
 pub fn serve_envelope(state: &ServerState, envelope: &Envelope, out: &mut Vec<u8>) {
     handle_inner(
         state,
-        &envelope.request,
+        envelope,
         envelope.id.clone(),
         envelope.fwd,
         true,
@@ -189,9 +189,10 @@ pub fn handle_envelope(state: &ServerState, envelope: &Envelope) -> Json {
     crate::json::parse_bytes(&line).expect("the server writes well-formed JSON")
 }
 
-/// Executes one sub-request of a batch: per-kind latency telemetry and
-/// the span log still apply, but the top-level `requests` counter does
-/// not — the batch line was already counted once. `id` is the slot's
+/// Executes one sub-request of a batch here, never forwarding it: the
+/// batch routed its slots already. Per-kind latency telemetry and the
+/// span log still apply, but the top-level `requests` counter does not —
+/// the batch line was already counted once. `id` is the slot's
 /// effective id (the client's, or a `{parent}.{slot}` child id derived
 /// by the batch layer) and `ctx` the batch span's context, so the
 /// slot's `sub` span is a child of the batch's `server` span, which
@@ -200,35 +201,41 @@ pub fn handle_envelope(state: &ServerState, envelope: &Envelope) -> Json {
 pub(crate) fn handle_sub(
     state: &ServerState,
     envelope: &Envelope,
-    fwd: bool,
     id: String,
     ctx: Option<TraceContext>,
 ) -> Answer {
-    handle_inner(
-        state,
-        &envelope.request,
-        Some(id),
-        fwd,
-        false,
-        envelope.trace.or(ctx),
-    )
+    let ctx = envelope.trace.or(ctx);
+    handle_inner(state, envelope, Some(id), true, false, ctx)
 }
 
 fn handle_inner(
     state: &ServerState,
-    request: &Request,
+    envelope: &Envelope,
     id: Option<String>,
     fwd: bool,
     top_level: bool,
     ctx: Option<TraceContext>,
 ) -> Answer {
+    let request = &envelope.request;
     respond(state, request, id, fwd, top_level, ctx, |span, id| {
         let tree = match request {
             Request::Enumerate {
                 test,
                 model,
                 budget,
-            } => return enumerate_response(state, test, model, *budget, fwd, span),
+            } => {
+                // A key a peer owns goes to the owner, unless this
+                // request was itself forwarded here.
+                if let Some(cluster) = state.cluster.as_ref().filter(|_| !fwd) {
+                    let slot = Some((envelope, id.to_owned()));
+                    if let Some(relayed) =
+                        cluster.route(state, &[slot], false, span).pop().flatten()
+                    {
+                        return Ok(Body::Relayed(relayed));
+                    }
+                }
+                return enumerate_response(state, test, model, *budget, span);
+            }
             Request::Batch(subs) => return Ok(crate::batch::execute(state, subs, fwd, id, span)),
             Request::Verdict { test, budget } => return verdict_response(state, test, *budget),
             Request::Witness {
@@ -281,15 +288,7 @@ pub fn serve_hit(state: &ServerState, envelope: &Envelope, out: &mut Vec<u8>) ->
 }
 
 fn answer_hit(state: &ServerState, envelope: &Envelope) -> Option<Answer> {
-    let Request::Enumerate {
-        test,
-        model,
-        budget,
-    } = &envelope.request
-    else {
-        return None;
-    };
-    let query = EnumQuery::resolve(state, test, model, *budget).ok()?;
+    let query = EnumQuery::of(state, &envelope.request)?;
     let value = state.cache.probe(query.fp)?;
     Some(respond(
         state,
@@ -299,8 +298,11 @@ fn answer_hit(state: &ServerState, envelope: &Envelope) -> Option<Answer> {
         true,
         envelope.trace,
         |_, _| {
-            // A resident key is never forwarded, even when a peer owns it.
-            note_local(state, envelope.fwd);
+            // A resident key is never forwarded, even when a peer owns
+            // it: zero hops.
+            if state.cluster.is_some() && !envelope.fwd {
+                state.telemetry.forward_hops.record(0);
+            }
             Ok(Body::Enumerate {
                 query,
                 value,
@@ -451,73 +453,14 @@ fn condition_goal(entry: &CatalogEntry, condition: usize) -> Result<(Goal, Strin
     Ok((Goal::new(cond.clauses.clone()), cond.text.clone()))
 }
 
-/// Records that a cluster member answered an `enumerate` itself (zero
-/// hops); a forwarded request's hop was recorded by its sender.
-fn note_local(state: &ServerState, fwd: bool) {
-    if state.cluster.is_some() && !fwd {
-        state.telemetry.forward_hops.record(0);
-    }
-}
-
 fn enumerate_response(
     state: &ServerState,
     test: &str,
     model: &str,
     budget: Option<u64>,
-    fwd: bool,
     span: Option<&ActiveSpan>,
 ) -> Result<Body, ServiceError> {
     let query = EnumQuery::resolve(state, test, model, budget)?;
-    let fp = query.fp;
-
-    // Cluster routing: keys owned elsewhere are forwarded — unless this
-    // request was itself forwarded here (`fwd`), the key is already in
-    // the local cache, or the owner is unreachable (fallback below).
-    if let Some(cluster) = state.cluster.as_ref().filter(|_| !fwd) {
-        let owner = cluster.owner_of(fp);
-        if cluster.node_id(owner) != cluster.self_id() && !state.cache.contains(fp) {
-            // The forward span is the parent the owning peer continues
-            // under: its context travels in the envelope's trace field.
-            let fwd_span = span.map(|s| s.child("forward", SpanKind::Client));
-            let env = Envelope {
-                id: None,
-                request: Request::Enumerate {
-                    test: test.to_owned(),
-                    model: model.to_owned(),
-                    budget,
-                },
-                fwd: true,
-                trace: fwd_span.as_ref().map(ActiveSpan::context),
-            };
-            match cluster.forward(owner, &env) {
-                Some(mut response) => {
-                    state.telemetry.note_forward(cluster.node_id(owner));
-                    state.telemetry.forward_hops.record(1);
-                    if let Json::Obj(map) = &mut response {
-                        map.insert("forwarded".to_owned(), Json::Bool(true));
-                    }
-                    if let Some(mut fs) = fwd_span {
-                        fs.attr("peer", cluster.node_id(owner).to_owned());
-                        fs.attr("ok", true);
-                        fs.finish(&state.telemetry);
-                    }
-                    return Ok(Body::Tree(response));
-                }
-                None => {
-                    state
-                        .telemetry
-                        .forward_fallbacks
-                        .fetch_add(1, Ordering::Relaxed);
-                    if let Some(mut fs) = fwd_span {
-                        fs.attr("peer", cluster.node_id(owner).to_owned());
-                        fs.attr("ok", false);
-                        fs.finish(&state.telemetry);
-                    }
-                }
-            }
-        }
-    }
-    note_local(state, fwd);
 
     let work_span = span.map(|s| s.child("enumerate", SpanKind::Internal));
     // The cache keeps only the deterministic counters; the phase spans
@@ -536,7 +479,7 @@ fn enumerate_response(
     // queries wait for it and then hit.
     let (value, lookup) = state
         .cache
-        .get_or_fill(fp, || {
+        .get_or_fill(query.fp, || {
             let result = enumerate_pruned(
                 &query.entry.test.program,
                 &state.table[query.row].policy,
@@ -753,22 +696,10 @@ fn metrics_response(state: &ServerState) -> Json {
     let mut fields = vec![
         ("ok", Json::Bool(true)),
         ("kind", Json::str("metrics")),
-        (
-            "requests",
-            Json::num(telemetry.requests.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "monitoring",
-            Json::num(telemetry.monitoring.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "errors",
-            Json::num(telemetry.errors.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "overloaded",
-            Json::num(telemetry.overloaded.load(Ordering::Relaxed) as f64),
-        ),
+        ("requests", count(&telemetry.requests)),
+        ("monitoring", count(&telemetry.monitoring)),
+        ("errors", count(&telemetry.errors)),
+        ("overloaded", count(&telemetry.overloaded)),
         ("cache", Json::Raw(state.cache.stats().to_json())),
         ("telemetry", state.telemetry.to_json()),
     ];
@@ -786,22 +717,18 @@ fn metrics_response(state: &ServerState) -> Json {
             Json::obj([
                 ("self", Json::str(snapshot.self_id)),
                 ("nodes", Json::Arr(nodes)),
-                (
-                    "forwards",
-                    Json::num(state.telemetry.forwards_ok.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "fallbacks",
-                    Json::num(state.telemetry.forward_fallbacks.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "singleflight_waits",
-                    Json::num(state.telemetry.singleflight_waits.load(Ordering::Relaxed) as f64),
-                ),
+                ("forwards", count(&telemetry.forwards_ok)),
+                ("fallbacks", count(&telemetry.forward_fallbacks)),
+                ("singleflight_waits", count(&telemetry.singleflight_waits)),
             ]),
         ));
     }
     Json::obj(fields)
+}
+
+/// A counter's value as a JSON number.
+fn count(counter: &AtomicU64) -> Json {
+    Json::num(counter.load(Ordering::Relaxed) as f64)
 }
 
 /// This node's per-kind merged latency snapshots, in wire form.
@@ -869,7 +796,8 @@ fn metrics_cluster_response(state: &ServerState, fwd: bool) -> Json {
                     fwd: true,
                     trace: None,
                 };
-                let answered = cluster.forward(i, &env).and_then(|resp| {
+                let answered = cluster.forward(i, &env, |line| {
+                    let resp = crate::json::parse_bytes(line).ok()?;
                     if resp.get("ok").and_then(Json::as_bool) != Some(true) {
                         return None;
                     }

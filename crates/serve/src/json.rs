@@ -8,20 +8,16 @@
 //! `samm_core::explain` and the hand-rolled `to_json` outputs of the
 //! stats types) into a tree without re-parsing them.
 //!
-//! One lexer reads JSON for two builders. [`parse_bytes`] (and
-//! [`parse`]) builds a [`Json`] tree; `protocol::parse_envelope_bytes`
-//! reads a request line straight into an `Envelope`, with no tree.
-//! Both walk arrays and objects through the same lexer calls, so a
-//! syntax error carries the same message at the same byte offset
-//! whichever builder meets it. The tree is left only for responses and
-//! clients:
-//! - `client::Client::read_response`, under `request_raw` and
-//!   `request`: the cluster's peer replies (`cluster::Cluster::forward`
-//!   and the `metrics_cluster` fan-out), `samm-top`, `samm-load` and
-//!   the `samm-benchmark` harness;
-//! - `handler::handle_envelope`, the tree API that parses the served
-//!   line back;
-//! - tests.
+//! One lexer reads JSON three ways. [`parse_bytes`] (and [`parse`])
+//! builds a [`Json`] tree; `protocol::parse_envelope_bytes` reads a
+//! request line straight into an `Envelope`; `cluster::relay` checks a
+//! peer's `enumerate` answer and notes byte offsets in it. All walk
+//! arrays and objects through the same lexer calls, so a syntax error
+//! carries the same message at the same byte offset whichever reader
+//! meets it. The tree is left for `client::Client::read_response`
+//! (`samm-top`, `samm-load`, the `samm-benchmark` harness), the
+//! `metrics_cluster` fan-out, which merges its peers' histograms,
+//! `handler::handle_envelope` and tests.
 //!
 //! Numbers are kept as `f64` on parse — wire payloads carry counts and
 //! small ids, all well inside the 2^53 exact-integer range — and
@@ -280,13 +276,12 @@ pub(crate) enum Token<'a> {
     Obj,
 }
 
-/// The one JSON lexer, under two builders: [`tree`] (the [`Json`]
-/// values of [`parse_bytes`]) and `protocol`'s request builder, which
-/// reads a request line straight into an `Envelope`. Both walk
+/// The one JSON lexer, under [`tree`] (the [`Json`] values of
+/// [`parse_bytes`]), `protocol`'s request builder, which reads a request
+/// line straight into an `Envelope`, and `cluster::relay`. All walk
 /// containers with [`Lexer::array`] and [`Lexer::object`], so a syntax
 /// error is reported with the same message at the same byte offset
-/// whichever builder reads the input, and both bound nesting by
-/// [`MAX_DEPTH`].
+/// whichever reads the input, and nesting is bounded by [`MAX_DEPTH`].
 pub(crate) struct Lexer<'a> {
     bytes: &'a [u8],
     /// `bytes` as text when all of it is UTF-8, as it is unless the
@@ -317,6 +312,11 @@ impl<'a> Lexer<'a> {
             return Err(self.error("trailing characters after JSON value"));
         }
         Ok(())
+    }
+
+    /// The offset of the next byte to read.
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
     }
 
     fn error(&self, message: &str) -> ParseError {

@@ -251,7 +251,7 @@ pub struct Telemetry {
     pub forward_hops: Histogram,
     /// Requests forwarded to the owning peer and answered by it.
     pub forwards_ok: AtomicU64,
-    /// Forwards that failed over to local execution (peer unreachable).
+    /// Forwarded slots answered locally instead (peer unreachable or its reply refused).
     pub forward_fallbacks: AtomicU64,
     /// `enumerate` requests that waited for another request's fill of
     /// the same cache entry instead of running their own
@@ -362,15 +362,24 @@ impl Telemetry {
         gauges
     }
 
-    /// Counts one request forwarded to (and answered by) `peer`.
+    /// Counts one `enumerate` forwarded to (and answered by) `peer`: one
+    /// hop.
     pub fn note_forward(&self, peer: &str) {
         self.forwards_ok.fetch_add(1, Ordering::Relaxed);
+        self.forward_hops.record(1);
         *self
             .peer_forwards
             .lock()
             .expect("peer forwards poisoned")
             .entry(peer.to_owned())
             .or_insert(0) += 1;
+    }
+
+    /// Counts one `enumerate` whose forward failed over to local
+    /// execution: zero hops.
+    pub fn note_fallback(&self) {
+        self.forward_fallbacks.fetch_add(1, Ordering::Relaxed);
+        self.forward_hops.record(0);
     }
 
     /// Records one completed latency-tracked request.
@@ -665,7 +674,7 @@ impl Telemetry {
         );
         prom.counter(
             "samm_forward_fallbacks_total",
-            "Forwards that failed over to local execution (peer unreachable).",
+            "Forwarded slots answered locally instead (peer unreachable or its reply refused).",
             [([], self.forward_fallbacks.load(Ordering::Relaxed) as f64)],
         );
         prom.counter(

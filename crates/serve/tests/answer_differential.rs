@@ -6,7 +6,7 @@
 //! every catalog verdict (cold, warm, budgeted and overbudget, on a
 //! one-entry cache too), batch slots and error slots, escaped and
 //! server-assigned ids, a cluster member's `node` field and a peer's
-//! spliced answers — and the
+//! relayed answers — and the
 //! two sides must count the same requests, errors, per-kind outcomes,
 //! cache lookups and batch sizes.
 
@@ -386,7 +386,7 @@ fn free_addrs(n: usize) -> Vec<SocketAddr> {
 
 /// A two-node cluster on each side: the served `node-a` and the
 /// in-process `node-a` each forward to a `node-b` of their own, so every
-/// answer carries a `node` field or comes back spliced from the peer.
+/// answer carries a `node` field or comes back relayed from the peer.
 #[test]
 fn cluster_answers_match_the_in_process_answers() {
     let [served_a, served_b, reference_a, reference_b] = free_addrs(4)[..] else {

@@ -140,7 +140,7 @@ fn cluster_forwards_to_owners_and_hits_their_caches() {
     assert!(forwarded_hits > 0, "peer-forward hit rate must be > 0");
 
     // A batch through node-a regroups peer-owned slots into forwarded
-    // sub-batches and splices the answers back in slot order.
+    // sub-batches and relays the answers back in slot order.
     let subs: Vec<String> = KEYS
         .iter()
         .enumerate()

@@ -4,8 +4,9 @@
 //! resolve (catalog name lookup and a row of the start-up resolution
 //! table, beside the per-request resolution it replaced), cache probe
 //! and the byte writer; then times the whole served inline hit, the
-//! parse of a 32-slot batch line and its serving, and a client's parse
-//! of the answer. The other
+//! parse of a 32-slot batch line and its serving, a client's parse of
+//! the answer, and a forwarding node's check and relay of the same
+//! answer (`cluster::relay`). The other
 //! tests time the pieces
 //! that have historically regressed (catalog lookup, `EnumConfig`
 //! construction, cache-hit clone, telemetry record).
@@ -136,7 +137,14 @@ fn slot_cost() {
     out.clear();
     serve_envelope(&state, &env, &mut out);
     let client = time_us(n, || samm_serve::json::parse_bytes(&out).unwrap());
-    println!("client parse:     {client:.2}us");
+    println!(
+        "client parse:     {client:.2}us ({}B answer)",
+        out.len() - 1
+    );
+    let relay = time_us(n, || {
+        samm_serve::cluster::relay(&out, &["s7"], false).unwrap()
+    });
+    println!("forwarded relay:  {relay:.2}us (check, insert \"forwarded\":true)");
 }
 
 #[test]
